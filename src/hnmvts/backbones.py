@@ -29,7 +29,7 @@ __all__ = [
     "DLinearBackbone",
     "MlpBackbone",
     "decompose",
-    "forward_hidden",
+    "from_config",
     "apply_final",
     "uniform_fan_in",
 ]
@@ -119,8 +119,9 @@ class DLinearBackbone:
     def slots(self) -> list[tuple[str, int]]:
         return [("trend", self.lookback), ("seasonal", self.lookback)]
 
-    def forward_hidden(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        return decompose(x, self.kernel)
+    def forward_hidden(self, x: Tensor) -> list[Tensor]:
+        """Hidden states in `slots` order: trend, then seasonal."""
+        return list(decompose(x, self.kernel))
 
     def parameters(self) -> dict[str, Tensor]:
         return {}
@@ -162,11 +163,12 @@ class MlpBackbone:
     def slots(self) -> list[tuple[str, int]]:
         return [("out", self.hidden_dim)]
 
-    def forward_hidden(self, x: Tensor) -> Tensor:
+    def forward_hidden(self, x: Tensor) -> list[Tensor]:
+        """The trunk's output, the one hidden state of the `out` slot."""
         h = x
         for w, b in self.layers:
             h = relu(add(matmul(h, w), b))
-        return h
+        return [h]
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -183,23 +185,25 @@ class MlpBackbone:
         }
 
 
-def forward_hidden(backbone, x: Tensor):
-    """Hidden state(s) for a lookback window: a pair for DLinear, one for MLP."""
-    return backbone.forward_hidden(x)
+def from_config(cfg: dict, arrays: dict[str, np.ndarray]):
+    """Rebuild a backbone from its `config()` and arrays named as its `parameters()`.
 
-
-def apply_final(finals, hidden) -> Tensor:
-    """Apply final layer(s) to hidden state(s), summing multi-slot outputs.
-
-    Accepts a single (FinalLayer, hidden) pair or equal-length sequences for
-    multi-branch backbones.
+    The arrays are wrapped, not copied; missing names raise KeyError.
     """
-    if isinstance(finals, FinalLayer):
-        finals = [finals]
-        hidden = [hidden]
-    else:
-        finals = list(finals)
-        hidden = list(hidden) if isinstance(hidden, (list, tuple)) else [hidden]
+    kind = cfg["kind"]
+    if kind == DLinearBackbone.kind:
+        return DLinearBackbone(cfg["lookback"], cfg["kernel"])
+    if kind == MlpBackbone.kind:
+        weights = [
+            tuple(Tensor(arrays[f"trunk.{i}.{p}"], requires_grad=True) for p in "wb")
+            for i in range(len(cfg["hidden_widths"]))
+        ]
+        return MlpBackbone(cfg["lookback"], cfg["hidden_widths"], weights=weights)
+    raise ValueError(f"unknown backbone kind '{kind}'")
+
+
+def apply_final(finals: list[FinalLayer], hidden: list[Tensor]) -> Tensor:
+    """Sum over slots of each final layer applied to its slot's hidden state."""
     if len(finals) != len(hidden):
         raise DimensionError(f"{len(finals)} final layers for {len(hidden)} hidden states")
     out = finals[0].apply(hidden[0])

@@ -8,11 +8,13 @@ its default, and `--print-config` emits exactly that text.
 from __future__ import annotations
 
 import configparser
+import difflib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..data import SplitSpec, SynthSpec
+from ..hypernet import GENERATOR_MODES
 
 __all__ = [
     "RunConfig",
@@ -20,9 +22,17 @@ __all__ = [
     "default_config_text",
     "resolve_out_dir",
     "OUT_DIR_ENV",
+    "VARIANTS",
+    "BASELINE",
+    "HN_MVTS",
 ]
 
 OUT_DIR_ENV = "HNMVTS_OUT_DIR"
+
+# The run names of the two compared variants. `hn_mvts` trains as the model
+# variant "hyper" and is deployed (evaluated, saved) as "baked"; `baseline`
+# is the model variant "baseline" throughout.
+BASELINE, HN_MVTS = VARIANTS = ("baseline", "hn_mvts")
 
 _DEFAULT_TEXT = """\
 # hnmvts run configuration (INI, flat sections)
@@ -104,7 +114,7 @@ class RunConfig:
     backbone: str = "dlinear"
     kernel: int = 25
     mlp_widths: tuple[int, ...] = (128,)
-    variant: str = "hn_mvts"
+    variant: str = HN_MVTS
     gen_mode: str = "per_channel_linear"
     gen_hidden: tuple[int, ...] = ()
     embed_dim: int | None = None
@@ -121,7 +131,7 @@ class RunConfig:
     early_stop_patience: int | None = None
     horizons: tuple[int, ...] = (48, 96, 192, 336)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    variants: tuple[str, ...] = ("baseline", "hn_mvts")
+    variants: tuple[str, ...] = VARIANTS
     out_dir: str = "runs"
 
     def echo(self) -> dict:
@@ -182,14 +192,39 @@ def _int_tuple(raw: str | None) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
 
 
+def _check_schema(user: configparser.ConfigParser, schema: configparser.ConfigParser,
+                  path: Path) -> None:
+    """Reject any section or key that `_DEFAULT_TEXT` does not define."""
+    stray = list(user.defaults())
+    if stray:
+        raise ValueError(f"{path}: unknown key [DEFAULT] {stray[0]}")
+    for section in user.sections():
+        if not schema.has_section(section):
+            raise ValueError(
+                f"{path}: unknown section [{section}]{_hint(section, schema.sections())}"
+            )
+        valid = schema.options(section)
+        for key in user.options(section):
+            if key not in valid:
+                raise ValueError(f"{path}: unknown key [{section}] {key}{_hint(key, valid)}")
+
+
+def _hint(name: str, valid: list[str]) -> str:
+    close = difflib.get_close_matches(name, valid, n=1)
+    return f" (did you mean '{close[0]}'?)" if close else f" (valid: {', '.join(valid)})"
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
+    text = path.read_text(encoding="utf-8")
+    user = configparser.ConfigParser()
+    user.read_string(text, source=str(path))
     parser = configparser.ConfigParser()
     parser.read_string(_DEFAULT_TEXT)
-    with path.open(encoding="utf-8") as fh:
-        parser.read_file(fh)
+    _check_schema(user, parser, path)
+    parser.read_string(text, source=str(path))
     cfg = RunConfig()
     cfg.source = _get(parser, "data", "source", "synthetic")
     cfg.timestamp_column = _get(parser, "data", "timestamp_column")
@@ -210,7 +245,7 @@ def load_config(path: str | Path) -> RunConfig:
     cfg.backbone = _get(parser, "model", "backbone", "dlinear")
     cfg.kernel = int(_get(parser, "model", "kernel", "25"))
     cfg.mlp_widths = _int_tuple(_get(parser, "model", "mlp_widths", "128")) or (128,)
-    cfg.variant = _get(parser, "model", "variant", "hn_mvts")
+    cfg.variant = _get(parser, "model", "variant", HN_MVTS)
     cfg.gen_mode = _get(parser, "model", "gen_mode", "per_channel_linear")
     cfg.gen_hidden = _int_tuple(_get(parser, "model", "gen_hidden"))
     embed_dim = _get(parser, "model", "embed_dim")
@@ -230,14 +265,19 @@ def load_config(path: str | Path) -> RunConfig:
     cfg.horizons = _int_tuple(_get(parser, "bench", "horizons", "48,96,192,336"))
     cfg.seeds = _int_tuple(_get(parser, "bench", "seeds", "0,1,2,3,4"))
     cfg.variants = tuple(
-        v.strip() for v in _get(parser, "bench", "variants", "baseline,hn_mvts").split(",")
+        v.strip() for v in _get(parser, "bench", "variants", ",".join(VARIANTS)).split(",")
     )
     cfg.out_dir = _get(parser, "output", "dir", "runs")
     for variant in cfg.variants + (cfg.variant,):
-        if variant not in ("baseline", "hn_mvts"):
-            raise ValueError(f"unknown variant '{variant}'")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant '{variant}' (expected one of {VARIANTS})")
     if cfg.backbone not in ("dlinear", "mlp"):
         raise ValueError(f"unknown backbone '{cfg.backbone}'")
+    if cfg.gen_mode not in GENERATOR_MODES:
+        raise ValueError(
+            f"[model] gen_mode: unknown generator mode '{cfg.gen_mode}' "
+            f"(expected one of {GENERATOR_MODES})"
+        )
     return cfg
 
 

@@ -23,7 +23,7 @@ from ..data import SeriesTable, chrono_split, gen_synthetic, load_csv, make_wind
 from ..hypernet import bake, build_baseline, build_hyper
 from ..numcore import spawn_rng
 from ..trainer import TrainConfig, TrainingError, evaluate, train
-from .config import RunConfig
+from .config import BASELINE, HN_MVTS, RunConfig
 from .stats import wilcoxon_signed_rank
 
 __all__ = ["ResultRecord", "SummaryRow", "run_experiment", "summarize",
@@ -114,12 +114,12 @@ def load_table(cfg: RunConfig) -> SeriesTable:
 def build_model_for_run(cfg: RunConfig, variant: str, train_split: SeriesTable,
                         horizon: int, seed: int):
     """Deterministic model for one grid cell; init stream keyed by the cell."""
-    rng = spawn_rng(seed, 50_000 + horizon * 4 + (0 if variant == "baseline" else 1))
+    rng = spawn_rng(seed, 50_000 + horizon * 4 + (0 if variant == BASELINE else 1))
     if cfg.backbone == "dlinear":
         backbone = DLinearBackbone(cfg.lookback, cfg.kernel)
     else:
         backbone = MlpBackbone(cfg.lookback, cfg.mlp_widths, rng=rng)
-    if variant == "baseline":
+    if variant == BASELINE:
         return build_baseline(
             backbone, train_split.n_channels, horizon, rng,
             revin=cfg.revin, shared_final=cfg.shared_final,
@@ -181,7 +181,7 @@ def _run_cell(cfg: RunConfig, variant: str, train_split: SeriesTable, horizon: i
         rec.param_count_total = model.param_count()
         rec.param_count_trainable = model.param_count(trainable_only=True)
         rec.hyper_param_count = sum(t.size for t in model.hyper_parameters().values())
-        if variant == "hn_mvts":
+        if model.variant == "hyper":
             model = bake(model)
         metrics = evaluate(model, test_w)
         rec.test_mse = metrics["mse"]
@@ -226,8 +226,8 @@ def summarize(records: list[ResultRecord], alpha: float = 0.05) -> list[SummaryR
     rows = []
     for (dataset, backbone, horizon), by_variant in sorted(cells.items()):
         row = SummaryRow(dataset, backbone, horizon)
-        base = by_variant.get("baseline", {})
-        hn = by_variant.get("hn_mvts", {})
+        base = by_variant.get(BASELINE, {})
+        hn = by_variant.get(HN_MVTS, {})
         seeds = sorted(set(base) & set(hn))
         row.n_seeds = len(seeds)
         if not seeds or set(base) != set(hn):
@@ -261,7 +261,7 @@ def summarize(records: list[ResultRecord], alpha: float = 0.05) -> list[SummaryR
 def summary_text(rows: list[SummaryRow]) -> str:
     header = (
         f"{'dataset':<12} {'backbone':<9} {'H':>4}  "
-        f"{'baseline MSE':>18} {'hn_mvts MSE':>18} {'change':>8} "
+        f"{BASELINE + ' MSE':>18} {HN_MVTS + ' MSE':>18} {'change':>8} "
         f"{'p':>8} {'sig':>4} {'t-ratio':>8}"
     )
     lines = [header, "-" * len(header)]

@@ -1,8 +1,8 @@
 """Versioned model checkpoints: one .npz with a JSON header plus raw arrays.
 
-The header is self-describing (backbone kind and shapes, variant, generator
-mode, channel names, config echo); arrays are stored bit-exact in their
-native float width under the same names `ForecastModel.all_arrays` uses.
+The header is `ForecastModel.config()` plus the format version and a config
+echo; arrays are stored bit-exact in their native float width under the
+names `ForecastModel.all_arrays` uses, each prefixed with `param/`.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbones import DLinearBackbone, FinalLayer, MlpBackbone
-from .hypernet import EmbeddingMatrix, ForecastModel, GeneratorParams, HyperHead
-from .numcore import Tensor
+from .hypernet import ForecastModel
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERSION"]
 
@@ -25,30 +23,23 @@ class CheckpointError(ValueError):
     """Unreadable or structurally invalid checkpoint file."""
 
 
+class _StoredArrays(dict):
+    """A checkpoint's arrays by name; a missing one raises CheckpointError naming it."""
+
+    def __init__(self, path: Path, arrays: dict[str, np.ndarray]):
+        super().__init__(arrays)
+        self.path = path
+
+    def __missing__(self, name: str):
+        raise CheckpointError(f"{self.path}: missing array 'param/{name}'")
+
+
 def save_checkpoint(model: ForecastModel, path: str | Path, config_echo: dict | None = None) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
-        "variant": model.variant,
-        "revin": model.revin,
-        "n_channels": model.n_channels,
-        "horizon": model.horizon,
-        "channel_names": list(model.channel_names),
-        "backbone": model.backbone.config(),
+        **model.config(),
         "config_echo": config_echo or {},
     }
-    if model.variant == "hyper":
-        heads_meta = {}
-        for slot, head in model.heads.items():
-            heads_meta[slot] = {
-                "mode": head.gen.mode,
-                "hidden_dim": head.hidden_dim,
-                "n_mlp_layers": len(head.gen.mlp_layers) if head.gen.mlp_layers else 0,
-            }
-        meta["heads"] = heads_meta
-        meta["embedding"] = {
-            "dim": model.embedding.dim,
-            "learnable": model.embedding.learnable,
-        }
     arrays = {f"param/{name}": t.data for name, t in model.all_arrays().items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -68,77 +59,26 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         raise CheckpointError(f"{path}: unreadable ({err})") from err
     if "meta" not in bundle:
         raise CheckpointError(f"{path}: missing meta header")
-    meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
+    try:
+        meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
+    except ValueError as err:
+        raise CheckpointError(f"{path}: corrupt meta header ({err})") from None
     if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {meta.get('format_version')} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
-    params = {
+    arrays = _StoredArrays(path, {
         key[len("param/") :]: np.asarray(bundle[key])
         for key in bundle.files
         if key.startswith("param/")
-    }
-    backbone = _build_backbone(meta["backbone"], params)
-    variant = meta["variant"]
-    n = meta["n_channels"]
-    horizon = meta["horizon"]
-    if variant in ("baseline", "baked"):
-        finals = {}
-        for slot, _ in backbone.slots:
-            key = f"final.{slot}.w"
-            if key not in params:
-                raise CheckpointError(f"{path}: missing array {key}")
-            finals[slot] = FinalLayer(Tensor(params[key], requires_grad=variant == "baseline"))
-        model = ForecastModel(
-            backbone, n, horizon, variant, revin=meta["revin"], finals=finals,
-            channel_names=meta["channel_names"],
-        )
-    elif variant == "hyper":
-        emb_meta = meta["embedding"]
-        embedding = EmbeddingMatrix(
-            Tensor(params["embed.z"], requires_grad=emb_meta["learnable"]),
-            learnable=emb_meta["learnable"],
-        )
-        heads = {}
-        for slot, dim in backbone.slots:
-            head_meta = meta["heads"][slot]
-            if head_meta["mode"] == "per_channel_linear":
-                gen = GeneratorParams(
-                    "per_channel_linear",
-                    w_phi=Tensor(params[f"head.{slot}.w_phi"], requires_grad=True),
-                )
-            else:
-                layers = []
-                for i in range(head_meta["n_mlp_layers"]):
-                    w = Tensor(params[f"head.{slot}.mlp.{i}.w"], requires_grad=True)
-                    bkey = f"head.{slot}.mlp.{i}.b"
-                    b = Tensor(params[bkey], requires_grad=True) if bkey in params else None
-                    layers.append((w, b))
-                gen = GeneratorParams("shared_mlp", mlp_layers=layers)
-            heads[slot] = HyperHead(embedding, gen, slot, horizon, head_meta["hidden_dim"])
-        model = ForecastModel(
-            backbone, n, horizon, "hyper", revin=meta["revin"], heads=heads,
-            embedding=embedding, channel_names=meta["channel_names"],
-        )
-    else:
-        raise CheckpointError(f"{path}: unknown variant '{variant}'")
+    })
+    try:
+        model = ForecastModel.from_config(meta, arrays)
+    except CheckpointError:
+        raise
+    except KeyError as err:
+        raise CheckpointError(f"{path}: meta header lacks key {err}") from None
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from err
     return model, meta.get("config_echo", {})
-
-
-def _build_backbone(cfg: dict, params: dict[str, np.ndarray]):
-    kind = cfg.get("kind")
-    if kind == "dlinear":
-        return DLinearBackbone(cfg["lookback"], cfg["kernel"])
-    if kind == "mlp":
-        widths = tuple(cfg["hidden_widths"])
-        weights = []
-        for i in range(len(widths)):
-            weights.append(
-                (
-                    Tensor(params[f"trunk.{i}.w"], requires_grad=True),
-                    Tensor(params[f"trunk.{i}.b"], requires_grad=True),
-                )
-            )
-        return MlpBackbone(cfg["lookback"], widths, weights=weights)
-    raise CheckpointError(f"unknown backbone kind '{kind}'")

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numcore import Tensor, spawn_rng
 
@@ -21,7 +22,7 @@ __all__ = [
     "LoadError",
     "WindowError",
     "SeriesTable",
-    "WindowPair",
+    "WindowSet",
     "SplitSpec",
     "SynthSpec",
     "load_csv",
@@ -74,38 +75,47 @@ class SeriesTable:
         )
 
 
-class WindowPair:
-    """One supervised example: lookback x (N x T) and target y (N x H).
+class WindowSet:
+    """Stride-1 supervised windows over one segment, gathered in batches.
 
-    Materializes x/y lazily from the backing table so that enumerating tens
-    of thousands of windows costs no more memory than the table itself.
+    Holds the segment once, channel-major (N x t), plus the origin index of
+    each window; window i has lookback values[:, o:o+T] and target
+    values[:, o+T:o+T+H] with o = origins[i]. Slicing or indexing with an
+    index array selects a subset and shares the segment.
     """
 
-    __slots__ = ("_values", "origin_index", "lookback", "horizon")
+    __slots__ = ("values", "origins", "lookback", "horizon")
 
-    def __init__(self, values: np.ndarray, origin_index: int, lookback: int, horizon: int):
-        self._values = values
-        self.origin_index = origin_index
+    def __init__(self, values: np.ndarray, origins: np.ndarray, lookback: int, horizon: int):
+        self.values = values
+        self.origins = origins
         self.lookback = lookback
         self.horizon = horizon
 
-    def x_array(self) -> np.ndarray:
-        i = self.origin_index
-        return np.ascontiguousarray(self._values[i : i + self.lookback].T)
+    def __len__(self) -> int:
+        return len(self.origins)
 
-    def y_array(self) -> np.ndarray:
-        i = self.origin_index
-        return np.ascontiguousarray(
-            self._values[i + self.lookback : i + self.lookback + self.horizon].T
-        )
+    def __getitem__(self, key) -> "WindowSet":
+        origins = self.origins[key]
+        if origins.ndim != 1:
+            raise TypeError("index a WindowSet with a slice or a 1-d index array")
+        return WindowSet(self.values, origins, self.lookback, self.horizon)
 
-    @property
-    def x(self) -> Tensor:
-        return Tensor(self.x_array())
+    def batch(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Lookbacks (B, N, T) and targets (B, N, H) of the windows at `idx`.
 
-    @property
-    def y(self) -> Tensor:
-        return Tensor(self.y_array())
+        `idx` is a slice or an index array into this set; indexing the span
+        views with an array copies into fresh C-contiguous arrays.
+        """
+        start = self.origins[idx]
+        x = _spans(self.values, self.lookback)[start]
+        y = _spans(self.values, self.horizon)[start + self.lookback]
+        return x, y
+
+
+def _spans(values: np.ndarray, width: int) -> np.ndarray:
+    """View (t - width + 1, N, width): every length-`width` span of an (N, t) series."""
+    return sliding_window_view(values, width, axis=1).transpose(1, 0, 2)
 
 
 @dataclass
@@ -220,8 +230,8 @@ def chrono_split(
     return table.rows(0, b1), table.rows(b1, b2), table.rows(b2, t)
 
 
-def make_windows(table: SeriesTable, lookback: int, horizon: int) -> list[WindowPair]:
-    """All stride-1 (lookback, horizon) pairs, ordered by origin index.
+def make_windows(table: SeriesTable, lookback: int, horizon: int) -> WindowSet:
+    """All stride-1 (lookback, horizon) windows, ordered by origin index.
 
     There are t - (lookback + horizon) + 1 of them; shorter tables raise
     WindowError naming the required length.
@@ -234,8 +244,8 @@ def make_windows(table: SeriesTable, lookback: int, horizon: int) -> list[Window
         raise WindowError(
             f"segment has {t} timesteps but lookback+horizon requires at least {needed}"
         )
-    values = table.values.data
-    return [WindowPair(values, i, lookback, horizon) for i in range(t - needed + 1)]
+    values = np.ascontiguousarray(table.values.data.T)
+    return WindowSet(values, np.arange(t - needed + 1), lookback, horizon)
 
 
 def pearson_corr(table: SeriesTable) -> Tensor:

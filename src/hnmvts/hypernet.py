@@ -22,16 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbones import (
-    DLinearBackbone,
-    FinalLayer,
-    MlpBackbone,
-    apply_final,
-    uniform_fan_in,
-)
+from . import backbones
+from .backbones import FinalLayer, apply_final, uniform_fan_in
 from .data import SeriesTable, pearson_corr
 from .normalization import InstanceStats, revin_forward, revin_reverse
-from .numcore import Tensor, add, channel_dot, matmul, pca_project, relu, reshape
+from .numcore import Tensor, add, channel_dot, matmul, no_grad, pca_project, relu, reshape
 
 __all__ = [
     "EmbeddingMatrix",
@@ -40,7 +35,6 @@ __all__ = [
     "ForecastModel",
     "init_embeddings",
     "generate_weights",
-    "hyper_forward",
     "bake",
     "param_count",
     "build_baseline",
@@ -105,6 +99,23 @@ class GeneratorParams:
             if b is not None:
                 out[f"{prefix}.mlp.{i}.b"] = b
         return out
+
+    @classmethod
+    def from_arrays(cls, mode: str, arrays: dict[str, np.ndarray], prefix: str,
+                    n_mlp_layers: int = 0) -> "GeneratorParams":
+        """Inverse of `parameters(prefix)`: wrap the named arrays as trainables."""
+
+        def param(name: str) -> Tensor:
+            return Tensor(arrays[f"{prefix}.{name}"], requires_grad=True)
+
+        if mode == "per_channel_linear":
+            return cls(mode, w_phi=param("w_phi"))
+        layers = [
+            (param(f"mlp.{i}.w"),
+             param(f"mlp.{i}.b") if f"{prefix}.mlp.{i}.b" in arrays else None)
+            for i in range(n_mlp_layers)
+        ]
+        return cls(mode, mlp_layers=layers)
 
 
 @dataclass
@@ -243,9 +254,7 @@ class ForecastModel:
         return [self.finals[s] for s in slot_names]
 
     def _core(self, x: Tensor) -> Tensor:
-        hidden = self.backbone.forward_hidden(x)
-        hidden_list = list(hidden) if isinstance(hidden, tuple) else [hidden]
-        return apply_final(self._finals_list(), hidden_list)
+        return apply_final(self._finals_list(), self.backbone.forward_hidden(x))
 
     def forward(self, x: Tensor) -> Tensor:
         """Raw-scale forecast (..., N, H) for a lookback (..., N, T)."""
@@ -262,31 +271,8 @@ class ForecastModel:
         return self._core(x_norm), stats
 
     # parameter bookkeeping -------------------------------------------------
-    def parameters(self) -> dict[str, Tensor]:
-        """Trainable tensors by name (embedding included only if learnable)."""
-        out = dict(self.backbone.parameters())
-        if self.variant == "hyper":
-            if self.embedding is not None and self.embedding.learnable:
-                out["embed.z"] = self.embedding.z
-            for slot, head in self.heads.items():
-                out.update(head.gen.parameters(f"head.{slot}"))
-        elif self.variant == "baseline":
-            for slot, layer in self.finals.items():
-                out[f"final.{slot}.w"] = layer.weights
-        return out
-
-    def hyper_parameters(self) -> dict[str, Tensor]:
-        """The hypernetwork-added trainables: embedding plus generators."""
-        out = {}
-        if self.variant == "hyper":
-            if self.embedding is not None and self.embedding.learnable:
-                out["embed.z"] = self.embedding.z
-            for slot, head in self.heads.items():
-                out.update(head.gen.parameters(f"head.{slot}"))
-        return out
-
     def all_arrays(self) -> dict[str, Tensor]:
-        """Every parameter array, trainable or constant (for counting/saving)."""
+        """Every parameter array by name, trainable or constant (for counting/saving)."""
         out = dict(self.backbone.parameters())
         if self.variant == "hyper":
             if self.embedding is not None:
@@ -298,16 +284,67 @@ class ForecastModel:
                 out[f"final.{slot}.w"] = layer.weights
         return out
 
+    def parameters(self) -> dict[str, Tensor]:
+        """Trainable tensors by name (embedding included only if learnable)."""
+        return {name: t for name, t in self.all_arrays().items() if t.requires_grad}
+
+    def hyper_parameters(self) -> dict[str, Tensor]:
+        """The hypernetwork-added trainables: embedding plus generators."""
+        return {k: t for k, t in self.parameters().items() if k.startswith(("embed.", "head."))}
+
     def param_count(self, trainable_only: bool = False) -> int:
         arrays = self.parameters() if trainable_only else self.all_arrays()
         return int(sum(t.size for t in arrays.values()))
 
+    # serialisation ----------------------------------------------------------
+    def config(self) -> dict:
+        """JSON-ready description; with `all_arrays` it rebuilds the model."""
+        cfg = {
+            "variant": self.variant,
+            "revin": self.revin,
+            "n_channels": self.n_channels,
+            "horizon": self.horizon,
+            "channel_names": list(self.channel_names),
+            "backbone": self.backbone.config(),
+        }
+        if self.variant == "hyper":
+            cfg["heads"] = {
+                slot: {
+                    "mode": head.gen.mode,
+                    "hidden_dim": head.hidden_dim,
+                    "n_mlp_layers": len(head.gen.mlp_layers) if head.gen.mlp_layers else 0,
+                }
+                for slot, head in self.heads.items()
+            }
+            cfg["embedding"] = {"dim": self.embedding.dim, "learnable": self.embedding.learnable}
+        return cfg
 
-def hyper_forward(model: ForecastModel, x: Tensor) -> Tensor:
-    """Forecast with a hyper-form model (generator in the loop)."""
-    if model.variant != "hyper":
-        raise ValueError(f"hyper_forward needs a hyper-form model, got '{model.variant}'")
-    return model.forward(x)
+    @classmethod
+    def from_config(cls, cfg: dict, arrays: dict[str, np.ndarray]) -> "ForecastModel":
+        """Inverse of `config` plus `all_arrays`; the arrays are wrapped, not copied.
+
+        A missing header key or array raises KeyError naming it.
+        """
+        backbone = backbones.from_config(cfg["backbone"], arrays)
+        variant, n, horizon = cfg["variant"], cfg["n_channels"], cfg["horizon"]
+        common = {"revin": cfg["revin"], "channel_names": cfg["channel_names"]}
+        if variant != "hyper":
+            finals = {
+                slot: FinalLayer(
+                    Tensor(arrays[f"final.{slot}.w"], requires_grad=variant == "baseline")
+                )
+                for slot, _ in backbone.slots
+            }
+            return cls(backbone, n, horizon, variant, finals=finals, **common)
+        embedding = EmbeddingMatrix(Tensor(arrays["embed.z"]), cfg["embedding"]["learnable"])
+        heads = {}
+        for slot, _ in backbone.slots:
+            head = cfg["heads"][slot]
+            gen = GeneratorParams.from_arrays(
+                head["mode"], arrays, f"head.{slot}", head["n_mlp_layers"]
+            )
+            heads[slot] = HyperHead(embedding, gen, slot, horizon, head["hidden_dim"])
+        return cls(backbone, n, horizon, variant, heads=heads, embedding=embedding, **common)
 
 
 def bake(model: ForecastModel) -> ForecastModel:
@@ -320,15 +357,14 @@ def bake(model: ForecastModel) -> ForecastModel:
         return model
     if model.variant != "hyper":
         raise ValueError(f"bake applies to hyper-form models, got '{model.variant}'")
-    from .numcore import no_grad
-
     finals = {}
     with no_grad():
         for slot, head in model.heads.items():
             w = generate_weights(head)
             finals[slot] = FinalLayer(Tensor(w.data.copy()))
+    arrays = {name: t.data.copy() for name, t in model.backbone.parameters().items()}
     return ForecastModel(
-        _clone_backbone(model.backbone),
+        backbones.from_config(model.backbone.config(), arrays),
         model.n_channels,
         model.horizon,
         "baked",
@@ -336,18 +372,6 @@ def bake(model: ForecastModel) -> ForecastModel:
         finals=finals,
         channel_names=list(model.channel_names),
     )
-
-
-def _clone_backbone(backbone):
-    if isinstance(backbone, DLinearBackbone):
-        return DLinearBackbone(backbone.lookback, backbone.kernel)
-    if isinstance(backbone, MlpBackbone):
-        weights = [
-            (Tensor(w.data.copy(), requires_grad=True), Tensor(b.data.copy(), requires_grad=True))
-            for w, b in backbone.layers
-        ]
-        return MlpBackbone(backbone.lookback, backbone.hidden_widths, weights=weights)
-    raise TypeError(f"unknown backbone type {type(backbone).__name__}")
 
 
 def param_count(

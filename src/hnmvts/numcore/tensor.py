@@ -41,7 +41,6 @@ __all__ = [
     "tmean",
     "reshape",
     "transpose",
-    "concat",
     "moving_average",
 ]
 
@@ -418,23 +417,6 @@ def _slice(a: Tensor, key) -> Tensor:
         return full
 
     return _make_node(_contig(out), (a,), (grad_fn,))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat of empty sequence")
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def make_fn(i):
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    return _make_node(out, ts, tuple(make_fn(i) for i in range(len(ts))))
 
 
 def _window_sums(arr: np.ndarray, kernel: int) -> np.ndarray:

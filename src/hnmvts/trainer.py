@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import WindowPair
+from .data import WindowSet
 from .normalization import revin_apply
 from .numcore import AdamState, Tensor, adam_step, backward, make_rng, no_grad, spawn_rng, square, tmean
 
@@ -79,10 +79,10 @@ def set_seed(seed: int) -> np.random.Generator:
     return make_rng(seed)
 
 
-def _stack_batch(windows: list[WindowPair], idx: np.ndarray) -> tuple[Tensor, Tensor]:
-    xs = np.stack([windows[i].x_array() for i in idx])
-    ys = np.stack([windows[i].y_array() for i in idx])
-    return Tensor(xs), Tensor(ys)
+def _stack_batch(windows: WindowSet, idx) -> tuple[Tensor, np.ndarray]:
+    """One batch for train and evaluate: lookbacks as model input, targets raw."""
+    x, y = windows.batch(idx)
+    return Tensor(x), y
 
 
 def _batch_loss(model, xb: Tensor, yb: Tensor) -> Tensor:
@@ -93,7 +93,7 @@ def _batch_loss(model, xb: Tensor, yb: Tensor) -> Tensor:
     return tmean(square(model.forward(xb) - yb))
 
 
-def train(model, train_windows: list[WindowPair], val_windows: list[WindowPair],
+def train(model, train_windows: WindowSet, val_windows: WindowSet,
           cfg: TrainConfig) -> tuple["object", TrainHistory]:
     """Optimize the model, returning it with best-validation parameters.
 
@@ -109,12 +109,12 @@ def train(model, train_windows: list[WindowPair], val_windows: list[WindowPair],
         raise ValueError(
             f"config revin={cfg.revin} but model revin={model.revin}; build them together"
         )
-    w0 = train_windows[0]
-    if w0.lookback != cfg.lookback or w0.horizon != cfg.horizon:
-        raise ValueError(
-            f"windows are ({w0.lookback}, {w0.horizon}) but config wants "
-            f"({cfg.lookback}, {cfg.horizon})"
-        )
+    for windows in (train_windows, val_windows):
+        if (windows.lookback, windows.horizon) != (cfg.lookback, cfg.horizon):
+            raise ValueError(
+                f"windows are ({windows.lookback}, {windows.horizon}) but config wants "
+                f"({cfg.lookback}, {cfg.horizon})"
+            )
     params = model.parameters()
     state = AdamState(lr=cfg.lr)
     shuffle_rng = spawn_rng(cfg.seed, 7)
@@ -129,7 +129,7 @@ def train(model, train_windows: list[WindowPair], val_windows: list[WindowPair],
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = _stack_batch(train_windows, idx)
-            loss = _batch_loss(model, xb, yb)
+            loss = _batch_loss(model, xb, Tensor(yb))
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise TrainingError(_diagnostics("loss", loss_val, epoch, start, params))
@@ -170,7 +170,7 @@ def _diagnostics(what: str, loss_val: float, epoch: int, batch_start: int, param
     )
 
 
-def evaluate(model, windows: list[WindowPair], space: str = "raw",
+def evaluate(model, windows: WindowSet, space: str = "raw",
              batch_size: int = 256) -> dict[str, float]:
     """Raw-scale MSE and MAE over every window, channel, and horizon step."""
     if space != "raw":
@@ -182,11 +182,8 @@ def evaluate(model, windows: list[WindowPair], space: str = "raw",
     count = 0
     with no_grad():
         for start in range(0, len(windows), batch_size):
-            chunk = windows[start : start + batch_size]
-            xs = np.stack([w.x_array() for w in chunk])
-            ys = np.stack([w.y_array() for w in chunk])
-            pred = model.forward(Tensor(xs)).data
-            diff = pred - ys
+            xb, yb = _stack_batch(windows, slice(start, start + batch_size))
+            diff = model.forward(xb).data - yb
             sse += float((diff * diff).sum())
             sae += float(np.abs(diff).sum())
             count += diff.size

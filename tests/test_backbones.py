@@ -7,7 +7,6 @@ from hnmvts.backbones import (
     MlpBackbone,
     apply_final,
     decompose,
-    forward_hidden,
 )
 from hnmvts.numcore import Tensor, finite_diff_check, square, tsum
 
@@ -45,14 +44,14 @@ class TestForwardHidden:
     def test_dlinear_constant_input(self):
         bb = DLinearBackbone(lookback=12, kernel=5)
         x = Tensor(np.full((2, 12), 3.0))
-        trend, seasonal = forward_hidden(bb, x)
+        trend, seasonal = bb.forward_hidden(x)
         np.testing.assert_allclose(trend.data, x.data, atol=1e-12)
         np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
 
     def test_dlinear_branches_sum_to_input(self, rng):
         bb = DLinearBackbone(lookback=20, kernel=7)
         x = rng.standard_normal((3, 20))
-        trend, seasonal = forward_hidden(bb, Tensor(x))
+        trend, seasonal = bb.forward_hidden(Tensor(x))
         np.testing.assert_allclose(trend.data + seasonal.data, x, atol=1e-10)
 
     def test_mlp_identity_layers_pass_nonnegative_input(self, rng):
@@ -61,12 +60,12 @@ class TestForwardHidden:
             w.data[:] = np.eye(6)
             b.data[:] = 0.0
         x = np.abs(rng.standard_normal((2, 6)))
-        h = forward_hidden(bb, Tensor(x))
+        (h,) = bb.forward_hidden(Tensor(x))
         np.testing.assert_allclose(h.data, x, atol=1e-12)
 
     def test_mlp_output_width(self, rng):
         bb = MlpBackbone(lookback=10, hidden_widths=(16, 5), rng=rng)
-        h = forward_hidden(bb, Tensor(rng.standard_normal((4, 10))))
+        (h,) = bb.forward_hidden(Tensor(rng.standard_normal((4, 10))))
         assert h.shape == (4, 5)
         assert bb.hidden_dim == 5
 
@@ -74,21 +73,21 @@ class TestForwardHidden:
 class TestApplyFinal:
     def test_zero_weights(self, rng):
         layer = FinalLayer(Tensor(np.zeros((3, 4, 5))))
-        out = apply_final(layer, Tensor(rng.standard_normal((3, 5))))
+        out = apply_final([layer], [Tensor(rng.standard_normal((3, 5)))])
         np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
 
     def test_identity_weights(self, rng):
         n, h = 2, 4
         w = np.stack([np.eye(h)] * n)
         hidden = rng.standard_normal((n, h))
-        out = apply_final(FinalLayer(Tensor(w)), Tensor(hidden))
+        out = apply_final([FinalLayer(Tensor(w))], [Tensor(hidden)])
         np.testing.assert_allclose(out.data, hidden, atol=1e-12)
 
     def test_matches_triple_loop_oracle(self, rng):
         n, h, d = 2, 3, 4
         w = rng.standard_normal((n, h, d))
         hid = rng.standard_normal((n, d))
-        out = apply_final(FinalLayer(Tensor(w)), Tensor(hid))
+        out = apply_final([FinalLayer(Tensor(w))], [Tensor(hid)])
         expected = np.zeros((n, h))
         for c in range(n):
             for i in range(h):
@@ -101,8 +100,8 @@ class TestApplyFinal:
         h1 = rng.standard_normal((3, 5))
         h2 = rng.standard_normal((3, 5))
         a, b = 2.5, -1.25
-        combined = apply_final(w, Tensor(a * h1 + b * h2)).data
-        separate = a * apply_final(w, Tensor(h1)).data + b * apply_final(w, Tensor(h2)).data
+        combined = apply_final([w], [Tensor(a * h1 + b * h2)]).data
+        separate = a * apply_final([w], [Tensor(h1)]).data + b * apply_final([w], [Tensor(h2)]).data
         np.testing.assert_allclose(combined, separate, atol=1e-9)
 
     def test_two_branch_sum(self, rng):
@@ -118,7 +117,7 @@ class TestApplyFinal:
     def test_shared_final_layer(self, rng):
         w = rng.standard_normal((4, 6))
         hidden = rng.standard_normal((3, 6))
-        out = apply_final(FinalLayer(Tensor(w)), Tensor(hidden))
+        out = apply_final([FinalLayer(Tensor(w))], [Tensor(hidden)])
         np.testing.assert_allclose(out.data, hidden @ w.T, atol=1e-12)
 
     def test_shape_mismatch(self, rng):
@@ -138,7 +137,7 @@ def test_full_pipeline_gradient(rng):
     target = Tensor(rng.standard_normal((n, horizon)))
 
     def loss():
-        hidden = forward_hidden(bb, x)
+        hidden = bb.forward_hidden(x)
         pred = apply_final([FinalLayer(wt), FinalLayer(ws)], hidden)
         return tsum(square(pred - target))
 
@@ -151,7 +150,7 @@ def test_mlp_pipeline_gradient(rng):
     x = Tensor(rng.standard_normal((2, 5)))
 
     def loss():
-        pred = apply_final(FinalLayer(w_final), forward_hidden(bb, x))
+        pred = apply_final([FinalLayer(w_final)], bb.forward_hidden(x))
         return tsum(square(pred))
 
     params = [w_final, *bb.parameters().values()]
@@ -161,6 +160,6 @@ def test_mlp_pipeline_gradient(rng):
 def test_batched_forward_matches_single(rng):
     bb = DLinearBackbone(lookback=10, kernel=5)
     xb = rng.standard_normal((6, 3, 10))
-    trend_b, _ = forward_hidden(bb, Tensor(xb))
-    trend_1, _ = forward_hidden(bb, Tensor(xb[4]))
+    trend_b, _ = bb.forward_hidden(Tensor(xb))
+    trend_1, _ = bb.forward_hidden(Tensor(xb[4]))
     np.testing.assert_allclose(trend_b.data[4], trend_1.data, atol=1e-12)

@@ -72,6 +72,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonsense"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[train]\nlearning_rate = 0.5\n", r"unknown key \[train\] learning_rate \(valid: "),
+            ("[train]\nmax_epoch = 3\n", r"\[train\] max_epoch \(did you mean 'max_epochs'\?\)"),
+            ("[trian]\nlr = 0.5\n", r"unknown section \[trian\] \(did you mean 'train'\?\)"),
+            ("[DEFAULT]\nlr = 0.5\n", r"unknown key \[DEFAULT\] lr"),
+            ("[model]\ngen_mode = bogus\n", r"gen_mode: unknown generator mode 'bogus'"),
+        ],
+        ids=["unknown_key", "misspelt_key", "unknown_section", "default_section", "gen_mode"],
+    )
+    def test_bad_config_rejected(self, tmp_path, text, message):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(p)
+
     def test_out_dir_resolution(self, tmp_path, monkeypatch):
         monkeypatch.delenv(OUT_DIR_ENV, raising=False)
         assert str(resolve_out_dir("runs")) == "runs"

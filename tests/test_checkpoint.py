@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,17 +60,50 @@ def test_missing_file(tmp_path):
         load_checkpoint(tmp_path / "missing.npz")
 
 
+def rewrite(path, edit):
+    """Apply `edit` to the checkpoint's (meta dict, arrays dict) in place on disk."""
+    bundle = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(bytes(bundle.pop("meta")).decode())
+    edit(meta, bundle)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **bundle)
+
+
 def test_wrong_version_rejected(tmp_path, rng):
     model = build_baseline(DLinearBackbone(8, 3), 2, 2, rng)
     path = tmp_path / "m.npz"
     save_checkpoint(model, path)
-    import json
+    rewrite(path, lambda meta, arrays: meta.update(format_version=99))
+    with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
 
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda meta, arrays: arrays.pop("param/trunk.0.b"), "param/trunk.0.b"),
+        (lambda meta, arrays: arrays.pop("param/head.out.w_phi"), "param/head.out.w_phi"),
+        (lambda meta, arrays: meta.pop("embedding"), "embedding"),
+        (lambda meta, arrays: meta["backbone"].pop("hidden_widths"), "hidden_widths"),
+    ],
+    ids=["backbone_array", "generator_array", "header_key", "backbone_header_key"],
+)
+def test_missing_entry_named(tmp_path, rng, edit, name):
+    model = build_hyper(MlpBackbone(8, (6,), rng=rng), toy_table(rng), 4, rng)
+    path = tmp_path / "m.npz"
+    save_checkpoint(model, path)
+    rewrite(path, edit)
+    with pytest.raises(CheckpointError, match=name) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_corrupt_header_rejected(tmp_path, rng):
+    path = tmp_path / "m.npz"
+    save_checkpoint(build_baseline(DLinearBackbone(8, 3), 2, 2, rng), path)
     bundle = dict(np.load(path, allow_pickle=False))
-    meta = json.loads(bytes(bundle["meta"]).decode())
-    meta["format_version"] = 99
-    bundle["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    bundle["meta"] = np.frombuffer(b"{not json", dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **bundle)
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError, match="corrupt meta header"):
         load_checkpoint(path)

@@ -144,3 +144,24 @@ def test_out_dir_env_override(tmp_path, spec_file, monkeypatch, capsys):
 def test_missing_config_is_clean_error(capsys):
     assert main(["train", "--config", "/nonexistent.ini"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bake_missing_array_is_clean_error(tmp_path, capsys):
+    from hnmvts.backbones import DLinearBackbone
+    from hnmvts.checkpoint import save_checkpoint
+    from hnmvts.data import SeriesTable
+    from hnmvts.hypernet import build_hyper
+    from hnmvts.numcore import Tensor, make_rng
+
+    rng = make_rng(0)
+    table = SeriesTable(Tensor(rng.standard_normal((64, 3))), ["a", "b", "c"])
+    ckpt = tmp_path / "hyper.npz"
+    save_checkpoint(build_hyper(DLinearBackbone(8, 3), table, 4, rng), ckpt)
+    bundle = dict(np.load(ckpt, allow_pickle=False))
+    del bundle["param/embed.z"]
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **bundle)
+    assert main(["bake", "--checkpoint", str(ckpt), "--out", str(tmp_path / "b.npz")]) == 1
+    err = capsys.readouterr().err
+    assert "embed.z" in err and str(ckpt) in err
+    assert "Traceback" not in err

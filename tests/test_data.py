@@ -106,16 +106,17 @@ class TestChronoSplit:
 class TestMakeWindows:
     def test_single_window(self):
         t = table_from(np.arange(10.0).reshape(5, 2))
-        pairs = make_windows(t, 3, 2)
-        assert len(pairs) == 1 and pairs[0].origin_index == 0
+        windows = make_windows(t, 3, 2)
+        assert len(windows) == 1 and windows.origins[0] == 0
 
     def test_hand_enumeration(self):
         t = table_from(np.arange(20.0).reshape(10, 2))
-        pairs = make_windows(t, 3, 2)
-        assert len(pairs) == 6
-        np.testing.assert_array_equal(pairs[0].x_array(), t.values.data[0:3].T)
-        np.testing.assert_array_equal(pairs[0].y_array(), t.values.data[3:5].T)
-        np.testing.assert_array_equal(pairs[5].x_array(), t.values.data[5:8].T)
+        windows = make_windows(t, 3, 2)
+        assert len(windows) == 6
+        x, y = windows.batch([0, 5])
+        np.testing.assert_array_equal(x[0], t.values.data[0:3].T)
+        np.testing.assert_array_equal(y[0], t.values.data[3:5].T)
+        np.testing.assert_array_equal(x[1], t.values.data[5:8].T)
 
     def test_paper_scale_count(self):
         t = table_from(np.zeros((446, 1)))
@@ -135,8 +136,48 @@ class TestMakeWindows:
 
     def test_window_shapes_channel_major(self):
         t = table_from(np.arange(24.0).reshape(8, 3))
-        w = make_windows(t, 4, 2)[1]
-        assert w.x.shape == (3, 4) and w.y.shape == (3, 2)
+        x, y = make_windows(t, 4, 2).batch([1])
+        assert x.shape == (1, 3, 4) and y.shape == (1, 3, 2)
+
+    def test_scalar_index_rejected(self):
+        windows = make_windows(table_from(np.zeros((8, 2))), 3, 2)
+        with pytest.raises(TypeError, match="slice"):
+            windows[0]
+
+
+class TestWindowSetBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 10), st.integers(1, 10), st.integers(0, 40), st.integers(1, 4),
+        st.integers(1, 7), st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_window_slicing(self, lookback, horizon, extra, n, step, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((lookback + horizon + extra, n))
+        windows = make_windows(table_from(values), lookback, horizon)
+        every = np.arange(len(windows))
+        perm = rng.permutation(len(windows))
+        picked = perm[: 1 + len(perm) // 2]
+        stepped = windows[::step]
+        assert len(stepped) == len(every[::step])
+        shuffled = rng.permutation(len(stepped))
+        # (subset, index into the subset, origin of each gathered window)
+        cases = [
+            (windows, perm, perm),
+            (stepped, shuffled, every[::step][shuffled]),
+            (windows[picked], slice(None), picked),
+            (windows[::-step], slice(None), every[::-step]),
+        ]
+        for subset, idx, origins in cases:
+            x, y = subset.batch(idx)
+            assert x.shape == (len(origins), n, lookback)
+            assert y.shape == (len(origins), n, horizon)
+            assert x.flags["C_CONTIGUOUS"] and y.flags["C_CONTIGUOUS"]
+            for b, i in enumerate(origins):
+                np.testing.assert_array_equal(x[b], values[i : i + lookback].T)
+                np.testing.assert_array_equal(
+                    y[b], values[i + lookback : i + lookback + horizon].T
+                )
 
 
 def corr_oracle(x):

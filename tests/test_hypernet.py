@@ -4,6 +4,7 @@ import pytest
 from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic
 from hnmvts.hypernet import (
+    GENERATOR_MODES,
     EmbeddingMatrix,
     GeneratorParams,
     HyperHead,
@@ -13,7 +14,6 @@ from hnmvts.hypernet import (
     export_embeddings,
     generate_weights,
     head_for,
-    hyper_forward,
     init_embeddings,
     param_count,
 )
@@ -172,7 +172,7 @@ class TestHyperForward:
         for head in model.heads.values():
             head.gen.w_phi.data[:] = 0.0
         x = rng.standard_normal((3, 8))
-        out = hyper_forward(model, Tensor(x))
+        out = model.forward(Tensor(x))
         means = x.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(out.data, np.broadcast_to(means, (3, 4)), atol=1e-10)
 
@@ -282,6 +282,54 @@ class TestBake:
             np.testing.assert_allclose(
                 model.forward(x).data, baked.forward(x).data, atol=1e-5
             )
+
+
+def every_form(rng):
+    """Both backbones in every variant, generator mode and learnable_z setting."""
+    table = toy_table(rng)
+    for kind in ("dlinear", "mlp"):
+        def backbone():
+            return DLinearBackbone(8, 3) if kind == "dlinear" else MlpBackbone(8, (6,), rng=rng)
+
+        yield build_baseline(backbone(), 3, 4, rng)
+        for mode in GENERATOR_MODES:
+            for learnable in (True, False):
+                hyper = build_hyper(backbone(), table, 4, rng, mode=mode, gen_hidden=(5,),
+                                    learnable_z=learnable)
+                yield hyper
+                yield bake(hyper)
+
+
+class TestWalker:
+    def check(self, model):
+        arrays = model.all_arrays()
+        frozen = set()
+        if model.variant == "baked":
+            frozen = {name for name in arrays if name.startswith("final.")}
+        if model.variant == "hyper" and not model.embedding.learnable:
+            frozen = {"embed.z"}
+        params = model.parameters()
+        assert list(params) == [name for name in arrays if name not in frozen]
+        assert all(params[name] is arrays[name] and params[name].requires_grad
+                   for name in params)
+        hyper = model.hyper_parameters()
+        assert list(hyper) == [name for name in params if name.startswith(("embed.", "head."))]
+        assert all(hyper[name] is params[name] for name in hyper)
+        if model.variant != "hyper":
+            assert not hyper
+
+    def test_filters_agree_with_all_arrays(self, rng, tmp_path):
+        from hnmvts.checkpoint import load_checkpoint, save_checkpoint
+
+        models = list(every_form(rng))
+        assert len(models) == 18
+        for i, model in enumerate(models):
+            self.check(model)
+            path = tmp_path / f"m{i}.npz"
+            save_checkpoint(model, path)
+            loaded, _ = load_checkpoint(path)
+            assert list(loaded.all_arrays()) == list(model.all_arrays())
+            self.check(loaded)
 
 
 class TestParamCount:

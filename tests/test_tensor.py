@@ -9,7 +9,6 @@ from hnmvts.numcore import (
     Tensor,
     backward,
     channel_dot,
-    concat,
     matmul,
     moving_average,
     no_grad,
@@ -263,14 +262,6 @@ class TestShapeOps:
         x = Tensor(np.arange(6.0), requires_grad=True)
         grads = backward(tsum(x[2:5]))
         np.testing.assert_array_equal(grads[x].data, [0, 0, 1, 1, 1, 0])
-
-    def test_concat_splits_gradient(self, rng):
-        a = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-        b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        out = concat([a, b], axis=0)
-        grads = backward(tsum(out * out))
-        np.testing.assert_allclose(grads[a].data, 2 * a.data, atol=1e-12)
-        np.testing.assert_allclose(grads[b].data, 2 * b.data, atol=1e-12)
 
     def test_broadcast_unbroadcast(self, rng):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hnmvts.backbones import DLinearBackbone
-from hnmvts.data import SeriesTable, make_windows
+from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
 from hnmvts.numcore import Tensor, make_rng
 from hnmvts.trainer import TrainConfig, TrainingError, evaluate, set_seed, train
@@ -93,9 +93,9 @@ class TestTrain:
         assert history.n_epochs == 3
 
     def test_empty_training_set_rejected(self, rng):
-        model, _, val_w = small_setup(rng)
+        model, train_w, val_w = small_setup(rng)
         with pytest.raises(ValueError, match="empty training"):
-            train(model, [], val_w, TrainConfig(lookback=8, horizon=2))
+            train(model, train_w[:0], val_w, TrainConfig(lookback=8, horizon=2))
 
     def test_non_finite_abort_has_diagnostics(self, rng):
         model, train_w, val_w = small_setup(rng)
@@ -109,6 +109,9 @@ class TestTrain:
         model, train_w, val_w = small_setup(rng)
         with pytest.raises(ValueError, match="config wants"):
             train(model, train_w, val_w, TrainConfig(lookback=16, horizon=2))
+        longer = WindowSet(val_w.values, val_w.origins[:-1], 8, 3)
+        with pytest.raises(ValueError, match=r"windows are \(8, 3\) but config wants"):
+            train(model, train_w, longer, TrainConfig(lookback=8, horizon=2))
 
     def test_hyper_and_baked_evaluate_identically(self, rng):
         model, train_w, val_w = small_setup(rng, variant="hyper")
@@ -128,7 +131,7 @@ class TestEvaluate:
             revin = False
 
             def forward(self, x):
-                return Tensor(np.stack([w.y_array() for w in val_w]))
+                return Tensor(val_w.batch(slice(None))[1])
 
         metrics = evaluate(Echo(), val_w, batch_size=len(val_w))
         assert metrics["mse"] == 0.0 and metrics["mae"] == 0.0
@@ -141,8 +144,7 @@ class TestEvaluate:
             revin = False
 
             def forward(self, x):
-                ys = np.stack([w.y_array() for w in val_w])
-                return Tensor(ys + delta)
+                return Tensor(val_w.batch(slice(None))[1] + delta)
 
         metrics = evaluate(Offset(), val_w, batch_size=len(val_w))
         assert metrics["mse"] == pytest.approx(delta**2, abs=1e-12)
@@ -155,12 +157,15 @@ class TestEvaluate:
         se, ae, cnt = 0.0, 0.0, 0
         from hnmvts.numcore import no_grad
 
+        lookback, horizon = val_w.lookback, val_w.horizon
         with no_grad():
-            for w in val_w:
-                pred = model.forward(w.x).data
+            for o in val_w.origins:
+                x = val_w.values[:, o : o + lookback]
+                y = val_w.values[:, o + lookback : o + lookback + horizon]
+                pred = model.forward(Tensor(x)).data
                 for c in range(pred.shape[0]):
                     for h in range(pred.shape[1]):
-                        diff = pred[c, h] - w.y_array()[c, h]
+                        diff = pred[c, h] - y[c, h]
                         se += diff * diff
                         ae += abs(diff)
                         cnt += 1
@@ -168,9 +173,9 @@ class TestEvaluate:
         assert metrics["mae"] == pytest.approx(ae / cnt, rel=1e-12)
 
     def test_empty_set_rejected(self, rng):
-        model, _, _ = small_setup(rng)
+        model, _, val_w = small_setup(rng)
         with pytest.raises(ValueError, match="empty"):
-            evaluate(model, [])
+            evaluate(model, val_w[:0])
 
 
 class TestSetSeed:
