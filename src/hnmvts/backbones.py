@@ -42,46 +42,27 @@ def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 
 class FinalLayer:
-    """Bias-free final linear map: y_hat[n] = W[n] @ h[n].
+    """Bias-free per-channel ("individual") final linear map: y_hat[n] = W[n] @ h[n].
 
-    `weights` is (N, H, D) for per-channel ("individual") weights or (H, D)
-    shared across channels.
+    `weights` is (N, H, D): one (H x D) matrix per channel.
     """
 
     def __init__(self, weights: Tensor):
-        if weights.ndim not in (2, 3):
-            raise DimensionError(f"final-layer weights must be (N,H,D) or (H,D), got {weights.shape}")
+        if weights.ndim != 3:
+            raise DimensionError(f"final-layer weights must be (N,H,D), got {weights.shape}")
         self.weights = weights
-
-    @property
-    def per_channel(self) -> bool:
-        return self.weights.ndim == 3
 
     def apply(self, hidden: Tensor) -> Tensor:
         """Map hidden states (..., N, D) to forecasts (..., N, H)."""
-        if self.per_channel:
-            if hidden.shape[-1] != self.weights.shape[-1] or hidden.shape[-2] != self.weights.shape[0]:
-                raise DimensionError(
-                    f"final layer {self.weights.shape} incompatible with hidden {hidden.shape}"
-                )
-            return channel_dot(self.weights, hidden)
-        if hidden.shape[-1] != self.weights.shape[-1]:
+        if hidden.shape[-1] != self.weights.shape[-1] or hidden.shape[-2] != self.weights.shape[0]:
             raise DimensionError(
                 f"final layer {self.weights.shape} incompatible with hidden {hidden.shape}"
             )
-        # shared map: (..., N, D) @ (D, H)
-        from .numcore import transpose
-
-        return matmul(hidden, transpose(self.weights))
+        return channel_dot(self.weights, hidden)
 
     @staticmethod
     def init_per_channel(rng: np.random.Generator, n: int, horizon: int, d: int) -> "FinalLayer":
         w = uniform_fan_in(rng, (n, horizon, d), fan_in=d)
-        return FinalLayer(Tensor(w, requires_grad=True))
-
-    @staticmethod
-    def init_shared(rng: np.random.Generator, horizon: int, d: int) -> "FinalLayer":
-        w = uniform_fan_in(rng, (horizon, d), fan_in=d)
         return FinalLayer(Tensor(w, requires_grad=True))
 
 

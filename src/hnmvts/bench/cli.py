@@ -12,12 +12,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..data import chrono_split, make_windows
 from ..hypernet import bake, export_embeddings
-from ..trainer import TrainConfig, evaluate, train
+from ..trainer import evaluate, train
 from .config import default_config_text, load_config, resolve_out_dir
 from .runner import (
     build_model_for_run,
@@ -96,21 +97,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.train = replace(cfg.train, seed=args.seed)
+    tc = cfg.train
     out_dir = resolve_out_dir(cfg.out_dir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = load_table(cfg)
     train_split, val_split, _ = chrono_split(table, cfg.split)
-    train_w = make_windows(train_split, cfg.lookback, cfg.horizon)
-    val_w = make_windows(val_split, cfg.lookback, cfg.horizon)
-    model = build_model_for_run(cfg, cfg.variant, train_split, cfg.horizon, cfg.seed)
-    tc = TrainConfig(
-        lookback=cfg.lookback, horizon=cfg.horizon, batch_size=cfg.batch_size,
-        lr=cfg.lr, max_epochs=cfg.max_epochs, seed=cfg.seed, shuffle=cfg.shuffle,
-        revin=cfg.revin, early_stop_patience=cfg.early_stop_patience,
-    )
+    train_w = make_windows(train_split, tc.lookback, tc.horizon)
+    val_w = make_windows(val_split, tc.lookback, tc.horizon)
+    model = build_model_for_run(cfg, cfg.variant, train_split, tc.horizon, tc.seed)
     model, history = train(model, train_w, val_w, tc)
-    tag = f"{cfg.dataset_name}_{cfg.backbone}_{cfg.variant}_H{cfg.horizon}_s{cfg.seed}"
+    tag = f"{cfg.dataset_name}_{cfg.backbone}_{cfg.variant}_H{tc.horizon}_s{tc.seed}"
     ckpt_path = out_dir / f"{tag}.npz"
     save_checkpoint(model, ckpt_path, config_echo=cfg.echo())
     history_path = out_dir / f"{tag}_history.csv"

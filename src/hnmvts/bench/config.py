@@ -1,8 +1,12 @@
 """INI-style run configuration: flat sections, documented keys, stable defaults.
 
-Blank values mean "unset" for optional keys. `default_config_text` is the
-authoritative schema: every key the parser understands appears there with
-its default, and `--print-config` emits exactly that text.
+`_DEFAULT_TEXT` (printed by `--print-config`) is the schema and the only
+place a run default is written: every key the parser understands appears
+there with its default, and `load_config` reads each key once, taking the
+user's value or else that default. A key whose default is blank may be left
+blank, meaning "unset"; a blank value on any other key is an error. Every
+error, whether an unknown key, an unparseable value or a value out of range,
+names the file and the `[section] key`.
 """
 
 from __future__ import annotations
@@ -10,11 +14,13 @@ from __future__ import annotations
 import configparser
 import difflib
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ..backbones import DLinearBackbone
 from ..data import SplitSpec, SynthSpec
 from ..hypernet import GENERATOR_MODES
+from ..trainer import TrainConfig
 
 __all__ = [
     "RunConfig",
@@ -42,13 +48,13 @@ _DEFAULT_TEXT = """\
 source = synthetic
 # header name of the timestamp column to validate and drop (blank: none)
 timestamp_column =
-# label recorded with results
-name = synthetic
+# label recorded with results (blank: the source file's stem)
+name =
 
 [synth]
 n_channels = 8
 timesteps = 8192
-# group id per channel, comma-separated (blank: all one group)
+# group id per channel, comma-separated, one per channel
 groups = 0,0,0,0,1,1,1,1
 rho = 0.95
 sigma = 0.0
@@ -76,8 +82,6 @@ gen_hidden =
 # embedding dimensionality d (blank: number of channels)
 embed_dim =
 learnable_embeddings = true
-# share one final layer across channels in the baseline (default per-channel)
-shared_final = false
 
 [train]
 lookback = 336
@@ -87,6 +91,7 @@ lr = 0.0001
 max_epochs = 20
 seed = 0
 shuffle = true
+# wrap the model in RevIN (per-window instance normalization)
 revin = true
 # stop after this many epochs without validation improvement (blank: off)
 early_stop_patience =
@@ -103,36 +108,28 @@ dir = runs
 
 @dataclass
 class RunConfig:
-    """Parsed configuration with typed fields and applied defaults."""
+    """Parsed configuration; `load_config` is the only builder, from `_DEFAULT_TEXT`."""
 
-    source: str = "synthetic"
-    timestamp_column: str | None = None
-    dataset_name: str = "synthetic"
-    synth: SynthSpec | None = None
-    synth_seed: int = 0
-    split: SplitSpec = field(default_factory=SplitSpec)
-    backbone: str = "dlinear"
-    kernel: int = 25
-    mlp_widths: tuple[int, ...] = (128,)
-    variant: str = HN_MVTS
-    gen_mode: str = "per_channel_linear"
-    gen_hidden: tuple[int, ...] = ()
-    embed_dim: int | None = None
-    learnable_embeddings: bool = True
-    shared_final: bool = False
-    lookback: int = 336
-    horizon: int = 96
-    batch_size: int = 64
-    lr: float = 1e-4
-    max_epochs: int = 20
-    seed: int = 0
-    shuffle: bool = True
-    revin: bool = True
-    early_stop_patience: int | None = None
-    horizons: tuple[int, ...] = (48, 96, 192, 336)
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    variants: tuple[str, ...] = VARIANTS
-    out_dir: str = "runs"
+    source: str
+    timestamp_column: str | None
+    dataset_name: str
+    synth: SynthSpec
+    synth_seed: int
+    split: SplitSpec
+    backbone: str
+    kernel: int
+    mlp_widths: tuple[int, ...]
+    variant: str
+    gen_mode: str
+    gen_hidden: tuple[int, ...]
+    embed_dim: int | None
+    learnable_embeddings: bool
+    revin: bool
+    train: TrainConfig
+    horizons: tuple[int, ...]
+    seeds: tuple[int, ...]
+    variants: tuple[str, ...]
+    out_dir: str
 
     def echo(self) -> dict:
         """JSON-serializable snapshot stored in checkpoints/results."""
@@ -150,16 +147,8 @@ class RunConfig:
             "gen_hidden": list(self.gen_hidden),
             "embed_dim": self.embed_dim,
             "learnable_embeddings": self.learnable_embeddings,
-            "shared_final": self.shared_final,
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "max_epochs": self.max_epochs,
-            "seed": self.seed,
-            "shuffle": self.shuffle,
+            **asdict(self.train),
             "revin": self.revin,
-            "early_stop_patience": self.early_stop_patience,
         }
 
 
@@ -167,43 +156,61 @@ def default_config_text() -> str:
     return _DEFAULT_TEXT
 
 
-def _get(parser, section, key, fallback=None):
-    if parser.has_option(section, key):
-        value = parser.get(section, key).strip()
-        return value if value else fallback
-    return fallback
+_SCHEMA = configparser.ConfigParser()
+_SCHEMA.read_string(_DEFAULT_TEXT)
 
 
-def _get_bool(parser, section, key, fallback):
-    raw = _get(parser, section, key)
-    if raw is None:
-        return fallback
+def _bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ValueError(f"[{section}] {key}: expected a boolean, got '{raw}'")
+    raise ValueError(f"expected a boolean, got '{raw}'")
 
 
-def _int_tuple(raw: str | None) -> tuple[int, ...]:
-    if not raw:
-        return ()
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(","))
 
 
-def _check_schema(user: configparser.ConfigParser, schema: configparser.ConfigParser,
-                  path: Path) -> None:
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _one_of(choices: tuple[str, ...], what: str):
+    def convert(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"unknown {what} '{raw}' (expected one of {choices})")
+        return raw
+
+    return convert
+
+
+_variant = _one_of(VARIANTS, "variant")
+
+
+def _variants(raw: str) -> tuple[str, ...]:
+    return tuple(_variant(v.strip()) for v in raw.split(","))
+
+
+def _horizons(raw: str) -> tuple[int, ...]:
+    horizons = _ints(raw)
+    if any(h < 1 for h in horizons):
+        raise ValueError(f"every horizon must be >= 1, got {horizons}")
+    return horizons
+
+
+def _check_schema(user: configparser.ConfigParser, path: Path) -> None:
     """Reject any section or key that `_DEFAULT_TEXT` does not define."""
     stray = list(user.defaults())
     if stray:
         raise ValueError(f"{path}: unknown key [DEFAULT] {stray[0]}")
     for section in user.sections():
-        if not schema.has_section(section):
+        if not _SCHEMA.has_section(section):
             raise ValueError(
-                f"{path}: unknown section [{section}]{_hint(section, schema.sections())}"
+                f"{path}: unknown section [{section}]{_hint(section, _SCHEMA.sections())}"
             )
-        valid = schema.options(section)
+        valid = _SCHEMA.options(section)
         for key in user.options(section):
             if key not in valid:
                 raise ValueError(f"{path}: unknown key [{section}] {key}{_hint(key, valid)}")
@@ -215,69 +222,84 @@ def _hint(name: str, valid: list[str]) -> str:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """Parse and check a run config; every error names the file and `[section] key`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
-    text = path.read_text(encoding="utf-8")
-    user = configparser.ConfigParser()
-    user.read_string(text, source=str(path))
-    parser = configparser.ConfigParser()
-    parser.read_string(_DEFAULT_TEXT)
-    _check_schema(user, parser, path)
-    parser.read_string(text, source=str(path))
-    cfg = RunConfig()
-    cfg.source = _get(parser, "data", "source", "synthetic")
-    cfg.timestamp_column = _get(parser, "data", "timestamp_column")
-    cfg.dataset_name = _get(parser, "data", "name", Path(cfg.source).stem or "synthetic")
-    groups = _int_tuple(_get(parser, "synth", "groups"))
-    n_channels = int(_get(parser, "synth", "n_channels", "8"))
-    cfg.synth = SynthSpec(
-        n_channels=n_channels,
-        timesteps=int(_get(parser, "synth", "timesteps", "8192")),
-        groups=list(groups) if groups else [0] * n_channels,
-        rho=float(_get(parser, "synth", "rho", "0.95")),
-        sigma=float(_get(parser, "synth", "sigma", "0.0")),
+    user = configparser.ConfigParser(interpolation=None)
+    try:
+        user.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except configparser.Error as err:
+        raise ValueError(str(err)) from None
+    _check_schema(user, path)
+
+    def get(section: str, key: str, convert=str):
+        """The user's value, else the schema's; None when blank and the schema allows it."""
+        raw = user.get(section, key, fallback=_SCHEMA.get(section, key)).strip()
+        if not raw:
+            if _SCHEMA.get(section, key):
+                raise ValueError(
+                    f"{path}: [{section}] {key}: blank value; only keys whose default "
+                    "is blank may be left blank"
+                )
+            return None
+        try:
+            return convert(raw)
+        except ValueError as err:
+            raise ValueError(f"{path}: [{section}] {key}: {err}") from None
+
+    def build(section: str, make, *args, **kwargs):
+        """`make(*args, **kwargs)`, its range errors prefixed with the file and section."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as err:
+            raise ValueError(f"{path}: [{section}] {err}") from None
+
+    source = get("data", "source")
+    cfg = RunConfig(
+        source=source,
+        timestamp_column=get("data", "timestamp_column"),
+        dataset_name=get("data", "name") or Path(source).stem,
+        synth=build(
+            "synth", SynthSpec,
+            n_channels=get("synth", "n_channels", int),
+            timesteps=get("synth", "timesteps", int),
+            groups=list(get("synth", "groups", _ints)),
+            rho=get("synth", "rho", float),
+            sigma=get("synth", "sigma", float),
+        ),
+        synth_seed=get("synth", "seed", int),
+        split=build(
+            "split", SplitSpec, get("split", "ratios", _floats),
+            truncate_to=get("split", "truncate_to", int),
+        ),
+        backbone=get("model", "backbone", _one_of(("dlinear", "mlp"), "backbone")),
+        kernel=get("model", "kernel", int),
+        mlp_widths=get("model", "mlp_widths", _ints),
+        variant=get("model", "variant", _variant),
+        gen_mode=get("model", "gen_mode", _one_of(GENERATOR_MODES, "generator mode")),
+        gen_hidden=get("model", "gen_hidden", _ints) or (),
+        embed_dim=get("model", "embed_dim", int),
+        learnable_embeddings=get("model", "learnable_embeddings", _bool),
+        revin=get("train", "revin", _bool),
+        train=build(
+            "train", TrainConfig,
+            lookback=get("train", "lookback", int),
+            horizon=get("train", "horizon", int),
+            batch_size=get("train", "batch_size", int),
+            lr=get("train", "lr", float),
+            max_epochs=get("train", "max_epochs", int),
+            seed=get("train", "seed", int),
+            shuffle=get("train", "shuffle", _bool),
+            early_stop_patience=get("train", "early_stop_patience", int),
+        ),
+        horizons=get("bench", "horizons", _horizons),
+        seeds=get("bench", "seeds", _ints),
+        variants=get("bench", "variants", _variants),
+        out_dir=get("output", "dir"),
     )
-    cfg.synth_seed = int(_get(parser, "synth", "seed", "0"))
-    ratios = tuple(float(v) for v in _get(parser, "split", "ratios", "0.7,0.2,0.1").split(","))
-    truncate = _get(parser, "split", "truncate_to")
-    cfg.split = SplitSpec(ratios, truncate_to=int(truncate) if truncate else None)
-    cfg.backbone = _get(parser, "model", "backbone", "dlinear")
-    cfg.kernel = int(_get(parser, "model", "kernel", "25"))
-    cfg.mlp_widths = _int_tuple(_get(parser, "model", "mlp_widths", "128")) or (128,)
-    cfg.variant = _get(parser, "model", "variant", HN_MVTS)
-    cfg.gen_mode = _get(parser, "model", "gen_mode", "per_channel_linear")
-    cfg.gen_hidden = _int_tuple(_get(parser, "model", "gen_hidden"))
-    embed_dim = _get(parser, "model", "embed_dim")
-    cfg.embed_dim = int(embed_dim) if embed_dim else None
-    cfg.learnable_embeddings = _get_bool(parser, "model", "learnable_embeddings", True)
-    cfg.shared_final = _get_bool(parser, "model", "shared_final", False)
-    cfg.lookback = int(_get(parser, "train", "lookback", "336"))
-    cfg.horizon = int(_get(parser, "train", "horizon", "96"))
-    cfg.batch_size = int(_get(parser, "train", "batch_size", "64"))
-    cfg.lr = float(_get(parser, "train", "lr", "0.0001"))
-    cfg.max_epochs = int(_get(parser, "train", "max_epochs", "20"))
-    cfg.seed = int(_get(parser, "train", "seed", "0"))
-    cfg.shuffle = _get_bool(parser, "train", "shuffle", True)
-    cfg.revin = _get_bool(parser, "train", "revin", True)
-    patience = _get(parser, "train", "early_stop_patience")
-    cfg.early_stop_patience = int(patience) if patience else None
-    cfg.horizons = _int_tuple(_get(parser, "bench", "horizons", "48,96,192,336"))
-    cfg.seeds = _int_tuple(_get(parser, "bench", "seeds", "0,1,2,3,4"))
-    cfg.variants = tuple(
-        v.strip() for v in _get(parser, "bench", "variants", ",".join(VARIANTS)).split(",")
-    )
-    cfg.out_dir = _get(parser, "output", "dir", "runs")
-    for variant in cfg.variants + (cfg.variant,):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant '{variant}' (expected one of {VARIANTS})")
-    if cfg.backbone not in ("dlinear", "mlp"):
-        raise ValueError(f"unknown backbone '{cfg.backbone}'")
-    if cfg.gen_mode not in GENERATOR_MODES:
-        raise ValueError(
-            f"[model] gen_mode: unknown generator mode '{cfg.gen_mode}' "
-            f"(expected one of {GENERATOR_MODES})"
-        )
+    if cfg.backbone == "dlinear":
+        build("model", DLinearBackbone, cfg.train.lookback, cfg.kernel)
     return cfg
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from ..backbones import DLinearBackbone, MlpBackbone
 from ..data import SeriesTable, chrono_split, gen_synthetic, load_csv, make_windows
 from ..hypernet import bake, build_baseline, build_hyper
 from ..numcore import spawn_rng
-from ..trainer import TrainConfig, TrainingError, evaluate, train
+from ..trainer import TrainingError, evaluate, train
 from .config import BASELINE, HN_MVTS, RunConfig
 from .stats import wilcoxon_signed_rank
 
@@ -116,14 +116,13 @@ def build_model_for_run(cfg: RunConfig, variant: str, train_split: SeriesTable,
     """Deterministic model for one grid cell; init stream keyed by the cell."""
     rng = spawn_rng(seed, 50_000 + horizon * 4 + (0 if variant == BASELINE else 1))
     if cfg.backbone == "dlinear":
-        backbone = DLinearBackbone(cfg.lookback, cfg.kernel)
+        backbone = DLinearBackbone(cfg.train.lookback, cfg.kernel)
     else:
-        backbone = MlpBackbone(cfg.lookback, cfg.mlp_widths, rng=rng)
+        backbone = MlpBackbone(cfg.train.lookback, cfg.mlp_widths, rng=rng)
     if variant == BASELINE:
         return build_baseline(
             backbone, train_split.n_channels, horizon, rng,
-            revin=cfg.revin, shared_final=cfg.shared_final,
-            channel_names=list(train_split.channel_names),
+            revin=cfg.revin, channel_names=list(train_split.channel_names),
         )
     return build_hyper(
         backbone, train_split, horizon, rng,
@@ -144,9 +143,9 @@ def run_experiment(cfg: RunConfig, out_path: str | Path | None = None,
     records = load_records(out_path) if out_path else []
     for horizon in cfg.horizons:
         try:
-            train_w = make_windows(train_split, cfg.lookback, horizon)
-            val_w = make_windows(val_split, cfg.lookback, horizon)
-            test_w = make_windows(test_split, cfg.lookback, horizon)
+            train_w = make_windows(train_split, cfg.train.lookback, horizon)
+            val_w = make_windows(val_split, cfg.train.lookback, horizon)
+            test_w = make_windows(test_split, cfg.train.lookback, horizon)
             window_error = None
         except ValueError as err:
             window_error = str(err)
@@ -172,11 +171,7 @@ def _run_cell(cfg: RunConfig, variant: str, train_split: SeriesTable, horizon: i
     rec = ResultRecord(cfg.dataset_name, cfg.backbone, variant, horizon, seed)
     try:
         model = build_model_for_run(cfg, variant, train_split, horizon, seed)
-        tc = TrainConfig(
-            lookback=cfg.lookback, horizon=horizon, batch_size=cfg.batch_size,
-            lr=cfg.lr, max_epochs=cfg.max_epochs, seed=seed, shuffle=cfg.shuffle,
-            revin=cfg.revin, early_stop_patience=cfg.early_stop_patience,
-        )
+        tc = replace(cfg.train, horizon=horizon, seed=seed)
         model, history = train(model, train_w, val_w, tc)
         rec.param_count_total = model.param_count()
         rec.param_count_trainable = model.param_count(trainable_only=True)

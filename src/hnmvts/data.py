@@ -47,7 +47,6 @@ class SeriesTable:
 
     values: Tensor
     channel_names: list[str]
-    granularity: str | None = None
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -71,7 +70,6 @@ class SeriesTable:
         return SeriesTable(
             Tensor(self.values.data[start:stop].copy()),
             list(self.channel_names),
-            self.granularity,
         )
 
 
@@ -323,7 +321,7 @@ def gen_synthetic(spec: SynthSpec, seed: int) -> SeriesTable:
     if spec.sigma > 0:
         values += spec.sigma * rng.standard_normal((t, n))
     names = [f"ch{c}_g{spec.groups[c]}" for c in range(n)]
-    return SeriesTable(Tensor(values), names, granularity="synthetic")
+    return SeriesTable(Tensor(values), names)
 
 
 def _ar1(rng: np.random.Generator, t: int, phi: float) -> np.ndarray:

@@ -124,7 +124,6 @@ class HyperHead:
 
     embedding: EmbeddingMatrix
     gen: GeneratorParams
-    target: str
     horizon: int
     hidden_dim: int
 
@@ -144,7 +143,6 @@ def init_embeddings(train: SeriesTable, d: int, learnable: bool = True) -> Embed
 
 def head_for(
     embedding: EmbeddingMatrix,
-    target: str,
     horizon: int,
     hidden_dim: int,
     mode: str,
@@ -179,7 +177,7 @@ def head_for(
         gen = GeneratorParams(mode, mlp_layers=layers)
     else:
         raise ValueError(f"unknown generator mode '{mode}'")
-    return HyperHead(embedding, gen, target, horizon, hidden_dim)
+    return HyperHead(embedding, gen, horizon, hidden_dim)
 
 
 def generate_weights(head: HyperHead) -> Tensor:
@@ -343,7 +341,7 @@ class ForecastModel:
             gen = GeneratorParams.from_arrays(
                 head["mode"], arrays, f"head.{slot}", head["n_mlp_layers"]
             )
-            heads[slot] = HyperHead(embedding, gen, slot, horizon, head["hidden_dim"])
+            heads[slot] = HyperHead(embedding, gen, horizon, head["hidden_dim"])
         return cls(backbone, n, horizon, variant, heads=heads, embedding=embedding, **common)
 
 
@@ -419,16 +417,13 @@ def build_baseline(
     rng: np.random.Generator,
     *,
     revin: bool = True,
-    shared_final: bool = False,
     channel_names: list[str] | None = None,
 ) -> ForecastModel:
-    """Backbone with ordinary trainable final layers (per-channel by default)."""
-    finals = {}
-    for slot, dim in backbone.slots:
-        if shared_final:
-            finals[slot] = FinalLayer.init_shared(rng, horizon, dim)
-        else:
-            finals[slot] = FinalLayer.init_per_channel(rng, n_channels, horizon, dim)
+    """Backbone with ordinary trainable per-channel final layers."""
+    finals = {
+        slot: FinalLayer.init_per_channel(rng, n_channels, horizon, dim)
+        for slot, dim in backbone.slots
+    }
     return ForecastModel(
         backbone,
         n_channels,
@@ -461,7 +456,7 @@ def build_hyper(
     d = n if d is None else int(d)
     embedding = init_embeddings(train, d, learnable=learnable_z)
     heads = {
-        slot: head_for(embedding, slot, horizon, dim, mode, rng, gen_hidden)
+        slot: head_for(embedding, horizon, dim, mode, rng, gen_hidden)
         for slot, dim in backbone.slots
     }
     return ForecastModel(

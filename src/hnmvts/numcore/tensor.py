@@ -24,7 +24,6 @@ __all__ = [
     "no_grad",
     "set_default_dtype",
     "get_default_dtype",
-    "tensor",
     "zeros",
     "ones",
     "add",
@@ -40,7 +39,6 @@ __all__ = [
     "tsum",
     "tmean",
     "reshape",
-    "transpose",
     "moving_average",
 ]
 
@@ -94,13 +92,12 @@ class Tensor:
     outputs inherit participation from their parents.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fns")
+    __slots__ = ("data", "requires_grad", "_parents", "_grad_fns")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _contig(np.asarray(data, dtype=_DEFAULT_DTYPE))
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
 
@@ -120,19 +117,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        """The underlying array (do not mutate outside optimizer steps)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def backward(self) -> None:
-        """Populate `.grad` on every reachable requires_grad leaf."""
-        grads = backward(self)
-        for t, g in grads.items():
-            t.grad = g.data
 
     # operator sugar -------------------------------------------------------
     def __add__(self, other):
@@ -173,10 +157,6 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
@@ -396,14 +376,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
     return _make_node(_contig(out), (a,), (lambda g: g.reshape(a.shape),))
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    a = _as_tensor(a)
-    perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
-    inv = np.argsort(perm)
-    out = _contig(a.data.transpose(perm))
-    return _make_node(out, (a,), (lambda g: g.transpose(inv),))
 
 
 def _slice(a: Tensor, key) -> Tensor:

@@ -18,9 +18,9 @@ import numpy as np
 
 from .data import WindowSet
 from .normalization import revin_apply
-from .numcore import AdamState, Tensor, adam_step, backward, make_rng, no_grad, spawn_rng, square, tmean
+from .numcore import AdamState, Tensor, adam_step, backward, no_grad, spawn_rng, square, tmean
 
-__all__ = ["TrainConfig", "TrainHistory", "TrainingError", "train", "evaluate", "set_seed"]
+__all__ = ["TrainConfig", "TrainHistory", "TrainingError", "train", "evaluate"]
 
 
 class TrainingError(RuntimeError):
@@ -36,7 +36,6 @@ class TrainConfig:
     max_epochs: int = 20
     seed: int = 0
     shuffle: bool = True
-    revin: bool = True
     early_stop_patience: int | None = None
 
     def __post_init__(self):
@@ -74,11 +73,6 @@ class TrainHistory:
                 )
 
 
-def set_seed(seed: int) -> np.random.Generator:
-    """The run's RNG handle; every stochastic choice must flow from one."""
-    return make_rng(seed)
-
-
 def _stack_batch(windows: WindowSet, idx) -> tuple[Tensor, np.ndarray]:
     """One batch for train and evaluate: lookbacks as model input, targets raw."""
     x, y = windows.batch(idx)
@@ -105,10 +99,6 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
         raise ValueError("empty training set")
     if not val_windows:
         raise ValueError("empty validation set")
-    if cfg.revin != model.revin:
-        raise ValueError(
-            f"config revin={cfg.revin} but model revin={model.revin}; build them together"
-        )
     for windows in (train_windows, val_windows):
         if (windows.lookback, windows.horizon) != (cfg.lookback, cfg.horizon):
             raise ValueError(
@@ -170,11 +160,8 @@ def _diagnostics(what: str, loss_val: float, epoch: int, batch_start: int, param
     )
 
 
-def evaluate(model, windows: WindowSet, space: str = "raw",
-             batch_size: int = 256) -> dict[str, float]:
+def evaluate(model, windows: WindowSet, batch_size: int = 256) -> dict[str, float]:
     """Raw-scale MSE and MAE over every window, channel, and horizon step."""
-    if space != "raw":
-        raise ValueError(f"unsupported evaluation space '{space}'")
     if not windows:
         raise ValueError("empty evaluation set")
     sse = 0.0

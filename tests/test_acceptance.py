@@ -195,7 +195,7 @@ def test_criterion_4_channel_invariants():
         head = HyperHead(
             emb,
             GeneratorParams("per_channel_linear", w_phi=Tensor(w_phi, requires_grad=True)),
-            "out", horizon, hidden,
+            horizon, hidden,
         )
         w = generate_weights(head).data
         assert (w[i] == w[j]).all(), "per-channel tying must be exact"
@@ -203,7 +203,7 @@ def test_criterion_4_channel_invariants():
         # shared mode: equal embedding rows alone tie the output
         from hnmvts.hypernet import head_for
 
-        shared = head_for(emb, "out", horizon, hidden, "shared_mlp", rng, gen_hidden=(3,))
+        shared = head_for(emb, horizon, hidden, "shared_mlp", rng, gen_hidden=(3,))
         ws = generate_weights(shared).data
         assert (ws[i] == ws[j]).all(), "shared-mlp tying must be exact"
         tying_cases += 1
@@ -220,7 +220,7 @@ def test_criterion_4_channel_invariants():
                 "per_channel_linear",
                 w_phi=Tensor(rng.standard_normal((n, horizon, hidden, d)), requires_grad=True),
             ),
-            "out", horizon, hidden,
+            horizon, hidden,
         )
         target = int(rng.integers(n))
         grads = backward(tsum(square(generate_weights(head)[target])), [emb.z, head.gen.w_phi])

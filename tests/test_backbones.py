@@ -114,12 +114,6 @@ class TestApplyFinal:
             out.data, wt.apply(ht).data + ws.apply(hs).data, atol=1e-12
         )
 
-    def test_shared_final_layer(self, rng):
-        w = rng.standard_normal((4, 6))
-        hidden = rng.standard_normal((3, 6))
-        out = apply_final([FinalLayer(Tensor(w))], [Tensor(hidden)])
-        np.testing.assert_allclose(out.data, hidden @ w.T, atol=1e-12)
-
     def test_shape_mismatch(self, rng):
         layer = FinalLayer(Tensor(np.zeros((3, 4, 5))))
         from hnmvts.numcore import DimensionError

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hnmvts.bench.cli import main
 from hnmvts.bench.config import OUT_DIR_ENV, default_config_text, load_config, resolve_out_dir
 from hnmvts.bench.runner import (
     ResultRecord,
@@ -13,6 +14,7 @@ from hnmvts.bench.runner import (
     summary_text,
     write_records,
 )
+from hnmvts.trainer import TrainConfig
 
 
 def small_cfg(tmp_path, **overrides):
@@ -54,17 +56,42 @@ class TestConfig:
         p = tmp_path / "empty.ini"
         p.write_text("[data]\nsource = synthetic\n")
         cfg = load_config(p)
-        assert cfg.lookback == 336
+        assert cfg.train.lookback == 336
         assert cfg.horizons == (48, 96, 192, 336)
         assert cfg.seeds == (0, 1, 2, 3, 4)
-        assert cfg.lr == pytest.approx(1e-4)
+        assert cfg.train.lr == pytest.approx(1e-4)
         assert cfg.variants == ("baseline", "hn_mvts")
 
     def test_default_text_is_self_consistent(self, tmp_path):
         p = tmp_path / "full.ini"
         p.write_text(default_config_text())
         cfg = load_config(p)
-        assert cfg.batch_size == 64 and cfg.revin is True
+        assert cfg.train.batch_size == 64 and cfg.revin is True
+
+    def test_empty_file_equals_printed_defaults(self, tmp_path, capsys):
+        assert main(["--print-config"]) == 0
+        printed = tmp_path / "printed.ini"
+        printed.write_text(capsys.readouterr().out)
+        empty = tmp_path / "empty.ini"
+        empty.write_text("")
+        cfg = load_config(empty)
+        assert cfg == load_config(printed)
+        assert cfg.train == TrainConfig()
+        assert cfg.dataset_name == "synthetic"
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[data]\nsource = data/ETTm2.csv\n", "ETTm2"),
+            ("[data]\nsource = data/ETTm2.csv\nname =\n", "ETTm2"),
+            ("[data]\nsource = data/ETTm2.csv\nname = ettm2_short\n", "ettm2_short"),
+            ("[data]\nsource = data/100%.csv\n", "100%"),
+        ],
+    )
+    def test_dataset_name_defaults_to_source_stem(self, tmp_path, text, name):
+        p = tmp_path / "cfg.ini"
+        p.write_text(text)
+        assert load_config(p).dataset_name == name
 
     def test_bad_variant_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -80,8 +107,32 @@ class TestConfig:
             ("[trian]\nlr = 0.5\n", r"unknown section \[trian\] \(did you mean 'train'\?\)"),
             ("[DEFAULT]\nlr = 0.5\n", r"unknown key \[DEFAULT\] lr"),
             ("[model]\ngen_mode = bogus\n", r"gen_mode: unknown generator mode 'bogus'"),
+            ("[train]\nlr =\n", r"bad\.ini: \[train\] lr: blank value"),
+            ("[model]\nmlp_widths =\n", r"bad\.ini: \[model\] mlp_widths: blank value"),
+            ("[train]\nlookback = 33x\n",
+             r"bad\.ini: \[train\] lookback: invalid literal for int\(\) with base 10: '33x'"),
+            ("[train]\nlr = fast\n", r"bad\.ini: \[train\] lr: could not convert"),
+            ("[train]\nshuffle = maybe\n",
+             r"bad\.ini: \[train\] shuffle: expected a boolean, got 'maybe'"),
+            ("[bench]\nseeds = 0,one\n", r"bad\.ini: \[bench\] seeds: invalid literal"),
+            ("[model]\nmlp_widths = 16,\n",
+             r"bad\.ini: \[model\] mlp_widths: invalid literal for int\(\) with base 10: ''"),
+            ("[train]\nbatch_size = 0\n",
+             r"bad\.ini: \[train\] batch_size must be a positive integer"),
+            ("[train]\nearly_stop_patience = 0\n",
+             r"bad\.ini: \[train\] early_stop_patience must be positive"),
+            ("[model]\nkernel = 4\n", r"bad\.ini: \[model\] decomposition kernel must be odd"),
+            ("[model]\nkernel = 9\n[train]\nlookback = 8\n",
+             r"bad\.ini: \[model\] kernel 9 out of range for lookback 8"),
+            ("[bench]\nhorizons = 48,0\n",
+             r"bad\.ini: \[bench\] horizons: every horizon must be >= 1"),
+            ("[split]\nratios = 0.6,0.4\n", r"bad\.ini: \[split\] ratios must be three"),
+            ("lr = 0.5\n", r"no section headers\.\nfile: '.*bad\.ini', line: 1"),
         ],
-        ids=["unknown_key", "misspelt_key", "unknown_section", "default_section", "gen_mode"],
+        ids=["unknown_key", "misspelt_key", "unknown_section", "default_section", "gen_mode",
+             "blank_lr", "blank_mlp_widths", "malformed_int", "malformed_float",
+             "malformed_bool", "malformed_list", "empty_list_item", "batch_size", "patience",
+             "even_kernel", "kernel_over_lookback", "horizon", "ratios", "no_section_header"],
     )
     def test_bad_config_rejected(self, tmp_path, text, message):
         p = tmp_path / "bad.ini"

@@ -120,6 +120,20 @@ def test_bench_writes_results_and_summaries(tmp_path, spec_file, capsys):
     assert "baseline MSE" in stdout
 
 
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [("batch_size = 16", "batch_size = 0", "[train] batch_size must be a positive integer"),
+     ("kernel = 3", "kernel = 4", "[model] decomposition kernel must be odd")],
+    ids=["batch_size", "kernel"],
+)
+def test_bench_refuses_out_of_range_config(tmp_path, spec_file, capsys, good, bad, message):
+    spec_file.write_text(spec_file.read_text().replace(good, bad))
+    assert main(["bench", "--spec", str(spec_file)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and str(spec_file) in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_synth_csv_loads_back(tmp_path, spec_file, capsys):
     data_csv = tmp_path / "toy.csv"
     main(["synth", "--spec", str(spec_file), "--out", str(data_csv)])

@@ -26,12 +26,11 @@ def toy_table(rng, t=64, n=3):
     )
 
 
-def linear_head(embedding, w_phi, target="out"):
+def linear_head(embedding, w_phi):
     n, horizon, hidden, _ = w_phi.shape
     return HyperHead(
         embedding,
         GeneratorParams("per_channel_linear", w_phi=Tensor(w_phi, requires_grad=True)),
-        target,
         horizon,
         hidden,
     )
@@ -119,7 +118,7 @@ class TestGenerateWeights:
 
     def test_shared_mlp_rowwise(self, rng):
         emb = EmbeddingMatrix(Tensor(rng.standard_normal((4, 3))))
-        head = head_for(emb, "out", horizon=2, hidden_dim=3, mode="shared_mlp",
+        head = head_for(emb, horizon=2, hidden_dim=3, mode="shared_mlp",
                         rng=rng, gen_hidden=(5,))
         w = generate_weights(head).data
         assert w.shape == (4, 2, 3)
@@ -183,8 +182,8 @@ class TestHyperForward:
         w_phi_t[0, :, :, 0] = [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
         w_phi_s = np.zeros((1, 2, 3, 2))
         heads = {
-            "trend": linear_head(emb, w_phi_t, "trend"),
-            "seasonal": linear_head(emb, w_phi_s, "seasonal"),
+            "trend": linear_head(emb, w_phi_t),
+            "seasonal": linear_head(emb, w_phi_s),
         }
         from hnmvts.hypernet import ForecastModel
 

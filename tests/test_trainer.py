@@ -5,7 +5,7 @@ from hnmvts.backbones import DLinearBackbone
 from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
 from hnmvts.numcore import Tensor, make_rng
-from hnmvts.trainer import TrainConfig, TrainingError, evaluate, set_seed, train
+from hnmvts.trainer import TrainConfig, TrainingError, evaluate, train
 
 
 def linear_map_table(rng, n=2, t=300, lookback=8, horizon=2):
@@ -113,6 +113,12 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"windows are \(8, 3\) but config wants"):
             train(model, train_w, longer, TrainConfig(lookback=8, horizon=2))
 
+    def test_model_without_revin_trains_in_raw_space(self, rng):
+        model, train_w, val_w = small_setup(rng, revin=False)
+        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=1, seed=0, lr=0.0)
+        _, history = train(model, train_w, val_w, cfg)
+        assert history.train_loss[0] == pytest.approx(evaluate(model, train_w)["mse"], rel=1e-12)
+
     def test_hyper_and_baked_evaluate_identically(self, rng):
         model, train_w, val_w = small_setup(rng, variant="hyper")
         cfg = TrainConfig(lookback=8, horizon=2, max_epochs=2, seed=2)
@@ -179,16 +185,18 @@ class TestEvaluate:
 
 
 class TestSetSeed:
+    """A run's seed fixes its RNG handle, `make_rng(seed)`."""
+
     def test_same_seed_same_draws(self):
-        a = set_seed(42).standard_normal(5)
-        b = set_seed(42).standard_normal(5)
+        a = make_rng(42).standard_normal(5)
+        b = make_rng(42).standard_normal(5)
         assert (a == b).all()
 
     def test_different_seeds_differ(self):
-        a = set_seed(1).standard_normal(8)
-        b = set_seed(2).standard_normal(8)
+        a = make_rng(1).standard_normal(8)
+        b = make_rng(2).standard_normal(8)
         assert not (a == b).all()
 
     def test_five_seed_protocol_distinct(self):
-        draws = [tuple(set_seed(s).standard_normal(4)) for s in range(5)]
+        draws = [tuple(make_rng(s).standard_normal(4)) for s in range(5)]
         assert len(set(draws)) == 5
