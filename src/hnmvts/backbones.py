@@ -72,8 +72,6 @@ def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
     Trend is the centered moving average (odd kernel, replicate padding);
     seasonal is the residual.
     """
-    if kernel % 2 == 0:
-        raise ValueError(f"decomposition kernel must be odd, got {kernel}")
     trend = moving_average(x, kernel)
     seasonal = sub(x, trend)
     return trend, seasonal
@@ -123,6 +121,8 @@ class MlpBackbone:
             raise ValueError("MlpBackbone needs at least one layer width")
         self.lookback = lookback
         self.hidden_widths = tuple(int(w) for w in hidden_widths)
+        if min(self.hidden_widths) < 1:
+            raise ValueError(f"MlpBackbone widths must be >= 1, got {self.hidden_widths}")
         if weights is not None:
             self.layers = weights
         else:

@@ -99,9 +99,9 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
     tc = cfg.train
+    table = load_table(cfg)
     out_dir = resolve_out_dir(cfg.out_dir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = load_table(cfg)
     train_split, val_split, _ = chrono_split(table, cfg.split)
     train_w = make_windows(train_split, tc.lookback, tc.horizon)
     val_w = make_windows(val_split, tc.lookback, tc.horizon)
@@ -144,7 +144,6 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     cfg = load_config(args.spec)
     out_dir = resolve_out_dir(cfg.out_dir, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / f"{cfg.dataset_name}_{cfg.backbone}_results.jsonl"
 
     def progress(rec):
@@ -157,6 +156,7 @@ def cmd_bench(args) -> int:
     rows = summarize(records)
     text = summary_text(rows)
     print(text)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{cfg.dataset_name}_{cfg.backbone}_summary.txt").write_text(text + "\n")
     (out_dir / f"{cfg.dataset_name}_{cfg.backbone}_summary.csv").write_text(summary_csv(rows))
     print(f"results: {results_path}")

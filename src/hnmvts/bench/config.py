@@ -193,11 +193,14 @@ def _variants(raw: str) -> tuple[str, ...]:
     return tuple(_variant(v.strip()) for v in raw.split(","))
 
 
-def _horizons(raw: str) -> tuple[int, ...]:
-    horizons = _ints(raw)
-    if any(h < 1 for h in horizons):
-        raise ValueError(f"every horizon must be >= 1, got {horizons}")
-    return horizons
+def _positive_ints(what: str):
+    def convert(raw: str) -> tuple[int, ...]:
+        values = _ints(raw)
+        if any(v < 1 for v in values):
+            raise ValueError(f"every {what} must be >= 1, got {values}")
+        return values
+
+    return convert
 
 
 def _check_schema(user: configparser.ConfigParser, path: Path) -> None:
@@ -275,10 +278,10 @@ def load_config(path: str | Path) -> RunConfig:
         ),
         backbone=get("model", "backbone", _one_of(("dlinear", "mlp"), "backbone")),
         kernel=get("model", "kernel", int),
-        mlp_widths=get("model", "mlp_widths", _ints),
+        mlp_widths=get("model", "mlp_widths", _positive_ints("width")),
         variant=get("model", "variant", _variant),
         gen_mode=get("model", "gen_mode", _one_of(GENERATOR_MODES, "generator mode")),
-        gen_hidden=get("model", "gen_hidden", _ints) or (),
+        gen_hidden=get("model", "gen_hidden", _positive_ints("width")) or (),
         embed_dim=get("model", "embed_dim", int),
         learnable_embeddings=get("model", "learnable_embeddings", _bool),
         revin=get("train", "revin", _bool),
@@ -293,7 +296,7 @@ def load_config(path: str | Path) -> RunConfig:
             shuffle=get("train", "shuffle", _bool),
             early_stop_patience=get("train", "early_stop_patience", int),
         ),
-        horizons=get("bench", "horizons", _horizons),
+        horizons=get("bench", "horizons", _positive_ints("horizon")),
         seeds=get("bench", "seeds", _ints),
         variants=get("bench", "variants", _variants),
         out_dir=get("output", "dir"),

@@ -106,9 +106,17 @@ def _merge_record(records: list[ResultRecord], rec: ResultRecord) -> list[Result
 
 
 def load_table(cfg: RunConfig) -> SeriesTable:
+    """The configured table, once `[model] embed_dim` is checked against its channels."""
     if cfg.source == "synthetic":
-        return gen_synthetic(cfg.synth, cfg.synth_seed)
-    return load_csv(cfg.source, timestamp_column=cfg.timestamp_column)
+        table = gen_synthetic(cfg.synth, cfg.synth_seed)
+    else:
+        table = load_csv(cfg.source, timestamp_column=cfg.timestamp_column)
+    if cfg.embed_dim is not None and not 1 <= cfg.embed_dim <= table.n_channels:
+        raise ValueError(
+            f"[model] embed_dim = {cfg.embed_dim} out of range for the "
+            f"N = {table.n_channels} channels of {cfg.source} (need 1 <= embed_dim <= N)"
+        )
+    return table
 
 
 def build_model_for_run(cfg: RunConfig, variant: str, train_split: SeriesTable,
@@ -134,10 +142,6 @@ def build_model_for_run(cfg: RunConfig, variant: str, train_split: SeriesTable,
 def run_experiment(cfg: RunConfig, out_path: str | Path | None = None,
                    progress=None) -> list[ResultRecord]:
     """Run the full grid; returns (and optionally persists) all records."""
-    if not cfg.seeds:
-        raise ValueError("seed list must be nonempty")
-    if not cfg.horizons:
-        raise ValueError("horizon list must be nonempty")
     table = load_table(cfg)
     train_split, val_split, test_split = chrono_split(table, cfg.split)
     records = load_records(out_path) if out_path else []

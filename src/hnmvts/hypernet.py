@@ -155,6 +155,8 @@ def head_for(
     uniform fan-in law scaled by 1/|z[n]| so the initial generated W matches
     a directly-initialized (H x D) layer in distribution.
     """
+    if any(width < 1 for width in gen_hidden):
+        raise ValueError(f"generator hidden widths must be >= 1, got {tuple(gen_hidden)}")
     n, d = embedding.n_channels, embedding.dim
     if mode == "per_channel_linear":
         base = uniform_fan_in(rng, (n, horizon, hidden_dim, d), fan_in=hidden_dim)

@@ -6,6 +6,17 @@ p  -= lr * mhat / (sqrt(vhat) + eps)
 
 State is kept per parameter name; `adam_step` mutates the parameter tensors
 in place (the one sanctioned mutation path) and is fully deterministic.
+
+Every gradient is checked (shape and finiteness) before anything moves: a
+bad gradient raises with the step count, every moment and every parameter
+as they were before the call.
+
+The update is cache-blocked. A parameter larger than `_BLOCK` elements is
+updated one contiguous block at a time, so the block's slices of p, g, m, v
+and one block-sized scratch buffer per dtype stay in L2 across the thirteen
+elementwise passes, instead of each pass streaming the whole array through
+memory. Each block runs the same ufuncs in the same order with the same
+constants as an unblocked update, so the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -18,6 +29,10 @@ from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
+# Elements per block: 32 Ki float64 is 256 KiB per array, about 1.3 MB for
+# the five arrays a block touches, which fits a 2 MB L2.
+_BLOCK = 32 * 1024
+
 
 @dataclass
 class AdamState:
@@ -28,8 +43,6 @@ class AdamState:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    # reusable per-parameter buffer; keeps the hot update loop allocation-free
-    scratch: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adam_step(
@@ -40,12 +53,9 @@ def adam_step(
     """One Adam update over a named parameter set.
 
     Raises ValueError naming the parameter if its gradient is non-finite or
-    shaped differently from the parameter.
+    shaped differently from the parameter; nothing is updated then.
     """
-    state.step_count += 1
-    k = state.step_count
-    corr1 = 1.0 - state.beta1**k
-    corr2 = 1.0 - state.beta2**k
+    checked = []
     for name, p in params.items():
         g = grads[name]
         g_arr = g.data if isinstance(g, Tensor) else np.asarray(g)
@@ -55,26 +65,44 @@ def adam_step(
             )
         if not np.all(np.isfinite(g_arr)):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
+        checked.append((name, p.data, g_arr))
+    state.step_count += 1
+    k = state.step_count
+    corr1 = 1.0 - state.beta1**k
+    corr2 = 1.0 - state.beta2**k
+    scratch: dict[np.dtype, np.ndarray] = {}
+    for name, p, g in checked:
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
+            m = state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        buf = state.scratch.get(name)
+        if p.size <= _BLOCK:
+            _update(p, g, m, v, np.empty_like(p), state, corr1, corr2)
+            continue
+        buf = scratch.get(p.dtype)
         if buf is None:
-            buf = state.scratch[name] = np.empty_like(p.data)
-        m *= state.beta1
-        np.multiply(g_arr, 1.0 - state.beta1, out=buf)
-        m += buf
-        v *= state.beta2
-        np.multiply(g_arr, g_arr, out=buf)
-        buf *= 1.0 - state.beta2
-        v += buf
-        np.multiply(v, 1.0 / corr2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += state.eps
-        np.divide(m, buf, out=buf)
-        buf *= state.lr / corr1
-        p.data -= buf
+            buf = scratch[p.dtype] = np.empty(_BLOCK, p.dtype)
+        # Tensor data, m and v are C-contiguous, so these are views
+        flat = [a.reshape(-1) for a in (p, g, m, v)]
+        for lo in range(0, p.size, _BLOCK):
+            hi = min(lo + _BLOCK, p.size)
+            _update(*(a[lo:hi] for a in flat), buf[: hi - lo], state, corr1, corr2)
     return params, state
+
+
+def _update(p, g, m, v, buf, state: AdamState, corr1: float, corr2: float) -> None:
+    """The Adam update of one block, in place; `buf` is scratch of p's shape."""
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=buf)
+    m += buf
+    v *= state.beta2
+    np.multiply(g, g, out=buf)
+    buf *= 1.0 - state.beta2
+    v += buf
+    np.multiply(v, 1.0 / corr2, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += state.eps
+    np.divide(m, buf, out=buf)
+    buf *= state.lr / corr1
+    p -= buf

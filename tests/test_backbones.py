@@ -69,6 +69,11 @@ class TestForwardHidden:
         assert h.shape == (4, 5)
         assert bb.hidden_dim == 5
 
+    @pytest.mark.parametrize("widths", [(0,), (16, 0), (-1,)])
+    def test_mlp_rejects_width_below_one(self, rng, widths):
+        with pytest.raises(ValueError, match="widths must be >= 1"):
+            MlpBackbone(lookback=10, hidden_widths=widths, rng=rng)
+
 
 class TestApplyFinal:
     def test_zero_weights(self, rng):

@@ -126,13 +126,18 @@ class TestConfig:
              r"bad\.ini: \[model\] kernel 9 out of range for lookback 8"),
             ("[bench]\nhorizons = 48,0\n",
              r"bad\.ini: \[bench\] horizons: every horizon must be >= 1"),
+            ("[model]\nbackbone = mlp\nmlp_widths = 16,0\n",
+             r"bad\.ini: \[model\] mlp_widths: every width must be >= 1"),
+            ("[model]\ngen_hidden = 0\n",
+             r"bad\.ini: \[model\] gen_hidden: every width must be >= 1"),
             ("[split]\nratios = 0.6,0.4\n", r"bad\.ini: \[split\] ratios must be three"),
             ("lr = 0.5\n", r"no section headers\.\nfile: '.*bad\.ini', line: 1"),
         ],
         ids=["unknown_key", "misspelt_key", "unknown_section", "default_section", "gen_mode",
              "blank_lr", "blank_mlp_widths", "malformed_int", "malformed_float",
              "malformed_bool", "malformed_list", "empty_list_item", "batch_size", "patience",
-             "even_kernel", "kernel_over_lookback", "horizon", "ratios", "no_section_header"],
+             "even_kernel", "kernel_over_lookback", "horizon", "mlp_width", "gen_hidden",
+             "ratios", "no_section_header"],
     )
     def test_bad_config_rejected(self, tmp_path, text, message):
         p = tmp_path / "bad.ini"

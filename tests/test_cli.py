@@ -123,14 +123,28 @@ def test_bench_writes_results_and_summaries(tmp_path, spec_file, capsys):
 @pytest.mark.parametrize(
     "good, bad, message",
     [("batch_size = 16", "batch_size = 0", "[train] batch_size must be a positive integer"),
-     ("kernel = 3", "kernel = 4", "[model] decomposition kernel must be odd")],
-    ids=["batch_size", "kernel"],
+     ("kernel = 3", "kernel = 4", "[model] decomposition kernel must be odd"),
+     ("backbone = dlinear", "backbone = mlp\nmlp_widths = 0",
+      "[model] mlp_widths: every width must be >= 1")],
+    ids=["batch_size", "kernel", "mlp_widths"],
 )
 def test_bench_refuses_out_of_range_config(tmp_path, spec_file, capsys, good, bad, message):
     spec_file.write_text(spec_file.read_text().replace(good, bad))
     assert main(["bench", "--spec", str(spec_file)]) == 1
     err = capsys.readouterr().err
     assert message in err and str(spec_file) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "train"])
+def test_embed_dim_over_channel_count_refused(tmp_path, spec_file, capsys, command):
+    spec_file.write_text(spec_file.read_text().replace("[model]\n", "[model]\nembed_dim = 99\n"))
+    flag = "--spec" if command == "bench" else "--config"
+    assert main([command, flag, str(spec_file)]) == 1
+    err = capsys.readouterr().err
+    assert "[model] embed_dim = 99" in err and "N = 3" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 

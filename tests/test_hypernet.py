@@ -127,6 +127,11 @@ class TestGenerateWeights:
         w2 = generate_weights(head).data
         np.testing.assert_array_equal(w2[2], w2[0])
 
+    def test_shared_mlp_rejects_width_below_one(self, rng):
+        emb = EmbeddingMatrix(Tensor(rng.standard_normal((4, 3))))
+        with pytest.raises(ValueError, match="widths must be >= 1"):
+            head_for(emb, horizon=2, hidden_dim=3, mode="shared_mlp", rng=rng, gen_hidden=(5, 0))
+
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GeneratorParams("per_channel_linear", w_phi=None)
