@@ -22,6 +22,7 @@ from ..trainer import evaluate, train
 from .config import default_config_text, load_config, resolve_out_dir
 from .runner import (
     build_model_for_run,
+    check_embed_dim,
     load_table,
     run_experiment,
     summarize,
@@ -100,6 +101,7 @@ def cmd_train(args) -> int:
         cfg.train = replace(cfg.train, seed=args.seed)
     tc = cfg.train
     table = load_table(cfg)
+    check_embed_dim(cfg, table, [cfg.variant])
     out_dir = resolve_out_dir(cfg.out_dir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_split, val_split, _ = chrono_split(table, cfg.split)

@@ -106,17 +106,22 @@ def _merge_record(records: list[ResultRecord], rec: ResultRecord) -> list[Result
 
 
 def load_table(cfg: RunConfig) -> SeriesTable:
-    """The configured table, once `[model] embed_dim` is checked against its channels."""
     if cfg.source == "synthetic":
-        table = gen_synthetic(cfg.synth, cfg.synth_seed)
-    else:
-        table = load_csv(cfg.source, timestamp_column=cfg.timestamp_column)
-    if cfg.embed_dim is not None and not 1 <= cfg.embed_dim <= table.n_channels:
+        return gen_synthetic(cfg.synth, cfg.synth_seed)
+    return load_csv(cfg.source, timestamp_column=cfg.timestamp_column)
+
+
+def check_embed_dim(cfg: RunConfig, table: SeriesTable, variants) -> None:
+    """Refuse `[model] embed_dim` outside 1..N before any hn_mvts model is built.
+
+    A baseline never reads embed_dim, so only a run building hn_mvts is checked.
+    """
+    n = table.n_channels
+    if HN_MVTS in variants and cfg.embed_dim is not None and not 1 <= cfg.embed_dim <= n:
         raise ValueError(
             f"[model] embed_dim = {cfg.embed_dim} out of range for the "
-            f"N = {table.n_channels} channels of {cfg.source} (need 1 <= embed_dim <= N)"
+            f"N = {n} channels of {cfg.source} (need 1 <= embed_dim <= N)"
         )
-    return table
 
 
 def build_model_for_run(cfg: RunConfig, variant: str, train_split: SeriesTable,
@@ -143,6 +148,7 @@ def run_experiment(cfg: RunConfig, out_path: str | Path | None = None,
                    progress=None) -> list[ResultRecord]:
     """Run the full grid; returns (and optionally persists) all records."""
     table = load_table(cfg)
+    check_embed_dim(cfg, table, cfg.variants)
     train_split, val_split, test_split = chrono_split(table, cfg.split)
     records = load_records(out_path) if out_path else []
     for horizon in cfg.horizons:

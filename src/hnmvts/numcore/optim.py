@@ -11,12 +11,13 @@ Every gradient is checked (shape and finiteness) before anything moves: a
 bad gradient raises with the step count, every moment and every parameter
 as they were before the call.
 
-The update is cache-blocked. A parameter larger than `_BLOCK` elements is
-updated one contiguous block at a time, so the block's slices of p, g, m, v
-and one block-sized scratch buffer per dtype stay in L2 across the thirteen
-elementwise passes, instead of each pass streaming the whole array through
-memory. Each block runs the same ufuncs in the same order with the same
-constants as an unblocked update, so the result is bit-identical to it.
+The update is cache-blocked. Each parameter is updated one contiguous block
+of at most `_BLOCK` elements at a time, so the block's slices of p, g, m, v
+and one scratch buffer per dtype stay in L2 across the thirteen elementwise
+passes, instead of each pass streaming the whole array through memory; a
+parameter of at most one block takes a single pass. Each block runs the same
+ufuncs in the same order with the same constants as an unblocked update, so
+the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -77,12 +78,10 @@ def adam_step(
             m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        if p.size <= _BLOCK:
-            _update(p, g, m, v, np.empty_like(p), state, corr1, corr2)
-            continue
+        size = min(p.size, _BLOCK)
         buf = scratch.get(p.dtype)
-        if buf is None:
-            buf = scratch[p.dtype] = np.empty(_BLOCK, p.dtype)
+        if buf is None or buf.size < size:
+            buf = scratch[p.dtype] = np.empty(size, p.dtype)
         # Tensor data, m and v are C-contiguous, so these are views
         flat = [a.reshape(-1) for a in (p, g, m, v)]
         for lo in range(0, p.size, _BLOCK):
@@ -92,7 +91,7 @@ def adam_step(
 
 
 def _update(p, g, m, v, buf, state: AdamState, corr1: float, corr2: float) -> None:
-    """The Adam update of one block, in place; `buf` is scratch of p's shape."""
+    """The Adam update of one block, in place; `buf` is scratch of the block's size."""
     m *= state.beta1
     np.multiply(g, 1.0 - state.beta1, out=buf)
     m += buf

@@ -290,10 +290,7 @@ def channel_dot(w: Tensor, v: Tensor) -> Tensor:
     (*B, N, *S). Realizes both the per-channel final layer (w = weights
     (N, H, D), v = hidden states) and the per-channel weight generator
     (w = (N, H, D, d), v = embeddings (N, d)). Forward and both gradients run
-    as matmuls batched over the channel axis, except the w gradient of an
-    unbatched v: that contraction has length 1, so it is computed as the exact
-    outer product g[n, s] * v[n, q], which equals the matmul bit for bit and
-    runs about twice as fast.
+    as matmuls batched over the channel axis.
     """
     w, v = _as_tensor(w), _as_tensor(v)
     if w.ndim < 2 or v.ndim < 2:
@@ -312,8 +309,6 @@ def channel_dot(w: Tensor, v: Tensor) -> Tensor:
     out = _from_channel_major(out_m, b_shape, s_shape)
 
     def grad_w(g):
-        if not b_shape:
-            return np.einsum("ns,nq->nsq", g.reshape(n, -1), v.data).reshape(w.shape)
         gm = _to_channel_major(g.reshape(*b_shape, n, -1), len(b_shape))
         return (gm.swapaxes(1, 2) @ vm).reshape(w.shape)
 

@@ -148,6 +148,17 @@ def test_embed_dim_over_channel_count_refused(tmp_path, spec_file, capsys, comma
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "train"])
+def test_embed_dim_unchecked_for_baseline_only_run(tmp_path, spec_file, capsys, command):
+    """A baseline never reads embed_dim, so an out-of-range value does not stop it."""
+    text = spec_file.read_text().replace("[model]\n", "[model]\nembed_dim = 99\n")
+    text = text.replace("variant = hn_mvts", "variant = baseline")
+    spec_file.write_text(text.replace("variants = baseline,hn_mvts", "variants = baseline"))
+    flag = "--spec" if command == "bench" else "--config"
+    assert main([command, flag, str(spec_file)]) == 0
+    assert "[failed]" not in capsys.readouterr().out
+
+
 def test_synth_csv_loads_back(tmp_path, spec_file, capsys):
     data_csv = tmp_path / "toy.csv"
     main(["synth", "--spec", str(spec_file), "--out", str(data_csv)])

@@ -168,7 +168,7 @@ class TestChannelDot:
         from hnmvts.numcore import finite_diff_check
 
         w = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        for v_shape in [(5, 2, 4), (2, 4)]:  # batched, and unbatched (the outer-product path)
+        for v_shape in [(5, 2, 4), (2, 4)]:  # batched, and unbatched (the generator's form)
             v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
 
             def loss():
@@ -188,20 +188,6 @@ class TestChannelDot:
             np.vdot(dw, grads[w].data), rel=1e-12)
         assert np.vdot(channel_dot(w, Tensor(dv)).data, g) == pytest.approx(
             np.vdot(dv, grads[v].data), rel=1e-12)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_unbatched_weight_gradient_equals_batched_form(self, rng, request, dtype):
-        """The outer-product w gradient of an unbatched v is the K=1 matmul, bit for bit."""
-        if dtype is np.float32:
-            request.getfixturevalue("float32_mode")
-        w = Tensor(rng.standard_normal((3, 4, 5, 2)), requires_grad=True)
-        z = rng.standard_normal((3, 2))
-        g = rng.standard_normal((3, 4, 5))
-        z[0, 1], g[0, 0, 0] = -1.5, 0.0  # both forms must give this zero the same sign
-        unbatched = backward(tsum(channel_dot(w, Tensor(z)) * Tensor(g)), [w])[w].data
-        batched = backward(tsum(channel_dot(w, Tensor(z[None])) * Tensor(g[None])), [w])[w].data
-        assert unbatched.dtype == batched.dtype == dtype
-        assert unbatched.tobytes() == batched.tobytes()
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
