@@ -1,12 +1,16 @@
 """Base forecasting models: per-channel hidden states plus a final linear map.
 
 Every backbone turns a lookback window (..., N, T) into one hidden state per
-channel and per output slot; a FinalLayer then maps each channel's hidden
-state to the horizon with a bias-free (H x D) matrix. Two backbones ship:
+channel and per output slot; `apply_final` then maps each channel's hidden
+state to the horizon with that slot's bias-free (N, H, D) weights, one
+(H x D) matrix per channel. A backbone is described by its `config()`; the
+arrays it owns (`shapes()` names them and gives their shapes) live in the
+model's array store, which it reads by name. Two backbones ship:
 
 * DLinearBackbone - moving-average trend/seasonal decomposition with identity
-  hidden maps (D = T) and one final layer per branch.
-* MlpBackbone - a trunk of Linear+ReLU layers shared across channels.
+  hidden maps (D = T) and one final layer per branch; it owns no arrays.
+* MlpBackbone - a trunk of Linear+ReLU layers shared across channels, owning
+  `trunk.i.w` (fan_in, width) and `trunk.i.b` (width,).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .numcore import (
 )
 
 __all__ = [
-    "FinalLayer",
     "DLinearBackbone",
     "MlpBackbone",
     "decompose",
@@ -39,31 +42,6 @@ def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, the plain-linear-layer default."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-class FinalLayer:
-    """Bias-free per-channel ("individual") final linear map: y_hat[n] = W[n] @ h[n].
-
-    `weights` is (N, H, D): one (H x D) matrix per channel.
-    """
-
-    def __init__(self, weights: Tensor):
-        if weights.ndim != 3:
-            raise DimensionError(f"final-layer weights must be (N,H,D), got {weights.shape}")
-        self.weights = weights
-
-    def apply(self, hidden: Tensor) -> Tensor:
-        """Map hidden states (..., N, D) to forecasts (..., N, H)."""
-        if hidden.shape[-1] != self.weights.shape[-1] or hidden.shape[-2] != self.weights.shape[0]:
-            raise DimensionError(
-                f"final layer {self.weights.shape} incompatible with hidden {hidden.shape}"
-            )
-        return channel_dot(self.weights, hidden)
-
-    @staticmethod
-    def init_per_channel(rng: np.random.Generator, n: int, horizon: int, d: int) -> "FinalLayer":
-        w = uniform_fan_in(rng, (n, horizon, d), fan_in=d)
-        return FinalLayer(Tensor(w, requires_grad=True))
 
 
 def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
@@ -80,8 +58,8 @@ def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
 class DLinearBackbone:
     """Trend/seasonal decomposition with identity hidden maps (D = T).
 
-    Carries no trainable parameters of its own; all capacity lives in the
-    two final layers (one per branch).
+    Owns no arrays; all capacity lives in the two final layers (one per
+    branch).
     """
 
     kind = "dlinear"
@@ -102,6 +80,9 @@ class DLinearBackbone:
         """Hidden states in `slots` order: trend, then seasonal."""
         return list(decompose(x, self.kernel))
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {}
+
     def parameters(self) -> dict[str, Tensor]:
         return {}
 
@@ -110,31 +91,33 @@ class DLinearBackbone:
 
 
 class MlpBackbone:
-    """Channel-shared trunk of Linear+ReLU layers; D is the last width."""
+    """Channel-shared trunk of Linear+ReLU layers; D is the last width.
+
+    `weights` maps at least the names in `shapes()` to tensors (a model
+    passes its whole array store); without it the trunk is drawn from `rng`.
+    """
 
     kind = "mlp"
 
     def __init__(self, lookback: int, hidden_widths: tuple[int, ...] = (128,), *,
                  rng: np.random.Generator | None = None,
-                 weights: list[tuple[Tensor, Tensor]] | None = None):
+                 weights: dict[str, Tensor] | None = None):
         if not hidden_widths:
             raise ValueError("MlpBackbone needs at least one layer width")
         self.lookback = lookback
         self.hidden_widths = tuple(int(w) for w in hidden_widths)
         if min(self.hidden_widths) < 1:
             raise ValueError(f"MlpBackbone widths must be >= 1, got {self.hidden_widths}")
-        if weights is not None:
-            self.layers = weights
-        else:
+        if weights is None:
             if rng is None:
                 raise ValueError("MlpBackbone needs an rng when weights are not supplied")
-            self.layers = []
-            fan_in = lookback
-            for width in self.hidden_widths:
-                w = Tensor(uniform_fan_in(rng, (fan_in, width), fan_in), requires_grad=True)
-                b = Tensor(uniform_fan_in(rng, (width,), fan_in), requires_grad=True)
-                self.layers.append((w, b))
-                fan_in = width
+            weights = {}
+            for name, shape in self.shapes().items():
+                if name.endswith(".w"):
+                    fan_in = shape[0]  # the layer's bias, drawn next, shares it
+                weights[name] = Tensor(uniform_fan_in(rng, shape, fan_in), requires_grad=True)
+        self.weights = weights
+        self._layers = [(f"trunk.{i}.w", f"trunk.{i}.b") for i in range(len(self.hidden_widths))]
 
     @property
     def hidden_dim(self) -> int:
@@ -147,16 +130,22 @@ class MlpBackbone:
     def forward_hidden(self, x: Tensor) -> list[Tensor]:
         """The trunk's output, the one hidden state of the `out` slot."""
         h = x
-        for w, b in self.layers:
-            h = relu(add(matmul(h, w), b))
+        for w, b in self._layers:
+            h = relu(add(matmul(h, self.weights[w]), self.weights[b]))
         return [h]
 
-    def parameters(self) -> dict[str, Tensor]:
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Names and shapes of the trunk's arrays, layer by layer, weight before bias."""
         out = {}
-        for i, (w, b) in enumerate(self.layers):
-            out[f"trunk.{i}.w"] = w
-            out[f"trunk.{i}.b"] = b
+        fan_in = self.lookback
+        for i, width in enumerate(self.hidden_widths):
+            out[f"trunk.{i}.w"] = (fan_in, width)
+            out[f"trunk.{i}.b"] = (width,)
+            fan_in = width
         return out
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {name: self.weights[name] for name in self.shapes()}
 
     def config(self) -> dict:
         return {
@@ -166,28 +155,25 @@ class MlpBackbone:
         }
 
 
-def from_config(cfg: dict, arrays: dict[str, np.ndarray]):
-    """Rebuild a backbone from its `config()` and arrays named as its `parameters()`.
+def from_config(cfg: dict, arrays: dict[str, Tensor]):
+    """Rebuild a backbone from its `config()`, reading its arrays from `arrays` by name.
 
-    The arrays are wrapped, not copied; missing names raise KeyError.
+    Nothing is copied or checked here; `ForecastModel` checks the store.
     """
     kind = cfg["kind"]
     if kind == DLinearBackbone.kind:
         return DLinearBackbone(cfg["lookback"], cfg["kernel"])
     if kind == MlpBackbone.kind:
-        weights = [
-            tuple(Tensor(arrays[f"trunk.{i}.{p}"], requires_grad=True) for p in "wb")
-            for i in range(len(cfg["hidden_widths"]))
-        ]
-        return MlpBackbone(cfg["lookback"], cfg["hidden_widths"], weights=weights)
+        return MlpBackbone(cfg["lookback"], cfg["hidden_widths"], weights=arrays)
     raise ValueError(f"unknown backbone kind '{kind}'")
 
 
-def apply_final(finals: list[FinalLayer], hidden: list[Tensor]) -> Tensor:
-    """Sum over slots of each final layer applied to its slot's hidden state."""
-    if len(finals) != len(hidden):
-        raise DimensionError(f"{len(finals)} final layers for {len(hidden)} hidden states")
-    out = finals[0].apply(hidden[0])
-    for layer, h in zip(finals[1:], hidden[1:]):
-        out = add(out, layer.apply(h))
+def apply_final(weights: list[Tensor], hidden: list[Tensor]) -> Tensor:
+    """Sum over slots of y_hat[..., n] = W[n] @ h[..., n], each slot's (N, H, D)
+    weights applied to its (..., N, D) hidden state."""
+    if len(weights) != len(hidden):
+        raise DimensionError(f"{len(weights)} final layers for {len(hidden)} hidden states")
+    out = channel_dot(weights[0], hidden[0])
+    for w, h in zip(weights[1:], hidden[1:]):
+        out = add(out, channel_dot(w, h))
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +28,6 @@ from .stats import wilcoxon_signed_rank
 
 __all__ = ["ResultRecord", "SummaryRow", "run_experiment", "summarize",
            "summary_text", "summary_csv", "load_records", "write_records"]
-
-_RECORD_FIELDS = [
-    "dataset", "backbone", "variant", "horizon", "seed", "status", "reason",
-    "test_mse", "test_mae", "seconds_per_epoch_mean", "seconds_per_epoch_std",
-    "n_epochs", "best_epoch", "param_count_total", "param_count_trainable",
-    "hyper_param_count",
-]
-
 
 @dataclass
 class ResultRecord:
@@ -61,8 +53,7 @@ class ResultRecord:
         return (self.dataset, self.backbone, self.variant, self.horizon, self.seed)
 
     def to_json(self) -> str:
-        data = asdict(self)
-        return json.dumps({k: data[k] for k in _RECORD_FIELDS})
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
@@ -289,12 +280,7 @@ def summary_text(rows: list[SummaryRow]) -> str:
 
 
 def summary_csv(rows: list[SummaryRow]) -> str:
-    cols = [
-        "dataset", "backbone", "horizon", "n_seeds", "complete",
-        "baseline_mse_mean", "baseline_mse_std", "hn_mse_mean", "hn_mse_std",
-        "baseline_mae_mean", "hn_mae_mean", "rel_mse_change", "p_value",
-        "significant", "time_ratio", "note",
-    ]
+    cols = [f.name for f in fields(SummaryRow)]
     lines = [",".join(cols)]
     for r in rows:
         vals = []

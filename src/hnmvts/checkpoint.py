@@ -2,7 +2,9 @@
 
 The header is `ForecastModel.config()` plus the format version and a config
 echo; arrays are stored bit-exact in their native float width under the
-names `ForecastModel.all_arrays` uses, each prefixed with `param/`.
+names `ForecastModel.all_arrays` uses, each prefixed with `param/`. Loading
+checks every array against the names and shapes the header decides, so a
+missing, foreign or mis-shaped array is a CheckpointError naming it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hypernet import ForecastModel
+from .hypernet import ForecastModel, StoreError
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERSION"]
 
@@ -21,17 +23,6 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     """Unreadable or structurally invalid checkpoint file."""
-
-
-class _StoredArrays(dict):
-    """A checkpoint's arrays by name; a missing one raises CheckpointError naming it."""
-
-    def __init__(self, path: Path, arrays: dict[str, np.ndarray]):
-        super().__init__(arrays)
-        self.path = path
-
-    def __missing__(self, name: str):
-        raise CheckpointError(f"{self.path}: missing array 'param/{name}'")
 
 
 def save_checkpoint(model: ForecastModel, path: str | Path, config_echo: dict | None = None) -> None:
@@ -68,17 +59,19 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
             f"{path}: format version {meta.get('format_version')} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
-    arrays = _StoredArrays(path, {
+    echo = meta.pop("config_echo", {})
+    del meta["format_version"]
+    arrays = {
         key[len("param/") :]: np.asarray(bundle[key])
         for key in bundle.files
         if key.startswith("param/")
-    })
+    }
     try:
         model = ForecastModel.from_config(meta, arrays)
-    except CheckpointError:
-        raise
+    except StoreError as err:
+        raise CheckpointError(f"{path}: array 'param/{err.name}' {err.problem}") from None
     except KeyError as err:
         raise CheckpointError(f"{path}: meta header lacks key {err}") from None
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
-    return model, meta.get("config_echo", {})
+    return model, echo

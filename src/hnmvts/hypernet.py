@@ -1,4 +1,16 @@
-"""Channel embeddings, weight generators, and the hyper/baked model forms.
+"""Channel embeddings, weight generators, and the model in its three forms.
+
+A model is its config (`ForecastModel.config()`, the checkpoint header)
+plus one store of named arrays. The config decides every array's name and
+shape (`_array_shapes`); the store is checked against it once, when the model
+is built, and a missing, foreign or mis-shaped array raises a `StoreError`
+naming it. The names:
+
+* `trunk.i.w`, `trunk.i.b` - the backbone's own arrays (MLP trunk only);
+* `final.<slot>.w` (N, H, D) - a baseline or baked model's final layers;
+* `embed.z` (N, d) - a hyper model's channel embeddings;
+* `head.<slot>.w_phi`, or `head.<slot>.mlp.i.w` / `.b` - the generator of
+  one slot's final layer.
 
 Each channel owns a learnable d-vector; a generator maps it to that
 channel's final-layer matrix. Two generator modes:
@@ -15,25 +27,24 @@ model identical in shape and cost to the plain backbone.
 
 from __future__ import annotations
 
+import copy
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import backbones
-from .backbones import FinalLayer, apply_final, uniform_fan_in
+from .backbones import apply_final, uniform_fan_in
 from .data import SeriesTable, pearson_corr
 from .normalization import InstanceStats, revin_forward, revin_reverse
 from .numcore import Tensor, add, channel_dot, matmul, no_grad, pca_project, relu, reshape
 
 __all__ = [
-    "EmbeddingMatrix",
-    "GeneratorParams",
-    "HyperHead",
     "ForecastModel",
+    "StoreError",
     "init_embeddings",
+    "init_generator",
     "generate_weights",
     "bake",
     "param_count",
@@ -43,218 +54,180 @@ __all__ = [
 ]
 
 GENERATOR_MODES = ("per_channel_linear", "shared_mlp")
+VARIANTS = ("baseline", "hyper", "baked")
 
 
-@dataclass
-class EmbeddingMatrix:
-    """One d-dimensional embedding row per channel."""
+class StoreError(ValueError):
+    """An array missing from a model's store, foreign to it, or mis-shaped."""
 
-    z: Tensor
-    learnable: bool = True
-
-    def __post_init__(self):
-        if self.z.ndim != 2:
-            raise ValueError(f"embedding matrix must be (N, d), got {self.z.shape}")
-        self.z.requires_grad = bool(self.learnable)
-
-    @property
-    def n_channels(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[1]
+    def __init__(self, name: str, problem: str):
+        super().__init__(f"array '{name}' {problem}")
+        self.name = name
+        self.problem = problem
 
 
-class GeneratorParams:
-    """Parameters of one weight generator (exactly one mode populated)."""
-
-    def __init__(
-        self,
-        mode: str,
-        *,
-        w_phi: Tensor | None = None,
-        mlp_layers: list[tuple[Tensor, Tensor | None]] | None = None,
-    ):
-        if mode not in GENERATOR_MODES:
-            raise ValueError(f"unknown generator mode '{mode}'")
-        if mode == "per_channel_linear":
-            if w_phi is None or mlp_layers is not None:
-                raise ValueError("per_channel_linear mode takes exactly w_phi")
-            if w_phi.ndim != 4:
-                raise ValueError(f"w_phi must be (N, H, D, d), got {w_phi.shape}")
-        else:
-            if mlp_layers is None or w_phi is not None:
-                raise ValueError("shared_mlp mode takes exactly mlp_layers")
-        self.mode = mode
-        self.w_phi = w_phi
-        self.mlp_layers = mlp_layers
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        if self.mode == "per_channel_linear":
-            return {f"{prefix}.w_phi": self.w_phi}
-        out = {}
-        for i, (w, b) in enumerate(self.mlp_layers):
-            out[f"{prefix}.mlp.{i}.w"] = w
-            if b is not None:
-                out[f"{prefix}.mlp.{i}.b"] = b
-        return out
-
-    @classmethod
-    def from_arrays(cls, mode: str, arrays: dict[str, np.ndarray], prefix: str,
-                    n_mlp_layers: int = 0) -> "GeneratorParams":
-        """Inverse of `parameters(prefix)`: wrap the named arrays as trainables."""
-
-        def param(name: str) -> Tensor:
-            return Tensor(arrays[f"{prefix}.{name}"], requires_grad=True)
-
-        if mode == "per_channel_linear":
-            return cls(mode, w_phi=param("w_phi"))
-        layers = [
-            (param(f"mlp.{i}.w"),
-             param(f"mlp.{i}.b") if f"{prefix}.mlp.{i}.b" in arrays else None)
-            for i in range(n_mlp_layers)
-        ]
-        return cls(mode, mlp_layers=layers)
-
-
-@dataclass
-class HyperHead:
-    """Generator feeding one final-layer slot (e.g. DLinear's trend branch)."""
-
-    embedding: EmbeddingMatrix
-    gen: GeneratorParams
-    horizon: int
-    hidden_dim: int
-
-
-def init_embeddings(train: SeriesTable, d: int, learnable: bool = True) -> EmbeddingMatrix:
-    """Embeddings from channel correlation rows projected on principal components.
+def init_embeddings(train: SeriesTable, d: int) -> np.ndarray:
+    """(N, d) embeddings: channel correlation rows projected on principal components.
 
     Uses the training split only; deterministic given the data.
     """
     n = train.n_channels
     if not 1 <= d <= n:
         raise ValueError(f"embedding dim d={d} out of range for {n} channels")
-    corr = pearson_corr(train)
-    z = pca_project(corr, d)
-    return EmbeddingMatrix(Tensor(z.data.copy(), requires_grad=learnable), learnable=learnable)
+    return pca_project(pearson_corr(train), d).data.copy()
 
 
-def head_for(
-    embedding: EmbeddingMatrix,
+def init_generator(
+    z: np.ndarray,
     horizon: int,
     hidden_dim: int,
     mode: str,
     rng: np.random.Generator,
     gen_hidden: Sequence[int] = (),
-) -> HyperHead:
-    """Build one generator head with scale-matched initialization.
+) -> list[np.ndarray]:
+    """One generator's arrays in store order, with scale-matched initialization.
 
-    per_channel_linear draws each channel's block from the plain-layer
-    uniform fan-in law scaled by 1/|z[n]| so the initial generated W matches
-    a directly-initialized (H x D) layer in distribution.
+    per_channel_linear returns [w_phi], each channel's block drawn from the
+    plain-layer uniform fan-in law scaled by 1/|z[n]| so the initial
+    generated W matches a directly-initialized (H x D) layer in
+    distribution. shared_mlp returns each hidden layer's weight and bias,
+    then the bias-free output weight.
     """
     if any(width < 1 for width in gen_hidden):
         raise ValueError(f"generator hidden widths must be >= 1, got {tuple(gen_hidden)}")
-    n, d = embedding.n_channels, embedding.dim
+    n, d = z.shape
     if mode == "per_channel_linear":
         base = uniform_fan_in(rng, (n, horizon, hidden_dim, d), fan_in=hidden_dim)
-        norms = np.linalg.norm(embedding.z.data, axis=1)
+        norms = np.linalg.norm(z, axis=1)
         norms = np.where(norms < 1e-8, 1.0, norms)
-        w_phi = base / norms[:, None, None, None]
-        gen = GeneratorParams(mode, w_phi=Tensor(w_phi, requires_grad=True))
-    elif mode == "shared_mlp":
-        layers: list[tuple[Tensor, Tensor | None]] = []
+        return [base / norms[:, None, None, None]]
+    if mode == "shared_mlp":
+        arrays = []
         fan_in = d
         for width in gen_hidden:
-            w = Tensor(uniform_fan_in(rng, (fan_in, width), fan_in), requires_grad=True)
-            b = Tensor(uniform_fan_in(rng, (width,), fan_in), requires_grad=True)
-            layers.append((w, b))
+            arrays.append(uniform_fan_in(rng, (fan_in, width), fan_in))
+            arrays.append(uniform_fan_in(rng, (width,), fan_in))
             fan_in = width
-        w_out = Tensor(
-            uniform_fan_in(rng, (fan_in, horizon * hidden_dim), fan_in), requires_grad=True
-        )
-        layers.append((w_out, None))
-        gen = GeneratorParams(mode, mlp_layers=layers)
-    else:
-        raise ValueError(f"unknown generator mode '{mode}'")
-    return HyperHead(embedding, gen, horizon, hidden_dim)
+        arrays.append(uniform_fan_in(rng, (fan_in, horizon * hidden_dim), fan_in))
+        return arrays
+    raise ValueError(f"unknown generator mode '{mode}'")
 
 
-def generate_weights(head: HyperHead) -> Tensor:
-    """The (N, H, D) final-layer weights this head currently encodes."""
-    z = head.embedding.z
-    if head.gen.mode == "per_channel_linear":
-        w_phi = head.gen.w_phi
-        expected = (head.embedding.n_channels, head.horizon, head.hidden_dim, head.embedding.dim)
-        if w_phi.shape != expected:
-            raise ValueError(f"w_phi shape {w_phi.shape} does not match head {expected}")
-        return channel_dot(w_phi, z)
+def generate_weights(mode: str, z: Tensor, gen: list[Tensor], horizon: int) -> Tensor:
+    """The (N, H, D) final-layer weights a generator encodes for embeddings z.
+
+    `gen` holds the generator's arrays in store order (see `init_generator`).
+    """
+    if mode == "per_channel_linear":
+        return channel_dot(gen[0], z)
     a = z
-    for w, b in head.gen.mlp_layers[:-1]:
+    for w, b in zip(gen[:-1:2], gen[1::2]):
         a = relu(add(matmul(a, w), b))
-    w_out, _ = head.gen.mlp_layers[-1]
-    flat = matmul(a, w_out)
-    n = head.embedding.n_channels
-    if flat.shape != (n, head.horizon * head.hidden_dim):
-        raise ValueError(
-            f"generator output {flat.shape} does not match "
-            f"(N={n}, H*D={head.horizon * head.hidden_dim})"
-        )
-    return reshape(flat, (n, head.horizon, head.hidden_dim))
+    flat = matmul(a, gen[-1])
+    return reshape(flat, (z.shape[0], horizon, flat.shape[1] // horizon))
+
+
+def _head_names(slot: str, head: dict) -> list[str]:
+    """The names of one slot's generator arrays, in store order."""
+    prefix = f"head.{slot}"
+    if head["mode"] == "per_channel_linear":
+        return [f"{prefix}.w_phi"]
+    last = head["n_mlp_layers"] - 1
+    return [f"{prefix}.mlp.{i}.{p}" for i in range(last) for p in "wb"] + [f"{prefix}.mlp.{last}.w"]
+
+
+def _array_shapes(cfg: dict, backbone, arrays) -> dict[str, tuple[int, ...]]:
+    """Every array's name and shape, in store order, as a model config decides them.
+
+    `backbone` is the one `cfg["backbone"]` describes. A shared_mlp
+    generator's hidden widths are the one size the config does not record:
+    each is read from the size of its layer's bias in `arrays`.
+    """
+    n, horizon = cfg["n_channels"], cfg["horizon"]
+    shapes = backbone.shapes()
+    if cfg["variant"] != "hyper":
+        shapes.update({f"final.{slot}.w": (n, horizon, dim) for slot, dim in backbone.slots})
+        return shapes
+    d = cfg["embedding"]["dim"]
+    shapes["embed.z"] = (n, d)
+    for slot, dim in backbone.slots:
+        head = cfg["heads"][slot]
+        if head["mode"] not in GENERATOR_MODES:
+            raise ValueError(f"unknown generator mode '{head['mode']}'")
+        if head["hidden_dim"] != dim:
+            raise ValueError(f"heads.{slot}.hidden_dim is {head['hidden_dim']}, "
+                             f"but the backbone's {slot} slot has {dim}")
+        names = _head_names(slot, head)
+        if head["mode"] == "per_channel_linear":
+            shapes[names[0]] = (n, horizon, dim, d)
+            continue
+        fan_in = d
+        for w, b in zip(names[:-1:2], names[1::2]):
+            width = arrays[b].size if b in arrays else 0
+            shapes[w], shapes[b] = (fan_in, width), (width,)
+            fan_in = width
+        shapes[names[-1]] = (fan_in, horizon * dim)
+    return shapes
 
 
 class ForecastModel:
-    """Backbone plus final-layer machinery in one of three forms.
+    """A model config plus one store of named arrays, in one of three forms.
 
-    variant "baseline": trainable final layers.
-    variant "hyper":    final layers generated per forward from the heads.
+    variant "baseline": trainable final layers `final.*`.
+    variant "hyper":    final layers generated per forward from `embed.z`
+                        and the `head.*` generators.
     variant "baked":    constant final layers materialized by `bake`.
+
+    Building one checks the store against `_array_shapes` and sets every
+    array's `requires_grad`: `final.*` trains only in a baseline, `embed.z`
+    only when the config calls it learnable, every other array always.
     """
 
-    def __init__(
-        self,
-        backbone,
-        n_channels: int,
-        horizon: int,
-        variant: str,
-        *,
-        revin: bool = True,
-        heads: dict[str, HyperHead] | None = None,
-        finals: dict[str, FinalLayer] | None = None,
-        embedding: EmbeddingMatrix | None = None,
-        channel_names: list[str] | None = None,
-    ):
-        if variant not in ("baseline", "hyper", "baked"):
+    def __init__(self, cfg: dict, arrays: dict[str, Tensor]):
+        variant = cfg["variant"]
+        if variant not in VARIANTS:
             raise ValueError(f"unknown variant '{variant}'")
-        if variant == "hyper" and not heads:
-            raise ValueError("hyper model needs generator heads")
-        if variant in ("baseline", "baked") and not finals:
-            raise ValueError(f"{variant} model needs final layers")
-        self.backbone = backbone
-        self.n_channels = n_channels
-        self.horizon = horizon
+        self.backbone = backbones.from_config(cfg["backbone"], arrays)
+        shapes = _array_shapes(cfg, self.backbone, arrays)
+        for name in shapes:
+            if name not in arrays:
+                raise StoreError(name, "is missing")
+        for name, t in arrays.items():
+            if name not in shapes:
+                raise StoreError(name, f"is not part of a {variant} model")
+            if t.shape != shapes[name]:
+                raise StoreError(name, f"has shape {t.shape}, expected {shapes[name]}")
+        for name, t in arrays.items():
+            if name.startswith("final."):
+                t.requires_grad = variant == "baseline"
+            elif name == "embed.z":
+                t.requires_grad = bool(cfg["embedding"]["learnable"])
+            else:
+                t.requires_grad = True
+        self._cfg = cfg
+        self._arrays = arrays
         self.variant = variant
-        self.revin = revin
-        self.heads = heads or {}
-        self.finals = finals or {}
-        self.embedding = embedding
-        self.channel_names = channel_names or [f"ch{i}" for i in range(n_channels)]
-        slot_names = [name for name, _ in backbone.slots]
-        active = self.heads if variant == "hyper" else self.finals
-        if sorted(active.keys()) != sorted(slot_names):
-            raise ValueError(f"model slots {sorted(active)} do not match backbone {slot_names}")
+        self.revin = cfg["revin"]
+        self.n_channels = cfg["n_channels"]
+        self.horizon = cfg["horizon"]
+        self.channel_names = cfg["channel_names"]
+        slots = [slot for slot, _ in self.backbone.slots]
+        if variant == "hyper":
+            self._heads = [(cfg["heads"][s]["mode"], _head_names(s, cfg["heads"][s])) for s in slots]
+        else:
+            self._finals = [f"final.{s}.w" for s in slots]
 
     # forward paths --------------------------------------------------------
-    def _finals_list(self) -> list[FinalLayer]:
-        slot_names = [name for name, _ in self.backbone.slots]
-        if self.variant == "hyper":
-            return [FinalLayer(generate_weights(self.heads[s])) for s in slot_names]
-        return [self.finals[s] for s in slot_names]
+    def _final_weights(self) -> list[Tensor]:
+        """Each slot's (N, H, D) final-layer weights, in `backbone.slots` order."""
+        a = self._arrays
+        if self.variant != "hyper":
+            return [a[name] for name in self._finals]
+        return [generate_weights(mode, a["embed.z"], [a[name] for name in names], self.horizon)
+                for mode, names in self._heads]
 
     def _core(self, x: Tensor) -> Tensor:
-        return apply_final(self._finals_list(), self.backbone.forward_hidden(x))
+        return apply_final(self._final_weights(), self.backbone.forward_hidden(x))
 
     def forward(self, x: Tensor) -> Tensor:
         """Raw-scale forecast (..., N, H) for a lookback (..., N, T)."""
@@ -272,79 +245,34 @@ class ForecastModel:
 
     # parameter bookkeeping -------------------------------------------------
     def all_arrays(self) -> dict[str, Tensor]:
-        """Every parameter array by name, trainable or constant (for counting/saving)."""
-        out = dict(self.backbone.parameters())
-        if self.variant == "hyper":
-            if self.embedding is not None:
-                out["embed.z"] = self.embedding.z
-            for slot, head in self.heads.items():
-                out.update(head.gen.parameters(f"head.{slot}"))
-        else:
-            for slot, layer in self.finals.items():
-                out[f"final.{slot}.w"] = layer.weights
-        return out
+        """The array store: every array by name, trainable or constant."""
+        return self._arrays
 
     def parameters(self) -> dict[str, Tensor]:
         """Trainable tensors by name (embedding included only if learnable)."""
-        return {name: t for name, t in self.all_arrays().items() if t.requires_grad}
+        return {name: t for name, t in self._arrays.items() if t.requires_grad}
 
     def hyper_parameters(self) -> dict[str, Tensor]:
         """The hypernetwork-added trainables: embedding plus generators."""
         return {k: t for k, t in self.parameters().items() if k.startswith(("embed.", "head."))}
 
     def param_count(self, trainable_only: bool = False) -> int:
-        arrays = self.parameters() if trainable_only else self.all_arrays()
+        arrays = self.parameters() if trainable_only else self._arrays
         return int(sum(t.size for t in arrays.values()))
 
     # serialisation ----------------------------------------------------------
     def config(self) -> dict:
         """JSON-ready description; with `all_arrays` it rebuilds the model."""
-        cfg = {
-            "variant": self.variant,
-            "revin": self.revin,
-            "n_channels": self.n_channels,
-            "horizon": self.horizon,
-            "channel_names": list(self.channel_names),
-            "backbone": self.backbone.config(),
-        }
-        if self.variant == "hyper":
-            cfg["heads"] = {
-                slot: {
-                    "mode": head.gen.mode,
-                    "hidden_dim": head.hidden_dim,
-                    "n_mlp_layers": len(head.gen.mlp_layers) if head.gen.mlp_layers else 0,
-                }
-                for slot, head in self.heads.items()
-            }
-            cfg["embedding"] = {"dim": self.embedding.dim, "learnable": self.embedding.learnable}
-        return cfg
+        return copy.deepcopy(self._cfg)
 
     @classmethod
     def from_config(cls, cfg: dict, arrays: dict[str, np.ndarray]) -> "ForecastModel":
-        """Inverse of `config` plus `all_arrays`; the arrays are wrapped, not copied.
+        """Inverse of `config` plus `all_arrays`; the arrays are checked and wrapped.
 
-        A missing header key or array raises KeyError naming it.
+        A missing header key raises KeyError naming it, a missing, foreign or
+        mis-shaped array a StoreError.
         """
-        backbone = backbones.from_config(cfg["backbone"], arrays)
-        variant, n, horizon = cfg["variant"], cfg["n_channels"], cfg["horizon"]
-        common = {"revin": cfg["revin"], "channel_names": cfg["channel_names"]}
-        if variant != "hyper":
-            finals = {
-                slot: FinalLayer(
-                    Tensor(arrays[f"final.{slot}.w"], requires_grad=variant == "baseline")
-                )
-                for slot, _ in backbone.slots
-            }
-            return cls(backbone, n, horizon, variant, finals=finals, **common)
-        embedding = EmbeddingMatrix(Tensor(arrays["embed.z"]), cfg["embedding"]["learnable"])
-        heads = {}
-        for slot, _ in backbone.slots:
-            head = cfg["heads"][slot]
-            gen = GeneratorParams.from_arrays(
-                head["mode"], arrays, f"head.{slot}", head["n_mlp_layers"]
-            )
-            heads[slot] = HyperHead(embedding, gen, horizon, head["hidden_dim"])
-        return cls(backbone, n, horizon, variant, heads=heads, embedding=embedding, **common)
+        return cls(cfg, {name: Tensor(a) for name, a in arrays.items()})
 
 
 def bake(model: ForecastModel) -> ForecastModel:
@@ -357,21 +285,14 @@ def bake(model: ForecastModel) -> ForecastModel:
         return model
     if model.variant != "hyper":
         raise ValueError(f"bake applies to hyper-form models, got '{model.variant}'")
-    finals = {}
+    arrays = {name: Tensor(t.data.copy()) for name, t in model.backbone.parameters().items()}
     with no_grad():
-        for slot, head in model.heads.items():
-            w = generate_weights(head)
-            finals[slot] = FinalLayer(Tensor(w.data.copy()))
-    arrays = {name: t.data.copy() for name, t in model.backbone.parameters().items()}
-    return ForecastModel(
-        backbones.from_config(model.backbone.config(), arrays),
-        model.n_channels,
-        model.horizon,
-        "baked",
-        revin=model.revin,
-        finals=finals,
-        channel_names=list(model.channel_names),
-    )
+        for (slot, _), w in zip(model.backbone.slots, model._final_weights()):
+            arrays[f"final.{slot}.w"] = Tensor(w.data.copy())
+    cfg = model.config()
+    del cfg["heads"], cfg["embedding"]
+    cfg["variant"] = "baked"
+    return ForecastModel(cfg, arrays)
 
 
 def param_count(
@@ -412,6 +333,18 @@ def param_count(
 # builders -------------------------------------------------------------------
 
 
+def _config(variant: str, backbone, n: int, horizon: int, revin: bool,
+            channel_names: Sequence[str] | None) -> dict:
+    return {
+        "variant": variant,
+        "revin": revin,
+        "n_channels": n,
+        "horizon": horizon,
+        "channel_names": list(channel_names or [f"ch{i}" for i in range(n)]),
+        "backbone": backbone.config(),
+    }
+
+
 def build_baseline(
     backbone,
     n_channels: int,
@@ -422,19 +355,11 @@ def build_baseline(
     channel_names: list[str] | None = None,
 ) -> ForecastModel:
     """Backbone with ordinary trainable per-channel final layers."""
-    finals = {
-        slot: FinalLayer.init_per_channel(rng, n_channels, horizon, dim)
-        for slot, dim in backbone.slots
-    }
-    return ForecastModel(
-        backbone,
-        n_channels,
-        horizon,
-        "baseline",
-        revin=revin,
-        finals=finals,
-        channel_names=channel_names,
-    )
+    arrays = dict(backbone.parameters())
+    for slot, dim in backbone.slots:
+        arrays[f"final.{slot}.w"] = Tensor(uniform_fan_in(rng, (n_channels, horizon, dim), dim))
+    cfg = _config("baseline", backbone, n_channels, horizon, revin, channel_names)
+    return ForecastModel(cfg, arrays)
 
 
 def build_hyper(
@@ -456,28 +381,28 @@ def build_hyper(
     """
     n = train.n_channels
     d = n if d is None else int(d)
-    embedding = init_embeddings(train, d, learnable=learnable_z)
-    heads = {
-        slot: head_for(embedding, horizon, dim, mode, rng, gen_hidden)
-        for slot, dim in backbone.slots
-    }
-    return ForecastModel(
-        backbone,
-        n,
-        horizon,
-        "hyper",
-        revin=revin,
-        heads=heads,
-        embedding=embedding,
-        channel_names=list(train.channel_names),
-    )
+    cfg = _config("hyper", backbone, n, horizon, revin, train.channel_names)
+    cfg["heads"] = {}
+    cfg["embedding"] = {"dim": d, "learnable": bool(learnable_z)}
+    arrays = dict(backbone.parameters())
+    arrays["embed.z"] = Tensor(init_embeddings(train, d))
+    for slot, dim in backbone.slots:
+        gen = init_generator(arrays["embed.z"].data, horizon, dim, mode, rng, gen_hidden)
+        head = cfg["heads"][slot] = {
+            "mode": mode,
+            "hidden_dim": dim,
+            "n_mlp_layers": len(gen_hidden) + 1 if mode == "shared_mlp" else 0,
+        }
+        arrays.update(zip(_head_names(slot, head), (Tensor(a) for a in gen)))
+    return ForecastModel(cfg, arrays)
 
 
 def export_embeddings(model: ForecastModel, path: str | Path) -> None:
     """Write the channel embeddings as CSV: channel name + d coordinates."""
-    if model.embedding is None:
+    arrays = model.all_arrays()
+    if "embed.z" not in arrays:
         raise ValueError("model has no embedding matrix to export")
-    z = model.embedding.z.data
+    z = arrays["embed.z"].data
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -16,9 +16,7 @@ from .tensor import (
     matmul,
     moving_average,
     mul,
-    neg,
     no_grad,
-    ones,
     relu,
     reshape,
     set_default_dtype,
@@ -27,7 +25,6 @@ from .tensor import (
     sub,
     tmean,
     tsum,
-    zeros,
 )
 
 __all__ = [
@@ -46,9 +43,7 @@ __all__ = [
     "matmul",
     "moving_average",
     "mul",
-    "neg",
     "no_grad",
-    "ones",
     "pca_project",
     "relu",
     "reshape",
@@ -59,5 +54,4 @@ __all__ = [
     "sub",
     "tmean",
     "tsum",
-    "zeros",
 ]

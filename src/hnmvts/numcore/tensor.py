@@ -24,13 +24,10 @@ __all__ = [
     "no_grad",
     "set_default_dtype",
     "get_default_dtype",
-    "zeros",
-    "ones",
     "add",
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "channel_dot",
     "relu",
@@ -141,14 +138,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_as_tensor(other), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
-
-    def __getitem__(self, key):
-        return _slice(self, key)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -157,14 +148,6 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 def _make_node(
@@ -238,10 +221,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
         ),
     )
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make_node(-a.data, (a,), (lambda g: -g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -376,19 +355,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
     return _make_node(_contig(out), (a,), (lambda g: g.reshape(a.shape),))
-
-
-def _slice(a: Tensor, key) -> Tensor:
-    out = a.data[key]
-    if np.isscalar(out) or out.ndim == 0:
-        out = np.asarray(out)
-
-    def grad_fn(g):
-        full = np.zeros(a.shape, dtype=a.data.dtype)
-        np.add.at(full, key, g)
-        return full
-
-    return _make_node(_contig(out), (a,), (grad_fn,))
 
 
 def _window_sums(arr: np.ndarray, kernel: int) -> np.ndarray:

@@ -131,6 +131,8 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
                 raise TrainingError(
                     _diagnostics(str(err), loss_val, epoch, start, params)
                 ) from err
+            # free this step's gradients before the next batch's forward and backward
+            del grads, named_grads
             total_loss += loss_val * len(idx)
         seconds = time.perf_counter() - t0
         val_mse = evaluate(model, val_windows)["mse"]

@@ -26,13 +26,11 @@ from hnmvts.data import (
 )
 from hnmvts.bench.stats import wilcoxon_signed_rank
 from hnmvts.hypernet import (
-    EmbeddingMatrix,
-    GeneratorParams,
-    HyperHead,
     bake,
     build_baseline,
     build_hyper,
     generate_weights,
+    init_generator,
     param_count,
 )
 from hnmvts.normalization import revin_apply
@@ -191,20 +189,12 @@ def test_criterion_4_channel_invariants():
         # per-channel mode with tied generator slices
         w_phi = rng.standard_normal((n, horizon, hidden, d))
         w_phi[j] = w_phi[i]
-        emb = EmbeddingMatrix(Tensor(z))
-        head = HyperHead(
-            emb,
-            GeneratorParams("per_channel_linear", w_phi=Tensor(w_phi, requires_grad=True)),
-            horizon, hidden,
-        )
-        w = generate_weights(head).data
+        w = generate_weights("per_channel_linear", Tensor(z), [Tensor(w_phi)], horizon).data
         assert (w[i] == w[j]).all(), "per-channel tying must be exact"
         tying_cases += 1
         # shared mode: equal embedding rows alone tie the output
-        from hnmvts.hypernet import head_for
-
-        shared = head_for(emb, horizon, hidden, "shared_mlp", rng, gen_hidden=(3,))
-        ws = generate_weights(shared).data
+        shared = init_generator(z, horizon, hidden, "shared_mlp", rng, gen_hidden=(3,))
+        ws = generate_weights("shared_mlp", Tensor(z), [Tensor(a) for a in shared], horizon).data
         assert (ws[i] == ws[j]).all(), "shared-mlp tying must be exact"
         tying_cases += 1
 
@@ -213,22 +203,18 @@ def test_criterion_4_channel_invariants():
         horizon = int(rng.integers(1, 4))
         hidden = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
-        emb = EmbeddingMatrix(Tensor(rng.standard_normal((n, d))))
-        head = HyperHead(
-            emb,
-            GeneratorParams(
-                "per_channel_linear",
-                w_phi=Tensor(rng.standard_normal((n, horizon, hidden, d)), requires_grad=True),
-            ),
-            horizon, hidden,
-        )
+        z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        w_phi = Tensor(rng.standard_normal((n, horizon, hidden, d)), requires_grad=True)
         target = int(rng.integers(n))
-        grads = backward(tsum(square(generate_weights(head)[target])), [emb.z, head.gen.w_phi])
+        only_target = np.zeros((n, 1, 1))
+        only_target[target] = 1.0
+        w = generate_weights("per_channel_linear", z, [w_phi], horizon)
+        grads = backward(tsum(square(w * Tensor(only_target))), [z, w_phi])
         for other in range(n):
             if other == target:
                 continue
-            assert np.abs(grads[emb.z].data[other]).max() == 0.0
-            assert np.abs(grads[head.gen.w_phi].data[other]).max() == 0.0
+            assert np.abs(grads[z].data[other]).max() == 0.0
+            assert np.abs(grads[w_phi].data[other]).max() == 0.0
         independence_cases += 1
     total = tying_cases + independence_cases
     ok = total >= 50
@@ -382,7 +368,7 @@ def test_criterion_6_synthetic_ci_cd_interpolation():
         lookback=lookback, horizon=horizon, lr=1e-3, max_epochs=5, seed=0
     )
     model, _ = train(model, train_w, val_w, cfg)
-    z = model.embedding.z.data
+    z = model.all_arrays()["embed.z"].data
     unit = z / np.linalg.norm(z, axis=1, keepdims=True)
     cos = unit @ unit.T
     within, between = [], []

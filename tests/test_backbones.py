@@ -3,12 +3,11 @@ import pytest
 
 from hnmvts.backbones import (
     DLinearBackbone,
-    FinalLayer,
     MlpBackbone,
     apply_final,
     decompose,
 )
-from hnmvts.numcore import Tensor, finite_diff_check, square, tsum
+from hnmvts.numcore import DimensionError, Tensor, channel_dot, finite_diff_check, square, tsum
 
 
 class TestDecompose:
@@ -56,9 +55,8 @@ class TestForwardHidden:
 
     def test_mlp_identity_layers_pass_nonnegative_input(self, rng):
         bb = MlpBackbone(lookback=6, hidden_widths=(6, 6), rng=rng)
-        for w, b in bb.layers:
-            w.data[:] = np.eye(6)
-            b.data[:] = 0.0
+        for name, t in bb.parameters().items():
+            t.data[:] = np.eye(6) if name.endswith(".w") else 0.0
         x = np.abs(rng.standard_normal((2, 6)))
         (h,) = bb.forward_hidden(Tensor(x))
         np.testing.assert_allclose(h.data, x, atol=1e-12)
@@ -77,22 +75,21 @@ class TestForwardHidden:
 
 class TestApplyFinal:
     def test_zero_weights(self, rng):
-        layer = FinalLayer(Tensor(np.zeros((3, 4, 5))))
-        out = apply_final([layer], [Tensor(rng.standard_normal((3, 5)))])
+        out = apply_final([Tensor(np.zeros((3, 4, 5)))], [Tensor(rng.standard_normal((3, 5)))])
         np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
 
     def test_identity_weights(self, rng):
         n, h = 2, 4
         w = np.stack([np.eye(h)] * n)
         hidden = rng.standard_normal((n, h))
-        out = apply_final([FinalLayer(Tensor(w))], [Tensor(hidden)])
+        out = apply_final([Tensor(w)], [Tensor(hidden)])
         np.testing.assert_allclose(out.data, hidden, atol=1e-12)
 
     def test_matches_triple_loop_oracle(self, rng):
         n, h, d = 2, 3, 4
         w = rng.standard_normal((n, h, d))
         hid = rng.standard_normal((n, d))
-        out = apply_final([FinalLayer(Tensor(w))], [Tensor(hid)])
+        out = apply_final([Tensor(w)], [Tensor(hid)])
         expected = np.zeros((n, h))
         for c in range(n):
             for i in range(h):
@@ -101,7 +98,7 @@ class TestApplyFinal:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_linearity_in_hidden(self, rng):
-        w = FinalLayer(Tensor(rng.standard_normal((3, 4, 5))))
+        w = Tensor(rng.standard_normal((3, 4, 5)))
         h1 = rng.standard_normal((3, 5))
         h2 = rng.standard_normal((3, 5))
         a, b = 2.5, -1.25
@@ -110,21 +107,25 @@ class TestApplyFinal:
         np.testing.assert_allclose(combined, separate, atol=1e-9)
 
     def test_two_branch_sum(self, rng):
-        wt = FinalLayer(Tensor(rng.standard_normal((2, 3, 6))))
-        ws = FinalLayer(Tensor(rng.standard_normal((2, 3, 6))))
+        wt = Tensor(rng.standard_normal((2, 3, 6)))
+        ws = Tensor(rng.standard_normal((2, 3, 6)))
         ht = Tensor(rng.standard_normal((2, 6)))
         hs = Tensor(rng.standard_normal((2, 6)))
         out = apply_final([wt, ws], [ht, hs])
         np.testing.assert_allclose(
-            out.data, wt.apply(ht).data + ws.apply(hs).data, atol=1e-12
+            out.data, channel_dot(wt, ht).data + channel_dot(ws, hs).data, atol=1e-12
         )
 
-    def test_shape_mismatch(self, rng):
-        layer = FinalLayer(Tensor(np.zeros((3, 4, 5))))
-        from hnmvts.numcore import DimensionError
+    def test_shape_mismatch(self):
+        # wrong hidden width, wrong channel count, wrong channel count under a batch axis
+        for hidden_shape in [(3, 6), (4, 5), (2, 4, 5)]:
+            with pytest.raises(DimensionError):
+                apply_final([Tensor(np.zeros((3, 4, 5)))], [Tensor(np.zeros(hidden_shape))])
 
-        with pytest.raises(DimensionError):
-            layer.apply(Tensor(np.zeros((3, 6))))
+    def test_slot_count_mismatch(self):
+        w = Tensor(np.zeros((3, 4, 5)))
+        with pytest.raises(DimensionError, match="2 final layers for 1 hidden"):
+            apply_final([w, w], [Tensor(np.zeros((3, 5)))])
 
 
 def test_full_pipeline_gradient(rng):
@@ -137,7 +138,7 @@ def test_full_pipeline_gradient(rng):
 
     def loss():
         hidden = bb.forward_hidden(x)
-        pred = apply_final([FinalLayer(wt), FinalLayer(ws)], hidden)
+        pred = apply_final([wt, ws], hidden)
         return tsum(square(pred - target))
 
     assert finite_diff_check(loss, [wt, ws]) < 1e-4
@@ -149,7 +150,7 @@ def test_mlp_pipeline_gradient(rng):
     x = Tensor(rng.standard_normal((2, 5)))
 
     def loss():
-        pred = apply_final([FinalLayer(w_final)], bb.forward_hidden(x))
+        pred = apply_final([w_final], bb.forward_hidden(x))
         return tsum(square(pred))
 
     params = [w_final, *bb.parameters().values()]

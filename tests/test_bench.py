@@ -234,8 +234,12 @@ class TestRecordsFile:
     def test_stable_key_order(self):
         rec = ResultRecord("d", "dlinear", "baseline", 4, 0)
         keys = list(json.loads(rec.to_json()).keys())
-        assert keys == sorted(keys, key=keys.index)  # insertion order preserved
-        assert keys[0] == "dataset" and "test_mse" in keys
+        assert keys == [
+            "dataset", "backbone", "variant", "horizon", "seed", "status", "reason",
+            "test_mse", "test_mae", "seconds_per_epoch_mean", "seconds_per_epoch_std",
+            "n_epochs", "best_epoch", "param_count_total", "param_count_trainable",
+            "hyper_param_count",
+        ]
 
 
 class TestSummarize:
@@ -300,5 +304,11 @@ class TestSummarize:
         text = summary_text(rows)
         assert "baseline MSE" in text and "dlinear" in text
         csv_out = summary_csv(rows)
-        assert csv_out.startswith("dataset,")
+        header = csv_out.splitlines()[0]
+        assert header == (
+            "dataset,backbone,horizon,n_seeds,complete,"
+            "baseline_mse_mean,baseline_mse_std,hn_mse_mean,hn_mse_std,"
+            "baseline_mae_mean,hn_mae_mean,rel_mse_change,p_value,"
+            "significant,time_ratio,note"
+        )
         assert len(csv_out.strip().splitlines()) == 2

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hnmvts.data import SeriesTable
 from hnmvts.hypernet import bake, build_baseline, build_hyper
-from hnmvts.numcore import Tensor
+from hnmvts.numcore import Tensor, no_grad
+
+FIXTURES = Path(__file__).parent / "data"
 
 
 def toy_table(rng, t=64, n=3):
@@ -78,18 +81,32 @@ def test_wrong_version_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+def cut(key):
+    """An edit dropping the last column of one stored array."""
+    return lambda meta, arrays: arrays.update({key: arrays[key][..., :-1]})
+
+
 @pytest.mark.parametrize(
-    "edit, name",
+    "form, edit, name",
     [
-        (lambda meta, arrays: arrays.pop("param/trunk.0.b"), "param/trunk.0.b"),
-        (lambda meta, arrays: arrays.pop("param/head.out.w_phi"), "param/head.out.w_phi"),
-        (lambda meta, arrays: meta.pop("embedding"), "embedding"),
-        (lambda meta, arrays: meta["backbone"].pop("hidden_widths"), "hidden_widths"),
+        ("hyper", lambda meta, arrays: arrays.pop("param/trunk.0.b"), "param/trunk.0.b"),
+        ("hyper", lambda meta, arrays: arrays.pop("param/head.out.w_phi"), "param/head.out.w_phi"),
+        ("hyper", lambda meta, arrays: meta.pop("embedding"), "embedding"),
+        ("hyper", lambda meta, arrays: meta["backbone"].pop("hidden_widths"), "hidden_widths"),
+        ("baked", cut("param/final.out.w"), r"param/final.out.w' has shape \(3, 4, 5\)"),
+        ("hyper", cut("param/head.out.w_phi"), "param/head.out.w_phi' has shape"),
+        ("shared", cut("param/head.out.mlp.1.w"), "param/head.out.mlp.1.w' has shape"),
+        ("hyper", cut("param/trunk.0.w"), "param/trunk.0.w' has shape"),
     ],
-    ids=["backbone_array", "generator_array", "header_key", "backbone_header_key"],
+    ids=["backbone_array", "generator_array", "header_key", "backbone_header_key",
+         "misshaped_final", "misshaped_generator", "misshaped_mlp_generator", "misshaped_trunk"],
 )
-def test_missing_entry_named(tmp_path, rng, edit, name):
-    model = build_hyper(MlpBackbone(8, (6,), rng=rng), toy_table(rng), 4, rng)
+def test_missing_entry_named(tmp_path, rng, form, edit, name):
+    model = build_hyper(MlpBackbone(8, (6,), rng=rng), toy_table(rng), 4, rng,
+                        mode="shared_mlp" if form == "shared" else "per_channel_linear",
+                        gen_hidden=(3,))
+    if form == "baked":
+        model = bake(model)
     path = tmp_path / "m.npz"
     save_checkpoint(model, path)
     rewrite(path, edit)
@@ -107,3 +124,26 @@ def test_corrupt_header_rejected(tmp_path, rng):
         np.savez(fh, **bundle)
     with pytest.raises(CheckpointError, match="corrupt meta header"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, variant", [
+    ("baseline_dlinear", "baseline"),
+    ("hyper_pcl_dlinear", "hyper"),
+    ("hyper_shared_mlp", "hyper"),
+    ("baked_mlp", "baked"),
+])
+def test_format_1_fixture_forecasts_bit_identical(name, variant):
+    """Format-1 files written by an earlier version load and forecast bit for bit.
+
+    The fixtures are tiny models (3 channels, lookback 8, horizon 4):
+    DLinear kernel 3 for the baseline and the per_channel_linear hyper model
+    (d = 2), an MLP trunk of width 5 with a shared_mlp generator (one hidden
+    layer of width 3, frozen embeddings) for the other hyper model, and that
+    model baked. Each `.forecast.npy` is its model's forecast for `input.npy`.
+    """
+    model, echo = load_checkpoint(FIXTURES / f"{name}.npz")
+    assert model.variant == variant
+    assert echo == {"lookback": 8}
+    with no_grad():
+        pred = model.forward(Tensor(np.load(FIXTURES / "input.npy"))).data
+    np.testing.assert_array_equal(pred, np.load(FIXTURES / f"{name}.forecast.npy"))

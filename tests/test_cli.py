@@ -204,3 +204,19 @@ def test_bake_missing_array_is_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "embed.z" in err and str(ckpt) in err
     assert "Traceback" not in err
+
+
+def test_bake_misshaped_array_is_clean_error(tmp_path, capsys):
+    from pathlib import Path
+
+    bundle = dict(np.load(Path(__file__).parent / "data" / "hyper_pcl_dlinear.npz"))
+    bundle["param/head.seasonal.w_phi"] = bundle["param/head.seasonal.w_phi"][..., :-1]
+    ckpt = tmp_path / "hyper.npz"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **bundle)
+    assert main(["bake", "--checkpoint", str(ckpt), "--out", str(tmp_path / "b.npz")]) == 1
+    err = capsys.readouterr().err
+    assert "param/head.seasonal.w_phi' has shape (3, 4, 8, 1), expected (3, 4, 8, 2)" in err
+    assert str(ckpt) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b.npz").exists()

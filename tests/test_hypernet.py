@@ -5,16 +5,15 @@ from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic
 from hnmvts.hypernet import (
     GENERATOR_MODES,
-    EmbeddingMatrix,
-    GeneratorParams,
-    HyperHead,
+    ForecastModel,
+    StoreError,
     bake,
     build_baseline,
     build_hyper,
     export_embeddings,
     generate_weights,
-    head_for,
     init_embeddings,
+    init_generator,
     param_count,
 )
 from hnmvts.numcore import Tensor, backward, finite_diff_check, make_rng, square, tsum
@@ -26,14 +25,15 @@ def toy_table(rng, t=64, n=3):
     )
 
 
-def linear_head(embedding, w_phi):
-    n, horizon, hidden, _ = w_phi.shape
-    return HyperHead(
-        embedding,
-        GeneratorParams("per_channel_linear", w_phi=Tensor(w_phi, requires_grad=True)),
-        horizon,
-        hidden,
-    )
+def linear_weights(z, w_phi):
+    """The per_channel_linear generator's (N, H, D) output for tensors z and w_phi."""
+    return generate_weights("per_channel_linear", z, [w_phi], w_phi.shape[1])
+
+
+def shared_mlp(z, rng, horizon, hidden, gen_hidden):
+    """A freshly drawn shared_mlp generator's arrays for embeddings z, as tensors."""
+    arrays = init_generator(z.data, horizon, hidden, "shared_mlp", rng, gen_hidden)
+    return [Tensor(a, requires_grad=True) for a in arrays]
 
 
 class TestInitEmbeddings:
@@ -41,7 +41,7 @@ class TestInitEmbeddings:
         col = rng.standard_normal(80)
         vals = np.column_stack([col, col, rng.standard_normal(80)])
         table = SeriesTable(Tensor(vals), ["a", "b", "c"])
-        z = init_embeddings(table, 2).z.data
+        z = init_embeddings(table, 2)
         np.testing.assert_allclose(z[0], z[1], atol=1e-12)
 
     def test_full_dim_preserves_row_distances(self, rng):
@@ -50,7 +50,7 @@ class TestInitEmbeddings:
 
         corr = pearson_corr(table).data
         centered = corr - corr.mean(axis=0, keepdims=True)
-        z = init_embeddings(table, 5).z.data
+        z = init_embeddings(table, 5)
         d_orig = np.linalg.norm(centered[:, None] - centered[None, :], axis=-1)
         d_proj = np.linalg.norm(z[:, None] - z[None, :], axis=-1)
         np.testing.assert_allclose(d_proj, d_orig, atol=1e-9)
@@ -58,7 +58,7 @@ class TestInitEmbeddings:
     def test_grouped_data_clusters(self):
         spec = SynthSpec(n_channels=6, timesteps=4096, groups=[0, 0, 0, 1, 1, 1], rho=0.95)
         table = gen_synthetic(spec, seed=2)
-        z = init_embeddings(table, 6).z.data
+        z = init_embeddings(table, 6)
         norm = z / np.linalg.norm(z, axis=1, keepdims=True)
         cos = norm @ norm.T
         within, between = [], []
@@ -73,12 +73,12 @@ class TestInitEmbeddings:
         values = rng.standard_normal((100, 4))
         table = SeriesTable(Tensor(values.copy()), list("abcd"))
         train, _, _ = chrono_split(table, SplitSpec((0.7, 0.2, 0.1)))
-        z1 = init_embeddings(train, 4).z.data.copy()
+        z1 = init_embeddings(train, 4)
         perturbed = values.copy()
         perturbed[70:] += rng.standard_normal((30, 4)) * 100  # val/test rows only
         table2 = SeriesTable(Tensor(perturbed), list("abcd"))
         train2, _, _ = chrono_split(table2, SplitSpec((0.7, 0.2, 0.1)))
-        z2 = init_embeddings(train2, 4).z.data
+        z2 = init_embeddings(train2, 4)
         assert (z1 == z2).all()
 
     def test_d_out_of_range(self, rng):
@@ -90,24 +90,20 @@ class TestGenerateWeights:
     def test_zero_embedding_row_zeroes_weights(self, rng):
         z = rng.standard_normal((3, 2))
         z[1] = 0.0
-        emb = EmbeddingMatrix(Tensor(z))
-        head = linear_head(emb, rng.standard_normal((3, 4, 5, 2)))
-        w = generate_weights(head).data
+        w = linear_weights(Tensor(z), Tensor(rng.standard_normal((3, 4, 5, 2)))).data
         np.testing.assert_array_equal(w[1], np.zeros((4, 5)))
         assert np.abs(w[0]).sum() > 0
 
     def test_scalar_embedding_scales_block(self, rng):
         m = rng.standard_normal((4, 5, 1))
-        emb = EmbeddingMatrix(Tensor([[2.0]]))
-        head = linear_head(emb, m[None])
-        np.testing.assert_allclose(generate_weights(head).data[0], 2.0 * m[..., 0], atol=1e-12)
+        w = linear_weights(Tensor([[2.0]]), Tensor(m[None]))
+        np.testing.assert_allclose(w.data[0], 2.0 * m[..., 0], atol=1e-12)
 
     def test_matches_summation_oracle(self, rng):
         n, horizon, hidden, d = 2, 2, 3, 2
         w_phi = rng.standard_normal((n, horizon, hidden, d))
         z = rng.standard_normal((n, d))
-        head = linear_head(EmbeddingMatrix(Tensor(z)), w_phi)
-        out = generate_weights(head).data
+        out = linear_weights(Tensor(z), Tensor(w_phi)).data
         expected = np.zeros((n, horizon, hidden))
         for c in range(n):
             for i in range(horizon):
@@ -117,26 +113,37 @@ class TestGenerateWeights:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_shared_mlp_rowwise(self, rng):
-        emb = EmbeddingMatrix(Tensor(rng.standard_normal((4, 3))))
-        head = head_for(emb, horizon=2, hidden_dim=3, mode="shared_mlp",
-                        rng=rng, gen_hidden=(5,))
-        w = generate_weights(head).data
+        z = Tensor(rng.standard_normal((4, 3)))
+        gen = shared_mlp(z, rng, horizon=2, hidden=3, gen_hidden=(5,))
+        w = generate_weights("shared_mlp", z, gen, 2).data
         assert w.shape == (4, 2, 3)
         # same MLP on every row: equal embeddings -> equal weight slices
-        emb.z.data[2] = emb.z.data[0]
-        w2 = generate_weights(head).data
+        z.data[2] = z.data[0]
+        w2 = generate_weights("shared_mlp", z, gen, 2).data
         np.testing.assert_array_equal(w2[2], w2[0])
 
     def test_shared_mlp_rejects_width_below_one(self, rng):
-        emb = EmbeddingMatrix(Tensor(rng.standard_normal((4, 3))))
         with pytest.raises(ValueError, match="widths must be >= 1"):
-            head_for(emb, horizon=2, hidden_dim=3, mode="shared_mlp", rng=rng, gen_hidden=(5, 0))
+            shared_mlp(Tensor(rng.standard_normal((4, 3))), rng, 2, 3, gen_hidden=(5, 0))
 
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorParams("per_channel_linear", w_phi=None)
-        with pytest.raises(ValueError):
-            GeneratorParams("shared_mlp", w_phi=Tensor(np.zeros((1, 1, 1, 1))))
+    def test_mode_mismatch_rejected(self, rng):
+        """A head config that disagrees with the stored arrays or the backbone is refused."""
+        table = toy_table(rng)
+        for mode, other in [("per_channel_linear", "shared_mlp"),
+                            ("shared_mlp", "per_channel_linear")]:
+            model = build_hyper(DLinearBackbone(8, 3), table, 4, rng, mode=mode)
+            cfg = model.config()
+            for head in cfg["heads"].values():
+                head.update(mode=other, n_mlp_layers=1)
+            with pytest.raises(StoreError, match="head.trend.* is missing"):
+                ForecastModel(cfg, dict(model.all_arrays()))
+        cfg["heads"]["trend"]["mode"] = "bogus"
+        with pytest.raises(ValueError, match="unknown generator mode 'bogus'"):
+            ForecastModel(cfg, dict(model.all_arrays()))
+        cfg = model.config()
+        cfg["heads"]["seasonal"]["hidden_dim"] = 7
+        with pytest.raises(ValueError, match="hidden_dim is 7, but the backbone's seasonal slot has 8"):
+            ForecastModel(cfg, dict(model.all_arrays()))
 
 
 class TestChannelInvariants:
@@ -148,24 +155,25 @@ class TestChannelInvariants:
         w_phi = rng.standard_normal((n, horizon, hidden, d))
         z[1] = z[0]
         w_phi[1] = w_phi[0]
-        head = linear_head(EmbeddingMatrix(Tensor(z)), w_phi)
-        w = generate_weights(head).data
+        w = linear_weights(Tensor(z), Tensor(w_phi)).data
         np.testing.assert_array_equal(w[1], w[0])
 
     @pytest.mark.parametrize("case", range(6))
     def test_independence_per_channel_mode(self, case):
         rng = make_rng(200 + case)
         n, horizon, hidden, d = 3, 2, 4, 2
-        emb = EmbeddingMatrix(Tensor(rng.standard_normal((n, d))))
-        head = linear_head(emb, rng.standard_normal((n, horizon, hidden, d)))
+        z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        w_phi = Tensor(rng.standard_normal((n, horizon, hidden, d)), requires_grad=True)
         target = int(rng.integers(n))
-        loss = tsum(square(generate_weights(head)[target]))
-        grads = backward(loss, [emb.z, head.gen.w_phi])
+        only_target = np.zeros((n, 1, 1))
+        only_target[target] = 1.0
+        loss = tsum(square(linear_weights(z, w_phi) * Tensor(only_target)))
+        grads = backward(loss, [z, w_phi])
         for other in range(n):
             if other == target:
                 continue
-            assert np.abs(grads[emb.z].data[other]).max() == 0.0
-            assert np.abs(grads[head.gen.w_phi].data[other]).max() == 0.0
+            assert np.abs(grads[z].data[other]).max() == 0.0
+            assert np.abs(grads[w_phi].data[other]).max() == 0.0
 
 
 class TestHyperForward:
@@ -173,8 +181,9 @@ class TestHyperForward:
         table = toy_table(rng, t=64, n=3)
         bb = DLinearBackbone(lookback=8, kernel=3)
         model = build_hyper(bb, table, horizon=4, rng=rng)
-        for head in model.heads.values():
-            head.gen.w_phi.data[:] = 0.0
+        for name, t in model.all_arrays().items():
+            if name.startswith("head."):
+                t.data[:] = 0.0
         x = rng.standard_normal((3, 8))
         out = model.forward(Tensor(x))
         means = x.mean(axis=1, keepdims=True)
@@ -182,25 +191,20 @@ class TestHyperForward:
 
     def test_single_channel_hand_composition(self):
         # identity-style backbone: DLinear kernel 1 makes trend = x, seasonal = 0
-        emb = EmbeddingMatrix(Tensor([[1.0, -1.0]]))
         w_phi_t = np.zeros((1, 2, 3, 2))
         w_phi_t[0, :, :, 0] = [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
         w_phi_s = np.zeros((1, 2, 3, 2))
-        heads = {
-            "trend": linear_head(emb, w_phi_t),
-            "seasonal": linear_head(emb, w_phi_s),
+        head = {"mode": "per_channel_linear", "hidden_dim": 3, "n_mlp_layers": 0}
+        cfg = {
+            "variant": "hyper", "revin": False, "n_channels": 1, "horizon": 2,
+            "channel_names": ["ch0"], "backbone": DLinearBackbone(lookback=3, kernel=1).config(),
+            "heads": {"trend": head, "seasonal": head}, "embedding": {"dim": 2, "learnable": True},
         }
-        from hnmvts.hypernet import ForecastModel
-
-        model = ForecastModel(
-            DLinearBackbone(lookback=3, kernel=1),
-            1,
-            2,
-            "hyper",
-            revin=False,
-            heads=heads,
-            embedding=emb,
-        )
+        model = ForecastModel(cfg, {
+            "embed.z": Tensor([[1.0, -1.0]]),
+            "head.trend.w_phi": Tensor(w_phi_t),
+            "head.seasonal.w_phi": Tensor(w_phi_s),
+        })
         x = np.array([[1.0, 2.0, 3.0]])
         # W_trend = w_phi . z = [[1,0,2],[0,1,0]]; y = W @ x
         expected = np.array([[1 * 1 + 2 * 3.0, 2.0]])
@@ -246,8 +250,7 @@ class TestBake:
         baked = bake(model)
         again = bake(baked)
         assert again is baked
-        for slot in baked.finals:
-            assert (baked.finals[slot].weights.data == again.finals[slot].weights.data).all()
+        assert list(again.all_arrays()) == ["final.trend.w", "final.seasonal.w"]
 
     def test_baked_count_equals_baseline(self, rng):
         table = toy_table(rng, n=3)
@@ -265,8 +268,9 @@ class TestBake:
         baked = bake(model)
         x = Tensor(rng.standard_normal((3, 8)))
         before = baked.forward(x).data.copy()
-        for head in model.heads.values():
-            head.gen.w_phi.data[:] += 1.0
+        for name, t in model.all_arrays().items():
+            if name.startswith("head."):
+                t.data[:] += 1.0
         np.testing.assert_array_equal(baked.forward(x).data, before)
 
     def test_baseline_cannot_bake(self, rng):
@@ -310,7 +314,7 @@ class TestWalker:
         frozen = set()
         if model.variant == "baked":
             frozen = {name for name in arrays if name.startswith("final.")}
-        if model.variant == "hyper" and not model.embedding.learnable:
+        if model.variant == "hyper" and not model.config()["embedding"]["learnable"]:
             frozen = {"embed.z"}
         params = model.parameters()
         assert list(params) == [name for name in arrays if name not in frozen]
@@ -334,6 +338,30 @@ class TestWalker:
             loaded, _ = load_checkpoint(path)
             assert list(loaded.all_arrays()) == list(model.all_arrays())
             self.check(loaded)
+
+
+class TestStore:
+    def test_misshaped_array_named(self, rng):
+        for model in every_form(rng):
+            cfg, arrays = model.config(), model.all_arrays()
+            for name, t in arrays.items():
+                cut = dict(arrays, **{name: Tensor(t.data[..., :-1])})
+                with pytest.raises(StoreError, match="has shape") as info:
+                    ForecastModel(cfg, cut)
+                # a shared_mlp hidden width is read from its bias, so a cut
+                # bias shows as a mismatch of the layer's weight
+                expected = name[:-1] + "w" if ".mlp." in name and name.endswith(".b") else name
+                assert info.value.name == expected
+
+    def test_missing_and_foreign_arrays_named(self, rng):
+        for model in every_form(rng):
+            cfg, arrays = model.config(), model.all_arrays()
+            for name in arrays:
+                with pytest.raises(StoreError, match=f"'{name}' is missing"):
+                    ForecastModel(cfg, {k: t for k, t in arrays.items() if k != name})
+            extra = "embed.z" if model.variant != "hyper" else "final.out.w"
+            with pytest.raises(StoreError, match=f"'{extra}' is not part of a {model.variant}"):
+                ForecastModel(cfg, dict(arrays, **{extra: Tensor(np.zeros(3))}))
 
 
 class TestParamCount:
@@ -380,5 +408,5 @@ def test_embedding_export(tmp_path, rng):
     first = lines[1].split(",")
     assert first[0] == "c0"
     np.testing.assert_allclose(
-        [float(v) for v in first[1:]], model.embedding.z.data[0], atol=0
+        [float(v) for v in first[1:]], model.all_arrays()["embed.z"].data[0], atol=0
     )

@@ -265,11 +265,6 @@ class TestShapeOps:
         grads = backward(loss)
         np.testing.assert_allclose(grads[x].data, 2 * x.data, atol=1e-12)
 
-    def test_slice_gradient_scatters(self):
-        x = Tensor(np.arange(6.0), requires_grad=True)
-        grads = backward(tsum(x[2:5]))
-        np.testing.assert_array_equal(grads[x].data, [0, 0, 1, 1, 1, 0])
-
     def test_broadcast_unbroadcast(self, rng):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         col = Tensor(rng.standard_normal((4, 1)), requires_grad=True)

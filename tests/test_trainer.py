@@ -113,6 +113,29 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"windows are \(8, 3\) but config wants"):
             train(model, train_w, longer, TrainConfig(lookback=8, horizon=2))
 
+    def test_step_gradients_freed_before_next_backward(self, rng, monkeypatch):
+        """No step's gradient arrays survive into the next step's backward."""
+        import weakref
+
+        from hnmvts import trainer as trainer_mod
+
+        real_backward = trainer_mod.backward
+        previous = []
+        calls = []
+
+        def tracking_backward(loss, params):
+            calls.append(sum(ref() is not None for ref in previous))
+            grads = real_backward(loss, params)
+            previous[:] = [weakref.ref(g.data) for g in grads.values()]
+            return grads
+
+        monkeypatch.setattr(trainer_mod, "backward", tracking_backward)
+        model, train_w, val_w = small_setup(rng, variant="hyper")
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, max_epochs=2, seed=0)
+        train(model, train_w, val_w, cfg)
+        assert len(calls) > 2
+        assert calls == [0] * len(calls)
+
     def test_model_without_revin_trains_in_raw_space(self, rng):
         model, train_w, val_w = small_setup(rng, revin=False)
         cfg = TrainConfig(lookback=8, horizon=2, max_epochs=1, seed=0, lr=0.0)
