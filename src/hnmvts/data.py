@@ -8,6 +8,7 @@ the per-channel final-layer math.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,73 +137,208 @@ class SplitSpec:
 
 
 def load_csv(path: str | Path, timestamp_column: str | None = None) -> SeriesTable:
-    """Read a header-first CSV into a SeriesTable.
+    """Read a header-first, UTF-8 CSV into a SeriesTable.
 
-    If `timestamp_column` is given, that column is validated as strictly
-    increasing and dropped from the values. Every other cell must be a
-    finite number; blanks and non-numeric cells are rejected with their
-    row/column location (1-based, header = row 1).
+    The header names the columns and must name each channel once. Every
+    later line is one record with exactly as many cells, so a blank or
+    whitespace-only line is an error. A cell may be quoted and is stripped
+    of surrounding whitespace; each value cell must then be a finite number
+    as Python's `float` reads it. Blank, non-numeric, nan, inf and
+    overflowing cells are rejected with their row/column location (1-based,
+    header = row 1). If `timestamp_column` is given, that column is dropped
+    from the values; its cells must be all numbers or all strings (compared
+    as text, so ISO datetimes sort correctly), strictly increasing.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        ts_idx: int | None = None
-        if timestamp_column is not None:
-            if timestamp_column not in header:
-                raise LoadError(f"{path}: timestamp column '{timestamp_column}' not in header")
-            ts_idx = header.index(timestamp_column)
-        names = [h for i, h in enumerate(header) if i != ts_idx]
-        rows: list[list[float]] = []
-        prev_ts: str | float | None = None
-        for rownum, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise LoadError(f"{path}: row {rownum} has {len(record)} cells, expected {len(header)}")
-            vals = []
-            for colnum, cell in enumerate(record):
-                cell = cell.strip()
-                if colnum == ts_idx:
-                    ts = _parse_timestamp(cell)
-                    if prev_ts is not None:
-                        try:
-                            increasing = ts > prev_ts
-                        except TypeError:
-                            raise LoadError(
-                                f"{path}: mixed timestamp types at row {rownum}"
-                            ) from None
-                        if not increasing:
-                            raise LoadError(
-                                f"{path}: non-monotone timestamp at row {rownum}, "
-                                f"column '{header[colnum]}'"
-                            )
-                    prev_ts = ts
-                    continue
-                if cell == "":
-                    raise LoadError(
-                        f"{path}: missing value at row {rownum}, column '{header[colnum]}'"
-                    )
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise LoadError(
-                        f"{path}: non-numeric cell '{cell}' at row {rownum}, "
-                        f"column '{header[colnum]}'"
-                    ) from None
-                if not np.isfinite(v):
-                    raise LoadError(
-                        f"{path}: non-finite value at row {rownum}, column '{header[colnum]}'"
-                    )
-                vals.append(v)
-            rows.append(vals)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except OSError as err:
+        raise LoadError(f"{path}: cannot read: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise LoadError(f"{path}: not UTF-8 text at byte {err.start}") from None
+    parsed = _parse_plain(text, timestamp_column)
+    names, values = parsed if parsed is not None else _parse_records(path, text, timestamp_column)
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise LoadError(f"{path}: duplicate channel name '{name}'")
+        seen.add(name)
+    return SeriesTable(Tensor(values), names)
+
+
+def _parse_records(path: Path, text: str, timestamp_column: str | None):
+    """(channel names, values) read cell by cell: the definition of a valid file.
+
+    Raises LoadError at the first bad record or cell, in file order.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise LoadError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    ts_idx: int | None = None
+    if timestamp_column is not None:
+        if timestamp_column not in header:
+            raise LoadError(f"{path}: timestamp column '{timestamp_column}' not in header")
+        ts_idx = header.index(timestamp_column)
+    names = [h for i, h in enumerate(header) if i != ts_idx]
+    rows: list[list[float]] = []
+    prev_ts: str | float | None = None
+    for rownum, record in enumerate(reader, start=2):
+        if len(record) != len(header):
+            raise LoadError(f"{path}: row {rownum} has {len(record)} cells, expected {len(header)}")
+        vals = []
+        for colnum, cell in enumerate(record):
+            cell = cell.strip()
+            if colnum == ts_idx:
+                ts = _parse_timestamp(cell)
+                if prev_ts is not None:
+                    try:
+                        increasing = ts > prev_ts
+                    except TypeError:
+                        raise LoadError(
+                            f"{path}: mixed timestamp types at row {rownum}"
+                        ) from None
+                    if not increasing:
+                        raise LoadError(
+                            f"{path}: non-monotone timestamp at row {rownum}, "
+                            f"column '{header[colnum]}'"
+                        )
+                prev_ts = ts
+                continue
+            if cell == "":
+                raise LoadError(
+                    f"{path}: missing value at row {rownum}, column '{header[colnum]}'"
+                )
+            try:
+                v = float(cell)
+            except ValueError:
+                raise LoadError(
+                    f"{path}: non-numeric cell '{cell}' at row {rownum}, "
+                    f"column '{header[colnum]}'"
+                ) from None
+            if not np.isfinite(v):
+                raise LoadError(
+                    f"{path}: non-finite value at row {rownum}, column '{header[colnum]}'"
+                )
+            vals.append(v)
+        rows.append(vals)
     if len(rows) < 2:
         raise LoadError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    return SeriesTable(Tensor(np.asarray(rows)), names)
+    return names, np.asarray(rows)
+
+
+# bytes a float() spelling can hold once stripped (digits, underscore, sign,
+# point, exponent, inf/infinity/nan), plus the zero that pads short stamps
+_FLOAT_BYTES = np.zeros(256, dtype=bool)
+_FLOAT_BYTES[list(b"\x000123456789_+-.eEinfatyINFATY")] = True
+# a timestamp column wider than this is left to the loop, which bounds the
+# (rows x width) byte matrix built to compare stamps
+_MAX_STAMP_WIDTH = 64
+
+
+def _parse_plain(text: str, timestamp_column: str | None):
+    """`_parse_records`'s result for a plainly written file, or None.
+
+    Plain: no quote or lone carriage return, a header line that is not
+    blank, and data lines of printable ASCII. There a record is a line, and
+    numpy's C reader parses a value cell exactly when `float` does, to the
+    same double. So one `np.loadtxt` pass plus vectorised checks (cells per
+    line, row count, finite values, stamps all numeric or all text and
+    strictly increasing) accept exactly the files the loop accepts, with
+    the same result. Anything else returns None and is left to the loop,
+    which then raises its located error.
+    """
+    if "\r" in text:
+        # a CRLF file reads as its LF form; a lone CR is left to the loop
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    head, _, body = text.partition("\n")
+    # the csv module of Python 3.10 refuses NUL, and every version refuses a
+    # field over its size limit
+    limit = csv.field_size_limit()
+    if not head or '"' in text or "\x00" in head or len(head) > limit or not body.isascii():
+        return None
+    header = [h.strip() for h in head.split(",")]
+    ts_idx: int | None = None
+    if timestamp_column is not None:
+        if timestamp_column not in header:
+            return None
+        ts_idx = header.index(timestamp_column)
+    names = [h for i, h in enumerate(header) if i != ts_idx]
+    data = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(data == 10)
+    if np.count_nonzero(data < 32) != len(ends):  # a control byte
+        return None
+    if not body.endswith("\n"):
+        ends = np.append(ends, len(data))
+    n = len(ends)
+    if n < 2:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (ends - starts).max() > limit:
+        return None
+    # every line holds exactly len(header) - 1 commas: with that many in all,
+    # line r must hold the r-th run of them
+    commas = np.flatnonzero(data == 44)
+    if len(commas) != n * (len(header) - 1):
+        return None
+    bounds = np.column_stack([starts - 1, commas.reshape(n, len(header) - 1), ends])
+    if (np.diff(bounds, axis=1) <= 0).any():
+        return None
+    text_stamps = False
+    if ts_idx is not None:
+        stamps = _field_bytes(data, bounds[:, ts_idx] + 1, bounds[:, ts_idx + 1])
+        if stamps is None:
+            return None
+        # a sign can only lead a float or follow its exponent
+        signs = np.isin(stamps[:, 1:], tuple(b"+-"))
+        exponents = np.isin(stamps[:, :-1], tuple(b"eE"))
+        not_float = (~_FLOAT_BYTES[stamps]).any(axis=1) | (signs & ~exponents).any(axis=1)
+        # all text, or else all must parse as numbers below
+        text_stamps = bool(not_float.all())
+    usecols = [i for i in range(len(header)) if not (text_stamps and i == ts_idx)]
+    try:
+        table = np.loadtxt(
+            io.StringIO(body), dtype=np.float64, delimiter=",", comments=None,
+            usecols=usecols, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if len(table) != n:  # the reader skips blank lines
+        return None
+    if ts_idx is None:
+        values = table
+    elif text_stamps:
+        keys = stamps.view(f"S{stamps.shape[1]}").ravel()
+        if not (keys[1:] > keys[:-1]).all():
+            return None
+        values = table
+    else:
+        if not (table[1:, ts_idx] > table[:-1, ts_idx]).all():
+            return None
+        values = np.delete(table, ts_idx, axis=1)
+    if not np.isfinite(values).all():
+        return None
+    return names, values
+
+
+def _field_bytes(data: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Row i = data[left[i]:right[i]], zero-padded to the widest field; None if
+    a field is empty, blank-edged or wider than `_MAX_STAMP_WIDTH`."""
+    widths = right - left
+    if widths.min() == 0 or widths.max() > _MAX_STAMP_WIDTH:
+        return None
+    cols = np.arange(widths.max())
+    inside = cols < widths[:, None]
+    out = np.where(inside, data[np.minimum(left[:, None] + cols, len(data) - 1)], np.uint8(0))
+    if (out[:, 0] == 32).any() or (out[np.arange(len(out)), widths - 1] == 32).any():
+        return None
+    return out
 
 
 def _parse_timestamp(cell: str):

@@ -220,3 +220,26 @@ def test_bake_misshaped_array_is_clean_error(tmp_path, capsys):
     assert str(ckpt) in err
     assert "Traceback" not in err
     assert not (tmp_path / "b.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("folder", None, "cannot read: Is a directory"),
+        ("latin1.csv", "date,temp °C\n1,2\n2,3\n".encode("latin-1"), "not UTF-8 text at byte 10"),
+        ("twice.csv", b"date,a,b, a\n1,2,3,4\n2,3,4,5\n", "duplicate channel name 'a'"),
+    ],
+)
+def test_eval_unreadable_data_is_clean_error(tmp_path, capsys, name, content, message):
+    from pathlib import Path
+
+    data = tmp_path / name
+    if content is None:
+        data.mkdir()
+    else:
+        data.write_bytes(content)
+    ckpt = Path(__file__).parent / "data" / "hyper_pcl_dlinear.npz"
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {data}: {message}" in err
+    assert "Traceback" not in err

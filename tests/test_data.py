@@ -1,8 +1,13 @@
+import csv
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnmvts import data
 from hnmvts.data import (
     LoadError,
     SeriesTable,
@@ -64,6 +69,259 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError, match="no such file"):
             load_csv(tmp_path / "absent.csv")
+
+    def test_duplicate_channel_name_named(self, tmp_path):
+        p = write_csv(tmp_path, "date,a,b, a\n1,2,3,4\n2,3,4,5\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, timestamp_column="date")
+        assert str(exc.value) == f"{p}: duplicate channel name 'a'"
+
+    @pytest.mark.parametrize(
+        "text, timestamp_column, message",
+        [
+            ("a,b\n1,2\n3,4,5\n", None, "row 3 has 3 cells, expected 2"),
+            ("a,b\n1,2\n3\n", None, "row 3 has 1 cells, expected 2"),
+            ("a,b\n1,2\n\n3,4\n", None, "row 3 has 0 cells, expected 2"),
+            ("a,b\n1,2\n  \n3,4\n", None, "row 3 has 1 cells, expected 2"),
+            ("a\n1\n  \n3\n", None, "missing value at row 3, column 'a'"),
+            ("a,b\n1,2\n3,4\n\n", None, "row 4 has 0 cells, expected 2"),
+            ("a,b\n1,nan\n3,4\n", None, "non-finite value at row 2, column 'b'"),
+            ("a,b\n1,2\n-inf,4\n", None, "non-finite value at row 3, column 'a'"),
+            ("a,b\n1,2\n3,1e400\n", None, "non-finite value at row 3, column 'b'"),
+            ("a,b\n1,2\n3,oops\n", None, "non-numeric cell 'oops' at row 3, column 'b'"),
+            ("a,b\n1,2\n ,4\n", None, "missing value at row 3, column 'a'"),
+            ("date,a\n5,1\n3,2\n", "date", "non-monotone timestamp at row 3, column 'date'"),
+            ("date,a\n5,1\n5,2\n", "date", "non-monotone timestamp at row 3, column 'date'"),
+            (
+                "a,date\n1,2016-07-01 00:15\n2,2016-07-01 00:00\n",
+                "date",
+                "non-monotone timestamp at row 3, column 'date'",
+            ),
+            (
+                "date,a\n2016-07-01,1\n2016-07-02,2\n2016-07-02,3\n",
+                "date",
+                "non-monotone timestamp at row 4, column 'date'",
+            ),
+            ("date,a\n2016-07-01,1\n5,2\n", "date", "mixed timestamp types at row 3"),
+            ("date,a\n5,1\n2016-07-01,2\n", "date", "mixed timestamp types at row 3"),
+            ("a,b\n1,2\n3,4\n", "date", "timestamp column 'date' not in header"),
+            ("", None, "empty file"),
+            ("a,b\n", None, "need at least 2 data rows, got 0"),
+            ("a,b\n1,2\n", None, "need at least 2 data rows, got 1"),
+            # files that look plain to a vectorised reader but are not
+            ("a\n1\n\n3\n", None, "row 3 has 0 cells, expected 1"),
+            ("\n1\n2\n", None, "row 2 has 1 cells, expected 0"),
+            ("a,b\rc\n1,2\n3,4\n", None, "row 2 has 1 cells, expected 2"),
+            ("a,date\n1,2016-07-01,9\n2\n", "date", "row 2 has 3 cells, expected 2"),
+            ('date,a\n"10",1\n"9",2\n', "date", "non-monotone timestamp at row 3, column 'date'"),
+            ("date,a\n1_036,1\n9_99,2\n", "date", "non-monotone timestamp at row 3, column 'date'"),
+            ("date,a\n,1\n,2\n", "date", "non-monotone timestamp at row 3, column 'date'"),
+            (
+                "date,a\n2016-07-01,1\n2016-07-01 ,2\n",
+                "date",
+                "non-monotone timestamp at row 3, column 'date'",
+            ),
+            (
+                "date,a\n2016-07-01,1\n2016-07-01\t,2\n",
+                "date",
+                "non-monotone timestamp at row 3, column 'date'",
+            ),
+        ],
+    )
+    def test_error_messages(self, tmp_path, text, timestamp_column, message):
+        p = write_csv(tmp_path, text)
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, timestamp_column=timestamp_column)
+        assert str(exc.value) == f"{p}: {message}"
+
+
+def reference_load_csv(path, timestamp_column=None):
+    """The per-cell loader as it stood before the vectorised pass, kept as the oracle."""
+    path = Path(path)
+    if not path.exists():
+        raise LoadError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        ts_idx = None
+        if timestamp_column is not None:
+            if timestamp_column not in header:
+                raise LoadError(f"{path}: timestamp column '{timestamp_column}' not in header")
+            ts_idx = header.index(timestamp_column)
+        names = [h for i, h in enumerate(header) if i != ts_idx]
+        rows = []
+        prev_ts = None
+        for rownum, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                raise LoadError(f"{path}: row {rownum} has {len(record)} cells, expected {len(header)}")
+            vals = []
+            for colnum, cell in enumerate(record):
+                cell = cell.strip()
+                if colnum == ts_idx:
+                    try:
+                        ts = float(cell)
+                    except ValueError:
+                        ts = cell
+                    if prev_ts is not None:
+                        try:
+                            increasing = ts > prev_ts
+                        except TypeError:
+                            raise LoadError(f"{path}: mixed timestamp types at row {rownum}") from None
+                        if not increasing:
+                            raise LoadError(
+                                f"{path}: non-monotone timestamp at row {rownum}, "
+                                f"column '{header[colnum]}'"
+                            )
+                    prev_ts = ts
+                    continue
+                if cell == "":
+                    raise LoadError(f"{path}: missing value at row {rownum}, column '{header[colnum]}'")
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise LoadError(
+                        f"{path}: non-numeric cell '{cell}' at row {rownum}, "
+                        f"column '{header[colnum]}'"
+                    ) from None
+                if not np.isfinite(v):
+                    raise LoadError(
+                        f"{path}: non-finite value at row {rownum}, column '{header[colnum]}'"
+                    )
+                vals.append(v)
+            rows.append(vals)
+    if len(rows) < 2:
+        raise LoadError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    return names, np.asarray(rows)
+
+
+ODD_VALUES = [
+    "", " ", "nan", "NaN", "inf", "-Infinity", "1e400", "-1e-400", "1_000", '"1.5"', '"2', "#3",
+    "4#", "\uff11\uff12", "abc", "1d5", "0x10", "+.5", "5.", "-0", "1 2", "e", ".", "\u00a07",
+]
+ODD_STAMPS = ["", " ", "nan", "inf", "abc", "2016-07-01", "7", '"8"', "1_0", "\uff19"]
+
+
+@st.composite
+def csv_texts(draw):
+    """(CSV text, timestamp column) over random tables and cell spellings.
+
+    A clean draw spells every cell as a number or stamp, in any format; a
+    noisy one mixes in malformed cells, lines and stamps.
+    """
+    noisy = draw(st.booleans())
+    n_values = draw(st.integers(0, 3))
+    n_rows = draw(st.integers(0 if noisy else 2, 6))
+    stamp_kind = draw(st.sampled_from([None, "number", "grouped", "quoted", "iso", "date", "iso-t"]))
+    header = [f"c{i}" for i in range(n_values)]
+    if stamp_kind is not None:
+        header.insert(draw(st.integers(0, n_values)), "date")
+    header = [draw(st.sampled_from(["", " ", "\t"])) + h for h in header]
+
+    def value():
+        if noisy and draw(st.integers(0, 5)) == 0:
+            cell = draw(st.sampled_from(ODD_VALUES))
+        else:
+            x = draw(st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**6, 10**6))
+            cell = draw(st.sampled_from(["{!r}", "{:.3e}", "{:g}", "{:E}"])).format(
+                float(x) if isinstance(x, int) and draw(st.booleans()) else x
+            )
+        if draw(st.integers(0, 7)) == 0:
+            cell = draw(st.sampled_from([" ", "  ", "\t"])) + cell + draw(st.sampled_from(["", " "]))
+        return cell
+
+    steps = st.integers(-1 if noisy else 1, 30)
+    stamps = np.cumsum(draw(st.lists(steps, min_size=n_rows, max_size=n_rows)))
+    lines = [",".join(header)]
+    for r in range(n_rows):
+        row = [value() for _ in range(n_values)]
+        if stamp_kind is not None:
+            minute = int(stamps[r]) + 10**6
+            stamp = {
+                "number": str(minute),
+                "grouped": f"{minute % 10**4:_}",
+                "quoted": f'"{minute}"',
+                "iso": str(np.datetime64("2016-07-01T00:00") + np.timedelta64(minute, "m")).replace("T", " "),
+                "iso-t": str(np.datetime64("2016-07-01T00:00") + np.timedelta64(minute, "m")),
+                "date": str(np.datetime64("2016-07-01") + np.timedelta64(minute % 10**4, "D")),
+            }[stamp_kind]
+            if noisy and draw(st.integers(0, 5)) == 0:
+                stamp = draw(st.sampled_from(ODD_STAMPS))
+            elif draw(st.integers(0, 11)) == 0:
+                stamp = " " + stamp + " "
+            row.insert(header.index(next(h for h in header if h.strip() == "date")), stamp)
+        if noisy and draw(st.integers(0, 7)) == 0:
+            row = row[:-1] if draw(st.booleans()) else [*row, value()]
+        lines.append(",".join(row))
+        if noisy and draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ",", "1,2,3,4,5", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    ends = ["", newline, newline * 2] if noisy else ["", newline]
+    text = newline.join(lines) + draw(st.sampled_from(ends))
+    stamp_column = draw(st.sampled_from(["date"] * 3 + ["absent"] if noisy else ["date"]))
+    return text, stamp_column if stamp_kind else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=csv_texts())
+def test_load_csv_matches_per_cell_reference(tmp_path_factory, case):
+    text, timestamp_column = case
+    p = tmp_path_factory.mktemp("csv") / "series.csv"
+    p.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_load_csv(p, timestamp_column)
+    except LoadError as err:
+        expected = str(err)
+    plain = data._parse_plain(text, timestamp_column)
+    if plain is not None:
+        # the vectorised pass accepts nothing the loop rejects
+        assert not isinstance(expected, str), expected
+        assert plain[0] == expected[0]
+        assert plain[1].dtype == np.float64 and plain[1].tobytes() == expected[1].tobytes()
+    try:
+        table = load_csv(p, timestamp_column)
+    except LoadError as err:
+        assert str(err) == expected
+        return
+    names, values = expected
+    assert table.channel_names == names
+    assert table.values.data.shape == values.shape
+    assert table.values.data.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "stamps, timestamp_column",
+    [
+        (["2016-07-01 00:00:00", "2016-07-01 00:15:00", "2016-07-01 00:30:00"], "date"),
+        (["2016-07-01T00:00", "2016-07-01T00:15", "2016-07-01T00:30"], "date"),
+        (["2002-01-01", "2002-01-08", "2002-01-15"], "date"),
+        (["1", "2.5", "1e3"], "date"),
+        (["x", "y", "z"], None),
+    ],
+)
+def test_plain_files_take_the_vectorised_pass(newline, stamps, timestamp_column):
+    rows = [f"{s}, {i}.5,-{i}e-3" for i, s in enumerate(stamps)]
+    text = newline.join(["date,a,b", *rows]) + newline
+    if timestamp_column is None:
+        text = newline.join(["a,b", *(r.split(",", 1)[1] for r in rows)])
+    names, values = data._parse_plain(text, timestamp_column)
+    assert names == ["a", "b"]
+    np.testing.assert_array_equal(values, [[0.5, -0.0], [1.5, -1e-3], [2.5, -2e-3]])
+
+
+def test_plain_pass_leaves_long_fields_to_the_loop():
+    # the csv module refuses a field over its size limit
+    old = csv.field_size_limit(8)
+    try:
+        assert data._parse_plain("a,b\n1,2\n3,4.0000000001\n", None) is None
+        assert data._parse_plain("abcdefghij,b\n1,2\n3,4\n", None) is None
+        assert data._parse_plain("a,b\n1,2\n3,4\n", None) is not None
+    finally:
+        csv.field_size_limit(old)
 
 
 class TestChronoSplit:
