@@ -245,12 +245,12 @@ def _parse_plain(text: str, timestamp_column: str | None):
 
     Plain: no quote or lone carriage return, a header line that is not
     blank, and data lines of printable ASCII. There a record is a line, and
-    numpy's C reader parses a value cell exactly when `float` does, to the
-    same double. So one `np.loadtxt` pass plus vectorised checks (cells per
-    line, row count, finite values, stamps all numeric or all text and
-    strictly increasing) accept exactly the files the loop accepts, with
-    the same result. Anything else returns None and is left to the loop,
-    which then raises its located error.
+    numpy's C reader parses a value cell only if `float` does, to the same
+    double (it refuses the underscores `float` allows). So one `np.loadtxt`
+    pass plus vectorised checks (cells per line, row count, finite values,
+    stamps all numeric or all text and strictly increasing) accept only
+    files the loop accepts, with the same result. Anything else returns
+    None and is left to the loop, which then raises its located error.
     """
     if "\r" in text:
         # a CRLF file reads as its LF form; a lone CR is left to the loop

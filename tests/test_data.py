@@ -1,5 +1,4 @@
 import csv
-import io
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,10 @@ class TestLoadCsv:
         assert t.t == 3 and t.n_channels == 2
         assert t.channel_names == ["a", "b"]
         np.testing.assert_array_equal(t.values.data, [[1, 2], [3, 4], [5, 6]])
+
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        p = write_csv(tmp_path, "a,b\n\uff11\uff12,1_000\n 3 ,4e0\n")
+        np.testing.assert_array_equal(load_csv(p).values.data, [[12, 1000], [3, 4]])
 
     def test_timestamp_column_dropped_and_validated(self, tmp_path):
         p = write_csv(tmp_path, "date,a\n2016-07-01 00:00:00,1\n2016-07-01 00:15:00,2\n")
@@ -279,8 +282,10 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, case):
     if plain is not None:
         # the vectorised pass accepts nothing the loop rejects
         assert not isinstance(expected, str), expected
-        assert plain[0] == expected[0]
-        assert plain[1].dtype == np.float64 and plain[1].tobytes() == expected[1].tobytes()
+        names, values = plain
+        assert names == expected[0]
+        assert values.dtype == np.float64 and values.shape == expected[1].shape
+        assert values.tobytes() == expected[1].tobytes()
     try:
         table = load_csv(p, timestamp_column)
     except LoadError as err:
