@@ -140,7 +140,7 @@ def load_csv(path: str | Path, timestamp_column: str | None = None) -> SeriesTab
     """Read a header-first, UTF-8 CSV into a SeriesTable.
 
     The header names the columns and must name each channel once. Every
-    later line is one record with exactly as many cells, so a blank or
+    later record must have exactly as many cells, so a blank or
     whitespace-only line is an error. A cell may be quoted and is stripped
     of surrounding whitespace; each value cell must then be a finite number
     as Python's `float` reads it. Blank, non-numeric, nan, inf and
@@ -153,12 +153,15 @@ def load_csv(path: str | Path, timestamp_column: str | None = None) -> SeriesTab
     if not path.exists():
         raise LoadError(f"no such file: {path}")
     try:
-        text = path.read_bytes().decode("utf-8")
+        with path.open("rb") as fh:
+            parsed = _parse_plain(fh, timestamp_column)
+            if parsed is None:
+                fh.seek(0)
+                text = fh.read().decode("utf-8")
     except OSError as err:
         raise LoadError(f"{path}: cannot read: {err.strerror}") from None
     except UnicodeDecodeError as err:
         raise LoadError(f"{path}: not UTF-8 text at byte {err.start}") from None
-    parsed = _parse_plain(text, timestamp_column)
     names, values = parsed if parsed is not None else _parse_records(path, text, timestamp_column)
     seen: set[str] = set()
     for name in names:
@@ -238,56 +241,87 @@ _FLOAT_BYTES[list(b"\x000123456789_+-.eEinfatyINFATY")] = True
 # a timestamp column wider than this is left to the loop, which bounds the
 # (rows x width) byte matrix built to compare stamps
 _MAX_STAMP_WIDTH = 64
+# data lines are checked and parsed in blocks of about this many bytes, so
+# the loader's working memory stays small and it frees no buffer large
+# enough to raise glibc's dynamic mmap threshold
+_BLOCK_BYTES = 1 << 18
 
 
-def _parse_plain(text: str, timestamp_column: str | None):
+def _parse_plain(fh, timestamp_column: str | None):
     """`_parse_records`'s result for a plainly written file, or None.
 
-    Plain: no quote or lone carriage return, a header line that is not
-    blank, and data lines of printable ASCII. There a record is a line, and
-    numpy's C reader parses a value cell only if `float` does, to the same
-    double (it refuses the underscores `float` allows). So one `np.loadtxt`
-    pass plus vectorised checks (cells per line, row count, finite values,
-    stamps all numeric or all text and strictly increasing) accept only
-    files the loop accepts, with the same result. Anything else returns
-    None and is left to the loop, which then raises its located error.
+    `fh` is the file opened in binary mode. Plain: a header line that is
+    not blank, no quote or lone carriage return, and data lines of
+    printable ASCII. There a record is a line, and numpy's C reader parses
+    a value cell only if `float` does, to the same double (it refuses the
+    underscores `float` allows). So `np.loadtxt` plus vectorised checks
+    (cells per line, row count, finite values, stamps all numeric or all
+    text and strictly increasing) accept only files the loop accepts, with
+    the same result. Anything else returns None and is left to the loop,
+    which then raises its located error.
     """
-    if "\r" in text:
-        # a CRLF file reads as its LF form; a lone CR is left to the loop
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    head, _, body = text.partition("\n")
+    line = fh.readline()
+    head = line[:-2] if line.endswith(b"\r\n") else line[:-1]
     # the csv module of Python 3.10 refuses NUL, and every version refuses a
     # field over its size limit
     limit = csv.field_size_limit()
-    if not head or '"' in text or "\x00" in head or len(head) > limit or not body.isascii():
+    if not head or len(head) > limit or any(c in head for c in (b'"', b"\r", b"\x00")):
         return None
-    header = [h.strip() for h in head.split(",")]
+    # a header that is not UTF-8 holds the file's first bad byte: load_csv
+    # reports it as the whole-file decode would
+    header = [h.strip() for h in head.decode("utf-8").split(",")]
     ts_idx: int | None = None
     if timestamp_column is not None:
         if timestamp_column not in header:
             return None
         ts_idx = header.index(timestamp_column)
     names = [h for i, h in enumerate(header) if i != ts_idx]
-    data = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    values, stamps = [], []
+    while lines := fh.readlines(_BLOCK_BYTES):
+        block = _plain_block(b"".join(lines), len(header), ts_idx, limit)
+        if block is None:
+            return None
+        values.append(block[0])
+        stamps.append(block[1])
+    if sum(len(v) for v in values) < 2:
+        return None
+    if ts_idx is not None:
+        if len({s.dtype.kind for s in stamps}) != 1:  # text in one block, numbers in another
+            return None
+        keys = np.concatenate(stamps)
+        if not (keys[1:] > keys[:-1]).all():
+            return None
+    return names, np.concatenate(values)
+
+
+def _plain_block(block: bytes, n_cols: int, ts_idx: int | None, limit: int):
+    """(values, stamps) of whole data lines, checked as `_parse_plain` says, or None.
+
+    Stamps are bytes if every stamp is text, else floats; None without a
+    timestamp column.
+    """
+    # a CRLF line reads as its LF form; a lone CR fails the control-byte check
+    block = block.replace(b"\r\n", b"\n")
+    if b'"' in block:
+        return None
+    data = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(data == 10)
     if np.count_nonzero(data < 32) != len(ends):  # a control byte
         return None
-    if not body.endswith("\n"):
+    if not block.endswith(b"\n"):
         ends = np.append(ends, len(data))
     n = len(ends)
-    if n < 2:
-        return None
     starts = np.concatenate(([0], ends[:-1] + 1))
-    if (ends - starts).max() > limit:
+    lengths = ends - starts
+    # the reader skips blank lines, and warns on a block of nothing else
+    if lengths.min() == 0 or lengths.max() > limit:
         return None
-    # every line holds exactly len(header) - 1 commas: with that many in all,
+    # every line holds exactly n_cols - 1 commas: with that many in all,
     # line r must hold the r-th run of them
     commas = np.flatnonzero(data == 44)
-    if len(commas) != n * (len(header) - 1):
+    if len(commas) != n * (n_cols - 1):
         return None
-    bounds = np.column_stack([starts - 1, commas.reshape(n, len(header) - 1), ends])
+    bounds = np.column_stack([starts - 1, commas.reshape(n, n_cols - 1), ends])
     if (np.diff(bounds, axis=1) <= 0).any():
         return None
     text_stamps = False
@@ -301,30 +335,25 @@ def _parse_plain(text: str, timestamp_column: str | None):
         not_float = (~_FLOAT_BYTES[stamps]).any(axis=1) | (signs & ~exponents).any(axis=1)
         # all text, or else all must parse as numbers below
         text_stamps = bool(not_float.all())
-    usecols = [i for i in range(len(header)) if not (text_stamps and i == ts_idx)]
-    try:
+    usecols = [i for i in range(n_cols) if not (text_stamps and i == ts_idx)]
+    try:  # a non-ASCII byte fails the decode, a malformed cell the reader
         table = np.loadtxt(
-            io.StringIO(body), dtype=np.float64, delimiter=",", comments=None,
-            usecols=usecols, ndmin=2,
+            io.StringIO(block.decode("ascii")), dtype=np.float64, delimiter=",",
+            comments=None, usecols=usecols, ndmin=2,
         )
     except ValueError:
         return None
-    if len(table) != n:  # the reader skips blank lines
+    if len(table) != n:  # a line the reader dropped
         return None
     if ts_idx is None:
-        values = table
+        values, keys = table, None
     elif text_stamps:
-        keys = stamps.view(f"S{stamps.shape[1]}").ravel()
-        if not (keys[1:] > keys[:-1]).all():
-            return None
-        values = table
+        values, keys = table, stamps.view(f"S{stamps.shape[1]}").ravel()
     else:
-        if not (table[1:, ts_idx] > table[:-1, ts_idx]).all():
-            return None
-        values = np.delete(table, ts_idx, axis=1)
+        values, keys = np.delete(table, ts_idx, axis=1), table[:, ts_idx]
     if not np.isfinite(values).all():
         return None
-    return names, values
+    return values, keys
 
 
 def _field_bytes(data: np.ndarray, left: np.ndarray, right: np.ndarray):

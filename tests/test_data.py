@@ -1,4 +1,5 @@
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,10 @@ class TestLoadCsv:
         assert t.t == 3 and t.n_channels == 2
         assert t.channel_names == ["a", "b"]
         np.testing.assert_array_equal(t.values.data, [[1, 2], [3, 4], [5, 6]])
+
+    def test_quoted_header_names(self, tmp_path):
+        p = write_csv(tmp_path, '"a", b ,"c"\n1,2,3\n4,5,6\n')
+        assert load_csv(p).channel_names == ["a", "b", "c"]
 
     def test_cells_read_as_float_reads_them(self, tmp_path):
         p = write_csv(tmp_path, "a,b\n\uff11\uff12,1_000\n 3 ,4e0\n")
@@ -107,12 +112,14 @@ class TestLoadCsv:
             ),
             ("date,a\n2016-07-01,1\n5,2\n", "date", "mixed timestamp types at row 3"),
             ("date,a\n5,1\n2016-07-01,2\n", "date", "mixed timestamp types at row 3"),
+            ("date,a\n2016-07-01 00:00,1\n5,2\n7,3\n", "date", "mixed timestamp types at row 3"),
             ("a,b\n1,2\n3,4\n", "date", "timestamp column 'date' not in header"),
             ("", None, "empty file"),
             ("a,b\n", None, "need at least 2 data rows, got 0"),
             ("a,b\n1,2\n", None, "need at least 2 data rows, got 1"),
             # files that look plain to a vectorised reader but are not
             ("a\n1\n\n3\n", None, "row 3 has 0 cells, expected 1"),
+            ("a\n1\n2\n\n\n", None, "row 4 has 0 cells, expected 1"),
             ("\n1\n2\n", None, "row 2 has 1 cells, expected 0"),
             ("a,b\rc\n1,2\n3,4\n", None, "row 2 has 1 cells, expected 2"),
             ("a,date\n1,2016-07-01,9\n2\n", "date", "row 2 has 3 cells, expected 2"),
@@ -131,7 +138,11 @@ class TestLoadCsv:
             ),
         ],
     )
-    def test_error_messages(self, tmp_path, text, timestamp_column, message):
+    # 1-byte blocks hold one line each; a bad file raises its LoadError and no warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
+    def test_error_messages(self, tmp_path, monkeypatch, block_bytes, text, timestamp_column, message):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
         p = write_csv(tmp_path, text)
         with pytest.raises(LoadError) as exc:
             load_csv(p, timestamp_column=timestamp_column)
@@ -268,9 +279,15 @@ def csv_texts(draw):
     return text, stamp_column if stamp_kind else None
 
 
-@settings(max_examples=400, deadline=None)
+def parse_plain(text, timestamp_column):
+    return data._parse_plain(io.BytesIO(text.encode("utf-8")), timestamp_column)
+
+
+# 1-byte blocks hold one line each
+@pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
+@settings(max_examples=300, deadline=None)
 @given(case=csv_texts())
-def test_load_csv_matches_per_cell_reference(tmp_path_factory, case):
+def test_load_csv_matches_per_cell_reference(tmp_path_factory, block_bytes, case):
     text, timestamp_column = case
     p = tmp_path_factory.mktemp("csv") / "series.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -278,7 +295,15 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, case):
         expected = reference_load_csv(p, timestamp_column)
     except LoadError as err:
         expected = str(err)
-    plain = data._parse_plain(text, timestamp_column)
+    default, data._BLOCK_BYTES = data._BLOCK_BYTES, block_bytes
+    try:
+        plain = parse_plain(text, timestamp_column)
+        try:
+            table = load_csv(p, timestamp_column)
+        except LoadError as err:
+            table = str(err)
+    finally:
+        data._BLOCK_BYTES = default
     if plain is not None:
         # the vectorised pass accepts nothing the loop rejects
         assert not isinstance(expected, str), expected
@@ -286,10 +311,8 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, case):
         assert names == expected[0]
         assert values.dtype == np.float64 and values.shape == expected[1].shape
         assert values.tobytes() == expected[1].tobytes()
-    try:
-        table = load_csv(p, timestamp_column)
-    except LoadError as err:
-        assert str(err) == expected
+    if isinstance(expected, str):
+        assert table == expected
         return
     names, values = expected
     assert table.channel_names == names
@@ -313,7 +336,7 @@ def test_plain_files_take_the_vectorised_pass(newline, stamps, timestamp_column)
     text = newline.join(["date,a,b", *rows]) + newline
     if timestamp_column is None:
         text = newline.join(["a,b", *(r.split(",", 1)[1] for r in rows)])
-    names, values = data._parse_plain(text, timestamp_column)
+    names, values = parse_plain(text, timestamp_column)
     assert names == ["a", "b"]
     np.testing.assert_array_equal(values, [[0.5, -0.0], [1.5, -1e-3], [2.5, -2e-3]])
 
@@ -322,9 +345,9 @@ def test_plain_pass_leaves_long_fields_to_the_loop():
     # the csv module refuses a field over its size limit
     old = csv.field_size_limit(8)
     try:
-        assert data._parse_plain("a,b\n1,2\n3,4.0000000001\n", None) is None
-        assert data._parse_plain("abcdefghij,b\n1,2\n3,4\n", None) is None
-        assert data._parse_plain("a,b\n1,2\n3,4\n", None) is not None
+        assert parse_plain("a,b\n1,2\n3,4.0000000001\n", None) is None
+        assert parse_plain("abcdefghij,b\n1,2\n3,4\n", None) is None
+        assert parse_plain("a,b\n1,2\n3,4\n", None) is not None
     finally:
         csv.field_size_limit(old)
 
