@@ -241,9 +241,8 @@ _FLOAT_BYTES[list(b"\x000123456789_+-.eEinfatyINFATY")] = True
 # a timestamp column wider than this is left to the loop, which bounds the
 # (rows x width) byte matrix built to compare stamps
 _MAX_STAMP_WIDTH = 64
-# data lines are checked and parsed in blocks of about this many bytes, so
-# the loader's working memory stays small and it frees no buffer large
-# enough to raise glibc's dynamic mmap threshold
+# data lines are checked and parsed in blocks of about this many bytes, which
+# bounds the loader's working memory beside the table it returns
 _BLOCK_BYTES = 1 << 18
 
 

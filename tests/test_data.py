@@ -138,7 +138,8 @@ class TestLoadCsv:
             ),
         ],
     )
-    # 1-byte blocks hold one line each; a bad file raises its LoadError and no warning
+    # 1-byte blocks hold one line each (a blank line joins the next); a bad file
+    # raises its LoadError and no warning
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
     def test_error_messages(self, tmp_path, monkeypatch, block_bytes, text, timestamp_column, message):
@@ -283,7 +284,7 @@ def parse_plain(text, timestamp_column):
     return data._parse_plain(io.BytesIO(text.encode("utf-8")), timestamp_column)
 
 
-# 1-byte blocks hold one line each
+# 1-byte blocks hold one line each (a blank line joins the next)
 @pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
 @settings(max_examples=300, deadline=None)
 @given(case=csv_texts())
