@@ -54,6 +54,8 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
     except ValueError as err:
         raise CheckpointError(f"{path}: corrupt meta header ({err})") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta header is a JSON {type(meta).__name__}, not an object")
     if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {meta.get('format_version')} unsupported "
@@ -74,4 +76,7 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         raise CheckpointError(f"{path}: meta header lacks key {err}") from None
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
+    except (TypeError, AttributeError) as err:
+        # a header value of the wrong JSON type, met while building the model
+        raise CheckpointError(f"{path}: malformed meta header ({err})") from err
     return model, echo

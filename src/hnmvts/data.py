@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,17 +172,33 @@ def load_csv(path: str | Path, timestamp_column: str | None = None) -> SeriesTab
     return SeriesTable(Tensor(values), names)
 
 
+def _records(path: Path, text: str):
+    """(row number, cells) of each CSV record, counting the header as row 1.
+
+    A record the csv module refuses (a field over its size limit, say) is a
+    LoadError naming the row.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for rownum in itertools.count(1):
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise LoadError(f"{path}: row {rownum}: {err}") from None
+        yield rownum, record
+
+
 def _parse_records(path: Path, text: str, timestamp_column: str | None):
     """(channel names, values) read cell by cell: the definition of a valid file.
 
     Raises LoadError at the first bad record or cell, in file order.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LoadError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
+    records = _records(path, text)
+    first = next(records, None)
+    if first is None:
+        raise LoadError(f"{path}: empty file")
+    header = [h.strip() for h in first[1]]
     ts_idx: int | None = None
     if timestamp_column is not None:
         if timestamp_column not in header:
@@ -190,7 +207,7 @@ def _parse_records(path: Path, text: str, timestamp_column: str | None):
     names = [h for i, h in enumerate(header) if i != ts_idx]
     rows: list[list[float]] = []
     prev_ts: str | float | None = None
-    for rownum, record in enumerate(reader, start=2):
+    for rownum, record in records:
         if len(record) != len(header):
             raise LoadError(f"{path}: row {rownum} has {len(record)} cells, expected {len(header)}")
         vals = []

@@ -126,6 +126,27 @@ def test_corrupt_header_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: [meta], "meta header is a JSON list, not an object"),
+        (lambda meta: {**meta, "heads": 5}, "malformed meta header"),
+        (lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": "3"}},
+         "malformed meta header"),
+    ],
+    ids=["list_header", "int_heads", "string_kernel"],
+)
+def test_wrong_typed_header_rejected(tmp_path, edit, message):
+    bundle = dict(np.load(FIXTURES / "hyper_pcl_dlinear.npz", allow_pickle=False))
+    meta = edit(json.loads(bytes(bundle.pop("meta")).decode()))
+    path = tmp_path / "m.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **bundle)
+    with pytest.raises(CheckpointError, match=message) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("name, variant", [
     ("baseline_dlinear", "baseline"),
     ("hyper_pcl_dlinear", "hyper"),

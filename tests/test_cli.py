@@ -228,6 +228,8 @@ def test_bake_misshaped_array_is_clean_error(tmp_path, capsys):
         ("folder", None, "cannot read: Is a directory"),
         ("latin1.csv", "date,temp °C\n1,2\n2,3\n".encode("latin-1"), "not UTF-8 text at byte 10"),
         ("twice.csv", b"date,a,b, a\n1,2,3,4\n2,3,4,5\n", "duplicate channel name 'a'"),
+        pytest.param("long.csv", b"date,a,b,c\n1,2,3,4\n2,3,4," + b"5" * 131_074 + b"\n",
+                     "row 3: field larger than field limit (131072)", id="long_cell"),
     ],
 )
 def test_eval_unreadable_data_is_clean_error(tmp_path, capsys, name, content, message):

@@ -353,6 +353,18 @@ def test_plain_pass_leaves_long_fields_to_the_loop():
         csv.field_size_limit(old)
 
 
+def test_field_over_the_csv_limit_is_a_located_error(tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("abcdefghij,b\n1,2\n3,4\n")
+    old = csv.field_size_limit(8)
+    try:
+        with pytest.raises(LoadError) as exc:
+            load_csv(p)
+    finally:
+        csv.field_size_limit(old)
+    assert str(exc.value) == f"{p}: row 1: field larger than field limit (8)"
+
+
 class TestChronoSplit:
     def test_exact_721_arithmetic(self):
         t = table_from(np.arange(200.0).reshape(100, 2))

@@ -9,6 +9,7 @@ from hnmvts.numcore import (
     Tensor,
     backward,
     channel_dot,
+    get_default_dtype,
     matmul,
     moving_average,
     no_grad,
@@ -19,6 +20,7 @@ from hnmvts.numcore import (
     tmean,
     tsum,
 )
+from hnmvts.numcore import tensor as tensor_mod
 
 
 def matmul_oracle(a, b):
@@ -70,6 +72,108 @@ class TestMatmul:
         left = matmul(matmul(Tensor(a), Tensor(b)), Tensor(c)).data
         right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
         np.testing.assert_allclose(left, right, atol=1e-9)
+
+    @pytest.mark.parametrize("k, p", [(96, 256), (256, 128)], ids=["96x256", "256x128"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stack_times_matrix_bit_identical_to_numpy(self, rng, request, dtype, k, p):
+        """The MLP trunk's layers (21 channels, lookback 96, widths 256 and 128):
+        forward and grad_a equal numpy's stacked products bit for bit, over
+        two whole row blocks and a part of a third."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n = 21
+        batch = 2 * (tensor_mod._ROW_BLOCK // n) + 5
+        a = Tensor(rng.standard_normal((batch, n, k)), requires_grad=True)
+        b = Tensor(rng.standard_normal((k, p)), requires_grad=True)
+        g = rng.standard_normal((batch, n, p)).astype(get_default_dtype())
+        out = matmul(a, b)
+        assert out.data.dtype == np.dtype(dtype)
+        assert np.array_equal(out.data, a.data @ b.data)
+        grads = backward(tsum(out * Tensor(g)))
+        assert np.array_equal(grads[a].data, g @ np.swapaxes(b.data, -1, -2))
+        assert np.array_equal(grads[b].data, (np.swapaxes(a.data, -1, -2) @ g).sum(axis=0))
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((40, 7, 37), (37, 100)),   # widths whose GEMM kernels may sum in another order
+        ((300, 5, 255), (255, 9)),
+        ((40, 1, 37), (37, 100)),   # one row per matrix: numpy's path
+        ((40, 7, 37), (37, 1)),     # one output column: numpy's path
+        ((40, 7, 1), (1, 100)),     # inner dimension 1: numpy's path
+    ], ids=["k37_p100", "k255_p9", "one_row", "one_column", "inner_one"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stack_times_matrix_within_gemm_error(self, rng, request, dtype, shape_a, shape_b):
+        """Any width: within the dot-product rounding bound of numpy's stacked
+        products, 2 k eps (|a| @ |b|) elementwise; products with a dimension
+        of 1 are numpy's own."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        a = Tensor(rng.standard_normal(shape_a), requires_grad=True)
+        b = Tensor(rng.standard_normal(shape_b), requires_grad=True)
+        g = rng.standard_normal(shape_a[:-1] + shape_b[-1:]).astype(get_default_dtype())
+        out = matmul(a, b)
+        grad_a = backward(tsum(out * Tensor(g)))[a].data
+        eps = np.finfo(get_default_dtype()).eps
+        k, p = shape_b
+        bound = 2 * k * eps * (np.abs(a.data) @ np.abs(b.data))
+        assert (np.abs(out.data - a.data @ b.data) <= bound).all()
+        bound = 2 * p * eps * (np.abs(g) @ np.abs(b.data).T)
+        assert (np.abs(grad_a - g @ b.data.T) <= bound).all()
+        if min(shape_a[1], k, p) == 1:
+            assert np.array_equal(out.data, a.data @ b.data)
+            assert np.array_equal(grad_a, g @ b.data.T)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((4, 5), (5, 3)),
+        ((6, 4, 5), (5, 3)),
+        ((2, 1, 4, 5), (3, 5, 2)),
+    ], ids=["2d", "stack_times_matrix", "broadcast"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gradients_are_adjoint(self, shape_a, shape_b, seed):
+        """matmul is bilinear: <g, J_a da> = <grad_a g, da>, likewise for b."""
+        r = np.random.Generator(np.random.Philox(seed))
+        a = Tensor(r.standard_normal(shape_a), requires_grad=True)
+        b = Tensor(r.standard_normal(shape_b), requires_grad=True)
+        g = r.standard_normal(matmul(a, b).shape)
+        grads = backward(tsum(matmul(a, b) * Tensor(g)))
+        assert grads[a].shape == shape_a and grads[b].shape == shape_b
+        da, db = r.standard_normal(shape_a), r.standard_normal(shape_b)
+        assert np.vdot(g, matmul(Tensor(da), b).data) == pytest.approx(
+            np.vdot(grads[a].data, da), rel=1e-10, abs=1e-12)
+        assert np.vdot(g, matmul(a, Tensor(db)).data) == pytest.approx(
+            np.vdot(grads[b].data, db), rel=1e-10, abs=1e-12)
+
+
+class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_where(self, rng, request, dtype):
+        """Sign bits included, at every length up to 70 (every SIMD tail)."""
+        if dtype == np.float32:
+            request.getfixturevalue("float32_mode")
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                            np.finfo(dtype).tiny, -np.finfo(dtype).tiny, 1.5, -1.5], dtype=dtype)
+        for length in range(1, 71):
+            x = np.where(rng.random(length) < 0.5, rng.choice(special, length),
+                         rng.standard_normal(length)).astype(dtype)
+            want = np.where(x > 0, x, 0.0).astype(dtype)
+            out = relu(Tensor(x)).data
+            assert out.dtype == dtype and out.tobytes() == want.tobytes(), x
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gradient_is_adjoint(self, seed):
+        """<g, J v> = <J^T g, v>, with J v taken as a difference along v over a
+        step too short for any entry to change sign."""
+        r = np.random.Generator(np.random.Philox(seed))
+        x = r.standard_normal((3, 4, 5))
+        x = np.where(np.abs(x) < 0.1, 0.1, x)
+        v, g = r.standard_normal(x.shape), r.standard_normal(x.shape)
+        step = 0.05 / np.abs(v).max()
+        a = Tensor(x, requires_grad=True)
+        jt_g = backward(tsum(relu(a) * Tensor(g)))[a].data
+        j_v = (relu(Tensor(x + step * v)).data - relu(Tensor(x)).data) / step
+        assert np.vdot(g, j_v) == pytest.approx(np.vdot(jt_g, v), rel=1e-9, abs=1e-12)
 
 
 class TestBackward:
