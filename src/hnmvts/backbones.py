@@ -10,7 +10,9 @@ model's array store, which it reads by name. Two backbones ship:
 * DLinearBackbone - moving-average trend/seasonal decomposition with identity
   hidden maps (D = T) and one final layer per branch; it owns no arrays.
 * MlpBackbone - a trunk of Linear+ReLU layers shared across channels, owning
-  `trunk.i.w` (fan_in, width) and `trunk.i.b` (width,).
+  `trunk.i.w` (fan_in, width) and `trunk.i.b` (width,). That one stack's names
+  and shapes, fan-in draws and forward (`stack_shapes`, `draw_fan_in`,
+  `stack_forward`) also build and run the `shared_mlp` weight generator.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ __all__ = [
     "from_config",
     "apply_final",
     "uniform_fan_in",
+    "draw_fan_in",
+    "stack_shapes",
+    "stack_forward",
 ]
 
 
@@ -42,6 +47,34 @@ def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, the plain-linear-layer default."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def draw_fan_in(rng: np.random.Generator, shapes: dict) -> dict[str, np.ndarray]:
+    """Fan-in draws in `shapes` order; a bias shares the fan-in of the weight `*.w` before it."""
+    out = {}
+    for name, shape in shapes.items():
+        if name.endswith(".w"):
+            fan_in = shape[0]
+        out[name] = uniform_fan_in(rng, shape, fan_in)
+    return out
+
+
+def stack_shapes(prefix: str, fan_in: int, widths) -> dict[str, tuple[int, ...]]:
+    """A Linear+ReLU stack's `<prefix>.i.w` (fan_in, width), then `<prefix>.i.b` (width,)."""
+    if min(widths, default=1) < 1:
+        raise ValueError(f"layer widths must be >= 1, got {tuple(widths)}")
+    out = {}
+    for i, width in enumerate(widths):
+        out[f"{prefix}.{i}.w"], out[f"{prefix}.{i}.b"] = (fan_in, width), (width,)
+        fan_in = width
+    return out
+
+
+def stack_forward(h: Tensor, arrays: list[Tensor]) -> Tensor:
+    """relu(h @ w + b) for each layer; `arrays` in `stack_shapes` order."""
+    for w, b in zip(arrays[::2], arrays[1::2]):
+        h = relu(add(matmul(h, w), b))
+    return h
 
 
 def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
@@ -106,18 +139,13 @@ class MlpBackbone:
             raise ValueError("MlpBackbone needs at least one layer width")
         self.lookback = lookback
         self.hidden_widths = tuple(int(w) for w in hidden_widths)
-        if min(self.hidden_widths) < 1:
-            raise ValueError(f"MlpBackbone widths must be >= 1, got {self.hidden_widths}")
+        self._shapes = stack_shapes("trunk", lookback, self.hidden_widths)
         if weights is None:
             if rng is None:
                 raise ValueError("MlpBackbone needs an rng when weights are not supplied")
-            weights = {}
-            for name, shape in self.shapes().items():
-                if name.endswith(".w"):
-                    fan_in = shape[0]  # the layer's bias, drawn next, shares it
-                weights[name] = Tensor(uniform_fan_in(rng, shape, fan_in), requires_grad=True)
+            weights = {name: Tensor(a, requires_grad=True)
+                       for name, a in draw_fan_in(rng, self._shapes).items()}
         self.weights = weights
-        self._layers = [(f"trunk.{i}.w", f"trunk.{i}.b") for i in range(len(self.hidden_widths))]
 
     @property
     def hidden_dim(self) -> int:
@@ -129,20 +157,11 @@ class MlpBackbone:
 
     def forward_hidden(self, x: Tensor) -> list[Tensor]:
         """The trunk's output, the one hidden state of the `out` slot."""
-        h = x
-        for w, b in self._layers:
-            h = relu(add(matmul(h, self.weights[w]), self.weights[b]))
-        return [h]
+        return [stack_forward(x, [self.weights[name] for name in self._shapes])]
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        """Names and shapes of the trunk's arrays, layer by layer, weight before bias."""
-        out = {}
-        fan_in = self.lookback
-        for i, width in enumerate(self.hidden_widths):
-            out[f"trunk.{i}.w"] = (fan_in, width)
-            out[f"trunk.{i}.b"] = (width,)
-            fan_in = width
-        return out
+        """Names and shapes of the trunk's arrays (see `stack_shapes`)."""
+        return dict(self._shapes)
 
     def parameters(self) -> dict[str, Tensor]:
         return {name: self.weights[name] for name in self.shapes()}

@@ -136,8 +136,7 @@ def cmd_eval(args) -> int:
     split = SplitSpec(tuple(ratios), truncate_to=echo.get("truncate_to")) if ratios else SplitSpec()
     table = load_csv(args.data, timestamp_column=echo.get("timestamp_column"))
     segments = dict(zip(("train", "val", "test"), chrono_split(table, split)))
-    lookback = echo.get("lookback", model.backbone.lookback)
-    windows = make_windows(segments[args.split], lookback, model.horizon)
+    windows = make_windows(segments[args.split], model.backbone.lookback, model.horizon)
     metrics = evaluate(model, windows)
     print(json.dumps({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]}))
     return 0

@@ -5,6 +5,9 @@ echo; arrays are stored bit-exact in their native float width under the
 names `ForecastModel.all_arrays` uses, each prefixed with `param/`. Loading
 checks every array against the names and shapes the header decides, so a
 missing, foreign or mis-shaped array is a CheckpointError naming it.
+Format 2 is written; format 1, which also stored `n_channels` and one
+`heads` entry per slot in place of the one `generator`, is still read, and
+only here: `_from_format_1` turns its header into the format-2 form.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .hypernet import ForecastModel, StoreError
+from .numcore import Tensor
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -56,20 +60,15 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         raise CheckpointError(f"{path}: corrupt meta header ({err})") from None
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: meta header is a JSON {type(meta).__name__}, not an object")
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {meta.get('format_version')} unsupported "
-            f"(expected {FORMAT_VERSION})"
-        )
+    if (version := meta.pop("format_version", None)) not in (1, FORMAT_VERSION):
+        raise CheckpointError(f"{path}: format version {version} is not 1 or {FORMAT_VERSION}")
     echo = meta.pop("config_echo", {})
-    del meta["format_version"]
-    arrays = {
-        key[len("param/") :]: np.asarray(bundle[key])
-        for key in bundle.files
-        if key.startswith("param/")
-    }
+    arrays = {key[len("param/") :]: Tensor(bundle[key])
+              for key in bundle.files if key.startswith("param/")}
     try:
-        model = ForecastModel.from_config(meta, arrays)
+        if version == 1:
+            meta = _from_format_1(meta, arrays)
+        model = ForecastModel(meta, arrays)
     except StoreError as err:
         raise CheckpointError(f"{path}: array 'param/{err.name}' {err.problem}") from None
     except KeyError as err:
@@ -80,3 +79,24 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         # a header value of the wrong JSON type, met while building the model
         raise CheckpointError(f"{path}: malformed meta header ({err})") from err
     return model, echo
+
+
+def _from_format_1(meta: dict, arrays: dict[str, Tensor]) -> dict:
+    """A format-1 header in its format-2 form. The hidden widths are the sizes of
+    the first slot's stored biases, so a cut bias is reported as its weight."""
+    n, names = meta.pop("n_channels"), meta["channel_names"]
+    if n != len(names):
+        raise CheckpointError(f"n_channels is {n}, but channel_names holds {len(names)} names")
+    if meta["variant"] != "hyper":
+        return meta
+    (slot, head), *others = meta.pop("heads").items()
+    modes = sorted({head["mode"], *(h["mode"] for _, h in others)})
+    if len(modes) > 1:
+        raise CheckpointError(f"heads name different generator modes {modes}; format 2 has one")
+    hidden = []
+    for i in range(head["n_mlp_layers"] - 1):
+        if (bias := f"head.{slot}.mlp.{i}.b") not in arrays:
+            raise StoreError(bias, "is missing")
+        hidden.append(arrays[bias].size)
+    meta["generator"] = {"mode": head["mode"], "hidden": hidden}
+    return meta

@@ -1,9 +1,12 @@
 """Channel embeddings, weight generators, and the model in its three forms.
 
 A model is its config (`ForecastModel.config()`, the checkpoint header)
-plus one store of named arrays. The config decides every array's name and
-shape (`_array_shapes`); the store is checked against it once, when the model
-is built, and a missing, foreign or mis-shaped array raises a `StoreError`
+plus one store of named arrays. The config states each fact once:
+`variant`, `revin`, `horizon`, `channel_names` (N is their count), `backbone`
+and, for a hyper model, `embedding` and one `generator` {"mode", "hidden"}
+for every slot. It alone decides every array's name and shape
+(`_array_shapes`); the store is checked against it once, when the model is
+built, and a missing, foreign or mis-shaped array raises a `StoreError`
 naming it. The names:
 
 * `trunk.i.w`, `trunk.i.b` - the backbone's own arrays (MLP trunk only);
@@ -16,9 +19,10 @@ Each channel owns a learnable d-vector; a generator maps it to that
 channel's final-layer matrix. Two generator modes:
 
 * per_channel_linear - W[n] = w_phi[n] . z[n], one (H x D x d) block per
-  channel, no cross-channel coupling inside the generator.
+  channel, no cross-channel coupling inside the generator; `hidden` is [].
 * shared_mlp - one small MLP applied to every channel's embedding (channels
-  as the batch axis), hidden layers with biases, bias-free output.
+  as the batch axis): the `backbones` Linear+ReLU stack of widths `hidden`,
+  then a bias-free output layer `head.<slot>.mlp.<len(hidden)>.w`.
 
 Because generated weights do not depend on the input window, `bake`
 materializes them once after training and drops the generator, leaving a
@@ -35,10 +39,10 @@ from typing import Sequence
 import numpy as np
 
 from . import backbones
-from .backbones import apply_final, uniform_fan_in
+from .backbones import apply_final, draw_fan_in, stack_forward, stack_shapes, uniform_fan_in
 from .data import SeriesTable, pearson_corr
 from .normalization import InstanceStats, revin_forward, revin_reverse
-from .numcore import Tensor, add, channel_dot, matmul, no_grad, pca_project, relu, reshape
+from .numcore import Tensor, channel_dot, matmul, no_grad, pca_project, reshape
 
 __all__ = [
     "ForecastModel",
@@ -77,6 +81,17 @@ def init_embeddings(train: SeriesTable, d: int) -> np.ndarray:
     return pca_project(pearson_corr(train), d).data.copy()
 
 
+def _generator_shapes(gen: dict, prefix: str, n: int, d: int, horizon: int, dim: int) -> dict:
+    """Names and shapes of the `gen`-configured generator of a width-`dim` slot, in store order."""
+    if gen["mode"] == "per_channel_linear":
+        return {f"{prefix}.w_phi": (n, horizon, dim, d)}
+    if gen["mode"] != "shared_mlp":
+        raise ValueError(f"unknown generator mode '{gen['mode']}'")
+    hidden = gen["hidden"]
+    return {**stack_shapes(f"{prefix}.mlp", d, hidden),
+            f"{prefix}.mlp.{len(hidden)}.w": (hidden[-1] if hidden else d, horizon * dim)}
+
+
 def init_generator(
     z: np.ndarray,
     horizon: int,
@@ -91,26 +106,17 @@ def init_generator(
     plain-layer uniform fan-in law scaled by 1/|z[n]| so the initial
     generated W matches a directly-initialized (H x D) layer in
     distribution. shared_mlp returns each hidden layer's weight and bias,
-    then the bias-free output weight.
+    then the bias-free output weight, each drawn by fan-in.
     """
-    if any(width < 1 for width in gen_hidden):
-        raise ValueError(f"generator hidden widths must be >= 1, got {tuple(gen_hidden)}")
     n, d = z.shape
-    if mode == "per_channel_linear":
-        base = uniform_fan_in(rng, (n, horizon, hidden_dim, d), fan_in=hidden_dim)
-        norms = np.linalg.norm(z, axis=1)
-        norms = np.where(norms < 1e-8, 1.0, norms)
-        return [base / norms[:, None, None, None]]
+    shapes = _generator_shapes({"mode": mode, "hidden": gen_hidden}, "head", n, d, horizon,
+                               hidden_dim)
     if mode == "shared_mlp":
-        arrays = []
-        fan_in = d
-        for width in gen_hidden:
-            arrays.append(uniform_fan_in(rng, (fan_in, width), fan_in))
-            arrays.append(uniform_fan_in(rng, (width,), fan_in))
-            fan_in = width
-        arrays.append(uniform_fan_in(rng, (fan_in, horizon * hidden_dim), fan_in))
-        return arrays
-    raise ValueError(f"unknown generator mode '{mode}'")
+        return list(draw_fan_in(rng, shapes).values())
+    base = uniform_fan_in(rng, shapes["head.w_phi"], fan_in=hidden_dim)
+    norms = np.linalg.norm(z, axis=1)
+    norms = np.where(norms < 1e-8, 1.0, norms)
+    return [base / norms[:, None, None, None]]
 
 
 def generate_weights(mode: str, z: Tensor, gen: list[Tensor], horizon: int) -> Tensor:
@@ -120,30 +126,16 @@ def generate_weights(mode: str, z: Tensor, gen: list[Tensor], horizon: int) -> T
     """
     if mode == "per_channel_linear":
         return channel_dot(gen[0], z)
-    a = z
-    for w, b in zip(gen[:-1:2], gen[1::2]):
-        a = relu(add(matmul(a, w), b))
-    flat = matmul(a, gen[-1])
+    flat = matmul(stack_forward(z, gen[:-1]), gen[-1])
     return reshape(flat, (z.shape[0], horizon, flat.shape[1] // horizon))
 
 
-def _head_names(slot: str, head: dict) -> list[str]:
-    """The names of one slot's generator arrays, in store order."""
-    prefix = f"head.{slot}"
-    if head["mode"] == "per_channel_linear":
-        return [f"{prefix}.w_phi"]
-    last = head["n_mlp_layers"] - 1
-    return [f"{prefix}.mlp.{i}.{p}" for i in range(last) for p in "wb"] + [f"{prefix}.mlp.{last}.w"]
-
-
-def _array_shapes(cfg: dict, backbone, arrays) -> dict[str, tuple[int, ...]]:
+def _array_shapes(cfg: dict, backbone) -> dict[str, tuple[int, ...]]:
     """Every array's name and shape, in store order, as a model config decides them.
 
-    `backbone` is the one `cfg["backbone"]` describes. A shared_mlp
-    generator's hidden widths are the one size the config does not record:
-    each is read from the size of its layer's bias in `arrays`.
+    `backbone` is the one `cfg["backbone"]` describes.
     """
-    n, horizon = cfg["n_channels"], cfg["horizon"]
+    n, horizon = len(cfg["channel_names"]), cfg["horizon"]
     shapes = backbone.shapes()
     if cfg["variant"] != "hyper":
         shapes.update({f"final.{slot}.w": (n, horizon, dim) for slot, dim in backbone.slots})
@@ -151,22 +143,7 @@ def _array_shapes(cfg: dict, backbone, arrays) -> dict[str, tuple[int, ...]]:
     d = cfg["embedding"]["dim"]
     shapes["embed.z"] = (n, d)
     for slot, dim in backbone.slots:
-        head = cfg["heads"][slot]
-        if head["mode"] not in GENERATOR_MODES:
-            raise ValueError(f"unknown generator mode '{head['mode']}'")
-        if head["hidden_dim"] != dim:
-            raise ValueError(f"heads.{slot}.hidden_dim is {head['hidden_dim']}, "
-                             f"but the backbone's {slot} slot has {dim}")
-        names = _head_names(slot, head)
-        if head["mode"] == "per_channel_linear":
-            shapes[names[0]] = (n, horizon, dim, d)
-            continue
-        fan_in = d
-        for w, b in zip(names[:-1:2], names[1::2]):
-            width = arrays[b].size if b in arrays else 0
-            shapes[w], shapes[b] = (fan_in, width), (width,)
-            fan_in = width
-        shapes[names[-1]] = (fan_in, horizon * dim)
+        shapes.update(_generator_shapes(cfg["generator"], f"head.{slot}", n, d, horizon, dim))
     return shapes
 
 
@@ -188,7 +165,7 @@ class ForecastModel:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant '{variant}'")
         self.backbone = backbones.from_config(cfg["backbone"], arrays)
-        shapes = _array_shapes(cfg, self.backbone, arrays)
+        shapes = _array_shapes(cfg, self.backbone)
         for name in shapes:
             if name not in arrays:
                 raise StoreError(name, "is missing")
@@ -208,12 +185,12 @@ class ForecastModel:
         self._arrays = arrays
         self.variant = variant
         self.revin = cfg["revin"]
-        self.n_channels = cfg["n_channels"]
         self.horizon = cfg["horizon"]
         self.channel_names = cfg["channel_names"]
         slots = [slot for slot, _ in self.backbone.slots]
         if variant == "hyper":
-            self._heads = [(cfg["heads"][s]["mode"], _head_names(s, cfg["heads"][s])) for s in slots]
+            self._mode = cfg["generator"]["mode"]
+            self._heads = [[k for k in shapes if k.startswith(f"head.{s}.")] for s in slots]
         else:
             self._finals = [f"final.{s}.w" for s in slots]
 
@@ -223,8 +200,8 @@ class ForecastModel:
         a = self._arrays
         if self.variant != "hyper":
             return [a[name] for name in self._finals]
-        return [generate_weights(mode, a["embed.z"], [a[name] for name in names], self.horizon)
-                for mode, names in self._heads]
+        return [generate_weights(self._mode, a["embed.z"], [a[name] for name in names],
+                                 self.horizon) for names in self._heads]
 
     def _core(self, x: Tensor) -> Tensor:
         return apply_final(self._final_weights(), self.backbone.forward_hidden(x))
@@ -262,17 +239,8 @@ class ForecastModel:
 
     # serialisation ----------------------------------------------------------
     def config(self) -> dict:
-        """JSON-ready description; with `all_arrays` it rebuilds the model."""
+        """JSON-ready description; `ForecastModel(config(), all_arrays())` rebuilds the model."""
         return copy.deepcopy(self._cfg)
-
-    @classmethod
-    def from_config(cls, cfg: dict, arrays: dict[str, np.ndarray]) -> "ForecastModel":
-        """Inverse of `config` plus `all_arrays`; the arrays are checked and wrapped.
-
-        A missing header key raises KeyError naming it, a missing, foreign or
-        mis-shaped array a StoreError.
-        """
-        return cls(cfg, {name: Tensor(a) for name, a in arrays.items()})
 
 
 def bake(model: ForecastModel) -> ForecastModel:
@@ -290,7 +258,7 @@ def bake(model: ForecastModel) -> ForecastModel:
         for (slot, _), w in zip(model.backbone.slots, model._final_weights()):
             arrays[f"final.{slot}.w"] = Tensor(w.data.copy())
     cfg = model.config()
-    del cfg["heads"], cfg["embedding"]
+    del cfg["generator"], cfg["embedding"]
     cfg["variant"] = "baked"
     return ForecastModel(cfg, arrays)
 
@@ -338,7 +306,6 @@ def _config(variant: str, backbone, n: int, horizon: int, revin: bool,
     return {
         "variant": variant,
         "revin": revin,
-        "n_channels": n,
         "horizon": horizon,
         "channel_names": list(channel_names or [f"ch{i}" for i in range(n)]),
         "backbone": backbone.config(),
@@ -382,18 +349,14 @@ def build_hyper(
     n = train.n_channels
     d = n if d is None else int(d)
     cfg = _config("hyper", backbone, n, horizon, revin, train.channel_names)
-    cfg["heads"] = {}
     cfg["embedding"] = {"dim": d, "learnable": bool(learnable_z)}
+    cfg["generator"] = {"mode": mode, "hidden": list(gen_hidden) if mode == "shared_mlp" else []}
     arrays = dict(backbone.parameters())
     arrays["embed.z"] = Tensor(init_embeddings(train, d))
     for slot, dim in backbone.slots:
         gen = init_generator(arrays["embed.z"].data, horizon, dim, mode, rng, gen_hidden)
-        head = cfg["heads"][slot] = {
-            "mode": mode,
-            "hidden_dim": dim,
-            "n_mlp_layers": len(gen_hidden) + 1 if mode == "shared_mlp" else 0,
-        }
-        arrays.update(zip(_head_names(slot, head), (Tensor(a) for a in gen)))
+        names = _generator_shapes(cfg["generator"], f"head.{slot}", n, d, horizon, dim)
+        arrays.update(zip(names, map(Tensor, gen)))
     return ForecastModel(cfg, arrays)
 
 

@@ -344,10 +344,9 @@ def relu(a: Tensor) -> Tensor:
     faster than `np.where`'s scalar-broadcast path.
     """
     a = _as_tensor(a)
-    mask = a.data > 0
     out = np.fmax(a.data, 0.0)
     out += 0.0
-    return _make_node(out, (a,), (lambda g: g * mask,))
+    return _make_node(out, (a,), (lambda g: g * (a.data > 0),))
 
 
 def sqrt(a: Tensor) -> Tensor:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hnmvts.backbones import DLinearBackbone, MlpBackbone
-from hnmvts.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from hnmvts.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint, save_checkpoint
 from hnmvts.data import SeriesTable
-from hnmvts.hypernet import bake, build_baseline, build_hyper
+from hnmvts.hypernet import GENERATOR_MODES, bake, build_baseline, build_hyper
 from hnmvts.numcore import Tensor, no_grad
 
 FIXTURES = Path(__file__).parent / "data"
@@ -142,6 +142,80 @@ def test_wrong_typed_header_rejected(tmp_path, edit, message):
     path = tmp_path / "m.npz"
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **bundle)
+    with pytest.raises(CheckpointError, match=message) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("variant, mode", [("baseline", None)] + [
+    (variant, mode) for variant in ("hyper", "baked") for mode in GENERATOR_MODES])
+@pytest.mark.parametrize("backbone_kind", ["dlinear", "mlp"])
+def test_format_2_roundtrip_bit_exact(tmp_path, rng, backbone_kind, variant, mode):
+    """Every backbone x variant x generator mode is written as format 2 and
+    read back with the same bits and the same forecasts."""
+    bb = DLinearBackbone(8, 3) if backbone_kind == "dlinear" else MlpBackbone(8, (6,), rng=rng)
+    if variant == "baseline":
+        model = build_baseline(bb, 3, 4, rng)
+    else:
+        model = build_hyper(bb, toy_table(rng), 4, rng, mode=mode, gen_hidden=(5, 2))
+        model = bake(model) if variant == "baked" else model
+    path = tmp_path / "m.npz"
+    save_checkpoint(model, path)
+    meta = json.loads(bytes(np.load(path)["meta"]).decode())
+    assert meta["format_version"] == FORMAT_VERSION == 2
+    assert "n_channels" not in meta and "heads" not in meta
+    if variant == "hyper":
+        hidden = [5, 2] if mode == "shared_mlp" else []
+        assert meta["generator"] == {"mode": mode, "hidden": hidden}
+    else:
+        assert "generator" not in meta
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config() == model.config()
+    before, after = model.all_arrays(), loaded.all_arrays()
+    assert list(after) == list(before)
+    for key in before:
+        assert after[key].data.tobytes() == before[key].data.tobytes(), key
+    x = Tensor(rng.standard_normal((2, 3, 8)))
+    with no_grad():
+        assert loaded.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
+
+def test_fixtures_stay_format_1():
+    """The fixtures pin how format 1 reads; they are never rewritten as format 2."""
+    paths = sorted(FIXTURES.glob("*.npz"))
+    assert len(paths) == 4
+    for path in paths:
+        assert json.loads(bytes(np.load(path)["meta"]).decode())["format_version"] == 1, path
+
+
+def format_1_copy(tmp_path, name, edit):
+    """A copy of fixture `name` with `edit` applied to its (meta, arrays)."""
+    path = tmp_path / f"{name}.npz"
+    path.write_bytes((FIXTURES / f"{name}.npz").read_bytes())
+    rewrite(path, edit)
+    return path
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("hyper_pcl_dlinear", lambda meta, arrays: meta.update(channel_names=["a", "b"]),
+         "n_channels is 3, but channel_names holds 2 names"),
+        ("baseline_dlinear", lambda meta, arrays: meta.update(n_channels=4),
+         "n_channels is 4, but channel_names holds 3 names"),
+        ("hyper_pcl_dlinear", lambda meta, arrays: meta["heads"]["seasonal"].update(
+            mode="shared_mlp"), r"generator modes \['per_channel_linear', 'shared_mlp'\]"),
+        ("hyper_shared_mlp", lambda meta, arrays: arrays.pop("param/head.out.mlp.0.b"),
+         "array 'param/head.out.mlp.0.b' is missing"),
+        # format 1 reads a hidden width from its bias, so a cut bias is
+        # reported as its layer's weight
+        ("hyper_shared_mlp", cut("param/head.out.mlp.0.b"),
+         r"array 'param/head.out.mlp.0.w' has shape \(2, 3\), expected \(2, 2\)"),
+    ],
+    ids=["names_short", "count_long", "mixed_modes", "missing_bias", "cut_bias"],
+)
+def test_format_1_header_checked(tmp_path, name, edit, message):
+    path = format_1_copy(tmp_path, name, edit)
     with pytest.raises(CheckpointError, match=message) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)

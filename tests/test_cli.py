@@ -245,3 +245,67 @@ def test_eval_unreadable_data_is_clean_error(tmp_path, capsys, name, content, me
     err = capsys.readouterr().err
     assert f"error: {data}: {message}" in err
     assert "Traceback" not in err
+
+
+def fixture_copy(tmp_path, name, edit):
+    """A copy of checkpoint fixture `name` with `edit` applied to its header."""
+    from pathlib import Path
+
+    bundle = dict(np.load(Path(__file__).parent / "data" / f"{name}.npz"))
+    meta = json.loads(bytes(bundle.pop("meta")).decode())
+    edit(meta)
+    path = tmp_path / f"{name}.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **bundle)
+    return path
+
+
+def test_eval_takes_lookback_from_the_model(tmp_path, capsys):
+    """The config echo's lookback is a record of the run, not a second source."""
+    data = tmp_path / "abc.csv"
+    rows = np.random.default_rng(0).standard_normal((200, 3))
+    data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    outputs = []
+    for lookback in (8, 5):
+        ckpt = fixture_copy(tmp_path, "hyper_pcl_dlinear",
+                            lambda meta: meta["config_echo"].update(lookback=lookback))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+def test_export_embeddings_channel_count_mismatch_is_clean_error(tmp_path, capsys):
+    ckpt = fixture_copy(tmp_path, "hyper_pcl_dlinear",
+                        lambda meta: meta.update(channel_names=["a", "b"]))
+    out = tmp_path / "emb.csv"
+    assert main(["export-embeddings", "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}: n_channels is 3, but channel_names holds 2 names" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bake_format_1_writes_format_2(tmp_path, capsys):
+    """Baking a format-1 hyper file gives a format-2 file that reloads bit-exact
+    and forecasts like the baked format-1 fixture."""
+    from pathlib import Path
+
+    from hnmvts.checkpoint import load_checkpoint
+    from hnmvts.hypernet import bake
+    from hnmvts.numcore import Tensor, no_grad
+
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "baked.npz"
+    assert main(["bake", "--checkpoint", str(data / "hyper_shared_mlp.npz"),
+                 "--out", str(out)]) == 0
+    meta = json.loads(bytes(np.load(out)["meta"]).decode())
+    assert meta["format_version"] == 2 and meta["variant"] == "baked"
+    assert meta["config_echo"] == {"lookback": 8}
+    loaded, _ = load_checkpoint(out)
+    expected = bake(load_checkpoint(data / "hyper_shared_mlp.npz")[0]).all_arrays()
+    assert list(loaded.all_arrays()) == list(expected)
+    for name, t in loaded.all_arrays().items():
+        assert t.data.tobytes() == expected[name].data.tobytes(), name
+    with no_grad():
+        pred = loaded.forward(Tensor(np.load(data / "input.npy"))).data
+    assert pred.tobytes() == np.load(data / "baked_mlp.forecast.npy").tobytes()

@@ -127,22 +127,21 @@ class TestGenerateWeights:
             shared_mlp(Tensor(rng.standard_normal((4, 3))), rng, 2, 3, gen_hidden=(5, 0))
 
     def test_mode_mismatch_rejected(self, rng):
-        """A head config that disagrees with the stored arrays or the backbone is refused."""
+        """A generator config that disagrees with the stored arrays is refused."""
         table = toy_table(rng)
         for mode, other in [("per_channel_linear", "shared_mlp"),
                             ("shared_mlp", "per_channel_linear")]:
             model = build_hyper(DLinearBackbone(8, 3), table, 4, rng, mode=mode)
             cfg = model.config()
-            for head in cfg["heads"].values():
-                head.update(mode=other, n_mlp_layers=1)
+            cfg["generator"]["mode"] = other
             with pytest.raises(StoreError, match="head.trend.* is missing"):
                 ForecastModel(cfg, dict(model.all_arrays()))
-        cfg["heads"]["trend"]["mode"] = "bogus"
+        cfg["generator"]["mode"] = "bogus"
         with pytest.raises(ValueError, match="unknown generator mode 'bogus'"):
             ForecastModel(cfg, dict(model.all_arrays()))
         cfg = model.config()
-        cfg["heads"]["seasonal"]["hidden_dim"] = 7
-        with pytest.raises(ValueError, match="hidden_dim is 7, but the backbone's seasonal slot has 8"):
+        cfg["generator"]["hidden"] = [4]
+        with pytest.raises(StoreError, match="'head.trend.mlp.0.b' is missing"):
             ForecastModel(cfg, dict(model.all_arrays()))
 
 
@@ -194,11 +193,11 @@ class TestHyperForward:
         w_phi_t = np.zeros((1, 2, 3, 2))
         w_phi_t[0, :, :, 0] = [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
         w_phi_s = np.zeros((1, 2, 3, 2))
-        head = {"mode": "per_channel_linear", "hidden_dim": 3, "n_mlp_layers": 0}
         cfg = {
-            "variant": "hyper", "revin": False, "n_channels": 1, "horizon": 2,
-            "channel_names": ["ch0"], "backbone": DLinearBackbone(lookback=3, kernel=1).config(),
-            "heads": {"trend": head, "seasonal": head}, "embedding": {"dim": 2, "learnable": True},
+            "variant": "hyper", "revin": False, "horizon": 2, "channel_names": ["ch0"],
+            "backbone": DLinearBackbone(lookback=3, kernel=1).config(),
+            "embedding": {"dim": 2, "learnable": True},
+            "generator": {"mode": "per_channel_linear", "hidden": []},
         }
         model = ForecastModel(cfg, {
             "embed.z": Tensor([[1.0, -1.0]]),
@@ -348,10 +347,7 @@ class TestStore:
                 cut = dict(arrays, **{name: Tensor(t.data[..., :-1])})
                 with pytest.raises(StoreError, match="has shape") as info:
                     ForecastModel(cfg, cut)
-                # a shared_mlp hidden width is read from its bias, so a cut
-                # bias shows as a mismatch of the layer's weight
-                expected = name[:-1] + "w" if ".mlp." in name and name.endswith(".b") else name
-                assert info.value.name == expected
+                assert info.value.name == name
 
     def test_missing_and_foreign_arrays_named(self, rng):
         for model in every_form(rng):

@@ -7,16 +7,20 @@ from hnmvts.numcore import (
     DimensionError,
     Tape,
     Tensor,
+    add,
     backward,
     channel_dot,
+    div,
     get_default_dtype,
     matmul,
     moving_average,
+    mul,
     no_grad,
     relu,
     reshape,
     sqrt,
     square,
+    sub,
     tmean,
     tsum,
 )
@@ -392,6 +396,95 @@ class TestReductions:
         x = Tensor([4.0], requires_grad=True)
         grads = backward(tsum(sqrt(x)))
         np.testing.assert_allclose(grads[x].data, [0.25], atol=1e-12)
+
+
+def assert_adjoint(r, f, xs, jvps):
+    """<g, J_i v> == <J_i^T g, v> for each input x_i of `f`, with `jvps[i](v)`
+    the directional derivative J_i v written out in numpy and J_i^T g the
+    gradient that `backward` returns for x_i."""
+    ts = [Tensor(x, requires_grad=True) for x in xs]
+    out = f(*ts)
+    g = r.standard_normal(out.shape)
+    grads = backward(tsum(mul(out, Tensor(g))), ts)
+    for t, jvp in zip(ts, jvps):
+        v = r.standard_normal(t.shape)
+        assert grads[t].shape == t.shape
+        assert np.vdot(g, jvp(v)) == pytest.approx(np.vdot(grads[t].data, v), rel=1e-10,
+                                                   abs=1e-12)
+
+
+def away_from_zero(r, shape):
+    """Normal draws pushed to |x| >= 0.5, so 1/x and sqrt(|x|) stay tame."""
+    x = r.standard_normal(shape)
+    return np.sign(x + 1e-300) * (0.5 + np.abs(x))
+
+
+class TestAdjoint:
+    """Dot-product tests of every differentiable op not covered above."""
+
+    BROADCAST = [((3, 4), (3, 4)), ((3, 4), (4,)), ((2, 1, 4), (3, 1)), ((3, 1), (1, 4)),
+                 ((), (2, 3))]
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("shapes", BROADCAST, ids=["same", "trailing", "3d", "outer", "scalar"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_binary(self, op, shapes, seed):
+        r = np.random.Generator(np.random.Philox(seed))
+        a, b = r.standard_normal(shapes[0]), away_from_zero(r, shapes[1])
+        out_shape = np.broadcast_shapes(*shapes)
+
+        def spread(v):
+            return np.broadcast_to(v, out_shape)
+
+        f = {"add": add, "sub": sub, "mul": mul, "div": div}[op]
+        jvps = {
+            "add": (spread, spread),
+            "sub": (spread, lambda v: -spread(v)),
+            "mul": (lambda v: v * b, lambda v: a * v),
+            "div": (lambda v: v / b, lambda v: -a * v / (b * b)),
+        }[op]
+        assert_adjoint(r, f, [a, b], jvps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sqrt_and_square(self, seed):
+        r = np.random.Generator(np.random.Philox(seed))
+        x = np.abs(away_from_zero(r, (3, 5)))
+        assert_adjoint(r, sqrt, [x], [lambda v: v / (2.0 * np.sqrt(x))])
+        x = r.standard_normal((4, 2, 3))
+        assert_adjoint(r, square, [x], [lambda v: 2.0 * x * v])
+
+    @pytest.mark.parametrize("reduce", ["tsum", "tmean"])
+    @pytest.mark.parametrize("axis", [None, 0, -1, (0, 2)], ids=["all", "0", "-1", "0_2"])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reductions(self, reduce, axis, keepdims, seed):
+        r = np.random.Generator(np.random.Philox(seed))
+        x = r.standard_normal((3, 4, 2))
+        f = {"tsum": tsum, "tmean": tmean}[reduce]
+        ref = {"tsum": np.sum, "tmean": np.mean}[reduce]
+        assert_adjoint(r, lambda t: f(t, axis=axis, keepdims=keepdims), [x],
+                       [lambda v: ref(v, axis=axis, keepdims=keepdims)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([((2, 6), (3, 4)), ((2, 6), (12,)), ((4, 3, 2), (2, 12))]))
+    def test_reshape(self, seed, shape):
+        r = np.random.Generator(np.random.Philox(seed))
+        assert_adjoint(r, lambda t: reshape(t, shape[1]), [r.standard_normal(shape[0])],
+                       [lambda v: v.reshape(shape[1])])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 30), data=st.data())
+    def test_moving_average(self, seed, length, data):
+        """Every odd kernel up to the length, against the dense banded operator."""
+        kernel = data.draw(st.sampled_from(range(1, length + 1, 2)), label="kernel")
+        r = np.random.Generator(np.random.Philox(seed))
+        m = TestMovingAverage.ma_operator(length, kernel)
+        assert_adjoint(r, lambda t: moving_average(t, kernel), [r.standard_normal((2, 3, length))],
+                       [lambda v: v @ m.T])
 
 
 def test_float32_mode_roundtrip(float32_mode, rng):
