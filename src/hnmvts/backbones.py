@@ -8,7 +8,9 @@ arrays it owns (`shapes()` names them and gives their shapes) live in the
 model's array store, which it reads by name. Two backbones ship:
 
 * DLinearBackbone - moving-average trend/seasonal decomposition with identity
-  hidden maps (D = T) and one final layer per branch; it owns no arrays.
+  hidden maps (D = T) and one final layer per branch; it owns no arrays. Being
+  linear, its two final layers `fold` into one, which a baked model applies to
+  the input directly.
 * MlpBackbone - a trunk of Linear+ReLU layers shared across channels, owning
   `trunk.i.w` (fan_in, width) and `trunk.i.b` (width,). That one stack's names
   and shapes, fan-in draws and forward (`stack_shapes`, `draw_fan_in`,
@@ -26,6 +28,7 @@ from .numcore import (
     channel_dot,
     matmul,
     moving_average,
+    moving_average_adjoint,
     relu,
     sub,
 )
@@ -112,6 +115,11 @@ class DLinearBackbone:
     def forward_hidden(self, x: Tensor) -> list[Tensor]:
         """Hidden states in `slots` order: trend, then seasonal."""
         return list(decompose(x, self.kernel))
+
+    def fold(self, trend_w: np.ndarray, seasonal_w: np.ndarray) -> np.ndarray:
+        """The one (N, H, T) matrix W_s + (W_t - W_s) A, A the moving average of
+        `decompose`: W_t A x + W_s (x - A x) as a single product with x."""
+        return seasonal_w + moving_average_adjoint(trend_w - seasonal_w, self.kernel)
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {}

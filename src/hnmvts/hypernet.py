@@ -26,7 +26,9 @@ channel's final-layer matrix. Two generator modes:
 
 Because generated weights do not depend on the input window, `bake`
 materializes them once after training and drops the generator, leaving a
-model identical in shape and cost to the plain backbone.
+model with exactly the plain backbone's arrays. A baked DLinear model folds
+its two final layers into one (`DLinearBackbone.fold`) when it is built, so
+it serves RevIN plus one per-channel product, with no decomposition.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ def init_embeddings(train: SeriesTable, d: int) -> np.ndarray:
 def _generator_shapes(gen: dict, prefix: str, n: int, d: int, horizon: int, dim: int) -> dict:
     """Names and shapes of the `gen`-configured generator of a width-`dim` slot, in store order."""
     if gen["mode"] == "per_channel_linear":
+        if gen["hidden"]:
+            raise ValueError(f"generator.hidden must be [] for per_channel_linear, "
+                             f"got {gen['hidden']}")
         return {f"{prefix}.w_phi": (n, horizon, dim, d)}
     if gen["mode"] != "shared_mlp":
         raise ValueError(f"unknown generator mode '{gen['mode']}'")
@@ -153,11 +158,14 @@ class ForecastModel:
     variant "baseline": trainable final layers `final.*`.
     variant "hyper":    final layers generated per forward from `embed.z`
                         and the `head.*` generators.
-    variant "baked":    constant final layers materialized by `bake`.
+    variant "baked":    constant final layers materialized by `bake`; a
+                        DLinear one serves their `fold`, made here once.
 
     Building one checks the store against `_array_shapes` and sets every
     array's `requires_grad`: `final.*` trains only in a baseline, `embed.z`
-    only when the config calls it learnable, every other array always.
+    only when the config calls it learnable, every other array always. A
+    baked model's `final.*` arrays become read-only, so the fold cannot go
+    stale.
     """
 
     def __init__(self, cfg: dict, arrays: dict[str, Tensor]):
@@ -193,6 +201,12 @@ class ForecastModel:
             self._heads = [[k for k in shapes if k.startswith(f"head.{s}.")] for s in slots]
         else:
             self._finals = [f"final.{s}.w" for s in slots]
+        self._folded = None
+        if variant == "baked":
+            for name in self._finals:
+                arrays[name].data.flags.writeable = False
+            if isinstance(self.backbone, backbones.DLinearBackbone):
+                self._folded = Tensor(self.backbone.fold(*(arrays[n].data for n in self._finals)))
 
     # forward paths --------------------------------------------------------
     def _final_weights(self) -> list[Tensor]:
@@ -204,6 +218,8 @@ class ForecastModel:
                                  self.horizon) for names in self._heads]
 
     def _core(self, x: Tensor) -> Tensor:
+        if self._folded is not None:
+            return apply_final([self._folded], [x])
         return apply_final(self._final_weights(), self.backbone.forward_hidden(x))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -354,7 +370,8 @@ def build_hyper(
     arrays = dict(backbone.parameters())
     arrays["embed.z"] = Tensor(init_embeddings(train, d))
     for slot, dim in backbone.slots:
-        gen = init_generator(arrays["embed.z"].data, horizon, dim, mode, rng, gen_hidden)
+        gen = init_generator(arrays["embed.z"].data, horizon, dim, mode, rng,
+                             cfg["generator"]["hidden"])
         names = _generator_shapes(cfg["generator"], f"head.{slot}", n, d, horizon, dim)
         arrays.update(zip(names, map(Tensor, gen)))
     return ForecastModel(cfg, arrays)

@@ -15,6 +15,7 @@ from .tensor import (
     get_default_dtype,
     matmul,
     moving_average,
+    moving_average_adjoint,
     mul,
     no_grad,
     relu,
@@ -42,6 +43,7 @@ __all__ = [
     "make_rng",
     "matmul",
     "moving_average",
+    "moving_average_adjoint",
     "mul",
     "no_grad",
     "pca_project",

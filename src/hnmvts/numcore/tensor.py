@@ -37,6 +37,7 @@ __all__ = [
     "tmean",
     "reshape",
     "moving_average",
+    "moving_average_adjoint",
 ]
 
 
@@ -415,8 +416,7 @@ def moving_average(a: Tensor, kernel: int) -> Tensor:
     """Centered moving average along the last axis with replicate padding.
 
     `kernel` must be odd and no longer than the last axis. Runs in O(length)
-    via cumulative sums; the backward pass is the transposed smoothing
-    (uniform window over the output gradient, edge columns folded back).
+    via cumulative sums; the backward pass is `moving_average_adjoint`.
     """
     a = _as_tensor(a)
     length = a.shape[-1]
@@ -425,28 +425,39 @@ def moving_average(a: Tensor, kernel: int) -> Tensor:
     if not 1 <= kernel <= length:
         raise ValueError(f"moving_average kernel {kernel} out of range for length {length}")
     if kernel == 1:
-        return _make_node(a.data.copy(), (a,), (lambda g: g,))
-    half = (kernel - 1) // 2
-    padded = np.concatenate(
-        [np.repeat(a.data[..., :1], half, axis=-1), a.data,
-         np.repeat(a.data[..., -1:], half, axis=-1)],
-        axis=-1,
-    )
-    out = _window_sums(padded, kernel) / kernel
+        out = a.data.copy()
+    else:
+        half = (kernel - 1) // 2
+        padded = np.concatenate(
+            [np.repeat(a.data[..., :1], half, axis=-1), a.data,
+             np.repeat(a.data[..., -1:], half, axis=-1)],
+            axis=-1,
+        )
+        out = _window_sums(padded, kernel) / kernel
+    return _make_node(out, (a,), (lambda g: moving_average_adjoint(g, kernel),))
 
-    def grad_fn(g):
-        # adjoint of pad->uniform-window: window-sum the zero-padded gradient,
-        # then fold the replicate-padding columns into the edges.
-        zeros = np.zeros_like(g[..., :1])
-        gp = np.concatenate([np.repeat(zeros, kernel - 1, axis=-1), g,
-                             np.repeat(zeros, kernel - 1, axis=-1)], axis=-1)
-        d_padded = _window_sums(gp, kernel) / kernel     # length + kernel - 1
-        dx = d_padded[..., half : half + length].copy()
-        dx[..., 0] += d_padded[..., :half].sum(axis=-1)
-        dx[..., -1] += d_padded[..., half + length :].sum(axis=-1)
-        return dx
 
-    return _make_node(out, (a,), (grad_fn,))
+def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
+    """The transpose of `moving_average` along the last axis of a plain array.
+
+    For the (length x length) averaging operator A, returns g @ A: the
+    gradient of a moving average, and the product of a row-major weight
+    matrix with A. O(length) per row: the transposed smoothing (uniform
+    window over g, edge columns folded back). `kernel` as in `moving_average`.
+    """
+    if kernel == 1:
+        return g
+    length, half = g.shape[-1], (kernel - 1) // 2
+    # window-sum the zero-padded g, then fold the replicate-padding columns
+    # into the edges
+    zeros = np.zeros_like(g[..., :1])
+    gp = np.concatenate([np.repeat(zeros, kernel - 1, axis=-1), g,
+                         np.repeat(zeros, kernel - 1, axis=-1)], axis=-1)
+    d_padded = _window_sums(gp, kernel) / kernel     # length + kernel - 1
+    dx = d_padded[..., half : half + length].copy()
+    dx[..., 0] += d_padded[..., :half].sum(axis=-1)
+    dx[..., -1] += d_padded[..., half + length :].sum(axis=-1)
+    return dx
 
 
 # tape and backward ----------------------------------------------------------

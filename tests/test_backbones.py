@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnmvts.backbones import (
     DLinearBackbone,
@@ -71,6 +73,31 @@ class TestForwardHidden:
     def test_mlp_rejects_width_below_one(self, rng, widths):
         with pytest.raises(ValueError, match="widths must be >= 1"):
             MlpBackbone(lookback=10, hidden_widths=widths, rng=rng)
+
+
+def band(length, kernel):
+    """The dense (length x length) replicate-padded moving-average operator A."""
+    half = (kernel - 1) // 2
+    a = np.zeros((length, length))
+    for t in range(length):
+        for j in range(t - half, t + half + 1):
+            a[t, min(max(j, 0), length - 1)] += 1.0 / kernel
+    return a
+
+
+class TestFold:
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 30), data=st.data())
+    def test_matches_dense_band(self, dtype, rtol, seed, length, data):
+        """W_s + (W_t - W_s) A for every odd kernel up to the lookback."""
+        kernel = data.draw(st.sampled_from(range(1, length + 1, 2)), label="kernel")
+        r = np.random.Generator(np.random.Philox(seed))
+        w_t, w_s = (r.standard_normal((3, 2, length)).astype(dtype) for _ in range(2))
+        folded = DLinearBackbone(length, kernel).fold(w_t, w_s)
+        expected = (w_t.astype(np.float64) - w_s) @ band(length, kernel) + w_s
+        assert folded.dtype == dtype
+        assert np.abs(folded - expected).max() <= rtol * np.abs(expected).max()
 
 
 class TestApplyFinal:

@@ -97,9 +97,12 @@ def cut(key):
         ("hyper", cut("param/head.out.w_phi"), "param/head.out.w_phi' has shape"),
         ("shared", cut("param/head.out.mlp.1.w"), "param/head.out.mlp.1.w' has shape"),
         ("hyper", cut("param/trunk.0.w"), "param/trunk.0.w' has shape"),
+        ("hyper", lambda meta, arrays: meta["generator"].update(hidden=[3, 9]),
+         r"generator.hidden must be \[\] for per_channel_linear, got \[3, 9\]"),
     ],
     ids=["backbone_array", "generator_array", "header_key", "backbone_header_key",
-         "misshaped_final", "misshaped_generator", "misshaped_mlp_generator", "misshaped_trunk"],
+         "misshaped_final", "misshaped_generator", "misshaped_mlp_generator", "misshaped_trunk",
+         "pcl_hidden"],
 )
 def test_missing_entry_named(tmp_path, rng, form, edit, name):
     model = build_hyper(MlpBackbone(8, (6,), rng=rng), toy_table(rng), 4, rng,
@@ -175,6 +178,7 @@ def test_format_2_roundtrip_bit_exact(tmp_path, rng, backbone_kind, variant, mod
     assert list(after) == list(before)
     for key in before:
         assert after[key].data.tobytes() == before[key].data.tobytes(), key
+        assert after[key].data.flags.writeable == (variant != "baked" or key[:6] != "final."), key
     x = Tensor(rng.standard_normal((2, 3, 8)))
     with no_grad():
         assert loaded.forward(x).data.tobytes() == model.forward(x).data.tobytes()

@@ -206,6 +206,56 @@ def test_bake_missing_array_is_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_bake_pcl_hidden_widths_is_clean_error(tmp_path, capsys):
+    """A per_channel_linear generator has no hidden layers; a header giving it
+    some states a fact the model does not have."""
+    from hnmvts.backbones import DLinearBackbone
+    from hnmvts.checkpoint import save_checkpoint
+    from hnmvts.data import SeriesTable
+    from hnmvts.hypernet import build_hyper
+    from hnmvts.numcore import Tensor, make_rng
+
+    rng = make_rng(0)
+    table = SeriesTable(Tensor(rng.standard_normal((64, 3))), ["a", "b", "c"])
+    ckpt = tmp_path / "hyper.npz"
+    save_checkpoint(build_hyper(DLinearBackbone(8, 3), table, 4, rng), ckpt)
+    bundle = dict(np.load(ckpt, allow_pickle=False))
+    meta = json.loads(bytes(bundle.pop("meta")).decode())
+    meta["generator"]["hidden"] = [3, 9]
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **bundle)
+    assert main(["bake", "--checkpoint", str(ckpt), "--out", str(tmp_path / "b.npz")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}: generator.hidden must be [] for per_channel_linear" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b.npz").exists()
+
+
+def test_eval_baked_dlinear_matches_evaluate(tmp_path, capsys):
+    """`hnmvts eval` on a baked (folded) DLinear prints the MSE an in-process
+    `evaluate` gives, and the hyper model's MSE to 1e-12."""
+    from pathlib import Path
+
+    from hnmvts.checkpoint import load_checkpoint
+    from hnmvts.data import SplitSpec, chrono_split, load_csv, make_windows
+    from hnmvts.trainer import evaluate
+
+    hyper = Path(__file__).parent / "data" / "hyper_pcl_dlinear.npz"
+    baked = tmp_path / "baked.npz"
+    assert main(["bake", "--checkpoint", str(hyper), "--out", str(baked)]) == 0
+    data = tmp_path / "abc.csv"
+    rows = np.random.default_rng(0).standard_normal((200, 3)) * 3.0 + 1.0
+    data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(baked), "--data", str(data)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    test = chrono_split(load_csv(data), SplitSpec())[2]
+    windows = make_windows(test, 8, 4)
+    assert printed["mse"] == evaluate(load_checkpoint(baked)[0], windows)["mse"]
+    assert printed["mse"] == pytest.approx(
+        evaluate(load_checkpoint(hyper)[0], windows)["mse"], rel=1e-12)
+
+
 def test_bake_misshaped_array_is_clean_error(tmp_path, capsys):
     from pathlib import Path
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hnmvts.backbones import DLinearBackbone, MlpBackbone
+from hnmvts.backbones import DLinearBackbone, MlpBackbone, apply_final, decompose
 from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic
 from hnmvts.hypernet import (
     GENERATOR_MODES,
@@ -16,7 +16,16 @@ from hnmvts.hypernet import (
     init_generator,
     param_count,
 )
-from hnmvts.numcore import Tensor, backward, finite_diff_check, make_rng, square, tsum
+from hnmvts.normalization import revin_forward, revin_reverse
+from hnmvts.numcore import (
+    DimensionError,
+    Tensor,
+    backward,
+    finite_diff_check,
+    make_rng,
+    square,
+    tsum,
+)
 
 
 def toy_table(rng, t=64, n=3):
@@ -271,6 +280,37 @@ class TestBake:
             if name.startswith("head."):
                 t.data[:] += 1.0
         np.testing.assert_array_equal(baked.forward(x).data, before)
+
+    def test_baked_dlinear_serves_the_fold(self, rng, monkeypatch):
+        """RevIN plus one product with the fold gives apply_final(decompose(x))
+        on the same arrays, and never runs the decomposition."""
+        baked = bake(build_hyper(DLinearBackbone(30, 25), toy_table(rng, t=128), 6, rng))
+        finals = [baked.all_arrays()[f"final.{s}.w"] for s in ("trend", "seasonal")]
+        x = Tensor(rng.standard_normal((5, 3, 30)) * 4.0 + 2.0)
+        x_norm, stats = revin_forward(x)
+        expected = revin_reverse(apply_final(finals, list(decompose(x_norm, 25))), stats)
+
+        def unfolded(*args):
+            raise AssertionError("a baked DLinear ran the decomposition")
+
+        monkeypatch.setattr(DLinearBackbone, "forward_hidden", unfolded)
+        np.testing.assert_allclose(baked.forward(x).data, expected.data, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lookback", [2, 7, 9])
+    def test_baked_dlinear_wrong_lookback(self, rng, lookback):
+        baked = bake(build_hyper(DLinearBackbone(8, 3), toy_table(rng), 4, rng))
+        with pytest.raises(DimensionError):
+            baked.forward(Tensor(rng.standard_normal((2, 3, lookback))))
+
+    @pytest.mark.parametrize("backbone_kind", ["dlinear", "mlp"])
+    def test_baked_finals_read_only(self, rng, backbone_kind):
+        """A write to a baked final layer raises instead of leaving its fold stale."""
+        bb = DLinearBackbone(8, 3) if backbone_kind == "dlinear" else MlpBackbone(8, (6,), rng=rng)
+        baked = bake(build_hyper(bb, toy_table(rng), 4, rng))
+        for name, t in baked.all_arrays().items():
+            if name.startswith("final."):
+                with pytest.raises(ValueError, match="read-only"):
+                    t.data[0] += 1.0
 
     def test_baseline_cannot_bake(self, rng):
         baseline = build_baseline(DLinearBackbone(8, 3), 2, 2, rng)
