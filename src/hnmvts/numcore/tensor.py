@@ -425,26 +425,20 @@ def moving_average(a: Tensor, kernel: int) -> Tensor:
     if not 1 <= kernel <= length:
         raise ValueError(f"moving_average kernel {kernel} out of range for length {length}")
     if kernel == 1:
-        out = a.data.copy()
-    else:
-        half = (kernel - 1) // 2
-        padded = np.concatenate(
-            [np.repeat(a.data[..., :1], half, axis=-1), a.data,
-             np.repeat(a.data[..., -1:], half, axis=-1)],
-            axis=-1,
-        )
-        out = _window_sums(padded, kernel) / kernel
+        return _make_node(a.data.copy(), (a,), (lambda g: g,))
+    half = (kernel - 1) // 2
+    padded = np.concatenate(
+        [np.repeat(a.data[..., :1], half, axis=-1), a.data,
+         np.repeat(a.data[..., -1:], half, axis=-1)],
+        axis=-1,
+    )
+    out = _window_sums(padded, kernel) / kernel
     return _make_node(out, (a,), (lambda g: moving_average_adjoint(g, kernel),))
 
 
 def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
-    """The transpose of `moving_average` along the last axis of a plain array.
-
-    For the (length x length) averaging operator A, returns g @ A: the
-    gradient of a moving average, and the product of a row-major weight
-    matrix with A. O(length) per row: the transposed smoothing (uniform
-    window over g, edge columns folded back). `kernel` as in `moving_average`.
-    """
+    """g @ A for the (length x length) operator A of `moving_average(., kernel)`:
+    its gradient, and a weight matrix times A. O(length) per row of g."""
     if kernel == 1:
         return g
     length, half = g.shape[-1], (kernel - 1) // 2
