@@ -164,7 +164,7 @@ class ForecastModel:
     Building one checks the store against `_array_shapes` and sets every
     array's `requires_grad`: `final.*` trains only in a baseline, `embed.z`
     only when the config calls it learnable, every other array always. A
-    baked model's `final.*` turn read-only, so the fold cannot go stale.
+    baked model's `final.*` arrays turn read-only, so the fold cannot go stale.
     """
 
     def __init__(self, cfg: dict, arrays: dict[str, Tensor]):
