@@ -1,11 +1,11 @@
 """Base forecasting models: per-channel hidden states plus a final linear map.
 
-Every backbone turns a lookback window (..., N, T) into one hidden state per
-channel and per output slot; `apply_final` then maps each channel's hidden
-state to the horizon with that slot's bias-free (N, H, D) weights, one
-(H x D) matrix per channel. A backbone is described by its `config()`; the
-arrays it owns (`shapes()` names them and gives their shapes) live in the
-model's array store, which it reads by name. Two backbones ship:
+Every backbone turns a lookback window (..., N, T), a plain array, into one
+hidden state per channel and per output slot; `apply_final` then maps each
+channel's hidden state to the horizon with that slot's bias-free (N, H, D)
+weights, one (H x D) matrix per channel. A backbone is described by its
+`config()`; the arrays it owns (`shapes()` names them and gives their shapes)
+live in the model's array store, which it reads by name. Two backbones ship:
 
 * DLinearBackbone - moving-average trend/seasonal decomposition with identity
   hidden maps (D = T) and one final layer per branch; it owns no arrays. Being
@@ -30,7 +30,6 @@ from .numcore import (
     moving_average,
     moving_average_adjoint,
     relu,
-    sub,
 )
 
 __all__ = [
@@ -80,15 +79,14 @@ def stack_forward(h: Tensor, arrays: list[Tensor]) -> Tensor:
     return h
 
 
-def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
+def decompose(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
     """Split (..., N, T) into (trend, seasonal) with trend + seasonal == x.
 
     Trend is the centered moving average (odd kernel, replicate padding);
     seasonal is the residual.
     """
     trend = moving_average(x, kernel)
-    seasonal = sub(x, trend)
-    return trend, seasonal
+    return trend, x - trend
 
 
 class DLinearBackbone:
@@ -112,9 +110,9 @@ class DLinearBackbone:
     def slots(self) -> list[tuple[str, int]]:
         return [("trend", self.lookback), ("seasonal", self.lookback)]
 
-    def forward_hidden(self, x: Tensor) -> list[Tensor]:
+    def forward_hidden(self, x: np.ndarray) -> list[Tensor]:
         """Hidden states in `slots` order: trend, then seasonal."""
-        return list(decompose(x, self.kernel))
+        return [Tensor(h) for h in decompose(x, self.kernel)]
 
     def fold(self, trend_w: np.ndarray, seasonal_w: np.ndarray) -> np.ndarray:
         """The one (N, H, T) matrix W_s + (W_t - W_s) A, A the moving average of
@@ -163,9 +161,9 @@ class MlpBackbone:
     def slots(self) -> list[tuple[str, int]]:
         return [("out", self.hidden_dim)]
 
-    def forward_hidden(self, x: Tensor) -> list[Tensor]:
+    def forward_hidden(self, x: np.ndarray) -> list[Tensor]:
         """The trunk's output, the one hidden state of the `out` slot."""
-        return [stack_forward(x, [self.weights[name] for name in self._shapes])]
+        return [stack_forward(Tensor(x), [self.weights[name] for name in self._shapes])]
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Names and shapes of the trunk's arrays (see `stack_shapes`)."""

@@ -303,6 +303,9 @@ def load_config(path: str | Path) -> RunConfig:
     )
     if cfg.backbone == "dlinear":
         build("model", DLinearBackbone, cfg.train.lookback, cfg.kernel)
+    if cfg.gen_hidden and cfg.gen_mode != "shared_mlp":
+        raise ValueError(f"{path}: [model] gen_hidden: only the shared_mlp generator has "
+                         f"hidden layers, and gen_mode is {cfg.gen_mode}")
     return cfg
 
 

@@ -213,21 +213,23 @@ class SummaryRow:
 
 
 def summarize(records: list[ResultRecord], alpha: float = 0.05) -> list[SummaryRow]:
-    cells: dict[tuple, dict[str, dict[int, ResultRecord]]] = {}
+    """One row per (dataset, backbone, horizon) cell; a cell whose failed
+    runs leave its variants unpaired still gets a row, noting how many failed."""
+    cells: dict[tuple, list[ResultRecord]] = {}
     for rec in records:
-        if rec.status != "ok":
-            continue
-        cell = cells.setdefault((rec.dataset, rec.backbone, rec.horizon), {})
-        cell.setdefault(rec.variant, {})[rec.seed] = rec
+        cells.setdefault((rec.dataset, rec.backbone, rec.horizon), []).append(rec)
     rows = []
-    for (dataset, backbone, horizon), by_variant in sorted(cells.items()):
+    for (dataset, backbone, horizon), cell in sorted(cells.items()):
         row = SummaryRow(dataset, backbone, horizon)
-        base = by_variant.get(BASELINE, {})
-        hn = by_variant.get(HN_MVTS, {})
+        ok = [r for r in cell if r.status == "ok"]
+        base = {r.seed: r for r in ok if r.variant == BASELINE}
+        hn = {r.seed: r for r in ok if r.variant == HN_MVTS}
         seeds = sorted(set(base) & set(hn))
         row.n_seeds = len(seeds)
         if not seeds or set(base) != set(hn):
-            row.note = "incomplete: variants cover different seeds"
+            n_failed = len(cell) - len(ok)
+            row.note = (f"incomplete: {n_failed} failed run{'s' * (n_failed != 1)}"
+                        if n_failed else "incomplete: variants cover different seeds")
             rows.append(row)
             continue
         row.complete = True

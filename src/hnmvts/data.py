@@ -427,7 +427,7 @@ def make_windows(table: SeriesTable, lookback: int, horizon: int) -> WindowSet:
     return WindowSet(values, np.arange(t - needed + 1), lookback, horizon)
 
 
-def pearson_corr(table: SeriesTable) -> Tensor:
+def pearson_corr(table: SeriesTable) -> np.ndarray:
     """Channel-by-channel Pearson correlation matrix (N x N).
 
     Zero-variance channels get zero correlation with everything (unit
@@ -448,7 +448,7 @@ def pearson_corr(table: SeriesTable) -> Tensor:
     corr[:, degenerate] = 0.0
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    return Tensor(corr)
+    return corr
 
 
 @dataclass

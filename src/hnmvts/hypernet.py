@@ -80,7 +80,7 @@ def init_embeddings(train: SeriesTable, d: int) -> np.ndarray:
     n = train.n_channels
     if not 1 <= d <= n:
         raise ValueError(f"embedding dim d={d} out of range for {n} channels")
-    return pca_project(pearson_corr(train), d).data.copy()
+    return pca_project(pearson_corr(train), d)
 
 
 def _generator_shapes(gen: dict, prefix: str, n: int, d: int, horizon: int, dim: int) -> dict:
@@ -216,23 +216,28 @@ class ForecastModel:
         return [generate_weights(self._mode, a["embed.z"], [a[name] for name in names],
                                  self.horizon) for names in self._heads]
 
-    def _core(self, x: Tensor) -> Tensor:
+    def _core(self, x: np.ndarray) -> Tensor:
         if self._folded is not None:
-            return apply_final([self._folded], [x])
+            return apply_final([self._folded], [Tensor(x)])
         return apply_final(self._final_weights(), self.backbone.forward_hidden(x))
 
     def forward(self, x: Tensor) -> Tensor:
-        """Raw-scale forecast (..., N, H) for a lookback (..., N, T)."""
+        """Raw-scale forecast (..., N, H) for a lookback (..., N, T).
+
+        The lookback is data: no gradient reaches it, so RevIN and the
+        backbone's input side run on its plain array, and only the hidden
+        states that meet the final layers join the graph.
+        """
         if not self.revin:
-            return self._core(x)
-        x_norm, stats = revin_forward(x)
+            return self._core(x.data)
+        x_norm, stats = revin_forward(x.data)
         return revin_reverse(self._core(x_norm), stats)
 
     def forward_normalized(self, x: Tensor) -> tuple[Tensor, InstanceStats]:
         """Normalized-scale forecast plus the lookback statistics."""
         if not self.revin:
             raise ValueError("forward_normalized requires a RevIN-wrapped model")
-        x_norm, stats = revin_forward(x)
+        x_norm, stats = revin_forward(x.data)
         return self._core(x_norm), stats
 
     # parameter bookkeeping -------------------------------------------------
@@ -365,7 +370,7 @@ def build_hyper(
     d = n if d is None else int(d)
     cfg = _config("hyper", backbone, n, horizon, revin, train.channel_names)
     cfg["embedding"] = {"dim": d, "learnable": bool(learnable_z)}
-    cfg["generator"] = {"mode": mode, "hidden": list(gen_hidden) if mode == "shared_mlp" else []}
+    cfg["generator"] = {"mode": mode, "hidden": list(gen_hidden)}
     arrays = dict(backbone.parameters())
     arrays["embed.z"] = Tensor(init_embeddings(train, d))
     for slot, dim in backbone.slots:

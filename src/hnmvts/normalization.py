@@ -2,14 +2,18 @@
 
 Each lookback window is standardized per channel with its own mean and
 population standard deviation; forecasts are mapped back with the same
-statistics. Statistics only, no learnable affine parameters.
+statistics. Statistics only, no learnable affine parameters. The lookback
+is data, so the statistics and the normalized input are plain arrays; only
+`revin_reverse`, which meets the forecast, works on the gradient graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numcore import Tensor, sqrt, square, tmean
+import numpy as np
+
+from .numcore import Tensor
 
 __all__ = ["InstanceStats", "EPS", "revin_forward", "revin_reverse", "revin_apply"]
 
@@ -21,29 +25,28 @@ class InstanceStats:
     """Per-channel lookback statistics, kept with a trailing singleton axis
     (shape (..., N, 1)) so they broadcast over time steps directly."""
 
-    mean: Tensor
-    std: Tensor
-    eps: float = EPS
+    mean: np.ndarray
+    std: np.ndarray
 
 
-def revin_forward(x: Tensor) -> tuple[Tensor, InstanceStats]:
+def revin_forward(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     """Standardize (..., N, T) per channel over the last axis.
 
     x_norm[n] = (x[n] - mean[n]) / (std[n] + eps), population std.
     Constant channels are safe: std 0 simply leaves the eps denominator.
     """
-    mean = tmean(x, axis=-1, keepdims=True)
+    mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
-    std = sqrt(tmean(square(centered), axis=-1, keepdims=True))
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))
     x_norm = centered / (std + EPS)
     return x_norm, InstanceStats(mean=mean, std=std)
 
 
 def revin_reverse(y_norm: Tensor, stats: InstanceStats) -> Tensor:
     """Map a normalized forecast (..., N, H) back to the original scale."""
-    return y_norm * (stats.std + stats.eps) + stats.mean
+    return y_norm * (stats.std + EPS) + stats.mean
 
 
-def revin_apply(y: Tensor, stats: InstanceStats) -> Tensor:
+def revin_apply(y: np.ndarray, stats: InstanceStats) -> np.ndarray:
     """Normalize a raw-scale target with existing lookback statistics."""
-    return (y - stats.mean) / (stats.std + stats.eps)
+    return (y - stats.mean) / (stats.std + EPS)

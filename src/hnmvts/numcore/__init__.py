@@ -11,7 +11,6 @@ from .tensor import (
     add,
     backward,
     channel_dot,
-    div,
     get_default_dtype,
     matmul,
     moving_average,
@@ -21,7 +20,6 @@ from .tensor import (
     relu,
     reshape,
     set_default_dtype,
-    sqrt,
     square,
     sub,
     tmean,
@@ -37,7 +35,6 @@ __all__ = [
     "add",
     "backward",
     "channel_dot",
-    "div",
     "finite_diff_check",
     "get_default_dtype",
     "make_rng",
@@ -51,7 +48,6 @@ __all__ = [
     "reshape",
     "set_default_dtype",
     "spawn_rng",
-    "sqrt",
     "square",
     "sub",
     "tmean",

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = ["pca_project"]
 
 
-def pca_project(rows: Tensor | np.ndarray, d: int) -> Tensor:
+def pca_project(rows: np.ndarray, d: int) -> np.ndarray:
     """Project N rows in R^p onto their top-d principal components.
 
     Columns are centered first; the p x p covariance is eigendecomposed and
     rows are projected onto the d leading eigenvectors (descending
     eigenvalue). Rank deficiency is fine: trailing eigenvalues may be ~0.
     """
-    x = rows.data if isinstance(rows, Tensor) else np.asarray(rows, dtype=float)
+    x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"pca_project expects a 2-d input, got shape {x.shape}")
     n, p = x.shape
@@ -39,4 +37,4 @@ def pca_project(rows: Tensor | np.ndarray, d: int) -> Tensor:
         col = vecs[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             vecs[:, j] = -col
-    return Tensor(centered @ vecs)
+    return centered @ vecs

@@ -7,7 +7,8 @@ the graph into a `Tape` and replays it in reverse topological order.
 
 The op set is deliberately small: exactly the primitives the forecasting
 models need (broadcasting arithmetic, matmul, per-channel contraction, ReLU,
-moving-average smoothing, reductions, shape ops).
+reductions, shape ops). Data that no gradient reaches stays off the graph:
+the moving average and its transpose work on plain arrays.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "matmul",
     "channel_dot",
     "relu",
-    "sqrt",
     "square",
     "tsum",
     "tmean",
@@ -133,12 +132,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
@@ -207,19 +200,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         (
             lambda g: _unbroadcast(g * b.data, a.shape),
             lambda g: _unbroadcast(g * a.data, b.shape),
-        ),
-    )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
-    return _make_node(
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g / b.data, a.shape),
-            lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
         ),
     )
 
@@ -350,12 +330,6 @@ def relu(a: Tensor) -> Tensor:
     return _make_node(out, (a,), (lambda g: g * (a.data > 0),))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-    return _make_node(out, (a,), (lambda g: g * (0.5 / np.maximum(out, 1e-300)),))
-
-
 def square(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     return _make_node(a.data * a.data, (a,), (lambda g: g * (2.0 * a.data),))
@@ -402,6 +376,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make_node(_contig(out), (a,), (lambda g: g.reshape(a.shape),))
 
 
+# plain-array moving average and its transpose -------------------------------
+
+
 def _window_sums(arr: np.ndarray, kernel: int) -> np.ndarray:
     """Sliding sums of width `kernel` along the last axis (length - kernel + 1 out)."""
     cs = np.cumsum(arr, axis=-1)
@@ -412,33 +389,30 @@ def _window_sums(arr: np.ndarray, kernel: int) -> np.ndarray:
     return head - tail
 
 
-def moving_average(a: Tensor, kernel: int) -> Tensor:
+def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average along the last axis with replicate padding.
 
     `kernel` must be odd and no longer than the last axis. Runs in O(length)
-    via cumulative sums; the backward pass is `moving_average_adjoint`.
+    via cumulative sums; its transpose is `moving_average_adjoint`.
     """
-    a = _as_tensor(a)
-    length = a.shape[-1]
+    length = x.shape[-1]
     if kernel % 2 == 0:
         raise ValueError(f"moving_average kernel must be odd, got {kernel}")
     if not 1 <= kernel <= length:
         raise ValueError(f"moving_average kernel {kernel} out of range for length {length}")
     if kernel == 1:
-        return _make_node(a.data.copy(), (a,), (lambda g: g,))
+        return x.copy()
     half = (kernel - 1) // 2
     padded = np.concatenate(
-        [np.repeat(a.data[..., :1], half, axis=-1), a.data,
-         np.repeat(a.data[..., -1:], half, axis=-1)],
+        [np.repeat(x[..., :1], half, axis=-1), x, np.repeat(x[..., -1:], half, axis=-1)],
         axis=-1,
     )
-    out = _window_sums(padded, kernel) / kernel
-    return _make_node(out, (a,), (lambda g: moving_average_adjoint(g, kernel),))
+    return _window_sums(padded, kernel) / kernel
 
 
 def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
     """g @ A for the (length x length) operator A of `moving_average(., kernel)`:
-    its gradient, and a weight matrix times A. O(length) per row of g."""
+    a weight matrix times A. O(length) per row of g."""
     if kernel == 1:
         return g
     length, half = g.shape[-1], (kernel - 1) // 2

@@ -79,7 +79,7 @@ def _stack_batch(windows: WindowSet, idx) -> tuple[Tensor, np.ndarray]:
     return Tensor(x), y
 
 
-def _batch_loss(model, xb: Tensor, yb: Tensor) -> Tensor:
+def _batch_loss(model, xb: Tensor, yb: np.ndarray) -> Tensor:
     if model.revin:
         pred_norm, stats = model.forward_normalized(xb)
         target_norm = revin_apply(yb, stats)
@@ -119,7 +119,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = _stack_batch(train_windows, idx)
-            loss = _batch_loss(model, xb, Tensor(yb))
+            loss = _batch_loss(model, xb, yb)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise TrainingError(_diagnostics("loss", loss_val, epoch, start, params))

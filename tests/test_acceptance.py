@@ -116,7 +116,7 @@ def test_criterion_2_gradient_correctness():
 
         def loss():
             pred_norm, stats = model.forward_normalized(x)
-            return tmean(square(pred_norm - revin_apply(y, stats)))
+            return tmean(square(pred_norm - revin_apply(y.data, stats)))
 
         err = finite_diff_check(loss, params)
         worst = max(worst, err)

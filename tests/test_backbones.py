@@ -15,44 +15,44 @@ from hnmvts.numcore import DimensionError, Tensor, channel_dot, finite_diff_chec
 class TestDecompose:
     def test_kernel_one(self, rng):
         x = rng.standard_normal((2, 8))
-        trend, seasonal = decompose(Tensor(x), 1)
-        np.testing.assert_allclose(trend.data, x, atol=1e-15)
-        np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-15)
+        trend, seasonal = decompose(x, 1)
+        np.testing.assert_allclose(trend, x, atol=1e-15)
+        np.testing.assert_allclose(seasonal, 0.0, atol=1e-15)
 
     def test_constant_series(self):
         x = np.full((3, 10), 2.5)
-        trend, seasonal = decompose(Tensor(x), 7)
-        np.testing.assert_allclose(trend.data, x, atol=1e-12)
-        np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
+        trend, seasonal = decompose(x, 7)
+        np.testing.assert_allclose(trend, x, atol=1e-12)
+        np.testing.assert_allclose(seasonal, 0.0, atol=1e-12)
 
     def test_ramp_hand_oracle(self):
         x = np.arange(10.0)[None, :]
-        trend, _ = decompose(Tensor(x), 3)
+        trend, _ = decompose(x, 3)
         expected = np.array([(0 + 0 + 1) / 3, *range(1, 9), (8 + 9 + 9) / 3])
-        np.testing.assert_allclose(trend.data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(trend[0], expected, atol=1e-12)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            decompose(Tensor(np.zeros((1, 8))), 2)
+            decompose(np.zeros((1, 8)), 2)
 
     def test_reconstruction_identity(self, rng):
         x = rng.standard_normal((4, 30))
-        trend, seasonal = decompose(Tensor(x), 7)
-        np.testing.assert_allclose(trend.data + seasonal.data, x, atol=1e-10)
+        trend, seasonal = decompose(x, 7)
+        np.testing.assert_allclose(trend + seasonal, x, atol=1e-10)
 
 
 class TestForwardHidden:
     def test_dlinear_constant_input(self):
         bb = DLinearBackbone(lookback=12, kernel=5)
-        x = Tensor(np.full((2, 12), 3.0))
+        x = np.full((2, 12), 3.0)
         trend, seasonal = bb.forward_hidden(x)
-        np.testing.assert_allclose(trend.data, x.data, atol=1e-12)
+        np.testing.assert_allclose(trend.data, x, atol=1e-12)
         np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
 
     def test_dlinear_branches_sum_to_input(self, rng):
         bb = DLinearBackbone(lookback=20, kernel=7)
         x = rng.standard_normal((3, 20))
-        trend, seasonal = bb.forward_hidden(Tensor(x))
+        trend, seasonal = bb.forward_hidden(x)
         np.testing.assert_allclose(trend.data + seasonal.data, x, atol=1e-10)
 
     def test_mlp_identity_layers_pass_nonnegative_input(self, rng):
@@ -60,12 +60,12 @@ class TestForwardHidden:
         for name, t in bb.parameters().items():
             t.data[:] = np.eye(6) if name.endswith(".w") else 0.0
         x = np.abs(rng.standard_normal((2, 6)))
-        (h,) = bb.forward_hidden(Tensor(x))
+        (h,) = bb.forward_hidden(x)
         np.testing.assert_allclose(h.data, x, atol=1e-12)
 
     def test_mlp_output_width(self, rng):
         bb = MlpBackbone(lookback=10, hidden_widths=(16, 5), rng=rng)
-        (h,) = bb.forward_hidden(Tensor(rng.standard_normal((4, 10))))
+        (h,) = bb.forward_hidden(rng.standard_normal((4, 10)))
         assert h.shape == (4, 5)
         assert bb.hidden_dim == 5
 
@@ -160,7 +160,7 @@ def test_full_pipeline_gradient(rng):
     n, horizon = 2, 3
     wt = Tensor(rng.standard_normal((n, horizon, 8)) * 0.3, requires_grad=True)
     ws = Tensor(rng.standard_normal((n, horizon, 8)) * 0.3, requires_grad=True)
-    x = Tensor(rng.standard_normal((n, 8)))
+    x = rng.standard_normal((n, 8))
     target = Tensor(rng.standard_normal((n, horizon)))
 
     def loss():
@@ -174,7 +174,7 @@ def test_full_pipeline_gradient(rng):
 def test_mlp_pipeline_gradient(rng):
     bb = MlpBackbone(lookback=5, hidden_widths=(4,), rng=rng)
     w_final = Tensor(rng.standard_normal((2, 3, 4)) * 0.4, requires_grad=True)
-    x = Tensor(rng.standard_normal((2, 5)))
+    x = rng.standard_normal((2, 5))
 
     def loss():
         pred = apply_final([w_final], bb.forward_hidden(x))
@@ -187,6 +187,6 @@ def test_mlp_pipeline_gradient(rng):
 def test_batched_forward_matches_single(rng):
     bb = DLinearBackbone(lookback=10, kernel=5)
     xb = rng.standard_normal((6, 3, 10))
-    trend_b, _ = bb.forward_hidden(Tensor(xb))
-    trend_1, _ = bb.forward_hidden(Tensor(xb[4]))
+    trend_b, _ = bb.forward_hidden(xb)
+    trend_1, _ = bb.forward_hidden(xb[4])
     np.testing.assert_allclose(trend_b.data[4], trend_1.data, atol=1e-12)

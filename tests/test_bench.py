@@ -130,6 +130,9 @@ class TestConfig:
              r"bad\.ini: \[model\] mlp_widths: every width must be >= 1"),
             ("[model]\ngen_hidden = 0\n",
              r"bad\.ini: \[model\] gen_hidden: every width must be >= 1"),
+            ("[model]\ngen_hidden = 64,32\n",
+             r"bad\.ini: \[model\] gen_hidden: only the shared_mlp generator has hidden "
+             r"layers, and gen_mode is per_channel_linear"),
             ("[split]\nratios = 0.6,0.4\n", r"bad\.ini: \[split\] ratios must be three"),
             ("lr = 0.5\n", r"no section headers\.\nfile: '.*bad\.ini', line: 1"),
         ],
@@ -137,7 +140,7 @@ class TestConfig:
              "blank_lr", "blank_mlp_widths", "malformed_int", "malformed_float",
              "malformed_bool", "malformed_list", "empty_list_item", "batch_size", "patience",
              "even_kernel", "kernel_over_lookback", "horizon", "mlp_width", "gen_hidden",
-             "ratios", "no_section_header"],
+             "gen_hidden_pcl", "ratios", "no_section_header"],
     )
     def test_bad_config_rejected(self, tmp_path, text, message):
         p = tmp_path / "bad.ini"
@@ -221,6 +224,23 @@ class TestRunExperiment:
         assert len(records) == 2
         assert all(r.status == "failed" for r in records)
         assert all("timesteps" in r.reason for r in records)
+
+    @pytest.mark.parametrize("train, reason", [
+        ({"lookback": "500"}, "timesteps"),
+        ({"lr": "1e300"}, "non-finite training aborted"),
+    ], ids=["window_error", "training_error"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_failed_cell_keeps_a_summary_row(self, tmp_path, train, reason):
+        """A cell whose runs all failed, before training or inside it, still
+        gets a row: incomplete, with a note counting its failed runs."""
+        records = run_experiment(load_config(small_cfg(tmp_path, train=train)))
+        assert [r.status for r in records] == ["failed", "failed"]
+        assert all(reason in r.reason for r in records)
+        (row,) = summarize(records)
+        assert (row.dataset, row.horizon, row.n_seeds) == ("toy", 4, 0)
+        assert not row.complete and row.note == "incomplete: 2 failed runs"
+        assert "[incomplete: 2 failed runs]" in summary_text([row])
 
 
 class TestRecordsFile:

@@ -107,7 +107,7 @@ def cut(key):
 def test_missing_entry_named(tmp_path, rng, form, edit, name):
     model = build_hyper(MlpBackbone(8, (6,), rng=rng), toy_table(rng), 4, rng,
                         mode="shared_mlp" if form == "shared" else "per_channel_linear",
-                        gen_hidden=(3,))
+                        gen_hidden=(3,) if form == "shared" else ())
     if form == "baked":
         model = bake(model)
     path = tmp_path / "m.npz"
@@ -160,7 +160,8 @@ def test_format_2_roundtrip_bit_exact(tmp_path, rng, backbone_kind, variant, mod
     if variant == "baseline":
         model = build_baseline(bb, 3, 4, rng)
     else:
-        model = build_hyper(bb, toy_table(rng), 4, rng, mode=mode, gen_hidden=(5, 2))
+        model = build_hyper(bb, toy_table(rng), 4, rng, mode=mode,
+                            gen_hidden=(5, 2) if mode == "shared_mlp" else ())
         model = bake(model) if variant == "baked" else model
     path = tmp_path / "m.npz"
     save_checkpoint(model, path)

@@ -159,6 +159,19 @@ def test_embed_dim_unchecked_for_baseline_only_run(tmp_path, spec_file, capsys, 
     assert "[failed]" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["bench", "train"])
+def test_gen_hidden_without_shared_mlp_refused(tmp_path, spec_file, capsys, command):
+    """A per_channel_linear generator has no hidden layer to take gen_hidden."""
+    spec_file.write_text(spec_file.read_text().replace("[model]\n",
+                                                       "[model]\ngen_hidden = 64,32\n"))
+    flag = "--spec" if command == "bench" else "--config"
+    assert main([command, flag, str(spec_file)]) == 1
+    err = capsys.readouterr().err
+    assert "[model] gen_hidden" in err and str(spec_file) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_synth_csv_loads_back(tmp_path, spec_file, capsys):
     data_csv = tmp_path / "toy.csv"
     main(["synth", "--spec", str(spec_file), "--out", str(data_csv)])
@@ -171,6 +184,29 @@ def test_synth_csv_loads_back(tmp_path, spec_file, capsys):
 
     direct = load_table(load_config(spec_file))
     np.testing.assert_allclose(table.values.data, direct.values.data, atol=0)
+
+
+def test_train_on_csv_with_seed_flag(tmp_path, spec_file, capsys):
+    """`synth` writes a CSV, `train --seed 3` trains on it through the CSV
+    source, and `eval --data` prints the MSE an in-process `evaluate` gives."""
+    from hnmvts.checkpoint import load_checkpoint
+    from hnmvts.data import SplitSpec, chrono_split, load_csv, make_windows
+    from hnmvts.trainer import evaluate
+
+    data_csv = tmp_path / "toy.csv"
+    assert main(["synth", "--spec", str(spec_file), "--out", str(data_csv)]) == 0
+    spec_file.write_text(spec_file.read_text().replace("source = synthetic",
+                                                       f"source = {data_csv}"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(spec_file), "--seed", "3"]) == 0
+    ckpt = tmp_path / "runs" / "toy_dlinear_hn_mvts_H4_s3.npz"
+    assert f"checkpoint: {ckpt}" in capsys.readouterr().out
+    model, echo = load_checkpoint(ckpt)
+    assert echo["seed"] == 3 and echo["source"] == str(data_csv)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    test = chrono_split(load_csv(data_csv), SplitSpec((0.6, 0.2, 0.2)))[2]
+    assert printed["mse"] == evaluate(model, make_windows(test, 8, 4))["mse"]
 
 
 def test_out_dir_env_override(tmp_path, spec_file, monkeypatch, capsys):

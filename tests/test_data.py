@@ -495,22 +495,22 @@ class TestPearsonCorr:
     def test_duplicate_channel(self, rng):
         col = rng.standard_normal(50)
         t = table_from(np.column_stack([col, col, rng.standard_normal(50)]))
-        c = pearson_corr(t).data
+        c = pearson_corr(t)
         assert c[0, 1] == pytest.approx(1.0)
 
     def test_negated_channel(self, rng):
         col = rng.standard_normal(50)
         t = table_from(np.column_stack([col, -col]))
-        assert pearson_corr(t).data[0, 1] == pytest.approx(-1.0)
+        assert pearson_corr(t)[0, 1] == pytest.approx(-1.0)
 
     def test_matches_direct_formula(self, rng):
         x = rng.standard_normal((40, 3))
-        c = pearson_corr(table_from(x)).data
+        c = pearson_corr(table_from(x))
         np.testing.assert_allclose(c, corr_oracle(x), atol=1e-12)
 
     def test_symmetric_unit_diagonal_bounded(self, rng):
         x = rng.standard_normal((30, 4))
-        c = pearson_corr(table_from(x)).data
+        c = pearson_corr(table_from(x))
         np.testing.assert_allclose(c, c.T, atol=0)
         np.testing.assert_array_equal(np.diag(c), np.ones(4))
         assert (np.abs(c) <= 1.0).all()
@@ -518,15 +518,15 @@ class TestPearsonCorr:
     def test_zero_variance_channel_warns(self, rng):
         x = np.column_stack([np.full(20, 3.0), rng.standard_normal(20)])
         with pytest.warns(UserWarning, match="zero-variance"):
-            c = pearson_corr(table_from(x)).data
+            c = pearson_corr(table_from(x))
         assert c[0, 1] == 0.0 and c[0, 0] == 1.0
 
     def test_affine_rescale_invariance(self, rng):
         x = rng.standard_normal((60, 3))
         scaled = x * np.array([3.0, 0.5, 10.0]) + np.array([-5.0, 2.0, 100.0])
         np.testing.assert_allclose(
-            pearson_corr(table_from(x)).data,
-            pearson_corr(table_from(scaled)).data,
+            pearson_corr(table_from(x)),
+            pearson_corr(table_from(scaled)),
             atol=1e-9,
         )
 
@@ -542,7 +542,7 @@ class TestGenSynthetic:
 
     def test_rho_zero_uncorrelated(self):
         spec = SynthSpec(n_channels=4, timesteps=4096, groups=[0, 0, 0, 0], rho=0.0)
-        c = pearson_corr(gen_synthetic(spec, seed=5)).data
+        c = pearson_corr(gen_synthetic(spec, seed=5))
         off = c[~np.eye(4, dtype=bool)]
         assert (np.abs(off) < 0.1).all()
 
@@ -550,7 +550,7 @@ class TestGenSynthetic:
         spec = SynthSpec(
             n_channels=6, timesteps=4096, groups=[0, 0, 0, 1, 1, 1], rho=0.95, sigma=0.0
         )
-        c = pearson_corr(gen_synthetic(spec, seed=11)).data
+        c = pearson_corr(gen_synthetic(spec, seed=11))
         within, between = [], []
         for i in range(6):
             for j in range(i + 1, 6):

@@ -57,7 +57,7 @@ class TestInitEmbeddings:
         table = toy_table(rng, t=128, n=5)
         from hnmvts.data import pearson_corr
 
-        corr = pearson_corr(table).data
+        corr = pearson_corr(table)
         centered = corr - corr.mean(axis=0, keepdims=True)
         z = init_embeddings(table, 5)
         d_orig = np.linalg.norm(centered[:, None] - centered[None, :], axis=-1)
@@ -153,6 +153,13 @@ class TestGenerateWeights:
         with pytest.raises(StoreError, match="'head.trend.mlp.0.b' is missing"):
             ForecastModel(cfg, dict(model.all_arrays()))
 
+    def test_per_channel_linear_refuses_hidden_widths(self, rng):
+        """`build_hyper` passes gen_hidden through; per_channel_linear has no hidden layer."""
+        with pytest.raises(ValueError, match=r"generator.hidden must be \[\] for "
+                                             r"per_channel_linear, got \[64, 32\]"):
+            build_hyper(DLinearBackbone(8, 3), toy_table(rng), 4, rng,
+                        mode="per_channel_linear", gen_hidden=(64, 32))
+
 
 class TestChannelInvariants:
     @pytest.mark.parametrize("case", range(6))
@@ -244,7 +251,8 @@ class TestBake:
             bb = DLinearBackbone(lookback=8, kernel=3)
         else:
             bb = MlpBackbone(lookback=8, hidden_widths=(6,), rng=rng)
-        model = build_hyper(bb, table, horizon=4, rng=rng, mode=mode, gen_hidden=(4,))
+        model = build_hyper(bb, table, horizon=4, rng=rng, mode=mode,
+                            gen_hidden=(4,) if mode == "shared_mlp" else ())
         baked = bake(model)
         for _ in range(20):
             x = Tensor(rng.standard_normal((3, 8)))
@@ -287,8 +295,9 @@ class TestBake:
         baked = bake(build_hyper(DLinearBackbone(30, 25), toy_table(rng, t=128), 6, rng))
         finals = [baked.all_arrays()[f"final.{s}.w"] for s in ("trend", "seasonal")]
         x = Tensor(rng.standard_normal((5, 3, 30)) * 4.0 + 2.0)
-        x_norm, stats = revin_forward(x)
-        expected = revin_reverse(apply_final(finals, list(decompose(x_norm, 25))), stats)
+        x_norm, stats = revin_forward(x.data)
+        hidden = [Tensor(h) for h in decompose(x_norm, 25)]
+        expected = revin_reverse(apply_final(finals, hidden), stats)
 
         def unfolded(*args):
             raise AssertionError("a baked DLinear ran the decomposition")
@@ -341,7 +350,8 @@ def every_form(rng):
         yield build_baseline(backbone(), 3, 4, rng)
         for mode in GENERATOR_MODES:
             for learnable in (True, False):
-                hyper = build_hyper(backbone(), table, 4, rng, mode=mode, gen_hidden=(5,),
+                hyper = build_hyper(backbone(), table, 4, rng, mode=mode,
+                                    gen_hidden=(5,) if mode == "shared_mlp" else (),
                                     learnable_z=learnable)
                 yield hyper
                 yield bake(hyper)

@@ -2,87 +2,75 @@ import numpy as np
 import pytest
 
 from hnmvts.normalization import EPS, InstanceStats, revin_apply, revin_forward, revin_reverse
-from hnmvts.numcore import Tensor, finite_diff_check, square, tmean, tsum
+from hnmvts.numcore import Tensor
 
 
 def test_constant_channel():
-    x = Tensor(np.full((2, 8), 4.0))
+    x = np.full((2, 8), 4.0)
     x_norm, stats = revin_forward(x)
-    np.testing.assert_allclose(x_norm.data, 0.0, atol=1e-12)
-    np.testing.assert_allclose(stats.mean.data, 4.0)
-    np.testing.assert_allclose(stats.std.data, 0.0)
+    np.testing.assert_allclose(x_norm, 0.0, atol=1e-12)
+    np.testing.assert_allclose(stats.mean, 4.0)
+    np.testing.assert_allclose(stats.std, 0.0)
 
 
 def test_plus_minus_one_channel():
-    x = Tensor(np.array([[-1.0, 1.0]]))
+    x = np.array([[-1.0, 1.0]])
     x_norm, stats = revin_forward(x)
-    assert stats.mean.data[0, 0] == 0.0
-    assert stats.std.data[0, 0] == pytest.approx(1.0)
-    np.testing.assert_allclose(x_norm.data, np.array([[-1.0, 1.0]]) / (1.0 + EPS), atol=1e-12)
+    assert stats.mean[0, 0] == 0.0
+    assert stats.std[0, 0] == pytest.approx(1.0)
+    np.testing.assert_allclose(x_norm, np.array([[-1.0, 1.0]]) / (1.0 + EPS), atol=1e-12)
 
 
 def test_output_statistics(rng):
-    x = Tensor(rng.standard_normal((3, 64)) * 5 + 2)
-    x_norm, _ = revin_forward(x)
-    out = x_norm.data
+    x = rng.standard_normal((3, 64)) * 5 + 2
+    out, _ = revin_forward(x)
     assert np.abs(out.mean(axis=-1)).max() < 1e-9
     assert np.abs(out.std(axis=-1) - 1).max() < 1e-4
 
 
 def test_reverse_of_zero_gives_means(rng):
-    x = Tensor(rng.standard_normal((4, 16)))
+    x = rng.standard_normal((4, 16))
     _, stats = revin_forward(x)
     y = revin_reverse(Tensor(np.zeros((4, 6))), stats)
-    np.testing.assert_allclose(y.data, np.broadcast_to(stats.mean.data, (4, 6)), atol=1e-12)
+    np.testing.assert_allclose(y.data, np.broadcast_to(stats.mean, (4, 6)), atol=1e-12)
 
 
 def test_reverse_forward_identity(rng):
-    x = Tensor(rng.standard_normal((5, 12)))
+    x = rng.standard_normal((5, 12))
     x_norm, stats = revin_forward(x)
-    truncated = Tensor(x_norm.data[:, :7])
+    truncated = Tensor(x_norm[:, :7])
     back = revin_reverse(truncated, stats)
-    np.testing.assert_allclose(back.data, x.data[:, :7], atol=1e-10)
+    np.testing.assert_allclose(back.data, x[:, :7], atol=1e-10)
 
 
 def test_reverse_matches_hand_formula(rng):
     mean = rng.standard_normal((3, 1))
     std = np.abs(rng.standard_normal((3, 1)))
     ynorm = rng.standard_normal((3, 5))
-    stats = InstanceStats(mean=Tensor(mean), std=Tensor(std))
+    stats = InstanceStats(mean=mean, std=std)
     out = revin_reverse(Tensor(ynorm), stats)
     np.testing.assert_allclose(out.data, ynorm * (std + EPS) + mean, atol=1e-12)
 
 
 def test_shift_invariance(rng):
     x = rng.standard_normal((2, 32))
-    a, _ = revin_forward(Tensor(x))
-    b, _ = revin_forward(Tensor(x + 123.456))
-    assert np.abs(a.data - b.data).max() < 1e-6
+    a, _ = revin_forward(x)
+    b, _ = revin_forward(x + 123.456)
+    assert np.abs(a - b).max() < 1e-6
 
 
 def test_apply_is_inverse_of_reverse(rng):
-    x = Tensor(rng.standard_normal((3, 10)))
+    x = rng.standard_normal((3, 10))
     _, stats = revin_forward(x)
-    y = Tensor(rng.standard_normal((3, 4)))
-    roundtrip = revin_apply(revin_reverse(y, stats), stats)
-    np.testing.assert_allclose(roundtrip.data, y.data, atol=1e-10)
-
-
-def test_gradients_flow_through_both_directions(rng):
-    x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-
-    def loss():
-        x_norm, stats = revin_forward(x)
-        y = revin_reverse(x_norm * 0.5, stats)
-        return tsum(square(y)) + tmean(x_norm)
-
-    assert finite_diff_check(loss, [x]) < 1e-4
+    y = rng.standard_normal((3, 4))
+    roundtrip = revin_apply(revin_reverse(Tensor(y), stats).data, stats)
+    np.testing.assert_allclose(roundtrip, y, atol=1e-10)
 
 
 def test_batched_windows(rng):
     xb = rng.standard_normal((4, 3, 8))
-    x_norm, stats = revin_forward(Tensor(xb))
+    x_norm, stats = revin_forward(xb)
     assert x_norm.shape == (4, 3, 8)
     assert stats.mean.shape == (4, 3, 1)
-    single, _ = revin_forward(Tensor(xb[2]))
-    np.testing.assert_allclose(x_norm.data[2], single.data, atol=1e-12)
+    single, _ = revin_forward(xb[2])
+    np.testing.assert_allclose(x_norm[2], single, atol=1e-12)

@@ -10,15 +10,14 @@ from hnmvts.numcore import (
     add,
     backward,
     channel_dot,
-    div,
     get_default_dtype,
     matmul,
     moving_average,
+    moving_average_adjoint,
     mul,
     no_grad,
     relu,
     reshape,
-    sqrt,
     square,
     sub,
     tmean,
@@ -305,37 +304,27 @@ class TestChannelDot:
 class TestMovingAverage:
     def test_kernel_one_is_identity(self, rng):
         x = rng.standard_normal((2, 6))
-        out = moving_average(Tensor(x), 1)
-        np.testing.assert_allclose(out.data, x, atol=1e-15)
+        out = moving_average(x, 1)
+        np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_constant_series_unchanged(self):
         x = np.full((1, 8), 3.5)
-        out = moving_average(Tensor(x), 5)
-        np.testing.assert_allclose(out.data, x, atol=1e-12)
+        out = moving_average(x, 5)
+        np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_ramp_hand_oracle(self):
         # kernel 3 over [0..9] with replicate padding:
         # t=0: (0+0+1)/3, interior t: exact ramp, t=9: (8+9+9)/3
         x = np.arange(10.0)[None, :]
-        out = moving_average(Tensor(x), 3)
+        out = moving_average(x, 3)
         expected = np.array([1 / 3] + list(range(1, 9)) + [26 / 3])
         expected[0] = (0 + 0 + 1) / 3
         expected[-1] = (8 + 9 + 9) / 3
-        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            moving_average(Tensor(np.zeros((1, 8))), 4)
-
-    def test_gradient(self, rng):
-        from hnmvts.numcore import finite_diff_check
-
-        x = Tensor(rng.standard_normal((2, 7)), requires_grad=True)
-
-        def loss():
-            return tsum(square(moving_average(x, 3)))
-
-        assert finite_diff_check(loss, [x]) < 1e-6
+            moving_average(np.zeros((1, 8)), 4)
 
     @staticmethod
     def ma_operator(length, kernel):
@@ -353,17 +342,17 @@ class TestMovingAverage:
         length = 12
         m = self.ma_operator(length, kernel)
         x = rng.standard_normal((3, length))
-        out = moving_average(Tensor(x), kernel)
-        np.testing.assert_allclose(out.data, x @ m.T, atol=1e-12)
+        out = moving_average(x, kernel)
+        np.testing.assert_allclose(out, x @ m.T, atol=1e-12)
 
     @pytest.mark.parametrize("kernel", [3, 7])
     def test_backward_matches_operator_transpose(self, rng, kernel):
+        """`moving_average_adjoint` is the transpose: weights @ A."""
         length = 10
         m = self.ma_operator(length, kernel)
-        x = Tensor(rng.standard_normal((2, length)), requires_grad=True)
         weights = rng.standard_normal((2, length))
-        grads = backward(tsum(moving_average(x, kernel) * Tensor(weights)))
-        np.testing.assert_allclose(grads[x].data, weights @ m, atol=1e-12)
+        np.testing.assert_allclose(moving_average_adjoint(weights, kernel), weights @ m,
+                                   atol=1e-12)
 
 
 class TestShapeOps:
@@ -392,11 +381,6 @@ class TestReductions:
         grads = backward(tsum(out))
         np.testing.assert_allclose(grads[x].data, np.full((3, 5), 1 / 5), atol=1e-15)
 
-    def test_sqrt_gradient(self):
-        x = Tensor([4.0], requires_grad=True)
-        grads = backward(tsum(sqrt(x)))
-        np.testing.assert_allclose(grads[x].data, [0.25], atol=1e-12)
-
 
 def assert_adjoint(r, f, xs, jvps):
     """<g, J_i v> == <J_i^T g, v> for each input x_i of `f`, with `jvps[i](v)`
@@ -414,7 +398,7 @@ def assert_adjoint(r, f, xs, jvps):
 
 
 def away_from_zero(r, shape):
-    """Normal draws pushed to |x| >= 0.5, so 1/x and sqrt(|x|) stay tame."""
+    """Normal draws pushed to |x| >= 0.5, away from zero."""
     x = r.standard_normal(shape)
     return np.sign(x + 1e-300) * (0.5 + np.abs(x))
 
@@ -425,7 +409,7 @@ class TestAdjoint:
     BROADCAST = [((3, 4), (3, 4)), ((3, 4), (4,)), ((2, 1, 4), (3, 1)), ((3, 1), (1, 4)),
                  ((), (2, 3))]
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     @pytest.mark.parametrize("shapes", BROADCAST, ids=["same", "trailing", "3d", "outer", "scalar"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -437,21 +421,18 @@ class TestAdjoint:
         def spread(v):
             return np.broadcast_to(v, out_shape)
 
-        f = {"add": add, "sub": sub, "mul": mul, "div": div}[op]
+        f = {"add": add, "sub": sub, "mul": mul}[op]
         jvps = {
             "add": (spread, spread),
             "sub": (spread, lambda v: -spread(v)),
             "mul": (lambda v: v * b, lambda v: a * v),
-            "div": (lambda v: v / b, lambda v: -a * v / (b * b)),
         }[op]
         assert_adjoint(r, f, [a, b], jvps)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_sqrt_and_square(self, seed):
+    def test_square(self, seed):
         r = np.random.Generator(np.random.Philox(seed))
-        x = np.abs(away_from_zero(r, (3, 5)))
-        assert_adjoint(r, sqrt, [x], [lambda v: v / (2.0 * np.sqrt(x))])
         x = r.standard_normal((4, 2, 3))
         assert_adjoint(r, square, [x], [lambda v: 2.0 * x * v])
 
@@ -479,12 +460,17 @@ class TestAdjoint:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 30), data=st.data())
     def test_moving_average(self, seed, length, data):
-        """Every odd kernel up to the length, against the dense banded operator."""
+        """Every odd kernel up to the length, against the dense banded operator:
+        <g, A v> = <g A, v> with A v from `moving_average` and g A from
+        `moving_average_adjoint`."""
         kernel = data.draw(st.sampled_from(range(1, length + 1, 2)), label="kernel")
         r = np.random.Generator(np.random.Philox(seed))
         m = TestMovingAverage.ma_operator(length, kernel)
-        assert_adjoint(r, lambda t: moving_average(t, kernel), [r.standard_normal((2, 3, length))],
-                       [lambda v: v @ m.T])
+        v, g = r.standard_normal((2, 2, 3, length))
+        a_v, g_a = moving_average(v, kernel), moving_average_adjoint(g, kernel)
+        np.testing.assert_allclose(a_v, v @ m.T, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(g_a, g @ m, rtol=1e-10, atol=1e-12)
+        assert np.vdot(g, a_v) == pytest.approx(np.vdot(g_a, v), rel=1e-10, abs=1e-12)
 
 
 def test_float32_mode_roundtrip(float32_mode, rng):
