@@ -28,6 +28,16 @@ def test_output_statistics(rng):
     assert np.abs(out.std(axis=-1) - 1).max() < 1e-4
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (3, 7), (4, 3, 336), (64, 21, 96)])
+def test_statistics_match_numpy_bit_for_bit(rng, shape):
+    """Plain numpy's mean and population std, the same ufuncs in the same order."""
+    x = rng.standard_normal(shape) * 5.0 + 3.0
+    x_norm, stats = revin_forward(x)
+    mean, std = x.mean(axis=-1, keepdims=True), x.std(axis=-1, keepdims=True)
+    assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
+    assert np.array_equal(x_norm, (x - mean) / (std + EPS))
+
+
 def test_reverse_of_zero_gives_means(rng):
     x = rng.standard_normal((4, 16))
     _, stats = revin_forward(x)
