@@ -147,11 +147,15 @@ def cmd_bench(args) -> int:
     out_dir = resolve_out_dir(cfg.out_dir, args.out)
     results_path = out_dir / f"{cfg.dataset_name}_{cfg.backbone}_results.jsonl"
 
+    completed = []
+
     def progress(rec):
         status = rec.status
         mse = f"mse={rec.test_mse:.4f}" if rec.test_mse is not None else rec.reason
         print(f"[{status}] {rec.dataset} {rec.backbone} {rec.variant} "
               f"H={rec.horizon} seed={rec.seed} {mse}")
+        if status == "ok":
+            completed.append(rec)
 
     records = run_experiment(cfg, out_path=results_path, progress=progress)
     rows = summarize(records)
@@ -161,6 +165,9 @@ def cmd_bench(args) -> int:
     (out_dir / f"{cfg.dataset_name}_{cfg.backbone}_summary.txt").write_text(text + "\n")
     (out_dir / f"{cfg.dataset_name}_{cfg.backbone}_summary.csv").write_text(summary_csv(rows))
     print(f"results: {results_path}")
+    if not completed:
+        print(f"error: no run of the grid completed; see {results_path}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -26,9 +26,12 @@ channel's final-layer matrix. Two generator modes:
 
 Because generated weights do not depend on the input window, `bake`
 materializes them once after training and drops the generator, leaving a
-model with exactly the plain backbone's arrays. A baked DLinear model folds
-its two final layers into one (`DLinearBackbone.fold`) when it is built, so
-it serves RevIN plus one per-channel product, with no decomposition.
+model with exactly the plain backbone's arrays; a baseline bakes to copies
+of its own final layers. A baked DLinear model folds its two final layers
+into one W (`DLinearBackbone.fold`) when it is built. RevIN has no affine
+pair, so its scale cancels through W, and the model serves the centred
+form W (x - mu) + mu, mu each window's per-channel lookback mean: one
+per-channel product, with no decomposition and no std.
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ class ForecastModel:
     variant "hyper":    final layers generated per forward from `embed.z`
                         and the `head.*` generators.
     variant "baked":    constant final layers materialized by `bake`; a
-                        DLinear one serves their `fold`, made here once.
+                        DLinear one serves their `fold` W, made here once,
+                        as W (x - mu) + mu (W x without RevIN).
 
     Building one checks the store against `_array_shapes` and sets every
     array's `requires_grad`: `final.*` trains only in a baseline, `embed.z`
@@ -227,9 +231,17 @@ class ForecastModel:
         The lookback is data: no gradient reaches it, so RevIN and the
         backbone's input side run on its plain array, and only the hidden
         states that meet the final layers join the graph.
+
+        Through a folded model RevIN's scale cancels, W((x - mu) / (std +
+        eps)) * (std + eps) + mu = W (x - mu) + mu, so it serves that form
+        and computes no std. Centring before the product keeps its precision
+        independent of the series' level.
         """
         if not self.revin:
             return self._core(x.data)
+        if self._folded is not None:
+            mean = x.data.mean(axis=-1, keepdims=True)
+            return self._core(x.data - mean) + mean
         x_norm, stats = revin_forward(x.data)
         return revin_reverse(self._core(x_norm), stats)
 
@@ -264,21 +276,22 @@ class ForecastModel:
 
 
 def bake(model: ForecastModel) -> ForecastModel:
-    """Materialize generated weights into constant final layers.
+    """Materialize a model's final layers as constants: a hyper model's
+    generated weights, or copies of a baseline's trained ones.
 
     Idempotent: a baked model is returned unchanged. The result has exactly
-    the parameter arrays of the matching baseline model.
+    the parameter arrays of the matching baseline model, and deploys a
+    baseline and a hyper model the same way.
     """
     if model.variant == "baked":
         return model
-    if model.variant != "hyper":
-        raise ValueError(f"bake applies to hyper-form models, got '{model.variant}'")
     arrays = {name: Tensor(t.data.copy()) for name, t in model.backbone.parameters().items()}
     with no_grad():
         for (slot, _), w in zip(model.backbone.slots, model._final_weights()):
             arrays[f"final.{slot}.w"] = Tensor(w.data.copy())
     cfg = model.config()
-    del cfg["generator"], cfg["embedding"]
+    cfg.pop("generator", None)
+    cfg.pop("embedding", None)
     cfg["variant"] = "baked"
     return ForecastModel(cfg, arrays)
 

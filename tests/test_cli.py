@@ -120,6 +120,19 @@ def test_bench_writes_results_and_summaries(tmp_path, spec_file, capsys):
     assert "baseline MSE" in stdout
 
 
+# lr 1e300 overflows inside the first Adam step; the run then fails on its next loss
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bench_with_no_completed_run_exits_nonzero(tmp_path, spec_file, capsys):
+    spec_file.write_text(spec_file.read_text().replace("lr = 0.01", "lr = 1e300"))
+    assert main(["bench", "--spec", str(spec_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("[failed]") == 2
+    assert captured.err.count("\n") == 1 and "no run of the grid completed" in captured.err
+    out_dir = tmp_path / "runs"
+    assert "incomplete: 2 failed runs" in (out_dir / "toy_dlinear_summary.txt").read_text()
+    assert (out_dir / "toy_dlinear_summary.csv").exists()
+
+
 @pytest.mark.parametrize(
     "good, bad, message",
     [("batch_size = 16", "batch_size = 0", "[train] batch_size must be a positive integer"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hnmvts.backbones import DLinearBackbone, MlpBackbone, apply_final, decompose
-from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic
+from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic, make_windows
 from hnmvts.hypernet import (
     GENERATOR_MODES,
     ForecastModel,
@@ -23,6 +23,7 @@ from hnmvts.numcore import (
     backward,
     finite_diff_check,
     make_rng,
+    channel_dot,
     square,
     tsum,
 )
@@ -290,8 +291,8 @@ class TestBake:
         np.testing.assert_array_equal(baked.forward(x).data, before)
 
     def test_baked_dlinear_serves_the_fold(self, rng, monkeypatch):
-        """RevIN plus one product with the fold gives apply_final(decompose(x))
-        on the same arrays, and never runs the decomposition."""
+        """The centred fold gives RevIN around apply_final(decompose(x)) on the
+        same arrays, and never runs RevIN or the decomposition."""
         baked = bake(build_hyper(DLinearBackbone(30, 25), toy_table(rng, t=128), 6, rng))
         finals = [baked.all_arrays()[f"final.{s}.w"] for s in ("trend", "seasonal")]
         x = Tensor(rng.standard_normal((5, 3, 30)) * 4.0 + 2.0)
@@ -302,7 +303,12 @@ class TestBake:
         def unfolded(*args):
             raise AssertionError("a baked DLinear ran the decomposition")
 
+        def scaled(*args):
+            raise AssertionError("a baked DLinear ran RevIN")
+
         monkeypatch.setattr(DLinearBackbone, "forward_hidden", unfolded)
+        monkeypatch.setattr("hnmvts.hypernet.revin_forward", scaled)
+        monkeypatch.setattr("hnmvts.hypernet.revin_reverse", scaled)
         np.testing.assert_allclose(baked.forward(x).data, expected.data, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("lookback", [2, 7, 9])
@@ -321,10 +327,64 @@ class TestBake:
                 with pytest.raises(ValueError, match="read-only"):
                     t.data[0] += 1.0
 
-    def test_baseline_cannot_bake(self, rng):
-        baseline = build_baseline(DLinearBackbone(8, 3), 2, 2, rng)
-        with pytest.raises(ValueError, match="hyper"):
-            bake(baseline)
+    @pytest.mark.parametrize("level", [0.0, 1e3])
+    def test_centred_serve_matches_hyper(self, rng, level):
+        """On a table offset by `level`, the centred fold keeps float64 bake
+        equivalence to 1e-10 of the level's scale."""
+        self.check_offset_equivalence(rng, level, 1e-10)
+
+    @pytest.mark.parametrize("level", [0.0, 1e3])
+    def test_centred_serve_matches_hyper_float32(self, float32_mode, level):
+        self.check_offset_equivalence(make_rng(77), level, 1e-5)
+
+    @staticmethod
+    def check_offset_equivalence(rng, level, tol):
+        values = rng.standard_normal((160, 3)) + level
+        table = SeriesTable(Tensor(values), ["a", "b", "c"])
+        model = build_hyper(DLinearBackbone(30, 25), table, 6, rng)
+        baked = bake(model)
+        x, _ = make_windows(table, 30, 6).batch(slice(0, 120))
+        err = np.abs(model.forward(Tensor(x)).data - baked.forward(Tensor(x)).data).max()
+        assert err <= tol * max(1.0, abs(level))
+
+    @pytest.mark.parametrize("level", [0.0, 2.5, -40.0, 1e3])
+    def test_constant_window_forecasts_its_level(self, rng, level):
+        baked = bake(build_hyper(DLinearBackbone(30, 25), toy_table(rng, t=128), 6, rng))
+        levels = level + np.arange(3.0)
+        x = np.broadcast_to(levels[:, None], (4, 3, 30)).copy()
+        out = baked.forward(Tensor(x)).data
+        np.testing.assert_allclose(out, np.broadcast_to(levels[:, None], out.shape),
+                                   rtol=0, atol=1e-12)
+
+    def test_baked_dlinear_without_revin_serves_the_plain_fold(self, rng):
+        hyper = build_hyper(DLinearBackbone(30, 25), toy_table(rng, t=128), 6, rng, revin=False)
+        baked = bake(hyper)
+        finals = [baked.all_arrays()[f"final.{s}.w"].data for s in ("trend", "seasonal")]
+        folded = baked.backbone.fold(*finals)
+        x = Tensor(rng.standard_normal((5, 3, 30)) * 4.0 + 2.0)
+        np.testing.assert_allclose(baked.forward(x).data, channel_dot(folded, x).data,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(baked.forward(x).data, hyper.forward(x).data, atol=1e-10)
+
+    @pytest.mark.parametrize("backbone_kind", ["dlinear", "mlp"])
+    def test_baseline_bakes_to_copies_of_its_finals(self, rng, backbone_kind):
+        """A baked DLinear baseline serves the centred fold to 1e-10; an MLP
+        baseline, which does not fold, bakes bit-identically."""
+        bb = DLinearBackbone(8, 3) if backbone_kind == "dlinear" else MlpBackbone(8, (6,), rng=rng)
+        baseline = build_baseline(bb, 3, 4, rng)
+        baked = bake(baseline)
+        assert baked.variant == "baked" and baked.config()["variant"] == "baked"
+        assert list(baked.all_arrays()) == list(baseline.all_arrays())
+        for name, t in baked.all_arrays().items():
+            source = baseline.all_arrays()[name]
+            assert t is not source and not np.shares_memory(t.data, source.data)
+            np.testing.assert_array_equal(t.data, source.data)
+        x = Tensor(rng.standard_normal((7, 3, 8)) * 3.0 + 5.0)
+        if backbone_kind == "dlinear":
+            np.testing.assert_allclose(baked.forward(x).data, baseline.forward(x).data,
+                                       rtol=0, atol=1e-10)
+        else:
+            np.testing.assert_array_equal(baked.forward(x).data, baseline.forward(x).data)
 
     def test_bake_equivalence_float32(self, float32_mode):
         rng = make_rng(77)
