@@ -26,10 +26,9 @@ from .numcore import (
     Tensor,
     add,
     channel_dot,
-    matmul,
+    linear_relu,
     moving_average,
     moving_average_adjoint,
-    relu,
 )
 
 __all__ = [
@@ -73,9 +72,10 @@ def stack_shapes(prefix: str, fan_in: int, widths) -> dict[str, tuple[int, ...]]
 
 
 def stack_forward(h: Tensor, arrays: list[Tensor]) -> Tensor:
-    """relu(h @ w + b) for each layer; `arrays` in `stack_shapes` order."""
+    """relu(h @ w + b) for each layer, one `linear_relu` graph node per layer;
+    `arrays` in `stack_shapes` order."""
     for w, b in zip(arrays[::2], arrays[1::2]):
-        h = relu(add(matmul(h, w), b))
+        h = linear_relu(h, w, b)
     return h
 
 

@@ -12,18 +12,17 @@ from .tensor import (
     backward,
     channel_dot,
     get_default_dtype,
+    linear_relu,
     matmul,
     moving_average,
     moving_average_adjoint,
     mul,
     no_grad,
-    relu,
     reshape,
     set_default_dtype,
     square,
     sub,
     tmean,
-    tsum,
 )
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "channel_dot",
     "finite_diff_check",
     "get_default_dtype",
+    "linear_relu",
     "make_rng",
     "matmul",
     "moving_average",
@@ -44,12 +44,10 @@ __all__ = [
     "mul",
     "no_grad",
     "pca_project",
-    "relu",
     "reshape",
     "set_default_dtype",
     "spawn_rng",
     "square",
     "sub",
     "tmean",
-    "tsum",
 ]

@@ -6,9 +6,10 @@ graph node holding its parents and local-gradient closures; `backward` traces
 the graph into a `Tape` and replays it in reverse topological order.
 
 The op set is deliberately small: exactly the primitives the forecasting
-models need (broadcasting arithmetic, matmul, per-channel contraction, ReLU,
-reductions, shape ops). Data that no gradient reaches stays off the graph:
-the moving average and its transpose work on plain arrays.
+models need (broadcasting arithmetic, matmul, one fused Linear+ReLU layer,
+per-channel contraction, the mean, shape ops). Data that no gradient reaches
+stays off the graph: the moving average and its transpose work on plain
+arrays.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "linear_relu",
     "channel_dot",
-    "relu",
     "square",
-    "tsum",
     "tmean",
     "reshape",
     "moving_average",
@@ -89,7 +89,7 @@ class Tensor:
     outputs inherit participation from their parents.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_grad_fns")
+    __slots__ = ("data", "requires_grad", "_parents", "_grad_fns", "_grad_in")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _contig(np.asarray(data, dtype=_DEFAULT_DTYPE))
@@ -97,6 +97,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
+        self._grad_in: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,12 +149,20 @@ def _make_node(
     out_data: np.ndarray,
     parents: Sequence[Tensor],
     grad_fns: Sequence[Callable[[np.ndarray], np.ndarray] | None],
+    grad_in: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Tensor:
+    """The op's output tensor; on the graph when a parent needs a gradient.
+
+    `grad_fns[i]` maps the gradient reaching the output to parent i's. With
+    `grad_in`, that gradient first passes through `grad_in`, once per
+    backward pass, and every `grad_fns[i]` receives the result.
+    """
     out = Tensor(out_data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fns = tuple(grad_fns)
+        out._grad_in = grad_in
     return out
 
 
@@ -211,7 +220,20 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 _ROW_BLOCK = 1024
 
 
-def _stacked_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _bias_relu(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x = max(x + b, 0) in place, equal bit for bit to `np.where(x + b > 0, x + b, 0.0)`.
+
+    `fmax` maps NaN and -inf to 0 and may keep -0.0; adding +0.0 turns -0.0
+    into +0.0 and leaves every other value as it is. It is several times
+    faster than `np.where`'s scalar-broadcast path.
+    """
+    x += b
+    np.fmax(x, 0.0, out=x)
+    x += 0.0
+    return x
+
+
+def _stacked_rows(x: np.ndarray, m: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """x (*B, n, k) @ m (k, p) as 2-D GEMMs over the flattened rows.
 
     Each block holds whole (n, k) matrices, about `_ROW_BLOCK` rows. Every
@@ -220,43 +242,86 @@ def _stacked_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     numpy's per-matrix products; for the MLP trunk widths the benchmark and
     tests pin (96, 128, 256) they agree bit for bit. Callers keep products
     with a dimension of 1 on numpy's path: numpy runs those with gemv or a
-    loop of its own, not GEMM.
+    loop of its own, not GEMM. With `bias`, each block becomes
+    `_bias_relu(block, bias)` while it is still in cache.
     """
     n = x.shape[-2]
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty((rows.shape[0], m.shape[1]), dtype=np.result_type(x, m))
     step = max(1, _ROW_BLOCK // n) * n
     for r in range(0, rows.shape[0], step):
-        np.matmul(rows[r : r + step], m, out=out[r : r + step])
+        block = out[r : r + step]
+        np.matmul(rows[r : r + step], m, out=block)
+        if bias is not None:
+            _bias_relu(block, bias)
     return out.reshape(*x.shape[:-1], m.shape[1])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast.
+    """Matrix product over the last two axes (numpy's `a @ b`); leading axes broadcast.
 
-    A stack of matrices times one 2-D matrix, the MLP layer's form, runs as
-    row-blocked 2-D GEMMs (`_stacked_rows`) in the forward and in `grad_a`.
-    `grad_b` stays a stacked product summed over the leading axes: one GEMM
-    over all rows would sum each weight gradient in another order, which
-    changes trained weights in the last bits.
+    The MLP layers do not come here: `linear_relu` runs their products.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    stacked = a.ndim > 2 and b.ndim == 2 and min(a.shape[-2], *b.shape) > 1
-    out = _stacked_rows(a.data, b.data) if stacked else a.data @ b.data
+    return _make_node(
+        a.data @ b.data,
+        (a, b),
+        (
+            lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+            lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape),
+        ),
+    )
 
-    def grad_a(g):
-        if stacked:
-            return _stacked_rows(g, b.data.T)
-        return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
 
-    def grad_b(g):
-        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One Linear+ReLU layer, relu(h @ w + b), as one graph node.
 
-    return _make_node(out, (a, b), (grad_a, grad_b))
+    h is (*B, n, k), w (k, p) and b (p,). A stack of matrices (h of 3 or
+    more dimensions, n, k and p all above 1) runs as `_stacked_rows`' GEMMs,
+    each block taking its bias and ReLU while still in cache; any other h
+    takes numpy's `h @ w`. Bias and ReLU then equal numpy's
+    `np.where(pre > 0, pre, 0.0)` of `pre = product + b` bit for bit.
+
+    The backward masks the incoming gradient once, gm = g * (out > 0)
+    (out > 0 exactly where pre > 0, NaN, +-0, +-inf and subnormals
+    included). `grad_h` is gm @ w.T, row-blocked like the forward, and
+    `grad_b` sums gm over its rows. `grad_w` is one GEMM over all rows,
+    rows(h).T @ rows(gm): for a 2-D h that is numpy's h.T @ gm bit for bit;
+    for a stack it sums each weight gradient over the R = B*n rows in
+    another order than per-matrix products summed over B, within
+    2 R eps (|rows(h)|.T @ |rows(gm)|) of them.
+    """
+    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
+    if h.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
+        raise DimensionError(
+            f"linear_relu needs h (..., n, k), w (k, p) and b (p,), got {h.shape}, {w.shape}, "
+            f"{b.shape}"
+        )
+    if h.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear_relu inner dimensions disagree: {h.shape} @ {w.shape}")
+    k, p = w.shape
+    stacked = h.ndim > 2 and min(h.shape[-2], k, p) > 1
+    if stacked:
+        out = _stacked_rows(h.data, w.data, b.data)
+    else:
+        out = _bias_relu(h.data @ w.data, b.data)
+
+    def grad_h(gm):
+        return _stacked_rows(gm, w.data.T) if stacked else gm @ w.data.T
+
+    def grad_w(gm):
+        return h.data.reshape(-1, k).T @ gm.reshape(-1, p)
+
+    return _make_node(
+        out,
+        (h, w, b),
+        (grad_h, grad_w, lambda gm: _unbroadcast(gm, b.shape)),
+        grad_in=lambda g: g * (out > 0),
+    )
 
 
 def _to_channel_major(arr: np.ndarray, batch_nd: int) -> np.ndarray:
@@ -317,19 +382,6 @@ def channel_dot(w: Tensor, v: Tensor) -> Tensor:
     return _make_node(out, (w, v), (grad_w, grad_v))
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0), equal bit for bit to `np.where(a > 0, a, 0.0)`.
-
-    `fmax` maps NaN and -inf to 0 and may keep -0.0; adding +0.0 turns -0.0
-    into +0.0 and leaves every other value as it is. It is several times
-    faster than `np.where`'s scalar-broadcast path.
-    """
-    a = _as_tensor(a)
-    out = np.fmax(a.data, 0.0)
-    out += 0.0
-    return _make_node(out, (a,), (lambda g: g * (a.data > 0),))
-
-
 def square(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     return _make_node(a.data * a.data, (a,), (lambda g: g * (2.0 * a.data),))
@@ -341,19 +393,6 @@ def _norm_axes(axis, ndim):
     if isinstance(axis, int):
         axis = (axis,)
     return tuple(sorted(a % ndim for a in axis))
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def grad_fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape).copy()
-
-    return _make_node(out, (a,), (grad_fn,))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -480,6 +519,8 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
             if node.requires_grad:
                 leaf_grads[node] = Tensor(g)
             continue
+        if node._grad_in is not None:
+            g = node._grad_in(g)
         for parent, fn in zip(node._parents, node._grad_fns):
             if not parent.requires_grad or fn is None:
                 continue

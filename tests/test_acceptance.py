@@ -42,7 +42,6 @@ from hnmvts.numcore import (
     no_grad,
     square,
     tmean,
-    tsum,
 )
 from hnmvts.trainer import TrainConfig, evaluate, train
 
@@ -209,7 +208,7 @@ def test_criterion_4_channel_invariants():
         only_target = np.zeros((n, 1, 1))
         only_target[target] = 1.0
         w = generate_weights("per_channel_linear", z, [w_phi], horizon)
-        grads = backward(tsum(square(w * Tensor(only_target))), [z, w_phi])
+        grads = backward(tmean(square(w * Tensor(only_target))), [z, w_phi])
         for other in range(n):
             if other == target:
                 continue

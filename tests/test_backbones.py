@@ -9,7 +9,15 @@ from hnmvts.backbones import (
     apply_final,
     decompose,
 )
-from hnmvts.numcore import DimensionError, Tensor, channel_dot, finite_diff_check, square, tsum
+from hnmvts.numcore import (
+    DimensionError,
+    Tape,
+    Tensor,
+    channel_dot,
+    finite_diff_check,
+    square,
+    tmean,
+)
 
 
 class TestDecompose:
@@ -166,7 +174,7 @@ def test_full_pipeline_gradient(rng):
     def loss():
         hidden = bb.forward_hidden(x)
         pred = apply_final([wt, ws], hidden)
-        return tsum(square(pred - target))
+        return tmean(square(pred - target))
 
     assert finite_diff_check(loss, [wt, ws]) < 1e-4
 
@@ -178,10 +186,30 @@ def test_mlp_pipeline_gradient(rng):
 
     def loss():
         pred = apply_final([w_final], bb.forward_hidden(x))
-        return tsum(square(pred))
+        return tmean(square(pred))
 
     params = [w_final, *bb.parameters().values()]
     assert finite_diff_check(loss, params) < 1e-4
+
+
+def test_two_layer_trunk_gradient(rng):
+    """A batch of windows through two layers: the row-blocked stack form."""
+    bb = MlpBackbone(lookback=6, hidden_widths=(5, 4), rng=rng)
+    w_final = Tensor(rng.standard_normal((3, 2, 4)) * 0.4, requires_grad=True)
+    x = rng.standard_normal((4, 3, 6))
+
+    def loss():
+        return tmean(square(apply_final([w_final], bb.forward_hidden(x))))
+
+    params = [w_final, *bb.parameters().values()]
+    assert finite_diff_check(loss, params) < 1e-4
+
+
+def test_trunk_traces_one_node_per_layer(rng):
+    bb = MlpBackbone(lookback=6, hidden_widths=(5, 4), rng=rng)
+    (hidden,) = bb.forward_hidden(rng.standard_normal((4, 3, 6)))
+    ops = [node for node in Tape.trace(tmean(hidden)).nodes if node._parents]
+    assert len(ops) == 2 + 1  # one per layer, then the mean
 
 
 def test_batched_forward_matches_single(rng):

@@ -1,4 +1,4 @@
-from hnmvts.numcore import Tensor, finite_diff_check, matmul, square, tsum
+from hnmvts.numcore import Tensor, finite_diff_check, matmul, square, tmean
 
 
 def test_linear_function_is_exact(rng):
@@ -6,7 +6,7 @@ def test_linear_function_is_exact(rng):
     c = Tensor(rng.standard_normal(5))
 
     def loss():
-        return tsum(w * c)
+        return tmean(w * c)
 
     assert finite_diff_check(loss, [w]) < 1e-10
 
@@ -16,7 +16,7 @@ def test_cubic_polynomial_at_2():
     x = Tensor([2.0], requires_grad=True)
 
     def loss():
-        return tsum(x * x * x)
+        return tmean(x * x * x)
 
     err = finite_diff_check(loss, [x])
     assert err < 1e-6
@@ -27,6 +27,6 @@ def test_matrix_quadratic(rng):
     x = Tensor(rng.standard_normal((3, 2)))
 
     def loss():
-        return tsum(square(matmul(a, x)))
+        return tmean(square(matmul(a, x)))
 
     assert finite_diff_check(loss, [a]) < 1e-6

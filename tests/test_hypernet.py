@@ -25,7 +25,7 @@ from hnmvts.numcore import (
     make_rng,
     channel_dot,
     square,
-    tsum,
+    tmean,
 )
 
 
@@ -183,7 +183,7 @@ class TestChannelInvariants:
         target = int(rng.integers(n))
         only_target = np.zeros((n, 1, 1))
         only_target[target] = 1.0
-        loss = tsum(square(linear_weights(z, w_phi) * Tensor(only_target)))
+        loss = tmean(square(linear_weights(z, w_phi) * Tensor(only_target)))
         grads = backward(loss, [z, w_phi])
         for other in range(n):
             if other == target:

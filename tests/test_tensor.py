@@ -11,17 +11,16 @@ from hnmvts.numcore import (
     backward,
     channel_dot,
     get_default_dtype,
+    linear_relu,
     matmul,
     moving_average,
     moving_average_adjoint,
     mul,
     no_grad,
-    relu,
     reshape,
     square,
     sub,
     tmean,
-    tsum,
 )
 from hnmvts.numcore import tensor as tensor_mod
 
@@ -76,54 +75,27 @@ class TestMatmul:
         right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
         np.testing.assert_allclose(left, right, atol=1e-9)
 
-    @pytest.mark.parametrize("k, p", [(96, 256), (256, 128)], ids=["96x256", "256x128"])
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_stack_times_matrix_bit_identical_to_numpy(self, rng, request, dtype, k, p):
-        """The MLP trunk's layers (21 channels, lookback 96, widths 256 and 128):
-        forward and grad_a equal numpy's stacked products bit for bit, over
-        two whole row blocks and a part of a third."""
-        if dtype == "float32":
-            request.getfixturevalue("float32_mode")
-        n = 21
-        batch = 2 * (tensor_mod._ROW_BLOCK // n) + 5
-        a = Tensor(rng.standard_normal((batch, n, k)), requires_grad=True)
-        b = Tensor(rng.standard_normal((k, p)), requires_grad=True)
-        g = rng.standard_normal((batch, n, p)).astype(get_default_dtype())
-        out = matmul(a, b)
-        assert out.data.dtype == np.dtype(dtype)
-        assert np.array_equal(out.data, a.data @ b.data)
-        grads = backward(tsum(out * Tensor(g)))
-        assert np.array_equal(grads[a].data, g @ np.swapaxes(b.data, -1, -2))
-        assert np.array_equal(grads[b].data, (np.swapaxes(a.data, -1, -2) @ g).sum(axis=0))
-
     @pytest.mark.parametrize("shape_a, shape_b", [
-        ((40, 7, 37), (37, 100)),   # widths whose GEMM kernels may sum in another order
+        ((40, 7, 37), (37, 100)),
         ((300, 5, 255), (255, 9)),
-        ((40, 1, 37), (37, 100)),   # one row per matrix: numpy's path
-        ((40, 7, 37), (37, 1)),     # one output column: numpy's path
-        ((40, 7, 1), (1, 100)),     # inner dimension 1: numpy's path
+        ((40, 1, 37), (37, 100)),
+        ((40, 7, 37), (37, 1)),
+        ((40, 7, 1), (1, 100)),
     ], ids=["k37_p100", "k255_p9", "one_row", "one_column", "inner_one"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_stack_times_matrix_within_gemm_error(self, rng, request, dtype, shape_a, shape_b):
-        """Any width: within the dot-product rounding bound of numpy's stacked
-        products, 2 k eps (|a| @ |b|) elementwise; products with a dimension
-        of 1 are numpy's own."""
+        """A stack of matrices times one matrix, at any width, is numpy's own
+        stacked product bit for bit, and so is `grad_a`: the row-blocked GEMMs
+        serve `linear_relu` alone."""
         if dtype == "float32":
             request.getfixturevalue("float32_mode")
         a = Tensor(rng.standard_normal(shape_a), requires_grad=True)
         b = Tensor(rng.standard_normal(shape_b), requires_grad=True)
         g = rng.standard_normal(shape_a[:-1] + shape_b[-1:]).astype(get_default_dtype())
         out = matmul(a, b)
-        grad_a = backward(tsum(out * Tensor(g)))[a].data
-        eps = np.finfo(get_default_dtype()).eps
-        k, p = shape_b
-        bound = 2 * k * eps * (np.abs(a.data) @ np.abs(b.data))
-        assert (np.abs(out.data - a.data @ b.data) <= bound).all()
-        bound = 2 * p * eps * (np.abs(g) @ np.abs(b.data).T)
-        assert (np.abs(grad_a - g @ b.data.T) <= bound).all()
-        if min(shape_a[1], k, p) == 1:
-            assert np.array_equal(out.data, a.data @ b.data)
-            assert np.array_equal(grad_a, g @ b.data.T)
+        grad_a = backward(tmean(out * Tensor(g)))[a].data
+        assert np.array_equal(out.data, a.data @ b.data)
+        assert np.array_equal(grad_a, upstream(g) @ b.data.T)
 
     @pytest.mark.parametrize("shape_a, shape_b", [
         ((4, 5), (5, 3)),
@@ -138,76 +110,195 @@ class TestMatmul:
         a = Tensor(r.standard_normal(shape_a), requires_grad=True)
         b = Tensor(r.standard_normal(shape_b), requires_grad=True)
         g = r.standard_normal(matmul(a, b).shape)
-        grads = backward(tsum(matmul(a, b) * Tensor(g)))
+        grads = backward(tmean(matmul(a, b) * Tensor(g)))
         assert grads[a].shape == shape_a and grads[b].shape == shape_b
         da, db = r.standard_normal(shape_a), r.standard_normal(shape_b)
         assert np.vdot(g, matmul(Tensor(da), b).data) == pytest.approx(
-            np.vdot(grads[a].data, da), rel=1e-10, abs=1e-12)
+            np.vdot(grads[a].data, da) * g.size, rel=1e-10, abs=1e-12)
         assert np.vdot(g, matmul(a, Tensor(db)).data) == pytest.approx(
-            np.vdot(grads[b].data, db), rel=1e-10, abs=1e-12)
+            np.vdot(grads[b].data, db) * g.size, rel=1e-10, abs=1e-12)
 
 
-class TestRelu:
+def upstream(g):
+    """The gradient `backward(tmean(out * Tensor(g)))` delivers to `out`: each
+    entry of g times 1 / (its element count), rounded as the mean's backward
+    rounds it."""
+    return g * (np.ones_like(g) / g.size)
+
+
+def linear_relu_reference(h, w, b, g):
+    """relu(h @ w + b) composed from numpy's products, and for the gradient g
+    reaching it: the masked gradient gm, grad_h, grad_b and grad_w as per-matrix
+    products summed over the leading axes."""
+    pre = h @ w + b
+    gm = g * (pre > 0)
+    lead = tuple(range(gm.ndim - 2))
+    return {
+        "out": np.where(pre > 0, pre, 0.0).astype(pre.dtype),
+        "gm": gm,
+        "h": gm @ w.T,
+        "b": gm.sum(axis=lead + (gm.ndim - 2,)),
+        "w": (np.swapaxes(h, -1, -2) @ gm).sum(axis=lead),
+    }
+
+
+class TestLinearRelu:
+    @pytest.mark.parametrize("k, p", [(96, 256), (256, 128)], ids=["96x256", "256x128"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stack_times_matrix_bit_identical_to_numpy(self, rng, request, dtype, k, p):
+        """The MLP trunk's layers (21 channels, lookback 96, widths 256 and 128),
+        over two whole row blocks and a part of a third: the forward, grad_h and
+        grad_b equal the numpy composition bit for bit. grad_w is one GEMM over
+        all R = B*n rows, which sums in another order than per-matrix products
+        summed over B; both are within R eps/2 (|X|^T |G|) of the exact sum, so
+        they differ by at most 2 R eps (|X|^T |G|) elementwise."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n = 21
+        batch = 2 * (tensor_mod._ROW_BLOCK // n) + 5
+        h = Tensor(rng.standard_normal((batch, n, k)), requires_grad=True)
+        w = Tensor(rng.standard_normal((k, p)), requires_grad=True)
+        b = Tensor(rng.standard_normal(p), requires_grad=True)
+        g = rng.standard_normal((batch, n, p)).astype(get_default_dtype())
+        out = linear_relu(h, w, b)
+        assert out.data.dtype == np.dtype(dtype)
+        want = linear_relu_reference(h.data, w.data, b.data, upstream(g))
+        assert np.array_equal(out.data, want["out"])
+        grads = backward(tmean(out * Tensor(g)))
+        assert np.array_equal(grads[h].data, want["h"])
+        assert np.array_equal(grads[b].data, want["b"])
+        eps = np.finfo(get_default_dtype()).eps
+        rows = batch * n
+        bound = 2 * rows * eps * (np.abs(h.data.reshape(rows, k)).T
+                                  @ np.abs(want["gm"].reshape(rows, p)))
+        assert (np.abs(grads[w].data - want["w"]) <= bound).all()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matrix_input_bit_identical_to_numpy(self, rng, request, dtype):
+        """A 2-D input, the shared-MLP generator's form (21 channel embeddings
+        of width 8, hidden width 64): every gradient, grad_w included, is
+        numpy's own product bit for bit."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        h = Tensor(rng.standard_normal((21, 8)), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 64)), requires_grad=True)
+        b = Tensor(rng.standard_normal(64), requires_grad=True)
+        g = rng.standard_normal((21, 64)).astype(get_default_dtype())
+        out = linear_relu(h, w, b)
+        want = linear_relu_reference(h.data, w.data, b.data, upstream(g))
+        assert np.array_equal(out.data, want["out"])
+        grads = backward(tmean(out * Tensor(g)))
+        for t, key in ((h, "h"), (w, "w"), (b, "b")):
+            assert np.array_equal(grads[t].data, want[key])
+
+    @pytest.mark.parametrize("shape_h, shape_w", [
+        ((40, 7, 37), (37, 100)),   # widths whose GEMM kernels may sum in another order
+        ((300, 5, 255), (255, 9)),
+        ((40, 1, 37), (37, 100)),   # one row per matrix: numpy's path
+        ((40, 7, 37), (37, 1)),     # one output column: numpy's path
+        ((40, 7, 1), (1, 100)),     # inner dimension 1: numpy's path
+    ], ids=["k37_p100", "k255_p9", "one_row", "one_column", "inner_one"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stack_within_gemm_error(self, rng, request, dtype, shape_h, shape_w):
+        """Any width: the forward and grad_h are within the dot-product rounding
+        bound of numpy's stacked products, 2 k eps (|h| @ |w|) elementwise;
+        products with a dimension of 1 are numpy's own. The bias is zero, so
+        the ReLU (1-Lipschitz) of the sum carries the product's error as is."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        h = Tensor(rng.standard_normal(shape_h), requires_grad=True)
+        w = Tensor(rng.standard_normal(shape_w), requires_grad=True)
+        b = Tensor(np.zeros(shape_w[1]), requires_grad=True)
+        g = rng.standard_normal(shape_h[:-1] + shape_w[-1:]).astype(get_default_dtype())
+        out = linear_relu(h, w, b)
+        grad_h = backward(tmean(out * Tensor(g)))[h].data
+        gm = upstream(g) * (out.data > 0)
+        eps = np.finfo(get_default_dtype()).eps
+        k, p = shape_w
+        want = np.maximum(h.data @ w.data, 0.0)
+        bound = 2 * k * eps * (np.abs(h.data) @ np.abs(w.data))
+        assert (np.abs(out.data - want) <= bound).all()
+        bound = 2 * p * eps * (np.abs(gm) @ np.abs(w.data).T)
+        assert (np.abs(grad_h - gm @ w.data.T) <= bound).all()
+        if min(shape_h[1], k, p) == 1:
+            assert np.array_equal(out.data, want)
+            assert np.array_equal(grad_h, gm @ w.data.T)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bit_identical_to_where(self, rng, request, dtype):
-        """Sign bits included, at every length up to 70 (every SIMD tail)."""
+        """The ReLU equals `np.where(pre > 0, pre, 0.0)` on the pre-activation
+        bit for bit, sign bits included, at every length up to 70 (every SIMD
+        tail). The special values reach it through a product with 1; -0.0
+        cannot, as a product sums from +0.0."""
         if dtype == np.float32:
             request.getfixturevalue("float32_mode")
         tiny = np.finfo(dtype).smallest_subnormal
         special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
                             np.finfo(dtype).tiny, -np.finfo(dtype).tiny, 1.5, -1.5], dtype=dtype)
+        one, minus_zero = np.ones((1, 1), dtype), np.array([-0.0], dtype)
         for length in range(1, 71):
             x = np.where(rng.random(length) < 0.5, rng.choice(special, length),
-                         rng.standard_normal(length)).astype(dtype)
-            want = np.where(x > 0, x, 0.0).astype(dtype)
-            out = relu(Tensor(x)).data
+                         rng.standard_normal(length)).astype(dtype)[:, None]
+            pre = x @ one + minus_zero
+            want = np.where(pre > 0, pre, 0.0).astype(dtype)
+            out = linear_relu(Tensor(x), Tensor(one), Tensor(minus_zero)).data
             assert out.dtype == dtype and out.tobytes() == want.tobytes(), x
 
-    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("shape_h, shape_w", [((5, 4), (4, 3)), ((300, 5, 7), (7, 6))],
+                             ids=["2d", "stack"])
+    @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_gradient_is_adjoint(self, seed):
-        """<g, J v> = <J^T g, v>, with J v taken as a difference along v over a
-        step too short for any entry to change sign."""
+    def test_gradients_are_adjoint(self, shape_h, shape_w, seed):
+        """<g, J v> = <J^T g, v> for each of h, w and b, with J the layer's
+        linearisation written in numpy: the mask of pre > 0 times the change of
+        h @ w + b along v. The stack spans two row blocks."""
         r = np.random.Generator(np.random.Philox(seed))
-        x = r.standard_normal((3, 4, 5))
-        x = np.where(np.abs(x) < 0.1, 0.1, x)
-        v, g = r.standard_normal(x.shape), r.standard_normal(x.shape)
-        step = 0.05 / np.abs(v).max()
-        a = Tensor(x, requires_grad=True)
-        jt_g = backward(tsum(relu(a) * Tensor(g)))[a].data
-        j_v = (relu(Tensor(x + step * v)).data - relu(Tensor(x)).data) / step
-        assert np.vdot(g, j_v) == pytest.approx(np.vdot(jt_g, v), rel=1e-9, abs=1e-12)
+        h, w, b = r.standard_normal(shape_h), r.standard_normal(shape_w), r.standard_normal(shape_w[1])
+        mask = (h @ w + b) > 0
+        assert_adjoint(r, linear_relu, [h, w, b], [
+            lambda v: mask * (v @ w),
+            lambda v: mask * (h @ v),
+            lambda v: mask * v,
+        ])
+
+    def test_shape_mismatch_names_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
+            linear_relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(DimensionError, match=r"\(3,\)"):
+            linear_relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
+        """The mean of n entries: a sum's gradient of ones, over n."""
         x = Tensor(np.arange(5.0), requires_grad=True)
-        grads = backward(tsum(x))
-        np.testing.assert_array_equal(grads[x].data, np.ones(5))
+        grads = backward(tmean(x))
+        np.testing.assert_array_equal(grads[x].data * 5, np.ones(5))
 
     def test_half_norm_squared_gives_x(self, rng):
         xv = rng.standard_normal(7)
         x = Tensor(xv, requires_grad=True)
-        loss = tsum(square(x)) * 0.5
+        loss = tmean(square(x)) * 0.5
         grads = backward(loss)
-        np.testing.assert_allclose(grads[x].data, xv, atol=1e-12)
+        np.testing.assert_allclose(grads[x].data * 7, xv, atol=1e-12)
 
     def test_two_layer_mlp_matches_finite_differences(self, rng):
         from hnmvts.numcore import finite_diff_check
 
         w1 = Tensor(rng.standard_normal((4, 5)) * 0.5, requires_grad=True)
+        b1 = Tensor(rng.standard_normal(5) * 0.5, requires_grad=True)
         w2 = Tensor(rng.standard_normal((5, 2)) * 0.5, requires_grad=True)
         x = Tensor(rng.standard_normal((3, 4)))
 
         def loss():
-            return tsum(square(matmul(relu(matmul(x, w1)), w2)))
+            return tmean(square(matmul(linear_relu(x, w1, b1), w2)))
 
-        assert finite_diff_check(loss, [w1, w2]) < 1e-4
+        assert finite_diff_check(loss, [w1, b1, w2]) < 1e-4
 
     def test_off_path_leaves_get_zero(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         unused = Tensor([5.0], requires_grad=True)
-        grads = backward(tsum(x), params=[x, unused])
+        grads = backward(tmean(x), params=[x, unused])
         np.testing.assert_array_equal(grads[unused].data, np.zeros(1))
 
     def test_non_scalar_loss_rejected(self):
@@ -218,13 +309,13 @@ class TestBackward:
     def test_reused_node_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         y = x * x  # dx = 2x via two paths through mul
-        grads = backward(tsum(y + y))
+        grads = backward(tmean(y + y))
         np.testing.assert_allclose(grads[x].data, [12.0])
 
     def test_tape_visits_each_node_once(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = x * 2.0
-        loss = tsum(y + y)
+        loss = tmean(y + y)
         tape = Tape.trace(loss)
         ids = [id(n) for n in tape.nodes]
         assert len(ids) == len(set(ids))
@@ -279,7 +370,7 @@ class TestChannelDot:
             v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
 
             def loss():
-                return tsum(square(channel_dot(w, v)))
+                return tmean(square(channel_dot(w, v)))
 
             assert finite_diff_check(loss, [w, v]) < 1e-6
 
@@ -289,12 +380,12 @@ class TestChannelDot:
         w = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
         v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
         g = rng.standard_normal(channel_dot(w, v).shape)
-        grads = backward(tsum(channel_dot(w, v) * Tensor(g)))
+        grads = backward(tmean(channel_dot(w, v) * Tensor(g)))
         dw, dv = rng.standard_normal(w.shape), rng.standard_normal(v.shape)
         assert np.vdot(channel_dot(Tensor(dw), v).data, g) == pytest.approx(
-            np.vdot(dw, grads[w].data), rel=1e-12)
+            np.vdot(dw, grads[w].data) * g.size, rel=1e-12)
         assert np.vdot(channel_dot(w, Tensor(dv)).data, g) == pytest.approx(
-            np.vdot(dv, grads[v].data), rel=1e-12)
+            np.vdot(dv, grads[v].data) * g.size, rel=1e-12)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
@@ -358,18 +449,19 @@ class TestMovingAverage:
 class TestShapeOps:
     def test_reshape_roundtrip_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-        loss = tsum(square(reshape(x, (3, 4))))
+        loss = tmean(square(reshape(x, (3, 4))))
         grads = backward(loss)
-        np.testing.assert_allclose(grads[x].data, 2 * x.data, atol=1e-12)
+        np.testing.assert_allclose(grads[x].data * 12, 2 * x.data, atol=1e-12)
 
     def test_broadcast_unbroadcast(self, rng):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         col = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
-        loss = tsum(square(x - col))
+        loss = tmean(square(x - col))
         grads = backward(loss)
         assert grads[col].shape == (4, 1)
         np.testing.assert_allclose(
-            grads[col].data, (-2 * (x.data - col.data)).sum(axis=1, keepdims=True), atol=1e-12
+            grads[col].data * 12, (-2 * (x.data - col.data)).sum(axis=1, keepdims=True),
+            atol=1e-12,
         )
 
 
@@ -378,23 +470,24 @@ class TestReductions:
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         out = tmean(x, axis=-1)
         np.testing.assert_allclose(out.data, x.data.mean(axis=-1), atol=1e-15)
-        grads = backward(tsum(out))
-        np.testing.assert_allclose(grads[x].data, np.full((3, 5), 1 / 5), atol=1e-15)
+        grads = backward(tmean(out))
+        np.testing.assert_allclose(grads[x].data * 3, np.full((3, 5), 1 / 5), atol=1e-15)
 
 
 def assert_adjoint(r, f, xs, jvps):
     """<g, J_i v> == <J_i^T g, v> for each input x_i of `f`, with `jvps[i](v)`
     the directional derivative J_i v written out in numpy and J_i^T g the
-    gradient that `backward` returns for x_i."""
+    gradient that `backward` returns for x_i. The loss is the mean of out * g,
+    so that gradient is J_i^T g over the element count."""
     ts = [Tensor(x, requires_grad=True) for x in xs]
     out = f(*ts)
     g = r.standard_normal(out.shape)
-    grads = backward(tsum(mul(out, Tensor(g))), ts)
+    grads = backward(tmean(mul(out, Tensor(g))), ts)
     for t, jvp in zip(ts, jvps):
         v = r.standard_normal(t.shape)
         assert grads[t].shape == t.shape
-        assert np.vdot(g, jvp(v)) == pytest.approx(np.vdot(grads[t].data, v), rel=1e-10,
-                                                   abs=1e-12)
+        assert np.vdot(g, jvp(v)) == pytest.approx(np.vdot(grads[t].data, v) * g.size,
+                                                   rel=1e-10, abs=1e-12)
 
 
 def away_from_zero(r, shape):
@@ -436,7 +529,7 @@ class TestAdjoint:
         x = r.standard_normal((4, 2, 3))
         assert_adjoint(r, square, [x], [lambda v: 2.0 * x * v])
 
-    @pytest.mark.parametrize("reduce", ["tsum", "tmean"])
+    @pytest.mark.parametrize("reduce", [tmean], ids=["tmean"])
     @pytest.mark.parametrize("axis", [None, 0, -1, (0, 2)], ids=["all", "0", "-1", "0_2"])
     @pytest.mark.parametrize("keepdims", [False, True])
     @settings(max_examples=10, deadline=None)
@@ -444,10 +537,8 @@ class TestAdjoint:
     def test_reductions(self, reduce, axis, keepdims, seed):
         r = np.random.Generator(np.random.Philox(seed))
         x = r.standard_normal((3, 4, 2))
-        f = {"tsum": tsum, "tmean": tmean}[reduce]
-        ref = {"tsum": np.sum, "tmean": np.mean}[reduce]
-        assert_adjoint(r, lambda t: f(t, axis=axis, keepdims=keepdims), [x],
-                       [lambda v: ref(v, axis=axis, keepdims=keepdims)])
+        assert_adjoint(r, lambda t: reduce(t, axis=axis, keepdims=keepdims), [x],
+                       [lambda v: np.mean(v, axis=axis, keepdims=keepdims)])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),

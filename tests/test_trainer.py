@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hnmvts.backbones import DLinearBackbone
+from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
 from hnmvts.numcore import Tensor, make_rng
@@ -65,6 +65,21 @@ class TestTrain:
         assert histories[0] == histories[1]
         for key in finals[0]:
             assert (finals[0][key] == finals[1][key]).all()
+
+    def test_two_mlp_runs_bit_identical(self):
+        digests = []
+        for _ in range(2):
+            rng = make_rng(6)
+            values = rng.standard_normal((160, 3)).cumsum(axis=0)
+            table = SeriesTable(Tensor(values), ["a", "b", "c"])
+            windows = make_windows(table, 8, 2)
+            bb = MlpBackbone(8, (6, 5), rng=rng)
+            model = build_hyper(bb, table, 2, rng, mode="shared_mlp", gen_hidden=(4,))
+            cfg = TrainConfig(lookback=8, horizon=2, max_epochs=2, batch_size=16, seed=11)
+            model, history = train(model, windows[:100], windows[100:], cfg)
+            digests.append((history.train_loss, history.val_mse,
+                            [p.data.tobytes() for p in model.parameters().values()]))
+        assert digests[0] == digests[1]
 
     def test_linear_generative_data_reaches_tiny_mse(self, rng):
         table, _ = linear_map_table(rng)
