@@ -253,7 +253,8 @@ class TestLinearRelu:
         linearisation written in numpy: the mask of pre > 0 times the change of
         h @ w + b along v. The stack spans two row blocks."""
         r = np.random.Generator(np.random.Philox(seed))
-        h, w, b = r.standard_normal(shape_h), r.standard_normal(shape_w), r.standard_normal(shape_w[1])
+        h, w = r.standard_normal(shape_h), r.standard_normal(shape_w)
+        b = r.standard_normal(shape_w[1])
         mask = (h @ w + b) > 0
         assert_adjoint(r, linear_relu, [h, w, b], [
             lambda v: mask * (v @ w),
