@@ -75,6 +75,27 @@ class TestMatmul:
         right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
         np.testing.assert_allclose(left, right, atol=1e-9)
 
+    @pytest.mark.parametrize("k, p", [(96, 256), (256, 128)], ids=["96x256", "256x128"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stack_times_matrix_bit_identical_to_numpy(self, rng, request, dtype, k, p):
+        """The MLP trunk's shapes (21 channels, lookback 96, widths 256 and 128)
+        through plain matmul: forward, grad_a and grad_b (per-matrix products
+        summed over the stack) equal numpy's bit for bit."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n = 21
+        batch = 2 * (tensor_mod._ROW_BLOCK // n) + 5
+        a = Tensor(rng.standard_normal((batch, n, k)), requires_grad=True)
+        b = Tensor(rng.standard_normal((k, p)), requires_grad=True)
+        g = rng.standard_normal((batch, n, p)).astype(get_default_dtype())
+        out = matmul(a, b)
+        assert out.data.dtype == np.dtype(dtype)
+        assert np.array_equal(out.data, a.data @ b.data)
+        grads = backward(tmean(out * Tensor(g)))
+        assert np.array_equal(grads[a].data, upstream(g) @ np.swapaxes(b.data, -1, -2))
+        assert np.array_equal(grads[b].data,
+                              (np.swapaxes(a.data, -1, -2) @ upstream(g)).sum(axis=0))
+
     @pytest.mark.parametrize("shape_a, shape_b", [
         ((40, 7, 37), (37, 100)),
         ((300, 5, 255), (255, 9)),
