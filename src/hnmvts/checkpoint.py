@@ -5,9 +5,12 @@ echo; arrays are stored bit-exact in their native float width under the
 names `ForecastModel.all_arrays` uses, each prefixed with `param/`. Loading
 checks every array against the names and shapes the header decides, so a
 missing, foreign or mis-shaped array is a CheckpointError naming it.
-Format 2 is written; format 1, which also stored `n_channels` and one
-`heads` entry per slot in place of the one `generator`, is still read, and
-only here: `_from_format_1` turns its header into the format-2 form.
+Format 3 is written; formats 1 and 2 are still read, and only here.
+Format 1 also stored `n_channels` and one `heads` entry per slot in place
+of the one `generator`; `_from_format_1` turns its header into the
+format-2 form. Both store each `w_phi` d-last, (N, H, D, d);
+`_from_d_last` checks it in that layout and moves d to axis 1, the
+format-3 layout (N, d, H, D).
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .backbones import from_config
 from .hypernet import ForecastModel, StoreError
 from .numcore import Tensor
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -60,14 +64,17 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         raise CheckpointError(f"{path}: corrupt meta header ({err})") from None
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: meta header is a JSON {type(meta).__name__}, not an object")
-    if (version := meta.pop("format_version", None)) not in (1, FORMAT_VERSION):
-        raise CheckpointError(f"{path}: format version {version} is not 1 or {FORMAT_VERSION}")
+    if (version := meta.pop("format_version", None)) not in (1, 2, FORMAT_VERSION):
+        raise CheckpointError(f"{path}: format version {version} is not 1, 2 or "
+                              f"{FORMAT_VERSION}")
     echo = meta.pop("config_echo", {})
     arrays = {key[len("param/") :]: Tensor(bundle[key])
               for key in bundle.files if key.startswith("param/")}
     try:
         if version == 1:
             meta = _from_format_1(meta, arrays)
+        if version < FORMAT_VERSION:
+            _from_d_last(meta, arrays)
         model = ForecastModel(meta, arrays)
     except StoreError as err:
         raise CheckpointError(f"{path}: array 'param/{err.name}' {err.problem}") from None
@@ -100,3 +107,18 @@ def _from_format_1(meta: dict, arrays: dict[str, Tensor]) -> dict:
         hidden.append(arrays[bias].size)
     meta["generator"] = {"mode": head["mode"], "hidden": hidden}
     return meta
+
+
+def _from_d_last(meta: dict, arrays: dict[str, Tensor]) -> None:
+    """Move each stored (N, H, D, d) `w_phi` of a format-1 or format-2 file to
+    (N, d, H, D) in place, after checking its shape in the file's own layout."""
+    if meta["variant"] != "hyper" or meta["generator"]["mode"] != "per_channel_linear":
+        return
+    n, d, horizon = len(meta["channel_names"]), meta["embedding"]["dim"], meta["horizon"]
+    for slot, dim in from_config(meta["backbone"], arrays).slots:
+        name = f"head.{slot}.w_phi"
+        if name not in arrays:
+            continue  # reported as missing when the model is built
+        if (shape := arrays[name].shape) != (expected := (n, horizon, dim, d)):
+            raise StoreError(name, f"has shape {shape}, expected {expected}")
+        arrays[name] = Tensor(np.moveaxis(arrays[name].data, -1, 1))

@@ -18,8 +18,9 @@ naming it. The names:
 Each channel owns a learnable d-vector; a generator maps it to that
 channel's final-layer matrix. Two generator modes:
 
-* per_channel_linear - W[n] = w_phi[n] . z[n], one (H x D x d) block per
-  channel, no cross-channel coupling inside the generator; `hidden` is [].
+* per_channel_linear - W[n] = sum_j z[n, j] w_phi[n, j], one d x H x D block
+  per channel, stored d-major as `w_phi` (N, d, H, D), no cross-channel
+  coupling inside the generator; `hidden` is [].
 * shared_mlp - one small MLP applied to every channel's embedding (channels
   as the batch axis): the `backbones` Linear+ReLU stack of widths `hidden`,
   then a bias-free output layer `head.<slot>.mlp.<len(hidden)>.w`.
@@ -47,7 +48,7 @@ from . import backbones
 from .backbones import apply_final, draw_fan_in, stack_forward, stack_shapes, uniform_fan_in
 from .data import SeriesTable, pearson_corr
 from .normalization import InstanceStats, revin_forward, revin_reverse
-from .numcore import Tensor, channel_dot, matmul, no_grad, pca_project, reshape
+from .numcore import Tensor, channel_gemv, matmul, no_grad, pca_project, reshape
 
 __all__ = [
     "ForecastModel",
@@ -92,7 +93,7 @@ def _generator_shapes(gen: dict, prefix: str, n: int, d: int, horizon: int, dim:
         if gen["hidden"]:
             raise ValueError(f"generator.hidden must be [] for per_channel_linear, "
                              f"got {gen['hidden']}")
-        return {f"{prefix}.w_phi": (n, horizon, dim, d)}
+        return {f"{prefix}.w_phi": (n, d, horizon, dim)}
     if gen["mode"] != "shared_mlp":
         raise ValueError(f"unknown generator mode '{gen['mode']}'")
     hidden = gen["hidden"]
@@ -113,18 +114,20 @@ def init_generator(
     per_channel_linear returns [w_phi], each channel's block drawn from the
     plain-layer uniform fan-in law scaled by 1/|z[n]| so the initial
     generated W matches a directly-initialized (H x D) layer in
-    distribution. shared_mlp returns each hidden layer's weight and bias,
-    then the bias-free output weight, each drawn by fan-in.
+    distribution; the draws fill an (N, H, D, d) array, whose d axis then
+    moves to axis 1, so the values do not depend on the stored layout.
+    shared_mlp returns each hidden layer's weight and bias, then the
+    bias-free output weight, each drawn by fan-in.
     """
     n, d = z.shape
     shapes = _generator_shapes({"mode": mode, "hidden": gen_hidden}, "head", n, d, horizon,
                                hidden_dim)
     if mode == "shared_mlp":
         return list(draw_fan_in(rng, shapes).values())
-    base = uniform_fan_in(rng, shapes["head.w_phi"], fan_in=hidden_dim)
+    base = uniform_fan_in(rng, (n, horizon, hidden_dim, d), fan_in=hidden_dim)
     norms = np.linalg.norm(z, axis=1)
     norms = np.where(norms < 1e-8, 1.0, norms)
-    return [base / norms[:, None, None, None]]
+    return [np.ascontiguousarray(np.moveaxis(base / norms[:, None, None, None], -1, 1))]
 
 
 def generate_weights(mode: str, z: Tensor, gen: list[Tensor], horizon: int) -> Tensor:
@@ -133,7 +136,7 @@ def generate_weights(mode: str, z: Tensor, gen: list[Tensor], horizon: int) -> T
     `gen` holds the generator's arrays in store order (see `init_generator`).
     """
     if mode == "per_channel_linear":
-        return channel_dot(gen[0], z)
+        return channel_gemv(z, gen[0])
     flat = matmul(stack_forward(z, gen[:-1]), gen[-1])
     return reshape(flat, (z.shape[0], horizon, flat.shape[1] // horizon))
 

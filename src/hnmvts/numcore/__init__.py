@@ -11,6 +11,7 @@ from .tensor import (
     add,
     backward,
     channel_dot,
+    channel_gemv,
     get_default_dtype,
     linear_relu,
     matmul,
@@ -34,6 +35,7 @@ __all__ = [
     "add",
     "backward",
     "channel_dot",
+    "channel_gemv",
     "finite_diff_check",
     "get_default_dtype",
     "linear_relu",

@@ -7,7 +7,8 @@ the graph into a `Tape` and replays it in reverse topological order.
 
 The op set is deliberately small: exactly the primitives the forecasting
 models need (broadcasting arithmetic, matmul, one fused Linear+ReLU layer,
-per-channel contraction, the mean, shape ops). Data that no gradient reaches
+the per-channel final layer `channel_dot` and weight generator
+`channel_gemv`, the mean, shape ops). Data that no gradient reaches
 stays off the graph: the moving average and its transpose work on plain
 arrays.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "matmul",
     "linear_relu",
     "channel_dot",
+    "channel_gemv",
     "square",
     "tmean",
     "reshape",
@@ -344,42 +346,64 @@ def _from_channel_major(arr: np.ndarray, batch_shape: tuple[int, ...], trailing:
 
 
 def channel_dot(w: Tensor, v: Tensor) -> Tensor:
-    """Per-channel contraction over the trailing axis.
+    """The per-channel final layer: out[..., n, h] = sum_q w[n, h, q] * v[..., n, q].
 
-    out[..., n, s] = sum_q w[n, s, q] * v[..., n, q]
-
-    With w of shape (N, *S, q) and v of shape (*B, N, q) the result has shape
-    (*B, N, *S). Realizes both the per-channel final layer (w = weights
-    (N, H, D), v = hidden states) and the per-channel weight generator
-    (w = (N, H, D, d), v = embeddings (N, d)). Forward and both gradients run
-    as matmuls batched over the channel axis.
+    With w of shape (N, H, D) and v of shape (*B, N, D) the result has shape
+    (*B, N, H): each channel's (H x D) matrix applied to its hidden states.
+    Forward and both gradients run as matmuls batched over the channel axis.
     """
     w, v = _as_tensor(w), _as_tensor(v)
-    if w.ndim < 2 or v.ndim < 2:
-        raise DimensionError(f"channel_dot needs >=2-d operands, got {w.shape}, {v.shape}")
+    if w.ndim != 3 or v.ndim < 2:
+        raise DimensionError(f"channel_dot needs w (N, H, D) and v (..., N, D), got {w.shape}, "
+                             f"{v.shape}")
     if w.shape[0] != v.shape[-2] or w.shape[-1] != v.shape[-1]:
         raise DimensionError(
             f"channel_dot shapes disagree: w {w.shape} vs v {v.shape} "
             "(need matching channel and trailing axes)"
         )
-    n, q = w.shape[0], w.shape[-1]
-    s_shape = w.shape[1:-1]
     b_shape = v.shape[:-2]
-    wm = w.data.reshape(n, -1, q)                      # (N, Sp, q)
-    vm = _to_channel_major(v.data, len(b_shape))       # (N, Bp, q)
-    out_m = vm @ wm.swapaxes(1, 2)                     # (N, Bp, Sp)
-    out = _from_channel_major(out_m, b_shape, s_shape)
+    vm = _to_channel_major(v.data, len(b_shape))       # (N, Bp, D)
+    out = _from_channel_major(vm @ w.data.swapaxes(1, 2), b_shape, (w.shape[1],))
 
     def grad_w(g):
-        gm = _to_channel_major(g.reshape(*b_shape, n, -1), len(b_shape))
-        return (gm.swapaxes(1, 2) @ vm).reshape(w.shape)
+        return _to_channel_major(g, len(b_shape)).swapaxes(1, 2) @ vm
 
     def grad_v(g):
-        gm = _to_channel_major(g.reshape(*b_shape, n, -1), len(b_shape))
-        dv = gm @ wm                                   # (N, Bp, q)
-        return _from_channel_major(dv, b_shape, (q,))
+        dv = _to_channel_major(g, len(b_shape)) @ w.data  # (N, Bp, D)
+        return _from_channel_major(dv, b_shape, (w.shape[2],))
 
     return _make_node(out, (w, v), (grad_w, grad_v))
+
+
+def channel_gemv(z: Tensor, w: Tensor) -> Tensor:
+    """Each channel's embedding times its own stack of blocks: out[n] = sum_j z[n, j] * w[n, j].
+
+    With z of shape (N, d) and w of shape (N, d, *S) the result has shape
+    (N, *S). It is the per_channel_linear weight generator (w = `w_phi`
+    (N, d, H, D)). Each channel's w[n] is read as one contiguous (d, prod(S))
+    matrix, so every kernel streams it in rows:
+
+    * forward, z[n] @ w[n], a GEMV per channel; within d eps sum_j |z||w| of
+      the exact sum;
+    * grad_w, z[n, j] * g[n], d scaled copies of g per channel; each element
+      is one product, so it is exact;
+    * grad_z, w[n] @ g[n], a GEMV per channel; within prod(S) eps sum |w||g|.
+    """
+    z, w = _as_tensor(z), _as_tensor(w)
+    if z.ndim != 2 or w.ndim < 2 or w.shape[:2] != z.shape:
+        raise DimensionError(f"channel_gemv needs z (N, d) and w (N, d, ...), got {z.shape}, "
+                             f"{w.shape}")
+    n, d = z.shape
+    wm = w.data.reshape(n, d, -1)
+    out = (z.data[:, None, :] @ wm).reshape(n, *w.shape[2:])
+
+    def grad_z(g):
+        return (wm @ g.reshape(n, -1, 1)).reshape(n, d)
+
+    def grad_w(g):
+        return (z.data[:, :, None] * g.reshape(n, 1, -1)).reshape(w.shape)
+
+    return _make_node(out, (z, w), (grad_z, grad_w))
 
 
 def square(a: Tensor) -> Tensor:

@@ -109,7 +109,8 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     state = AdamState(lr=cfg.lr)
     shuffle_rng = spawn_rng(cfg.seed, 7)
     history = TrainHistory()
-    best_val = np.inf
+    best_val, best_epoch = np.inf, -1
+    # one snapshot per call, refreshed in place at each improving epoch
     best_snapshot = {name: p.data.copy() for name, p in params.items()}
     n = len(train_windows)
     for epoch in range(cfg.max_epochs):
@@ -131,8 +132,8 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
                 raise TrainingError(
                     _diagnostics(str(err), loss_val, epoch, start, params)
                 ) from err
-            # free this step's gradients before the next batch's forward and backward
-            del grads, named_grads
+            # free this step's graph and gradients before the next batch's forward
+            del loss, grads, named_grads
             total_loss += loss_val * len(idx)
         seconds = time.perf_counter() - t0
         val_mse = evaluate(model, val_windows)["mse"]
@@ -140,15 +141,17 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
         history.val_mse.append(val_mse)
         history.seconds.append(seconds)
         if val_mse < best_val:
-            best_val = val_mse
-            best_snapshot = {name: p.data.copy() for name, p in params.items()}
+            best_val, best_epoch = val_mse, epoch
+            for name, p in params.items():
+                np.copyto(best_snapshot[name], p.data)
         if (
             cfg.early_stop_patience is not None
             and epoch - history.best_epoch >= cfg.early_stop_patience
         ):
             break
-    for name, p in params.items():
-        p.data[:] = best_snapshot[name]
+    if best_epoch != epoch:  # after the best epoch itself the parameters are the snapshot
+        for name, p in params.items():
+            p.data[:] = best_snapshot[name]
     return model, history
 
 

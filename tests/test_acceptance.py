@@ -186,7 +186,7 @@ def test_criterion_4_channel_invariants():
         z = rng.standard_normal((n, d))
         z[j] = z[i]
         # per-channel mode with tied generator slices
-        w_phi = rng.standard_normal((n, horizon, hidden, d))
+        w_phi = rng.standard_normal((n, d, horizon, hidden))
         w_phi[j] = w_phi[i]
         w = generate_weights("per_channel_linear", Tensor(z), [Tensor(w_phi)], horizon).data
         assert (w[i] == w[j]).all(), "per-channel tying must be exact"
@@ -203,7 +203,7 @@ def test_criterion_4_channel_invariants():
         hidden = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        w_phi = Tensor(rng.standard_normal((n, horizon, hidden, d)), requires_grad=True)
+        w_phi = Tensor(rng.standard_normal((n, d, horizon, hidden)), requires_grad=True)
         target = int(rng.integers(n))
         only_target = np.zeros((n, 1, 1))
         only_target[target] = 1.0

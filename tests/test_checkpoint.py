@@ -154,7 +154,8 @@ def test_wrong_typed_header_rejected(tmp_path, edit, message):
     (variant, mode) for variant in ("hyper", "baked") for mode in GENERATOR_MODES])
 @pytest.mark.parametrize("backbone_kind", ["dlinear", "mlp"])
 def test_format_2_roundtrip_bit_exact(tmp_path, rng, backbone_kind, variant, mode):
-    """Every backbone x variant x generator mode is written as format 2 and
+    """Every backbone x variant x generator mode is written in the current
+    format (the format-2 header plus, since format 3, d-major `w_phi`) and
     read back with the same bits and the same forecasts."""
     bb = DLinearBackbone(8, 3) if backbone_kind == "dlinear" else MlpBackbone(8, (6,), rng=rng)
     if variant == "baseline":
@@ -165,8 +166,12 @@ def test_format_2_roundtrip_bit_exact(tmp_path, rng, backbone_kind, variant, mod
         model = bake(model) if variant == "baked" else model
     path = tmp_path / "m.npz"
     save_checkpoint(model, path)
-    meta = json.loads(bytes(np.load(path)["meta"]).decode())
-    assert meta["format_version"] == FORMAT_VERSION == 2
+    bundle = np.load(path)
+    meta = json.loads(bytes(bundle["meta"]).decode())
+    assert meta["format_version"] == FORMAT_VERSION == 3
+    for key in bundle.files:
+        if key.endswith(".w_phi"):  # stored d-major, (N, d, H, D)
+            assert bundle[key].shape[:3] == (3, 3, 4), key
     assert "n_channels" not in meta and "heads" not in meta
     if variant == "hyper":
         hidden = [5, 2] if mode == "shared_mlp" else []
@@ -185,15 +190,20 @@ def test_format_2_roundtrip_bit_exact(tmp_path, rng, backbone_kind, variant, mod
         assert loaded.forward(x).data.tobytes() == model.forward(x).data.tobytes()
 
 
-def test_fixtures_stay_format_1():
-    """The fixtures pin how format 1 reads; they are never rewritten as format 2."""
-    paths = sorted(FIXTURES.glob("*.npz"))
-    assert len(paths) == 4
-    for path in paths:
-        assert json.loads(bytes(np.load(path)["meta"]).decode())["format_version"] == 1, path
+FIXTURE_FORMATS = {"baseline_dlinear": 1, "hyper_pcl_dlinear": 1, "hyper_shared_mlp": 1,
+                   "baked_mlp": 1, "hyper_pcl_dlinear_format2": 2}
 
 
-def format_1_copy(tmp_path, name, edit):
+def test_fixtures_keep_their_format():
+    """The fixtures pin how the older formats read; each keeps the format it
+    was written in and is never rewritten in a newer one."""
+    assert sorted(p.stem for p in FIXTURES.glob("*.npz")) == sorted(FIXTURE_FORMATS)
+    for name, version in FIXTURE_FORMATS.items():
+        meta = json.loads(bytes(np.load(FIXTURES / f"{name}.npz")["meta"]).decode())
+        assert meta["format_version"] == version, name
+
+
+def fixture_copy(tmp_path, name, edit):
     """A copy of fixture `name` with `edit` applied to its (meta, arrays)."""
     path = tmp_path / f"{name}.npz"
     path.write_bytes((FIXTURES / f"{name}.npz").read_bytes())
@@ -220,7 +230,7 @@ def format_1_copy(tmp_path, name, edit):
     ids=["names_short", "count_long", "mixed_modes", "missing_bias", "cut_bias"],
 )
 def test_format_1_header_checked(tmp_path, name, edit, message):
-    path = format_1_copy(tmp_path, name, edit)
+    path = fixture_copy(tmp_path, name, edit)
     with pytest.raises(CheckpointError, match=message) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
@@ -247,3 +257,39 @@ def test_format_1_fixture_forecasts_bit_identical(name, variant):
     with no_grad():
         pred = model.forward(Tensor(np.load(FIXTURES / "input.npy"))).data
     np.testing.assert_array_equal(pred, np.load(FIXTURES / f"{name}.forecast.npy"))
+
+
+def test_format_2_fixture_forecasts_bit_identical():
+    """A format-2 file, written by the version before format 3, loads and
+    forecasts bit for bit. It stores each `w_phi` d-last, (N, H, D, d); the
+    model holds the same values d-major, (N, d, H, D). The fixture is a
+    per_channel_linear DLinear model (3 channels, lookback 8, horizon 4,
+    kernel 3, d = 2) trained for 3 epochs; its `.forecast.npy` is its
+    forecast for `input.npy`."""
+    path = FIXTURES / "hyper_pcl_dlinear_format2.npz"
+    model, echo = load_checkpoint(path)
+    assert model.variant == "hyper" and echo == {"lookback": 8}
+    stored = np.load(path)
+    for slot in ("trend", "seasonal"):
+        w_phi = model.all_arrays()[f"head.{slot}.w_phi"].data
+        assert w_phi.shape == (3, 2, 4, 8)
+        assert np.array_equal(w_phi, np.moveaxis(stored[f"param/head.{slot}.w_phi"], -1, 1))
+    with no_grad():
+        pred = model.forward(Tensor(np.load(FIXTURES / "input.npy"))).data
+    np.testing.assert_array_equal(pred, np.load(FIXTURES / "hyper_pcl_dlinear_format2.forecast.npy"))
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("hyper_pcl_dlinear", cut("param/head.seasonal.w_phi"),
+     r"has shape \(3, 4, 8, 1\), expected \(3, 4, 8, 2\)"),
+    ("hyper_pcl_dlinear_format2",
+     lambda meta, arrays: arrays.update({"param/head.seasonal.w_phi":
+                                         arrays["param/head.seasonal.w_phi"][:, 1:]}),
+     r"has shape \(3, 3, 8, 2\), expected \(3, 4, 8, 2\)"),
+], ids=["format_1", "format_2"])
+def test_old_format_misshaped_w_phi_named_in_file_layout(tmp_path, name, edit, message):
+    """A mis-shaped `w_phi` in a format-1 or format-2 file is reported with
+    the shapes of that file's own d-last layout, (N, H, D, d)."""
+    path = fixture_copy(tmp_path, name, edit)
+    with pytest.raises(CheckpointError, match="array 'param/head.seasonal.w_phi' " + message):
+        load_checkpoint(path)

@@ -384,12 +384,12 @@ def test_export_embeddings_channel_count_mismatch_is_clean_error(tmp_path, capsy
     assert not out.exists()
 
 
-def test_bake_format_1_writes_format_2(tmp_path, capsys):
-    """Baking a format-1 hyper file gives a format-2 file that reloads bit-exact
+def test_bake_format_1_writes_format_3(tmp_path, capsys):
+    """Baking a format-1 hyper file gives a format-3 file that reloads bit-exact
     and forecasts like the baked format-1 fixture."""
     from pathlib import Path
 
-    from hnmvts.checkpoint import load_checkpoint
+    from hnmvts.checkpoint import FORMAT_VERSION, load_checkpoint
     from hnmvts.hypernet import bake
     from hnmvts.numcore import Tensor, no_grad
 
@@ -398,7 +398,7 @@ def test_bake_format_1_writes_format_2(tmp_path, capsys):
     assert main(["bake", "--checkpoint", str(data / "hyper_shared_mlp.npz"),
                  "--out", str(out)]) == 0
     meta = json.loads(bytes(np.load(out)["meta"]).decode())
-    assert meta["format_version"] == 2 and meta["variant"] == "baked"
+    assert meta["format_version"] == FORMAT_VERSION == 3 and meta["variant"] == "baked"
     assert meta["config_echo"] == {"lookback": 8}
     loaded, _ = load_checkpoint(out)
     expected = bake(load_checkpoint(data / "hyper_shared_mlp.npz")[0]).all_arrays()

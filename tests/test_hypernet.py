@@ -36,8 +36,9 @@ def toy_table(rng, t=64, n=3):
 
 
 def linear_weights(z, w_phi):
-    """The per_channel_linear generator's (N, H, D) output for tensors z and w_phi."""
-    return generate_weights("per_channel_linear", z, [w_phi], w_phi.shape[1])
+    """The per_channel_linear generator's (N, H, D) output for tensors z and
+    w_phi (N, d, H, D)."""
+    return generate_weights("per_channel_linear", z, [w_phi], w_phi.shape[2])
 
 
 def shared_mlp(z, rng, horizon, hidden, gen_hidden):
@@ -100,18 +101,18 @@ class TestGenerateWeights:
     def test_zero_embedding_row_zeroes_weights(self, rng):
         z = rng.standard_normal((3, 2))
         z[1] = 0.0
-        w = linear_weights(Tensor(z), Tensor(rng.standard_normal((3, 4, 5, 2)))).data
+        w = linear_weights(Tensor(z), Tensor(rng.standard_normal((3, 2, 4, 5)))).data
         np.testing.assert_array_equal(w[1], np.zeros((4, 5)))
         assert np.abs(w[0]).sum() > 0
 
     def test_scalar_embedding_scales_block(self, rng):
-        m = rng.standard_normal((4, 5, 1))
+        m = rng.standard_normal((1, 4, 5))
         w = linear_weights(Tensor([[2.0]]), Tensor(m[None]))
-        np.testing.assert_allclose(w.data[0], 2.0 * m[..., 0], atol=1e-12)
+        np.testing.assert_allclose(w.data[0], 2.0 * m[0], atol=1e-12)
 
     def test_matches_summation_oracle(self, rng):
         n, horizon, hidden, d = 2, 2, 3, 2
-        w_phi = rng.standard_normal((n, horizon, hidden, d))
+        w_phi = rng.standard_normal((n, d, horizon, hidden))
         z = rng.standard_normal((n, d))
         out = linear_weights(Tensor(z), Tensor(w_phi)).data
         expected = np.zeros((n, horizon, hidden))
@@ -119,8 +120,18 @@ class TestGenerateWeights:
             for i in range(horizon):
                 for j in range(hidden):
                     for q in range(d):
-                        expected[c, i, j] += w_phi[c, i, j, q] * z[c, q]
+                        expected[c, i, j] += w_phi[c, q, i, j] * z[c, q]
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_per_channel_linear_init_draws_d_last(self, rng):
+        """w_phi takes the draws of an (N, H, D, d) array, whose d axis then
+        moves to axis 1: the initial values do not depend on the stored layout."""
+        z = rng.standard_normal((3, 2))
+        (w_phi,) = init_generator(z, 4, 5, "per_channel_linear", make_rng(7))
+        drawn = make_rng(7).uniform(-1 / np.sqrt(5), 1 / np.sqrt(5), size=(3, 4, 5, 2))
+        drawn /= np.linalg.norm(z, axis=1)[:, None, None, None]
+        assert w_phi.shape == (3, 2, 4, 5) and w_phi.flags.c_contiguous
+        assert np.array_equal(w_phi, np.moveaxis(drawn, -1, 1))
 
     def test_shared_mlp_rowwise(self, rng):
         z = Tensor(rng.standard_normal((4, 3)))
@@ -168,7 +179,7 @@ class TestChannelInvariants:
         rng = make_rng(100 + case)
         n, horizon, hidden, d = 4, 3, 5, 2
         z = rng.standard_normal((n, d))
-        w_phi = rng.standard_normal((n, horizon, hidden, d))
+        w_phi = rng.standard_normal((n, d, horizon, hidden))
         z[1] = z[0]
         w_phi[1] = w_phi[0]
         w = linear_weights(Tensor(z), Tensor(w_phi)).data
@@ -179,7 +190,7 @@ class TestChannelInvariants:
         rng = make_rng(200 + case)
         n, horizon, hidden, d = 3, 2, 4, 2
         z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        w_phi = Tensor(rng.standard_normal((n, horizon, hidden, d)), requires_grad=True)
+        w_phi = Tensor(rng.standard_normal((n, d, horizon, hidden)), requires_grad=True)
         target = int(rng.integers(n))
         only_target = np.zeros((n, 1, 1))
         only_target[target] = 1.0
@@ -207,9 +218,9 @@ class TestHyperForward:
 
     def test_single_channel_hand_composition(self):
         # identity-style backbone: DLinear kernel 1 makes trend = x, seasonal = 0
-        w_phi_t = np.zeros((1, 2, 3, 2))
-        w_phi_t[0, :, :, 0] = [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
-        w_phi_s = np.zeros((1, 2, 3, 2))
+        w_phi_t = np.zeros((1, 2, 2, 3))
+        w_phi_t[0, 0] = [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
+        w_phi_s = np.zeros((1, 2, 2, 3))
         cfg = {
             "variant": "hyper", "revin": False, "horizon": 2, "channel_names": ["ch0"],
             "backbone": DLinearBackbone(lookback=3, kernel=1).config(),

@@ -10,6 +10,7 @@ from hnmvts.numcore import (
     add,
     backward,
     channel_dot,
+    channel_gemv,
     get_default_dtype,
     linear_relu,
     matmul,
@@ -363,19 +364,6 @@ class TestChannelDot:
                     expected[c, i] += w[c, i, q] * v[c, q]
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_generator_case_against_loops(self, rng):
-        n, h, d, q = 2, 2, 3, 2
-        w = rng.standard_normal((n, h, d, q))
-        z = rng.standard_normal((n, q))
-        out = channel_dot(Tensor(w), Tensor(z))
-        expected = np.zeros((n, h, d))
-        for c in range(n):
-            for i in range(h):
-                for j in range(d):
-                    for p in range(q):
-                        expected[c, i, j] += w[c, i, j, p] * z[c, p]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
     def test_batched_matches_per_sample(self, rng):
         w = rng.standard_normal((3, 4, 5))
         v = rng.standard_normal((6, 3, 5))
@@ -399,7 +387,7 @@ class TestChannelDot:
     @pytest.mark.parametrize("v_shape", [(2, 4), (5, 2, 4)], ids=["unbatched", "batched"])
     def test_gradients_are_adjoint(self, rng, v_shape):
         """channel_dot is bilinear: <J_w dw, g> = <dw, grad_w g>, likewise for v."""
-        w = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
         g = rng.standard_normal(channel_dot(w, v).shape)
         grads = backward(tmean(channel_dot(w, v) * Tensor(g)))
@@ -412,6 +400,89 @@ class TestChannelDot:
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
             channel_dot(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5))))
+        with pytest.raises(DimensionError, match=r"w \(N, H, D\)"):
+            channel_dot(Tensor(np.zeros((2, 3, 4, 5))), Tensor(np.zeros((2, 5))))
+
+
+def gemv_oracle(z, w):
+    """out[n, s] = sum_j z[n, j] w[n, j, s] by loops in float64, with w as (N, d, S)."""
+    n, d = z.shape
+    wm = w.reshape(n, d, -1).astype(np.float64)
+    out = np.zeros(wm.shape[::2])
+    for c in range(n):
+        for j in range(d):
+            for s in range(wm.shape[2]):
+                out[c, s] += float(z[c, j]) * wm[c, j, s]
+    return out.reshape(n, *w.shape[2:])
+
+
+class TestChannelGemv:
+    @pytest.mark.parametrize("d", [1, 3], ids=["d1", "d3"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matches_summation_oracle(self, rng, request, dtype, d):
+        """Against float64 loops: the forward within d eps sum_j |z||w|, grad_z
+        within prod(S) eps sum_s |w||g|, and grad_w exact, z[n, j] g[n] bit for bit."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n, h, k = 3, 4, 5
+        z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        w = Tensor(rng.standard_normal((n, d, h, k)), requires_grad=True)
+        g = rng.standard_normal((n, h, k)).astype(get_default_dtype())
+        out = channel_gemv(z, w)
+        assert out.shape == (n, h, k) and out.data.dtype == np.dtype(dtype)
+        eps = np.finfo(get_default_dtype()).eps
+        bound = d * eps * gemv_oracle(np.abs(z.data), np.abs(w.data))
+        assert (np.abs(out.data - gemv_oracle(z.data, w.data)) <= bound).all()
+        grads = backward(tmean(out * Tensor(g)))
+        gu = upstream(g)
+        assert np.array_equal(grads[w].data, z.data[:, :, None, None] * gu[:, None])
+        gz = np.einsum("njs,ns->nj", w.data.reshape(n, d, -1).astype(np.float64),
+                       gu.reshape(n, -1).astype(np.float64))
+        bound = h * k * eps * np.einsum("njs,ns->nj", np.abs(w.data.reshape(n, d, -1)),
+                                        np.abs(gu.reshape(n, -1)))
+        assert (np.abs(grads[z].data - gz) <= bound).all()
+
+    def test_deterministic(self, rng):
+        """Two calls on equal inputs in fresh arrays give the same bits, forward and gradients."""
+        z0, w0 = rng.standard_normal((7, 7)), rng.standard_normal((7, 7, 9, 33))
+        g = rng.standard_normal((7, 9, 33))
+        runs = []
+        for _ in range(2):
+            z, w = Tensor(z0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+            out = channel_gemv(z, w)
+            grads = backward(tmean(out * Tensor(g)))
+            runs.append([out.data.tobytes(), grads[z].data.tobytes(), grads[w].data.tobytes()])
+        assert runs[0] == runs[1]
+
+    def test_gradients(self, rng):
+        from hnmvts.numcore import finite_diff_check
+
+        z = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
+
+        def loss():
+            return tmean(square(channel_gemv(z, w)))
+
+        assert finite_diff_check(loss, [z, w]) < 1e-6
+
+    @pytest.mark.parametrize("shape_w", [(3, 2, 4, 5), (3, 1, 6), (2, 4)],
+                             ids=["blocks", "d1", "scalars"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gradients_are_adjoint(self, shape_w, seed):
+        """channel_gemv is bilinear: <g, J_z v> = <grad_z g, v>, likewise for w."""
+        r = np.random.Generator(np.random.Philox(seed))
+        z, w = r.standard_normal(shape_w[:2]), r.standard_normal(shape_w)
+        assert_adjoint(r, channel_gemv, [z, w], [
+            lambda v: np.einsum("nj,nj...->n...", v, w),
+            lambda v: np.einsum("nj,nj...->n...", z, v),
+        ])
+
+    def test_shape_mismatch_names_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\), \(2, 4, 5\)"):
+            channel_gemv(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4, 5))))
+        with pytest.raises(DimensionError, match=r"\(2,\)"):
+            channel_gemv(Tensor(np.zeros(2)), Tensor(np.zeros((2, 4, 5))))
 
 
 class TestMovingAverage:

@@ -98,6 +98,16 @@ class TestTrain:
         val_now = evaluate(model, val_w)["mse"]
         assert abs(val_now - min(history.val_mse)) < 1e-12
 
+    def test_earlier_best_epoch_is_restored(self, rng):
+        """When an earlier epoch validated best, the final restore still runs:
+        the returned parameters give that epoch's validation MSE exactly."""
+        model, train_w, val_w = small_setup(rng)
+        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=5, seed=1, lr=0.1)
+        model, history = train(model, train_w, val_w, cfg)
+        assert history.best_epoch < history.n_epochs - 1
+        val_now = evaluate(model, val_w)["mse"]
+        assert val_now == history.val_mse[history.best_epoch] != history.val_mse[-1]
+
     def test_early_stopping_stops(self, rng):
         model, train_w, val_w = small_setup(rng)
         cfg = TrainConfig(
@@ -145,6 +155,29 @@ class TestTrain:
             return grads
 
         monkeypatch.setattr(trainer_mod, "backward", tracking_backward)
+        model, train_w, val_w = small_setup(rng, variant="hyper")
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, max_epochs=2, seed=0)
+        train(model, train_w, val_w, cfg)
+        assert len(calls) > 2
+        assert calls == [0] * len(calls)
+
+    def test_step_graph_freed_before_next_forward(self, rng, monkeypatch):
+        """No step's loss, and so none of its graph, survives into the next step's forward."""
+        import weakref
+
+        from hnmvts import trainer as trainer_mod
+
+        real_batch_loss = trainer_mod._batch_loss
+        finalizers = []
+        calls = []
+
+        def tracking_batch_loss(model, xb, yb):
+            calls.append(sum(f.alive for f in finalizers))
+            loss = real_batch_loss(model, xb, yb)
+            finalizers.append(weakref.finalize(loss.data, lambda: None))
+            return loss
+
+        monkeypatch.setattr(trainer_mod, "_batch_loss", tracking_batch_loss)
         model, train_w, val_w = small_setup(rng, variant="hyper")
         cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, max_epochs=2, seed=0)
         train(model, train_w, val_w, cfg)
