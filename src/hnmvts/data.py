@@ -7,6 +7,7 @@ the per-channel final-layer math.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import itertools
@@ -80,17 +81,22 @@ class WindowSet:
 
     Holds the segment once, channel-major (N x t), plus the origin index of
     each window; window i has lookback values[:, o:o+T] and target
-    values[:, o+T:o+T+H] with o = origins[i]. Slicing or indexing with an
-    index array selects a subset and shares the segment.
+    values[:, o+T:o+T+H] with o = origins[i]. The two span views over the
+    segment, lookbacks (t - T + 1, N, T) and targets (t - T - H + 1, N, H),
+    each indexed by origin, are built once here. Slicing or indexing with
+    an index array selects a subset that shares the segment and both
+    views, so `batch` is two gathers and builds nothing per call.
     """
 
-    __slots__ = ("values", "origins", "lookback", "horizon")
+    __slots__ = ("values", "origins", "lookback", "horizon", "_lookbacks", "_targets")
 
     def __init__(self, values: np.ndarray, origins: np.ndarray, lookback: int, horizon: int):
         self.values = values
         self.origins = origins
         self.lookback = lookback
         self.horizon = horizon
+        self._lookbacks = _spans(values, lookback)
+        self._targets = _spans(values, horizon)[lookback:]
 
     def __len__(self) -> int:
         return len(self.origins)
@@ -99,18 +105,19 @@ class WindowSet:
         origins = self.origins[key]
         if origins.ndim != 1:
             raise TypeError("index a WindowSet with a slice or a 1-d index array")
-        return WindowSet(self.values, origins, self.lookback, self.horizon)
+        subset = copy.copy(self)
+        subset.origins = origins
+        return subset
 
     def batch(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Lookbacks (B, N, T) and targets (B, N, H) of the windows at `idx`.
 
         `idx` is a slice or an index array into this set; indexing the span
-        views with an array copies into fresh C-contiguous arrays.
+        views with the origins array copies into fresh C-contiguous arrays,
+        the same values a view built per call gives.
         """
         start = self.origins[idx]
-        x = _spans(self.values, self.lookback)[start]
-        y = _spans(self.values, self.horizon)[start + self.lookback]
-        return x, y
+        return self._lookbacks[start], self._targets[start]
 
 
 def _spans(values: np.ndarray, width: int) -> np.ndarray:

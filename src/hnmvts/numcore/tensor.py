@@ -15,6 +15,7 @@ arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -326,23 +327,22 @@ def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _to_channel_major(arr: np.ndarray, batch_nd: int) -> np.ndarray:
-    """(*B, N, q) -> (N, prod(B), q); channel axis leads, batch flattened."""
-    if batch_nd == 0:
-        return arr.reshape(arr.shape[0], 1, arr.shape[1])
-    moved = np.moveaxis(arr, -2, 0)
-    n, q = moved.shape[0], moved.shape[-1]
-    return moved.reshape(n, -1, q)
+def _to_channel_major(arr: np.ndarray) -> np.ndarray:
+    """(*B, N, q) -> (N, prod(B), q); channel axis leads, batch flattened.
+
+    One `reshape` to (prod(B), N, q) and one `transpose` for every rank,
+    with no axis normalisation. For a contiguous array of rank 3 or more
+    this is the view `np.moveaxis(arr, -2, 0).reshape(N, -1, q)` gives,
+    stride for stride; at rank 2 only the stride of the length-1 batch axis
+    differs. The products taken over it are the same bit for bit (tests
+    hold ranks 2 to 4 to the moveaxis form).
+    """
+    return arr.reshape(-1, *arr.shape[-2:]).transpose(1, 0, 2)
 
 
-def _from_channel_major(arr: np.ndarray, batch_shape: tuple[int, ...], trailing: tuple[int, ...]) -> np.ndarray:
-    """(N, prod(B), prod(S)) -> (*B, N, *S)."""
-    n = arr.shape[0]
-    if not batch_shape:
-        return arr.reshape(n, *trailing)
-    spread = arr.reshape(n, *batch_shape, -1)
-    moved = np.moveaxis(spread, 0, len(batch_shape))
-    return moved.reshape(*batch_shape, n, *trailing)
+def _from_channel_major(arr: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
+    """(N, prod(B), q) -> (*B, N, q), by one `transpose` and one `reshape`."""
+    return arr.transpose(1, 0, 2).reshape(*batch_shape, arr.shape[0], arr.shape[2])
 
 
 def channel_dot(w: Tensor, v: Tensor) -> Tensor:
@@ -362,15 +362,14 @@ def channel_dot(w: Tensor, v: Tensor) -> Tensor:
             "(need matching channel and trailing axes)"
         )
     b_shape = v.shape[:-2]
-    vm = _to_channel_major(v.data, len(b_shape))       # (N, Bp, D)
-    out = _from_channel_major(vm @ w.data.swapaxes(1, 2), b_shape, (w.shape[1],))
+    vm = _to_channel_major(v.data)       # (N, Bp, D)
+    out = _from_channel_major(vm @ w.data.swapaxes(1, 2), b_shape)
 
     def grad_w(g):
-        return _to_channel_major(g, len(b_shape)).swapaxes(1, 2) @ vm
+        return _to_channel_major(g).swapaxes(1, 2) @ vm
 
     def grad_v(g):
-        dv = _to_channel_major(g, len(b_shape)) @ w.data  # (N, Bp, D)
-        return _from_channel_major(dv, b_shape, (w.shape[2],))
+        return _from_channel_major(_to_channel_major(g) @ w.data, b_shape)
 
     return _make_node(out, (w, v), (grad_w, grad_v))
 
@@ -422,13 +421,14 @@ def _norm_axes(axis, ndim):
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    count = int(np.prod([a.shape[i] for i in axes])) if axes else 1
+    count = math.prod(a.shape[i] for i in axes)
+    # the output's shape with the reduced axes kept as 1s, so the gradient
+    # broadcasts back by a reshape with no per-call axis handling
+    kept = tuple(1 if i in axes else s for i, s in enumerate(a.shape))
     out = a.data.mean(axis=axes, keepdims=keepdims)
 
     def grad_fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape) / count
+        return np.broadcast_to(g.reshape(kept), a.shape) / count
 
     return _make_node(out, (a,), (grad_fn,))
 
@@ -442,21 +442,19 @@ def reshape(a: Tensor, shape) -> Tensor:
 # plain-array moving average and its transpose -------------------------------
 
 
-def _window_sums(arr: np.ndarray, kernel: int) -> np.ndarray:
-    """Sliding sums of width `kernel` along the last axis (length - kernel + 1 out)."""
-    cs = np.cumsum(arr, axis=-1)
-    head = cs[..., kernel - 1 :]
-    tail = np.concatenate(
-        [np.zeros_like(cs[..., :1]), cs[..., : arr.shape[-1] - kernel]], axis=-1
-    )
-    return head - tail
-
-
 def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average along the last axis with replicate padding.
 
     `kernel` must be odd and no longer than the last axis. Runs in O(length)
-    via cumulative sums; its transpose is `moving_average_adjoint`.
+    in one buffer per call: a +0.0 column, then the replicate-padded rows.
+    A cumsum runs in place over the padded part, after which column j
+    holds the sum of the first j padded values, and the window sums are one
+    subtraction of two column ranges (`_window_means`). The additions are
+    those of a cumsum over the padded rows alone, in the same order, and
+    window 0 subtracts the +0.0 column, so every trend is bit-identical to
+    the concatenate, cumsum and shifted-difference form. (Running the cumsum
+    over the zero column too would turn a running sum of -0.0 into +0.0.)
+    Its transpose is `moving_average_adjoint`.
     """
     length = x.shape[-1]
     if kernel % 2 == 0:
@@ -466,29 +464,50 @@ def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     if kernel == 1:
         return x.copy()
     half = (kernel - 1) // 2
-    padded = np.concatenate(
-        [np.repeat(x[..., :1], half, axis=-1), x, np.repeat(x[..., -1:], half, axis=-1)],
-        axis=-1,
-    )
-    return _window_sums(padded, kernel) / kernel
+    buf = np.empty((*x.shape[:-1], 1 + length + 2 * half), dtype=np.result_type(x, 1.0))
+    buf[..., 0] = 0.0
+    buf[..., 1 : 1 + half] = x[..., :1]
+    buf[..., 1 + half : 1 + half + length] = x
+    buf[..., 1 + half + length :] = x[..., -1:]
+    body = buf[..., 1:]
+    np.cumsum(body, axis=-1, out=body)
+    return _window_means(buf, kernel, 0, length)
 
 
 def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
     """g @ A for the (length x length) operator A of `moving_average(., kernel)`:
-    a weight matrix times A. O(length) per row of g."""
+    a weight matrix times A. O(length) per row of g.
+
+    Takes the window means of g zero-padded by kernel - 1 on each side, in
+    one buffer laid out like `moving_average`'s, and folds the means of
+    the windows that land on replicate-padding columns into the edges. Only
+    the window means the result reads are taken. The additions and their
+    order are those of a cumsum over the padded g alone, every window's
+    mean and a copy of the middle ones, so the result is bit-identical to
+    that form.
+    """
     if kernel == 1:
         return g
     length, half = g.shape[-1], (kernel - 1) // 2
-    # window-sum the zero-padded g, then fold the replicate-padding columns
-    # into the edges
-    zeros = np.zeros_like(g[..., :1])
-    gp = np.concatenate([np.repeat(zeros, kernel - 1, axis=-1), g,
-                         np.repeat(zeros, kernel - 1, axis=-1)], axis=-1)
-    d_padded = _window_sums(gp, kernel) / kernel     # length + kernel - 1
-    dx = d_padded[..., half : half + length].copy()
-    dx[..., 0] += d_padded[..., :half].sum(axis=-1)
-    dx[..., -1] += d_padded[..., half + length :].sum(axis=-1)
+    buf = np.zeros((*g.shape[:-1], 1 + length + 2 * (kernel - 1)), dtype=np.result_type(g, 1.0))
+    buf[..., kernel : kernel + length] = g
+    body = buf[..., 1:]
+    np.cumsum(body, axis=-1, out=body)
+    dx = _window_means(buf, kernel, half, half + length)
+    dx[..., 0] += _window_means(buf, kernel, 0, half).sum(axis=-1)
+    dx[..., -1] += _window_means(buf, kernel, half + length, length + kernel - 1).sum(axis=-1)
     return dx
+
+
+def _window_means(buf: np.ndarray, kernel: int, lo: int, hi: int) -> np.ndarray:
+    """Means of windows lo..hi-1 of width `kernel` over the values after buf[..., 0].
+
+    buf[..., 0] is +0.0 and buf[..., j] the running sum of the first j
+    values after it, so window i's sum is buf[..., i + kernel] - buf[..., i].
+    """
+    out = buf[..., kernel + lo : kernel + hi] - buf[..., lo:hi]
+    out /= kernel
+    return out
 
 
 # tape and backward ----------------------------------------------------------

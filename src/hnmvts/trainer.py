@@ -106,6 +106,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
                 f"({cfg.lookback}, {cfg.horizon})"
             )
     params = model.parameters()
+    param_list = list(params.values())
     state = AdamState(lr=cfg.lr)
     shuffle_rng = spawn_rng(cfg.seed, 7)
     history = TrainHistory()
@@ -124,7 +125,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise TrainingError(_diagnostics("loss", loss_val, epoch, start, params))
-            grads = backward(loss, list(params.values()))
+            grads = backward(loss, param_list)
             named_grads = {name: grads[p] for name, p in params.items()}
             try:
                 adam_step(params, named_grads, state)

@@ -444,6 +444,17 @@ class TestMakeWindows:
             windows[0]
 
 
+def gather_per_call(windows, idx):
+    """`WindowSet.batch` as it was when it built both span views on every call."""
+
+    def spans(width):
+        return np.lib.stride_tricks.sliding_window_view(
+            windows.values, width, axis=1).transpose(1, 0, 2)
+
+    start = windows.origins[idx]
+    return spans(windows.lookback)[start], spans(windows.horizon)[start + windows.lookback]
+
+
 class TestWindowSetBatch:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -472,11 +483,33 @@ class TestWindowSetBatch:
             assert x.shape == (len(origins), n, lookback)
             assert y.shape == (len(origins), n, horizon)
             assert x.flags["C_CONTIGUOUS"] and y.flags["C_CONTIGUOUS"]
+            x_ref, y_ref = gather_per_call(subset, idx)
+            assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
             for b, i in enumerate(origins):
                 np.testing.assert_array_equal(x[b], values[i : i + lookback].T)
                 np.testing.assert_array_equal(
                     y[b], values[i + lookback : i + lookback + horizon].T
                 )
+
+    def test_span_views_built_once(self, monkeypatch):
+        """make_windows builds the two span views; batches and subsets reuse them."""
+        values = np.arange(60.0).reshape(20, 3)
+        windows = make_windows(table_from(values), 5, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("span view rebuilt after make_windows")
+
+        monkeypatch.setattr(data, "sliding_window_view", refuse)
+        subsets = [windows, windows[::2], windows[np.array([4, 0, 7])], windows[::-3]]
+        for subset in subsets:
+            assert subset._lookbacks is windows._lookbacks
+            assert subset._targets is windows._targets
+            x, y = subset.batch(slice(None))
+            for b, o in enumerate(subset.origins):
+                np.testing.assert_array_equal(x[b], values[o : o + 5].T)
+                np.testing.assert_array_equal(y[b], values[o + 5 : o + 8].T)
+        assert np.shares_memory(windows._lookbacks, windows.values)
+        assert np.shares_memory(windows._targets, windows.values)
 
 
 def corr_oracle(x):

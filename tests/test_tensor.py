@@ -38,6 +38,70 @@ def matmul_oracle(a, b):
     return out
 
 
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# Frozen copies of the forms that `channel_dot` and the moving average used
+# before they moved to one transpose path and one buffer per call; the tests
+# hold the current ops to them bit for bit.
+
+
+def channel_dot_moveaxis(w, v, g):
+    """Forward, grad_w and grad_v of channel_dot through np.moveaxis."""
+
+    def to_cm(arr, batch_nd):
+        if batch_nd == 0:
+            return arr.reshape(arr.shape[0], 1, arr.shape[1])
+        moved = np.moveaxis(arr, -2, 0)
+        return moved.reshape(moved.shape[0], -1, moved.shape[-1])
+
+    def from_cm(arr, batch_shape, trailing):
+        n = arr.shape[0]
+        if not batch_shape:
+            return arr.reshape(n, *trailing)
+        moved = np.moveaxis(arr.reshape(n, *batch_shape, -1), 0, len(batch_shape))
+        return moved.reshape(*batch_shape, n, *trailing)
+
+    b_shape = v.shape[:-2]
+    vm = to_cm(v, len(b_shape))
+    out = from_cm(vm @ w.swapaxes(1, 2), b_shape, (w.shape[1],))
+    grad_w = to_cm(g, len(b_shape)).swapaxes(1, 2) @ vm
+    grad_v = from_cm(to_cm(g, len(b_shape)) @ w, b_shape, (w.shape[2],))
+    return out, grad_w, grad_v
+
+
+def window_sums_concat(arr, kernel):
+    cs = np.cumsum(arr, axis=-1)
+    tail = np.concatenate([np.zeros_like(cs[..., :1]), cs[..., : arr.shape[-1] - kernel]],
+                          axis=-1)
+    return cs[..., kernel - 1 :] - tail
+
+
+def moving_average_concat(x, kernel):
+    if kernel == 1:
+        return x.copy()
+    half = (kernel - 1) // 2
+    padded = np.concatenate(
+        [np.repeat(x[..., :1], half, axis=-1), x, np.repeat(x[..., -1:], half, axis=-1)],
+        axis=-1,
+    )
+    return window_sums_concat(padded, kernel) / kernel
+
+
+def moving_average_adjoint_concat(g, kernel):
+    if kernel == 1:
+        return g
+    length, half = g.shape[-1], (kernel - 1) // 2
+    zeros = np.repeat(np.zeros_like(g[..., :1]), kernel - 1, axis=-1)
+    d_padded = window_sums_concat(np.concatenate([zeros, g, zeros], axis=-1), kernel) / kernel
+    dx = d_padded[..., half : half + length].copy()
+    dx[..., 0] += d_padded[..., :half].sum(axis=-1)
+    dx[..., -1] += d_padded[..., half + length :].sum(axis=-1)
+    return dx
+
+
 class TestMatmul:
     def test_identity(self, rng):
         b = rng.standard_normal((3, 2))
@@ -397,6 +461,23 @@ class TestChannelDot:
         assert np.vdot(channel_dot(w, Tensor(dv)).data, g) == pytest.approx(
             np.vdot(dv, grads[v].data) * g.size, rel=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("v_shape", [(7, 36), (32, 7, 36), (3, 4, 7, 36), (2, 5, 1), (1, 3, 1)],
+                             ids=["rank2", "rank3", "rank4", "rank3-d1", "rank3-b1"])
+    def test_bit_identical_to_moveaxis_form(self, rng, request, dtype, v_shape):
+        """Forward, grad_w and grad_v equal the moveaxis layout bit for bit."""
+        if dtype == np.float32:
+            request.getfixturevalue("float32_mode")
+        n, d = v_shape[-2:]
+        w = Tensor(rng.standard_normal((n, 24, d)), requires_grad=True)
+        v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
+        g = rng.standard_normal((*v_shape[:-1], 24)).astype(dtype)
+        out = channel_dot(w, v)
+        grad_w, grad_v = out._grad_fns
+        expected = channel_dot_moveaxis(w.data, v.data, g)
+        for got, want in zip((out.data, grad_w(g), grad_v(g)), expected):
+            assert_same_bits(got, want)
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
             channel_dot(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5))))
@@ -529,6 +610,24 @@ class TestMovingAverage:
         out = moving_average(x, kernel)
         np.testing.assert_allclose(out, x @ m.T, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_bit_identical_to_concatenate_form(self, rng, dtype):
+        """Both directions equal the concatenate-and-cumsum form bit for bit, at
+        lengths 1-70, every odd kernel up to the length, with rows holding NaN,
+        +-inf, -0.0 and huge values."""
+        for length in range(1, 71):
+            x = rng.standard_normal((2, 5, length)).astype(dtype)
+            x[0, 0, rng.integers(length)] = np.nan
+            x[0, 1, rng.integers(length)] = np.inf
+            x[0, 2, rng.integers(length)] = -np.inf
+            x[0, 3] = -0.0
+            x[0, 4, rng.integers(length)] = np.finfo(dtype).max
+            for kernel in range(1, length + 1, 2):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert_same_bits(moving_average(x, kernel), moving_average_concat(x, kernel))
+                    assert_same_bits(moving_average_adjoint(x, kernel),
+                                     moving_average_adjoint_concat(x, kernel))
+
     @pytest.mark.parametrize("kernel", [3, 7])
     def test_backward_matches_operator_transpose(self, rng, kernel):
         """`moving_average_adjoint` is the transpose: weights @ A."""
@@ -559,6 +658,17 @@ class TestShapeOps:
 
 
 class TestReductions:
+    @pytest.mark.parametrize("axis, keepdims", [(None, False), (-1, False), ((0, 2), False),
+                                                (1, True), (None, True)])
+    def test_mean_gradient_bit_identical_to_expand_dims_form(self, rng, axis, keepdims):
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        out = tmean(x, axis=axis, keepdims=keepdims)
+        g = rng.standard_normal(out.shape)
+        axes = tuple(range(3)) if axis is None else tuple(np.atleast_1d(axis) % 3)
+        expected = np.broadcast_to(g if keepdims else np.expand_dims(g, axes), x.shape) / (
+            x.size // out.size)
+        assert_same_bits(out._grad_fns[0](g), expected)
+
     def test_mean_axis(self, rng):
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         out = tmean(x, axis=-1)
