@@ -18,7 +18,7 @@ from pathlib import Path
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..data import chrono_split, make_windows
 from ..hypernet import bake, export_embeddings
-from ..trainer import evaluate, train
+from ..trainer import TrainingError, evaluate, train
 from .config import default_config_text, load_config, resolve_out_dir
 from .runner import (
     build_model_for_run,
@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,12 @@ with exact Wilcoxon significance over the seed pairs.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +59,37 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
-        return cls(**json.loads(line))
+        """The record one results line holds; ValueError says what is wrong with it."""
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"malformed JSON ({err.msg} at column {err.colno})") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        names = [f.name for f in fields(cls)]
+        for key in data:
+            if key not in names:
+                raise ValueError(f"unknown key '{key}'")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in data:
+                raise ValueError(f"missing key '{f.name}'")
+        return cls(**data)
 
 
 def load_records(path: str | Path) -> list[ResultRecord]:
+    """Every record of a results file; a bad line raises ValueError naming the file and line."""
     path = Path(path)
     if not path.exists():
         return []
     records = []
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(ResultRecord.from_json(line))
+                try:
+                    records.append(ResultRecord.from_json(line))
+                except ValueError as err:
+                    raise ValueError(f"{path}: line {number}: {err}") from None
     return records
 
 
@@ -283,11 +303,8 @@ def summary_text(rows: list[SummaryRow]) -> str:
 
 def summary_csv(rows: list[SummaryRow]) -> str:
     cols = [f.name for f in fields(SummaryRow)]
-    lines = [",".join(cols)]
-    for r in rows:
-        vals = []
-        for c in cols:
-            v = getattr(r, c)
-            vals.append("" if v is None else str(v))
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows(astuple(r) for r in rows)  # None becomes an empty cell
+    return out.getvalue()

@@ -46,20 +46,15 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, Tensor],
-    state: AdamState,
-) -> tuple[dict[str, Tensor], AdamState]:
-    """One Adam update over a named parameter set.
+def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor], state: AdamState) -> None:
+    """One Adam update over a named parameter set, in place.
 
     Raises ValueError naming the parameter if its gradient is non-finite or
     shaped differently from the parameter; nothing is updated then.
     """
     checked = []
     for name, p in params.items():
-        g = grads[name]
-        g_arr = g.data if isinstance(g, Tensor) else np.asarray(g)
+        g_arr = grads[name].data
         if g_arr.shape != p.data.shape:
             raise ValueError(
                 f"gradient for '{name}' has shape {g_arr.shape}, parameter is {p.data.shape}"
@@ -87,7 +82,6 @@ def adam_step(
         for lo in range(0, p.size, _BLOCK):
             hi = min(lo + _BLOCK, p.size)
             _update(*(a[lo:hi] for a in flat), buf[: hi - lo], state, corr1, corr2)
-    return params, state
 
 
 def _update(p, g, m, v, buf, state: AdamState, corr1: float, corr2: float) -> None:

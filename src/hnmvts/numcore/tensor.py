@@ -6,16 +6,15 @@ graph node holding its parents and local-gradient closures; `backward` traces
 the graph into a `Tape` and replays it in reverse topological order.
 
 The op set is deliberately small: exactly the primitives the forecasting
-models need (broadcasting arithmetic, matmul, one fused Linear+ReLU layer,
-the per-channel final layer `channel_dot` and weight generator
-`channel_gemv`, the mean, shape ops). Data that no gradient reaches
-stays off the graph: the moving average and its transpose work on plain
-arrays.
+models need (broadcasting arithmetic, the product of two matrices, one fused
+Linear+ReLU layer, the per-channel final layer `channel_dot` and weight
+generator `channel_gemv`, the square, the mean of every element, reshape).
+Data that no gradient reaches stays off the graph: the moving average and
+its transpose work on plain arrays.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -99,7 +98,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
+        self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
         self._grad_in: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
@@ -123,21 +122,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -151,7 +140,7 @@ def _as_tensor(x) -> Tensor:
 def _make_node(
     out_data: np.ndarray,
     parents: Sequence[Tensor],
-    grad_fns: Sequence[Callable[[np.ndarray], np.ndarray] | None],
+    grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
     grad_in: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Tensor:
     """The op's output tensor; on the graph when a parent needs a gradient.
@@ -261,23 +250,16 @@ def _stacked_rows(x: np.ndarray, m: np.ndarray, bias: np.ndarray | None = None) 
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes (numpy's `a @ b`); leading axes broadcast.
+    """The product a @ b of two matrices.
 
     The MLP layers do not come here: `linear_relu` runs their products.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul needs two matrices, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    return _make_node(
-        a.data @ b.data,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-            lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape),
-        ),
-    )
+    return _make_node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -410,27 +392,10 @@ def square(a: Tensor) -> Tensor:
     return _make_node(a.data * a.data, (a,), (lambda g: g * (2.0 * a.data),))
 
 
-def _norm_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(sorted(a % ndim for a in axis))
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor) -> Tensor:
+    """The mean of every element, a scalar."""
     a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    count = math.prod(a.shape[i] for i in axes)
-    # the output's shape with the reduced axes kept as 1s, so the gradient
-    # broadcasts back by a reshape with no per-call axis handling
-    kept = tuple(1 if i in axes else s for i, s in enumerate(a.shape))
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-
-    def grad_fn(g):
-        return np.broadcast_to(g.reshape(kept), a.shape) / count
-
-    return _make_node(out, (a,), (grad_fn,))
+    return _make_node(a.data.mean(), (a,), (lambda g: np.broadcast_to(g, a.shape) / a.size,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -565,7 +530,7 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
         if node._grad_in is not None:
             g = node._grad_in(g)
         for parent, fn in zip(node._parents, node._grad_fns):
-            if not parent.requires_grad or fn is None:
+            if not parent.requires_grad:
                 continue
             contrib = fn(g)
             pid = id(parent)

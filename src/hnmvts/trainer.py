@@ -42,6 +42,8 @@ class TrainConfig:
         for name in ("lookback", "horizon", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and greater than 0, got {self.lr}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be positive when set")
 

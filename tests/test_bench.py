@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hnmvts.bench.cli import main
 from hnmvts.bench.config import OUT_DIR_ENV, default_config_text, load_config, resolve_out_dir
 from hnmvts.bench.runner import (
     ResultRecord,
+    SummaryRow,
     load_records,
     run_experiment,
     summarize,
@@ -121,6 +124,14 @@ class TestConfig:
              r"bad\.ini: \[train\] batch_size must be a positive integer"),
             ("[train]\nearly_stop_patience = 0\n",
              r"bad\.ini: \[train\] early_stop_patience must be positive"),
+            ("[train]\nlr = nan\n",
+             r"bad\.ini: \[train\] lr must be finite and greater than 0, got nan"),
+            ("[train]\nlr = inf\n",
+             r"bad\.ini: \[train\] lr must be finite and greater than 0, got inf"),
+            ("[train]\nlr = 0\n",
+             r"bad\.ini: \[train\] lr must be finite and greater than 0, got 0\.0"),
+            ("[train]\nlr = -1\n",
+             r"bad\.ini: \[train\] lr must be finite and greater than 0, got -1\.0"),
             ("[model]\nkernel = 4\n", r"bad\.ini: \[model\] decomposition kernel must be odd"),
             ("[model]\nkernel = 9\n[train]\nlookback = 8\n",
              r"bad\.ini: \[model\] kernel 9 out of range for lookback 8"),
@@ -139,6 +150,7 @@ class TestConfig:
         ids=["unknown_key", "misspelt_key", "unknown_section", "default_section", "gen_mode",
              "blank_lr", "blank_mlp_widths", "malformed_int", "malformed_float",
              "malformed_bool", "malformed_list", "empty_list_item", "batch_size", "patience",
+             "lr_nan", "lr_inf", "lr_zero", "lr_negative",
              "even_kernel", "kernel_over_lookback", "horizon", "mlp_width", "gen_hidden",
              "gen_hidden_pcl", "ratios", "no_section_header"],
     )
@@ -261,6 +273,22 @@ class TestRecordsFile:
             "hyper_param_count",
         ]
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"dataset": "d",', r"malformed JSON \(Expecting property name enclosed in double "
+                             r"quotes at column 17\)"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+         '"seed": 0, "mse": 0.5}', "unknown key 'mse'"),
+        ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4}',
+         "missing key 'seed'"),
+    ], ids=["malformed_json", "not_an_object", "foreign_key", "missing_key"])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "r.jsonl"
+        write_records([ResultRecord("d", "dlinear", "baseline", 4, 0)], path)
+        path.write_text(path.read_text() + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: {message}$"):
+            load_records(path)
+
 
 class TestSummarize:
     @staticmethod
@@ -332,3 +360,11 @@ class TestSummarize:
             "significant,time_ratio,note"
         )
         assert len(csv_out.strip().splitlines()) == 2
+
+    def test_csv_quotes_cells_with_commas(self):
+        rows = summarize(self.records_for([(0.5, 0.4)] * 5, dataset="etth,v2"))
+        rows.append(SummaryRow("etth,v2", "dlinear", 8, note="incomplete, by hand"))
+        cells = list(csv.reader(summary_csv(rows).splitlines()))
+        assert [len(r) for r in cells] == [16, 16, 16]
+        assert [r[0] for r in cells] == ["dataset", "etth,v2", "etth,v2"]
+        assert cells[2][-1] == "incomplete, by hand"

@@ -133,6 +133,32 @@ def test_bench_with_no_completed_run_exits_nonzero(tmp_path, spec_file, capsys):
     assert (out_dir / "toy_dlinear_summary.csv").exists()
 
 
+# lr 1e300 overflows inside the first Adam step; the run then fails on its next loss
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverging_run_is_clean_error(tmp_path, spec_file, capsys):
+    spec_file.write_text(spec_file.read_text().replace("lr = 0.01", "lr = 1e300"))
+    assert main(["train", "--config", str(spec_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite training aborted (loss)")
+    assert "at epoch 0" in err and err.count("\n") == 1
+    assert not list((tmp_path / "runs").glob("*.npz"))
+
+
+def test_bench_bad_results_line_is_clean_error(tmp_path, spec_file, capsys):
+    """An existing results file is read before the grid runs; a foreign key in
+    it stops the bench with the file and line named, and trains nothing."""
+    results = tmp_path / "runs" / "toy_dlinear_results.jsonl"
+    results.parent.mkdir()
+    line = ('{"dataset": "toy", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+            '"seed": 0, "mse": 0.5}\n')
+    results.write_text(line)
+    assert main(["bench", "--spec", str(spec_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {results}: line 1: unknown key 'mse'\n"
+    assert captured.out == ""
+    assert results.read_text() == line
+
+
 @pytest.mark.parametrize(
     "good, bad, message",
     [("batch_size = 16", "batch_size = 0", "[train] batch_size must be a positive integer"),

@@ -108,7 +108,7 @@ def adam_step_oracle(params, grads, state):
     corr1 = 1.0 - state.beta1**k
     corr2 = 1.0 - state.beta2**k
     for name, p in params.items():
-        g_arr = np.asarray(grads[name])
+        g_arr = grads[name].data
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p)
@@ -138,7 +138,7 @@ B = _BLOCK
 @given(
     params=st.lists(
         st.tuples(st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]),
-                  st.sampled_from(["flat", "row", "column"]), st.booleans()),
+                  st.sampled_from(["flat", "row", "column"])),
         min_size=1, max_size=4,
     ),
     dtype=st.sampled_from([np.float64, np.float32]),
@@ -147,7 +147,7 @@ B = _BLOCK
 )
 def test_blocked_update_matches_unblocked_bit_for_bit(params, dtype, scale, seed):
     rng = np.random.default_rng(seed)
-    shapes = [{"flat": (n,), "row": (1, n), "column": (n, 1)}[form] for n, form, _ in params]
+    shapes = [{"flat": (n,), "row": (1, n), "column": (n, 1)}[form] for n, form in params]
     names = [f"p{i}" for i in range(len(params))]
     start = {name: rng.standard_normal(shape).astype(dtype) for name, shape in zip(names, shapes)}
     prev = get_default_dtype()
@@ -157,12 +157,8 @@ def test_blocked_update_matches_unblocked_bit_for_bit(params, dtype, scale, seed
         oracle = {name: x.copy() for name, x in start.items()}
         state, oracle_state = AdamState(lr=1e-2), AdamState(lr=1e-2)
         for _ in range(5):
-            grads = {}
-            for name, shape, (_, _, strided) in zip(names, shapes, params):
-                g = (scale * rng.standard_normal(shape)).astype(dtype)
-                if strided:  # a non-contiguous view with the same values
-                    g = np.repeat(g, 2, axis=-1)[..., ::2]
-                grads[name] = g
+            grads = {name: Tensor((scale * rng.standard_normal(shape)).astype(dtype))
+                     for name, shape in zip(names, shapes)}
             adam_step(tensors, grads, state)
             adam_step_oracle(oracle, grads, oracle_state)
     finally:

@@ -123,13 +123,9 @@ class TestMatmul:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
         assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
 
-    def test_batched(self, rng):
-        a = rng.standard_normal((6, 2, 3))
-        b = rng.standard_normal((3, 4))
-        out = matmul(Tensor(a), Tensor(b))
-        assert out.shape == (6, 2, 4)
-        for i in range(6):
-            np.testing.assert_allclose(out.data[i], matmul_oracle(a[i], b), atol=1e-12)
+    def test_stack_rejected(self):
+        with pytest.raises(DimensionError, match=r"two matrices, got \(6, 2, 3\) @ \(3, 4\)"):
+            matmul(Tensor(np.zeros((6, 2, 3))), Tensor(np.zeros((3, 4))))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -140,59 +136,12 @@ class TestMatmul:
         right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
         np.testing.assert_allclose(left, right, atol=1e-9)
 
-    @pytest.mark.parametrize("k, p", [(96, 256), (256, 128)], ids=["96x256", "256x128"])
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_stack_times_matrix_bit_identical_to_numpy(self, rng, request, dtype, k, p):
-        """The MLP trunk's shapes (21 channels, lookback 96, widths 256 and 128)
-        through plain matmul: forward, grad_a and grad_b (per-matrix products
-        summed over the stack) equal numpy's bit for bit."""
-        if dtype == "float32":
-            request.getfixturevalue("float32_mode")
-        n = 21
-        batch = 2 * (tensor_mod._ROW_BLOCK // n) + 5
-        a = Tensor(rng.standard_normal((batch, n, k)), requires_grad=True)
-        b = Tensor(rng.standard_normal((k, p)), requires_grad=True)
-        g = rng.standard_normal((batch, n, p)).astype(get_default_dtype())
-        out = matmul(a, b)
-        assert out.data.dtype == np.dtype(dtype)
-        assert np.array_equal(out.data, a.data @ b.data)
-        grads = backward(tmean(out * Tensor(g)))
-        assert np.array_equal(grads[a].data, upstream(g) @ np.swapaxes(b.data, -1, -2))
-        assert np.array_equal(grads[b].data,
-                              (np.swapaxes(a.data, -1, -2) @ upstream(g)).sum(axis=0))
-
-    @pytest.mark.parametrize("shape_a, shape_b", [
-        ((40, 7, 37), (37, 100)),
-        ((300, 5, 255), (255, 9)),
-        ((40, 1, 37), (37, 100)),
-        ((40, 7, 37), (37, 1)),
-        ((40, 7, 1), (1, 100)),
-    ], ids=["k37_p100", "k255_p9", "one_row", "one_column", "inner_one"])
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_stack_times_matrix_within_gemm_error(self, rng, request, dtype, shape_a, shape_b):
-        """A stack of matrices times one matrix, at any width, is numpy's own
-        stacked product bit for bit, and so is `grad_a`: the row-blocked GEMMs
-        serve `linear_relu` alone."""
-        if dtype == "float32":
-            request.getfixturevalue("float32_mode")
-        a = Tensor(rng.standard_normal(shape_a), requires_grad=True)
-        b = Tensor(rng.standard_normal(shape_b), requires_grad=True)
-        g = rng.standard_normal(shape_a[:-1] + shape_b[-1:]).astype(get_default_dtype())
-        out = matmul(a, b)
-        grad_a = backward(tmean(out * Tensor(g)))[a].data
-        assert np.array_equal(out.data, a.data @ b.data)
-        assert np.array_equal(grad_a, upstream(g) @ b.data.T)
-
-    @pytest.mark.parametrize("shape_a, shape_b", [
-        ((4, 5), (5, 3)),
-        ((6, 4, 5), (5, 3)),
-        ((2, 1, 4, 5), (3, 5, 2)),
-    ], ids=["2d", "stack_times_matrix", "broadcast"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_gradients_are_adjoint(self, shape_a, shape_b, seed):
+    def test_gradients_are_adjoint(self, seed):
         """matmul is bilinear: <g, J_a da> = <grad_a g, da>, likewise for b."""
         r = np.random.Generator(np.random.Philox(seed))
+        shape_a, shape_b = (4, 5), (5, 3)
         a = Tensor(r.standard_normal(shape_a), requires_grad=True)
         b = Tensor(r.standard_normal(shape_b), requires_grad=True)
         g = r.standard_normal(matmul(a, b).shape)
@@ -658,23 +607,13 @@ class TestShapeOps:
 
 
 class TestReductions:
-    @pytest.mark.parametrize("axis, keepdims", [(None, False), (-1, False), ((0, 2), False),
-                                                (1, True), (None, True)])
-    def test_mean_gradient_bit_identical_to_expand_dims_form(self, rng, axis, keepdims):
+    def test_mean_gradient_bit_identical_to_expand_dims_form(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-        out = tmean(x, axis=axis, keepdims=keepdims)
+        out = tmean(x)
+        assert out.shape == ()
         g = rng.standard_normal(out.shape)
-        axes = tuple(range(3)) if axis is None else tuple(np.atleast_1d(axis) % 3)
-        expected = np.broadcast_to(g if keepdims else np.expand_dims(g, axes), x.shape) / (
-            x.size // out.size)
+        expected = np.broadcast_to(np.expand_dims(g, (0, 1, 2)), x.shape) / x.size
         assert_same_bits(out._grad_fns[0](g), expected)
-
-    def test_mean_axis(self, rng):
-        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        out = tmean(x, axis=-1)
-        np.testing.assert_allclose(out.data, x.data.mean(axis=-1), atol=1e-15)
-        grads = backward(tmean(out))
-        np.testing.assert_allclose(grads[x].data * 3, np.full((3, 5), 1 / 5), atol=1e-15)
 
 
 def assert_adjoint(r, f, xs, jvps):
@@ -732,16 +671,12 @@ class TestAdjoint:
         x = r.standard_normal((4, 2, 3))
         assert_adjoint(r, square, [x], [lambda v: 2.0 * x * v])
 
-    @pytest.mark.parametrize("reduce", [tmean], ids=["tmean"])
-    @pytest.mark.parametrize("axis", [None, 0, -1, (0, 2)], ids=["all", "0", "-1", "0_2"])
-    @pytest.mark.parametrize("keepdims", [False, True])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_reductions(self, reduce, axis, keepdims, seed):
+    def test_reductions(self, seed):
         r = np.random.Generator(np.random.Philox(seed))
         x = r.standard_normal((3, 4, 2))
-        assert_adjoint(r, lambda t: reduce(t, axis=axis, keepdims=keepdims), [x],
-                       [lambda v: np.mean(v, axis=axis, keepdims=keepdims)])
+        assert_adjoint(r, tmean, [x], [np.mean])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,13 +110,14 @@ class TestTrain:
         val_now = evaluate(model, val_w)["mse"]
         assert val_now == history.val_mse[history.best_epoch] != history.val_mse[-1]
 
-    def test_early_stopping_stops(self, rng):
+    def test_early_stopping_stops(self, rng, monkeypatch):
+        from hnmvts import trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "adam_step", lambda params, grads, state: None)
         model, train_w, val_w = small_setup(rng)
-        cfg = TrainConfig(
-            lookback=8, horizon=2, max_epochs=40, seed=3, lr=0.0, early_stop_patience=2
-        )
+        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=40, seed=3, early_stop_patience=2)
         _, history = train(model, train_w, val_w, cfg)
-        # lr 0 never improves after epoch 0, so patience cuts the run short
+        # with no parameter update nothing improves after epoch 0, so patience cuts the run short
         assert history.n_epochs == 3
 
     def test_empty_training_set_rejected(self, rng):
@@ -129,6 +132,37 @@ class TestTrain:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingError, match="epoch 0"):
                 train(model, train_w, val_w, cfg)
+
+    def test_refused_gradient_aborts_before_any_parameter_moves(self, rng, monkeypatch):
+        """A gradient Adam refuses mid-run ends the run at that step: the error
+        names the parameter, the epoch and the batch offset, and no parameter
+        has moved from where the step found it."""
+        from hnmvts import trainer as trainer_mod
+
+        real_backward = trainer_mod.backward
+        model, train_w, val_w = small_setup(rng, variant="hyper")
+        params = model.parameters()
+        name, bad = list(params.items())[-1]
+        calls, at_refusal = [], {}
+
+        def backward_nan_on_tenth(loss, param_list):
+            grads = real_backward(loss, param_list)
+            calls.append(None)
+            if len(calls) == 10:  # 8 batches of 16 per epoch: epoch 1, offset 16
+                grads[bad] = Tensor(np.full(bad.shape, np.nan))
+                at_refusal.update({n: p.data.copy() for n, p in params.items()})
+            return grads
+
+        monkeypatch.setattr(trainer_mod, "backward", backward_nan_on_tenth)
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, max_epochs=3, seed=0)
+        assert len(train_w) == 120
+        message = (rf"\(non-finite gradient for parameter '{re.escape(name)}'\): loss=\S+ "
+                   r"at epoch 1, batch offset 16;")
+        with pytest.raises(TrainingError, match=message):
+            train(model, train_w, val_w, cfg)
+        assert len(calls) == 10
+        for n, p in params.items():
+            assert np.array_equal(p.data, at_refusal[n]), n
 
     def test_config_window_mismatch(self, rng):
         model, train_w, val_w = small_setup(rng)
@@ -184,9 +218,12 @@ class TestTrain:
         assert len(calls) > 2
         assert calls == [0] * len(calls)
 
-    def test_model_without_revin_trains_in_raw_space(self, rng):
+    def test_model_without_revin_trains_in_raw_space(self, rng, monkeypatch):
+        from hnmvts import trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "adam_step", lambda params, grads, state: None)
         model, train_w, val_w = small_setup(rng, revin=False)
-        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=1, seed=0, lr=0.0)
+        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=1, seed=0)
         _, history = train(model, train_w, val_w, cfg)
         assert history.train_loss[0] == pytest.approx(evaluate(model, train_w)["mse"], rel=1e-12)
 
