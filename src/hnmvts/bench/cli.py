@@ -103,13 +103,13 @@ def cmd_train(args) -> int:
     table = load_table(cfg)
     check_embed_dim(cfg, table, [cfg.variant])
     out_dir = resolve_out_dir(cfg.out_dir, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_split, val_split, _ = chrono_split(table, cfg.split)
     train_w = make_windows(train_split, tc.lookback, tc.horizon)
     val_w = make_windows(val_split, tc.lookback, tc.horizon)
     model = build_model_for_run(cfg, cfg.variant, train_split, tc.horizon, tc.seed)
     model, history = train(model, train_w, val_w, tc)
     tag = f"{cfg.dataset_name}_{cfg.backbone}_{cfg.variant}_H{tc.horizon}_s{tc.seed}"
+    out_dir.mkdir(parents=True, exist_ok=True)  # made once there is a result to write
     ckpt_path = out_dir / f"{tag}.npz"
     save_checkpoint(model, ckpt_path, config_echo=cfg.echo())
     history_path = out_dir / f"{tag}_history.csv"

@@ -17,6 +17,7 @@ import os
 import tempfile
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -73,7 +74,29 @@ class ResultRecord:
         for f in fields(cls):
             if f.default is MISSING and f.name not in data:
                 raise ValueError(f"missing key '{f.name}'")
+        for key, value in data.items():
+            kinds = _FIELD_KINDS[key]
+            if not _is_json_kind(value, kinds):
+                wanted = " or ".join(_JSON_KIND_NAMES[k] for k in kinds)
+                raise ValueError(f"key '{key}' must be {wanted}, got {json.dumps(value)}")
+            if float in kinds and value is not None:
+                data[key] = float(value)
         return cls(**data)
+
+
+# each field's accepted Python types: `int | None` gives (int, NoneType)
+_FIELD_KINDS = {name: get_args(hint) or (hint,)
+                for name, hint in get_type_hints(ResultRecord).items()}
+_JSON_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
+
+
+def _is_json_kind(value, kinds) -> bool:
+    """Whether a JSON value fits a field: an int is a number too, a bool is neither."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int) and float in kinds:
+        return True
+    return isinstance(value, kinds)
 
 
 def load_records(path: str | Path) -> list[ResultRecord]:

@@ -111,23 +111,27 @@ def init_generator(
 ) -> list[np.ndarray]:
     """One generator's arrays in store order, with scale-matched initialization.
 
-    per_channel_linear returns [w_phi], each channel's block drawn from the
-    plain-layer uniform fan-in law scaled by 1/|z[n]| so the initial
-    generated W matches a directly-initialized (H x D) layer in
-    distribution; the draws fill an (N, H, D, d) array, whose d axis then
-    moves to axis 1, so the values do not depend on the stored layout.
-    shared_mlp returns each hidden layer's weight and bias, then the
-    bias-free output weight, each drawn by fan-in.
+    per_channel_linear returns [w_phi] in z's dtype, each channel's block
+    drawn from the plain-layer uniform fan-in law scaled by 1/|z[n]| so the
+    initial generated W matches a directly-initialized (H x D) layer in
+    distribution. Channel by channel, the draws fill an (H, D, d) block
+    whose d axis then moves to the front of that channel's slot, so the
+    values do not depend on the stored layout, and no array but w_phi is
+    ever as large as it. shared_mlp returns each hidden layer's weight and
+    bias, then the bias-free output weight, each drawn by fan-in.
     """
     n, d = z.shape
     shapes = _generator_shapes({"mode": mode, "hidden": gen_hidden}, "head", n, d, horizon,
                                hidden_dim)
     if mode == "shared_mlp":
         return list(draw_fan_in(rng, shapes).values())
-    base = uniform_fan_in(rng, (n, horizon, hidden_dim, d), fan_in=hidden_dim)
     norms = np.linalg.norm(z, axis=1)
     norms = np.where(norms < 1e-8, 1.0, norms)
-    return [np.ascontiguousarray(np.moveaxis(base / norms[:, None, None, None], -1, 1))]
+    w_phi = np.empty(shapes["head.w_phi"], dtype=z.dtype)
+    for c in range(n):
+        block = uniform_fan_in(rng, (horizon, hidden_dim, d), fan_in=hidden_dim)
+        w_phi[c] = np.moveaxis(block / norms[c], -1, 0)
+    return [w_phi]
 
 
 def generate_weights(mode: str, z: Tensor, gen: list[Tensor], horizon: int) -> Tensor:
@@ -223,10 +227,20 @@ class ForecastModel:
         return [generate_weights(self._mode, a["embed.z"], [a[name] for name in names],
                                  self.horizon) for names in self._heads]
 
-    def _core(self, x: np.ndarray) -> Tensor:
+    def forward_prepared(self, x: np.ndarray, hidden: list[Tensor] | None = None) -> Tensor:
+        """Normalised-scale forecast (..., N, H) for a prepared lookback x.
+
+        x is the RevIN-normalised lookback, or the raw one without RevIN.
+        `hidden` is the backbone's hidden states of x when the caller has
+        them already (`trainer` keeps DLinear's trend per window); without
+        it the backbone computes them here. A folded model reads x alone
+        (`forward` hands it the centred lookback).
+        """
         if self._folded is not None:
             return apply_final([self._folded], [Tensor(x)])
-        return apply_final(self._final_weights(), self.backbone.forward_hidden(x))
+        if hidden is None:
+            hidden = self.backbone.forward_hidden(x)
+        return apply_final(self._final_weights(), hidden)
 
     def forward(self, x: Tensor) -> Tensor:
         """Raw-scale forecast (..., N, H) for a lookback (..., N, T).
@@ -241,19 +255,19 @@ class ForecastModel:
         independent of the series' level.
         """
         if not self.revin:
-            return self._core(x.data)
+            return self.forward_prepared(x.data)
         if self._folded is not None:
             mean = x.data.mean(axis=-1, keepdims=True)
-            return self._core(x.data - mean) + mean
+            return self.forward_prepared(x.data - mean) + mean
         x_norm, stats = revin_forward(x.data)
-        return revin_reverse(self._core(x_norm), stats)
+        return revin_reverse(self.forward_prepared(x_norm), stats)
 
     def forward_normalized(self, x: Tensor) -> tuple[Tensor, InstanceStats]:
         """Normalized-scale forecast plus the lookback statistics."""
         if not self.revin:
             raise ValueError("forward_normalized requires a RevIN-wrapped model")
         x_norm, stats = revin_forward(x.data)
-        return self._core(x_norm), stats
+        return self.forward_prepared(x_norm), stats
 
     # parameter bookkeeping -------------------------------------------------
     def all_arrays(self) -> dict[str, Tensor]:

@@ -241,8 +241,6 @@ class TestRunExperiment:
         ({"lookback": "500"}, "timesteps"),
         ({"lr": "1e300"}, "non-finite training aborted"),
     ], ids=["window_error", "training_error"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_failed_cell_keeps_a_summary_row(self, tmp_path, train, reason):
         """A cell whose runs all failed, before training or inside it, still
         gets a row: incomplete, with a note counting its failed runs."""
@@ -281,13 +279,33 @@ class TestRecordsFile:
          '"seed": 0, "mse": 0.5}', "unknown key 'mse'"),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4}',
          "missing key 'seed'"),
-    ], ids=["malformed_json", "not_an_object", "foreign_key", "missing_key"])
+        ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": "4", '
+         '"seed": 0}', "key 'horizon' must be an integer, got \"4\""),
+        ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+         '"seed": true}', "key 'seed' must be an integer, got true"),
+        ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+         '"seed": 0, "n_epochs": 2.0}', r"key 'n_epochs' must be an integer or null, got 2\.0"),
+        ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+         '"seed": 0, "test_mse": "0.5"}', r"key 'test_mse' must be a number or null, got \"0\.5\""),
+        ('{"dataset": 1, "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+         '"seed": 0}', "key 'dataset' must be a string, got 1"),
+    ], ids=["malformed_json", "not_an_object", "foreign_key", "missing_key", "str_int",
+            "bool_int", "float_int", "str_float", "int_str"])
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "r.jsonl"
         write_records([ResultRecord("d", "dlinear", "baseline", 4, 0)], path)
         path.write_text(path.read_text() + "\n" + line + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: {message}$"):
             load_records(path)
+
+
+    def test_typed_fields(self):
+        """A float field takes an int or a float, an optional field null."""
+        rec = ResultRecord.from_json(
+            '{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+            '"seed": 0, "test_mse": 1, "test_mae": 0.5, "n_epochs": null}')
+        assert rec == ResultRecord("d", "dlinear", "baseline", 4, 0, test_mse=1.0, test_mae=0.5)
+        assert type(rec.test_mse) is float
 
 
 class TestSummarize:

@@ -120,8 +120,8 @@ def test_bench_writes_results_and_summaries(tmp_path, spec_file, capsys):
     assert "baseline MSE" in stdout
 
 
-# lr 1e300 overflows inside the first Adam step; the run then fails on its next loss
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# lr 1e300 moves the parameters to about 1e300 in the first Adam step; the
+# next batch's forward overflows and ends the run
 def test_bench_with_no_completed_run_exits_nonzero(tmp_path, spec_file, capsys):
     spec_file.write_text(spec_file.read_text().replace("lr = 0.01", "lr = 1e300"))
     assert main(["bench", "--spec", str(spec_file)]) == 1
@@ -133,15 +133,15 @@ def test_bench_with_no_completed_run_exits_nonzero(tmp_path, spec_file, capsys):
     assert (out_dir / "toy_dlinear_summary.csv").exists()
 
 
-# lr 1e300 overflows inside the first Adam step; the run then fails on its next loss
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverging_run_is_clean_error(tmp_path, spec_file, capsys):
+    """The overflow is caught where it happens, in the forward after the
+    first Adam step: one error line, no numpy warning, no output directory."""
     spec_file.write_text(spec_file.read_text().replace("lr = 0.01", "lr = 1e300"))
     assert main(["train", "--config", str(spec_file)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: non-finite training aborted (loss)")
-    assert "at epoch 0" in err and err.count("\n") == 1
-    assert not list((tmp_path / "runs").glob("*.npz"))
+    assert err.startswith("error: non-finite training aborted (overflow encountered in ")
+    assert "at epoch 0, batch offset 16;" in err and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_bench_bad_results_line_is_clean_error(tmp_path, spec_file, capsys):
@@ -157,6 +157,20 @@ def test_bench_bad_results_line_is_clean_error(tmp_path, spec_file, capsys):
     assert captured.err == f"error: {results}: line 1: unknown key 'mse'\n"
     assert captured.out == ""
     assert results.read_text() == line
+
+
+def test_bench_wrong_typed_results_line_is_clean_error(tmp_path, spec_file, capsys):
+    """A results value of the wrong type stops the bench before it trains,
+    with one error line that names the file, the line and the key."""
+    results = tmp_path / "runs" / "toy_dlinear_results.jsonl"
+    results.parent.mkdir()
+    results.write_text('{"dataset": "toy", "backbone": "dlinear", "variant": "baseline", '
+                       '"horizon": "4", "seed": 0}\n')
+    assert main(["bench", "--spec", str(spec_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {results}: line 1: key 'horizon' must be an integer, "
+                            'got "4"\n')
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -133,6 +133,28 @@ class TestGenerateWeights:
         assert w_phi.shape == (3, 2, 4, 5) and w_phi.flags.c_contiguous
         assert np.array_equal(w_phi, np.moveaxis(drawn, -1, 1))
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_per_channel_linear_init_matches_whole_array_form(self, request, dtype):
+        """Channel by channel, the draws give the values of the whole-array
+        form (draw (N, H, D, d), divide by the norms, move d to axis 1), a
+        frozen copy of which is compared once both are cast to the model's
+        dtype; z comes in that dtype, as `build_hyper` passes it, and one of
+        its rows has a norm below the 1e-8 floor. ILI shape (N = d = 7, H 24,
+        D 36)."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n, d, horizon, dim = 7, 7, 24, 36
+        z = make_rng(3).standard_normal((n, d)).astype(dtype)
+        z[1] = 0.0
+        (w_phi,) = init_generator(z, horizon, dim, "per_channel_linear", make_rng(7))
+        bound = 1 / np.sqrt(dim)
+        base = make_rng(7).uniform(-bound, bound, size=(n, horizon, dim, d))
+        norms = np.linalg.norm(z, axis=1)
+        norms = np.where(norms < 1e-8, 1.0, norms)
+        frozen = np.ascontiguousarray(np.moveaxis(base / norms[:, None, None, None], -1, 1))
+        assert w_phi.shape == (n, d, horizon, dim) and w_phi.dtype == np.dtype(dtype)
+        assert np.array_equal(Tensor(w_phi).data, Tensor(frozen).data)
+
     def test_shared_mlp_rowwise(self, rng):
         z = Tensor(rng.standard_normal((4, 3)))
         gen = shared_mlp(z, rng, horizon=2, hidden=3, gen_hidden=(5,))

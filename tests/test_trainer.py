@@ -3,10 +3,20 @@ import re
 import numpy as np
 import pytest
 
-from hnmvts.backbones import DLinearBackbone, MlpBackbone
+from hnmvts.backbones import DLinearBackbone, MlpBackbone, decompose
 from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
-from hnmvts.numcore import Tensor, make_rng
+from hnmvts.normalization import revin_apply, revin_forward
+from hnmvts.numcore import (
+    AdamState,
+    Tensor,
+    adam_step,
+    backward,
+    make_rng,
+    spawn_rng,
+    square,
+    tmean,
+)
 from hnmvts.trainer import TrainConfig, TrainingError, evaluate, train
 
 
@@ -205,9 +215,9 @@ class TestTrain:
         finalizers = []
         calls = []
 
-        def tracking_batch_loss(model, xb, yb):
+        def tracking_batch_loss(model, batch):
             calls.append(sum(f.alive for f in finalizers))
-            loss = real_batch_loss(model, xb, yb)
+            loss = real_batch_loss(model, batch)
             finalizers.append(weakref.finalize(loss.data, lambda: None))
             return loss
 
@@ -235,6 +245,180 @@ class TestTrain:
         baked_metrics = evaluate(bake(model), val_w)
         assert abs(hyper_metrics["mse"] - baked_metrics["mse"]) < 1e-10
         assert abs(hyper_metrics["mae"] - baked_metrics["mae"]) < 1e-10
+
+
+def reference_train(model, train_w, val_w, cfg):
+    """Frozen copy of the per-batch training loop: RevIN and the decomposition
+    run on every batch, through `forward_normalized` or `forward`, and the
+    validation pass evaluates the plain window set. Returns the per-epoch
+    train loss and validation MSE, leaving the best epoch's parameters."""
+    params = model.parameters()
+    state = AdamState(lr=cfg.lr)
+    shuffle_rng = spawn_rng(cfg.seed, 7)
+    best, best_val = {}, np.inf
+    losses, vals = [], []
+    for _ in range(cfg.max_epochs):
+        order = shuffle_rng.permutation(len(train_w))
+        total = 0.0
+        for start in range(0, len(train_w), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x, y = train_w.batch(idx)
+            if model.revin:
+                pred, stats = model.forward_normalized(Tensor(x))
+                loss = tmean(square(pred - revin_apply(y, stats)))
+            else:
+                loss = tmean(square(model.forward(Tensor(x)) - y))
+            grads = backward(loss, list(params.values()))
+            adam_step(params, {name: grads[p] for name, p in params.items()}, state)
+            total += loss.item() * len(idx)
+        losses.append(total / len(train_w))
+        vals.append(evaluate(model, val_w)["mse"])
+        if vals[-1] < best_val:
+            best_val = vals[-1]
+            best = {name: p.data.copy() for name, p in params.items()}
+    for name, p in params.items():
+        p.data[:] = best[name]
+    return losses, vals
+
+
+def build_form(form, revin, table):
+    rng = make_rng(4)
+    if form.startswith("mlp"):
+        bb = MlpBackbone(8, (6, 5), rng=rng)
+    else:
+        bb = DLinearBackbone(8, kernel=5)
+    if form.endswith("baseline"):
+        return build_baseline(bb, table.n_channels, 2, rng, revin=revin)
+    mode = "shared_mlp" if form.endswith("shared_mlp") else "per_channel_linear"
+    return build_hyper(bb, table, 2, rng, mode=mode, revin=revin,
+                       gen_hidden=(4,) if mode == "shared_mlp" else ())
+
+
+class TestPreparedSets:
+    """`train` prepares each set's RevIN statistics and DLinear trends once;
+    every result stays bit-identical to the per-batch form."""
+
+    FORMS = ["dlinear_baseline", "dlinear_per_channel_linear", "dlinear_shared_mlp",
+             "mlp_baseline", "mlp_shared_mlp"]
+
+    @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_cached_uncached_and_per_batch_runs_identical(self, form, revin, monkeypatch):
+        """A training set of 313 windows is prepared in two chunks; the run
+        with trends cached, the run with the cache limit at 0 (trends per
+        batch) and the frozen per-batch loop give the same bits."""
+        from hnmvts import trainer as trainer_mod
+
+        values = make_rng(9).standard_normal((400, 3)).cumsum(axis=0)
+        table = SeriesTable(Tensor(values), ["a", "b", "c"])
+        windows = make_windows(table, 8, 2)
+        train_w, val_w = windows[:313], windows[313:]
+        assert len(train_w) > trainer_mod._CHUNK
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=32, max_epochs=3, lr=1e-2, seed=5)
+        runs = []
+        for limit in (trainer_mod.TREND_CACHE_BYTES, 0):
+            monkeypatch.setattr(trainer_mod, "TREND_CACHE_BYTES", limit)
+            model, history = train(build_form(form, revin, table), train_w, val_w, cfg)
+            runs.append((history.train_loss, history.val_mse, model.parameters()))
+        model = build_form(form, revin, table)
+        runs.append((*reference_train(model, train_w, val_w, cfg), model.parameters()))
+        first_loss, first_val, first_params = runs[0]
+        for loss, val, params in runs[1:]:
+            assert loss == first_loss and val == first_val
+            for name, p in params.items():
+                assert np.array_equal(p.data, first_params[name].data), name
+
+    def test_trend_runs_once_per_set_per_call(self, rng, monkeypatch):
+        """`moving_average` runs on each whole set once per `train` call, not
+        on every batch of every epoch; above the cache limit it runs per batch."""
+        from hnmvts import backbones
+        from hnmvts import trainer as trainer_mod
+        from hnmvts.numcore import moving_average
+
+        calls = []
+
+        def counting(x, kernel):
+            calls.append(len(x))
+            return moving_average(x, kernel)
+
+        monkeypatch.setattr(backbones, "moving_average", counting)
+        monkeypatch.setattr(trainer_mod, "moving_average", counting, raising=False)
+        model, train_w, val_w = small_setup(rng)
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, max_epochs=3, seed=0)
+        train(model, train_w, val_w, cfg)
+        assert calls == [len(train_w), len(val_w)]
+        calls.clear()
+        monkeypatch.setattr(trainer_mod, "TREND_CACHE_BYTES", 0)
+        train(model, train_w, val_w, cfg)
+        assert calls == 3 * ([16] * 7 + [len(train_w) - 7 * 16] + [len(val_w)])
+
+    def test_prepared_set_holds_per_batch_values(self, rng):
+        """The statistics and trend kept per window are `revin_forward`'s and
+        `decompose`'s on any batch of those windows."""
+        from hnmvts.trainer import PreparedSet
+
+        model, train_w, _ = small_setup(rng)
+        prepared = PreparedSet(model, train_w)
+        idx = rng.permutation(len(train_w))[:16]
+        x_norm, stats = revin_forward(train_w.batch(idx)[0])
+        trend, _ = decompose(x_norm, model.backbone.kernel)
+        assert np.array_equal(prepared.mean[idx], stats.mean)
+        assert np.array_equal(prepared.std[idx], stats.std)
+        assert np.array_equal(prepared.trend[idx], trend)
+
+    def test_validation_enters_through_evaluate(self, rng, monkeypatch):
+        """Each epoch's validation pass calls `evaluate` once, on the prepared
+        validation set, and gets the MSE the plain set gives."""
+        from hnmvts import trainer as trainer_mod
+
+        real_evaluate = trainer_mod.evaluate
+        seen = []
+
+        def recording(model, windows, *args):
+            out = real_evaluate(model, windows, *args)
+            seen.append((windows, out["mse"], real_evaluate(model, windows.windows)["mse"]))
+            return out
+
+        monkeypatch.setattr(trainer_mod, "evaluate", recording)
+        model, train_w, val_w = small_setup(rng)
+        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=2, seed=0)
+        _, history = train(model, train_w, val_w, cfg)
+        assert len(seen) == 2
+        for (windows, mse, plain_mse), val in zip(seen, history.val_mse):
+            assert isinstance(windows, trainer_mod.PreparedSet) and windows.windows is val_w
+            assert mse == plain_mse == val
+
+    def test_model_without_trainable_arrays_refused(self, rng):
+        model, train_w, val_w = small_setup(rng)
+        with pytest.raises(ValueError, match="no trainable arrays"):
+            train(bake(model), train_w, val_w, TrainConfig(lookback=8, horizon=2))
+
+
+class TestDiverging:
+    def test_overflow_stops_the_step_that_makes_it(self, rng):
+        """At lr 1e300 the first Adam step leaves parameters near 1e300; the
+        next forward overflows, and the run stops there with a TrainingError
+        (pytest turns any numpy RuntimeWarning into a failure). The parameter
+        norms are stated, finite, without overflowing themselves."""
+        model, train_w, val_w = small_setup(rng, variant="hyper")
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, lr=1e300, max_epochs=2)
+        with pytest.raises(TrainingError) as info:
+            train(model, train_w, val_w, cfg)
+        message = str(info.value)
+        assert re.match(r"non-finite training aborted \((overflow|invalid value) encountered "
+                        r"in \w+\) at epoch 0, batch offset 16; parameter norms: ", message)
+        norms = [float(v) for v in re.findall(r"=(\S+?)(?:,|$)", message.split("norms: ")[1])]
+        assert len(norms) == len(model.parameters())
+        assert all(np.isfinite(v) and v > 1e299 for v in norms)
+
+    def test_norms_of_huge_and_non_finite_arrays(self):
+        from hnmvts.trainer import _norm
+
+        assert _norm(np.full(4, 1e300)) == pytest.approx(2e300)
+        assert _norm(np.zeros(3)) == 0.0
+        assert _norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(_norm(np.array([1.0, np.nan])))
+        assert _norm(np.array([3.0, -4.0])) == 5.0
 
 
 class TestEvaluate:
