@@ -32,7 +32,9 @@ of its own final layers. A baked DLinear model folds its two final layers
 into one W (`DLinearBackbone.fold`) when it is built. RevIN has no affine
 pair, so its scale cancels through W, and the model serves the centred
 form W (x - mu) + mu, mu each window's per-channel lookback mean: one
-per-channel product, with no decomposition and no std.
+per-channel product, with no decomposition and no std. Nothing in it trains,
+so it serves on plain arrays (`numcore.channel_product`, the kernel of
+`channel_dot`'s forward) and builds one Tensor per forecast, its result.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from . import backbones
 from .backbones import apply_final, draw_fan_in, stack_forward, stack_shapes, uniform_fan_in
 from .data import SeriesTable, pearson_corr
 from .normalization import InstanceStats, revin_forward, revin_reverse
-from .numcore import Tensor, channel_gemv, matmul, no_grad, pca_project, reshape
+from .numcore import Tensor, channel_gemv, channel_product, matmul, no_grad, pca_project, reshape
 
 __all__ = [
     "ForecastModel",
@@ -170,7 +172,8 @@ class ForecastModel:
                         and the `head.*` generators.
     variant "baked":    constant final layers materialized by `bake`; a
                         DLinear one serves their `fold` W, made here once,
-                        as W (x - mu) + mu (W x without RevIN).
+                        as W (x - mu) + mu (W x without RevIN), on plain
+                        arrays.
 
     Building one checks the store against `_array_shapes` and sets every
     array's `requires_grad`: `final.*` trains only in a baseline, `embed.z`
@@ -216,7 +219,7 @@ class ForecastModel:
             for name in self._finals:
                 arrays[name].data.flags.writeable = False
             if isinstance(self.backbone, backbones.DLinearBackbone):
-                self._folded = Tensor(self.backbone.fold(*(arrays[n].data for n in self._finals)))
+                self._folded = self.backbone.fold(*(arrays[n].data for n in self._finals))
 
     # forward paths --------------------------------------------------------
     def _final_weights(self) -> list[Tensor]:
@@ -234,10 +237,10 @@ class ForecastModel:
         `hidden` is the backbone's hidden states of x when the caller has
         them already (`trainer` keeps DLinear's trend per window); without
         it the backbone computes them here. A folded model reads x alone
-        (`forward` hands it the centred lookback).
+        and applies W to it on plain arrays.
         """
         if self._folded is not None:
-            return apply_final([self._folded], [Tensor(x)])
+            return Tensor(channel_product(self._folded, x))
         if hidden is None:
             hidden = self.backbone.forward_hidden(x)
         return apply_final(self._final_weights(), hidden)
@@ -252,13 +255,18 @@ class ForecastModel:
         Through a folded model RevIN's scale cancels, W((x - mu) / (std +
         eps)) * (std + eps) + mu = W (x - mu) + mu, so it serves that form
         and computes no std. Centring before the product keeps its precision
-        independent of the series' level.
+        independent of the series' level. It runs on plain arrays, never
+        writes x, and wraps only its result in a Tensor, off the graph.
         """
         if not self.revin:
             return self.forward_prepared(x.data)
         if self._folded is not None:
-            mean = x.data.mean(axis=-1, keepdims=True)
-            return self.forward_prepared(x.data - mean) + mean
+            # the steps of numpy's own mean, np.mean's values bit for bit
+            mean = np.add.reduce(x.data, axis=-1, keepdims=True)
+            mean /= x.shape[-1]
+            out = channel_product(self._folded, x.data - mean)
+            out += mean
+            return Tensor(out)
         x_norm, stats = revin_forward(x.data)
         return revin_reverse(self.forward_prepared(x_norm), stats)
 

@@ -12,6 +12,7 @@ from .tensor import (
     backward,
     channel_dot,
     channel_gemv,
+    channel_product,
     get_default_dtype,
     linear_relu,
     matmul,
@@ -36,6 +37,7 @@ __all__ = [
     "backward",
     "channel_dot",
     "channel_gemv",
+    "channel_product",
     "finite_diff_check",
     "get_default_dtype",
     "linear_relu",

@@ -10,7 +10,9 @@ models need (broadcasting arithmetic, the product of two matrices, one fused
 Linear+ReLU layer, the per-channel final layer `channel_dot` and weight
 generator `channel_gemv`, the square, the mean of every element, reshape).
 Data that no gradient reaches stays off the graph: the moving average and
-its transpose work on plain arrays.
+its transpose work on plain arrays, and so does a baked DLinear's folded
+forecast, through `channel_product`, the array kernel that `channel_dot`'s
+forward runs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "linear_relu",
     "channel_dot",
     "channel_gemv",
+    "channel_product",
     "square",
     "tmean",
     "reshape",
@@ -332,9 +335,30 @@ def channel_dot(w: Tensor, v: Tensor) -> Tensor:
 
     With w of shape (N, H, D) and v of shape (*B, N, D) the result has shape
     (*B, N, H): each channel's (H x D) matrix applied to its hidden states.
-    Forward and both gradients run as matmuls batched over the channel axis.
+    The forward is `channel_product`, which checks the shapes; both
+    gradients run as matmuls batched over the channel axis too.
     """
     w, v = _as_tensor(w), _as_tensor(v)
+    b_shape = v.shape[:-2]
+    out = channel_product(w.data, v.data)
+
+    def grad_w(g):
+        return _to_channel_major(g).swapaxes(1, 2) @ _to_channel_major(v.data)
+
+    def grad_v(g):
+        return _from_channel_major(_to_channel_major(g) @ w.data, b_shape)
+
+    return _make_node(out, (w, v), (grad_w, grad_v))
+
+
+def channel_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`channel_dot`'s forward on plain arrays: w (N, H, D) applied to v (*B, N, D).
+
+    One matmul batched over the channel axis, on v's channel-major view. The
+    result is a new row-major array that shares no memory with w or v, so a
+    caller may write to it in place. A baked DLinear serves its fold
+    through it.
+    """
     if w.ndim != 3 or v.ndim < 2:
         raise DimensionError(f"channel_dot needs w (N, H, D) and v (..., N, D), got {w.shape}, "
                              f"{v.shape}")
@@ -343,17 +367,7 @@ def channel_dot(w: Tensor, v: Tensor) -> Tensor:
             f"channel_dot shapes disagree: w {w.shape} vs v {v.shape} "
             "(need matching channel and trailing axes)"
         )
-    b_shape = v.shape[:-2]
-    vm = _to_channel_major(v.data)       # (N, Bp, D)
-    out = _from_channel_major(vm @ w.data.swapaxes(1, 2), b_shape)
-
-    def grad_w(g):
-        return _to_channel_major(g).swapaxes(1, 2) @ vm
-
-    def grad_v(g):
-        return _from_channel_major(_to_channel_major(g) @ w.data, b_shape)
-
-    return _make_node(out, (w, v), (grad_w, grad_v))
+    return _contig(_from_channel_major(_to_channel_major(v) @ w.swapaxes(1, 2), v.shape[:-2]))
 
 
 def channel_gemv(z: Tensor, w: Tensor) -> Tensor:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .backbones import DLinearBackbone
 from .data import WindowSet
-from .normalization import EPS, InstanceStats, revin_apply, revin_forward, revin_reverse
+from .normalization import EPS, InstanceStats, revin_apply, revin_forward
 from .numcore import (
     AdamState,
     Tensor,
@@ -109,6 +109,12 @@ TREND_CACHE_BYTES = 64 * 2**20
 _CHUNK = 256
 
 
+def _kernel(model) -> int | None:
+    """The moving-average kernel of a DLinear model, None for any other backbone."""
+    backbone = model.backbone
+    return backbone.kernel if isinstance(backbone, DLinearBackbone) else None
+
+
 class PreparedSet:
     """A window set with the input work a model's steps would repeat each epoch, done once.
 
@@ -117,17 +123,19 @@ class PreparedSet:
     input (the normalised lookback under RevIN, the raw one otherwise),
     unless it would take more than TREND_CACHE_BYTES. The values come from
     the ops a step runs, on chunks of windows; each op works per window,
-    so they equal the ones computed per batch bit for bit.
+    so they equal the ones computed per batch bit for bit. `revin` and
+    `kernel` record the model it was made for; `evaluate` refuses it for a
+    model that differs in either.
     """
 
     def __init__(self, model, windows: WindowSet):
         self.windows = windows
-        backbone = model.backbone
-        self.kernel = backbone.kernel if isinstance(backbone, DLinearBackbone) else None
+        self.revin = bool(model.revin)
+        self.kernel = _kernel(model)
         values = windows.values
         shape = (len(windows), values.shape[0], windows.lookback)
         self.mean = self.std = self.trend = None
-        if model.revin:
+        if self.revin:
             self.mean = np.empty(shape[:2] + (1,), values.dtype)
             self.std = np.empty_like(self.mean)
         if self.kernel is not None and np.prod(shape) * values.itemsize <= TREND_CACHE_BYTES:
@@ -239,7 +247,14 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
             del loss, grads, named_grads
             total_loss += loss_val * len(idx)
         seconds = time.perf_counter() - t0
-        val_mse = evaluate(model, val_set)["mse"]
+        # a diverged model fails its validation pass the way it would fail a step
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                val_mse = evaluate(model, val_set)["mse"]
+        except FloatingPointError as err:
+            raise TrainingError(_diagnostics(str(err), epoch, None, params)) from err
+        if not np.isfinite(val_mse):
+            raise TrainingError(_diagnostics(f"val_mse={val_mse}", epoch, None, params))
         history.train_loss.append(total_loss / n)
         history.val_mse.append(val_mse)
         history.seconds.append(seconds)
@@ -258,13 +273,15 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     return model, history
 
 
-def _diagnostics(what: str, epoch: int, batch_start: int, params,
+def _diagnostics(what: str, epoch: int, batch_start: int | None, params,
                  loss_val: float | None = None) -> str:
+    """The TrainingError message; `batch_start` None places it in the validation pass."""
     norms = ", ".join(f"{name}={_norm(p.data):.3e}" for name, p in sorted(params.items()))
     loss = "" if loss_val is None else f": loss={loss_val}"
+    where = "in validation" if batch_start is None else f"batch offset {batch_start}"
     return (
         f"non-finite training aborted ({what}){loss} at epoch {epoch}, "
-        f"batch offset {batch_start}; parameter norms: {norms}"
+        f"{where}; parameter norms: {norms}"
     )
 
 
@@ -280,10 +297,18 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     """Raw-scale MSE and MAE over every window, channel, and horizon step.
 
     `windows` is a WindowSet, or a PreparedSet made for this model (`train`
-    validates on one).
+    validates on one); a PreparedSet made for another RevIN setting or
+    DLinear kernel raises a ValueError. Each batch's errors, and on a
+    PreparedSet RevIN's reverse map, run in one buffer with the ufuncs of
+    `revin_reverse` and of the error sums, in their order: bit-identical.
     """
     if not windows:
         raise ValueError("empty evaluation set")
+    if isinstance(windows, PreparedSet):
+        made, wanted = (windows.revin, windows.kernel), (bool(model.revin), _kernel(model))
+        if made != wanted:
+            raise ValueError(f"the PreparedSet was made for revin={made[0]}, kernel={made[1]}, "
+                             f"but the model has revin={wanted[0]}, kernel={wanted[1]}")
     sse = 0.0
     sae = 0.0
     count = 0
@@ -292,14 +317,19 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
             idx = slice(start, start + batch_size)
             if isinstance(windows, PreparedSet):
                 batch = _stack_batch(windows, idx)
-                pred, yb = model.forward_prepared(batch.x, batch.hidden), batch.y
-                if batch.stats is not None:
-                    pred = revin_reverse(pred, batch.stats)
+                pred, yb = model.forward_prepared(batch.x, batch.hidden).data, batch.y
+                if batch.stats is None:
+                    err = pred - yb
+                else:
+                    err = pred * (batch.stats.std + EPS)
+                    err += batch.stats.mean
+                    err -= yb
             else:
                 xb, yb = windows.batch(idx)
-                pred = model.forward(Tensor(xb))
-            diff = pred.data - yb
-            sse += float((diff * diff).sum())
-            sae += float(np.abs(diff).sum())
-            count += diff.size
+                err = model.forward(Tensor(xb)).data - yb
+            np.abs(err, out=err)
+            sae += float(err.sum())
+            err *= err
+            sse += float(err.sum())
+            count += err.size
     return {"mse": sse / count, "mae": sae / count}

@@ -144,6 +144,18 @@ def test_train_diverging_run_is_clean_error(tmp_path, spec_file, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_diverging_run_with_one_batch_per_epoch_is_clean_error(tmp_path, spec_file, capsys):
+    """With one batch per epoch the overflow comes in epoch 0's validation
+    pass: the same one error line, no numpy warning, no output directory."""
+    text = spec_file.read_text().replace("lr = 0.01", "lr = 1e300")
+    spec_file.write_text(text.replace("batch_size = 16", "batch_size = 256"))
+    assert main(["train", "--config", str(spec_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite training aborted (overflow encountered in ")
+    assert "at epoch 0, in validation;" in err and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_bench_bad_results_line_is_clean_error(tmp_path, spec_file, capsys):
     """An existing results file is read before the grid runs; a foreign key in
     it stops the bench with the file and line named, and trains nothing."""

@@ -433,6 +433,60 @@ class TestBake:
             )
 
 
+def frozen_folded_forward(baked, x):
+    """Frozen copy of the folded forward from before it served on plain arrays:
+    the fold through `apply_final` on Tensors, the mean added by a Tensor op."""
+    finals = [baked.all_arrays()[f"final.{slot}.w"].data for slot, _ in baked.backbone.slots]
+    folded = Tensor(baked.backbone.fold(*finals))
+    if not baked.revin:
+        return apply_final([folded], [Tensor(x.data)])
+    mean = x.data.mean(axis=-1, keepdims=True)
+    return apply_final([folded], [Tensor(x.data - mean)]) + mean
+
+
+class TestFoldedServe:
+    """A baked DLinear serves on plain arrays, bit-identical to the Tensor form."""
+
+    SHAPES = [(), (1,), (64,), (1, 3)]
+
+    @staticmethod
+    def baked(form, revin, seed=5):
+        """A baked DLinear at the ILI shape (N 7, T 36, H 24, kernel 25)."""
+        rng = make_rng(seed)
+        table = toy_table(rng, t=200, n=7)
+        bb = DLinearBackbone(36, 25)
+        if form == "baseline":
+            model = build_baseline(bb, 7, 24, rng, revin=revin)
+        else:
+            model = build_hyper(bb, table, 24, rng, mode=form, revin=revin,
+                                gen_hidden=(5,) if form == "shared_mlp" else ())
+        return bake(model)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
+    @pytest.mark.parametrize("form", ["baseline", "per_channel_linear", "shared_mlp"])
+    def test_matches_frozen_tensor_form(self, request, form, revin, dtype):
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        baked = self.baked(form, revin)
+        rng = make_rng(8)
+        for batch in self.SHAPES:
+            x = Tensor(rng.standard_normal((*batch, 7, 36)) * 3.0 + 40.0)
+            out, want = baked.forward(x), frozen_folded_forward(baked, x)
+            assert out.shape == (*batch, 7, 24) and out.data.dtype == want.data.dtype
+            assert np.array_equal(out.data, want.data), batch
+
+    @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
+    def test_input_untouched_and_output_off_the_graph(self, revin):
+        baked = self.baked("per_channel_linear", revin)
+        x = Tensor(make_rng(3).standard_normal((4, 7, 36)) + 2.0)
+        before = x.data.copy()
+        for out in (baked.forward(x), baked.forward_prepared(x.data)):
+            assert np.array_equal(x.data, before)
+            assert not np.shares_memory(out.data, x.data)
+            assert not out.requires_grad and out._parents == ()
+
+
 def every_form(rng):
     """Both backbones in every variant, generator mode and learnable_z setting."""
     table = toy_table(rng)

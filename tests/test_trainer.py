@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,18 +7,19 @@ import pytest
 from hnmvts.backbones import DLinearBackbone, MlpBackbone, decompose
 from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
-from hnmvts.normalization import revin_apply, revin_forward
+from hnmvts.normalization import revin_apply, revin_forward, revin_reverse
 from hnmvts.numcore import (
     AdamState,
     Tensor,
     adam_step,
     backward,
     make_rng,
+    no_grad,
     spawn_rng,
     square,
     tmean,
 )
-from hnmvts.trainer import TrainConfig, TrainingError, evaluate, train
+from hnmvts.trainer import PreparedSet, TrainConfig, TrainingError, evaluate, train
 
 
 def linear_map_table(rng, n=2, t=300, lookback=8, horizon=2):
@@ -411,6 +413,28 @@ class TestDiverging:
         assert len(norms) == len(model.parameters())
         assert all(np.isfinite(v) and v > 1e299 for v in norms)
 
+    def test_overflow_in_validation_aborts_the_run(self, rng):
+        """With one batch per epoch the first Adam step diverges and the epoch's
+        validation pass is the next forward: it stops the run in validation,
+        with no numpy warning."""
+        model, train_w, val_w = small_setup(rng, variant="hyper")
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, lr=1e300, max_epochs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError) as info:
+                train(model, train_w[:16], val_w, cfg)
+        assert re.match(r"non-finite training aborted \((overflow|invalid value) encountered "
+                        r"in \w+\) at epoch 0, in validation; parameter norms: ",
+                        str(info.value))
+
+    def test_non_finite_validation_mse_aborts_the_run(self, rng, monkeypatch):
+        from hnmvts import trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda *args: {"mse": np.nan})
+        model, train_w, val_w = small_setup(rng)
+        with pytest.raises(TrainingError, match=r"\(val_mse=nan\) at epoch 0, in validation;"):
+            train(model, train_w, val_w, TrainConfig(lookback=8, horizon=2, max_epochs=2))
+
     def test_norms_of_huge_and_non_finite_arrays(self):
         from hnmvts.trainer import _norm
 
@@ -421,7 +445,60 @@ class TestDiverging:
         assert _norm(np.array([3.0, -4.0])) == 5.0
 
 
+def frozen_evaluate(model, windows, batch_size=256):
+    """Frozen copy of `evaluate`'s arithmetic from before its one error buffer:
+    `revin_reverse` on the Tensor graph, then a difference, its square and its
+    absolute value as three temporaries."""
+    from hnmvts.trainer import _stack_batch
+
+    sse = sae = 0.0
+    count = 0
+    with no_grad():
+        for start in range(0, len(windows), batch_size):
+            idx = slice(start, start + batch_size)
+            if isinstance(windows, PreparedSet):
+                batch = _stack_batch(windows, idx)
+                pred, yb = model.forward_prepared(batch.x, batch.hidden), batch.y
+                if batch.stats is not None:
+                    pred = revin_reverse(pred, batch.stats)
+            else:
+                xb, yb = windows.batch(idx)
+                pred = model.forward(Tensor(xb))
+            diff = pred.data - yb
+            sse += float((diff * diff).sum())
+            sae += float(np.abs(diff).sum())
+            count += diff.size
+    return {"mse": sse / count, "mae": sae / count}
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
+    @pytest.mark.parametrize("form", TestPreparedSets.FORMS)
+    def test_matches_frozen_arithmetic(self, form, revin):
+        """Bit for bit on a plain and a prepared set of 313 windows (two
+        batches), for the trained model and its bake."""
+        values = make_rng(9).standard_normal((400, 3)).cumsum(axis=0) + 30.0
+        table = SeriesTable(Tensor(values), ["a", "b", "c"])
+        windows = make_windows(table, 8, 2)[:313]
+        model = build_form(form, revin, table)
+        for m in (model, bake(model)):
+            for ws in (windows, PreparedSet(m, windows)):
+                assert evaluate(m, ws) == frozen_evaluate(m, ws)
+
+    def test_refuses_a_set_prepared_for_another_model(self, rng):
+        model, train_w, _ = small_setup(rng)
+        wider = build_baseline(DLinearBackbone(8, kernel=5), 2, 2, rng)
+        raw = build_baseline(DLinearBackbone(8, kernel=3), 2, 2, rng, revin=False)
+        mlp = build_baseline(MlpBackbone(8, (4,), rng=rng), 2, 2, rng)
+        prepared = PreparedSet(model, train_w)
+        assert (prepared.revin, prepared.kernel) == (True, 3)
+        for other, has in [(wider, "revin=True, kernel=5"), (raw, "revin=False, kernel=3"),
+                           (mlp, "revin=True, kernel=None")]:
+            message = rf"made for revin=True, kernel=3, but the model has {has}$"
+            with pytest.raises(ValueError, match=message):
+                evaluate(other, prepared)
+        assert evaluate(model, prepared) == evaluate(model, train_w)
+
     def test_perfect_predictions(self, rng):
         model, _, val_w = small_setup(rng)
 
