@@ -28,7 +28,6 @@ from .numcore import (
     channel_dot,
     linear_relu,
     moving_average,
-    moving_average_adjoint,
 )
 
 __all__ = [
@@ -116,8 +115,11 @@ class DLinearBackbone:
 
     def fold(self, trend_w: np.ndarray, seasonal_w: np.ndarray) -> np.ndarray:
         """The one (N, H, T) matrix W_s + (W_t - W_s) A, A the moving average of
-        `decompose`: W_t A x + W_s (x - A x) as a single product with x."""
-        return seasonal_w + moving_average_adjoint(trend_w - seasonal_w, self.kernel)
+        `decompose`: W_t A x + W_s (x - A x) as a single product with x. A is
+        built by that moving average itself: applied to the rows of the
+        identity it gives A^T."""
+        a_t = moving_average(np.eye(self.lookback, dtype=trend_w.dtype), self.kernel)
+        return seasonal_w + (trend_w - seasonal_w) @ a_t.T
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {}

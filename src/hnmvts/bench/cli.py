@@ -135,6 +135,9 @@ def cmd_eval(args) -> int:
     ratios = echo.get("split_ratios")
     split = SplitSpec(tuple(ratios), truncate_to=echo.get("truncate_to")) if ratios else SplitSpec()
     table = load_csv(args.data, timestamp_column=echo.get("timestamp_column"))
+    if table.channel_names != model.channel_names:
+        raise ValueError(f"{args.data} has channels {table.channel_names}, but the "
+                         f"checkpoint was trained on {model.channel_names}")
     segments = dict(zip(("train", "val", "test"), chrono_split(table, split)))
     windows = make_windows(segments[args.split], model.backbone.lookback, model.horizon)
     metrics = evaluate(model, windows)

@@ -43,7 +43,8 @@ def revin_forward(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
 
 
 def revin_reverse(y_norm: Tensor, stats: InstanceStats) -> Tensor:
-    """Map a normalized forecast (..., N, H) back to the original scale."""
+    """Map a normalized forecast (..., N, H), a Tensor or a plain array, back to
+    the original scale."""
     return y_norm * (stats.std + EPS) + stats.mean
 
 

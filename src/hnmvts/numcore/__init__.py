@@ -17,7 +17,6 @@ from .tensor import (
     linear_relu,
     matmul,
     moving_average,
-    moving_average_adjoint,
     mul,
     no_grad,
     reshape,
@@ -44,7 +43,6 @@ __all__ = [
     "make_rng",
     "matmul",
     "moving_average",
-    "moving_average_adjoint",
     "mul",
     "no_grad",
     "pca_project",

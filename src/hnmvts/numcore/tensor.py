@@ -9,10 +9,9 @@ The op set is deliberately small: exactly the primitives the forecasting
 models need (broadcasting arithmetic, the product of two matrices, one fused
 Linear+ReLU layer, the per-channel final layer `channel_dot` and weight
 generator `channel_gemv`, the square, the mean of every element, reshape).
-Data that no gradient reaches stays off the graph: the moving average and
-its transpose work on plain arrays, and so does a baked DLinear's folded
-forecast, through `channel_product`, the array kernel that `channel_dot`'s
-forward runs.
+Data that no gradient reaches stays off the graph: the moving average works
+on plain arrays, and so does a baked DLinear's folded forecast, through
+`channel_product`, the array kernel that `channel_dot`'s forward runs.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "tmean",
     "reshape",
     "moving_average",
-    "moving_average_adjoint",
 ]
 
 
@@ -418,7 +416,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make_node(_contig(out), (a,), (lambda g: g.reshape(a.shape),))
 
 
-# plain-array moving average and its transpose -------------------------------
+# plain-array moving average ------------------------------------------------
 
 
 def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -427,13 +425,13 @@ def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     `kernel` must be odd and no longer than the last axis. Runs in O(length)
     in one buffer per call: a +0.0 column, then the replicate-padded rows.
     A cumsum runs in place over the padded part, after which column j
-    holds the sum of the first j padded values, and the window sums are one
-    subtraction of two column ranges (`_window_means`). The additions are
-    those of a cumsum over the padded rows alone, in the same order, and
-    window 0 subtracts the +0.0 column, so every trend is bit-identical to
-    the concatenate, cumsum and shifted-difference form. (Running the cumsum
-    over the zero column too would turn a running sum of -0.0 into +0.0.)
-    Its transpose is `moving_average_adjoint`.
+    holds the sum of the first j padded values, so window i's sum is column
+    i + kernel minus column i. The additions are those of a cumsum over the
+    padded rows alone, in the same order, and window 0 subtracts the +0.0
+    column, so every trend is bit-identical to the concatenate, cumsum and
+    shifted-difference form. (Running the cumsum over the zero column too
+    would turn a running sum of -0.0 into +0.0.) Being linear along the
+    last axis, it equals x @ moving_average(np.eye(length), kernel).
     """
     length = x.shape[-1]
     if kernel % 2 == 0:
@@ -450,41 +448,7 @@ def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     buf[..., 1 + half + length :] = x[..., -1:]
     body = buf[..., 1:]
     np.cumsum(body, axis=-1, out=body)
-    return _window_means(buf, kernel, 0, length)
-
-
-def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
-    """g @ A for the (length x length) operator A of `moving_average(., kernel)`:
-    a weight matrix times A. O(length) per row of g.
-
-    Takes the window means of g zero-padded by kernel - 1 on each side, in
-    one buffer laid out like `moving_average`'s, and folds the means of
-    the windows that land on replicate-padding columns into the edges. Only
-    the window means the result reads are taken. The additions and their
-    order are those of a cumsum over the padded g alone, every window's
-    mean and a copy of the middle ones, so the result is bit-identical to
-    that form.
-    """
-    if kernel == 1:
-        return g
-    length, half = g.shape[-1], (kernel - 1) // 2
-    buf = np.zeros((*g.shape[:-1], 1 + length + 2 * (kernel - 1)), dtype=np.result_type(g, 1.0))
-    buf[..., kernel : kernel + length] = g
-    body = buf[..., 1:]
-    np.cumsum(body, axis=-1, out=body)
-    dx = _window_means(buf, kernel, half, half + length)
-    dx[..., 0] += _window_means(buf, kernel, 0, half).sum(axis=-1)
-    dx[..., -1] += _window_means(buf, kernel, half + length, length + kernel - 1).sum(axis=-1)
-    return dx
-
-
-def _window_means(buf: np.ndarray, kernel: int, lo: int, hi: int) -> np.ndarray:
-    """Means of windows lo..hi-1 of width `kernel` over the values after buf[..., 0].
-
-    buf[..., 0] is +0.0 and buf[..., j] the running sum of the first j
-    values after it, so window i's sum is buf[..., i + kernel] - buf[..., i].
-    """
-    out = buf[..., kernel + lo : kernel + hi] - buf[..., lo:hi]
+    out = buf[..., kernel:] - buf[..., :length]
     out /= kernel
     return out
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .backbones import DLinearBackbone
 from .data import WindowSet
-from .normalization import EPS, InstanceStats, revin_apply, revin_forward
+from .normalization import InstanceStats, revin_apply, revin_forward, revin_reverse
 from .numcore import (
     AdamState,
     Tensor,
@@ -164,12 +164,12 @@ class _Batch(NamedTuple):
 
 def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
     """One batch for the steps and the validation pass, rebuilt from a prepared set
-    with the elementwise ops of `revin_forward` and `decompose`."""
+    with `revin_apply` and the elementwise ops of `decompose`."""
     x, y = prepared.windows.batch(idx)
     stats = hidden = None
     if prepared.mean is not None:
         stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
-        x = (x - stats.mean) / (stats.std + EPS)
+        x = revin_apply(x, stats)
     if prepared.kernel is not None:
         if prepared.trend is None:
             trend = moving_average(x, prepared.kernel)
@@ -211,7 +211,6 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     state = AdamState(lr=cfg.lr)
     shuffle_rng = spawn_rng(cfg.seed, 7)
     history = TrainHistory()
-    best_val, best_epoch = np.inf, -1
     # one snapshot per call, refreshed in place at each improving epoch
     best_snapshot = {name: p.data.copy() for name, p in params.items()}
     t0 = time.perf_counter()  # the first epoch's seconds include preparing both sets
@@ -258,8 +257,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
         history.train_loss.append(total_loss / n)
         history.val_mse.append(val_mse)
         history.seconds.append(seconds)
-        if val_mse < best_val:
-            best_val, best_epoch = val_mse, epoch
+        if history.best_epoch == epoch:
             for name, p in params.items():
                 np.copyto(best_snapshot[name], p.data)
         if (
@@ -267,7 +265,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
             and epoch - history.best_epoch >= cfg.early_stop_patience
         ):
             break
-    if best_epoch != epoch:  # after the best epoch itself the parameters are the snapshot
+    if history.best_epoch != epoch:  # after the best epoch itself the parameters are the snapshot
         for name, p in params.items():
             p.data[:] = best_snapshot[name]
     return model, history
@@ -298,9 +296,9 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
 
     `windows` is a WindowSet, or a PreparedSet made for this model (`train`
     validates on one); a PreparedSet made for another RevIN setting or
-    DLinear kernel raises a ValueError. Each batch's errors, and on a
-    PreparedSet RevIN's reverse map, run in one buffer with the ufuncs of
-    `revin_reverse` and of the error sums, in their order: bit-identical.
+    DLinear kernel raises a ValueError. On a PreparedSet a RevIN model's
+    forecast maps back through `revin_reverse`, as `forward` does. Each
+    batch's errors and their sums then run in one buffer.
     """
     if not windows:
         raise ValueError("empty evaluation set")
@@ -321,8 +319,7 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
                 if batch.stats is None:
                     err = pred - yb
                 else:
-                    err = pred * (batch.stats.std + EPS)
-                    err += batch.stats.mean
+                    err = revin_reverse(pred, batch.stats)
                     err -= yb
             else:
                 xb, yb = windows.batch(idx)

@@ -156,6 +156,35 @@ def test_train_diverging_run_with_one_batch_per_epoch_is_clean_error(tmp_path, s
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("batch_size", [16, 256])
+def test_train_diverging_run_at_the_console(tmp_path, spec_file, batch_size):
+    """`hnmvts train` run as its own process, under Python's default warning
+    filters rather than pytest's, so that a numpy RuntimeWarning printed to
+    the console would show: batch 16 overflows in epoch 0's second step,
+    batch 256 (one batch per epoch) in epoch 0's validation pass."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hnmvts
+
+    text = spec_file.read_text().replace("lr = 0.01", "lr = 1e300")
+    spec_file.write_text(text.replace("batch_size = 16", f"batch_size = {batch_size}"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(hnmvts.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "hnmvts.bench.cli", "train", "--config", str(spec_file)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert run.returncode == 1, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite training aborted"), lines
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 def test_bench_bad_results_line_is_clean_error(tmp_path, spec_file, capsys):
     """An existing results file is read before the grid runs; a foreign key in
     it stops the bench with the file and line named, and trains nothing."""
@@ -423,6 +452,25 @@ def test_eval_takes_lookback_from_the_model(tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
         outputs.append(json.loads(capsys.readouterr().out))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("header", ["c,a,b", "a,b,x", "a,b,c,d"],
+                         ids=["permuted", "renamed", "extra_column"])
+def test_eval_refuses_other_channels(tmp_path, capsys, header):
+    """A table whose channels are not the checkpoint's, by name and order, is
+    refused before windowing with one error line naming both lists."""
+    from pathlib import Path
+
+    names = header.split(",")
+    data = tmp_path / "other.csv"
+    rows = np.random.default_rng(0).standard_normal((200, len(names)))
+    data.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    ckpt = Path(__file__).parent / "data" / "hyper_pcl_dlinear.npz"
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {data} has channels {names}, but the checkpoint "
+                            f"was trained on ['a', 'b', 'c']\n")
 
 
 def test_export_embeddings_channel_count_mismatch_is_clean_error(tmp_path, capsys):

@@ -15,7 +15,6 @@ from hnmvts.numcore import (
     linear_relu,
     matmul,
     moving_average,
-    moving_average_adjoint,
     mul,
     no_grad,
     reshape,
@@ -88,18 +87,6 @@ def moving_average_concat(x, kernel):
         axis=-1,
     )
     return window_sums_concat(padded, kernel) / kernel
-
-
-def moving_average_adjoint_concat(g, kernel):
-    if kernel == 1:
-        return g
-    length, half = g.shape[-1], (kernel - 1) // 2
-    zeros = np.repeat(np.zeros_like(g[..., :1]), kernel - 1, axis=-1)
-    d_padded = window_sums_concat(np.concatenate([zeros, g, zeros], axis=-1), kernel) / kernel
-    dx = d_padded[..., half : half + length].copy()
-    dx[..., 0] += d_padded[..., :half].sum(axis=-1)
-    dx[..., -1] += d_padded[..., half + length :].sum(axis=-1)
-    return dx
 
 
 class TestMatmul:
@@ -561,9 +548,9 @@ class TestMovingAverage:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     def test_bit_identical_to_concatenate_form(self, rng, dtype):
-        """Both directions equal the concatenate-and-cumsum form bit for bit, at
-        lengths 1-70, every odd kernel up to the length, with rows holding NaN,
-        +-inf, -0.0 and huge values."""
+        """Equals the concatenate-and-cumsum form bit for bit, at lengths 1-70,
+        every odd kernel up to the length, with rows holding NaN, +-inf, -0.0
+        and huge values."""
         for length in range(1, 71):
             x = rng.standard_normal((2, 5, length)).astype(dtype)
             x[0, 0, rng.integers(length)] = np.nan
@@ -574,17 +561,18 @@ class TestMovingAverage:
             for kernel in range(1, length + 1, 2):
                 with np.errstate(invalid="ignore", over="ignore"):
                     assert_same_bits(moving_average(x, kernel), moving_average_concat(x, kernel))
-                    assert_same_bits(moving_average_adjoint(x, kernel),
-                                     moving_average_adjoint_concat(x, kernel))
 
-    @pytest.mark.parametrize("kernel", [3, 7])
-    def test_backward_matches_operator_transpose(self, rng, kernel):
-        """`moving_average_adjoint` is the transpose: weights @ A."""
-        length = 10
-        m = self.ma_operator(length, kernel)
-        weights = rng.standard_normal((2, length))
-        np.testing.assert_allclose(moving_average_adjoint(weights, kernel), weights @ m,
-                                   atol=1e-12)
+    @pytest.mark.parametrize("kernel", [1, 9, 17], ids=["k1", "k_mid", "k_length"])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    def test_equals_product_with_averaged_identity(self, rng, kernel, dtype, tol):
+        """moving_average(x, k) == x @ moving_average(eye(T), k) to rounding: the
+        identity `DLinearBackbone.fold` builds its operator from."""
+        length = 17
+        x = rng.standard_normal((2, 3, length)).astype(dtype)
+        a_t = moving_average(np.eye(length, dtype=dtype), kernel)
+        assert a_t.dtype == dtype
+        np.testing.assert_allclose(moving_average(x, kernel), x @ a_t, rtol=tol, atol=tol)
 
 
 class TestShapeOps:
@@ -690,13 +678,14 @@ class TestAdjoint:
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 30), data=st.data())
     def test_moving_average(self, seed, length, data):
         """Every odd kernel up to the length, against the dense banded operator:
-        <g, A v> = <g A, v> with A v from `moving_average` and g A from
-        `moving_average_adjoint`."""
+        <g, A v> = <g A, v> with A v from `moving_average` and g A the product
+        `DLinearBackbone.fold` takes, g @ moving_average(eye(T)).T."""
         kernel = data.draw(st.sampled_from(range(1, length + 1, 2)), label="kernel")
         r = np.random.Generator(np.random.Philox(seed))
         m = TestMovingAverage.ma_operator(length, kernel)
         v, g = r.standard_normal((2, 2, 3, length))
-        a_v, g_a = moving_average(v, kernel), moving_average_adjoint(g, kernel)
+        a_v = moving_average(v, kernel)
+        g_a = g @ moving_average(np.eye(length), kernel).T
         np.testing.assert_allclose(a_v, v @ m.T, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(g_a, g @ m, rtol=1e-10, atol=1e-12)
         assert np.vdot(g, a_v) == pytest.approx(np.vdot(g_a, v), rel=1e-10, abs=1e-12)
