@@ -117,6 +117,8 @@ def cmd_train(args) -> int:
     print(f"checkpoint: {ckpt_path}")
     print(f"history:    {history_path}")
     print(f"best epoch: {history.best_epoch}  val MSE: {min(history.val_mse):.6f}")
+    degenerate = history.degenerate_windows
+    print(f"degenerate RevIN windows: train {degenerate['train']}  val {degenerate['val']}")
     return 0
 
 

@@ -56,20 +56,23 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         bundle = np.load(path, allow_pickle=False)
     except Exception as err:
         raise CheckpointError(f"{path}: unreadable ({err})") from err
-    if "meta" not in bundle:
+    if not isinstance(bundle, np.lib.npyio.NpzFile):  # a single .npy array
         raise CheckpointError(f"{path}: missing meta header")
-    try:
-        meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
-    except ValueError as err:
-        raise CheckpointError(f"{path}: corrupt meta header ({err})") from None
+    with bundle:
+        if "meta" not in bundle:
+            raise CheckpointError(f"{path}: missing meta header")
+        try:
+            meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
+        except ValueError as err:
+            raise CheckpointError(f"{path}: corrupt meta header ({err})") from None
+        arrays = {key[len("param/") :]: Tensor(bundle[key])
+                  for key in bundle.files if key.startswith("param/")}
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: meta header is a JSON {type(meta).__name__}, not an object")
     if (version := meta.pop("format_version", None)) not in (1, 2, FORMAT_VERSION):
         raise CheckpointError(f"{path}: format version {version} is not 1, 2 or "
                               f"{FORMAT_VERSION}")
     echo = meta.pop("config_echo", {})
-    arrays = {key[len("param/") :]: Tensor(bundle[key])
-              for key in bundle.files if key.startswith("param/")}
     try:
         if version == 1:
             meta = _from_format_1(meta, arrays)

@@ -262,11 +262,17 @@ def _parse_records(path: Path, text: str, timestamp_column: str | None):
 # point, exponent, inf/infinity/nan), plus the zero that pads short stamps
 _FLOAT_BYTES = np.zeros(256, dtype=bool)
 _FLOAT_BYTES[list(b"\x000123456789_+-.eEinfatyINFATY")] = True
+# a float's sign bytes and exponent bytes
+_SIGN_BYTES = np.zeros(256, dtype=bool)
+_SIGN_BYTES[list(b"+-")] = True
+_EXP_BYTES = np.zeros(256, dtype=bool)
+_EXP_BYTES[list(b"eE")] = True
 # a timestamp column wider than this is left to the loop, which bounds the
 # (rows x width) byte matrix built to compare stamps
 _MAX_STAMP_WIDTH = 64
-# data lines are checked and parsed in blocks of about this many bytes, which
-# bounds the loader's working memory beside the table it returns
+# data lines are checked and parsed in blocks of this many bytes read up to
+# the next line end, which bounds the loader's working memory beside the
+# table it returns
 _BLOCK_BYTES = 1 << 18
 
 
@@ -275,13 +281,15 @@ def _parse_plain(fh, timestamp_column: str | None):
 
     `fh` is the file opened in binary mode. Plain: a header line that is
     not blank, no quote or lone carriage return, and data lines of
-    printable ASCII. There a record is a line, and numpy's C reader parses
-    a value cell only if `float` does, to the same double (it refuses the
-    underscores `float` allows). So `np.loadtxt` plus vectorised checks
-    (cells per line, row count, finite values, stamps all numeric or all
-    text and strictly increasing) accept only files the loop accepts, with
-    the same result. Anything else returns None and is left to the loop,
-    which then raises its located error.
+    printable ASCII, each ended by LF or CRLF (the last may have no end).
+    There a record is a line, and numpy's C reader parses a value cell only
+    if `float` does, to the same double (it refuses the underscores `float`
+    allows). So `np.loadtxt` plus vectorised checks (cells per line, row
+    count, finite values, stamps all numeric or all text and strictly
+    increasing) accept only files the loop accepts, with the same result.
+    Anything else returns None and is left to the loop, which then raises
+    its located error. The data lines are read in whole-line chunks:
+    `_BLOCK_BYTES` bytes plus the rest of the line they stop in.
     """
     line = fh.readline()
     head = line[:-2] if line.endswith(b"\r\n") else line[:-1]
@@ -300,8 +308,8 @@ def _parse_plain(fh, timestamp_column: str | None):
         ts_idx = header.index(timestamp_column)
     names = [h for i, h in enumerate(header) if i != ts_idx]
     values, stamps = [], []
-    while lines := fh.readlines(_BLOCK_BYTES):
-        block = _plain_block(b"".join(lines), len(header), ts_idx, limit)
+    while chunk := fh.read(_BLOCK_BYTES) + fh.readline():
+        block = _plain_block(chunk, len(header), ts_idx, limit)
         if block is None:
             return None
         values.append(block[0])
@@ -321,20 +329,26 @@ def _plain_block(block: bytes, n_cols: int, ts_idx: int | None, limit: int):
     """(values, stamps) of whole data lines, checked as `_parse_plain` says, or None.
 
     Stamps are bytes if every stamp is text, else floats; None without a
-    timestamp column.
+    timestamp column. Line ends are checked in place: the only control
+    bytes allowed are LFs and CRs that directly precede one, and a line's
+    last field stops before its CR.
     """
-    # a CRLF line reads as its LF form; a lone CR fails the control-byte check
-    block = block.replace(b"\r\n", b"\n")
-    if b'"' in block:
+    if b'"' in block or block.endswith(b"\r"):  # a quote, or a CR that no LF follows
         return None
     data = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(data == 10)
-    if np.count_nonzero(data < 32) != len(ends):  # a control byte
-        return None
+    n_lf = len(ends)
     if not block.endswith(b"\n"):
         ends = np.append(ends, len(data))
     n = len(ends)
     starts = np.concatenate(([0], ends[:-1] + 1))
+    # the CRs that directly precede a line end, which a line's last field
+    # stops before; for an empty first line the byte checked is the block's
+    # last, never a CR. Any other CR or control byte fails the count.
+    crs = data[ends - 1] == 13
+    if np.count_nonzero(data < 32) != n_lf + np.count_nonzero(crs):
+        return None
+    ends -= crs
     lengths = ends - starts
     # the reader skips blank lines, and warns on a block of nothing else
     if lengths.min() == 0 or lengths.max() > limit:
@@ -353,9 +367,8 @@ def _plain_block(block: bytes, n_cols: int, ts_idx: int | None, limit: int):
         if stamps is None:
             return None
         # a sign can only lead a float or follow its exponent
-        signs = np.isin(stamps[:, 1:], tuple(b"+-"))
-        exponents = np.isin(stamps[:, :-1], tuple(b"eE"))
-        not_float = (~_FLOAT_BYTES[stamps]).any(axis=1) | (signs & ~exponents).any(axis=1)
+        misplaced = _SIGN_BYTES[stamps[:, 1:]] & ~_EXP_BYTES[stamps[:, :-1]]
+        not_float = (~_FLOAT_BYTES[stamps]).any(axis=1) | misplaced.any(axis=1)
         # all text, or else all must parse as numbers below
         text_stamps = bool(not_float.all())
     usecols = [i for i in range(n_cols) if not (text_stamps and i == ts_idx)]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .backbones import DLinearBackbone
 from .data import WindowSet
-from .normalization import InstanceStats, revin_apply, revin_forward, revin_reverse
+from .normalization import EPS, InstanceStats, revin_apply, revin_forward, revin_reverse
 from .numcore import (
     AdamState,
     Tensor,
@@ -77,6 +77,8 @@ class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
+    # {"train": count, "val": count} of `PreparedSet.degenerate` windows
+    degenerate_windows: dict[str, int] = field(default_factory=dict)
 
     @property
     def best_epoch(self) -> int:
@@ -154,6 +156,14 @@ class PreparedSet:
     def __len__(self) -> int:
         return len(self.windows)
 
+    @property
+    def degenerate(self) -> int:
+        """Windows with a lookback channel whose RevIN std is at most EPS, so that
+        RevIN scales its target by up to 1/EPS; 0 for a model without RevIN."""
+        if self.std is None:
+            return 0
+        return int(np.count_nonzero((self.std <= EPS).any(axis=(1, 2))))
+
 
 class _Batch(NamedTuple):
     x: np.ndarray  # model input: RevIN-normalised lookbacks, or raw ones
@@ -215,6 +225,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     best_snapshot = {name: p.data.copy() for name, p in params.items()}
     t0 = time.perf_counter()  # the first epoch's seconds include preparing both sets
     train_set, val_set = PreparedSet(model, train_windows), PreparedSet(model, val_windows)
+    history.degenerate_windows = {"train": train_set.degenerate, "val": val_set.degenerate}
     n = len(train_set)
     for epoch in range(cfg.max_epochs):
         if epoch:
@@ -302,6 +313,8 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     """
     if not windows:
         raise ValueError("empty evaluation set")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
     if isinstance(windows, PreparedSet):
         made, wanted = (windows.revin, windows.kernel), (bool(model.revin), _kernel(model))
         if made != wanted:

@@ -63,6 +63,14 @@ def test_missing_file(tmp_path):
         load_checkpoint(tmp_path / "missing.npz")
 
 
+def test_single_array_file_rejected(tmp_path):
+    path = tmp_path / "m.npz"
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    with pytest.raises(CheckpointError, match="missing meta header"):
+        load_checkpoint(path)
+
+
 def rewrite(path, edit):
     """Apply `edit` to the checkpoint's (meta dict, arrays dict) in place on disk."""
     bundle = dict(np.load(path, allow_pickle=False))

@@ -266,11 +266,19 @@ def test_gen_hidden_without_shared_mlp_refused(tmp_path, spec_file, capsys, comm
     assert not (tmp_path / "runs").exists()
 
 
-def test_synth_csv_loads_back(tmp_path, spec_file, capsys):
+def test_synth_csv_loads_back(tmp_path, spec_file, monkeypatch, capsys):
+    """`synth` writes CRLF lines, which `load_csv` reads on its vectorised pass."""
     data_csv = tmp_path / "toy.csv"
     main(["synth", "--spec", str(spec_file), "--out", str(data_csv)])
+    from hnmvts import data
     from hnmvts.data import load_csv
 
+    assert data_csv.read_bytes().count(b"\r\n") == 261
+
+    def refuse(*args):
+        raise AssertionError("the per-cell loop ran")
+
+    monkeypatch.setattr(data, "_parse_records", refuse)
     table = load_csv(data_csv)
     assert table.t == 260 and table.n_channels == 3
     from hnmvts.bench.config import load_config
@@ -301,6 +309,22 @@ def test_train_on_csv_with_seed_flag(tmp_path, spec_file, capsys):
     printed = json.loads(capsys.readouterr().out)
     test = chrono_split(load_csv(data_csv), SplitSpec((0.6, 0.2, 0.2)))[2]
     assert printed["mse"] == evaluate(model, make_windows(test, 8, 4))["mse"]
+
+
+def test_train_prints_degenerate_window_counts(tmp_path, spec_file, capsys):
+    """Channel 0 is flat over rows 10-29, which hold the lookbacks of 13
+    training windows (lookback 8, 156 training rows)."""
+    data_csv = tmp_path / "toy.csv"
+    assert main(["synth", "--spec", str(spec_file), "--out", str(data_csv)]) == 0
+    lines = data_csv.read_text().splitlines()
+    for r in range(11, 31):  # rows 10-29 after the header
+        lines[r] = ",".join([lines[11].split(",")[0], *lines[r].split(",")[1:]])
+    data_csv.write_text("\n".join(lines) + "\n")
+    spec_file.write_text(spec_file.read_text().replace("source = synthetic",
+                                                       f"source = {data_csv}"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(spec_file)]) == 0
+    assert "degenerate RevIN windows: train 13  val 0\n" in capsys.readouterr().out
 
 
 def test_out_dir_env_override(tmp_path, spec_file, monkeypatch, capsys):

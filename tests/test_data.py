@@ -122,6 +122,11 @@ class TestLoadCsv:
             ("a\n1\n2\n\n\n", None, "row 4 has 0 cells, expected 1"),
             ("\n1\n2\n", None, "row 2 has 1 cells, expected 0"),
             ("a,b\rc\n1,2\n3,4\n", None, "row 2 has 1 cells, expected 2"),
+            (
+                "a,date\n1,2016-07-01\n2,2016-07-01\r\n",
+                "date",
+                "non-monotone timestamp at row 3, column 'date'",
+            ),
             ("a,date\n1,2016-07-01,9\n2\n", "date", "row 2 has 3 cells, expected 2"),
             ('date,a\n"10",1\n"9",2\n', "date", "non-monotone timestamp at row 3, column 'date'"),
             ("date,a\n1_036,1\n9_99,2\n", "date", "non-monotone timestamp at row 3, column 'date'"),
@@ -322,6 +327,35 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, block_bytes, case
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("cell", ODD_VALUES)
+def test_value_spelling_reads_as_the_loop_reads_it(tmp_path, record_property, newline, cell):
+    """Each odd spelling in one cell of a plain file: `load_csv` gives the per-cell
+    reference's table or message, whether or not the vectorised pass took the file
+    (recorded as the `plain_pass` property), and that pass takes only what the
+    reference accepts, to the same bits."""
+    text = newline.join(["a,b", "1.5,2", f"3,{cell}", "5,6"]) + newline
+    p = tmp_path / "series.csv"
+    p.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_load_csv(p)
+    except LoadError as err:
+        expected = str(err)
+    plain = parse_plain(text, None)
+    record_property("plain_pass", plain is not None)
+    try:
+        table = load_csv(p)
+    except LoadError as err:
+        assert plain is None
+        assert str(err) == expected
+        return
+    assert not isinstance(expected, str), expected
+    assert table.channel_names == expected[0]
+    assert table.values.data.tobytes() == expected[1].tobytes()
+    if plain is not None:
+        assert plain[1].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize(
     "stamps, timestamp_column",
     [
@@ -340,6 +374,46 @@ def test_plain_files_take_the_vectorised_pass(newline, stamps, timestamp_column)
     names, values = parse_plain(text, timestamp_column)
     assert names == ["a", "b"]
     np.testing.assert_array_equal(values, [[0.5, -0.0], [1.5, -1e-3], [2.5, -2e-3]])
+
+
+@pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
+@pytest.mark.parametrize("stamp", ["2016-07-01 00:{:02d}", "1{:02d}"])
+def test_line_ends_read_alike_on_the_vectorised_pass(monkeypatch, block_bytes, stamp):
+    # the stamps end each line, so a CRLF line's last field is a stamp
+    lines = ["a,b,date", *(f"{i}.25,-{i}e-2,{stamp.format(i)}" for i in range(40))]
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    texts = {
+        "lf": "\n".join(lines) + "\n",
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "crlf_unended": "\r\n".join(lines),
+        "mixed": "".join(line + ("\r\n" if i % 3 else "\n") for i, line in enumerate(lines)),
+    }
+    parsed = {kind: parse_plain(text, "date") for kind, text in texts.items()}
+    expected = [[float(f"{i}.25"), float(f"-{i}e-2")] for i in range(40)]
+    for kind, (names, values) in parsed.items():
+        assert names == ["a", "b"], kind
+        assert values.tobytes() == np.asarray(expected).tobytes(), kind
+
+
+@pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n3\r,4\n", "row 3 has 1 cells, expected 2"),  # a lone CR
+        ("a,b\n1,2\n3,4\n\r", "row 4 has 0 cells, expected 2"),  # a CR at the end of the file
+        ("a,b\n1,2\r\r\n3,4\n", "row 3 has 0 cells, expected 2"),  # CR CR LF
+        ("a,b\r\n1,2\r\n\r\n3,4\r\n", "row 3 has 0 cells, expected 2"),  # a blank CRLF line
+    ],
+)
+def test_stray_carriage_returns_are_left_to_the_loop(tmp_path, monkeypatch, block_bytes, text,
+                                                     message):
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    assert parse_plain(text, None) is None
+    p = tmp_path / "series.csv"
+    p.write_bytes(text.encode("ascii"))
+    with pytest.raises(LoadError) as exc:
+        load_csv(p)
+    assert str(exc.value) == f"{p}: {message}"
 
 
 def test_plain_pass_leaves_long_fields_to_the_loop():

@@ -66,6 +66,20 @@ class TestTrain:
         mid = len(history.train_loss) // 2
         assert np.mean(history.train_loss[mid:]) < np.mean(history.train_loss[:mid])
 
+    @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
+    def test_counts_degenerate_windows(self, rng, revin):
+        """Flat stretches of 21 and 10 rows, longer than the lookback of 8, hold
+        the lookbacks of 14 training and 3 validation windows."""
+        values = rng.standard_normal((160, 2)).cumsum(axis=0)
+        values[20:41, 1] = values[20, 1]
+        values[130:140, 0] = values[130, 0]
+        windows = make_windows(SeriesTable(Tensor(values), ["a", "b"]), 8, 2)
+        model = build_baseline(DLinearBackbone(8, kernel=3), 2, 2, rng, revin=revin)
+        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=1)
+        _, history = train(model, windows[:120], windows[120:], cfg)
+        expected = {"train": 14, "val": 3} if revin else {"train": 0, "val": 0}
+        assert history.degenerate_windows == expected
+
     def test_two_runs_bit_identical(self):
         histories = []
         finals = []
@@ -551,6 +565,14 @@ class TestEvaluate:
         model, _, val_w = small_setup(rng)
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, val_w[:0])
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, rng, batch_size):
+        model, _, val_w = small_setup(rng)
+        message = rf"^batch_size must be a positive integer, got {batch_size}$"
+        for windows in (val_w, PreparedSet(model, val_w)):
+            with pytest.raises(ValueError, match=message):
+                evaluate(model, windows, batch_size=batch_size)
 
 
 class TestSetSeed:
