@@ -122,6 +122,10 @@ class TestLoadCsv:
             ("a\n1\n2\n\n\n", None, "row 4 has 0 cells, expected 1"),
             ("\n1\n2\n", None, "row 2 has 1 cells, expected 0"),
             ("a,b\rc\n1,2\n3,4\n", None, "row 2 has 1 cells, expected 2"),
+            ("a,b\n1,2\n3\r,4\n", None, "row 3 has 1 cells, expected 2"),  # a lone CR
+            ("a,b\n1,2\n3,4\n\r", None, "row 4 has 0 cells, expected 2"),  # a CR at the end
+            ("a,b\n1,2\r\r\n3,4\n", None, "row 3 has 0 cells, expected 2"),  # CR CR LF
+            ("a,b\r\n1,2\r\n\r\n3,4\r\n", None, "row 3 has 0 cells, expected 2"),  # blank CRLF line
             (
                 "a,date\n1,2016-07-01\n2,2016-07-01\r\n",
                 "date",
@@ -328,11 +332,11 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, block_bytes, case
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("cell", ODD_VALUES)
-def test_value_spelling_reads_as_the_loop_reads_it(tmp_path, record_property, newline, cell):
+def test_value_spelling_reads_as_the_loop_reads_it(tmp_path, request, newline, cell):
     """Each odd spelling in one cell of a plain file: `load_csv` gives the per-cell
     reference's table or message, whether or not the vectorised pass took the file
-    (recorded as the `plain_pass` property), and that pass takes only what the
-    reference accepts, to the same bits."""
+    (recorded as the test's `plain_pass` user property), and that pass takes
+    only what the reference accepts, to the same bits."""
     text = newline.join(["a,b", "1.5,2", f"3,{cell}", "5,6"]) + newline
     p = tmp_path / "series.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -341,7 +345,7 @@ def test_value_spelling_reads_as_the_loop_reads_it(tmp_path, record_property, ne
     except LoadError as err:
         expected = str(err)
     plain = parse_plain(text, None)
-    record_property("plain_pass", plain is not None)
+    request.node.user_properties.append(("plain_pass", plain is not None))
     try:
         table = load_csv(p)
     except LoadError as err:
@@ -393,27 +397,6 @@ def test_line_ends_read_alike_on_the_vectorised_pass(monkeypatch, block_bytes, s
     for kind, (names, values) in parsed.items():
         assert names == ["a", "b"], kind
         assert values.tobytes() == np.asarray(expected).tobytes(), kind
-
-
-@pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("a,b\n1,2\n3\r,4\n", "row 3 has 1 cells, expected 2"),  # a lone CR
-        ("a,b\n1,2\n3,4\n\r", "row 4 has 0 cells, expected 2"),  # a CR at the end of the file
-        ("a,b\n1,2\r\r\n3,4\n", "row 3 has 0 cells, expected 2"),  # CR CR LF
-        ("a,b\r\n1,2\r\n\r\n3,4\r\n", "row 3 has 0 cells, expected 2"),  # a blank CRLF line
-    ],
-)
-def test_stray_carriage_returns_are_left_to_the_loop(tmp_path, monkeypatch, block_bytes, text,
-                                                     message):
-    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
-    assert parse_plain(text, None) is None
-    p = tmp_path / "series.csv"
-    p.write_bytes(text.encode("ascii"))
-    with pytest.raises(LoadError) as exc:
-        load_csv(p)
-    assert str(exc.value) == f"{p}: {message}"
 
 
 def test_plain_pass_leaves_long_fields_to_the_loop():
