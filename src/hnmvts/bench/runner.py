@@ -24,7 +24,7 @@ import numpy as np
 from ..backbones import DLinearBackbone, MlpBackbone
 from ..data import SeriesTable, chrono_split, gen_synthetic, load_csv, make_windows
 from ..hypernet import bake, build_baseline, build_hyper
-from ..numcore import spawn_rng
+from ..numcore import get_default_dtype, spawn_rng
 from ..trainer import TrainingError, evaluate, train
 from .config import BASELINE, HN_MVTS, RunConfig
 from .stats import wilcoxon_signed_rank
@@ -50,6 +50,9 @@ class ResultRecord:
     param_count_total: int | None = None
     param_count_trainable: int | None = None
     hyper_param_count: int | None = None
+    # the run's numpy version and default dtype; null in files written before they were kept
+    numpy: str | None = None
+    dtype: str | None = None
 
     @property
     def key(self) -> tuple:
@@ -202,6 +205,7 @@ def run_experiment(cfg: RunConfig, out_path: str | Path | None = None,
                 else:
                     rec = _run_cell(cfg, variant, train_split, horizon, seed,
                                     train_w, val_w, test_w)
+                rec.numpy, rec.dtype = np.__version__, np.dtype(get_default_dtype()).name
                 records = _merge_record(records, rec)
                 if out_path:
                     write_records(records, out_path)

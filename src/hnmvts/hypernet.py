@@ -222,35 +222,41 @@ class ForecastModel:
                 self._folded = self.backbone.fold(*(arrays[n].data for n in self._finals))
 
     # forward paths --------------------------------------------------------
-    def _final_weights(self) -> list[Tensor]:
-        """Each slot's (N, H, D) final-layer weights, in `backbone.slots` order."""
+    def final_weights(self) -> list[Tensor]:
+        """Each slot's (N, H, D) final-layer weights, in `backbone.slots` order;
+        a hyper model generates them from its embeddings here."""
         a = self._arrays
         if self.variant != "hyper":
             return [a[name] for name in self._finals]
         return [generate_weights(self._mode, a["embed.z"], [a[name] for name in names],
                                  self.horizon) for names in self._heads]
 
-    def forward_prepared(self, x: np.ndarray, hidden: list[Tensor] | None = None) -> Tensor:
+    def forward_prepared(self, x: np.ndarray | None, hidden: list[Tensor] | None = None,
+                         weights: list[Tensor] | None = None) -> Tensor:
         """Normalised-scale forecast (..., N, H) for a prepared lookback x.
 
         x is the RevIN-normalised lookback, or the raw one without RevIN.
         `hidden` is the backbone's hidden states of x when the caller has
-        them already (`trainer` keeps DLinear's trend per window); without
-        it the backbone computes them here. A folded model reads x alone
-        and applies W to it on plain arrays.
+        them already (`trainer` keeps DLinear's trend and seasonal parts
+        per window; x may then be None); without it the backbone computes
+        them here. `weights` is `final_weights()` when the caller has them
+        already (`trainer.evaluate` generates a hyper model's once per
+        call). A folded model reads x alone and applies W to it on plain
+        arrays.
         """
         if self._folded is not None:
             return Tensor(channel_product(self._folded, x))
         if hidden is None:
             hidden = self.backbone.forward_hidden(x)
-        return apply_final(self._final_weights(), hidden)
+        return apply_final(self.final_weights() if weights is None else weights, hidden)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, weights: list[Tensor] | None = None) -> Tensor:
         """Raw-scale forecast (..., N, H) for a lookback (..., N, T).
 
         The lookback is data: no gradient reaches it, so RevIN and the
         backbone's input side run on its plain array, and only the hidden
-        states that meet the final layers join the graph.
+        states that meet the final layers join the graph. `weights` is as
+        in `forward_prepared`.
 
         Through a folded model RevIN's scale cancels, W((x - mu) / (std +
         eps)) * (std + eps) + mu = W (x - mu) + mu, so it serves that form
@@ -259,7 +265,7 @@ class ForecastModel:
         writes x, and wraps only its result in a Tensor, off the graph.
         """
         if not self.revin:
-            return self.forward_prepared(x.data)
+            return self.forward_prepared(x.data, weights=weights)
         if self._folded is not None:
             # the steps of numpy's own mean, np.mean's values bit for bit
             mean = np.add.reduce(x.data, axis=-1, keepdims=True)
@@ -268,7 +274,7 @@ class ForecastModel:
             out += mean
             return Tensor(out)
         x_norm, stats = revin_forward(x.data)
-        return revin_reverse(self.forward_prepared(x_norm), stats)
+        return revin_reverse(self.forward_prepared(x_norm, weights=weights), stats)
 
     def forward_normalized(self, x: Tensor) -> tuple[Tensor, InstanceStats]:
         """Normalized-scale forecast plus the lookback statistics."""
@@ -312,7 +318,7 @@ def bake(model: ForecastModel) -> ForecastModel:
         return model
     arrays = {name: Tensor(t.data.copy()) for name, t in model.backbone.parameters().items()}
     with no_grad():
-        for (slot, _), w in zip(model.backbone.slots, model._final_weights()):
+        for (slot, _), w in zip(model.backbone.slots, model.final_weights()):
             arrays[f"final.{slot}.w"] = Tensor(w.data.copy())
     cfg = model.config()
     cfg.pop("generator", None)

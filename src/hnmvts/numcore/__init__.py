@@ -17,6 +17,7 @@ from .tensor import (
     linear_relu,
     matmul,
     moving_average,
+    mse,
     mul,
     no_grad,
     reshape,
@@ -43,6 +44,7 @@ __all__ = [
     "make_rng",
     "matmul",
     "moving_average",
+    "mse",
     "mul",
     "no_grad",
     "pca_project",

@@ -8,7 +8,8 @@ the graph into a `Tape` and replays it in reverse topological order.
 The op set is deliberately small: exactly the primitives the forecasting
 models need (broadcasting arithmetic, the product of two matrices, one fused
 Linear+ReLU layer, the per-channel final layer `channel_dot` and weight
-generator `channel_gemv`, the square, the mean of every element, reshape).
+generator `channel_gemv`, the square, the mean of every element, the
+mean squared error, reshape).
 Data that no gradient reaches stays off the graph: the moving average works
 on plain arrays, and so does a baked DLinear's folded forecast, through
 `channel_product`, the array kernel that `channel_dot`'s forward runs.
@@ -38,6 +39,7 @@ __all__ = [
     "channel_product",
     "square",
     "tmean",
+    "mse",
     "reshape",
     "moving_average",
 ]
@@ -408,6 +410,29 @@ def tmean(a: Tensor) -> Tensor:
     """The mean of every element, a scalar."""
     a = _as_tensor(a)
     return _make_node(a.data.mean(), (a,), (lambda g: np.broadcast_to(g, a.shape) / a.size,))
+
+
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """The mean of (pred - target)^2 over every element, a scalar, as one graph node.
+
+    `target` is data, a plain array of pred's shape; only pred gets a
+    gradient. The value is `tmean(square(pred - target))`'s bit for bit (the
+    same difference, square and mean), and so is the gradient,
+    (2 (pred - target)) (g / size), whose two factors are the ones `square`
+    and `tmean` multiply.
+    """
+    pred = _as_tensor(pred)
+    if pred.shape != target.shape:
+        raise DimensionError(f"mse needs pred and target of one shape, got {pred.shape} and "
+                             f"{target.shape}")
+    diff = pred.data - target
+
+    def grad_pred(g):
+        out = 2.0 * diff
+        out *= g / diff.size
+        return out
+
+    return _make_node((diff * diff).mean(), (pred,), (grad_pred,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -9,14 +9,14 @@ parameters of the best-validation epoch.
 RevIN has no affine pair and DLinear's decomposition no parameters, so what
 they compute from a window is data, the same in every epoch. `train`
 therefore prepares its training and its validation set once per call
-(`PreparedSet`): each window's RevIN mean and std and, for DLinear, the
-moving-average trend of the model input, unless one set's trends would take
-more than TREND_CACHE_BYTES (64 MiB), in which case its steps compute each
-batch's trend. A step gathers its rows and rebuilds the normalised input
-and the seasonal part with the elementwise ops of the per-batch form, so
-every result is bit-identical to it; the one-time preparation counts in the
-first epoch's seconds. A model trunk with arrays (MLP) keeps only the
-statistics.
+(`PreparedSet`): each window's RevIN mean and std, what the model's forward
+reads (DLinear's trend and seasonal parts, or the normalised lookback), and,
+for the training set, the target the loss compares with. A step then only
+gathers rows and takes the loss as one `mse` node; every result is
+bit-identical to the per-batch form, and the one-time preparation counts in
+the first epoch's seconds. A set whose arrays would take more than
+CACHE_BYTES (64 MiB) keeps only its statistics and, if that fits, its
+trend, and its steps rebuild the rest per batch.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from .numcore import (
     adam_step,
     backward,
     moving_average,
+    mse,
     no_grad,
     spawn_rng,
-    square,
-    tmean,
 )
 
 __all__ = ["TrainConfig", "TrainHistory", "TrainingError", "PreparedSet", "train", "evaluate"]
@@ -101,57 +100,94 @@ class TrainHistory:
                 )
 
 
-# A set's trends are kept when they take at most this many bytes. Every
-# DLinear set the benchmark trains on fits (the ETTm2-shaped training subset
-# takes 8.0 MB, the ILI-shaped one 1.2 MB); a whole ETTm2 training split
-# (34 129 windows of 7 x 336 float64, 642 MB) does not, and its steps
-# compute each batch's trend as they go.
-TREND_CACHE_BYTES = 64 * 2**20
+# A set's arrays are cached when together they take at most this many bytes.
+# Every set the benchmark trains on fits (the ETTm2-shaped training subset's
+# trend, seasonal part and targets take 18.4 MB, the ILI-shaped one's 3.3 MB);
+# a whole ETTm2 training split (34 129 windows of 7 x 336 float64, 642 MB per
+# array) does not even fit its trend, and its steps rebuild every batch.
+CACHE_BYTES = 64 * 2**20
 # windows per chunk while a set is prepared, evaluate's batch size
 _CHUNK = 256
 
 
 def _kernel(model) -> int | None:
-    """The moving-average kernel of a DLinear model, None for any other backbone."""
+    """The moving-average kernel of the decomposition a model's forward reads: a
+    DLinear's, None for an MLP or a baked DLinear, which serves its fold."""
     backbone = model.backbone
-    return backbone.kernel if isinstance(backbone, DLinearBackbone) else None
+    if isinstance(backbone, DLinearBackbone) and model.variant != "baked":
+        return backbone.kernel
+    return None
 
 
 class PreparedSet:
     """A window set with the input work a model's steps would repeat each epoch, done once.
 
-    For a RevIN model: each window's lookback mean and std, (n, N, 1) each.
-    For a DLinear model: the moving-average trend (n, N, T) of each model
-    input (the normalised lookback under RevIN, the raw one otherwise),
-    unless it would take more than TREND_CACHE_BYTES. The values come from
-    the ops a step runs, on chunks of windows; each op works per window,
-    so they equal the ones computed per batch bit for bit. `revin` and
-    `kernel` record the model it was made for; `evaluate` refuses it for a
-    model that differs in either.
+    `revin` and `kernel` (`_kernel`) record the model it was made for. Per
+    window it holds, from the ops a step runs, on chunks of windows:
+
+    * under RevIN, the lookback's mean and std, (n, N, 1) each;
+    * what `forward_prepared` reads, (n, N, T) each: for a DLinear with a
+      kernel the `trend` and `seasonal` parts of the model input (the
+      normalised lookback under RevIN, the raw one otherwise), for any
+      other RevIN model the normalised lookback `x`;
+    * made `for_loss` under RevIN, the normalised `target`, (n, N, H).
+
+    Each op works per window, so every value equals the one computed per
+    batch bit for bit. The arrays after the statistics take at most
+    CACHE_BYTES together: when they would take more, a DLinear set keeps
+    only its `trend`, if that alone fits (as it did before the other
+    arrays were cached), and its steps rebuild the normalised lookback, the
+    seasonal part and the target per batch; a set beyond that keeps only its
+    statistics. So a set takes at most CACHE_BYTES plus 2 n N values.
+
+    `evaluate` refuses a set made for a model with another `revin` or
+    `kernel` (a baked DLinear reads the lookback where an unfolded one reads
+    the trend and seasonal parts), or made `for_loss`, as it scores raw
+    targets: a validation set holds no normalised targets.
     """
 
-    def __init__(self, model, windows: WindowSet):
+    def __init__(self, model, windows: WindowSet, for_loss: bool = False):
         self.windows = windows
         self.revin = bool(model.revin)
         self.kernel = _kernel(model)
+        self.for_loss = for_loss
         values = windows.values
-        shape = (len(windows), values.shape[0], windows.lookback)
-        self.mean = self.std = self.trend = None
+        lookbacks = (len(windows), values.shape[0], windows.lookback)
+        step_bytes = len(windows) * values.shape[0] * values.itemsize  # one step of every window
+        holds_target = for_loss and self.revin
+        inputs = 2 if self.kernel is not None else int(self.revin)
+        whole = step_bytes * (inputs * windows.lookback + holds_target * windows.horizon)
+        self.mean = self.std = self.trend = self.seasonal = self.x = self.target = None
         if self.revin:
-            self.mean = np.empty(shape[:2] + (1,), values.dtype)
+            self.mean = np.empty(lookbacks[:2] + (1,), values.dtype)
             self.std = np.empty_like(self.mean)
-        if self.kernel is not None and np.prod(shape) * values.itemsize <= TREND_CACHE_BYTES:
-            self.trend = np.empty(shape, values.dtype)
+        if whole <= CACHE_BYTES:
+            if self.kernel is not None:
+                self.trend = np.empty(lookbacks, values.dtype)
+                self.seasonal = np.empty_like(self.trend)
+            elif self.revin:
+                self.x = np.empty(lookbacks, values.dtype)
+            if holds_target:
+                self.target = np.empty(lookbacks[:2] + (windows.horizon,), values.dtype)
+        elif self.kernel is not None and step_bytes * windows.lookback <= CACHE_BYTES:
+            self.trend = np.empty(lookbacks, values.dtype)
         if self.mean is None and self.trend is None:
             return
         for start in range(0, len(windows), _CHUNK):
             rows = slice(start, start + _CHUNK)
-            x, _ = windows.batch(rows)
-            if self.mean is not None:
+            x, y = windows.batch(rows)
+            if self.revin:
                 x, stats = revin_forward(x)
                 self.mean[rows], self.std[rows] = stats.mean, stats.std
+                if self.target is not None:
+                    self.target[rows] = revin_apply(y, stats)
+            if self.x is not None:
+                self.x[rows] = x
             if self.trend is not None:
-                self.trend[rows] = moving_average(x, self.kernel)
+                trend = moving_average(x, self.kernel)
+                self.trend[rows] = trend
+                if self.seasonal is not None:
+                    self.seasonal[rows] = x - trend
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -166,19 +202,29 @@ class PreparedSet:
 
 
 class _Batch(NamedTuple):
-    x: np.ndarray  # model input: RevIN-normalised lookbacks, or raw ones
+    x: np.ndarray | None  # model input (normalised lookbacks, or raw); None when hidden holds it
     hidden: list[Tensor] | None  # DLinear's trend and seasonal parts of x
-    y: np.ndarray  # raw targets
-    stats: InstanceStats | None  # the lookbacks' RevIN statistics
+    y: np.ndarray  # targets: the loss's own when stats is None, raw otherwise
+    stats: InstanceStats | None  # the lookbacks' RevIN statistics, to bring y to the model's scale
 
 
 def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
-    """One batch for the steps and the validation pass, rebuilt from a prepared set
-    with `revin_apply` and the elementwise ops of `decompose`."""
-    x, y = prepared.windows.batch(idx)
-    stats = hidden = None
-    if prepared.mean is not None:
-        stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
+    """One batch for the steps and the validation pass: rows gathered from a
+    prepared set, and what it does not hold rebuilt with `revin_apply` and
+    the ops of `decompose`."""
+    x = hidden = stats = None
+    if prepared.target is not None:
+        y = prepared.target[idx]
+    else:
+        x, y = prepared.windows.batch(idx)
+        if prepared.mean is not None:
+            stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
+    if prepared.seasonal is not None:
+        return _Batch(None, [Tensor(prepared.trend[idx]), Tensor(prepared.seasonal[idx])], y,
+                      stats)
+    if prepared.x is not None:
+        return _Batch(prepared.x[idx], None, y, stats)
+    if stats is not None:
         x = revin_apply(x, stats)
     if prepared.kernel is not None:
         if prepared.trend is None:
@@ -191,9 +237,7 @@ def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
 
 def _batch_loss(model, batch: _Batch) -> Tensor:
     pred = model.forward_prepared(batch.x, batch.hidden)
-    if batch.stats is None:
-        return tmean(square(pred - batch.y))
-    return tmean(square(pred - revin_apply(batch.y, batch.stats)))
+    return mse(pred, batch.y if batch.stats is None else revin_apply(batch.y, batch.stats))
 
 
 def train(model, train_windows: WindowSet, val_windows: WindowSet,
@@ -224,7 +268,8 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     # one snapshot per call, refreshed in place at each improving epoch
     best_snapshot = {name: p.data.copy() for name, p in params.items()}
     t0 = time.perf_counter()  # the first epoch's seconds include preparing both sets
-    train_set, val_set = PreparedSet(model, train_windows), PreparedSet(model, val_windows)
+    train_set = PreparedSet(model, train_windows, for_loss=True)
+    val_set = PreparedSet(model, val_windows)
     history.degenerate_windows = {"train": train_set.degenerate, "val": val_set.degenerate}
     n = len(train_set)
     for epoch in range(cfg.max_epochs):
@@ -305,11 +350,12 @@ def _norm(a: np.ndarray) -> float:
 def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     """Raw-scale MSE and MAE over every window, channel, and horizon step.
 
-    `windows` is a WindowSet, or a PreparedSet made for this model (`train`
-    validates on one); a PreparedSet made for another RevIN setting or
-    DLinear kernel raises a ValueError. On a PreparedSet a RevIN model's
-    forecast maps back through `revin_reverse`, as `forward` does. Each
-    batch's errors and their sums then run in one buffer.
+    `windows` is a WindowSet, or a PreparedSet made for this model and not
+    for the loss (`train` validates on one); any other PreparedSet raises a
+    ValueError. On a PreparedSet a RevIN model's forecast maps back through
+    `revin_reverse`, as `forward` does. The model's final weights are taken
+    once per call (a hyper model generates them once) and serve every
+    batch. Each batch's errors and their sums then run in one buffer.
     """
     if not windows:
         raise ValueError("empty evaluation set")
@@ -320,15 +366,18 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
         if made != wanted:
             raise ValueError(f"the PreparedSet was made for revin={made[0]}, kernel={made[1]}, "
                              f"but the model has revin={wanted[0]}, kernel={wanted[1]}")
+        if windows.for_loss:
+            raise ValueError("the PreparedSet was made for the loss; evaluate scores raw targets")
     sse = 0.0
     sae = 0.0
     count = 0
     with no_grad():
+        weights = model.final_weights()
         for start in range(0, len(windows), batch_size):
             idx = slice(start, start + batch_size)
             if isinstance(windows, PreparedSet):
                 batch = _stack_batch(windows, idx)
-                pred, yb = model.forward_prepared(batch.x, batch.hidden).data, batch.y
+                pred, yb = model.forward_prepared(batch.x, batch.hidden, weights).data, batch.y
                 if batch.stats is None:
                     err = pred - yb
                 else:
@@ -336,7 +385,7 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
                     err -= yb
             else:
                 xb, yb = windows.batch(idx)
-                err = model.forward(Tensor(xb)).data - yb
+                err = model.forward(Tensor(xb), weights).data - yb
             np.abs(err, out=err)
             sae += float(err.sum())
             err *= err

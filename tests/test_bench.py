@@ -179,6 +179,7 @@ class TestRunExperiment:
             assert r.test_mse is not None and r.test_mse >= 0
             assert r.test_mae is not None and r.test_mae >= 0
             assert r.n_epochs == 2
+            assert (r.numpy, r.dtype) == (np.__version__, "float64")
 
     def test_grid_count(self, tmp_path):
         cfg = load_config(
@@ -236,6 +237,7 @@ class TestRunExperiment:
         assert len(records) == 2
         assert all(r.status == "failed" for r in records)
         assert all("timesteps" in r.reason for r in records)
+        assert all((r.numpy, r.dtype) == (np.__version__, "float64") for r in records)
 
     @pytest.mark.parametrize("train, reason", [
         ({"lookback": "500"}, "timesteps"),
@@ -268,7 +270,7 @@ class TestRecordsFile:
             "dataset", "backbone", "variant", "horizon", "seed", "status", "reason",
             "test_mse", "test_mae", "seconds_per_epoch_mean", "seconds_per_epoch_std",
             "n_epochs", "best_epoch", "param_count_total", "param_count_trainable",
-            "hyper_param_count",
+            "hyper_param_count", "numpy", "dtype",
         ]
 
     @pytest.mark.parametrize("line, message", [
@@ -289,8 +291,10 @@ class TestRecordsFile:
          '"seed": 0, "test_mse": "0.5"}', r"key 'test_mse' must be a number or null, got \"0\.5\""),
         ('{"dataset": 1, "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
          '"seed": 0}', "key 'dataset' must be a string, got 1"),
+        ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
+         '"seed": 0, "numpy": 1.24}', r"key 'numpy' must be a string or null, got 1\.24"),
     ], ids=["malformed_json", "not_an_object", "foreign_key", "missing_key", "str_int",
-            "bool_int", "float_int", "str_float", "int_str"])
+            "bool_int", "float_int", "str_float", "int_str", "float_str"])
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "r.jsonl"
         write_records([ResultRecord("d", "dlinear", "baseline", 4, 0)], path)

@@ -225,6 +225,44 @@ class TestChannelInvariants:
             assert np.abs(grads[w_phi].data[other]).max() == 0.0
 
 
+    @pytest.mark.parametrize("mode", GENERATOR_MODES)
+    def test_one_channel_reaches_others_only_through_a_shared_generator(self, mode):
+        """Two copies of one built model train for one epoch on tables that
+        differ in channel 1 alone. One backward pass sends channel n's loss
+        only to z[n] in both modes, as W[n] = z[n] B; a shared_mlp generator's
+        B gets Z^T dL/dW, so from the second step on every channel's z row and
+        W move with channel 1's data. per_channel_linear couples nothing: every
+        other channel's z row, w_phi blocks and forecast stay bit-identical."""
+        from hnmvts.trainer import TrainConfig, train
+
+        rng = make_rng(31)
+        values = rng.standard_normal((240, 4)).cumsum(axis=0)
+        changed = values.copy()
+        changed[:, 1] = rng.standard_normal(240).cumsum()
+        tables = [SeriesTable(Tensor(v), ["a", "b", "c", "d"]) for v in (values, changed)]
+        built = build_hyper(DLinearBackbone(12, kernel=5), tables[0], 4, rng, mode=mode)
+        cfg = TrainConfig(lookback=12, horizon=4, batch_size=16, max_epochs=1, lr=1e-2, seed=3)
+        x = Tensor(make_windows(tables[0], 12, 4)[180:].batch(slice(None))[0])
+        runs = []
+        for table in tables:
+            model = ForecastModel(built.config(), {name: Tensor(t.data.copy())
+                                                   for name, t in built.all_arrays().items()})
+            windows = make_windows(table, 12, 4)
+            model, history = train(model, windows[:180], windows[180:], cfg)
+            assert history.best_epoch == 0
+            arrays = {name: t.data for name, t in model.all_arrays().items()}
+            runs.append((arrays, model.forward(x).data))
+        (first, first_out), (second, second_out) = runs
+        w_phis = [name for name in first if name.endswith(".w_phi")]
+        assert len(w_phis) == (2 if mode == "per_channel_linear" else 0)
+        assert not np.array_equal(first["embed.z"][1], second["embed.z"][1])
+        for other in (0, 2, 3):
+            alike = [np.array_equal(first["embed.z"][other], second["embed.z"][other]),
+                     np.array_equal(first_out[..., other, :], second_out[..., other, :])]
+            alike += [np.array_equal(first[name][other], second[name][other]) for name in w_phis]
+            assert alike == [mode == "per_channel_linear"] * len(alike), other
+
+
 class TestHyperForward:
     def test_zero_generator_gives_lookback_means(self, rng):
         table = toy_table(rng, t=64, n=3)

@@ -15,6 +15,7 @@ from hnmvts.numcore import (
     linear_relu,
     matmul,
     moving_average,
+    mse,
     mul,
     no_grad,
     reshape,
@@ -602,6 +603,29 @@ class TestReductions:
         g = rng.standard_normal(out.shape)
         expected = np.broadcast_to(np.expand_dims(g, (0, 1, 2)), x.shape) / x.size
         assert_same_bits(out._grad_fns[0](g), expected)
+
+
+class TestMse:
+    """`mse`, the training loss as one node, against the three nodes it replaces."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape", [(64, 7, 96), (64, 21, 96), (32, 7, 24), (5, 7, 24)],
+                             ids=["ettm2", "weather", "ili", "ili_last_batch"])
+    def test_equals_tmean_of_square_bit_for_bit(self, shape, dtype, request):
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        r = np.random.default_rng(sum(shape))
+        pred = Tensor(r.standard_normal(shape), requires_grad=True)
+        target = r.standard_normal(shape).astype(get_default_dtype())
+        loss, old = mse(pred, target), tmean(square(pred - Tensor(target)))
+        assert loss.data.dtype == np.dtype(dtype)
+        assert_same_bits(loss.data, old.data)
+        assert_same_bits(backward(loss)[pred].data, backward(old)[pred].data)
+        assert len(Tape.trace(loss)) == 2
+
+    def test_refuses_shapes_that_differ(self):
+        with pytest.raises(DimensionError, match=r"one shape, got \(2, 3\) and \(3,\)"):
+            mse(Tensor(np.zeros((2, 3)), requires_grad=True), np.zeros(3))
 
 
 def assert_adjoint(r, f, xs, jvps):

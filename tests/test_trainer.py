@@ -80,6 +80,30 @@ class TestTrain:
         expected = {"train": 14, "val": 3} if revin else {"train": 0, "val": 0}
         assert history.degenerate_windows == expected
 
+    @pytest.mark.parametrize("case", ["flat_stretch", "near_flat_channel"])
+    def test_float32_counts_degenerate_windows_as_float64(self, case, request):
+        """A flat stretch of 21 rows, longer than the lookback of 8, and a
+        channel whose std is about 1e-7 give the float64 counts in float32."""
+        values = make_rng(5).standard_normal((160, 2)).cumsum(axis=0)
+        if case == "flat_stretch":
+            values[20:41, 1] = values[20, 1]
+        else:
+            values[:, 0] = 3.0 + 1e-7 * make_rng(6).standard_normal(160)
+        counts = []
+        for dtype in ("float64", "float32"):
+            if dtype == "float32":
+                request.getfixturevalue("float32_mode")
+            windows = make_windows(SeriesTable(Tensor(values), ["a", "b"]), 8, 2)
+            assert windows.values.dtype == np.dtype(dtype)
+            train_w, val_w = windows[:120], windows[120:]
+            model = build_baseline(DLinearBackbone(8, kernel=3), 2, 2, make_rng(7))
+            cfg = TrainConfig(lookback=8, horizon=2, max_epochs=1)
+            _, history = train(model, train_w, val_w, cfg)
+            counts.append((PreparedSet(model, train_w).degenerate,
+                           PreparedSet(model, val_w).degenerate, history.degenerate_windows))
+        expected = (14, 0) if case == "flat_stretch" else (120, len(windows) - 120)
+        assert counts[0] == counts[1] == (*expected, dict(zip(("train", "val"), expected)))
+
     def test_two_runs_bit_identical(self):
         histories = []
         finals = []
@@ -321,8 +345,9 @@ class TestPreparedSets:
     @pytest.mark.parametrize("form", FORMS)
     def test_cached_uncached_and_per_batch_runs_identical(self, form, revin, monkeypatch):
         """A training set of 313 windows is prepared in two chunks; the run
-        with trends cached, the run with the cache limit at 0 (trends per
-        batch) and the frozen per-batch loop give the same bits."""
+        with every array cached, the run whose limit fits the training set's
+        trend alone, the run with the limit at 0 (everything per batch) and
+        the frozen per-batch loop give the same bits."""
         from hnmvts import trainer as trainer_mod
 
         values = make_rng(9).standard_normal((400, 3)).cumsum(axis=0)
@@ -331,11 +356,31 @@ class TestPreparedSets:
         train_w, val_w = windows[:313], windows[313:]
         assert len(train_w) > trainer_mod._CHUNK
         cfg = TrainConfig(lookback=8, horizon=2, batch_size=32, max_epochs=3, lr=1e-2, seed=5)
+        made = []
+
+        class Recording(trainer_mod.PreparedSet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(trainer_mod, "PreparedSet", Recording)
+        dlinear, trend_bytes = form.startswith("dlinear"), 313 * 3 * 8 * 8
         runs = []
-        for limit in (trainer_mod.TREND_CACHE_BYTES, 0):
-            monkeypatch.setattr(trainer_mod, "TREND_CACHE_BYTES", limit)
+        for limit in (trainer_mod.CACHE_BYTES, trend_bytes, 0):
+            monkeypatch.setattr(trainer_mod, "CACHE_BYTES", limit)
+            made.clear()
             model, history = train(build_form(form, revin, table), train_w, val_w, cfg)
             runs.append((history.train_loss, history.val_mse, model.parameters()))
+            held = [{name for name in ("trend", "seasonal", "x", "target")
+                     if getattr(s, name) is not None} for s in made]
+            inputs = {"trend", "seasonal"} if dlinear else {"x"} if revin else set()
+            if limit == trend_bytes:  # the 78 validation windows still fit whole
+                expected = [{"trend"} if dlinear else set(), inputs]
+            elif limit:
+                expected = [inputs | ({"target"} if revin else set()), inputs]
+            else:
+                expected = [set(), set()]
+            assert held == expected
         model = build_form(form, revin, table)
         runs.append((*reference_train(model, train_w, val_w, cfg), model.parameters()))
         first_loss, first_val, first_params = runs[0]
@@ -343,6 +388,65 @@ class TestPreparedSets:
             assert loss == first_loss and val == first_val
             for name, p in params.items():
                 assert np.array_equal(p.data, first_params[name].data), name
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_prepared_steps_only_gather(self, form, monkeypatch):
+        """Once both sets are prepared with everything cached, a whole run
+        neither normalises nor decomposes anything."""
+        from hnmvts import trainer as trainer_mod
+
+        def refuse(*args):
+            raise AssertionError("a prepared step rebuilt its input")
+
+        class Guarded(trainer_mod.PreparedSet):
+            def __init__(self, model, windows, for_loss=False):
+                super().__init__(model, windows, for_loss)
+                if not for_loss:  # the validation set, prepared second
+                    monkeypatch.setattr(trainer_mod, "revin_apply", refuse)
+                    monkeypatch.setattr(trainer_mod, "moving_average", refuse)
+
+        monkeypatch.setattr(trainer_mod, "PreparedSet", Guarded)
+        table = SeriesTable(Tensor(make_rng(9).standard_normal((200, 3)).cumsum(axis=0)),
+                            ["a", "b", "c"])
+        windows = make_windows(table, 8, 2)
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=32, max_epochs=2, seed=5)
+        _, history = train(build_form(form, True, table), windows[:150], windows[150:], cfg)
+        assert history.n_epochs == 2
+
+    def test_a_set_whose_trend_fits_keeps_it(self, rng, monkeypatch):
+        """With a limit that fits the trend but not the other arrays, a set
+        keeps the trend (as before they were cached); one byte less keeps
+        nothing but the statistics."""
+        from hnmvts import trainer as trainer_mod
+
+        model, train_w, _ = small_setup(rng)
+        trend_bytes = len(train_w) * 2 * 8 * 8
+        monkeypatch.setattr(trainer_mod, "CACHE_BYTES", trend_bytes)
+        prepared = PreparedSet(model, train_w, for_loss=True)
+        assert prepared.trend is not None
+        assert prepared.seasonal is None and prepared.target is None
+        x_norm, _ = revin_forward(train_w.batch(slice(None))[0])
+        assert np.array_equal(prepared.trend, decompose(x_norm, 3)[0])
+        monkeypatch.setattr(trainer_mod, "CACHE_BYTES", trend_bytes - 1)
+        prepared = PreparedSet(model, train_w, for_loss=True)
+        assert prepared.trend is None and prepared.mean is not None
+
+    def test_dlinear_baseline_step_takes_six_nodes(self, rng, monkeypatch):
+        """Two final layers, their two `channel_dot`s, the `add` and one `mse`."""
+        from hnmvts import trainer as trainer_mod
+        from hnmvts.numcore import Tape
+
+        sizes = []
+        real_backward = trainer_mod.backward
+
+        def counting(loss, params):
+            sizes.append(len(Tape.trace(loss)))
+            return real_backward(loss, params)
+
+        monkeypatch.setattr(trainer_mod, "backward", counting)
+        model, train_w, val_w = small_setup(rng)
+        train(model, train_w, val_w, TrainConfig(lookback=8, horizon=2, max_epochs=1))
+        assert sizes and set(sizes) == {6}
 
     def test_trend_runs_once_per_set_per_call(self, rng, monkeypatch):
         """`moving_average` runs on each whole set once per `train` call, not
@@ -364,23 +468,32 @@ class TestPreparedSets:
         train(model, train_w, val_w, cfg)
         assert calls == [len(train_w), len(val_w)]
         calls.clear()
-        monkeypatch.setattr(trainer_mod, "TREND_CACHE_BYTES", 0)
+        monkeypatch.setattr(trainer_mod, "CACHE_BYTES", 0)
         train(model, train_w, val_w, cfg)
         assert calls == 3 * ([16] * 7 + [len(train_w) - 7 * 16] + [len(val_w)])
 
     def test_prepared_set_holds_per_batch_values(self, rng):
-        """The statistics and trend kept per window are `revin_forward`'s and
-        `decompose`'s on any batch of those windows."""
-        from hnmvts.trainer import PreparedSet
-
+        """The statistics, trend, seasonal part and normalised target kept per
+        window are `revin_forward`'s, `decompose`'s and `revin_apply`'s on any
+        batch of those windows; an MLP's set keeps the normalised lookback."""
         model, train_w, _ = small_setup(rng)
-        prepared = PreparedSet(model, train_w)
+        prepared = PreparedSet(model, train_w, for_loss=True)
         idx = rng.permutation(len(train_w))[:16]
-        x_norm, stats = revin_forward(train_w.batch(idx)[0])
-        trend, _ = decompose(x_norm, model.backbone.kernel)
+        x, y = train_w.batch(idx)
+        x_norm, stats = revin_forward(x)
+        trend, seasonal = decompose(x_norm, model.backbone.kernel)
         assert np.array_equal(prepared.mean[idx], stats.mean)
         assert np.array_equal(prepared.std[idx], stats.std)
         assert np.array_equal(prepared.trend[idx], trend)
+        assert np.array_equal(prepared.seasonal[idx], seasonal)
+        assert np.array_equal(prepared.target[idx], revin_apply(y, stats))
+        assert prepared.x is None
+        assert PreparedSet(model, train_w).target is None
+        mlp = build_baseline(MlpBackbone(8, (4,), rng=rng), 2, 2, rng)
+        for m in (mlp, bake(model)):
+            prepared = PreparedSet(m, train_w)
+            assert np.array_equal(prepared.x[idx], x_norm)
+            assert prepared.trend is None and prepared.seasonal is None
 
     def test_validation_enters_through_evaluate(self, rng, monkeypatch):
         """Each epoch's validation pass calls `evaluate` once, on the prepared
@@ -506,12 +619,50 @@ class TestEvaluate:
         mlp = build_baseline(MlpBackbone(8, (4,), rng=rng), 2, 2, rng)
         prepared = PreparedSet(model, train_w)
         assert (prepared.revin, prepared.kernel) == (True, 3)
+        # a baked DLinear reads its fold, not the decomposition
         for other, has in [(wider, "revin=True, kernel=5"), (raw, "revin=False, kernel=3"),
-                           (mlp, "revin=True, kernel=None")]:
+                           (mlp, "revin=True, kernel=None"),
+                           (bake(model), "revin=True, kernel=None")]:
             message = rf"made for revin=True, kernel=3, but the model has {has}$"
             with pytest.raises(ValueError, match=message):
                 evaluate(other, prepared)
         assert evaluate(model, prepared) == evaluate(model, train_w)
+        with pytest.raises(ValueError, match=r"made for revin=True, kernel=None, but the model "
+                                             r"has revin=True, kernel=3$"):
+            evaluate(model, PreparedSet(bake(model), train_w))
+        with pytest.raises(ValueError, match=r"made for the loss; evaluate scores raw targets$"):
+            evaluate(model, PreparedSet(model, train_w, for_loss=True))
+
+    def test_generates_hyper_weights_once_per_call(self, rng, monkeypatch):
+        """A 3-batch set costs a 2-slot hyper model 2 generator calls, on a plain
+        and a prepared set alike; a training step between two calls shows in
+        the second, which equals the per-batch form bit for bit."""
+        from hnmvts import hypernet
+
+        calls = []
+        real_generate = hypernet.generate_weights
+
+        def counting(*args):
+            calls.append(args[0])
+            return real_generate(*args)
+
+        monkeypatch.setattr(hypernet, "generate_weights", counting)
+        model, train_w, _ = small_setup(rng, variant="hyper")
+        windows = train_w[:40]
+        for ws in (windows, PreparedSet(model, windows)):
+            calls.clear()
+            first = evaluate(model, ws, batch_size=16)
+            assert len(calls) == 2
+            assert first == frozen_evaluate(model, ws, batch_size=16)
+        params = model.parameters()
+        x, y = windows.batch(slice(0, 16))
+        pred, stats = model.forward_normalized(Tensor(x))
+        grads = backward(tmean(square(pred - revin_apply(y, stats))), list(params.values()))
+        adam_step(params, {name: grads[p] for name, p in params.items()}, AdamState(lr=1e-2))
+        for ws in (windows, PreparedSet(model, windows)):
+            second = evaluate(model, ws, batch_size=16)
+            assert second != first
+            assert second == frozen_evaluate(model, ws, batch_size=16)
 
     def test_perfect_predictions(self, rng):
         model, _, val_w = small_setup(rng)
@@ -519,7 +670,10 @@ class TestEvaluate:
         class Echo:
             revin = False
 
-            def forward(self, x):
+            def final_weights(self):
+                return []
+
+            def forward(self, x, weights):
                 return Tensor(val_w.batch(slice(None))[1])
 
         metrics = evaluate(Echo(), val_w, batch_size=len(val_w))
@@ -532,7 +686,10 @@ class TestEvaluate:
         class Offset:
             revin = False
 
-            def forward(self, x):
+            def final_weights(self):
+                return []
+
+            def forward(self, x, weights):
                 return Tensor(val_w.batch(slice(None))[1] + delta)
 
         metrics = evaluate(Offset(), val_w, batch_size=len(val_w))
