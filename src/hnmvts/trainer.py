@@ -133,12 +133,12 @@ class PreparedSet:
     * made `for_loss` under RevIN, the normalised `target`, (n, N, H).
 
     Each op works per window, so every value equals the one computed per
-    batch bit for bit. The arrays after the statistics take at most
+    batch bit for bit. The arrays besides the statistics take at most
     CACHE_BYTES together: when they would take more, a DLinear set keeps
-    only its `trend`, if that alone fits (as it did before the other
-    arrays were cached), and its steps rebuild the normalised lookback, the
-    seasonal part and the target per batch; a set beyond that keeps only its
-    statistics. So a set takes at most CACHE_BYTES plus 2 n N values.
+    only its `trend`, if that alone fits, and its steps rebuild the
+    normalised lookback, the seasonal part and the target per batch; a set
+    beyond that keeps only its statistics. So a set takes at most
+    CACHE_BYTES plus 2 n N values, and one whose trend fits keeps it.
 
     `evaluate` refuses a set made for a model with another `revin` or
     `kernel` (a baked DLinear reads the lookback where an unfolded one reads
@@ -204,8 +204,8 @@ class PreparedSet:
 class _Batch(NamedTuple):
     x: np.ndarray | None  # model input (normalised lookbacks, or raw); None when hidden holds it
     hidden: list[Tensor] | None  # DLinear's trend and seasonal parts of x
-    y: np.ndarray  # targets: the loss's own when stats is None, raw otherwise
-    stats: InstanceStats | None  # the lookbacks' RevIN statistics, to bring y to the model's scale
+    y: np.ndarray  # targets: raw when stats is given, else in the model's scale
+    stats: InstanceStats | None  # the lookbacks' RevIN statistics
 
 
 def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
