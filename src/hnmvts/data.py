@@ -85,7 +85,8 @@ class WindowSet:
     segment, lookbacks (t - T + 1, N, T) and targets (t - T - H + 1, N, H),
     each indexed by origin, are built once here. Slicing or indexing with
     an index array selects a subset that shares the segment and both
-    views, so `batch` is two gathers and builds nothing per call.
+    views, so `batch` is two gathers and builds nothing per call, and
+    `targets` one.
     """
 
     __slots__ = ("values", "origins", "lookback", "horizon", "_lookbacks", "_targets")
@@ -118,6 +119,10 @@ class WindowSet:
         """
         start = self.origins[idx]
         return self._lookbacks[start], self._targets[start]
+
+    def targets(self, idx) -> np.ndarray:
+        """The targets (B, N, H) of `batch(idx)` alone, without gathering lookbacks."""
+        return self._targets[self.origins[idx]]
 
 
 def _spans(values: np.ndarray, width: int) -> np.ndarray:

@@ -22,9 +22,6 @@ from .tensor import (
     no_grad,
     reshape,
     set_default_dtype,
-    square,
-    sub,
-    tmean,
 )
 
 __all__ = [
@@ -51,7 +48,4 @@ __all__ = [
     "reshape",
     "set_default_dtype",
     "spawn_rng",
-    "square",
-    "sub",
-    "tmean",
 ]

@@ -1,19 +1,45 @@
-"""Adam optimizer with bias correction.
+"""Adam optimizer with bias correction, in ten elementwise passes.
+
+The textbook update (Kingma & Ba, arXiv 1412.6980) at step k is
 
 m_k = b1*m_{k-1} + (1-b1)*g        mhat = m_k / (1 - b1^k)
 v_k = b2*v_{k-1} + (1-b2)*g^2      vhat = v_k / (1 - b2^k)
 p  -= lr * mhat / (sqrt(vhat) + eps)
+
+The state holds the moments pre-scaled, M = m / (1-b1) and V = v / (1-b2),
+so that the gradient enters unscaled and the bias corrections fold into
+three scalars per step:
+
+M  = b1*M + g                      c_k = sqrt((1-b2) / (1-b2^k))
+V  = b2*V + g*g                    s_k = lr*(1-b1) / ((1-b1^k) * c_k)
+p -= s_k * M / (sqrt(V) + eps_k)   eps_k = eps / c_k
+
+This equals the textbook update in real arithmetic; only the rounding
+differs. It takes ten elementwise passes per element (two for M, three for
+V, five for p), against thirteen for the textbook form. The scalars are
+built once per step in each parameter's dtype, so a float32 parameter is
+updated in float32 under either numpy promotion rule.
 
 State is kept per parameter name; `adam_step` mutates the parameter tensors
 in place (the one sanctioned mutation path) and is fully deterministic.
 
 Every gradient is checked (shape and finiteness) before anything moves: a
 bad gradient raises with the step count, every moment and every parameter
-as they were before the call.
+as they were before the call. The finiteness check is one reduction: an inf
+or NaN element makes the sum non-finite, so a finite sum proves every
+element finite, and only a non-finite sum (a bad element, or finite
+elements whose sum overflows) runs the exact elementwise test, which then
+decides.
+
+V is up to 1/(1-b2) = 1000 times the textbook v, so it stays finite only
+while |g| is below about 4e152 in float64 (5.8e17 in float32). Past that,
+sqrt(V) is inf and the element's step is 0, as the textbook form's step is
+once g*g overflows. M, at most 10 |g|, overflows only for gradients within
+a factor of ten of the dtype's largest value.
 
 The update is cache-blocked. Each parameter is updated one contiguous block
-of at most `_BLOCK` elements at a time, so the block's slices of p, g, m, v
-and one scratch buffer per dtype stay in L2 across the thirteen elementwise
+of at most `_BLOCK` elements at a time, so the block's slices of p, g, M, V
+and one scratch buffer per dtype stay in L2 across the ten elementwise
 passes, instead of each pass streaming the whole array through memory; a
 parameter of at most one block takes a single pass. Each block runs the same
 ufuncs in the same order with the same constants as an unblocked update, so
@@ -22,6 +48,7 @@ the result is bit-identical to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +64,13 @@ _BLOCK = 32 * 1024
 
 @dataclass
 class AdamState:
+    """Hyperparameters, the step count and the per-parameter moments.
+
+    `m[name]` holds the first moment scaled by 1/(1-beta1) and `v[name]` the
+    second scaled by 1/(1-beta2): the textbook m and v are
+    `(1 - beta1) * m[name]` and `(1 - beta2) * v[name]`.
+    """
+
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
@@ -59,14 +93,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor], state: AdamSt
             raise ValueError(
                 f"gradient for '{name}' has shape {g_arr.shape}, parameter is {p.data.shape}"
             )
-        if not np.all(np.isfinite(g_arr)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(g_arr, axis=None)
+        if not np.isfinite(total) and not np.all(np.isfinite(g_arr)):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
         checked.append((name, p.data, g_arr))
     state.step_count += 1
     k = state.step_count
-    corr1 = 1.0 - state.beta1**k
-    corr2 = 1.0 - state.beta2**k
+    c = math.sqrt((1.0 - state.beta2) / (1.0 - state.beta2**k))
+    step = state.lr * (1.0 - state.beta1) / ((1.0 - state.beta1**k) * c)
+    consts = (state.beta1, state.beta2, state.eps / c, step)
     scratch: dict[np.dtype, np.ndarray] = {}
+    # a float64 scalar would promote a float32 block to float64 under numpy 2
+    scalars: dict[np.dtype, tuple] = {}
     for name, p, g in checked:
         m = state.m.get(name)
         if m is None:
@@ -77,25 +116,25 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor], state: AdamSt
         buf = scratch.get(p.dtype)
         if buf is None or buf.size < size:
             buf = scratch[p.dtype] = np.empty(size, p.dtype)
+        if p.dtype not in scalars:
+            scalars[p.dtype] = tuple(p.dtype.type(x) for x in consts)
         # Tensor data, m and v are C-contiguous, so these are views
         flat = [a.reshape(-1) for a in (p, g, m, v)]
         for lo in range(0, p.size, _BLOCK):
             hi = min(lo + _BLOCK, p.size)
-            _update(*(a[lo:hi] for a in flat), buf[: hi - lo], state, corr1, corr2)
+            _update(*(a[lo:hi] for a in flat), buf[: hi - lo], *scalars[p.dtype])
 
 
-def _update(p, g, m, v, buf, state: AdamState, corr1: float, corr2: float) -> None:
-    """The Adam update of one block, in place; `buf` is scratch of the block's size."""
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=buf)
-    m += buf
-    v *= state.beta2
+def _update(p, g, m, v, buf, beta1, beta2, eps, step) -> None:
+    """The Adam update of one block, in place, on the scaled moments; `buf` is
+    scratch of the block's size and the scalars are in the block's dtype."""
+    m *= beta1
+    m += g
+    v *= beta2
     np.multiply(g, g, out=buf)
-    buf *= 1.0 - state.beta2
     v += buf
-    np.multiply(v, 1.0 / corr2, out=buf)
-    np.sqrt(buf, out=buf)
-    buf += state.eps
+    np.sqrt(v, out=buf)
+    buf += eps
     np.divide(m, buf, out=buf)
-    buf *= state.lr / corr1
+    buf *= step
     p -= buf

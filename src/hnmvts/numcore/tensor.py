@@ -8,8 +8,7 @@ the graph into a `Tape` and replays it in reverse topological order.
 The op set is deliberately small: exactly the primitives the forecasting
 models need (broadcasting arithmetic, the product of two matrices, one fused
 Linear+ReLU layer, the per-channel final layer `channel_dot` and weight
-generator `channel_gemv`, the square, the mean of every element, the
-mean squared error, reshape).
+generator `channel_gemv`, the mean squared error, reshape).
 Data that no gradient reaches stays off the graph: the moving average works
 on plain arrays, and so does a baked DLinear's folded forecast, through
 `channel_product`, the array kernel that `channel_dot`'s forward runs.
@@ -30,15 +29,12 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "add",
-    "sub",
     "mul",
     "matmul",
     "linear_relu",
     "channel_dot",
     "channel_gemv",
     "channel_product",
-    "square",
-    "tmean",
     "mse",
     "reshape",
     "moving_average",
@@ -125,9 +121,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
@@ -182,16 +175,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out,
         (a, b),
         (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-    return _make_node(
-        out,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
     )
 
 
@@ -401,25 +384,13 @@ def channel_gemv(z: Tensor, w: Tensor) -> Tensor:
     return _make_node(out, (z, w), (grad_z, grad_w))
 
 
-def square(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return _make_node(a.data * a.data, (a,), (lambda g: g * (2.0 * a.data),))
-
-
-def tmean(a: Tensor) -> Tensor:
-    """The mean of every element, a scalar."""
-    a = _as_tensor(a)
-    return _make_node(a.data.mean(), (a,), (lambda g: np.broadcast_to(g, a.shape) / a.size,))
-
-
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     """The mean of (pred - target)^2 over every element, a scalar, as one graph node.
 
     `target` is data, a plain array of pred's shape; only pred gets a
-    gradient. The value is `tmean(square(pred - target))`'s bit for bit (the
-    same difference, square and mean), and so is the gradient,
-    (2 (pred - target)) (g / size), whose two factors are the ones `square`
-    and `tmean` multiply.
+    gradient. The value is the mean of (pred - target) * (pred - target), and
+    the gradient (2 (pred - target)) (g / size): the derivative of the square
+    times that of the mean, in that order.
     """
     pred = _as_tensor(pred)
     if pred.shape != target.shape:

@@ -211,12 +211,16 @@ class _Batch(NamedTuple):
 def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
     """One batch for the steps and the validation pass: rows gathered from a
     prepared set, and what it does not hold rebuilt with `revin_apply` and
-    the ops of `decompose`."""
+    the ops of `decompose`. The raw lookbacks are gathered only when the set
+    does not hold the model input."""
     x = hidden = stats = None
     if prepared.target is not None:
         y = prepared.target[idx]
     else:
-        x, y = prepared.windows.batch(idx)
+        if prepared.seasonal is not None or prepared.x is not None:
+            y = prepared.windows.targets(idx)
+        else:
+            x, y = prepared.windows.batch(idx)
         if prepared.mean is not None:
             stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
     if prepared.seasonal is not None:
@@ -265,8 +269,9 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     state = AdamState(lr=cfg.lr)
     shuffle_rng = spawn_rng(cfg.seed, 7)
     history = TrainHistory()
-    # one snapshot per call, refreshed in place at each improving epoch
-    best_snapshot = {name: p.data.copy() for name, p in params.items()}
+    # one snapshot per call, filled at epoch 0 (the best so far by definition)
+    # and refreshed in place at each improving epoch
+    best_snapshot = {name: np.empty_like(p.data) for name, p in params.items()}
     t0 = time.perf_counter()  # the first epoch's seconds include preparing both sets
     train_set = PreparedSet(model, train_windows, for_loss=True)
     val_set = PreparedSet(model, val_windows)

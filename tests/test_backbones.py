@@ -15,8 +15,7 @@ from hnmvts.numcore import (
     Tensor,
     channel_dot,
     finite_diff_check,
-    square,
-    tmean,
+    mse,
 )
 
 
@@ -174,7 +173,7 @@ def test_full_pipeline_gradient(rng):
     def loss():
         hidden = bb.forward_hidden(x)
         pred = apply_final([wt, ws], hidden)
-        return tmean(square(pred - target))
+        return mse(pred, target.data)
 
     assert finite_diff_check(loss, [wt, ws]) < 1e-4
 
@@ -186,7 +185,7 @@ def test_mlp_pipeline_gradient(rng):
 
     def loss():
         pred = apply_final([w_final], bb.forward_hidden(x))
-        return tmean(square(pred))
+        return mse(pred, np.zeros(pred.shape))
 
     params = [w_final, *bb.parameters().values()]
     assert finite_diff_check(loss, params) < 1e-4
@@ -199,7 +198,8 @@ def test_two_layer_trunk_gradient(rng):
     x = rng.standard_normal((4, 3, 6))
 
     def loss():
-        return tmean(square(apply_final([w_final], bb.forward_hidden(x))))
+        pred = apply_final([w_final], bb.forward_hidden(x))
+        return mse(pred, np.zeros(pred.shape))
 
     params = [w_final, *bb.parameters().values()]
     assert finite_diff_check(loss, params) < 1e-4
@@ -208,8 +208,9 @@ def test_two_layer_trunk_gradient(rng):
 def test_trunk_traces_one_node_per_layer(rng):
     bb = MlpBackbone(lookback=6, hidden_widths=(5, 4), rng=rng)
     (hidden,) = bb.forward_hidden(rng.standard_normal((4, 3, 6)))
-    ops = [node for node in Tape.trace(tmean(hidden)).nodes if node._parents]
-    assert len(ops) == 2 + 1  # one per layer, then the mean
+    loss = mse(hidden, np.zeros(hidden.shape))
+    ops = [node for node in Tape.trace(loss).nodes if node._parents]
+    assert len(ops) == 2 + 1  # one per layer, then the loss
 
 
 def test_batched_forward_matches_single(rng):

@@ -102,11 +102,13 @@ def test_bad_gradient_leaves_everything_unmoved():
 
 
 def adam_step_oracle(params, grads, state):
-    """The unblocked per-parameter update, one whole-array pass per ufunc."""
+    """The unblocked per-parameter update, one whole-array pass per ufunc, on
+    the moments scaled by 1/(1-b1) and 1/(1-b2), with the step's scalars in
+    the parameter's dtype."""
     state.step_count += 1
     k = state.step_count
-    corr1 = 1.0 - state.beta1**k
-    corr2 = 1.0 - state.beta2**k
+    c = np.sqrt((1.0 - state.beta2) / (1.0 - state.beta2**k))
+    step = state.lr * (1.0 - state.beta1) / ((1.0 - state.beta1**k) * c)
     for name, p in params.items():
         g_arr = grads[name].data
         m = state.m.get(name)
@@ -115,19 +117,17 @@ def adam_step_oracle(params, grads, state):
             state.m[name] = m
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
+        f = p.dtype.type
         buf = np.empty_like(p)
-        m *= state.beta1
-        np.multiply(g_arr, 1.0 - state.beta1, out=buf)
-        m += buf
-        v *= state.beta2
+        m *= f(state.beta1)
+        m += g_arr
+        v *= f(state.beta2)
         np.multiply(g_arr, g_arr, out=buf)
-        buf *= 1.0 - state.beta2
         v += buf
-        np.multiply(v, 1.0 / corr2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += state.eps
+        np.sqrt(v, out=buf)
+        buf += f(state.eps / c)
         np.divide(m, buf, out=buf)
-        buf *= state.lr / corr1
+        buf *= f(step)
         p -= buf
 
 
@@ -169,3 +169,109 @@ def test_blocked_update_matches_unblocked_bit_for_bit(params, dtype, scale, seed
                           (state.v[name], oracle_state.v[name])):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+def textbook_updates(p0, gs, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Each step's change of p from Kingma & Ba's equations, in float64."""
+    m = np.zeros(p0.shape)
+    v = np.zeros(p0.shape)
+    out = []
+    for k, g in enumerate(gs, start=1):
+        g = g.astype(np.float64)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1**k)
+        vhat = v / (1 - b2**k)
+        out.append(-lr * mhat / (np.sqrt(vhat) + eps))
+    return out
+
+
+@pytest.mark.parametrize("dtype, scale, rtol", [
+    (np.float64, 1.0, 1e-12), (np.float64, 1e150, 1e-12),
+    (np.float32, 1.0, 1e-5), (np.float32, 1e17, 1e-5),
+], ids=["float64", "float64_1e150", "float32", "float32_1e17"])
+def test_updates_match_textbook_equations(dtype, scale, rtol, request):
+    """20 steps, p starting at 0 so that p_after - p_before is the update to
+    within a rounding of p. Each element keeps its gradient's sign, so no
+    update is near 0. Gradients of 1e150 (float64) and 1e17 (float32) keep V,
+    up to 1000 times the textbook v, finite: their steps are finite too."""
+    if dtype == np.float32:
+        request.getfixturevalue("float32_mode")
+    rng = np.random.default_rng(20)
+    n = 2 * _BLOCK + 3
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    gs = [(scale * sign * (0.5 + np.abs(rng.standard_normal(n)))).astype(dtype)
+          for _ in range(20)]
+    p = Tensor(np.zeros(n), requires_grad=True)
+    state = AdamState(lr=1e-3)
+    for g, want in zip(gs, textbook_updates(np.zeros(n), gs, 1e-3)):
+        before = p.data.copy()
+        adam_step({"p": p}, {"p": Tensor(g)}, state)
+        assert p.data.dtype == state.m["p"].dtype == state.v["p"].dtype == dtype
+        got = p.data.astype(np.float64) - before
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+def test_float32_computes_and_stores_in_float32(float32_mode):
+    """Parameters, moments and every pass stay float32 under either numpy
+    promotion rule: a float64 scalar would promote a pass to float64 under
+    numpy 2 and round differently. The oracle is written with float32 scalars
+    and float32 arrays, in the kernel's order."""
+    rng = np.random.default_rng(32)
+    f = np.float32
+    n = _BLOCK + 7
+    p = Tensor(rng.standard_normal(n), requires_grad=True)
+    want_p = p.data.copy()
+    want_m = np.zeros(n, f)
+    want_v = np.zeros(n, f)
+    state = AdamState(lr=1e-3)
+    for k in range(1, 8):
+        g = Tensor(rng.standard_normal(n))
+        assert g.data.dtype == f
+        adam_step({"p": p}, {"p": g}, state)
+        c = np.sqrt((1.0 - 0.999) / (1.0 - 0.999**k))
+        step = 1e-3 * (1.0 - 0.9) / ((1.0 - 0.9**k) * c)
+        want_m = f(0.9) * want_m + g.data
+        want_v = f(0.999) * want_v + g.data * g.data
+        want_p = want_p - want_m / (np.sqrt(want_v) + f(1e-8 / c)) * f(step)
+        assert want_p.dtype == want_m.dtype == want_v.dtype == f
+        for got, want in ((p.data, want_p), (state.m["p"], want_m), (state.v["p"], want_v)):
+            assert got.dtype == f
+            assert np.array_equal(got, want)
+
+
+def test_finite_gradient_whose_sum_overflows_is_accepted():
+    """The one-pass check sums the gradient; this sum overflows, so the exact
+    elementwise test decides, and accepts it. g*g overflows as well, so V is
+    inf and each element's step is 0, as the textbook form's is."""
+    p = Tensor(np.array([1.0, -2.0, 0.0, 3.5]), requires_grad=True)
+    before = p.data.copy()
+    g = np.array([1e308, 1e308, -1e308, -1e308])
+    state = AdamState()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        adam_step({"p": p}, {"p": Tensor(g)}, state)
+    assert state.step_count == 1
+    assert np.array_equal(p.data, before)
+    assert np.array_equal(state.m["p"], g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_bad_element_deep_in_a_three_block_parameter_moves_nothing(bad):
+    rng = np.random.default_rng(3)
+    params = {"a": Tensor(rng.standard_normal(5), requires_grad=True),
+              "b": Tensor(rng.standard_normal(3 * _BLOCK), requires_grad=True)}
+    state = AdamState()
+    adam_step(params, {name: Tensor(rng.standard_normal(t.shape)) for name, t in params.items()},
+              state)
+    before = copy.deepcopy(({name: t.data for name, t in params.items()}, state))
+    g_b = rng.standard_normal(3 * _BLOCK)
+    g_b[2 * _BLOCK + 17] = bad
+    with pytest.raises(ValueError, match="non-finite gradient for parameter 'b'"):
+        adam_step(params, {"a": Tensor(rng.standard_normal(5)), "b": Tensor(g_b)}, state)
+    data, s = before
+    assert state.step_count == s.step_count == 1
+    for name, t in params.items():
+        assert np.array_equal(t.data, data[name])
+        assert np.array_equal(state.m[name], s.m[name])
+        assert np.array_equal(state.v[name], s.v[name])

@@ -15,9 +15,8 @@ from hnmvts.numcore import (
     backward,
     make_rng,
     no_grad,
+    mse,
     spawn_rng,
-    square,
-    tmean,
 )
 from hnmvts.trainer import PreparedSet, TrainConfig, TrainingError, evaluate, train
 
@@ -305,9 +304,9 @@ def reference_train(model, train_w, val_w, cfg):
             x, y = train_w.batch(idx)
             if model.revin:
                 pred, stats = model.forward_normalized(Tensor(x))
-                loss = tmean(square(pred - revin_apply(y, stats)))
+                loss = mse(pred, revin_apply(y, stats))
             else:
-                loss = tmean(square(model.forward(Tensor(x)) - y))
+                loss = mse(model.forward(Tensor(x)), y)
             grads = backward(loss, list(params.values()))
             adam_step(params, {name: grads[p] for name, p in params.items()}, state)
             total += loss.item() * len(idx)
@@ -495,6 +494,51 @@ class TestPreparedSets:
             assert np.array_equal(prepared.x[idx], x_norm)
             assert prepared.trend is None and prepared.seasonal is None
 
+    @pytest.mark.parametrize("form, revin, for_loss", [
+        ("dlinear_baseline", True, False), ("mlp_baseline", True, False),
+        ("dlinear_baseline", False, True),
+    ], ids=["revin_dlinear_val", "revin_mlp_val", "raw_dlinear_train"])
+    def test_a_set_holding_the_model_input_gathers_only_targets(self, form, revin, for_loss,
+                                                                monkeypatch):
+        """Once prepared, a set that holds the model input but no normalised
+        targets never gathers lookbacks: with `WindowSet.batch` raising, every
+        batch and `evaluate` equal the per-batch form's (a set prepared with
+        the cache limit at 0) bit for bit."""
+        from hnmvts import trainer as trainer_mod
+
+        table = SeriesTable(Tensor(make_rng(9).standard_normal((400, 3)).cumsum(axis=0)),
+                            ["a", "b", "c"])
+        windows = make_windows(table, 8, 2)[:300]
+        model = build_form(form, revin, table)
+        prepared = PreparedSet(model, windows, for_loss=for_loss)
+        assert prepared.target is None
+        assert (prepared.seasonal if form.startswith("dlinear") else prepared.x) is not None
+        monkeypatch.setattr(trainer_mod, "CACHE_BYTES", 0)
+        per_batch = PreparedSet(model, windows, for_loss=for_loss)
+        batches = [np.arange(start, min(start + 64, 300)) for start in range(0, 300, 64)]
+        want = [trainer_mod._stack_batch(per_batch, idx) for idx in batches]
+        want_eval = None if for_loss else evaluate(model, per_batch, batch_size=64)
+
+        def refuse(self, idx):
+            raise AssertionError("lookbacks gathered")
+
+        monkeypatch.setattr(WindowSet, "batch", refuse)
+        for idx, ref in zip(batches, want):
+            got = trainer_mod._stack_batch(prepared, idx)
+            assert got.x is None or np.array_equal(got.x, ref.x)
+            assert np.array_equal(got.y, ref.y)
+            assert (got.stats is None) == (ref.stats is None) == (not revin)
+            if revin:
+                assert np.array_equal(got.stats.mean, ref.stats.mean)
+                assert np.array_equal(got.stats.std, ref.stats.std)
+            if got.hidden is not None:
+                for g_part, r_part in zip(got.hidden, ref.hidden):
+                    assert np.array_equal(g_part.data, r_part.data)
+            pred = model.forward_prepared(got.x, got.hidden).data
+            assert np.array_equal(pred, model.forward_prepared(ref.x, ref.hidden).data)
+        if not for_loss:
+            assert evaluate(model, prepared, batch_size=64) == want_eval
+
     def test_validation_enters_through_evaluate(self, rng, monkeypatch):
         """Each epoch's validation pass calls `evaluate` once, on the prepared
         validation set, and gets the MSE the plain set gives."""
@@ -657,7 +701,7 @@ class TestEvaluate:
         params = model.parameters()
         x, y = windows.batch(slice(0, 16))
         pred, stats = model.forward_normalized(Tensor(x))
-        grads = backward(tmean(square(pred - revin_apply(y, stats))), list(params.values()))
+        grads = backward(mse(pred, revin_apply(y, stats)), list(params.values()))
         adam_step(params, {name: grads[p] for name, p in params.items()}, AdamState(lr=1e-2))
         for ws in (windows, PreparedSet(model, windows)):
             second = evaluate(model, ws, batch_size=16)
