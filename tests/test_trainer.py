@@ -159,6 +159,27 @@ class TestTrain:
         val_now = evaluate(model, val_w)["mse"]
         assert val_now == history.val_mse[history.best_epoch] != history.val_mse[-1]
 
+    def test_best_epoch_zero_is_restored(self, monkeypatch):
+        """The best-epoch snapshot starts empty and epoch 0 fills it: when
+        epoch 0 validates best, the returned parameters are that epoch's, bit
+        for bit (here each later epoch's validation MSE is made worse)."""
+        from hnmvts import trainer as trainer_mod
+
+        cfg = TrainConfig(lookback=8, horizon=2, max_epochs=1, seed=1, lr=1e-2)
+        once, _ = train(*small_setup(make_rng(5)), cfg)
+        real_evaluate, calls = trainer_mod.evaluate, []
+
+        def worsening(model, windows, *args):
+            calls.append(windows)
+            return {"mse": real_evaluate(model, windows)["mse"] + len(calls)}
+
+        monkeypatch.setattr(trainer_mod, "evaluate", worsening)
+        cfg.max_epochs = 3
+        model, history = train(*small_setup(make_rng(5)), cfg)
+        assert history.best_epoch == 0 and history.n_epochs == 3
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, once.parameters()[name].data), name
+
     def test_early_stopping_stops(self, rng, monkeypatch):
         from hnmvts import trainer as trainer_mod
 
