@@ -30,12 +30,12 @@ in place (the one sanctioned mutation path) and is fully deterministic.
 
 Every gradient is checked (shape and finiteness) before anything moves: a
 bad gradient raises with the step count, every moment and every parameter
-as they were before the call. The finiteness check is one reduction, the
-sum of squares as a BLAS dot product, which runs faster than numpy's plain
-sum or than isfinite plus all: an inf or NaN element makes it non-finite,
-so a finite result proves every element finite, and only a non-finite one
-runs the exact elementwise test, which then decides (a finite gradient
-whose sum of squares overflows passes).
+as they were before the call. The finiteness check is one sum: an inf or
+NaN element makes it non-finite, so a finite sum proves every element
+finite, and only a non-finite sum runs the exact elementwise test, which
+then decides (a finite gradient whose sum overflows passes). The sum is
+numpy's own, on the calling thread: a BLAS dot of a large gradient can wake
+BLAS's worker thread, and on ILI-sized steps that made training bimodal.
 
 The update is cache-blocked. Each parameter is updated one contiguous block
 of at most `_BLOCK` elements at a time, so the block's slices of p, g, M, V
@@ -93,10 +93,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor], state: AdamSt
             raise ValueError(
                 f"gradient for '{name}' has shape {g_arr.shape}, parameter is {p.data.shape}"
             )
-        g_flat = g_arr.reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):
-            squares = np.dot(g_flat, g_flat)
-        if not np.isfinite(squares) and not np.all(np.isfinite(g_arr)):
+            total = np.add.reduce(g_arr, axis=None)
+        if not np.isfinite(total) and not np.all(np.isfinite(g_arr)):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
         checked.append((name, p.data, g_arr))
     state.step_count += 1

@@ -242,10 +242,9 @@ def test_float32_computes_and_stores_in_float32(float32_mode):
 
 
 def test_finite_gradient_whose_sum_overflows_is_accepted():
-    """The one-pass check sums the gradient's squares; this sum overflows (as
-    the plain sum does), so the exact elementwise test decides, and accepts
-    it. g*g overflows in the update as well, so V is inf and each element's
-    step is 0, as the textbook form's is."""
+    """The one-pass check sums the gradient; this sum overflows, so the exact
+    elementwise test decides, and accepts it. g*g overflows as well, so V is
+    inf and each element's step is 0, as the textbook form's is."""
     p = Tensor(np.array([1.0, -2.0, 0.0, 3.5]), requires_grad=True)
     before = p.data.copy()
     g = np.array([1e308, 1e308, -1e308, -1e308])
