@@ -6,6 +6,7 @@ from .pca import pca_project
 from .rng import make_rng, spawn_rng
 from .tensor import (
     DimensionError,
+    OuterGrad,
     Tape,
     Tensor,
     add,
@@ -26,6 +27,7 @@ from .tensor import (
 
 __all__ = [
     "DimensionError",
+    "OuterGrad",
     "Tape",
     "Tensor",
     "AdamState",

@@ -44,6 +44,28 @@ passes, instead of each pass streaming the whole array through memory; a
 parameter of at most one block takes a single pass. Each block runs the same
 ufuncs in the same order with the same constants as an unblocked update, so
 the result is bit-identical to it.
+
+A per-channel-linear generator's weight gradient arrives factored, as an
+`OuterGrad` with g[n, j, s] = u[n, j] * v[n, s] (see `channel_gemv`), and
+is never written out whole:
+
+* its check is exact from the factors: fl(max_j |u[n, j]| * max_s |v[n, s]|)
+  is the largest |g| in channel n, because rounding is monotone, so it is
+  finite exactly when every element of the channel is; a NaN or inf in a
+  factor makes it non-finite too. That costs O(N (d + prod(S))), not a pass
+  over the N d prod(S) elements;
+* its update builds each block's gradient with one broadcast multiply into
+  a second scratch buffer per dtype, then runs the same `_update` on the
+  same slices of p, M and V. Each element is the one product u[n, j] *
+  v[n, s] that the dense form holds, so the result is bit-identical. A
+  block holds whole rows (j) of one channel, or part of one row. When one
+  channel's (d, prod(S)) block fits in a block, as at the ILI shape, the
+  dense form is built instead: it stays in cache, and one multiply over it
+  ran faster than several block-sized ones.
+
+u is a copy of the embeddings z taken during backward, not z itself: Adam
+updates `embed.z` in place before it reaches `head.*.w_phi` (store order),
+and a gradient built from the updated z would be wrong.
 """
 
 from __future__ import annotations
@@ -53,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import OuterGrad, Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
@@ -80,30 +102,36 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor], state: AdamState) -> None:
+def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | OuterGrad],
+              state: AdamState) -> None:
     """One Adam update over a named parameter set, in place.
 
-    Raises ValueError naming the parameter if its gradient is non-finite or
-    shaped differently from the parameter; nothing is updated then.
+    A gradient is a Tensor or a factored `OuterGrad`, as `backward` returns
+    them. Raises ValueError naming the parameter if its gradient is
+    non-finite or shaped differently from the parameter; nothing is updated
+    then.
     """
     checked = []
     for name, p in params.items():
-        g_arr = grads[name].data
-        if g_arr.shape != p.data.shape:
+        g = grads[name]
+        if g.shape != p.data.shape:
             raise ValueError(
-                f"gradient for '{name}' has shape {g_arr.shape}, parameter is {p.data.shape}"
+                f"gradient for '{name}' has shape {g.shape}, parameter is {p.data.shape}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.add.reduce(g_arr, axis=None)
-        if not np.isfinite(total) and not np.all(np.isfinite(g_arr)):
+        if not _finite(g):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
-        checked.append((name, p.data, g_arr))
+        # a factored gradient whose channel fits in a block is built whole
+        if not isinstance(g, OuterGrad) or g.size // len(g.u) <= _BLOCK:
+            g = g.data
+        checked.append((name, p.data, g))
     state.step_count += 1
     k = state.step_count
     c = math.sqrt((1.0 - state.beta2) / (1.0 - state.beta2**k))
     step = state.lr * (1.0 - state.beta1) / ((1.0 - state.beta1**k) * c)
     consts = (state.beta1, state.beta2, state.eps / c, step)
+    # per dtype: the update's scratch, and a factored gradient's blocks
     scratch: dict[np.dtype, np.ndarray] = {}
+    gscratch: dict[np.dtype, np.ndarray] = {}
     # a float64 scalar would promote a float32 block to float64 under numpy 2
     scalars: dict[np.dtype, tuple] = {}
     for name, p, g in checked:
@@ -113,16 +141,62 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor], state: AdamSt
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
         size = min(p.size, _BLOCK)
-        buf = scratch.get(p.dtype)
-        if buf is None or buf.size < size:
-            buf = scratch[p.dtype] = np.empty(size, p.dtype)
+        buf = _grown(scratch, p.dtype, size)
         if p.dtype not in scalars:
             scalars[p.dtype] = tuple(p.dtype.type(x) for x in consts)
         # Tensor data, m and v are C-contiguous, so these are views
-        flat = [a.reshape(-1) for a in (p, g, m, v)]
-        for lo in range(0, p.size, _BLOCK):
-            hi = min(lo + _BLOCK, p.size)
-            _update(*(a[lo:hi] for a in flat), buf[: hi - lo], *scalars[p.dtype])
+        p, m, v = (a.reshape(-1) for a in (p, m, v))
+        if isinstance(g, OuterGrad):
+            blocks = _outer_blocks(g, _grown(gscratch, p.dtype, size))
+        else:
+            g = g.reshape(-1)
+            blocks = ((lo, g[lo : lo + _BLOCK]) for lo in range(0, p.size, _BLOCK))
+        for lo, gb in blocks:
+            hi = lo + gb.size
+            _update(p[lo:hi], gb, m[lo:hi], v[lo:hi], buf[: hi - lo], *scalars[p.dtype])
+
+
+def _grown(scratch: dict, dtype: np.dtype, size: int) -> np.ndarray:
+    """`scratch[dtype]`, made or replaced so it holds at least `size` elements."""
+    buf = scratch.get(dtype)
+    if buf is None or buf.size < size:
+        buf = scratch[dtype] = np.empty(size, dtype)
+    return buf
+
+
+def _finite(grad: Tensor | OuterGrad) -> bool:
+    """Whether every element of a gradient is finite: a Tensor's by their sum
+    and, only if that is not finite, elementwise; an `OuterGrad`'s by each
+    channel's largest element, from its factors (see the module docstring)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(grad, OuterGrad):
+            peak = np.abs(grad.u).max(axis=1) * np.abs(grad.v).max(axis=1)
+            return bool(np.isfinite(peak).all())
+        g = grad.data
+        total = np.add.reduce(g, axis=None)
+    return bool(np.isfinite(total) or np.all(np.isfinite(g)))
+
+
+def _outer_blocks(g: OuterGrad, out: np.ndarray):
+    """(start, block) over the flattened gradient g, each block built in `out`.
+
+    A block is one broadcast product u * v over whole rows (j) of one channel,
+    as many as fit in `_BLOCK` elements, or over part of one row when a row
+    alone is larger.
+    """
+    u, v = g.u, g.v
+    n, d = u.shape
+    s = v.shape[1]
+    cols = min(s, _BLOCK)
+    rows = min(d, _BLOCK // cols)
+    for c in range(n):
+        for j in range(0, d, rows):
+            j1 = min(j + rows, d)
+            for t in range(0, s, cols):
+                t1 = min(t + cols, s)
+                block = out[: (j1 - j) * (t1 - t)]
+                np.multiply(u[c, j:j1, None], v[c, None, t:t1], out=block.reshape(j1 - j, t1 - t))
+                yield (c * d + j) * s + t, block
 
 
 def _update(p, g, m, v, buf, beta1, beta2, eps, step) -> None:

@@ -9,6 +9,8 @@ The op set is deliberately small: exactly the primitives the forecasting
 models need (broadcasting arithmetic, the product of two matrices, one fused
 Linear+ReLU layer, the per-channel final layer `channel_dot` and weight
 generator `channel_gemv`, the mean squared error, reshape).
+`channel_gemv`'s weight gradient stays factored (`OuterGrad`) up to the
+optimizer, which builds it block by block where it consumes it.
 Data that no gradient reaches stays off the graph: the moving average works
 on plain arrays, and so does a baked DLinear's folded forecast, through
 `channel_product`, the array kernel that `channel_dot`'s forward runs.
@@ -23,6 +25,7 @@ import numpy as np
 __all__ = [
     "DimensionError",
     "Tensor",
+    "OuterGrad",
     "Tape",
     "backward",
     "no_grad",
@@ -131,6 +134,48 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+class OuterGrad:
+    """A gradient kept as its two factors: grad[n, j, *s] = u[n, j] * v[n, s].
+
+    u is (N, d) and v (N, prod(S)); `shape` is (N, d, *S). `channel_gemv`
+    gives its weight this gradient. `data` is the dense array, built on
+    first access and kept; each element is the one product u[n, j] * v[n, s],
+    as the dense form computes it, so both forms hold the same bits.
+    """
+
+    __slots__ = ("_u", "_v", "_shape", "_data")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, shape: tuple[int, ...]):
+        self._u, self._v, self._shape, self._data = u, v, tuple(shape), None
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._u
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._v
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._shape
+
+    @property
+    def size(self) -> int:
+        return self._u.size * self._v.shape[1]
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = (self._u[:, :, None] * self._v[:, None, :]).reshape(self._shape)
+        return self._data
+
+
+def _dense(g):
+    """A gradient as an ndarray, building an `OuterGrad`'s dense form."""
+    return g.data if isinstance(g, OuterGrad) else g
 
 
 def _make_node(
@@ -364,7 +409,10 @@ def channel_gemv(z: Tensor, w: Tensor) -> Tensor:
     * forward, z[n] @ w[n], a GEMV per channel; within d eps sum_j |z||w| of
       the exact sum;
     * grad_w, z[n, j] * g[n], d scaled copies of g per channel; each element
-      is one product, so it is exact;
+      is one product, so it is exact. It is returned as its factors, an
+      `OuterGrad` of a copy of z and g as (N, prod(S)), so no (N, d, *S)
+      array is written unless something reads `.data`. z is copied because
+      the optimizer updates z in place before it reaches w;
     * grad_z, w[n] @ g[n], a GEMV per channel; within prod(S) eps sum |w||g|.
     """
     z, w = _as_tensor(z), _as_tensor(w)
@@ -379,7 +427,7 @@ def channel_gemv(z: Tensor, w: Tensor) -> Tensor:
         return (wm @ g.reshape(n, -1, 1)).reshape(n, d)
 
     def grad_w(g):
-        return (z.data[:, :, None] * g.reshape(n, 1, -1)).reshape(w.shape)
+        return OuterGrad(z.data.copy(), g.reshape(n, -1), w.shape)
 
     return _make_node(out, (z, w), (grad_z, grad_w))
 
@@ -481,26 +529,36 @@ class Tape:
         return len(self.nodes)
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tensor, Tensor]:
+def backward(
+    loss: Tensor, params: Iterable[Tensor] | None = None
+) -> dict[Tensor, Tensor | OuterGrad]:
     """Reverse-mode gradients of a scalar loss.
 
     Returns a map from each reached requires_grad leaf to its gradient
     (same shape as the leaf). When `params` is given, every listed parameter
     appears in the map; parameters off the graph get zero gradients.
+
+    A gradient is a `Tensor`, except for a leaf whose whole gradient is one
+    factored contribution (`channel_gemv`'s weight): that leaf gets the
+    `OuterGrad` itself. Either form's `.data` is the dense array. A second
+    contribution to the same node, or a factored gradient reaching a
+    non-leaf, is made dense first, so every op's gradient function receives
+    an ndarray.
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape = Tape.trace(loss)
-    acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaf_grads: dict[Tensor, Tensor] = {}
+    acc: dict[int, np.ndarray | OuterGrad] = {id(loss): np.ones_like(loss.data)}
+    leaf_grads: dict[Tensor, Tensor | OuterGrad] = {}
     for node in reversed(tape.nodes):
         g = acc.pop(id(node), None)
         if g is None:
             continue
         if not node._parents:
             if node.requires_grad:
-                leaf_grads[node] = Tensor(g)
+                leaf_grads[node] = g if isinstance(g, OuterGrad) else Tensor(g)
             continue
+        g = _dense(g)
         if node._grad_in is not None:
             g = node._grad_in(g)
         for parent, fn in zip(node._parents, node._grad_fns):
@@ -509,7 +567,7 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
             contrib = fn(g)
             pid = id(parent)
             if pid in acc:
-                acc[pid] = acc[pid] + contrib
+                acc[pid] = _dense(acc[pid]) + _dense(contrib)
             else:
                 acc[pid] = contrib
     if params is not None:

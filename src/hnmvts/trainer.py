@@ -22,6 +22,7 @@ trend, and its steps rebuild the rest per batch.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,13 +63,25 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
+        for name in ("lookback", "horizon", "batch_size", "max_epochs", "seed",
+                     "early_stop_patience"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name == "early_stop_patience")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("lookback", "horizon", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
+            raise ValueError(f"lr must be a real number, got {self.lr!r}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and greater than 0, got {self.lr}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be positive when set")
+
+
+def _is_int(value) -> bool:
+    """A Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -270,7 +283,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     shuffle_rng = spawn_rng(cfg.seed, 7)
     history = TrainHistory()
     # one snapshot per call, filled at epoch 0 (the best so far by definition)
-    # and refreshed in place at each improving epoch
+    # and refreshed in place at each improving epoch but the last
     best_snapshot = {name: np.empty_like(p.data) for name, p in params.items()}
     t0 = time.perf_counter()  # the first epoch's seconds include preparing both sets
     train_set = PreparedSet(model, train_windows, for_loss=True)
@@ -318,7 +331,8 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
         history.train_loss.append(total_loss / n)
         history.val_mse.append(val_mse)
         history.seconds.append(seconds)
-        if history.best_epoch == epoch:
+        # nothing changes the parameters after the last epoch, so it needs no copy
+        if history.best_epoch == epoch < cfg.max_epochs - 1:
             for name, p in params.items():
                 np.copyto(best_snapshot[name], p.data)
         if (
@@ -364,8 +378,8 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     """
     if not windows:
         raise ValueError("empty evaluation set")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
+    if not _is_int(batch_size) or batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     if isinstance(windows, PreparedSet):
         made, wanted = (windows.revin, windows.kernel), (bool(model.revin), _kernel(model))
         if made != wanted:

@@ -532,3 +532,36 @@ def test_bake_format_1_writes_format_3(tmp_path, capsys):
     with no_grad():
         pred = loaded.forward(Tensor(np.load(data / "input.npy"))).data
     assert pred.tobytes() == np.load(data / "baked_mlp.forecast.npy").tobytes()
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every `hnmvts` module imported, and `hnmvts --print-config` run, in a
+    fresh interpreter load no package from site-packages but numpy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hnmvts
+
+    code = """if True:
+        import contextlib, importlib, io, pkgutil, site, sys
+        before = set(sys.modules)
+        import hnmvts
+        for info in pkgutil.walk_packages(hnmvts.__path__, "hnmvts."):
+            importlib.import_module(info.name)
+        from hnmvts.bench.cli import main
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["--print-config"]) == 0
+        assert "[train]" in out.getvalue()
+        roots = tuple(site.getsitepackages() + [site.getusersitepackages()])
+        print(sorted({name.partition(".")[0] for name in set(sys.modules) - before
+                      if (getattr(sys.modules[name], "__file__", None) or "").startswith(roots)}))
+    """
+    env = dict(os.environ)
+    src = str(Path(hnmvts.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['numpy']"

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnmvts.numcore import AdamState, Tensor, adam_step, get_default_dtype, set_default_dtype
+from hnmvts.numcore import (
+    AdamState,
+    OuterGrad,
+    Tensor,
+    adam_step,
+    backward,
+    channel_gemv,
+    get_default_dtype,
+    mse,
+    set_default_dtype,
+)
 from hnmvts.numcore.optim import _BLOCK
 
 
@@ -275,3 +285,94 @@ def test_bad_element_deep_in_a_three_block_parameter_moves_nothing(bad):
         assert np.array_equal(t.data, data[name])
         assert np.array_equal(state.m[name], s.m[name])
         assert np.array_equal(state.v[name], s.v[name])
+
+
+def generator_run(shape, steps, factored, seed=0):
+    """`steps` Adam steps on a learnable z (N, d) and a per-channel-linear
+    generator w (shape) under the loss mse(channel_gemv(z, w), target), z
+    first as in store order. With `factored` Adam gets w's gradient as
+    `backward` returns it; without, as a Tensor of its `.data`, built before
+    the step. Returns z, w, and w's moments."""
+    rng = np.random.default_rng(seed)
+    n, d = shape[:2]
+    z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    w = Tensor(rng.standard_normal(shape) / d, requires_grad=True)
+    target = rng.standard_normal((n, *shape[2:])).astype(get_default_dtype())
+    params, state = {"embed.z": z, "head.w_phi": w}, AdamState(lr=1e-2)
+    for _ in range(steps):
+        grads = backward(mse(channel_gemv(z, w), target), [z, w])
+        assert isinstance(grads[w], OuterGrad)
+        named = {"embed.z": grads[z], "head.w_phi": grads[w]}
+        if not factored:
+            named["head.w_phi"] = Tensor(grads[w].data)
+        adam_step(params, named, state)
+    return z.data, w.data, state.m["head.w_phi"], state.v["head.w_phi"]
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((7, 7, 24, 36), "float64"),
+    ((7, 7, 96, 336), "float64"),
+    ((21, 8, 96, 128), "float64"),
+    ((3, 5, 2, 7000), "float64"),
+    ((2, 3, 2, _BLOCK // 2 + 50), "float64"),
+    ((7, 7, 96, 336), "float32"),
+], ids=["ili", "ettm2", "weather", "uneven_rows", "row_above_block", "ettm2_float32"])
+def test_factored_generator_gradient_steps_like_its_dense_form(request, shape, dtype):
+    """Adam on `channel_gemv`'s factored weight gradient equals Adam on its
+    dense form bit for bit: z, w and w's moments over five steps. z moves in
+    the same call before w, so this also pins the copy of z the factored
+    gradient holds. One channel's block fits in `_BLOCK` (ili), spans whole
+    rows (ettm2, weather, uneven_rows) or splits a row (row_above_block)."""
+    if dtype == "float32":
+        request.getfixturevalue("float32_mode")
+    factored = generator_run(shape, 5, factored=True)
+    dense = generator_run(shape, 5, factored=False)
+    for got, want in zip(factored, dense):
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("u_bad, v_bad", [
+    ((0, 1, np.nan), None), ((2, 0, np.inf), None), ((1, 2, -np.inf), None),
+    (None, (1, 5, np.nan)), (None, (0, 0, -np.inf)),
+    ((1, 0, np.inf), "zero_channel"),
+    ((1, 0, 1e200), (1, 3, -1e200)),
+], ids=["nan_z", "inf_z", "-inf_z", "nan_g", "-inf_g", "inf_times_zero", "overflow"])
+def test_bad_factored_gradient_refused_like_dense(u_bad, v_bad):
+    """A NaN or inf in either factor, or a product that overflows, raises the
+    dense form's message, and nothing moves."""
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((3, 4)), rng.standard_normal((3, 6))
+    if u_bad is not None:
+        u[u_bad[0], u_bad[1]] = u_bad[2]
+    if v_bad == "zero_channel":
+        v[1] = 0.0
+    elif v_bad is not None:
+        v[v_bad[0], v_bad[1]] = v_bad[2]
+    factored = OuterGrad(u, v, (3, 4, 2, 3))
+    with np.errstate(all="ignore"):
+        dense = Tensor(factored.data)
+    messages = []
+    for g in (dense, factored):
+        p = Tensor(rng.standard_normal((3, 4, 2, 3)), requires_grad=True)
+        before, state = p.data.copy(), AdamState()
+        with pytest.raises(ValueError) as err:
+            adam_step({"head.w_phi": p}, {"head.w_phi": g}, state)
+        messages.append(str(err.value))
+        assert np.array_equal(p.data, before) and state.step_count == 0 and not state.m
+    assert messages == ["non-finite gradient for parameter 'head.w_phi'"] * 2
+
+
+def test_finite_gradient_with_huge_factors_is_accepted():
+    """Factors of 1e200 and 1e-200 multiply to ordinary numbers: the check
+    from the factors passes them, and the step equals the dense form's."""
+    rng = np.random.default_rng(6)
+    u, v = 1e200 * rng.standard_normal((3, 4)), 1e-200 * rng.standard_normal((3, 6))
+    results = []
+    for g in (OuterGrad(u, v, (3, 4, 6)), Tensor((u[:, :, None] * v[:, None, :]))):
+        p = Tensor(np.ones((3, 4, 6)), requires_grad=True)
+        state = AdamState()
+        adam_step({"p": p}, {"p": g}, state)
+        results.append((p.data, state.m["p"], state.v["p"]))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)

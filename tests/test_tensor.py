@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hnmvts.numcore import (
     DimensionError,
+    OuterGrad,
     Tape,
     Tensor,
     add,
@@ -507,6 +508,42 @@ class TestChannelGemv:
             lambda v: np.einsum("nj,nj...->n...", v, w),
             lambda v: np.einsum("nj,nj...->n...", z, v),
         ])
+
+    def test_leaf_weight_gradient_is_factored(self, rng):
+        """A leaf w used once gets an `OuterGrad` of a copy of z and g as
+        (N, prod(S)); its `.data` is the dense gradient, built once."""
+        z = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, 4, 5)), requires_grad=True)
+        g = rng.standard_normal((3, 4, 5))
+        grad = backward(dot_loss(channel_gemv(z, w), g), [z, w])[w]
+        assert isinstance(grad, OuterGrad)
+        assert grad.shape == w.shape and grad.size == w.size
+        assert np.array_equal(grad.u, z.data) and not np.shares_memory(grad.u, z.data)
+        assert np.array_equal(grad.v, g.reshape(3, 20))
+        assert grad.data is grad.data
+        assert np.array_equal(grad.data, z.data[:, :, None, None] * g[:, None])
+
+    def test_weight_used_twice_gets_dense_sum(self, rng):
+        """Two contributions to one w are made dense and summed: a Tensor equal
+        to the sum of the two outer products."""
+        z1, z2 = (Tensor(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(2))
+        w = Tensor(rng.standard_normal((3, 2, 4, 5)), requires_grad=True)
+        g1, g2 = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 5))
+        loss = add(dot_loss(channel_gemv(z1, w), g1), dot_loss(channel_gemv(z2, w), g2))
+        grad = backward(loss, [z1, z2, w])[w]
+        assert isinstance(grad, Tensor)
+        want = z1.data[:, :, None, None] * g1[:, None] + z2.data[:, :, None, None] * g2[:, None]
+        assert np.array_equal(grad.data, want)
+
+    def test_non_leaf_weight_passes_dense_gradient_on(self, rng):
+        """A w that is itself an op's output receives the dense gradient, so the
+        leaf behind it gets a Tensor."""
+        z = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        flat = Tensor(rng.standard_normal((3, 40)), requires_grad=True)
+        g = rng.standard_normal((3, 4, 5))
+        grad = backward(dot_loss(channel_gemv(z, reshape(flat, (3, 2, 4, 5))), g), [z, flat])[flat]
+        assert isinstance(grad, Tensor)
+        assert np.array_equal(grad.data, (z.data[:, :, None, None] * g[:, None]).reshape(3, 40))
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\), \(2, 4, 5\)"):

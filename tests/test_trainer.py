@@ -180,6 +180,105 @@ class TestTrain:
         for name, p in model.parameters().items():
             assert np.array_equal(p.data, once.parameters()[name].data), name
 
+    @pytest.mark.parametrize("val_mse, max_epochs, patience, copied", [
+        ([4.0, 3.0, 2.0, 1.0], 4, None, [0, 1, 2]),
+        ([4.0, 1.0, 2.0, 3.0], 4, None, [0, 1]),
+        ([3.0, 1.0, 2.0, 2.5], 4, 1, [0, 1]),
+        ([3.0, 2.0, 1.0], 3, 1, [0, 1]),
+        ([1.0], 1, None, []),
+    ], ids=["last_best", "earlier_best", "early_stopped", "last_best_with_patience",
+            "one_epoch"])
+    def test_last_epoch_is_never_copied(self, monkeypatch, val_mse, max_epochs, patience,
+                                        copied):
+        """Every improving epoch but the last copies the parameters into the
+        best-epoch snapshot; an early-stopped run copies at each improving
+        epoch. Either way the returned parameters are the best epoch's, bit for
+        bit: those of a run that stops after it."""
+        from hnmvts import trainer as trainer_mod
+
+        real_copyto, copies, calls = np.copyto, [], []
+
+        def scripted(values):
+            def evaluate(model, windows, *args):
+                calls.append(None)
+                return {"mse": values[len(calls) - 1]}
+            return evaluate
+
+        def run(values, epochs, patience=None):
+            calls.clear()
+            model, train_w, val_w = small_setup(make_rng(5), variant="hyper")
+            params = model.parameters()
+
+            def counting_copyto(dst, src, *args, **kwargs):
+                if any(src is p.data for p in params.values()):
+                    copies.append(len(calls) - 1)
+                return real_copyto(dst, src, *args, **kwargs)
+
+            monkeypatch.setattr(trainer_mod, "evaluate", scripted(values))
+            monkeypatch.setattr(np, "copyto", counting_copyto)
+            cfg = TrainConfig(lookback=8, horizon=2, batch_size=32, max_epochs=epochs, seed=2,
+                              lr=1e-2, early_stop_patience=patience)
+            model, history = train(model, train_w, val_w, cfg)
+            monkeypatch.setattr(np, "copyto", real_copyto)
+            return model, history
+
+        model, history = run(val_mse, max_epochs, patience)
+        n_params = len(model.parameters())
+        assert copies == [epoch for epoch in copied for _ in range(n_params)]
+        best = history.best_epoch
+        reference, _ = run([1.0 / (1 + e) for e in range(best + 1)], best + 1)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, reference.parameters()[name].data), name
+
+    @pytest.mark.parametrize("field, value", [
+        ("lookback", float("nan")), ("horizon", "96"), ("batch_size", 2.5),
+        ("max_epochs", True), ("seed", 1.0), ("early_stop_patience", 1.5),
+        ("early_stop_patience", False), ("lr", "0.1"), ("lr", True), ("lr", None),
+        ("evaluate", 2.5),
+    ])
+    def test_wrong_typed_number_rejected(self, rng, field, value):
+        """Integer fields take an int but not a bool, lr a real number; each
+        other value raises a ValueError naming the field, before any run.
+        `evaluate` checks its batch_size the same way."""
+        if field == "evaluate":
+            model, _, val_w = small_setup(rng)
+            with pytest.raises(ValueError, match=r"^batch_size must be a positive integer, got 2\.5$"):
+                evaluate(model, val_w, batch_size=value)
+            return
+        kind = "a real number" if field == "lr" else "an integer"
+        with pytest.raises(ValueError, match=rf"^{field} must be {kind}, got {re.escape(repr(value))}$"):
+            TrainConfig(**{field: value})
+
+    def test_pcl_step_peaks_below_one_generator(self, rng):
+        """After the first step, which allocates Adam's moments, a
+        per-channel-linear training step (forward, backward, Adam) allocates
+        less at its peak than one `w_phi` holds: the generator's weight
+        gradient reaches Adam as its factors and is built block by block."""
+        import tracemalloc
+
+        n, lookback, horizon = 7, 128, 48  # one channel's d x H x T block exceeds _BLOCK
+        table = SeriesTable(Tensor(rng.standard_normal((400, n)).cumsum(axis=0)),
+                            [f"c{i}" for i in range(n)])
+        model = build_hyper(DLinearBackbone(lookback, kernel=5), table, horizon, rng)
+        x, y = make_windows(table, lookback, horizon).batch(slice(0, 8))
+        params = model.parameters()
+        state = AdamState()
+
+        def step():
+            grads = backward(mse(model.forward(Tensor(x)), y), list(params.values()))
+            adam_step(params, {name: grads[p] for name, p in params.items()}, state)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        w_phi = params["head.trend.w_phi"].data
+        assert w_phi.shape == (n, n, horizon, lookback)
+        assert peak < w_phi.nbytes
+
     def test_early_stopping_stops(self, rng, monkeypatch):
         from hnmvts import trainer as trainer_mod
 
