@@ -1,11 +1,14 @@
 """Base forecasting models: per-channel hidden states plus a final linear map.
 
 Every backbone turns a lookback window (..., N, T), a plain array, into one
-hidden state per channel and per output slot; `apply_final` then maps each
-channel's hidden state to the horizon with that slot's bias-free (N, H, D)
-weights, one (H x D) matrix per channel. A backbone is described by its
-`config()`; the arrays it owns (`shapes()` names them and gives their shapes)
-live in the model's array store, which it reads by name. Two backbones ship:
+hidden state per channel and per output slot: `prepare(x)` computes on plain
+arrays what the forward reads of it (data a trainer may keep; `reads` names
+it), and `forward_hidden` turns that list into the hidden states.
+`apply_final` then maps each channel's hidden state to the horizon with that
+slot's bias-free (N, H, D) weights, one (H x D) matrix per channel. A
+backbone is described by its `config()`; the arrays it owns (`shapes()`
+names them and gives their shapes) live in the model's array store, which it
+reads by name. Two backbones ship:
 
 * DLinearBackbone - moving-average trend/seasonal decomposition with identity
   hidden maps (D = T) and one final layer per branch; it owns no arrays. Being
@@ -18,6 +21,8 @@ live in the model's array store, which it reads by name. Two backbones ship:
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -98,20 +103,27 @@ class DLinearBackbone:
     kind = "dlinear"
 
     def __init__(self, lookback: int, kernel: int = 25):
+        if not isinstance(kernel, numbers.Integral) or isinstance(kernel, bool):
+            raise TypeError(f"backbone.kernel must be an integer, got {kernel!r}")
         if not 1 <= kernel <= lookback:
             raise ValueError(f"kernel {kernel} out of range for lookback {lookback}")
         if kernel % 2 == 0:
             raise ValueError(f"decomposition kernel must be odd, got {kernel}")
         self.lookback = lookback
         self.kernel = kernel
+        self.reads = f"decompose(kernel={kernel})"
 
     @property
     def slots(self) -> list[tuple[str, int]]:
         return [("trend", self.lookback), ("seasonal", self.lookback)]
 
-    def forward_hidden(self, x: np.ndarray) -> list[Tensor]:
-        """Hidden states in `slots` order: trend, then seasonal."""
-        return [Tensor(h) for h in decompose(x, self.kernel)]
+    def prepare(self, x: np.ndarray) -> list[np.ndarray]:
+        """The trend and seasonal parts of x (`decompose`)."""
+        return list(decompose(x, self.kernel))
+
+    def forward_hidden(self, inputs: list[np.ndarray]) -> list[Tensor]:
+        """Hidden states in `slots` order: the trend, then the seasonal part."""
+        return [Tensor(h) for h in inputs]
 
     def fold(self, trend_w: np.ndarray, seasonal_w: np.ndarray) -> np.ndarray:
         """The one (N, H, T) matrix W_s + (W_t - W_s) A, A the moving average of
@@ -139,6 +151,7 @@ class MlpBackbone:
     """
 
     kind = "mlp"
+    reads = "lookback"
 
     def __init__(self, lookback: int, hidden_widths: tuple[int, ...] = (128,), *,
                  rng: np.random.Generator | None = None,
@@ -163,9 +176,13 @@ class MlpBackbone:
     def slots(self) -> list[tuple[str, int]]:
         return [("out", self.hidden_dim)]
 
-    def forward_hidden(self, x: np.ndarray) -> list[Tensor]:
-        """The trunk's output, the one hidden state of the `out` slot."""
-        return [stack_forward(Tensor(x), [self.weights[name] for name in self._shapes])]
+    def prepare(self, x: np.ndarray) -> list[np.ndarray]:
+        """The lookback itself: the trunk reads nothing precomputable from it."""
+        return [x]
+
+    def forward_hidden(self, inputs: list[np.ndarray]) -> list[Tensor]:
+        """The trunk's output on the lookback, the one hidden state of the `out` slot."""
+        return [stack_forward(Tensor(inputs[0]), [self.weights[name] for name in self._shapes])]
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Names and shapes of the trunk's arrays (see `stack_shapes`)."""

@@ -69,8 +69,9 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
                   for key in bundle.files if key.startswith("param/")}
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: meta header is a JSON {type(meta).__name__}, not an object")
-    if (version := meta.pop("format_version", None)) not in (1, 2, FORMAT_VERSION):
-        raise CheckpointError(f"{path}: format version {version} is not 1, 2 or "
+    version = meta.pop("format_version", None)
+    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):  # JSON true == 1
+        raise CheckpointError(f"{path}: format_version {json.dumps(version)} is not 1, 2 or "
                               f"{FORMAT_VERSION}")
     echo = meta.pop("config_echo", {})
     try:

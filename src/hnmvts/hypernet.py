@@ -195,11 +195,15 @@ class ForecastModel:
                 raise StoreError(name, f"is not part of a {variant} model")
             if t.shape != shapes[name]:
                 raise StoreError(name, f"has shape {t.shape}, expected {shapes[name]}")
+        learnable = cfg["embedding"]["learnable"] if variant == "hyper" else False
+        for key, value in (("revin", cfg["revin"]), ("embedding.learnable", learnable)):
+            if not isinstance(value, bool):
+                raise TypeError(f"{key} must be true or false, got {value!r}")
         for name, t in arrays.items():
             if name.startswith("final."):
                 t.requires_grad = variant == "baseline"
             elif name == "embed.z":
-                t.requires_grad = bool(cfg["embedding"]["learnable"])
+                t.requires_grad = learnable
             else:
                 t.requires_grad = True
         self._cfg = cfg
@@ -220,6 +224,8 @@ class ForecastModel:
                 arrays[name].data.flags.writeable = False
             if isinstance(self.backbone, backbones.DLinearBackbone):
                 self._folded = self.backbone.fold(*(arrays[n].data for n in self._finals))
+        # names what `prepare` computes: models with equal `reads` prepare equal arrays
+        self.reads = "lookback" if self._folded is not None else self.backbone.reads
 
     # forward paths --------------------------------------------------------
     def final_weights(self) -> list[Tensor]:
@@ -231,24 +237,23 @@ class ForecastModel:
         return [generate_weights(self._mode, a["embed.z"], [a[name] for name in names],
                                  self.horizon) for names in self._heads]
 
-    def forward_prepared(self, x: np.ndarray | None, hidden: list[Tensor] | None = None,
-                         weights: list[Tensor] | None = None) -> Tensor:
-        """Normalised-scale forecast (..., N, H) for a prepared lookback x.
+    def prepare(self, x: np.ndarray) -> list[np.ndarray]:
+        """What `forward_prepared` reads of x, the RevIN-normalised lookback (the
+        raw one without RevIN): [x] for a folded model, else the backbone's."""
+        return [x] if self._folded is not None else self.backbone.prepare(x)
 
-        x is the RevIN-normalised lookback, or the raw one without RevIN.
-        `hidden` is the backbone's hidden states of x when the caller has
-        them already (`trainer` keeps DLinear's trend and seasonal parts
-        per window; x may then be None); without it the backbone computes
-        them here. `weights` is `final_weights()` when the caller has them
-        already (`trainer.evaluate` generates a hyper model's once per
-        call). A folded model reads x alone and applies W to it on plain
-        arrays.
+    def forward_prepared(self, inputs: list[np.ndarray],
+                         weights: list[Tensor] | None = None) -> Tensor:
+        """Normalised-scale forecast (..., N, H) from `prepare`'s arrays.
+
+        `weights` is `final_weights()` when the caller has them already
+        (`trainer.evaluate` generates a hyper model's once per call). A
+        folded model applies W to its input on plain arrays.
         """
         if self._folded is not None:
-            return Tensor(channel_product(self._folded, x))
-        if hidden is None:
-            hidden = self.backbone.forward_hidden(x)
-        return apply_final(self.final_weights() if weights is None else weights, hidden)
+            return Tensor(channel_product(self._folded, inputs[0]))
+        return apply_final(self.final_weights() if weights is None else weights,
+                           self.backbone.forward_hidden(inputs))
 
     def forward(self, x: Tensor, weights: list[Tensor] | None = None) -> Tensor:
         """Raw-scale forecast (..., N, H) for a lookback (..., N, T).
@@ -265,7 +270,7 @@ class ForecastModel:
         writes x, and wraps only its result in a Tensor, off the graph.
         """
         if not self.revin:
-            return self.forward_prepared(x.data, weights=weights)
+            return self.forward_prepared(self.prepare(x.data), weights)
         if self._folded is not None:
             # the steps of numpy's own mean, np.mean's values bit for bit
             mean = np.add.reduce(x.data, axis=-1, keepdims=True)
@@ -274,14 +279,14 @@ class ForecastModel:
             out += mean
             return Tensor(out)
         x_norm, stats = revin_forward(x.data)
-        return revin_reverse(self.forward_prepared(x_norm, weights=weights), stats)
+        return revin_reverse(self.forward_prepared(self.prepare(x_norm), weights), stats)
 
     def forward_normalized(self, x: Tensor) -> tuple[Tensor, InstanceStats]:
         """Normalized-scale forecast plus the lookback statistics."""
         if not self.revin:
             raise ValueError("forward_normalized requires a RevIN-wrapped model")
         x_norm, stats = revin_forward(x.data)
-        return self.forward_prepared(x_norm), stats
+        return self.forward_prepared(self.prepare(x_norm)), stats
 
     # parameter bookkeeping -------------------------------------------------
     def all_arrays(self) -> dict[str, Tensor]:

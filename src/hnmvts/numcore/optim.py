@@ -39,7 +39,7 @@ BLAS's worker thread, and on ILI-sized steps that made training bimodal.
 
 The update is cache-blocked. Each parameter is updated one contiguous block
 of at most `_BLOCK` elements at a time, so the block's slices of p, g, M, V
-and one scratch buffer per dtype stay in L2 across the ten elementwise
+and one scratch buffer per dtype stay in cache across the ten elementwise
 passes, instead of each pass streaming the whole array through memory; a
 parameter of at most one block takes a single pass. Each block runs the same
 ufuncs in the same order with the same constants as an unblocked update, so
@@ -80,7 +80,11 @@ from .tensor import OuterGrad, Tensor
 __all__ = ["AdamState", "adam_step"]
 
 # Elements per block: 32 Ki float64 is 256 KiB per array, about 1.3 MB for
-# the five arrays a block touches, which fits a 2 MB L2.
+# the five arrays a block touches. That exceeds a 1 MiB L2, yet on a 2-vCPU
+# AMD EPYC (1 MiB L2 per core, 32 MiB L3) blocks of 16 Ki to 128 Ki elements
+# updated 2.06 M float64 parameters in the same 5.1-5.3 ms, against 5.7 ms at
+# 8 Ki and 6.2 ms unblocked: a block saves the trip to memory between passes,
+# which any block well inside the L3 avoids. 32 Ki sits in that flat range.
 _BLOCK = 32 * 1024
 
 

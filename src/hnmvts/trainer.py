@@ -6,22 +6,23 @@ when the model is RevIN-wrapped, raw space otherwise; validation MSE and all
 reported metrics are always raw-scale. The returned model carries the
 parameters of the best-validation epoch.
 
-RevIN has no affine pair and DLinear's decomposition no parameters, so what
-they compute from a window is data, the same in every epoch. `train`
-therefore prepares its training and its validation set once per call
-(`PreparedSet`): each window's RevIN mean and std, what the model's forward
-reads (DLinear's trend and seasonal parts, or the normalised lookback), and,
-for the training set, the target the loss compares with. A step then only
-gathers rows and takes the loss as one `mse` node; every result is
+RevIN has no affine pair, so what it and the model's `prepare` compute from
+a window is data, the same in every epoch. `train` therefore prepares its
+training and its validation set once per call (`PreparedSet`), in one of two
+tiers. Under RevIN a set always holds each window's mean and std. It also
+holds what the model's forward reads (`prepare`'s arrays: DLinear's trend
+and seasonal parts, or the lookback) and, for the training set, the target
+the loss compares with, if together they fit in CACHE_BYTES (64 MiB); a
+step then only gathers rows and takes the loss as one `mse` node. A set
+beyond that rebuilds them per batch. Either way every result is
 bit-identical to the per-batch form, and the one-time preparation counts in
-the first epoch's seconds. A set whose arrays would take more than
-CACHE_BYTES (64 MiB) keeps only its statistics and, if that fits, its
-trend, and its steps rebuild the rest per batch.
+the first epoch's seconds.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backbones import DLinearBackbone
 from .data import WindowSet
 from .normalization import EPS, InstanceStats, revin_apply, revin_forward, revin_reverse
 from .numcore import (
@@ -38,7 +38,6 @@ from .numcore import (
     Tensor,
     adam_step,
     backward,
-    moving_average,
     mse,
     no_grad,
     spawn_rng,
@@ -113,48 +112,36 @@ class TrainHistory:
                 )
 
 
-# A set's arrays are cached when together they take at most this many bytes.
-# Every set the benchmark trains on fits (the ETTm2-shaped training subset's
-# trend, seasonal part and targets take 18.4 MB, the ILI-shaped one's 3.3 MB);
-# a whole ETTm2 training split (34 129 windows of 7 x 336 float64, 642 MB per
-# array) does not even fit its trend, and its steps rebuild every batch.
+# A set's inputs and targets are cached when together they take at most this
+# many bytes. Every set the benchmark trains on fits (the ETTm2-shaped
+# training subset's trend, seasonal part and targets take 18.4 MB, the
+# ILI-shaped one's 3.3 MB); a whole ETTm2 training split (34 129 windows of
+# 7 x 336 float64, 642 MB per array) does not, and its steps rebuild them.
 CACHE_BYTES = 64 * 2**20
 # windows per chunk while a set is prepared, evaluate's batch size
 _CHUNK = 256
 
 
-def _kernel(model) -> int | None:
-    """The moving-average kernel of the decomposition a model's forward reads: a
-    DLinear's, None for an MLP or a baked DLinear, which serves its fold."""
-    backbone = model.backbone
-    if isinstance(backbone, DLinearBackbone) and model.variant != "baked":
-        return backbone.kernel
-    return None
-
-
 class PreparedSet:
     """A window set with the input work a model's steps would repeat each epoch, done once.
 
-    `revin` and `kernel` (`_kernel`) record the model it was made for. Per
-    window it holds, from the ops a step runs, on chunks of windows:
+    `revin` and `reads` record the model it was made for, and `prepare` is
+    that model's. Per window it holds, from the ops a step runs, on chunks
+    of windows:
 
-    * under RevIN, the lookback's mean and std, (n, N, 1) each;
-    * what `forward_prepared` reads, (n, N, T) each: for a DLinear with a
-      kernel the `trend` and `seasonal` parts of the model input (the
-      normalised lookback under RevIN, the raw one otherwise), for any
-      other RevIN model the normalised lookback `x`;
+    * under RevIN, the lookback's `mean` and `std`, (n, N, 1) each;
+    * `inputs`, what the model's `prepare` makes of the model input (the
+      normalised lookback under RevIN, the raw one otherwise): DLinear's
+      trend and seasonal parts, or the lookback itself;
     * made `for_loss` under RevIN, the normalised `target`, (n, N, H).
 
     Each op works per window, so every value equals the one computed per
-    batch bit for bit. The arrays besides the statistics take at most
-    CACHE_BYTES together: when they would take more, a DLinear set keeps
-    only its `trend`, if that alone fits, and its steps rebuild the
-    normalised lookback, the seasonal part and the target per batch; a set
-    beyond that keeps only its statistics. So a set takes at most
-    CACHE_BYTES plus 2 n N values, and one whose trend fits keeps it.
+    batch bit for bit. `inputs` and `target` are kept only when together
+    they take at most CACHE_BYTES; otherwise both are None and a step
+    rebuilds them per batch from the raw windows and the statistics.
 
     `evaluate` refuses a set made for a model with another `revin` or
-    `kernel` (a baked DLinear reads the lookback where an unfolded one reads
+    `reads` (a baked DLinear reads the lookback where an unfolded one reads
     the trend and seasonal parts), or made `for_loss`, as it scores raw
     targets: a validation set holds no normalised targets.
     """
@@ -162,31 +149,27 @@ class PreparedSet:
     def __init__(self, model, windows: WindowSet, for_loss: bool = False):
         self.windows = windows
         self.revin = bool(model.revin)
-        self.kernel = _kernel(model)
+        self.reads = model.reads
+        self.prepare = model.prepare
         self.for_loss = for_loss
         values = windows.values
-        lookbacks = (len(windows), values.shape[0], windows.lookback)
-        step_bytes = len(windows) * values.shape[0] * values.itemsize  # one step of every window
+        n, channels = len(windows), values.shape[0]
         holds_target = for_loss and self.revin
-        inputs = 2 if self.kernel is not None else int(self.revin)
-        whole = step_bytes * (inputs * windows.lookback + holds_target * windows.horizon)
-        self.mean = self.std = self.trend = self.seasonal = self.x = self.target = None
+        # what `prepare` makes of one window, read off the arrays it makes of none
+        empty = self.prepare(np.empty((0, channels, windows.lookback), values.dtype))
+        per_window = sum(a.itemsize * math.prod(a.shape[1:]) for a in empty)
+        per_window += holds_target * channels * windows.horizon * values.itemsize
+        self.mean = self.std = self.inputs = self.target = None
         if self.revin:
-            self.mean = np.empty(lookbacks[:2] + (1,), values.dtype)
+            self.mean = np.empty((n, channels, 1), values.dtype)
             self.std = np.empty_like(self.mean)
-        if whole <= CACHE_BYTES:
-            if self.kernel is not None:
-                self.trend = np.empty(lookbacks, values.dtype)
-                self.seasonal = np.empty_like(self.trend)
-            elif self.revin:
-                self.x = np.empty(lookbacks, values.dtype)
+        if n * per_window <= CACHE_BYTES:
+            self.inputs = [np.empty((n,) + a.shape[1:], a.dtype) for a in empty]
             if holds_target:
-                self.target = np.empty(lookbacks[:2] + (windows.horizon,), values.dtype)
-        elif self.kernel is not None and step_bytes * windows.lookback <= CACHE_BYTES:
-            self.trend = np.empty(lookbacks, values.dtype)
-        if self.mean is None and self.trend is None:
+                self.target = np.empty((n, channels, windows.horizon), values.dtype)
+        if self.mean is None and self.inputs is None:
             return
-        for start in range(0, len(windows), _CHUNK):
+        for start in range(0, n, _CHUNK):
             rows = slice(start, start + _CHUNK)
             x, y = windows.batch(rows)
             if self.revin:
@@ -194,13 +177,9 @@ class PreparedSet:
                 self.mean[rows], self.std[rows] = stats.mean, stats.std
                 if self.target is not None:
                     self.target[rows] = revin_apply(y, stats)
-            if self.x is not None:
-                self.x[rows] = x
-            if self.trend is not None:
-                trend = moving_average(x, self.kernel)
-                self.trend[rows] = trend
-                if self.seasonal is not None:
-                    self.seasonal[rows] = x - trend
+            if self.inputs is not None:
+                for held, a in zip(self.inputs, self.prepare(x)):
+                    held[rows] = a
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -215,45 +194,28 @@ class PreparedSet:
 
 
 class _Batch(NamedTuple):
-    x: np.ndarray | None  # model input (normalised lookbacks, or raw); None when hidden holds it
-    hidden: list[Tensor] | None  # DLinear's trend and seasonal parts of x
+    inputs: list[np.ndarray]  # what the model's `forward_prepared` reads
     y: np.ndarray  # targets: raw when stats is given, else in the model's scale
     stats: InstanceStats | None  # the lookbacks' RevIN statistics
 
 
 def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
     """One batch for the steps and the validation pass: rows gathered from a
-    prepared set, and what it does not hold rebuilt with `revin_apply` and
-    the ops of `decompose`. The raw lookbacks are gathered only when the set
-    does not hold the model input."""
-    x = hidden = stats = None
-    if prepared.target is not None:
-        y = prepared.target[idx]
-    else:
-        if prepared.seasonal is not None or prepared.x is not None:
-            y = prepared.windows.targets(idx)
-        else:
-            x, y = prepared.windows.batch(idx)
-        if prepared.mean is not None:
-            stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
-    if prepared.seasonal is not None:
-        return _Batch(None, [Tensor(prepared.trend[idx]), Tensor(prepared.seasonal[idx])], y,
-                      stats)
-    if prepared.x is not None:
-        return _Batch(prepared.x[idx], None, y, stats)
-    if stats is not None:
-        x = revin_apply(x, stats)
-    if prepared.kernel is not None:
-        if prepared.trend is None:
-            trend = moving_average(x, prepared.kernel)
-        else:
-            trend = prepared.trend[idx]
-        hidden = [Tensor(trend), Tensor(x - trend)]
-    return _Batch(x, hidden, y, stats)
+    prepared set, or, when it holds no inputs, rebuilt from the raw windows
+    with `revin_apply` and the model's `prepare`. The raw lookbacks are
+    gathered only in that case."""
+    stats = None
+    if prepared.mean is not None and prepared.target is None:
+        stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
+    if prepared.inputs is None:
+        x, y = prepared.windows.batch(idx)
+        return _Batch(prepared.prepare(x if stats is None else revin_apply(x, stats)), y, stats)
+    y = prepared.windows.targets(idx) if prepared.target is None else prepared.target[idx]
+    return _Batch([a[idx] for a in prepared.inputs], y, stats)
 
 
 def _batch_loss(model, batch: _Batch) -> Tensor:
-    pred = model.forward_prepared(batch.x, batch.hidden)
+    pred = model.forward_prepared(batch.inputs)
     return mse(pred, batch.y if batch.stats is None else revin_apply(batch.y, batch.stats))
 
 
@@ -381,10 +343,10 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     if not _is_int(batch_size) or batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     if isinstance(windows, PreparedSet):
-        made, wanted = (windows.revin, windows.kernel), (bool(model.revin), _kernel(model))
+        made, wanted = (windows.revin, windows.reads), (bool(model.revin), model.reads)
         if made != wanted:
-            raise ValueError(f"the PreparedSet was made for revin={made[0]}, kernel={made[1]}, "
-                             f"but the model has revin={wanted[0]}, kernel={wanted[1]}")
+            raise ValueError(f"the PreparedSet was made for revin={made[0]}, reads={made[1]}, "
+                             f"but the model has revin={wanted[0]}, reads={wanted[1]}")
         if windows.for_loss:
             raise ValueError("the PreparedSet was made for the loss; evaluate scores raw targets")
     sse = 0.0
@@ -396,7 +358,7 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
             idx = slice(start, start + batch_size)
             if isinstance(windows, PreparedSet):
                 batch = _stack_batch(windows, idx)
-                pred, yb = model.forward_prepared(batch.x, batch.hidden, weights).data, batch.y
+                pred, yb = model.forward_prepared(batch.inputs, weights).data, batch.y
                 if batch.stats is None:
                     err = pred - yb
                 else:

@@ -49,17 +49,25 @@ class TestDecompose:
 
 
 class TestForwardHidden:
+    def test_prepare_is_what_forward_hidden_reads(self, rng):
+        """DLinear prepares `decompose`'s two parts; the MLP, the lookback itself."""
+        x = rng.standard_normal((2, 3, 12))
+        for got, want in zip(DLinearBackbone(12, 5).prepare(x), decompose(x, 5)):
+            assert np.array_equal(got, want)
+        (h,) = MlpBackbone(12, (4,), rng=rng).prepare(x)
+        assert h is x
+
     def test_dlinear_constant_input(self):
         bb = DLinearBackbone(lookback=12, kernel=5)
         x = np.full((2, 12), 3.0)
-        trend, seasonal = bb.forward_hidden(x)
+        trend, seasonal = bb.forward_hidden(bb.prepare(x))
         np.testing.assert_allclose(trend.data, x, atol=1e-12)
         np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
 
     def test_dlinear_branches_sum_to_input(self, rng):
         bb = DLinearBackbone(lookback=20, kernel=7)
         x = rng.standard_normal((3, 20))
-        trend, seasonal = bb.forward_hidden(x)
+        trend, seasonal = bb.forward_hidden(bb.prepare(x))
         np.testing.assert_allclose(trend.data + seasonal.data, x, atol=1e-10)
 
     def test_mlp_identity_layers_pass_nonnegative_input(self, rng):
@@ -67,12 +75,12 @@ class TestForwardHidden:
         for name, t in bb.parameters().items():
             t.data[:] = np.eye(6) if name.endswith(".w") else 0.0
         x = np.abs(rng.standard_normal((2, 6)))
-        (h,) = bb.forward_hidden(x)
+        (h,) = bb.forward_hidden(bb.prepare(x))
         np.testing.assert_allclose(h.data, x, atol=1e-12)
 
     def test_mlp_output_width(self, rng):
         bb = MlpBackbone(lookback=10, hidden_widths=(16, 5), rng=rng)
-        (h,) = bb.forward_hidden(rng.standard_normal((4, 10)))
+        (h,) = bb.forward_hidden(bb.prepare(rng.standard_normal((4, 10))))
         assert h.shape == (4, 5)
         assert bb.hidden_dim == 5
 
@@ -171,7 +179,7 @@ def test_full_pipeline_gradient(rng):
     target = Tensor(rng.standard_normal((n, horizon)))
 
     def loss():
-        hidden = bb.forward_hidden(x)
+        hidden = bb.forward_hidden(bb.prepare(x))
         pred = apply_final([wt, ws], hidden)
         return mse(pred, target.data)
 
@@ -184,7 +192,7 @@ def test_mlp_pipeline_gradient(rng):
     x = rng.standard_normal((2, 5))
 
     def loss():
-        pred = apply_final([w_final], bb.forward_hidden(x))
+        pred = apply_final([w_final], bb.forward_hidden(bb.prepare(x)))
         return mse(pred, np.zeros(pred.shape))
 
     params = [w_final, *bb.parameters().values()]
@@ -198,7 +206,7 @@ def test_two_layer_trunk_gradient(rng):
     x = rng.standard_normal((4, 3, 6))
 
     def loss():
-        pred = apply_final([w_final], bb.forward_hidden(x))
+        pred = apply_final([w_final], bb.forward_hidden(bb.prepare(x)))
         return mse(pred, np.zeros(pred.shape))
 
     params = [w_final, *bb.parameters().values()]
@@ -207,7 +215,7 @@ def test_two_layer_trunk_gradient(rng):
 
 def test_trunk_traces_one_node_per_layer(rng):
     bb = MlpBackbone(lookback=6, hidden_widths=(5, 4), rng=rng)
-    (hidden,) = bb.forward_hidden(rng.standard_normal((4, 3, 6)))
+    (hidden,) = bb.forward_hidden(bb.prepare(rng.standard_normal((4, 3, 6))))
     loss = mse(hidden, np.zeros(hidden.shape))
     ops = [node for node in Tape.trace(loss).nodes if node._parents]
     assert len(ops) == 2 + 1  # one per layer, then the loss
@@ -216,6 +224,6 @@ def test_trunk_traces_one_node_per_layer(rng):
 def test_batched_forward_matches_single(rng):
     bb = DLinearBackbone(lookback=10, kernel=5)
     xb = rng.standard_normal((6, 3, 10))
-    trend_b, _ = bb.forward_hidden(xb)
-    trend_1, _ = bb.forward_hidden(xb[4])
+    trend_b, _ = bb.forward_hidden(bb.prepare(xb))
+    trend_1, _ = bb.forward_hidden(bb.prepare(xb[4]))
     np.testing.assert_allclose(trend_b.data[4], trend_1.data, atol=1e-12)

@@ -144,8 +144,18 @@ def test_corrupt_header_rejected(tmp_path, rng):
         (lambda meta: {**meta, "heads": 5}, "malformed meta header"),
         (lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": "3"}},
          "malformed meta header"),
+        (lambda meta: {**meta, "format_version": True}, "format_version true is not 1, 2 or 3"),
+        (lambda meta: {**meta, "revin": 0}, r"malformed meta header \(revin must be true or "
+                                            r"false, got 0\)"),
+        (lambda meta: {**meta, "revin": []}, r"revin must be true or false, got \[\]"),
+        (lambda meta: {**meta, "revin": None}, "revin must be true or false, got None"),
+        (lambda meta: {**meta, "embedding": {**meta["embedding"], "learnable": 1}},
+         r"malformed meta header \(embedding.learnable must be true or false, got 1\)"),
+        (lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": 2.5}},
+         r"malformed meta header \(backbone.kernel must be an integer, got 2.5\)"),
     ],
-    ids=["list_header", "int_heads", "string_kernel"],
+    ids=["list_header", "int_heads", "string_kernel", "bool_version", "zero_revin",
+         "list_revin", "null_revin", "int_learnable", "float_kernel"],
 )
 def test_wrong_typed_header_rejected(tmp_path, edit, message):
     bundle = dict(np.load(FIXTURES / "hyper_pcl_dlinear.npz", allow_pickle=False))

@@ -375,6 +375,7 @@ class TestBake:
         def scaled(*args):
             raise AssertionError("a baked DLinear ran RevIN")
 
+        monkeypatch.setattr(DLinearBackbone, "prepare", unfolded)
         monkeypatch.setattr(DLinearBackbone, "forward_hidden", unfolded)
         monkeypatch.setattr("hnmvts.hypernet.revin_forward", scaled)
         monkeypatch.setattr("hnmvts.hypernet.revin_reverse", scaled)
@@ -517,7 +518,7 @@ class TestFoldedServe:
         baked = self.baked("per_channel_linear", revin)
         x = Tensor(make_rng(3).standard_normal((4, 7, 36)) + 2.0)
         before = x.data.copy()
-        for out in (baked.forward(x), baked.forward_prepared(x.data)):
+        for out in (baked.forward(x), baked.forward_prepared(baked.prepare(x.data))):
             assert np.array_equal(x.data, before)
             assert not np.shares_memory(out.data, x.data)
             assert not out.requires_grad and out._parents == ()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hnmvts.backbones import DLinearBackbone, MlpBackbone, decompose
+from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
 from hnmvts.normalization import revin_apply, revin_forward, revin_reverse
@@ -131,6 +131,54 @@ class TestTrain:
             digests.append((history.train_loss, history.val_mse,
                             [p.data.tobytes() for p in model.parameters().values()]))
         assert digests[0] == digests[1]
+
+    def test_dlinear_runs_bit_identical_under_one_and_two_blas_threads(self):
+        """A DLinear baseline and both DLinear hyper forms train to the same
+        bits in fresh processes with OPENBLAS_NUM_THREADS 1 and 2. A step's
+        per-channel products (128 x 192 x 48) are large enough for OpenBLAS
+        to split over two threads. (An MLP trunk's weight gradients need not
+        agree: its digests hold per BLAS build and thread count.)"""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import hnmvts
+
+        code = """if True:
+            import hashlib
+            from hnmvts.backbones import DLinearBackbone
+            from hnmvts.data import SeriesTable, make_windows
+            from hnmvts.hypernet import build_baseline, build_hyper
+            from hnmvts.numcore import Tensor, make_rng
+            from hnmvts.trainer import TrainConfig, train
+
+            values = make_rng(3).standard_normal((900, 4)).cumsum(axis=0)
+            table = SeriesTable(Tensor(values), ["a", "b", "c", "d"])
+            windows = make_windows(table, 192, 48)
+            cfg = TrainConfig(lookback=192, horizon=48, batch_size=128, max_epochs=2, lr=1e-3)
+            digest = hashlib.sha256()
+            for mode in (None, "per_channel_linear", "shared_mlp"):
+                rng, bb = make_rng(5), DLinearBackbone(192, 25)
+                model = (build_baseline(bb, 4, 48, rng) if mode is None else
+                         build_hyper(bb, table, 48, rng, mode=mode, d=3))
+                model, history = train(model, windows[:520], windows[520:], cfg)
+                digest.update(repr((history.train_loss, history.val_mse)).encode())
+                for name, t in sorted(model.parameters().items()):
+                    digest.update(name.encode() + t.data.tobytes())
+            print(digest.hexdigest())
+        """
+        src = str(Path(hnmvts.__file__).parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env["OPENBLAS_NUM_THREADS"] = threads
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=300)
+            assert run.returncode == 0, run.stderr
+            out.append(run.stdout.strip())
+        assert len(out[0]) == 64 and out[0] == out[1]
 
     def test_linear_generative_data_reaches_tiny_mse(self, rng):
         table, _ = linear_map_table(rng)
@@ -454,8 +502,9 @@ def build_form(form, revin, table):
 
 
 class TestPreparedSets:
-    """`train` prepares each set's RevIN statistics and DLinear trends once;
-    every result stays bit-identical to the per-batch form."""
+    """`train` prepares each set's RevIN statistics and what the model's
+    forward reads once; every result stays bit-identical to the per-batch
+    form."""
 
     FORMS = ["dlinear_baseline", "dlinear_per_channel_linear", "dlinear_shared_mlp",
              "mlp_baseline", "mlp_shared_mlp"]
@@ -464,9 +513,10 @@ class TestPreparedSets:
     @pytest.mark.parametrize("form", FORMS)
     def test_cached_uncached_and_per_batch_runs_identical(self, form, revin, monkeypatch):
         """A training set of 313 windows is prepared in two chunks; the run
-        with every array cached, the run whose limit fits the training set's
-        trend alone, the run with the limit at 0 (everything per batch) and
-        the frozen per-batch loop give the same bits."""
+        with every array cached, the run whose limit fits the 78 validation
+        windows' inputs exactly but not the training set's, the run with the
+        limit at 0 (everything per batch) and the frozen per-batch loop give
+        the same bits."""
         from hnmvts import trainer as trainer_mod
 
         values = make_rng(9).standard_normal((400, 3)).cumsum(axis=0)
@@ -483,23 +533,23 @@ class TestPreparedSets:
                 made.append(self)
 
         monkeypatch.setattr(trainer_mod, "PreparedSet", Recording)
-        dlinear, trend_bytes = form.startswith("dlinear"), 313 * 3 * 8 * 8
+        val_bytes = 78 * 3 * 8 * 8 * (2 if form.startswith("dlinear") else 1)
         runs = []
-        for limit in (trainer_mod.CACHE_BYTES, trend_bytes, 0):
+        for limit in (trainer_mod.CACHE_BYTES, val_bytes, 0):
             monkeypatch.setattr(trainer_mod, "CACHE_BYTES", limit)
             made.clear()
             model, history = train(build_form(form, revin, table), train_w, val_w, cfg)
             runs.append((history.train_loss, history.val_mse, model.parameters()))
-            held = [{name for name in ("trend", "seasonal", "x", "target")
-                     if getattr(s, name) is not None} for s in made]
-            inputs = {"trend", "seasonal"} if dlinear else {"x"} if revin else set()
-            if limit == trend_bytes:  # the 78 validation windows still fit whole
-                expected = [{"trend"} if dlinear else set(), inputs]
+            held = [{name for name in ("inputs", "target") if getattr(s, name) is not None}
+                    for s in made]
+            if limit == val_bytes:
+                expected = [set(), {"inputs"}]
             elif limit:
-                expected = [inputs | ({"target"} if revin else set()), inputs]
+                expected = [{"inputs", "target"} if revin else {"inputs"}, {"inputs"}]
             else:
                 expected = [set(), set()]
             assert held == expected
+            assert all((s.mean is None) == (not revin) for s in made)
         model = build_form(form, revin, table)
         runs.append((*reference_train(model, train_w, val_w, cfg), model.parameters()))
         first_loss, first_val, first_params = runs[0]
@@ -520,9 +570,9 @@ class TestPreparedSets:
         class Guarded(trainer_mod.PreparedSet):
             def __init__(self, model, windows, for_loss=False):
                 super().__init__(model, windows, for_loss)
+                self.prepare = refuse
                 if not for_loss:  # the validation set, prepared second
                     monkeypatch.setattr(trainer_mod, "revin_apply", refuse)
-                    monkeypatch.setattr(trainer_mod, "moving_average", refuse)
 
         monkeypatch.setattr(trainer_mod, "PreparedSet", Guarded)
         table = SeriesTable(Tensor(make_rng(9).standard_normal((200, 3)).cumsum(axis=0)),
@@ -531,24 +581,6 @@ class TestPreparedSets:
         cfg = TrainConfig(lookback=8, horizon=2, batch_size=32, max_epochs=2, seed=5)
         _, history = train(build_form(form, True, table), windows[:150], windows[150:], cfg)
         assert history.n_epochs == 2
-
-    def test_a_set_whose_trend_fits_keeps_it(self, rng, monkeypatch):
-        """With a limit that fits the trend but not the other arrays, a set
-        keeps the trend (as before they were cached); one byte less keeps
-        nothing but the statistics."""
-        from hnmvts import trainer as trainer_mod
-
-        model, train_w, _ = small_setup(rng)
-        trend_bytes = len(train_w) * 2 * 8 * 8
-        monkeypatch.setattr(trainer_mod, "CACHE_BYTES", trend_bytes)
-        prepared = PreparedSet(model, train_w, for_loss=True)
-        assert prepared.trend is not None
-        assert prepared.seasonal is None and prepared.target is None
-        x_norm, _ = revin_forward(train_w.batch(slice(None))[0])
-        assert np.array_equal(prepared.trend, decompose(x_norm, 3)[0])
-        monkeypatch.setattr(trainer_mod, "CACHE_BYTES", trend_bytes - 1)
-        prepared = PreparedSet(model, train_w, for_loss=True)
-        assert prepared.trend is None and prepared.mean is not None
 
     def test_dlinear_baseline_step_takes_six_nodes(self, rng, monkeypatch):
         """Two final layers, their two `channel_dot`s, the `add` and one `mse`."""
@@ -569,7 +601,8 @@ class TestPreparedSets:
 
     def test_trend_runs_once_per_set_per_call(self, rng, monkeypatch):
         """`moving_average` runs on each whole set once per `train` call, not
-        on every batch of every epoch; above the cache limit it runs per batch."""
+        on every batch of every epoch; above the cache limit it runs per batch.
+        Each set first reads the per-window sizes off an empty batch."""
         from hnmvts import backbones
         from hnmvts import trainer as trainer_mod
         from hnmvts.numcore import moving_average
@@ -581,38 +614,34 @@ class TestPreparedSets:
             return moving_average(x, kernel)
 
         monkeypatch.setattr(backbones, "moving_average", counting)
-        monkeypatch.setattr(trainer_mod, "moving_average", counting, raising=False)
         model, train_w, val_w = small_setup(rng)
         cfg = TrainConfig(lookback=8, horizon=2, batch_size=16, max_epochs=3, seed=0)
         train(model, train_w, val_w, cfg)
-        assert calls == [len(train_w), len(val_w)]
+        assert calls == [0, len(train_w), 0, len(val_w)]
         calls.clear()
         monkeypatch.setattr(trainer_mod, "CACHE_BYTES", 0)
         train(model, train_w, val_w, cfg)
-        assert calls == 3 * ([16] * 7 + [len(train_w) - 7 * 16] + [len(val_w)])
+        assert calls == [0, 0] + 3 * ([16] * 7 + [len(train_w) - 7 * 16] + [len(val_w)])
 
     def test_prepared_set_holds_per_batch_values(self, rng):
-        """The statistics, trend, seasonal part and normalised target kept per
-        window are `revin_forward`'s, `decompose`'s and `revin_apply`'s on any
-        batch of those windows; an MLP's set keeps the normalised lookback."""
+        """The statistics, inputs and normalised target kept per window are
+        `revin_forward`'s, the model's `prepare`'s and `revin_apply`'s on any
+        batch of those windows, for a DLinear, an MLP and a baked DLinear."""
         model, train_w, _ = small_setup(rng)
-        prepared = PreparedSet(model, train_w, for_loss=True)
+        mlp = build_baseline(MlpBackbone(8, (4,), rng=rng), 2, 2, rng)
         idx = rng.permutation(len(train_w))[:16]
         x, y = train_w.batch(idx)
         x_norm, stats = revin_forward(x)
-        trend, seasonal = decompose(x_norm, model.backbone.kernel)
-        assert np.array_equal(prepared.mean[idx], stats.mean)
-        assert np.array_equal(prepared.std[idx], stats.std)
-        assert np.array_equal(prepared.trend[idx], trend)
-        assert np.array_equal(prepared.seasonal[idx], seasonal)
-        assert np.array_equal(prepared.target[idx], revin_apply(y, stats))
-        assert prepared.x is None
-        assert PreparedSet(model, train_w).target is None
-        mlp = build_baseline(MlpBackbone(8, (4,), rng=rng), 2, 2, rng)
-        for m in (mlp, bake(model)):
-            prepared = PreparedSet(m, train_w)
-            assert np.array_equal(prepared.x[idx], x_norm)
-            assert prepared.trend is None and prepared.seasonal is None
+        for m in (model, mlp, bake(model)):
+            prepared = PreparedSet(m, train_w, for_loss=True)
+            assert np.array_equal(prepared.mean[idx], stats.mean)
+            assert np.array_equal(prepared.std[idx], stats.std)
+            assert np.array_equal(prepared.target[idx], revin_apply(y, stats))
+            want = m.prepare(x_norm)
+            assert len(prepared.inputs) == len(want)
+            for held, part in zip(prepared.inputs, want):
+                assert np.array_equal(held[idx], part)
+            assert PreparedSet(m, train_w).target is None
 
     @pytest.mark.parametrize("form, revin, for_loss", [
         ("dlinear_baseline", True, False), ("mlp_baseline", True, False),
@@ -631,8 +660,7 @@ class TestPreparedSets:
         windows = make_windows(table, 8, 2)[:300]
         model = build_form(form, revin, table)
         prepared = PreparedSet(model, windows, for_loss=for_loss)
-        assert prepared.target is None
-        assert (prepared.seasonal if form.startswith("dlinear") else prepared.x) is not None
+        assert prepared.target is None and prepared.inputs is not None
         monkeypatch.setattr(trainer_mod, "CACHE_BYTES", 0)
         per_batch = PreparedSet(model, windows, for_loss=for_loss)
         batches = [np.arange(start, min(start + 64, 300)) for start in range(0, 300, 64)]
@@ -645,17 +673,16 @@ class TestPreparedSets:
         monkeypatch.setattr(WindowSet, "batch", refuse)
         for idx, ref in zip(batches, want):
             got = trainer_mod._stack_batch(prepared, idx)
-            assert got.x is None or np.array_equal(got.x, ref.x)
+            assert len(got.inputs) == len(ref.inputs)
+            for g_part, r_part in zip(got.inputs, ref.inputs):
+                assert np.array_equal(g_part, r_part)
             assert np.array_equal(got.y, ref.y)
             assert (got.stats is None) == (ref.stats is None) == (not revin)
             if revin:
                 assert np.array_equal(got.stats.mean, ref.stats.mean)
                 assert np.array_equal(got.stats.std, ref.stats.std)
-            if got.hidden is not None:
-                for g_part, r_part in zip(got.hidden, ref.hidden):
-                    assert np.array_equal(g_part.data, r_part.data)
-            pred = model.forward_prepared(got.x, got.hidden).data
-            assert np.array_equal(pred, model.forward_prepared(ref.x, ref.hidden).data)
+            pred = model.forward_prepared(got.inputs).data
+            assert np.array_equal(pred, model.forward_prepared(ref.inputs).data)
         if not for_loss:
             assert evaluate(model, prepared, batch_size=64) == want_eval
 
@@ -749,7 +776,7 @@ def frozen_evaluate(model, windows, batch_size=256):
             idx = slice(start, start + batch_size)
             if isinstance(windows, PreparedSet):
                 batch = _stack_batch(windows, idx)
-                pred, yb = model.forward_prepared(batch.x, batch.hidden), batch.y
+                pred, yb = model.forward_prepared(batch.inputs), batch.y
                 if batch.stats is not None:
                     pred = revin_reverse(pred, batch.stats)
             else:
@@ -782,17 +809,19 @@ class TestEvaluate:
         raw = build_baseline(DLinearBackbone(8, kernel=3), 2, 2, rng, revin=False)
         mlp = build_baseline(MlpBackbone(8, (4,), rng=rng), 2, 2, rng)
         prepared = PreparedSet(model, train_w)
-        assert (prepared.revin, prepared.kernel) == (True, 3)
-        # a baked DLinear reads its fold, not the decomposition
-        for other, has in [(wider, "revin=True, kernel=5"), (raw, "revin=False, kernel=3"),
-                           (mlp, "revin=True, kernel=None"),
-                           (bake(model), "revin=True, kernel=None")]:
-            message = rf"made for revin=True, kernel=3, but the model has {has}$"
+        assert (prepared.revin, prepared.reads) == (True, "decompose(kernel=3)")
+        # a baked DLinear reads the lookback through its fold, not the decomposition
+        for other, has in [(wider, r"revin=True, reads=decompose\(kernel=5\)"),
+                           (raw, r"revin=False, reads=decompose\(kernel=3\)"),
+                           (mlp, "revin=True, reads=lookback"),
+                           (bake(model), "revin=True, reads=lookback")]:
+            message = rf"made for revin=True, reads=decompose\(kernel=3\), but the model has {has}$"
             with pytest.raises(ValueError, match=message):
                 evaluate(other, prepared)
         assert evaluate(model, prepared) == evaluate(model, train_w)
-        with pytest.raises(ValueError, match=r"made for revin=True, kernel=None, but the model "
-                                             r"has revin=True, kernel=3$"):
+        assert evaluate(mlp, PreparedSet(bake(model), train_w)) == evaluate(mlp, train_w)
+        with pytest.raises(ValueError, match=r"made for revin=True, reads=lookback, but the model "
+                                             r"has revin=True, reads=decompose\(kernel=3\)$"):
             evaluate(model, PreparedSet(bake(model), train_w))
         with pytest.raises(ValueError, match=r"made for the loss; evaluate scores raw targets$"):
             evaluate(model, PreparedSet(model, train_w, for_loss=True))
