@@ -41,11 +41,22 @@ __all__ = [
     "decompose",
     "from_config",
     "apply_final",
+    "check_int",
     "uniform_fan_in",
     "draw_fan_in",
     "stack_shapes",
     "stack_forward",
 ]
+
+
+def check_int(key: str, value) -> int:
+    """`value` as an int; a bool, or a float such as 8.0, is a TypeError naming `key`.
+
+    Model sizes come from checkpoint headers, where JSON may hold either.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -103,8 +114,8 @@ class DLinearBackbone:
     kind = "dlinear"
 
     def __init__(self, lookback: int, kernel: int = 25):
-        if not isinstance(kernel, numbers.Integral) or isinstance(kernel, bool):
-            raise TypeError(f"backbone.kernel must be an integer, got {kernel!r}")
+        lookback = check_int("backbone.lookback", lookback)
+        kernel = check_int("backbone.kernel", kernel)
         if not 1 <= kernel <= lookback:
             raise ValueError(f"kernel {kernel} out of range for lookback {lookback}")
         if kernel % 2 == 0:
@@ -158,8 +169,9 @@ class MlpBackbone:
                  weights: dict[str, Tensor] | None = None):
         if not hidden_widths:
             raise ValueError("MlpBackbone needs at least one layer width")
-        self.lookback = lookback
-        self.hidden_widths = tuple(int(w) for w in hidden_widths)
+        self.lookback = check_int("backbone.lookback", lookback)
+        self.hidden_widths = tuple(check_int("backbone.hidden_widths entry", w)
+                                   for w in hidden_widths)
         self._shapes = stack_shapes("trunk", lookback, self.hidden_widths)
         if weights is None:
             if rng is None:

@@ -1,31 +1,1 @@
 """Benchmark harness: grid runner, statistics, configuration, CLI."""
-
-from .config import RunConfig, default_config_text, load_config, resolve_out_dir
-from .runner import (
-    ResultRecord,
-    SummaryRow,
-    load_records,
-    run_experiment,
-    summarize,
-    summary_csv,
-    summary_text,
-    write_records,
-)
-from .stats import WilcoxonResult, wilcoxon_signed_rank
-
-__all__ = [
-    "ResultRecord",
-    "RunConfig",
-    "SummaryRow",
-    "WilcoxonResult",
-    "default_config_text",
-    "load_config",
-    "load_records",
-    "resolve_out_dir",
-    "run_experiment",
-    "summarize",
-    "summary_csv",
-    "summary_text",
-    "wilcoxon_signed_rank",
-    "write_records",
-]

@@ -90,7 +90,6 @@ batch_size = 64
 lr = 0.0001
 max_epochs = 20
 seed = 0
-shuffle = true
 # wrap the model in RevIN (per-window instance normalization)
 revin = true
 # stop after this many epochs without validation improvement (blank: off)
@@ -293,7 +292,6 @@ def load_config(path: str | Path) -> RunConfig:
             lr=get("train", "lr", float),
             max_epochs=get("train", "max_epochs", int),
             seed=get("train", "seed", int),
-            shuffle=get("train", "shuffle", _bool),
             early_stop_patience=get("train", "early_stop_patience", int),
         ),
         horizons=get("bench", "horizons", _positive_ints("horizon")),

@@ -98,7 +98,7 @@ def _generator_shapes(gen: dict, prefix: str, n: int, d: int, horizon: int, dim:
         return {f"{prefix}.w_phi": (n, d, horizon, dim)}
     if gen["mode"] != "shared_mlp":
         raise ValueError(f"unknown generator mode '{gen['mode']}'")
-    hidden = gen["hidden"]
+    hidden = [backbones.check_int("generator.hidden entry", w) for w in gen["hidden"]]
     return {**stack_shapes(f"{prefix}.mlp", d, hidden),
             f"{prefix}.mlp.{len(hidden)}.w": (hidden[-1] if hidden else d, horizon * dim)}
 
@@ -152,12 +152,12 @@ def _array_shapes(cfg: dict, backbone) -> dict[str, tuple[int, ...]]:
 
     `backbone` is the one `cfg["backbone"]` describes.
     """
-    n, horizon = len(cfg["channel_names"]), cfg["horizon"]
+    n, horizon = len(cfg["channel_names"]), backbones.check_int("horizon", cfg["horizon"])
     shapes = backbone.shapes()
     if cfg["variant"] != "hyper":
         shapes.update({f"final.{slot}.w": (n, horizon, dim) for slot, dim in backbone.slots})
         return shapes
-    d = cfg["embedding"]["dim"]
+    d = backbones.check_int("embedding.dim", cfg["embedding"]["dim"])
     shapes["embed.z"] = (n, d)
     for slot, dim in backbone.slots:
         shapes.update(_generator_shapes(cfg["generator"], f"head.{slot}", n, d, horizon, dim))
@@ -185,6 +185,10 @@ class ForecastModel:
         variant = cfg["variant"]
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant '{variant}'")
+        names = cfg["channel_names"]
+        if not (isinstance(names, list) and all(isinstance(c, str) for c in names)
+                and len(set(names)) == len(names)):
+            raise ValueError(f"channel_names must be distinct strings, got {names!r}")
         self.backbone = backbones.from_config(cfg["backbone"], arrays)
         shapes = _array_shapes(cfg, self.backbone)
         for name in shapes:

@@ -1,9 +1,8 @@
-"""Numeric core: tensors, reverse-mode gradients, Adam, PCA, grad checking."""
+"""Numeric core: tensors, reverse-mode gradients, Adam, PCA, seeded generators."""
 
-from .gradcheck import finite_diff_check
 from .optim import AdamState, adam_step
 from .pca import pca_project
-from .rng import make_rng, spawn_rng
+from .rng import spawn_rng
 from .tensor import (
     DimensionError,
     OuterGrad,
@@ -37,10 +36,8 @@ __all__ = [
     "channel_dot",
     "channel_gemv",
     "channel_product",
-    "finite_diff_check",
     "get_default_dtype",
     "linear_relu",
-    "make_rng",
     "matmul",
     "moving_average",
     "mse",

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rng"]
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """A fresh Philox-backed generator for the given seed."""
-    return np.random.Generator(np.random.Philox(int(seed)))
+__all__ = ["spawn_rng"]
 
 
 def spawn_rng(seed: int, stream: int) -> np.random.Generator:

@@ -58,7 +58,6 @@ class TrainConfig:
     lr: float = 1e-4
     max_epochs: int = 20
     seed: int = 0
-    shuffle: bool = True
     early_stop_patience: int | None = None
 
     def __post_init__(self):
@@ -255,7 +254,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     for epoch in range(cfg.max_epochs):
         if epoch:
             t0 = time.perf_counter()
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         total_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

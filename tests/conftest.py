@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hnmvts.numcore import make_rng, set_default_dtype
+from helpers import make_rng
+from hnmvts.numcore import set_default_dtype
 
 
 @pytest.fixture

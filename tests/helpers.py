@@ -1,12 +1,21 @@
-"""Central finite-difference validation of reverse-mode gradients."""
+"""Test-only helpers: seeded generators and a finite-difference gradient check.
+
+The package itself draws from `numcore.spawn_rng`; these stay with the tests
+that use them.
+"""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .tensor import Tensor, backward, no_grad
+import numpy as np
 
-__all__ = ["finite_diff_check"]
+from hnmvts.numcore import Tensor, backward, no_grad
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """A fresh Philox-backed generator for the given seed."""
+    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def finite_diff_check(

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import finite_diff_check, make_rng
 from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import (
     SeriesTable,
@@ -37,8 +38,6 @@ from hnmvts.normalization import revin_apply
 from hnmvts.numcore import (
     Tensor,
     backward,
-    finite_diff_check,
-    make_rng,
     mse,
     no_grad,
 )

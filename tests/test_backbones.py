@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import finite_diff_check
 from hnmvts.backbones import (
     DLinearBackbone,
     MlpBackbone,
@@ -14,7 +15,6 @@ from hnmvts.numcore import (
     Tape,
     Tensor,
     channel_dot,
-    finite_diff_check,
     mse,
 )
 

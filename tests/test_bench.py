@@ -115,8 +115,9 @@ class TestConfig:
             ("[train]\nlookback = 33x\n",
              r"bad\.ini: \[train\] lookback: invalid literal for int\(\) with base 10: '33x'"),
             ("[train]\nlr = fast\n", r"bad\.ini: \[train\] lr: could not convert"),
-            ("[train]\nshuffle = maybe\n",
-             r"bad\.ini: \[train\] shuffle: expected a boolean, got 'maybe'"),
+            ("[train]\nrevin = maybe\n",
+             r"bad\.ini: \[train\] revin: expected a boolean, got 'maybe'"),
+            ("[train]\nshuffle = true\n", r"bad\.ini: unknown key \[train\] shuffle \(valid: "),
             ("[bench]\nseeds = 0,one\n", r"bad\.ini: \[bench\] seeds: invalid literal"),
             ("[model]\nmlp_widths = 16,\n",
              r"bad\.ini: \[model\] mlp_widths: invalid literal for int\(\) with base 10: ''"),
@@ -149,7 +150,8 @@ class TestConfig:
         ],
         ids=["unknown_key", "misspelt_key", "unknown_section", "default_section", "gen_mode",
              "blank_lr", "blank_mlp_widths", "malformed_int", "malformed_float",
-             "malformed_bool", "malformed_list", "empty_list_item", "batch_size", "patience",
+             "malformed_bool", "removed_shuffle", "malformed_list", "empty_list_item", "batch_size",
+             "patience",
              "lr_nan", "lr_inf", "lr_zero", "lr_negative",
              "even_kernel", "kernel_over_lookback", "horizon", "mlp_width", "gen_hidden",
              "gen_hidden_pcl", "ratios", "no_section_header"],

@@ -137,30 +137,53 @@ def test_corrupt_header_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+# the per_channel_linear DLinear fixture as stored (format 1), and the
+# shared_mlp MLP one, which the test writes in format 3 before editing it
+PCL, SHARED = "hyper_pcl_dlinear", "hyper_shared_mlp"
+
+
 @pytest.mark.parametrize(
-    "edit, message",
+    "fixture, edit, message",
     [
-        (lambda meta: [meta], "meta header is a JSON list, not an object"),
-        (lambda meta: {**meta, "heads": 5}, "malformed meta header"),
-        (lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": "3"}},
+        (PCL, lambda meta: [meta], "meta header is a JSON list, not an object"),
+        (PCL, lambda meta: {**meta, "heads": 5}, "malformed meta header"),
+        (PCL, lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": "3"}},
          "malformed meta header"),
-        (lambda meta: {**meta, "format_version": True}, "format_version true is not 1, 2 or 3"),
-        (lambda meta: {**meta, "revin": 0}, r"malformed meta header \(revin must be true or "
-                                            r"false, got 0\)"),
-        (lambda meta: {**meta, "revin": []}, r"revin must be true or false, got \[\]"),
-        (lambda meta: {**meta, "revin": None}, "revin must be true or false, got None"),
-        (lambda meta: {**meta, "embedding": {**meta["embedding"], "learnable": 1}},
+        (PCL, lambda meta: {**meta, "format_version": True},
+         "format_version true is not 1, 2 or 3"),
+        (PCL, lambda meta: {**meta, "revin": 0},
+         r"malformed meta header \(revin must be true or false, got 0\)"),
+        (PCL, lambda meta: {**meta, "revin": []}, r"revin must be true or false, got \[\]"),
+        (PCL, lambda meta: {**meta, "revin": None}, "revin must be true or false, got None"),
+        (PCL, lambda meta: {**meta, "embedding": {**meta["embedding"], "learnable": 1}},
          r"malformed meta header \(embedding.learnable must be true or false, got 1\)"),
-        (lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": 2.5}},
+        (PCL, lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": 2.5}},
          r"malformed meta header \(backbone.kernel must be an integer, got 2.5\)"),
+        (SHARED, lambda meta: {**meta, "horizon": 4.0},
+         r"malformed meta header \(horizon must be an integer, got 4.0\)"),
+        (SHARED, lambda meta: {**meta, "backbone": {**meta["backbone"], "lookback": 8.0}},
+         r"malformed meta header \(backbone.lookback must be an integer, got 8.0\)"),
+        (SHARED, lambda meta: {**meta, "backbone": {**meta["backbone"], "hidden_widths": [5.5]}},
+         r"malformed meta header \(backbone.hidden_widths entry must be an integer, got 5.5\)"),
+        (SHARED, lambda meta: {**meta, "embedding": {**meta["embedding"], "dim": 2.0}},
+         r"malformed meta header \(embedding.dim must be an integer, got 2.0\)"),
+        (SHARED, lambda meta: {**meta, "generator": {**meta["generator"], "hidden": [3.0]}},
+         r"malformed meta header \(generator.hidden entry must be an integer, got 3.0\)"),
+        (SHARED, lambda meta: {**meta, "channel_names": ["a", "a", "c"]},
+         r"channel_names must be distinct strings, got \['a', 'a', 'c'\]"),
     ],
     ids=["list_header", "int_heads", "string_kernel", "bool_version", "zero_revin",
-         "list_revin", "null_revin", "int_learnable", "float_kernel"],
+         "list_revin", "null_revin", "int_learnable", "float_kernel", "float_horizon",
+         "float_lookback", "float_width", "float_dim", "float_generator_width",
+         "duplicate_channel_names"],
 )
-def test_wrong_typed_header_rejected(tmp_path, edit, message):
-    bundle = dict(np.load(FIXTURES / "hyper_pcl_dlinear.npz", allow_pickle=False))
+def test_wrong_typed_header_rejected(tmp_path, fixture, edit, message):
+    path, source = tmp_path / "m.npz", FIXTURES / f"{fixture}.npz"
+    if fixture == SHARED:
+        save_checkpoint(load_checkpoint(source)[0], path)
+        source = path
+    bundle = dict(np.load(source, allow_pickle=False))
     meta = edit(json.loads(bytes(bundle.pop("meta")).decode()))
-    path = tmp_path / "m.npz"
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **bundle)
     with pytest.raises(CheckpointError, match=message) as info:

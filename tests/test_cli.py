@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import make_rng
 from hnmvts.bench.cli import main
 
 
@@ -344,7 +345,7 @@ def test_bake_missing_array_is_clean_error(tmp_path, capsys):
     from hnmvts.checkpoint import save_checkpoint
     from hnmvts.data import SeriesTable
     from hnmvts.hypernet import build_hyper
-    from hnmvts.numcore import Tensor, make_rng
+    from hnmvts.numcore import Tensor
 
     rng = make_rng(0)
     table = SeriesTable(Tensor(rng.standard_normal((64, 3))), ["a", "b", "c"])
@@ -367,7 +368,7 @@ def test_bake_pcl_hidden_widths_is_clean_error(tmp_path, capsys):
     from hnmvts.checkpoint import save_checkpoint
     from hnmvts.data import SeriesTable
     from hnmvts.hypernet import build_hyper
-    from hnmvts.numcore import Tensor, make_rng
+    from hnmvts.numcore import Tensor
 
     rng = make_rng(0)
     table = SeriesTable(Tensor(rng.standard_normal((64, 3))), ["a", "b", "c"])
@@ -464,6 +465,35 @@ def fixture_copy(tmp_path, name, edit):
     return path
 
 
+def test_eval_float_horizon_is_clean_error(tmp_path):
+    """A header size written as a float is refused at load, naming its key: a
+    `"horizon": 4.0` once loaded and then stopped `hnmvts eval` with a TypeError
+    traceback where the windows were cut."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hnmvts
+
+    ckpt = fixture_copy(tmp_path, "hyper_pcl_dlinear", lambda meta: meta.update(horizon=4.0))
+    data = tmp_path / "abc.csv"
+    rows = np.random.default_rng(0).standard_normal((200, 3))
+    data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    env = dict(os.environ)
+    src = str(Path(hnmvts.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "hnmvts.bench.cli", "eval", "--checkpoint", str(ckpt),
+         "--data", str(data)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert run.returncode == 1
+    assert run.stderr == (f"error: {ckpt}: malformed meta header (horizon must be an integer, "
+                          "got 4.0)\n")
+    assert run.stdout == ""
+
+
 def test_eval_takes_lookback_from_the_model(tmp_path, capsys):
     """The config echo's lookback is a record of the run, not a second source."""
     data = tmp_path / "abc.csv"
@@ -534,9 +564,11 @@ def test_bake_format_1_writes_format_3(tmp_path, capsys):
     assert pred.tobytes() == np.load(data / "baked_mlp.forecast.npy").tobytes()
 
 
-def test_numpy_is_the_only_runtime_dependency():
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
     """Every `hnmvts` module imported, and `hnmvts --print-config` run, in a
-    fresh interpreter load no package from site-packages but numpy."""
+    fresh interpreter load no package from site-packages but numpy. It starts
+    in an empty directory, where no test module can be imported, so no
+    package module can depend on one."""
     import os
     import subprocess
     import sys
@@ -562,6 +594,6 @@ def test_numpy_is_the_only_runtime_dependency():
     src = str(Path(hnmvts.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         timeout=120)
+                         cwd=tmp_path, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "['numpy']"

@@ -1,6 +1,7 @@
 import numpy as np
 
-from hnmvts.numcore import Tensor, finite_diff_check, matmul, mse, reshape
+from helpers import finite_diff_check
+from hnmvts.numcore import Tensor, matmul, mse, reshape
 
 
 def test_linear_function_is_exact(rng):

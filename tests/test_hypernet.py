@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import finite_diff_check, make_rng
 from hnmvts.backbones import DLinearBackbone, MlpBackbone, apply_final, decompose
 from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic, make_windows
 from hnmvts.hypernet import (
@@ -21,10 +22,9 @@ from hnmvts.numcore import (
     DimensionError,
     Tensor,
     backward,
-    finite_diff_check,
-    make_rng,
     channel_dot,
     mse,
+    no_grad,
 )
 
 
@@ -261,6 +261,103 @@ class TestChannelInvariants:
                      np.array_equal(first_out[..., other, :], second_out[..., other, :])]
             alike += [np.array_equal(first[name][other], second[name][other]) for name in w_phis]
             assert alike == [mode == "per_channel_linear"] * len(alike), other
+
+
+class TestIdentityEmbedding:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("backbone_kind", ["dlinear", "mlp"])
+    def test_trains_bit_for_bit_like_the_baseline(self, request, backbone_kind, dtype):
+        """With no hidden layer a shared_mlp generator computes W = Z B. Frozen at
+        Z = I, with B a baseline's final layers reshaped to (N, H*D) and that
+        baseline's trunk, the model trains like the baseline bit for bit: the
+        same losses, validation MSE and final arrays (ROADMAP item 2)."""
+        from hnmvts.trainer import TrainConfig, train
+
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n, lookback, horizon = 5, 24, 8
+        rng = make_rng(61)
+        table = toy_table(rng, t=300, n=n)
+        bb = DLinearBackbone(lookback, 5) if backbone_kind == "dlinear" else MlpBackbone(
+            lookback, (16,), rng=rng)
+        baseline = build_baseline(bb, n, horizon, rng)
+        hyper_cfg = build_hyper(bb, table, horizon, rng, mode="shared_mlp",
+                                learnable_z=False).config()
+        arrays = {name: Tensor(t.data.copy()) for name, t in bb.parameters().items()}
+        arrays["embed.z"] = Tensor(np.eye(n))
+        for slot, dim in bb.slots:
+            final = baseline.all_arrays()[f"final.{slot}.w"].data
+            arrays[f"head.{slot}.mlp.0.w"] = Tensor(final.reshape(n, horizon * dim).copy())
+        hyper = ForecastModel(hyper_cfg, arrays)
+        windows = make_windows(table, lookback, horizon)
+        cfg = TrainConfig(lookback=lookback, horizon=horizon, batch_size=16, max_epochs=4,
+                          lr=1e-2, seed=2)
+        (baseline, base_history), (hyper, hyper_history) = (
+            train(model, windows[:200], windows[200:], cfg) for model in (baseline, hyper))
+        assert hyper_history.train_loss == base_history.train_loss
+        assert hyper_history.val_mse == base_history.val_mse
+        trained, want = hyper.all_arrays(), baseline.all_arrays()
+        assert np.array_equal(trained["embed.z"].data, np.eye(n))
+        for name in bb.shapes():
+            assert trained[name].data.tobytes() == want[name].data.tobytes(), name
+        for slot, dim in bb.slots:
+            generated = trained[f"head.{slot}.mlp.0.w"].data.reshape(n, horizon, dim)
+            assert generated.tobytes() == want[f"final.{slot}.w"].data.tobytes(), slot
+
+
+# (N, T, H, backbone, d, shared_mlp hidden widths) at the benchmark's three
+# workload shapes: ETTm2 and ILI with DLinear, Weather with an MLP trunk
+BENCH_SHAPES = {
+    "ettm2_dlinear": (7, 336, 96, "dlinear", 7, (16,)),
+    "weather_mlp": (21, 96, 96, "mlp", 8, (64,)),
+    "ili_dlinear": (7, 36, 24, "dlinear", 7, (16,)),
+}
+
+
+def permuted(model, perm):
+    """`model` with its channels in the order `perm`: `channel_names` and the
+    rows of every per-channel array (`final.*.w`, `embed.z`, `w_phi`) move;
+    the trunk and a shared_mlp generator serve every channel and stay."""
+    cfg = model.config()
+    cfg["channel_names"] = [cfg["channel_names"][i] for i in perm]
+    arrays = {}
+    for name, t in model.all_arrays().items():
+        moves = name.startswith("final.") or name == "embed.z" or name.endswith(".w_phi")
+        arrays[name] = Tensor(t.data[perm] if moves else t.data.copy())
+    return ForecastModel(cfg, arrays)
+
+
+class TestChannelPermutation:
+    """A fixed model is equivariant to reordering its channels, to within a
+    tolerance that leaves room for a change of rounding (ROADMAP item 9)."""
+
+    TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("form", ["baseline", "per_channel_linear", "shared_mlp", "baked"])
+    @pytest.mark.parametrize("shape", list(BENCH_SHAPES))
+    def test_forecast_permutes_with_the_channels(self, request, shape, form, dtype):
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n, lookback, horizon, kind, d, gen_hidden = BENCH_SHAPES[shape]
+        rng = make_rng(71)
+        bb = DLinearBackbone(lookback, 25) if kind == "dlinear" else MlpBackbone(
+            lookback, (256, 128), rng=rng)
+        if form == "baseline":
+            model = build_baseline(bb, n, horizon, rng)
+        else:
+            mode = "per_channel_linear" if form == "baked" else form
+            model = build_hyper(bb, toy_table(rng, t=200, n=n), horizon, rng, d=d, mode=mode,
+                                gen_hidden=gen_hidden if mode == "shared_mlp" else ())
+            model = bake(model) if form == "baked" else model
+        perm = rng.permutation(n)
+        assert (perm != np.arange(n)).any()
+        x = rng.standard_normal((4, n, lookback)) * 3.0 + 10.0
+        with no_grad():
+            out = model.forward(Tensor(x)).data
+            moved = permuted(model, perm).forward(Tensor(x[:, perm])).data
+        assert moved.shape == out.shape == (4, n, horizon)
+        assert np.abs(moved - out[:, perm]).max() <= self.TOLERANCE[dtype] * np.abs(out).max()
 
 
 class TestHyperForward:

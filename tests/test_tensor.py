@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import finite_diff_check
 from hnmvts.numcore import (
     DimensionError,
     OuterGrad,
@@ -320,8 +321,6 @@ class TestBackward:
         np.testing.assert_allclose(grads[x].data * 7, xv, atol=1e-12)
 
     def test_two_layer_mlp_matches_finite_differences(self, rng):
-        from hnmvts.numcore import finite_diff_check
-
         w1 = Tensor(rng.standard_normal((4, 5)) * 0.5, requires_grad=True)
         b1 = Tensor(rng.standard_normal(5) * 0.5, requires_grad=True)
         w2 = Tensor(rng.standard_normal((5, 2)) * 0.5, requires_grad=True)
@@ -387,8 +386,6 @@ class TestChannelDot:
             np.testing.assert_allclose(out.data[b], single.data, atol=1e-12)
 
     def test_gradients(self, rng):
-        from hnmvts.numcore import finite_diff_check
-
         w = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         for v_shape in [(5, 2, 4), (2, 4)]:  # batched, and unbatched (the generator's form)
             v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
@@ -486,8 +483,6 @@ class TestChannelGemv:
         assert runs[0] == runs[1]
 
     def test_gradients(self, rng):
-        from hnmvts.numcore import finite_diff_check
-
         z = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import make_rng
 from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
@@ -13,7 +14,6 @@ from hnmvts.numcore import (
     Tensor,
     adam_step,
     backward,
-    make_rng,
     no_grad,
     mse,
     spawn_rng,
@@ -150,7 +150,8 @@ class TestTrain:
             from hnmvts.backbones import DLinearBackbone
             from hnmvts.data import SeriesTable, make_windows
             from hnmvts.hypernet import build_baseline, build_hyper
-            from hnmvts.numcore import Tensor, make_rng
+            from helpers import make_rng
+            from hnmvts.numcore import Tensor
             from hnmvts.trainer import TrainConfig, train
 
             values = make_rng(3).standard_normal((900, 4)).cumsum(axis=0)
@@ -172,7 +173,8 @@ class TestTrain:
         out = []
         for threads in ("1", "2"):
             env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                                              env.get("PYTHONPATH")]))
             env["OPENBLAS_NUM_THREADS"] = threads
             run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                  env=env, timeout=300)
