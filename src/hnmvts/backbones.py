@@ -42,6 +42,7 @@ __all__ = [
     "from_config",
     "apply_final",
     "check_int",
+    "check_type",
     "uniform_fan_in",
     "draw_fan_in",
     "stack_shapes",
@@ -57,6 +58,20 @@ def check_int(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+# how a header's JSON spells each type `check_type` takes
+_JSON_KINDS = {dict: "an object", list: "a list", bool: "true or false"}
+
+
+def check_type(key: str, value, kind: type):
+    """`value` if it is a `kind` (dict, list or bool), else a TypeError naming `key`.
+
+    Model configs come from checkpoint headers, where a JSON key may hold any type.
+    """
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -214,13 +229,14 @@ class MlpBackbone:
 def from_config(cfg: dict, arrays: dict[str, Tensor]):
     """Rebuild a backbone from its `config()`, reading its arrays from `arrays` by name.
 
-    Nothing is copied or checked here; `ForecastModel` checks the store.
+    Nothing is copied, and only the config's types are checked; `ForecastModel` checks the store.
     """
-    kind = cfg["kind"]
+    kind = check_type("backbone", cfg, dict)["kind"]
     if kind == DLinearBackbone.kind:
         return DLinearBackbone(cfg["lookback"], cfg["kernel"])
     if kind == MlpBackbone.kind:
-        return MlpBackbone(cfg["lookback"], cfg["hidden_widths"], weights=arrays)
+        widths = check_type("backbone.hidden_widths", cfg["hidden_widths"], list)
+        return MlpBackbone(cfg["lookback"], widths, weights=arrays)
     raise ValueError(f"unknown backbone kind '{kind}'")
 
 

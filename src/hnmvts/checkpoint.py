@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbones import from_config
+from .backbones import check_type, from_config
 from .hypernet import ForecastModel, StoreError
 from .numcore import Tensor
 
@@ -80,6 +80,7 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
         if version < FORMAT_VERSION:
             _from_d_last(meta, arrays)
         model = ForecastModel(meta, arrays)
+        check_type("config_echo", echo, dict)
     except StoreError as err:
         raise CheckpointError(f"{path}: array 'param/{err.name}' {err.problem}") from None
     except KeyError as err:

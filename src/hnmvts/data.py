@@ -371,16 +371,18 @@ def _plain_block(block: bytes, n_cols: int, ts_idx: int | None, limit: int):
         stamps = _field_bytes(data, bounds[:, ts_idx] + 1, bounds[:, ts_idx + 1])
         if stamps is None:
             return None
-        # a sign can only lead a float or follow its exponent
-        misplaced = _SIGN_BYTES[stamps[:, 1:]] & ~_EXP_BYTES[stamps[:, :-1]]
-        not_float = (~_FLOAT_BYTES[stamps]).any(axis=1) | misplaced.any(axis=1)
+        not_float = (~_FLOAT_BYTES[stamps]).any(axis=1)
+        if not not_float.all():  # a stamp like 2016-07-01 holds only float bytes
+            # a sign can only lead a float or follow its exponent
+            misplaced = _SIGN_BYTES[stamps[:, 1:]] & ~_EXP_BYTES[stamps[:, :-1]]
+            not_float |= misplaced.any(axis=1)
         # all text, or else all must parse as numbers below
         text_stamps = bool(not_float.all())
     usecols = [i for i in range(n_cols) if not (text_stamps and i == ts_idx)]
-    try:  # a non-ASCII byte fails the decode, a malformed cell the reader
+    try:  # a non-ASCII byte fails the reader's decode, a malformed cell its parse
         table = np.loadtxt(
-            io.StringIO(block.decode("ascii")), dtype=np.float64, delimiter=",",
-            comments=None, usecols=usecols, ndmin=2,
+            io.BytesIO(block), dtype=np.float64, delimiter=",", comments=None,
+            usecols=usecols, ndmin=2, encoding="ascii",
         )
     except ValueError:
         return None

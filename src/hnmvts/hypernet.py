@@ -91,6 +91,7 @@ def init_embeddings(train: SeriesTable, d: int) -> np.ndarray:
 
 def _generator_shapes(gen: dict, prefix: str, n: int, d: int, horizon: int, dim: int) -> dict:
     """Names and shapes of the `gen`-configured generator of a width-`dim` slot, in store order."""
+    backbones.check_type("generator.hidden", gen["hidden"], list)
     if gen["mode"] == "per_channel_linear":
         if gen["hidden"]:
             raise ValueError(f"generator.hidden must be [] for per_channel_linear, "
@@ -123,8 +124,8 @@ def init_generator(
     bias, then the bias-free output weight, each drawn by fan-in.
     """
     n, d = z.shape
-    shapes = _generator_shapes({"mode": mode, "hidden": gen_hidden}, "head", n, d, horizon,
-                               hidden_dim)
+    shapes = _generator_shapes({"mode": mode, "hidden": list(gen_hidden)}, "head", n, d,
+                               horizon, hidden_dim)
     if mode == "shared_mlp":
         return list(draw_fan_in(rng, shapes).values())
     norms = np.linalg.norm(z, axis=1)
@@ -157,10 +158,12 @@ def _array_shapes(cfg: dict, backbone) -> dict[str, tuple[int, ...]]:
     if cfg["variant"] != "hyper":
         shapes.update({f"final.{slot}.w": (n, horizon, dim) for slot, dim in backbone.slots})
         return shapes
-    d = backbones.check_int("embedding.dim", cfg["embedding"]["dim"])
+    d = backbones.check_int("embedding.dim",
+                            backbones.check_type("embedding", cfg["embedding"], dict)["dim"])
     shapes["embed.z"] = (n, d)
+    gen = backbones.check_type("generator", cfg["generator"], dict)
     for slot, dim in backbone.slots:
-        shapes.update(_generator_shapes(cfg["generator"], f"head.{slot}", n, d, horizon, dim))
+        shapes.update(_generator_shapes(gen, f"head.{slot}", n, d, horizon, dim))
     return shapes
 
 
@@ -200,9 +203,8 @@ class ForecastModel:
             if t.shape != shapes[name]:
                 raise StoreError(name, f"has shape {t.shape}, expected {shapes[name]}")
         learnable = cfg["embedding"]["learnable"] if variant == "hyper" else False
-        for key, value in (("revin", cfg["revin"]), ("embedding.learnable", learnable)):
-            if not isinstance(value, bool):
-                raise TypeError(f"{key} must be true or false, got {value!r}")
+        backbones.check_type("revin", cfg["revin"], bool)
+        backbones.check_type("embedding.learnable", learnable, bool)
         for name, t in arrays.items():
             if name.startswith("final."):
                 t.requires_grad = variant == "baseline"

@@ -10,11 +10,13 @@ from hnmvts.backbones import (
     apply_final,
     decompose,
 )
+from hnmvts.normalization import EPS, revin_forward
 from hnmvts.numcore import (
     DimensionError,
     Tape,
     Tensor,
     channel_dot,
+    moving_average,
     mse,
 )
 
@@ -46,6 +48,58 @@ class TestDecompose:
         x = rng.standard_normal((4, 30))
         trend, seasonal = decompose(x, 7)
         np.testing.assert_allclose(trend + seasonal, x, atol=1e-10)
+
+
+# (channels, lookback) of the three perfbench workloads
+BENCH_WINDOWS = {"ettm2_dlinear": (7, 336), "weather_mlp": (21, 96), "ili_dlinear": (7, 36)}
+
+
+class TestDecompositionConsistency:
+    """A window's trend is the slice of the whole series' moving average, but
+    at its k // 2 edge positions at either end, where it is the mean over the
+    window's own replicate-padded values; under RevIN it is that slice
+    renormalised by the window's statistics (ROADMAP item 9). Differences
+    are bounded by a share of the series' largest magnitude, divided by the
+    channel's std + EPS after RevIN: 1e-12 in float64 and 1e-4 in float32,
+    whose cumulative sums run over up to 760 values here (at most 3e-14 and
+    1.3e-5 were seen)."""
+
+    TOLERANCE = {np.float64: 1e-12, np.float32: 1e-4}
+    KERNEL = 25
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", list(BENCH_WINDOWS))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 400), data=st.data(),
+           level=st.floats(-100.0, 100.0), scale=st.floats(0.01, 10.0))
+    def test_window_trend_is_the_series_trend(self, shape, dtype, seed, extra, data, level,
+                                              scale):
+        n, lookback = BENCH_WINDOWS[shape]
+        k, half = self.KERNEL, self.KERNEL // 2
+        rng = np.random.default_rng(seed)
+        walk = rng.standard_normal((n, lookback + extra)).cumsum(axis=1)
+        series = (level + scale * walk).astype(dtype)
+        start = data.draw(st.integers(0, extra), label="start")
+        window = series[:, start : start + lookback]
+        whole = moving_average(series, k)[:, start : start + lookback]
+        padded = np.pad(window.astype(np.float64), ((0, 0), (half, half)), mode="edge")
+        own = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1).mean(axis=2)
+        inner, edges = slice(half, lookback - half), np.r_[:half, lookback - half : lookback]
+        bound = self.TOLERANCE[dtype] * np.abs(series).max()
+
+        backbone = DLinearBackbone(lookback, k)
+        trend, _ = backbone.prepare(window)
+        assert trend.dtype == dtype
+        assert np.abs(trend[:, inner] - whole[:, inner]).max() <= bound
+        assert np.abs(trend[:, edges] - own[:, edges]).max() <= bound
+
+        x_norm, stats = revin_forward(window)
+        trend, _ = backbone.prepare(x_norm)
+        std_eps = stats.std + EPS
+        assert (np.abs(trend[:, inner] - (whole[:, inner] - stats.mean) / std_eps)
+                <= bound / std_eps).all()
+        assert (np.abs(trend[:, edges] - (own[:, edges] - stats.mean) / std_eps)
+                <= bound / std_eps).all()
 
 
 class TestForwardHidden:

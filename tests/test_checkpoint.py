@@ -171,11 +171,24 @@ PCL, SHARED = "hyper_pcl_dlinear", "hyper_shared_mlp"
          r"malformed meta header \(generator.hidden entry must be an integer, got 3.0\)"),
         (SHARED, lambda meta: {**meta, "channel_names": ["a", "a", "c"]},
          r"channel_names must be distinct strings, got \['a', 'a', 'c'\]"),
+        (SHARED, lambda meta: {**meta, "backbone": []},
+         r"malformed meta header \(backbone must be an object, got \[\]\)"),
+        (SHARED, lambda meta: {**meta, "embedding": 5},
+         r"malformed meta header \(embedding must be an object, got 5\)"),
+        (SHARED, lambda meta: {**meta, "backbone": {**meta["backbone"], "hidden_widths": 5}},
+         r"malformed meta header \(backbone.hidden_widths must be a list, got 5\)"),
+        (SHARED, lambda meta: {**meta, "generator": {**meta["generator"], "hidden": 3}},
+         r"malformed meta header \(generator.hidden must be a list, got 3\)"),
+        (SHARED, lambda meta: {**meta, "generator": None},
+         r"malformed meta header \(generator must be an object, got None\)"),
+        (SHARED, lambda meta: {**meta, "config_echo": [1]},
+         r"malformed meta header \(config_echo must be an object, got \[1\]\)"),
     ],
     ids=["list_header", "int_heads", "string_kernel", "bool_version", "zero_revin",
          "list_revin", "null_revin", "int_learnable", "float_kernel", "float_horizon",
          "float_lookback", "float_width", "float_dim", "float_generator_width",
-         "duplicate_channel_names"],
+         "duplicate_channel_names", "list_backbone", "int_embedding", "int_widths",
+         "int_generator_hidden", "null_generator", "list_config_echo"],
 )
 def test_wrong_typed_header_rejected(tmp_path, fixture, edit, message):
     path, source = tmp_path / "m.npz", FIXTURES / f"{fixture}.npz"

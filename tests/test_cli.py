@@ -465,10 +465,19 @@ def fixture_copy(tmp_path, name, edit):
     return path
 
 
-def test_eval_float_horizon_is_clean_error(tmp_path):
-    """A header size written as a float is refused at load, naming its key: a
-    `"horizon": 4.0` once loaded and then stopped `hnmvts eval` with a TypeError
-    traceback where the windows were cut."""
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda meta: meta.update(horizon=4.0), "horizon must be an integer, got 4.0"),
+        (lambda meta: meta.update(config_echo=[1]), "config_echo must be an object, got [1]"),
+    ],
+    ids=["float_horizon", "list_config_echo"],
+)
+def test_eval_malformed_header_is_clean_error(tmp_path, edit, problem):
+    """A header value of the wrong type is refused at load, naming its key:
+    `"horizon": 4.0` once loaded and then stopped `hnmvts eval` with a
+    TypeError traceback where the windows were cut, and `"config_echo": [1]`
+    with an AttributeError where the split was read from it."""
     import os
     import subprocess
     import sys
@@ -476,7 +485,7 @@ def test_eval_float_horizon_is_clean_error(tmp_path):
 
     import hnmvts
 
-    ckpt = fixture_copy(tmp_path, "hyper_pcl_dlinear", lambda meta: meta.update(horizon=4.0))
+    ckpt = fixture_copy(tmp_path, "hyper_pcl_dlinear", edit)
     data = tmp_path / "abc.csv"
     rows = np.random.default_rng(0).standard_normal((200, 3))
     data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
@@ -489,8 +498,7 @@ def test_eval_float_horizon_is_clean_error(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert run.returncode == 1
-    assert run.stderr == (f"error: {ckpt}: malformed meta header (horizon must be an integer, "
-                          "got 4.0)\n")
+    assert run.stderr == f"error: {ckpt}: malformed meta header ({problem})\n"
     assert run.stdout == ""
 
 

@@ -17,7 +17,7 @@ from hnmvts.hypernet import (
     init_generator,
     param_count,
 )
-from hnmvts.normalization import revin_forward, revin_reverse
+from hnmvts.normalization import EPS, revin_forward, revin_reverse
 from hnmvts.numcore import (
     DimensionError,
     Tensor,
@@ -314,6 +314,24 @@ BENCH_SHAPES = {
 }
 
 
+BENCH_FORMS = ["baseline", "per_channel_linear", "shared_mlp", "baked"]
+
+
+def bench_model(shape, form, rng):
+    """A fresh model of `form` at a `BENCH_SHAPES` shape, drawn from `rng`: a
+    baseline, a hyper model of either generator, or a baked per_channel_linear
+    one (folded, when the backbone is DLinear)."""
+    n, lookback, horizon, kind, d, gen_hidden = BENCH_SHAPES[shape]
+    bb = DLinearBackbone(lookback, 25) if kind == "dlinear" else MlpBackbone(
+        lookback, (256, 128), rng=rng)
+    if form == "baseline":
+        return build_baseline(bb, n, horizon, rng)
+    mode = "per_channel_linear" if form == "baked" else form
+    model = build_hyper(bb, toy_table(rng, t=200, n=n), horizon, rng, d=d, mode=mode,
+                        gen_hidden=gen_hidden if mode == "shared_mlp" else ())
+    return bake(model) if form == "baked" else model
+
+
 def permuted(model, perm):
     """`model` with its channels in the order `perm`: `channel_names` and the
     rows of every per-channel array (`final.*.w`, `embed.z`, `w_phi`) move;
@@ -334,22 +352,14 @@ class TestChannelPermutation:
     TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("form", ["baseline", "per_channel_linear", "shared_mlp", "baked"])
+    @pytest.mark.parametrize("form", BENCH_FORMS)
     @pytest.mark.parametrize("shape", list(BENCH_SHAPES))
     def test_forecast_permutes_with_the_channels(self, request, shape, form, dtype):
         if dtype == "float32":
             request.getfixturevalue("float32_mode")
-        n, lookback, horizon, kind, d, gen_hidden = BENCH_SHAPES[shape]
         rng = make_rng(71)
-        bb = DLinearBackbone(lookback, 25) if kind == "dlinear" else MlpBackbone(
-            lookback, (256, 128), rng=rng)
-        if form == "baseline":
-            model = build_baseline(bb, n, horizon, rng)
-        else:
-            mode = "per_channel_linear" if form == "baked" else form
-            model = build_hyper(bb, toy_table(rng, t=200, n=n), horizon, rng, d=d, mode=mode,
-                                gen_hidden=gen_hidden if mode == "shared_mlp" else ())
-            model = bake(model) if form == "baked" else model
+        model = bench_model(shape, form, rng)
+        n, lookback, horizon = BENCH_SHAPES[shape][:3]
         perm = rng.permutation(n)
         assert (perm != np.arange(n)).any()
         x = rng.standard_normal((4, n, lookback)) * 3.0 + 10.0
@@ -358,6 +368,40 @@ class TestChannelPermutation:
             moved = permuted(model, perm).forward(Tensor(x[:, perm])).data
         assert moved.shape == out.shape == (4, n, horizon)
         assert np.abs(moved - out[:, perm]).max() <= self.TOLERANCE[dtype] * np.abs(out).max()
+
+
+class TestRevinAffine:
+    """With RevIN, forecast(a x + b) = a forecast(x) + b for each channel's a > 0
+    and b (ROADMAP item 9). A DLinear model is linear after RevIN, so EPS
+    cancels and only rounding separates the sides: 1e-12 of the largest
+    forecast in float64 and 1e-5 in float32. An MLP trunk sees its input
+    scaled by a (std + EPS) / (a std + EPS), a change of EPS's share; there
+    the sides may also differ by MLP_SHARE of the largest forecast (about
+    1e-7 at these shapes and inputs)."""
+
+    TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
+    MLP_SHARE = EPS / 10
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("form", BENCH_FORMS)
+    @pytest.mark.parametrize("shape", list(BENCH_SHAPES))
+    def test_forecast_moves_with_the_lookback(self, request, shape, form, dtype):
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        rng = make_rng(72)
+        model = bench_model(shape, form, rng)
+        n, lookback, _, kind = BENCH_SHAPES[shape][:4]
+        x = rng.standard_normal((4, n, lookback)) * 3.0 + 10.0
+        a = np.exp(rng.uniform(-2.0, 2.0, (4, n, 1)))
+        b = rng.uniform(-50.0, 50.0, (4, n, 1))
+        with no_grad():
+            out = model.forward(Tensor(x)).data
+            moved = model.forward(Tensor(a * x + b)).data
+        expected = a * out + b
+        bound = self.TOLERANCE[dtype]
+        if kind == "mlp":
+            bound = max(bound, self.MLP_SHARE)
+        assert np.abs(moved - expected).max() <= bound * np.abs(expected).max()
 
 
 class TestHyperForward:
