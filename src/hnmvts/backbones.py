@@ -22,56 +22,12 @@ reads by name. Two backbones ship:
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .numcore import (
-    DimensionError,
-    Tensor,
-    add,
-    channel_dot,
-    linear_relu,
-    moving_average,
-)
+from .numcore import DimensionError, Tensor, add, channel_dot, linear_relu, moving_average
 
-__all__ = [
-    "DLinearBackbone",
-    "MlpBackbone",
-    "decompose",
-    "from_config",
-    "apply_final",
-    "check_int",
-    "check_type",
-    "uniform_fan_in",
-    "draw_fan_in",
-    "stack_shapes",
-    "stack_forward",
-]
-
-
-def check_int(key: str, value) -> int:
-    """`value` as an int; a bool, or a float such as 8.0, is a TypeError naming `key`.
-
-    Model sizes come from checkpoint headers, where JSON may hold either.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-# how a header's JSON spells each type `check_type` takes
-_JSON_KINDS = {dict: "an object", list: "a list", bool: "true or false"}
-
-
-def check_type(key: str, value, kind: type):
-    """`value` if it is a `kind` (dict, list or bool), else a TypeError naming `key`.
-
-    Model configs come from checkpoint headers, where a JSON key may hold any type.
-    """
-    if not isinstance(value, kind):
-        raise TypeError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
+__all__ = ["DLinearBackbone", "MlpBackbone", "decompose", "from_config", "apply_final",
+           "uniform_fan_in", "draw_fan_in", "stack_shapes", "stack_forward"]
 
 
 def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -120,17 +76,12 @@ def decompose(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DLinearBackbone:
-    """Trend/seasonal decomposition with identity hidden maps (D = T).
-
-    Owns no arrays; all capacity lives in the two final layers (one per
-    branch).
-    """
+    """Trend/seasonal decomposition with identity hidden maps (D = T); owns no
+    arrays, all capacity lives in the two final layers (one per branch)."""
 
     kind = "dlinear"
 
     def __init__(self, lookback: int, kernel: int = 25):
-        lookback = check_int("backbone.lookback", lookback)
-        kernel = check_int("backbone.kernel", kernel)
         if not 1 <= kernel <= lookback:
             raise ValueError(f"kernel {kernel} out of range for lookback {lookback}")
         if kernel % 2 == 0:
@@ -184,9 +135,8 @@ class MlpBackbone:
                  weights: dict[str, Tensor] | None = None):
         if not hidden_widths:
             raise ValueError("MlpBackbone needs at least one layer width")
-        self.lookback = check_int("backbone.lookback", lookback)
-        self.hidden_widths = tuple(check_int("backbone.hidden_widths entry", w)
-                                   for w in hidden_widths)
+        self.lookback = lookback
+        self.hidden_widths = tuple(hidden_widths)
         self._shapes = stack_shapes("trunk", lookback, self.hidden_widths)
         if weights is None:
             if rng is None:
@@ -219,25 +169,16 @@ class MlpBackbone:
         return {name: self.weights[name] for name in self.shapes()}
 
     def config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lookback": self.lookback,
-            "hidden_widths": list(self.hidden_widths),
-        }
+        return {"kind": self.kind, "lookback": self.lookback,
+                "hidden_widths": list(self.hidden_widths)}
 
 
-def from_config(cfg: dict, arrays: dict[str, Tensor]):
-    """Rebuild a backbone from its `config()`, reading its arrays from `arrays` by name.
-
-    Nothing is copied, and only the config's types are checked; `ForecastModel` checks the store.
-    """
-    kind = check_type("backbone", cfg, dict)["kind"]
-    if kind == DLinearBackbone.kind:
-        return DLinearBackbone(cfg["lookback"], cfg["kernel"])
-    if kind == MlpBackbone.kind:
-        widths = check_type("backbone.hidden_widths", cfg["hidden_widths"], list)
-        return MlpBackbone(cfg["lookback"], widths, weights=arrays)
-    raise ValueError(f"unknown backbone kind '{kind}'")
+def from_config(cfg, arrays: dict[str, Tensor]):
+    """The backbone a `schema.BackboneConfig` describes, reading its arrays from
+    `arrays` by name; nothing is copied or checked here."""
+    if cfg.kind == DLinearBackbone.kind:
+        return DLinearBackbone(cfg.lookback, cfg.kernel)
+    return MlpBackbone(cfg.lookback, cfg.hidden_widths, weights=arrays)
 
 
 def apply_final(weights: list[Tensor], hidden: list[Tensor]) -> Tensor:

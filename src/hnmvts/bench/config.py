@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ..backbones import DLinearBackbone
 from ..data import SplitSpec, SynthSpec
-from ..hypernet import GENERATOR_MODES
+from ..schema import GENERATOR_MODES
 from ..trainer import TrainConfig
 
 __all__ = [

@@ -15,9 +15,8 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from ..backbones import DLinearBackbone, MlpBackbone
 from ..data import SeriesTable, chrono_split, gen_synthetic, load_csv, make_windows
 from ..hypernet import bake, build_baseline, build_hyper
 from ..numcore import get_default_dtype, spawn_rng
+from ..schema import read
 from ..trainer import TrainingError, evaluate, train
 from .config import BASELINE, HN_MVTS, RunConfig
 from .stats import wilcoxon_signed_rank
@@ -68,38 +68,7 @@ class ResultRecord:
             data = json.loads(line)
         except json.JSONDecodeError as err:
             raise ValueError(f"malformed JSON ({err.msg} at column {err.colno})") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-        names = [f.name for f in fields(cls)]
-        for key in data:
-            if key not in names:
-                raise ValueError(f"unknown key '{key}'")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in data:
-                raise ValueError(f"missing key '{f.name}'")
-        for key, value in data.items():
-            kinds = _FIELD_KINDS[key]
-            if not _is_json_kind(value, kinds):
-                wanted = " or ".join(_JSON_KIND_NAMES[k] for k in kinds)
-                raise ValueError(f"key '{key}' must be {wanted}, got {json.dumps(value)}")
-            if float in kinds and value is not None:
-                data[key] = float(value)
-        return cls(**data)
-
-
-# each field's accepted Python types: `int | None` gives (int, NoneType)
-_FIELD_KINDS = {name: get_args(hint) or (hint,)
-                for name, hint in get_type_hints(ResultRecord).items()}
-_JSON_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
-
-
-def _is_json_kind(value, kinds) -> bool:
-    """Whether a JSON value fits a field: an int is a number too, a bool is neither."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, int) and float in kinds:
-        return True
-    return isinstance(value, kinds)
+        return read(cls, data)
 
 
 def load_records(path: str | Path) -> list[ResultRecord]:
@@ -170,15 +139,11 @@ def build_model_for_run(cfg: RunConfig, variant: str, train_split: SeriesTable,
     else:
         backbone = MlpBackbone(cfg.train.lookback, cfg.mlp_widths, rng=rng)
     if variant == BASELINE:
-        return build_baseline(
-            backbone, train_split.n_channels, horizon, rng,
-            revin=cfg.revin, channel_names=list(train_split.channel_names),
-        )
-    return build_hyper(
-        backbone, train_split, horizon, rng,
-        d=cfg.embed_dim, mode=cfg.gen_mode, gen_hidden=cfg.gen_hidden,
-        learnable_z=cfg.learnable_embeddings, revin=cfg.revin,
-    )
+        return build_baseline(backbone, train_split.n_channels, horizon, rng, revin=cfg.revin,
+                              channel_names=list(train_split.channel_names))
+    return build_hyper(backbone, train_split, horizon, rng, d=cfg.embed_dim, mode=cfg.gen_mode,
+                       gen_hidden=cfg.gen_hidden, learnable_z=cfg.learnable_embeddings,
+                       revin=cfg.revin)
 
 
 def run_experiment(cfg: RunConfig, out_path: str | Path | None = None,

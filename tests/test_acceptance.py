@@ -41,6 +41,7 @@ from hnmvts.numcore import (
     mse,
     no_grad,
 )
+from hnmvts.schema import GeneratorConfig
 from hnmvts.trainer import TrainConfig, evaluate, train
 
 ETTM2_ENV = "HNMVTS_ETTM2"
@@ -190,7 +191,7 @@ def test_criterion_4_channel_invariants():
         assert (w[i] == w[j]).all(), "per-channel tying must be exact"
         tying_cases += 1
         # shared mode: equal embedding rows alone tie the output
-        shared = init_generator(z, horizon, hidden, "shared_mlp", rng, gen_hidden=(3,))
+        shared = init_generator(z, horizon, hidden, GeneratorConfig("shared_mlp", (3,)), rng)
         ws = generate_weights("shared_mlp", Tensor(z), [Tensor(a) for a in shared], horizon).data
         assert (ws[i] == ws[j]).all(), "shared-mlp tying must be exact"
         tying_cases += 1

@@ -278,23 +278,23 @@ class TestRecordsFile:
     @pytest.mark.parametrize("line, message", [
         ('{"dataset": "d",', r"malformed JSON \(Expecting property name enclosed in double "
                              r"quotes at column 17\)"),
-        ("[1, 2]", "expected a JSON object, got list"),
+        ("[1, 2]", r"the JSON value must be an object, got \[1, 2\]"),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
          '"seed": 0, "mse": 0.5}', "unknown key 'mse'"),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4}',
          "missing key 'seed'"),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": "4", '
-         '"seed": 0}', "key 'horizon' must be an integer, got \"4\""),
+         '"seed": 0}', "horizon must be an integer, got \"4\""),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
-         '"seed": true}', "key 'seed' must be an integer, got true"),
+         '"seed": true}', "seed must be an integer, got true"),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
-         '"seed": 0, "n_epochs": 2.0}', r"key 'n_epochs' must be an integer or null, got 2\.0"),
+         '"seed": 0, "n_epochs": 2.0}', r"n_epochs must be an integer or null, got 2\.0"),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
-         '"seed": 0, "test_mse": "0.5"}', r"key 'test_mse' must be a number or null, got \"0\.5\""),
+         '"seed": 0, "test_mse": "0.5"}', r"test_mse must be a number or null, got \"0\.5\""),
         ('{"dataset": 1, "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
-         '"seed": 0}', "key 'dataset' must be a string, got 1"),
+         '"seed": 0}', "dataset must be a string, got 1"),
         ('{"dataset": "d", "backbone": "dlinear", "variant": "baseline", "horizon": 4, '
-         '"seed": 0, "numpy": 1.24}', r"key 'numpy' must be a string or null, got 1\.24"),
+         '"seed": 0, "numpy": 1.24}', r"numpy must be a string or null, got 1\.24"),
     ], ids=["malformed_json", "not_an_object", "foreign_key", "missing_key", "str_int",
             "bool_int", "float_int", "str_float", "int_str", "float_str"])
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):

@@ -7,8 +7,9 @@ import pytest
 from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint, save_checkpoint
 from hnmvts.data import SeriesTable
-from hnmvts.hypernet import GENERATOR_MODES, bake, build_baseline, build_hyper
+from hnmvts.hypernet import bake, build_baseline, build_hyper
 from hnmvts.numcore import Tensor, no_grad
+from hnmvts.schema import GENERATOR_MODES
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -145,47 +146,47 @@ PCL, SHARED = "hyper_pcl_dlinear", "hyper_shared_mlp"
 @pytest.mark.parametrize(
     "fixture, edit, message",
     [
-        (PCL, lambda meta: [meta], "meta header is a JSON list, not an object"),
-        (PCL, lambda meta: {**meta, "heads": 5}, "malformed meta header"),
+        (PCL, lambda meta: [meta], r"meta header must be an object, got \[\{"),
+        (PCL, lambda meta: {**meta, "heads": 5}, "heads must be an object, got 5"),
         (PCL, lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": "3"}},
-         "malformed meta header"),
+         'backbone.kernel must be an integer, got "3"'),
         (PCL, lambda meta: {**meta, "format_version": True},
-         "format_version true is not 1, 2 or 3"),
-        (PCL, lambda meta: {**meta, "revin": 0},
-         r"malformed meta header \(revin must be true or false, got 0\)"),
+         "format_version must be one of 1, 2, 3, got true"),
+        (PCL, lambda meta: {**meta, "revin": 0}, "revin must be true or false, got 0"),
         (PCL, lambda meta: {**meta, "revin": []}, r"revin must be true or false, got \[\]"),
-        (PCL, lambda meta: {**meta, "revin": None}, "revin must be true or false, got None"),
+        (PCL, lambda meta: {**meta, "revin": None}, "revin must be true or false, got null"),
         (PCL, lambda meta: {**meta, "embedding": {**meta["embedding"], "learnable": 1}},
-         r"malformed meta header \(embedding.learnable must be true or false, got 1\)"),
+         "embedding.learnable must be true or false, got 1"),
         (PCL, lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": 2.5}},
-         r"malformed meta header \(backbone.kernel must be an integer, got 2.5\)"),
-        (SHARED, lambda meta: {**meta, "horizon": 4.0},
-         r"malformed meta header \(horizon must be an integer, got 4.0\)"),
+         "backbone.kernel must be an integer, got 2.5"),
+        (PCL, lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": 4}},
+         "backbone.kernel must be odd and at most backbone.lookback 8, got 4"),
+        (PCL, lambda meta: {**meta, "backbone": {**meta["backbone"], "kernel": 10}},
+         "backbone.kernel must be odd and at most backbone.lookback 8, got 10"),
+        (SHARED, lambda meta: {**meta, "horizon": 4.0}, "horizon must be an integer, got 4.0"),
         (SHARED, lambda meta: {**meta, "backbone": {**meta["backbone"], "lookback": 8.0}},
-         r"malformed meta header \(backbone.lookback must be an integer, got 8.0\)"),
+         "backbone.lookback must be an integer, got 8.0"),
         (SHARED, lambda meta: {**meta, "backbone": {**meta["backbone"], "hidden_widths": [5.5]}},
-         r"malformed meta header \(backbone.hidden_widths entry must be an integer, got 5.5\)"),
+         r"backbone.hidden_widths\[0\] must be an integer, got 5.5"),
         (SHARED, lambda meta: {**meta, "embedding": {**meta["embedding"], "dim": 2.0}},
-         r"malformed meta header \(embedding.dim must be an integer, got 2.0\)"),
+         "embedding.dim must be an integer, got 2.0"),
         (SHARED, lambda meta: {**meta, "generator": {**meta["generator"], "hidden": [3.0]}},
-         r"malformed meta header \(generator.hidden entry must be an integer, got 3.0\)"),
+         r"generator.hidden\[0\] must be an integer, got 3.0"),
         (SHARED, lambda meta: {**meta, "channel_names": ["a", "a", "c"]},
-         r"channel_names must be distinct strings, got \['a', 'a', 'c'\]"),
-        (SHARED, lambda meta: {**meta, "backbone": []},
-         r"malformed meta header \(backbone must be an object, got \[\]\)"),
-        (SHARED, lambda meta: {**meta, "embedding": 5},
-         r"malformed meta header \(embedding must be an object, got 5\)"),
+         r'channel_names must be distinct, got \["a", "a", "c"\]'),
+        (SHARED, lambda meta: {**meta, "backbone": []}, r"backbone must be an object, got \[\]"),
+        (SHARED, lambda meta: {**meta, "embedding": 5}, "embedding must be an object, got 5"),
         (SHARED, lambda meta: {**meta, "backbone": {**meta["backbone"], "hidden_widths": 5}},
-         r"malformed meta header \(backbone.hidden_widths must be a list, got 5\)"),
+         "backbone.hidden_widths must be a list, got 5"),
         (SHARED, lambda meta: {**meta, "generator": {**meta["generator"], "hidden": 3}},
-         r"malformed meta header \(generator.hidden must be a list, got 3\)"),
-        (SHARED, lambda meta: {**meta, "generator": None},
-         r"malformed meta header \(generator must be an object, got None\)"),
+         "generator.hidden must be a list, got 3"),
+        (SHARED, lambda meta: {**meta, "generator": None}, "generator must be an object, got null"),
         (SHARED, lambda meta: {**meta, "config_echo": [1]},
-         r"malformed meta header \(config_echo must be an object, got \[1\]\)"),
+         r"config_echo must be an object, got \[1\]"),
     ],
     ids=["list_header", "int_heads", "string_kernel", "bool_version", "zero_revin",
-         "list_revin", "null_revin", "int_learnable", "float_kernel", "float_horizon",
+         "list_revin", "null_revin", "int_learnable", "float_kernel", "even_kernel",
+         "long_kernel", "float_horizon",
          "float_lookback", "float_width", "float_dim", "float_generator_width",
          "duplicate_channel_names", "list_backbone", "int_embedding", "int_widths",
          "int_generator_hidden", "null_generator", "list_config_echo"],
@@ -273,7 +274,24 @@ def fixture_copy(tmp_path, name, edit):
         ("baseline_dlinear", lambda meta, arrays: meta.update(n_channels=4),
          "n_channels is 4, but channel_names holds 3 names"),
         ("hyper_pcl_dlinear", lambda meta, arrays: meta["heads"]["seasonal"].update(
-            mode="shared_mlp"), r"generator modes \['per_channel_linear', 'shared_mlp'\]"),
+            mode="shared_mlp"), 'heads.seasonal.mode is "shared_mlp", but heads.trend.mode is '
+                                '"per_channel_linear"; format 2 has one generator'),
+        ("hyper_pcl_dlinear", lambda meta, arrays: meta["heads"]["seasonal"].update(
+            n_mlp_layers="x"), 'heads.seasonal.n_mlp_layers must be an integer, got "x"'),
+        ("hyper_pcl_dlinear", lambda meta, arrays: meta["heads"]["seasonal"].update(
+            n_mlp_layers=None), "heads.seasonal.n_mlp_layers must be an integer, got null"),
+        ("hyper_pcl_dlinear", lambda meta, arrays: meta["heads"]["seasonal"].update(
+            n_mlp_layers=-1), "heads.seasonal.n_mlp_layers must be >= 0, got -1"),
+        ("hyper_pcl_dlinear", lambda meta, arrays: meta["heads"]["seasonal"].update(
+            n_mlp_layers=1), "heads.seasonal.n_mlp_layers is 1, but heads.trend.n_mlp_layers "
+                             "is 0; format 2 has one generator"),
+        ("hyper_pcl_dlinear", lambda meta, arrays: meta["heads"]["trend"].update(mode=None),
+         'heads.trend.mode must be one of "per_channel_linear", "shared_mlp", got null'),
+        ("hyper_pcl_dlinear", lambda meta, arrays: [head.update(n_mlp_layers=2)
+                                                    for head in meta["heads"].values()],
+         "heads.trend.n_mlp_layers must be 0 for per_channel_linear, got 2"),
+        ("hyper_shared_mlp", lambda meta, arrays: meta["heads"]["out"].update(n_mlp_layers=0),
+         "heads.out.n_mlp_layers must be >= 1 for shared_mlp, got 0"),
         ("hyper_shared_mlp", lambda meta, arrays: arrays.pop("param/head.out.mlp.0.b"),
          "array 'param/head.out.mlp.0.b' is missing"),
         # format 1 reads a hidden width from its bias, so a cut bias is
@@ -281,13 +299,66 @@ def fixture_copy(tmp_path, name, edit):
         ("hyper_shared_mlp", cut("param/head.out.mlp.0.b"),
          r"array 'param/head.out.mlp.0.w' has shape \(2, 3\), expected \(2, 2\)"),
     ],
-    ids=["names_short", "count_long", "mixed_modes", "missing_bias", "cut_bias"],
+    ids=["names_short", "count_long", "mixed_modes", "str_layers", "null_layers",
+         "negative_layers", "mixed_layers", "null_mode", "pcl_layers", "shared_no_layers",
+         "missing_bias", "cut_bias"],
 )
 def test_format_1_header_checked(tmp_path, name, edit, message):
     path = fixture_copy(tmp_path, name, edit)
     with pytest.raises(CheckpointError, match=message) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+# what the mutation test puts in place of each header value in turn
+MUTANTS = [None, "x", 1.5, True, [], {}, -1, 0]
+
+
+def mutants(value, path=""):
+    """(path, copy of `value` with the node at `path` replaced by a MUTANT) for
+    every node below `value`'s root, named as the reader names it:
+    `backbone.kernel`, `channel_names[0]`."""
+    if isinstance(value, dict):
+        keys, name = list(value), lambda key: f"{path}.{key}" if path else key
+    elif isinstance(value, list):
+        keys, name = range(len(value)), lambda i: f"{path}[{i}]"
+    else:
+        return
+    for key in keys:
+        for new in MUTANTS:
+            edited = value.copy()
+            edited[key] = new
+            yield name(key), edited
+        for node, child in mutants(value[key], name(key)):
+            edited = value.copy()
+            edited[key] = child
+            yield node, edited
+
+
+@pytest.mark.parametrize("resave", [False, True], ids=["as_stored", "format_3"])
+@pytest.mark.parametrize("name", sorted(FIXTURE_FORMATS))
+def test_every_header_value_loads_or_is_named(tmp_path, name, resave):
+    """Each value of a fixture's header, or of its format-3 re-save, replaced
+    in turn by each of MUTANTS: the copy loads, or a CheckpointError names the
+    path of the value replaced."""
+    source = FIXTURES / f"{name}.npz"
+    if resave:
+        model, echo = load_checkpoint(source)
+        source = tmp_path / "resaved.npz"
+        save_checkpoint(model, source, config_echo=echo)
+    bundle = dict(np.load(source, allow_pickle=False))
+    header = json.loads(bytes(bundle.pop("meta")).decode())
+    path, unnamed, cases = tmp_path / "m.npz", [], 0
+    for node, meta in mutants(header):
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **bundle)
+        cases += 1
+        try:
+            load_checkpoint(path)
+        except CheckpointError as err:
+            if node not in str(err):
+                unnamed.append(f"{node} -> {err}")
+    assert cases >= 8 * 11 and not unnamed, "\n".join(unnamed)
 
 
 @pytest.mark.parametrize("name, variant", [

@@ -210,8 +210,7 @@ def test_bench_wrong_typed_results_line_is_clean_error(tmp_path, spec_file, caps
                        '"horizon": "4", "seed": 0}\n')
     assert main(["bench", "--spec", str(spec_file)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: {results}: line 1: key 'horizon' must be an integer, "
-                            'got "4"\n')
+    assert captured.err == f'error: {results}: line 1: horizon must be an integer, got "4"\n'
     assert captured.out == ""
 
 
@@ -470,14 +469,23 @@ def fixture_copy(tmp_path, name, edit):
     [
         (lambda meta: meta.update(horizon=4.0), "horizon must be an integer, got 4.0"),
         (lambda meta: meta.update(config_echo=[1]), "config_echo must be an object, got [1]"),
+        (lambda meta: meta["config_echo"].update(split_ratios=5),
+         "config_echo.split_ratios must be a list or null, got 5"),
+        (lambda meta: meta["config_echo"].update(truncate_to="x"),
+         'config_echo.truncate_to must be an integer or null, got "x"'),
+        (lambda meta: meta["config_echo"].update(split_ratios=["a", "b", "c"]),
+         'config_echo.split_ratios[0] must be a number, got "a"'),
     ],
-    ids=["float_horizon", "list_config_echo"],
+    ids=["float_horizon", "list_config_echo", "int_split_ratios", "str_truncate_to",
+         "str_split_ratio"],
 )
 def test_eval_malformed_header_is_clean_error(tmp_path, edit, problem):
     """A header value of the wrong type is refused at load, naming its key:
     `"horizon": 4.0` once loaded and then stopped `hnmvts eval` with a
-    TypeError traceback where the windows were cut, and `"config_echo": [1]`
-    with an AttributeError where the split was read from it."""
+    TypeError traceback where the windows were cut, `"config_echo": [1]`
+    with an AttributeError where the split was read from it, and a bad
+    echoed split ratio or truncation with a TypeError, or a float error
+    naming no key, where the split was built."""
     import os
     import subprocess
     import sys
@@ -498,7 +506,7 @@ def test_eval_malformed_header_is_clean_error(tmp_path, edit, problem):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert run.returncode == 1
-    assert run.stderr == f"error: {ckpt}: malformed meta header ({problem})\n"
+    assert run.stderr == f"error: {ckpt}: {problem}\n"
     assert run.stdout == ""
 
 

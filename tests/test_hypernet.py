@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from helpers import finite_diff_check, make_rng
 from hnmvts.backbones import DLinearBackbone, MlpBackbone, apply_final, decompose
 from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic, make_windows
 from hnmvts.hypernet import (
-    GENERATOR_MODES,
     ForecastModel,
     StoreError,
     bake,
@@ -26,6 +27,9 @@ from hnmvts.numcore import (
     mse,
     no_grad,
 )
+from hnmvts.schema import GENERATOR_MODES, GeneratorConfig, ModelConfig
+
+PCL = GeneratorConfig("per_channel_linear", ())
 
 
 def toy_table(rng, t=64, n=3):
@@ -42,7 +46,7 @@ def linear_weights(z, w_phi):
 
 def shared_mlp(z, rng, horizon, hidden, gen_hidden):
     """A freshly drawn shared_mlp generator's arrays for embeddings z, as tensors."""
-    arrays = init_generator(z.data, horizon, hidden, "shared_mlp", rng, gen_hidden)
+    arrays = init_generator(z.data, horizon, hidden, GeneratorConfig("shared_mlp", gen_hidden), rng)
     return [Tensor(a, requires_grad=True) for a in arrays]
 
 
@@ -126,7 +130,7 @@ class TestGenerateWeights:
         """w_phi takes the draws of an (N, H, D, d) array, whose d axis then
         moves to axis 1: the initial values do not depend on the stored layout."""
         z = rng.standard_normal((3, 2))
-        (w_phi,) = init_generator(z, 4, 5, "per_channel_linear", make_rng(7))
+        (w_phi,) = init_generator(z, 4, 5, PCL, make_rng(7))
         drawn = make_rng(7).uniform(-1 / np.sqrt(5), 1 / np.sqrt(5), size=(3, 4, 5, 2))
         drawn /= np.linalg.norm(z, axis=1)[:, None, None, None]
         assert w_phi.shape == (3, 2, 4, 5) and w_phi.flags.c_contiguous
@@ -145,7 +149,7 @@ class TestGenerateWeights:
         n, d, horizon, dim = 7, 7, 24, 36
         z = make_rng(3).standard_normal((n, d)).astype(dtype)
         z[1] = 0.0
-        (w_phi,) = init_generator(z, horizon, dim, "per_channel_linear", make_rng(7))
+        (w_phi,) = init_generator(z, horizon, dim, PCL, make_rng(7))
         bound = 1 / np.sqrt(dim)
         base = make_rng(7).uniform(-bound, bound, size=(n, horizon, dim, d))
         norms = np.linalg.norm(z, axis=1)
@@ -174,15 +178,14 @@ class TestGenerateWeights:
         for mode, other in [("per_channel_linear", "shared_mlp"),
                             ("shared_mlp", "per_channel_linear")]:
             model = build_hyper(DLinearBackbone(8, 3), table, 4, rng, mode=mode)
-            cfg = model.config()
-            cfg["generator"]["mode"] = other
+            cfg = replace(model.config(), generator=GeneratorConfig(other, ()))
             with pytest.raises(StoreError, match="head.trend.* is missing"):
                 ForecastModel(cfg, dict(model.all_arrays()))
-        cfg["generator"]["mode"] = "bogus"
-        with pytest.raises(ValueError, match="unknown generator mode 'bogus'"):
-            ForecastModel(cfg, dict(model.all_arrays()))
-        cfg = model.config()
-        cfg["generator"]["hidden"] = [4]
+        with pytest.raises(ValueError, match="generator.mode must be one of "
+                                             '"per_channel_linear", "shared_mlp", got "bogus"'):
+            ModelConfig.from_json({**model.config().to_json(),
+                                   "generator": {"mode": "bogus", "hidden": []}})
+        cfg = replace(model.config(), generator=GeneratorConfig("shared_mlp", (4,)))
         with pytest.raises(StoreError, match="'head.trend.mlp.0.b' is missing"):
             ForecastModel(cfg, dict(model.all_arrays()))
 
@@ -192,6 +195,10 @@ class TestGenerateWeights:
                                              r"per_channel_linear, got \[64, 32\]"):
             build_hyper(DLinearBackbone(8, 3), toy_table(rng), 4, rng,
                         mode="per_channel_linear", gen_hidden=(64, 32))
+        with pytest.raises(ValueError, match=r"generator.hidden must be \[\] for "
+                                             r"per_channel_linear, got \[5\]"):
+            init_generator(rng.standard_normal((3, 2)), 4, 5,
+                           GeneratorConfig("per_channel_linear", (5,)), rng)
 
 
 class TestChannelInvariants:
@@ -337,7 +344,7 @@ def permuted(model, perm):
     rows of every per-channel array (`final.*.w`, `embed.z`, `w_phi`) move;
     the trunk and a shared_mlp generator serve every channel and stay."""
     cfg = model.config()
-    cfg["channel_names"] = [cfg["channel_names"][i] for i in perm]
+    cfg = replace(cfg, channel_names=tuple(cfg.channel_names[i] for i in perm))
     arrays = {}
     for name, t in model.all_arrays().items():
         moves = name.startswith("final.") or name == "embed.z" or name.endswith(".w_phi")
@@ -422,12 +429,12 @@ class TestHyperForward:
         w_phi_t = np.zeros((1, 2, 2, 3))
         w_phi_t[0, 0] = [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
         w_phi_s = np.zeros((1, 2, 2, 3))
-        cfg = {
+        cfg = ModelConfig.from_json({
             "variant": "hyper", "revin": False, "horizon": 2, "channel_names": ["ch0"],
             "backbone": DLinearBackbone(lookback=3, kernel=1).config(),
             "embedding": {"dim": 2, "learnable": True},
             "generator": {"mode": "per_channel_linear", "hidden": []},
-        }
+        })
         model = ForecastModel(cfg, {
             "embed.z": Tensor([[1.0, -1.0]]),
             "head.trend.w_phi": Tensor(w_phi_t),
@@ -584,7 +591,7 @@ class TestBake:
         bb = DLinearBackbone(8, 3) if backbone_kind == "dlinear" else MlpBackbone(8, (6,), rng=rng)
         baseline = build_baseline(bb, 3, 4, rng)
         baked = bake(baseline)
-        assert baked.variant == "baked" and baked.config()["variant"] == "baked"
+        assert baked.variant == "baked" and baked.config().variant == "baked"
         assert list(baked.all_arrays()) == list(baseline.all_arrays())
         for name, t in baked.all_arrays().items():
             source = baseline.all_arrays()[name]
@@ -688,7 +695,7 @@ class TestWalker:
         frozen = set()
         if model.variant == "baked":
             frozen = {name for name in arrays if name.startswith("final.")}
-        if model.variant == "hyper" and not model.config()["embedding"]["learnable"]:
+        if model.variant == "hyper" and not model.config().embedding.learnable:
             frozen = {"embed.z"}
         params = model.parameters()
         assert list(params) == [name for name in arrays if name not in frozen]
