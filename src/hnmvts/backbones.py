@@ -3,7 +3,8 @@
 Every backbone turns a lookback window (..., N, T), a plain array, into one
 hidden state per channel and per output slot: `prepare(x)` computes on plain
 arrays what the forward reads of it (data a trainer may keep; `reads` names
-it), and `forward_hidden` turns that list into the hidden states.
+it), and `forward_hidden` turns that list into the hidden states on the
+gradient graph, `hidden` into the same states on plain arrays.
 `apply_final` then maps each channel's hidden state to the horizon with that
 slot's bias-free (N, H, D) weights, one (H x D) matrix per channel. A
 backbone is described by its `config()`; the arrays it owns (`shapes()`
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import DimensionError, Tensor, add, channel_dot, linear_relu, moving_average
+from .numcore import (DimensionError, Tensor, add, channel_dot, linear_relu, moving_average,
+                      relu_product)
 
 __all__ = ["DLinearBackbone", "MlpBackbone", "decompose", "from_config", "apply_final",
            "uniform_fan_in", "draw_fan_in", "stack_shapes", "stack_forward"]
@@ -102,6 +104,10 @@ class DLinearBackbone:
         """Hidden states in `slots` order: the trend, then the seasonal part."""
         return [Tensor(h) for h in inputs]
 
+    def hidden(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
+        """`forward_hidden` on plain arrays: the inputs themselves."""
+        return inputs
+
     def fold(self, trend_w: np.ndarray, seasonal_w: np.ndarray) -> np.ndarray:
         """The one (N, H, T) matrix W_s + (W_t - W_s) A, A the moving average of
         `decompose`: W_t A x + W_s (x - A x) as a single product with x. A is
@@ -160,6 +166,13 @@ class MlpBackbone:
     def forward_hidden(self, inputs: list[np.ndarray]) -> list[Tensor]:
         """The trunk's output on the lookback, the one hidden state of the `out` slot."""
         return [stack_forward(Tensor(inputs[0]), [self.weights[name] for name in self._shapes])]
+
+    def hidden(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
+        """`forward_hidden` on plain arrays, each layer through `relu_product`."""
+        h, names = inputs[0], list(self._shapes)
+        for w, b in zip(names[::2], names[1::2]):
+            h = relu_product(h, self.weights[w].data, self.weights[b].data)
+        return [h]
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Names and shapes of the trunk's arrays (see `stack_shapes`)."""

@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..data import chrono_split, make_windows
@@ -142,7 +145,14 @@ def cmd_eval(args) -> int:
                          f"checkpoint was trained on {model.channel_names}")
     segments = dict(zip(("train", "val", "test"), chrono_split(table, split)))
     windows = make_windows(segments[args.split], model.backbone.lookback, model.horizon)
-    metrics = evaluate(model, windows)
+    where = f"{args.data}: evaluating the {args.split} split"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            metrics = evaluate(model, windows)
+    except FloatingPointError as err:
+        raise ValueError(f"{where}: {err}") from None
+    if not all(map(math.isfinite, metrics.values())):
+        raise ValueError(f"{where}: the mse {metrics['mse']} or mae {metrics['mae']} is not finite")
     print(json.dumps({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]}))
     return 0
 

@@ -12,6 +12,7 @@ the names and shapes the header decides. Format 3 is written; formats 1 and
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERS
 
 class CheckpointError(ValueError):
     """Unreadable or structurally invalid checkpoint file."""
+
+
+_READ_ERRORS = (ValueError, OSError, NotImplementedError, zipfile.BadZipFile)  # damaged member
 
 
 def save_checkpoint(model: ForecastModel, path: str | Path, config_echo: dict | None = None) -> None:
@@ -55,9 +59,9 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
             raise CheckpointError(f"{path}: missing meta header")
         try:
             meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
-        except ValueError as err:
+        except _READ_ERRORS as err:
             raise CheckpointError(f"{path}: corrupt meta header ({err})") from None
-        arrays = {key[len("param/") :]: Tensor(bundle[key])
+        arrays = {key[len("param/") :]: _read_array(path, bundle, key)
                   for key in bundle.files if key.startswith("param/")}
     try:
         version, cfg, echo = read_header(meta, arrays)
@@ -69,6 +73,18 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, dict]:
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
     return model, echo
+
+
+def _read_array(path: Path, bundle, key: str) -> Tensor:
+    """The stored array `key` in the process dtype; only a real floating one is read."""
+    try:
+        a = bundle[key]
+    except _READ_ERRORS as err:
+        raise CheckpointError(f"{path}: array '{key}' is unreadable ({err})") from None
+    if a.dtype.kind != "f":
+        raise CheckpointError(f"{path}: array '{key}' has dtype {a.dtype}, expected a real "
+                              "floating-point one")
+    return Tensor(a)
 
 
 def _from_d_last(cfg: ModelConfig, arrays: dict[str, Tensor]) -> None:

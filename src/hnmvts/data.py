@@ -115,7 +115,11 @@ class WindowSet:
 
         `idx` is a slice or an index array into this set; indexing the span
         views with the origins array copies into fresh C-contiguous arrays,
-        the same values a view built per call gives.
+        the same values a view built per call gives. Not `np.take`: on a
+        span view it first copies the whole view (about 50 ms for 256 windows
+        of the ettm2-shaped test split, against 0.2 ms by indexing), and
+        with `out=` in its default mode='raise' it is buffered (1.2 ms
+        against 0.4 ms on a contiguous (2 000, 7, 336) array; 2 vCPUs).
         """
         start = self.origins[idx]
         return self._lookbacks[start], self._targets[start]

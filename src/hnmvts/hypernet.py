@@ -38,8 +38,9 @@ import numpy as np
 from . import backbones
 from .backbones import apply_final, draw_fan_in, stack_forward, stack_shapes, uniform_fan_in
 from .data import SeriesTable, pearson_corr
-from .normalization import InstanceStats, revin_forward, revin_reverse
-from .numcore import Tensor, channel_gemv, channel_product, matmul, no_grad, pca_project, reshape
+from .normalization import InstanceStats, revin_center, revin_forward, revin_reverse
+from .numcore import (Tensor, channel_gemv, channel_product, grad_enabled, matmul, no_grad,
+                      pca_project, reshape)
 from .schema import GeneratorConfig, ModelConfig, StoreError
 
 __all__ = ["ForecastModel", "StoreError", "init_embeddings", "init_generator",
@@ -124,7 +125,7 @@ class ForecastModel:
                         and the `head.*` generators.
     variant "baked":    constant final layers materialized by `bake`; a
                         DLinear one serves their `fold` W, made here once
-                        (see `forward`).
+                        (see `forecast`).
 
     Building one checks the store against `_array_shapes` and sets which
     arrays train: `final.*` only in a baseline, `embed.z` only when learnable,
@@ -188,44 +189,66 @@ class ForecastModel:
         raw one without RevIN): [x] for a folded model, else the backbone's."""
         return [x] if self._folded is not None else self.backbone.prepare(x)
 
-    def forward_prepared(self, inputs: list[np.ndarray],
-                         weights: list[Tensor] | None = None) -> Tensor:
-        """Normalised-scale forecast (..., N, H) from `prepare`'s arrays.
+    def forward_prepared(self, inputs: list[np.ndarray]) -> Tensor:
+        """Normalised-scale forecast (..., N, H) from `prepare`'s arrays, on the
+        gradient graph, or `forecast_prepared`'s when there is no graph to
+        record (under `no_grad`, or through a folded model)."""
+        if self._folded is not None or not grad_enabled():
+            return Tensor(self.forecast_prepared(inputs))
+        return apply_final(self.final_weights(), self.backbone.forward_hidden(inputs))
 
-        `weights` is `final_weights()` when the caller has them already
-        (`trainer.evaluate` generates a hyper model's once per call). A
-        folded model applies W to its input on plain arrays.
-        """
+    def forecast_prepared(self, inputs: list[np.ndarray],
+                          weights: list[np.ndarray] | None = None) -> np.ndarray:
+        """`forward_prepared` on plain arrays, a new array: one `channel_product`
+        per slot on the backbone's `hidden`, summed in the first one's buffer.
+        `weights`, the `final_weights()` arrays, may come from a caller that
+        has them (`trainer.evaluate` takes them once per call)."""
         if self._folded is not None:
-            return Tensor(channel_product(self._folded, inputs[0]))
-        return apply_final(self.final_weights() if weights is None else weights,
-                           self.backbone.forward_hidden(inputs))
+            return channel_product(self._folded, inputs[0])
+        if weights is None:
+            with no_grad():
+                weights = [w.data for w in self.final_weights()]
+        hidden = self.backbone.hidden(inputs)
+        out = channel_product(weights[0], hidden[0])
+        for w, h in zip(weights[1:], hidden[1:]):
+            out += channel_product(w, h)
+        return out
 
-    def forward(self, x: Tensor, weights: list[Tensor] | None = None) -> Tensor:
-        """Raw-scale forecast (..., N, H) for a lookback (..., N, T).
+    def forecast(self, x: np.ndarray, weights: list[np.ndarray] | None = None,
+                 overwrite_x: bool = False) -> np.ndarray:
+        """`forward` on plain arrays, a new array: RevIN's statistics, then
+        `forecast_prepared` of `prepare`'s arrays, mapped back in its buffer.
+        It writes x only with `overwrite_x`, normalising it in place, and
+        takes `weights` as `forecast_prepared` does. Through a folded model
+        RevIN's scale cancels, W((x - mu) / (std + eps)) * (std + eps) + mu =
+        W (x - mu) + mu, so it serves that form and computes no std; centring
+        first keeps the product's precision independent of the series' level.
+        """
+        if not self.revin:
+            return self.forecast_prepared(self.prepare(x), weights)
+        if self._folded is not None:
+            centered, mean = revin_center(x, x if overwrite_x else None)
+            pred = channel_product(self._folded, centered)
+            pred += mean
+            return pred
+        x_norm, stats = revin_forward(x, x if overwrite_x else None)
+        pred = self.forecast_prepared(self.prepare(x_norm), weights)
+        return revin_reverse(pred, stats, out=pred)
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Raw-scale forecast (..., N, H) for a lookback (..., N, T); x is not written.
 
         The lookback is data: no gradient reaches it, so RevIN and the
         backbone's input side run on its plain array, and only the hidden
-        states that meet the final layers join the graph. `weights` is as
-        in `forward_prepared`.
-
-        Through a folded model RevIN's scale cancels, W((x - mu) / (std +
-        eps)) * (std + eps) + mu = W (x - mu) + mu, so it serves that form
-        and computes no std. Centring before the product keeps its precision
-        independent of the series' level. It runs on plain arrays, never
-        writes x, and wraps only its result in a Tensor, off the graph.
+        states that meet the final layers join the graph. With no graph to
+        record (under `no_grad`, or through a folded model) it is `forecast`.
         """
+        if self._folded is not None or not grad_enabled():
+            return Tensor(self.forecast(x.data))
         if not self.revin:
-            return self.forward_prepared(self.prepare(x.data), weights)
-        if self._folded is not None:
-            # the steps of numpy's own mean, np.mean's values bit for bit
-            mean = np.add.reduce(x.data, axis=-1, keepdims=True)
-            mean /= x.shape[-1]
-            out = channel_product(self._folded, x.data - mean)
-            out += mean
-            return Tensor(out)
+            return self.forward_prepared(self.prepare(x.data))
         x_norm, stats = revin_forward(x.data)
-        return revin_reverse(self.forward_prepared(self.prepare(x_norm), weights), stats)
+        return revin_reverse(self.forward_prepared(self.prepare(x_norm)), stats)
 
     def forward_normalized(self, x: Tensor) -> tuple[Tensor, InstanceStats]:
         """Normalized-scale forecast plus the lookback statistics."""

@@ -1,50 +1,12 @@
-"""Numeric core: tensors, reverse-mode gradients, Adam, PCA, seeded generators."""
+"""Numeric core: tensors, reverse-mode gradients, Adam, PCA, seeded generators.
 
+It re-exports `tensor`'s public names, which that module's `__all__` lists.
+"""
+
+from . import tensor
 from .optim import AdamState, adam_step
 from .pca import pca_project
 from .rng import spawn_rng
-from .tensor import (
-    DimensionError,
-    OuterGrad,
-    Tape,
-    Tensor,
-    add,
-    backward,
-    channel_dot,
-    channel_gemv,
-    channel_product,
-    get_default_dtype,
-    linear_relu,
-    matmul,
-    moving_average,
-    mse,
-    mul,
-    no_grad,
-    reshape,
-    set_default_dtype,
-)
+from .tensor import *  # noqa: F403
 
-__all__ = [
-    "DimensionError",
-    "OuterGrad",
-    "Tape",
-    "Tensor",
-    "AdamState",
-    "adam_step",
-    "add",
-    "backward",
-    "channel_dot",
-    "channel_gemv",
-    "channel_product",
-    "get_default_dtype",
-    "linear_relu",
-    "matmul",
-    "moving_average",
-    "mse",
-    "mul",
-    "no_grad",
-    "pca_project",
-    "reshape",
-    "set_default_dtype",
-    "spawn_rng",
-]
+__all__ = ["AdamState", "adam_step", "pca_project", "spawn_rng", *tensor.__all__]

@@ -12,8 +12,10 @@ generator `channel_gemv`, the mean squared error, reshape).
 `channel_gemv`'s weight gradient stays factored (`OuterGrad`) up to the
 optimizer, which builds it block by block where it consumes it.
 Data that no gradient reaches stays off the graph: the moving average works
-on plain arrays, and so does a baked DLinear's folded forecast, through
-`channel_product`, the array kernel that `channel_dot`'s forward runs.
+on plain arrays, and so does every forecast taken without a graph (under
+`no_grad`, see `grad_enabled`), through `relu_product` and
+`channel_product`, the array kernels that `linear_relu`'s and
+`channel_dot`'s forwards run.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ __all__ = [
     "Tape",
     "backward",
     "no_grad",
+    "grad_enabled",
     "set_default_dtype",
     "get_default_dtype",
     "add",
     "mul",
     "matmul",
     "linear_relu",
+    "relu_product",
     "channel_dot",
     "channel_gemv",
     "channel_product",
@@ -78,6 +82,11 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
+
+
+def grad_enabled() -> bool:
+    """Whether ops record the graph: False inside a `no_grad` block."""
+    return _GRAD_ENABLED
 
 
 def _contig(arr: np.ndarray) -> np.ndarray:
@@ -257,18 +266,19 @@ def _bias_relu(x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _stacked_rows(x: np.ndarray, m: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """x (*B, n, k) @ m (k, p) as 2-D GEMMs over the flattened rows.
+    """x (*B, n, k) @ m (k, p), a stack of matrices as 2-D GEMMs over the flattened rows.
 
     Each block holds whole (n, k) matrices, about `_ROW_BLOCK` rows. Every
     output element is still one dot product over k, but BLAS picks its
     kernel by the GEMM's size, so for some widths the last bits differ from
     numpy's per-matrix products; for the MLP trunk widths the benchmark and
-    tests pin (96, 128, 256) they agree bit for bit. Callers keep products
-    with a dimension of 1 on numpy's path: numpy runs those with gemv or a
-    loop of its own, not GEMM. With `bias`, each block becomes
-    `_bias_relu(block, bias)` while it is still in cache.
+    tests pin (96, 128, 256) they agree bit for bit. A 2-D x, or a product
+    with a dimension of 1, takes numpy's `x @ m` (gemv or numpy's own loop).
+    With `bias`, each block becomes `_bias_relu(block, bias)` in cache.
     """
     n = x.shape[-2]
+    if x.ndim < 3 or min(n, *m.shape) < 2:
+        return x @ m if bias is None else _bias_relu(x @ m, bias)
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty((rows.shape[0], m.shape[1]), dtype=np.result_type(x, m))
     step = max(1, _ROW_BLOCK // n) * n
@@ -293,25 +303,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make_node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
-def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """One Linear+ReLU layer, relu(h @ w + b), as one graph node.
-
-    h is (*B, n, k), w (k, p) and b (p,). A stack of matrices (h of 3 or
-    more dimensions, n, k and p all above 1) runs as `_stacked_rows`' GEMMs,
-    each block taking its bias and ReLU while still in cache; any other h
-    takes numpy's `h @ w`. Bias and ReLU then equal numpy's
-    `np.where(pre > 0, pre, 0.0)` of `pre = product + b` bit for bit.
-
-    The backward masks the incoming gradient once, gm = g * (out > 0)
-    (out > 0 exactly where pre > 0, NaN, +-0, +-inf and subnormals
-    included). `grad_h` is gm @ w.T, row-blocked like the forward, and
-    `grad_b` sums gm over its rows. `grad_w` is one GEMM over all rows,
-    rows(h).T @ rows(gm): for a 2-D h that is numpy's h.T @ gm bit for bit;
-    for a stack it sums each weight gradient over the R = B*n rows in
-    another order than per-matrix products summed over B, within
-    2 R eps (|rows(h)|.T @ |rows(gm)|) of them.
-    """
-    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
+def relu_product(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`linear_relu`'s forward on plain arrays, a new array: relu(h @ w + b) for
+    h (*B, n, k), w (k, p) and b (p,), by `_stacked_rows`, equal bit for bit
+    to numpy's `np.where(pre > 0, pre, 0.0)` of `pre = h @ w + b`."""
     if h.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
         raise DimensionError(
             f"linear_relu needs h (..., n, k), w (k, p) and b (p,), got {h.shape}, {w.shape}, "
@@ -319,15 +314,25 @@ def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if h.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear_relu inner dimensions disagree: {h.shape} @ {w.shape}")
-    k, p = w.shape
-    stacked = h.ndim > 2 and min(h.shape[-2], k, p) > 1
-    if stacked:
-        out = _stacked_rows(h.data, w.data, b.data)
-    else:
-        out = _bias_relu(h.data @ w.data, b.data)
+    return _stacked_rows(h, w, b)
 
-    def grad_h(gm):
-        return _stacked_rows(gm, w.data.T) if stacked else gm @ w.data.T
+
+def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One Linear+ReLU layer, relu(h @ w + b), as one graph node; its forward
+    is `relu_product`.
+
+    The backward masks the incoming gradient once, gm = g * (out > 0)
+    (out > 0 exactly where pre > 0, NaN, +-0, +-inf and subnormals
+    included). `grad_h` is gm @ w.T, run as the forward runs its product,
+    and `grad_b` sums gm over its rows. `grad_w` is one GEMM over all rows,
+    rows(h).T @ rows(gm): for a 2-D h that is numpy's h.T @ gm bit for bit;
+    for a stack it sums each weight gradient over the R = B*n rows in
+    another order than per-matrix products summed over B, within
+    2 R eps (|rows(h)|.T @ |rows(gm)|) of them.
+    """
+    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
+    out = relu_product(h.data, w.data, b.data)
+    k, p = w.shape
 
     def grad_w(gm):
         return h.data.reshape(-1, k).T @ gm.reshape(-1, p)
@@ -335,7 +340,7 @@ def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make_node(
         out,
         (h, w, b),
-        (grad_h, grad_w, lambda gm: _unbroadcast(gm, b.shape)),
+        (lambda gm: _stacked_rows(gm, w.data.T), grad_w, lambda gm: _unbroadcast(gm, b.shape)),
         grad_in=lambda g: g * (out > 0),
     )
 
@@ -382,10 +387,9 @@ def channel_dot(w: Tensor, v: Tensor) -> Tensor:
 def channel_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """`channel_dot`'s forward on plain arrays: w (N, H, D) applied to v (*B, N, D).
 
-    One matmul batched over the channel axis, on v's channel-major view. The
-    result is a new row-major array that shares no memory with w or v, so a
-    caller may write to it in place. A baked DLinear serves its fold
-    through it.
+    One matmul batched over the channel axis, on v's channel-major view,
+    that BLAS writes straight into that view of a new row-major (*B, N, H)
+    array (no transposed copy), which a caller may write to in place.
     """
     if w.ndim != 3 or v.ndim < 2:
         raise DimensionError(f"channel_dot needs w (N, H, D) and v (..., N, D), got {w.shape}, "
@@ -395,7 +399,12 @@ def channel_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
             f"channel_dot shapes disagree: w {w.shape} vs v {v.shape} "
             "(need matching channel and trailing axes)"
         )
-    return _contig(_from_channel_major(_to_channel_major(v) @ w.swapaxes(1, 2), v.shape[:-2]))
+    vc, wt = _to_channel_major(v), w.swapaxes(1, 2)
+    if vc.shape[1] == 1:  # one window: the channel-major product is row-major already
+        return (vc @ wt).reshape(v.shape[:-1] + w.shape[1:2])
+    out = np.empty(v.shape[:-1] + w.shape[1:2], dtype=np.result_type(w, v))
+    np.matmul(vc, wt, out=_to_channel_major(out))
+    return out
 
 
 def channel_gemv(z: Tensor, w: Tensor) -> Tensor:

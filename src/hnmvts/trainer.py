@@ -208,7 +208,7 @@ def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
         stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
     if prepared.inputs is None:
         x, y = prepared.windows.batch(idx)
-        return _Batch(prepared.prepare(x if stats is None else revin_apply(x, stats)), y, stats)
+        return _Batch(prepared.prepare(x if stats is None else revin_apply(x, stats, x)), y, stats)
     y = prepared.windows.targets(idx) if prepared.target is None else prepared.target[idx]
     return _Batch([a[idx] for a in prepared.inputs], y, stats)
 
@@ -332,43 +332,42 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
 
     `windows` is a WindowSet, or a PreparedSet made for this model and not
     for the loss (`train` validates on one); any other PreparedSet raises a
-    ValueError. On a PreparedSet a RevIN model's forecast maps back through
-    `revin_reverse`, as `forward` does. The model's final weights are taken
-    once per call (a hyper model generates them once) and serve every
-    batch. Each batch's errors and their sums then run in one buffer.
+    ValueError. Every batch runs the model's plain-array forecast in its
+    own buffers: `forecast` normalises a gathered batch in place, a
+    prepared batch's forecast maps back in place, and the errors and their
+    sums run in the forecast's buffer. The final weights are taken once per
+    call, so a hyper model generates them once.
     """
     if not windows:
         raise ValueError("empty evaluation set")
     if not _is_int(batch_size) or batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
-    if isinstance(windows, PreparedSet):
+    prepared = isinstance(windows, PreparedSet)
+    if prepared:
         made, wanted = (windows.revin, windows.reads), (bool(model.revin), model.reads)
         if made != wanted:
             raise ValueError(f"the PreparedSet was made for revin={made[0]}, reads={made[1]}, "
                              f"but the model has revin={wanted[0]}, reads={wanted[1]}")
         if windows.for_loss:
             raise ValueError("the PreparedSet was made for the loss; evaluate scores raw targets")
-    sse = 0.0
-    sae = 0.0
+    sse = sae = 0.0
     count = 0
     with no_grad():
-        weights = model.final_weights()
-        for start in range(0, len(windows), batch_size):
-            idx = slice(start, start + batch_size)
-            if isinstance(windows, PreparedSet):
-                batch = _stack_batch(windows, idx)
-                pred, yb = model.forward_prepared(batch.inputs, weights).data, batch.y
-                if batch.stats is None:
-                    err = pred - yb
-                else:
-                    err = revin_reverse(pred, batch.stats)
-                    err -= yb
-            else:
-                xb, yb = windows.batch(idx)
-                err = model.forward(Tensor(xb), weights).data - yb
-            np.abs(err, out=err)
-            sae += float(err.sum())
-            err *= err
-            sse += float(err.sum())
-            count += err.size
+        weights = [w.data for w in model.final_weights()]
+    for start in range(0, len(windows), batch_size):
+        idx = slice(start, start + batch_size)
+        if prepared:
+            batch = _stack_batch(windows, idx)
+            err, yb = model.forecast_prepared(batch.inputs, weights), batch.y
+            if batch.stats is not None:
+                revin_reverse(err, batch.stats, out=err)
+        else:
+            xb, yb = windows.batch(idx)
+            err = model.forecast(xb, weights, overwrite_x=True)
+        err -= yb
+        np.abs(err, out=err)
+        sae += float(err.sum())
+        err *= err
+        sse += float(err.sum())
+        count += err.size
     return {"mse": sse / count, "mae": sae / count}

@@ -138,6 +138,24 @@ def test_corrupt_header_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("member, message", [
+    ("meta", r"corrupt meta header \(Bad CRC-32 for file 'meta.npy'\)"),
+    ("param/final.trend.w", r"array 'param/final.trend.w' is unreadable \(Bad CRC-32"),
+], ids=["meta", "param"])
+def test_damaged_member_rejected(tmp_path, member, message):
+    """A flipped byte in a stored member fails its CRC; the meta header's
+    stopped with a zipfile traceback."""
+    import zipfile
+
+    path = tmp_path / "m.npz"
+    raw = bytearray((FIXTURES / "baseline_dlinear.npz").read_bytes())
+    info = zipfile.ZipFile(FIXTURES / "baseline_dlinear.npz").getinfo(f"{member}.npy")
+    raw[info.header_offset + 30 + len(info.filename) + len(info.extra) + 100] ^= 0xFF
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=rf"^{path}: {message}"):
+        load_checkpoint(path)
+
+
 # the per_channel_linear DLinear fixture as stored (format 1), and the
 # shared_mlp MLP one, which the test writes in format 3 before editing it
 PCL, SHARED = "hyper_pcl_dlinear", "hyper_shared_mlp"

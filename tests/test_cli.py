@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,57 @@ def test_eval_malformed_header_is_clean_error(tmp_path, edit, problem):
     assert run.returncode == 1
     assert run.stderr == f"error: {ckpt}: {problem}\n"
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("dtype, problem", [
+    ("str", "has dtype <U1, expected a real floating-point one"),
+    ("object", "is unreadable (Object arrays cannot be loaded when allow_pickle=False)"),
+    ("complex", "has dtype complex128, expected a real floating-point one"),
+    ("bool", "has dtype bool, expected a real floating-point one"),
+    ("int", "has dtype int64, expected a real floating-point one"),
+], ids=["str", "object", "complex", "bool", "int"])
+def test_eval_non_float_array_is_clean_error(tmp_path, capsys, dtype, problem):
+    """A stored array must be real floating-point: a string or object one
+    stopped with an error naming neither file nor array, and a complex or
+    bool one loaded, losing its imaginary part or reading as 0/1."""
+    from pathlib import Path
+
+    bundle = dict(np.load(Path(__file__).parent / "data" / "baseline_dlinear.npz"))
+    w = bundle["param/final.trend.w"]
+    bundle["param/final.trend.w"] = {"str": np.full(w.shape, "a"), "object": w.astype(object),
+                                     "complex": w + 1j, "bool": w > 0,
+                                     "int": w.astype(np.int64)}[dtype]
+    ckpt = tmp_path / "copy.npz"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **bundle)
+    data = tmp_path / "abc.csv"
+    data.write_text("a,b,c\n" + "1,2,3\n" * 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {ckpt}: array 'param/final.trend.w' {problem}\n"
+
+
+@pytest.mark.parametrize("name", ["baseline_dlinear", "baked_mlp"])
+def test_eval_overflow_is_clean_error(tmp_path, capsys, name):
+    """Values whose squares overflow printed an MSE of NaN (not JSON) or
+    Infinity after numpy's RuntimeWarnings, and exited 0."""
+    from pathlib import Path
+
+    rows = np.random.default_rng(0).standard_normal((200, 3))
+    rows[:, 0] = np.where(np.arange(200) % 2 == 0, 1e300, 2e300)
+    data = tmp_path / "big.csv"
+    data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    ckpt = Path(__file__).parent / "data" / f"{name}.npz"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {data}: evaluating the test split: overflow encountered in "
+                   "multiply\n")
 
 
 def test_eval_takes_lookback_from_the_model(tmp_path, capsys):

@@ -792,11 +792,14 @@ def frozen_evaluate(model, windows, batch_size=256):
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
     @pytest.mark.parametrize("form", TestPreparedSets.FORMS)
-    def test_matches_frozen_arithmetic(self, form, revin):
+    def test_matches_frozen_arithmetic(self, form, revin, dtype, request):
         """Bit for bit on a plain and a prepared set of 313 windows (two
-        batches), for the trained model and its bake."""
+        batches), for the trained model and its bake, in either dtype."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
         values = make_rng(9).standard_normal((400, 3)).cumsum(axis=0) + 30.0
         table = SeriesTable(Tensor(values), ["a", "b", "c"])
         windows = make_windows(table, 8, 2)[:313]
@@ -804,6 +807,29 @@ class TestEvaluate:
         for m in (model, bake(model)):
             for ws in (windows, PreparedSet(m, windows)):
                 assert evaluate(m, ws) == frozen_evaluate(m, ws)
+
+    @pytest.mark.parametrize("form", TestPreparedSets.FORMS)
+    def test_reads_read_only_inputs(self, form):
+        """`forward` on a read-only lookback and `evaluate` on a WindowSet over
+        a read-only segment, plain or prepared, give the writable inputs'
+        results for the model and its bake, and write neither input."""
+        values = make_rng(9).standard_normal((400, 3)).cumsum(axis=0) + 30.0
+        table = SeriesTable(Tensor(values), ["a", "b", "c"])
+        windows = make_windows(table, 8, 2)[:313]
+        segment = windows.values.copy()
+        segment.flags.writeable = False
+        frozen = WindowSet(segment, windows.origins, 8, 2)
+        x = windows.batch(slice(0, 5))[0]
+        x_frozen = x.copy()
+        x_frozen.flags.writeable = False
+        model = build_form(form, True, table)
+        for m in (model, bake(model)):
+            with no_grad():
+                out = m.forward(Tensor(x_frozen)).data
+            assert out.tobytes() == m.forward(Tensor(x)).data.tobytes()
+            assert evaluate(m, frozen) == evaluate(m, windows)
+            assert evaluate(m, PreparedSet(m, frozen)) == evaluate(m, PreparedSet(m, windows))
+            assert np.array_equal(x_frozen, x) and np.array_equal(segment, windows.values)
 
     def test_refuses_a_set_prepared_for_another_model(self, rng):
         model, train_w, _ = small_setup(rng)
@@ -868,8 +894,8 @@ class TestEvaluate:
             def final_weights(self):
                 return []
 
-            def forward(self, x, weights):
-                return Tensor(val_w.batch(slice(None))[1])
+            def forecast(self, x, weights, overwrite_x):
+                return val_w.batch(slice(None))[1]
 
         metrics = evaluate(Echo(), val_w, batch_size=len(val_w))
         assert metrics["mse"] == 0.0 and metrics["mae"] == 0.0
@@ -884,8 +910,8 @@ class TestEvaluate:
             def final_weights(self):
                 return []
 
-            def forward(self, x, weights):
-                return Tensor(val_w.batch(slice(None))[1] + delta)
+            def forecast(self, x, weights, overwrite_x):
+                return val_w.batch(slice(None))[1] + delta
 
         metrics = evaluate(Offset(), val_w, batch_size=len(val_w))
         assert metrics["mse"] == pytest.approx(delta**2, abs=1e-12)
