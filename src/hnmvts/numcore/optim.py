@@ -33,17 +33,18 @@ bad gradient raises with the step count, every moment and every parameter
 as they were before the call. The finiteness check is one sum: an inf or
 NaN element makes it non-finite, so a finite sum proves every element
 finite, and only a non-finite sum runs the exact elementwise test, which
-then decides (a finite gradient whose sum overflows passes). The sum is
-numpy's own, on the calling thread: a BLAS dot of a large gradient can wake
-BLAS's worker thread, and on ILI-sized steps that made training bimodal.
+then decides (a finite gradient whose sum overflows passes). All of a
+step's checks run under one `np.errstate`. The sum is numpy's own, on the
+calling thread: a BLAS dot of a large gradient can wake BLAS's worker
+thread, and on ILI-sized steps that made training bimodal.
 
 The update is cache-blocked. Each parameter is updated one contiguous block
 of at most `_BLOCK` elements at a time, so the block's slices of p, g, M, V
 and one scratch buffer per dtype stay in cache across the ten elementwise
 passes, instead of each pass streaming the whole array through memory; a
-parameter of at most one block takes a single pass. Each block runs the same
-ufuncs in the same order with the same constants as an unblocked update, so
-the result is bit-identical to it.
+parameter of at most one block is updated in one call, on its own shape.
+Each block runs the same ufuncs in the same order with the same constants
+as an unblocked update, so the result is bit-identical to it.
 
 A per-channel-linear generator's weight gradient arrives factored, as an
 `OuterGrad` with g[n, j, s] = u[n, j] * v[n, s] (see `channel_gemv`), and
@@ -116,18 +117,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | OuterGrad],
     then.
     """
     checked = []
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"gradient for '{name}' has shape {g.shape}, parameter is {p.data.shape}"
-            )
-        if not _finite(g):
-            raise ValueError(f"non-finite gradient for parameter '{name}'")
-        # a factored gradient whose channel fits in a block is built whole
-        if not isinstance(g, OuterGrad) or g.size // len(g.u) <= _BLOCK:
-            g = g.data
-        checked.append((name, p.data, g))
+    with np.errstate(over="ignore", invalid="ignore"):  # for every check's sums and products
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.data.shape:
+                raise ValueError(
+                    f"gradient for '{name}' has shape {g.shape}, parameter is {p.data.shape}"
+                )
+            if not _finite(g):
+                raise ValueError(f"non-finite gradient for parameter '{name}'")
+            # a factored gradient whose channel fits in a block is built whole
+            if not isinstance(g, OuterGrad) or g.size // len(g.u) <= _BLOCK:
+                g = g.data
+            checked.append((name, p.data, g))
     state.step_count += 1
     k = state.step_count
     c = math.sqrt((1.0 - state.beta2) / (1.0 - state.beta2**k))
@@ -136,7 +138,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | OuterGrad],
     # per dtype: the update's scratch, and a factored gradient's blocks
     scratch: dict[np.dtype, np.ndarray] = {}
     gscratch: dict[np.dtype, np.ndarray] = {}
-    # a float64 scalar would promote a float32 block to float64 under numpy 2
+    # 0-d arrays in each dtype: a float64 scalar would promote a float32 block
+    # to float64 under numpy 2, and a ufunc takes a 0-d array without converting it
     scalars: dict[np.dtype, tuple] = {}
     for name, p, g in checked:
         m = state.m.get(name)
@@ -147,7 +150,10 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | OuterGrad],
         size = min(p.size, _BLOCK)
         buf = _grown(scratch, p.dtype, size)
         if p.dtype not in scalars:
-            scalars[p.dtype] = tuple(p.dtype.type(x) for x in consts)
+            scalars[p.dtype] = tuple(np.array(x, p.dtype) for x in consts)
+        if size == p.size:  # one block (so a dense gradient): the arrays as they are
+            _update(p, g, m, v, buf[:size].reshape(p.shape), *scalars[p.dtype])
+            continue
         # Tensor data, m and v are C-contiguous, so these are views
         p, m, v = (a.reshape(-1) for a in (p, m, v))
         if isinstance(g, OuterGrad):
@@ -171,14 +177,13 @@ def _grown(scratch: dict, dtype: np.dtype, size: int) -> np.ndarray:
 def _finite(grad: Tensor | OuterGrad) -> bool:
     """Whether every element of a gradient is finite: a Tensor's by their sum
     and, only if that is not finite, elementwise; an `OuterGrad`'s by each
-    channel's largest element, from its factors (see the module docstring)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(grad, OuterGrad):
-            peak = np.abs(grad.u).max(axis=1) * np.abs(grad.v).max(axis=1)
-            return bool(np.isfinite(peak).all())
-        g = grad.data
-        total = np.add.reduce(g, axis=None)
-    return bool(np.isfinite(total) or np.all(np.isfinite(g)))
+    channel's largest element, from its factors (see the module docstring).
+    The caller ignores overflow and invalid values around it."""
+    if isinstance(grad, OuterGrad):
+        peak = np.abs(grad.u).max(axis=1) * np.abs(grad.v).max(axis=1)
+        return bool(np.isfinite(peak).all())
+    g = grad.data
+    return math.isfinite(np.add.reduce(g, axis=None)) or bool(np.isfinite(g).all())
 
 
 def _outer_blocks(g: OuterGrad, out: np.ndarray):

@@ -89,11 +89,6 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-def _contig(arr: np.ndarray) -> np.ndarray:
-    """Row-major view/copy that keeps 0-d arrays 0-d."""
-    return arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-
-
 class Tensor:
     """Dense multi-dimensional float array, optionally on the gradient graph.
 
@@ -105,8 +100,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_grad_fns", "_grad_in")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = _contig(np.asarray(data, dtype=_DEFAULT_DTYPE))
-        self.data = arr
+        # a C-contiguous ndarray of the package dtype is kept as is, anything else
+        # is cast or copied; a 0-d array stays 0-d
+        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE, order="C")
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
@@ -154,31 +150,19 @@ class OuterGrad:
     as the dense form computes it, so both forms hold the same bits.
     """
 
-    __slots__ = ("_u", "_v", "_shape", "_data")
+    __slots__ = ("u", "v", "shape", "_data")
 
     def __init__(self, u: np.ndarray, v: np.ndarray, shape: tuple[int, ...]):
-        self._u, self._v, self._shape, self._data = u, v, tuple(shape), None
-
-    @property
-    def u(self) -> np.ndarray:
-        return self._u
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._v
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._shape
+        self.u, self.v, self.shape, self._data = u, v, tuple(shape), None
 
     @property
     def size(self) -> int:
-        return self._u.size * self._v.shape[1]
+        return self.u.size * self.v.shape[1]
 
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            self._data = (self._u[:, :, None] * self._v[:, None, :]).reshape(self._shape)
+            self._data = (self.u[:, :, None] * self.v[:, None, :]).reshape(self.shape)
         return self._data
 
 
@@ -200,16 +184,21 @@ def _make_node(
     backward pass, and every `grad_fns[i]` receives the result.
     """
     out = Tensor(out_data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fns = tuple(grad_fns)
-        out._grad_in = grad_in
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._grad_fns = tuple(grad_fns)
+                out._grad_in = grad_in
+                break
     return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -348,14 +337,14 @@ def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _to_channel_major(arr: np.ndarray) -> np.ndarray:
     """(*B, N, q) -> (N, prod(B), q); channel axis leads, batch flattened.
 
-    One `reshape` to (prod(B), N, q) and one `transpose` for every rank,
-    with no axis normalisation. For a contiguous array of rank 3 or more
-    this is the view `np.moveaxis(arr, -2, 0).reshape(N, -1, q)` gives,
+    One `reshape` to (prod(B), N, q), which a rank-3 array skips, and one
+    `transpose`, with no axis normalisation. For a contiguous array of rank 3
+    or more this is the view `np.moveaxis(arr, -2, 0).reshape(N, -1, q)` gives,
     stride for stride; at rank 2 only the stride of the length-1 batch axis
     differs. The products taken over it are the same bit for bit (tests
     hold ranks 2 to 4 to the moveaxis form).
     """
-    return arr.reshape(-1, *arr.shape[-2:]).transpose(1, 0, 2)
+    return (arr if arr.ndim == 3 else arr.reshape(-1, *arr.shape[-2:])).transpose(1, 0, 2)
 
 
 def _from_channel_major(arr: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
@@ -460,13 +449,13 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
         out *= g / diff.size
         return out
 
-    return _make_node((diff * diff).mean(), (pred,), (grad_pred,))
+    # numpy's mean in its own steps, bit for bit, without np.mean's Python overhead
+    return _make_node(np.add.reduce(diff * diff, axis=None) / diff.size, (pred,), (grad_pred,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.reshape(shape)
-    return _make_node(_contig(out), (a,), (lambda g: g.reshape(a.shape),))
+    return _make_node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 # plain-array moving average ------------------------------------------------
@@ -517,21 +506,25 @@ class Tape:
 
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
+        """The post-order of a depth-first walk that pushes a node, as its own
+        marker, then its unvisited parents: popped unseen a node is expanded,
+        popped again emitted, and any later pop of it is a duplicate push.
+        Nodes are keyed by identity (a Tensor hashes as its object)."""
         order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        emitted: dict[Tensor, bool] = {}  # False once expanded, True once in `order`
+        stack = [root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
+            node = stack.pop()
+            done = emitted.get(node)
+            if done is None:
+                emitted[node] = False
+                stack.append(node)
+                for p in node._parents:
+                    if p.requires_grad and p not in emitted:
+                        stack.append(p)
+            elif not done:
+                emitted[node] = True
                 order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
         return cls(order)
 
     def __len__(self):
@@ -547,6 +540,8 @@ def backward(
     (same shape as the leaf). When `params` is given, every listed parameter
     appears in the map; parameters off the graph get zero gradients.
 
+    Nodes are visited in reverse trace order (`Tape.trace`), which fixes the
+    order in which the contributions to a node used more than once are summed.
     A gradient is a `Tensor`, except for a leaf whose whole gradient is one
     factored contribution (`channel_gemv`'s weight): that leaf gets the
     `OuterGrad` itself. Either form's `.data` is the dense array. A second
@@ -557,10 +552,10 @@ def backward(
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape = Tape.trace(loss)
-    acc: dict[int, np.ndarray | OuterGrad] = {id(loss): np.ones_like(loss.data)}
+    acc: dict[Tensor, np.ndarray | OuterGrad] = {loss: np.ones_like(loss.data)}
     leaf_grads: dict[Tensor, Tensor | OuterGrad] = {}
     for node in reversed(tape.nodes):
-        g = acc.pop(id(node), None)
+        g = acc.pop(node, None)
         if g is None:
             continue
         if not node._parents:
@@ -574,11 +569,8 @@ def backward(
             if not parent.requires_grad:
                 continue
             contrib = fn(g)
-            pid = id(parent)
-            if pid in acc:
-                acc[pid] = _dense(acc[pid]) + _dense(contrib)
-            else:
-                acc[pid] = contrib
+            prev = acc.get(parent)
+            acc[parent] = contrib if prev is None else _dense(prev) + _dense(contrib)
     if params is not None:
         for p in params:
             if p not in leaf_grads:

@@ -265,7 +265,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     loss = _batch_loss(model, _stack_batch(train_set, idx))
                     loss_val = loss.item()
-                    if not np.isfinite(loss_val):
+                    if not math.isfinite(loss_val):
                         raise TrainingError(_diagnostics("loss", epoch, start, params, loss_val))
                     grads = backward(loss, param_list)
             except FloatingPointError as err:

@@ -1,4 +1,5 @@
-"""Test-only helpers: seeded generators and a finite-difference gradient check.
+"""Test-only helpers: seeded generators, a finite-difference gradient check and
+the reference order of `Tape.trace`.
 
 The package itself draws from `numcore.spawn_rng`; these stay with the tests
 that use them.
@@ -51,3 +52,28 @@ def finite_diff_check(
             err = abs(g_val - g_fd) / max(1e-8, abs(g_val) + abs(g_fd))
             worst = max(worst, err)
     return worst
+
+
+def trace_reference(root: Tensor) -> list[Tensor]:
+    """The node order `Tape.trace` must return, by the walk it was first written
+    as: a stack of (node, expanded) pairs keyed by `id()`. A node popped
+    unexpanded pushes itself expanded and then its unvisited parents that need a
+    gradient, in order; popped expanded it is appended. `backward` visits the
+    nodes in the reverse of this order, which fixes the order in which the
+    contributions to a shared node are summed."""
+    order: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    return order

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hnmvts.numcore import (
@@ -148,16 +148,23 @@ B = _BLOCK
 @given(
     params=st.lists(
         st.tuples(st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]),
-                  st.sampled_from(["flat", "row", "column"])),
+                  st.sampled_from(["flat", "row", "column", "3d"])),
         min_size=1, max_size=4,
     ),
     dtype=st.sampled_from([np.float64, np.float32]),
     scale=st.sampled_from([1e-6, 1.0, 1e3]),
     seed=st.integers(0, 2**32 - 1),
 )
+# parameters of at most one block take one update on their own shape, a larger
+# one is updated block by block: both sides of that edge, in each dtype
+@example(params=[(B - 1, "3d"), (B, "row"), (B + 1, "flat"), (7, "3d")], dtype=np.float64,
+         scale=1.0, seed=0)
+@example(params=[(B - 1, "column"), (B, "3d"), (B + 1, "3d")], dtype=np.float32, scale=1e3,
+         seed=1)
 def test_blocked_update_matches_unblocked_bit_for_bit(params, dtype, scale, seed):
     rng = np.random.default_rng(seed)
-    shapes = [{"flat": (n,), "row": (1, n), "column": (n, 1)}[form] for n, form in params]
+    shapes = [{"flat": (n,), "row": (1, n), "column": (n, 1), "3d": (1, n, 1)}[form]
+              for n, form in params]
     names = [f"p{i}" for i in range(len(params))]
     start = {name: rng.standard_normal(shape).astype(dtype) for name, shape in zip(names, shapes)}
     prev = get_default_dtype()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_diff_check
+from helpers import finite_diff_check, trace_reference
 from hnmvts.numcore import (
     DimensionError,
     OuterGrad,
@@ -87,6 +87,31 @@ def moving_average_concat(x, kernel):
         axis=-1,
     )
     return window_sums_concat(padded, kernel) / kernel
+
+
+class TestTensorData:
+    """A Tensor's `data` is a C-contiguous ndarray of the package dtype: it is the
+    array passed in when that already is one, and a cast or copy otherwise."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_keeps_a_contiguous_array_of_the_package_dtype(self, request, dtype):
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        for a in (np.arange(6.0).reshape(2, 3), np.zeros((2, 0)), np.array(1.5)):
+            a = a.astype(dtype)
+            assert Tensor(a).data is a
+
+    @pytest.mark.parametrize("source", ["list", "float32", "view", "subclass", "int", "scalar"])
+    def test_casts_or_copies_anything_else(self, source):
+        base = np.arange(12.0).reshape(3, 4)
+        a = {"list": base.tolist(), "float32": base.astype(np.float32), "view": base[:, ::2],
+             "subclass": base.view(np.matrix), "int": base.astype(int),
+             "scalar": np.float64(2.5)}[source]
+        data = Tensor(a).data
+        assert data is not a
+        assert type(data) is np.ndarray and data.dtype == np.float64
+        assert data.flags.c_contiguous and data.shape == np.shape(a)
+        np.testing.assert_array_equal(data, np.asarray(a))
 
 
 class TestMatmul:
@@ -362,6 +387,80 @@ class TestBackward:
         with no_grad():
             y = x * 3.0
         assert not y.requires_grad and y._parents == ()
+
+
+def same_nodes(got, want) -> bool:
+    return [id(n) for n in got] == [id(n) for n in want]
+
+
+class TestTraceOrder:
+    """`Tape.trace` returns the node order of the reference walk in
+    `helpers.trace_reference`, which decides how `backward` sums the
+    contributions to a shared node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_dags_with_shared_subgraphs(self, data):
+        """Each new node applies add, mul or reshape to earlier nodes, so nodes are
+        reused by several consumers, some more than twice; leaves may or may not
+        need a gradient, and the loss sums the last few nodes."""
+        flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=4))
+        nodes = [Tensor(np.full(3, i + 1.0), requires_grad=f) for i, f in enumerate(flags)]
+        nodes[0].requires_grad = True
+        pick = st.integers(0, 10**6).map(lambda i: nodes[-1 - i % min(len(nodes), 5)]
+                                         if i % 3 else nodes[i % len(nodes)])
+        for op in data.draw(st.lists(st.sampled_from(["add", "mul", "reshape"]),
+                                     min_size=1, max_size=14)):
+            a = data.draw(pick)
+            if op == "reshape":
+                nodes.append(reshape(reshape(a, (3, 1)), (3,)))
+            else:
+                nodes.append((add if op == "add" else mul)(a, data.draw(pick)))
+        total = nodes[-1]
+        for extra in data.draw(st.lists(pick, max_size=3)):
+            total = add(total, extra)
+        root = mse(total, np.zeros(3))
+        assert same_nodes(Tape.trace(root).nodes, trace_reference(root))
+
+    def test_node_with_three_contributions(self):
+        """x feeds a, b and s: the walk reaches x first through s, the last
+        parent pushed, and then b before a."""
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        a, b = x * 2.0, x * 3.0
+        t = add(a, b)
+        s = add(t, x)
+        loss = mse(s, np.zeros(2))
+        assert same_nodes(trace_reference(loss), [x, b, a, t, s, loss])
+        assert same_nodes(Tape.trace(loss).nodes, [x, b, a, t, s, loss])
+
+    @pytest.mark.parametrize("form", ["baseline", "hn_pcl", "hn_shared", "raw_forward"])
+    def test_real_step_graphs(self, rng, form):
+        """The graphs a training step builds (`trainer._batch_loss` on a prepared
+        batch) for the three model forms, and the loss on `forward`'s raw-scale
+        forecast, whose RevIN map back adds mul and add nodes."""
+        from hnmvts import trainer
+        from hnmvts.backbones import DLinearBackbone, MlpBackbone
+        from hnmvts.data import SeriesTable, make_windows
+        from hnmvts.hypernet import build_baseline, build_hyper
+
+        table = SeriesTable(Tensor(rng.standard_normal((80, 3)).cumsum(axis=0)), ["a", "b", "c"])
+        windows = make_windows(table, 12, 4)
+        if form == "hn_shared":
+            bb = MlpBackbone(12, (6, 5), rng=rng)
+            model = build_hyper(bb, table, 4, rng, d=2, mode="shared_mlp", gen_hidden=(4,))
+        elif form == "hn_pcl":
+            model = build_hyper(DLinearBackbone(12, kernel=5), table, 4, rng)
+        else:
+            model = build_baseline(DLinearBackbone(12, kernel=5), 3, 4, rng)
+        if form == "raw_forward":
+            x, y = windows.batch(slice(0, 9))
+            loss = mse(model.forward(Tensor(x)), y)
+        else:
+            prepared = trainer.PreparedSet(model, windows, for_loss=True)
+            loss = trainer._batch_loss(model, trainer._stack_batch(prepared, np.arange(9)[::-1]))
+        nodes = Tape.trace(loss).nodes
+        assert len(nodes) > 5
+        assert same_nodes(nodes, trace_reference(loss))
 
 
 class TestChannelDot:
