@@ -121,9 +121,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | OuterGrad],
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.data.shape:
-                raise ValueError(
-                    f"gradient for '{name}' has shape {g.shape}, parameter is {p.data.shape}"
-                )
+                raise ValueError(f"gradient for '{name}' has shape {g.shape}, "
+                                 f"parameter is {p.data.shape}")
             if not _finite(g):
                 raise ValueError(f"non-finite gradient for parameter '{name}'")
             # a factored gradient whose channel fits in a block is built whole

@@ -100,8 +100,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_grad_fns", "_grad_in")
 
     def __init__(self, data, requires_grad: bool = False):
-        # a C-contiguous ndarray of the package dtype is kept as is, anything else
-        # is cast or copied; a 0-d array stays 0-d
+        # kept as is if a C-contiguous ndarray of the package dtype, else cast or copied
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE, order="C")
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -187,10 +186,8 @@ def _make_node(
     if _GRAD_ENABLED:
         for p in parents:
             if p.requires_grad:
-                out.requires_grad = True
-                out._parents = tuple(parents)
-                out._grad_fns = tuple(grad_fns)
-                out._grad_in = grad_in
+                out.requires_grad, out._grad_in = True, grad_in
+                out._parents, out._grad_fns = tuple(parents), tuple(grad_fns)
                 break
     return out
 
@@ -541,8 +538,8 @@ def backward(
     appears in the map; parameters off the graph get zero gradients.
 
     Nodes are visited in reverse trace order (`Tape.trace`), which fixes the
-    order in which the contributions to a node used more than once are summed.
-    A gradient is a `Tensor`, except for a leaf whose whole gradient is one
+    order in which a shared node's contributions are summed. A gradient is a
+    `Tensor`, except for a leaf whose whole gradient is one
     factored contribution (`channel_gemv`'s weight): that leaf gets the
     `OuterGrad` itself. Either form's `.data` is the dense array. A second
     contribution to the same node, or a factored gradient reaching a
