@@ -40,7 +40,7 @@ from .backbones import apply_final, draw_fan_in, stack_forward, stack_shapes, un
 from .data import SeriesTable, pearson_corr
 from .normalization import InstanceStats, revin_center, revin_forward, revin_reverse
 from .numcore import (Tensor, channel_gemv, channel_product, grad_enabled, matmul, no_grad,
-                      pca_project, reshape)
+                      pca_project, relu_product, reshape)
 from .schema import GeneratorConfig, ModelConfig, StoreError
 
 __all__ = ["ForecastModel", "StoreError", "init_embeddings", "init_generator",
@@ -78,12 +78,21 @@ def init_generator(z: np.ndarray, horizon: int, hidden_dim: int, gen: GeneratorC
     whose d axis then moves to the front of that channel's slot, so the
     values do not depend on the stored layout, and no array but w_phi is
     ever as large as it. shared_mlp returns each hidden layer's weight and
-    bias, then the bias-free output weight, each drawn by fan-in.
+    bias, then the bias-free output weight, drawn by fan-in; the output weight
+    is then rescaled to U(-1/sqrt(D), 1/sqrt(D)) and divided by the RMS over
+    channels of its input's norm at init (|z[n]| or the last hidden
+    activation), so that the generated W matches a plain layer in scale too.
     """
     n, d = z.shape
     shapes = _generator_shapes(gen, "head", n, d, horizon, hidden_dim)
     if gen.mode == "shared_mlp":
-        return list(draw_fan_in(rng, shapes).values())
+        arrays = list(draw_fan_in(rng, shapes).values())
+        h = z
+        for w, b in zip(arrays[:-1:2], arrays[1:-1:2]):
+            h = relu_product(h, w, b)
+        rms = float(np.sqrt(np.mean(np.sum(h * h, axis=1))))
+        arrays[-1] *= np.sqrt(arrays[-1].shape[0] / hidden_dim) / (rms if rms >= 1e-8 else 1.0)
+        return arrays
     norms = np.linalg.norm(z, axis=1)
     norms = np.where(norms < 1e-8, 1.0, norms)
     w_phi = np.empty(shapes["head.w_phi"], dtype=z.dtype)

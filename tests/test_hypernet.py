@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import finite_diff_check, make_rng
-from hnmvts.backbones import DLinearBackbone, MlpBackbone, apply_final, decompose
+from hnmvts.backbones import DLinearBackbone, MlpBackbone, apply_final, decompose, draw_fan_in
 from hnmvts.data import SeriesTable, SynthSpec, gen_synthetic, make_windows
 from hnmvts.hypernet import (
     ForecastModel,
@@ -322,6 +322,48 @@ BENCH_SHAPES = {
 
 
 BENCH_FORMS = ["baseline", "per_channel_linear", "shared_mlp", "baked"]
+
+
+class TestSharedMlpInit:
+    """A shared_mlp generator's W starts at a plain final layer's scale (ROADMAP
+    item 1a): its std over every channel lies within 10% of U(-1/sqrt(D),
+    1/sqrt(D))'s, at the benchmark's shapes, without a hidden layer (the
+    benchmark's DLinear forms) and with one (its weather form)."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("hidden", ["none", "hidden"])
+    @pytest.mark.parametrize("shape", list(BENCH_SHAPES))
+    def test_generated_weights_match_a_plain_layer(self, request, shape, hidden, dtype):
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        n, lookback, horizon, kind, d, gen_hidden = BENCH_SHAPES[shape]
+        rng = make_rng(4101)
+        bb = DLinearBackbone(lookback, 25) if kind == "dlinear" else MlpBackbone(
+            lookback, (256, 128), rng=rng)
+        table = gen_synthetic(SynthSpec(n, 400, groups=[c % 3 for c in range(n)], rho=0.7), 4101)
+        model = build_hyper(bb, table, horizon, rng, d=d, mode="shared_mlp",
+                            gen_hidden=gen_hidden if hidden == "hidden" else ())
+        with no_grad():
+            weights = [w.data for w in model.final_weights()]
+        for (slot, dim), w in zip(bb.slots, weights):
+            assert w.dtype == np.dtype(dtype) and w.shape == (n, horizon, dim)
+            ratio = float(np.std(w, dtype=np.float64)) * np.sqrt(3 * dim)
+            assert abs(ratio - 1) < 0.10, (slot, ratio)
+
+    def test_keeps_the_fan_in_draws(self):
+        """Only the output layer moves, by one factor: the hidden layers and the
+        rng stream are the fan-in draws."""
+        z = make_rng(5).standard_normal((4, 3))
+        cfg = GeneratorConfig("shared_mlp", (6,))
+        rng, want_rng = make_rng(9), make_rng(9)
+        got = init_generator(z, 2, 5, cfg, rng)
+        want = list(draw_fan_in(want_rng, {"a.0.w": (3, 6), "a.0.b": (6,), "a.1.w": (6, 10)}
+                                ).values())
+        assert rng.random() == want_rng.random()  # the stream continues where it would have
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        factor = got[2] / want[2]
+        np.testing.assert_allclose(factor, factor.flat[0], rtol=1e-13)
 
 
 def bench_model(shape, form, rng):
