@@ -3,10 +3,11 @@
 Every backbone turns a lookback window (..., N, T), a plain array, into one
 hidden state per channel and per output slot: `prepare(x)` computes on plain
 arrays what the forward reads of it (data a trainer may keep; `reads` names
-it), and `forward_hidden` turns that list into the hidden states on the
-gradient graph, `hidden` into the same states on plain arrays.
-`apply_final` then maps each channel's hidden state to the horizon with that
-slot's bias-free (N, H, D) weights, one (H x D) matrix per channel. A
+it), and `forward_hidden` turns that list into the hidden states, on the
+gradient graph where a trainable array made them (the MLP trunk's) and plain
+arrays otherwise. `apply_final` then maps each channel's hidden state to the
+horizon with that slot's bias-free (N, H, D) weights, one (H x D) matrix per
+channel, summed over slots as one `channel_dot` node. A
 backbone is described by its `config()`; the arrays it owns (`shapes()`
 names them and gives their shapes) live in the model's array store, which it
 reads by name. Two backbones ship:
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import (DimensionError, Tensor, add, channel_dot, linear_relu, moving_average,
-                      relu_product)
+from .numcore import DimensionError, Tensor, channel_dot, linear_relu, moving_average
 
 __all__ = ["DLinearBackbone", "MlpBackbone", "decompose", "from_config", "apply_final",
            "uniform_fan_in", "draw_fan_in", "stack_shapes", "stack_forward"]
@@ -100,12 +100,9 @@ class DLinearBackbone:
         """The trend and seasonal parts of x (`decompose`)."""
         return list(decompose(x, self.kernel))
 
-    def forward_hidden(self, inputs: list[np.ndarray]) -> list[Tensor]:
-        """Hidden states in `slots` order: the trend, then the seasonal part."""
-        return [Tensor(h) for h in inputs]
-
-    def hidden(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
-        """`forward_hidden` on plain arrays: the inputs themselves."""
+    def forward_hidden(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
+        """Hidden states in `slots` order, the trend, then the seasonal part:
+        `prepare`'s arrays themselves, data that no gradient reaches."""
         return inputs
 
     def fold(self, trend_w: np.ndarray, seasonal_w: np.ndarray) -> np.ndarray:
@@ -164,15 +161,9 @@ class MlpBackbone:
         return [x]
 
     def forward_hidden(self, inputs: list[np.ndarray]) -> list[Tensor]:
-        """The trunk's output on the lookback, the one hidden state of the `out` slot."""
+        """The trunk's output on the lookback, the one hidden state of the `out`
+        slot; under `no_grad` its layers record no nodes."""
         return [stack_forward(Tensor(inputs[0]), [self.weights[name] for name in self._shapes])]
-
-    def hidden(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
-        """`forward_hidden` on plain arrays, each layer through `relu_product`."""
-        h, names = inputs[0], list(self._shapes)
-        for w, b in zip(names[::2], names[1::2]):
-            h = relu_product(h, self.weights[w].data, self.weights[b].data)
-        return [h]
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Names and shapes of the trunk's arrays (see `stack_shapes`)."""
@@ -194,12 +185,10 @@ def from_config(cfg, arrays: dict[str, Tensor]):
     return MlpBackbone(cfg.lookback, cfg.hidden_widths, weights=arrays)
 
 
-def apply_final(weights: list[Tensor], hidden: list[Tensor]) -> Tensor:
+def apply_final(weights: list, hidden: list) -> Tensor:
     """Sum over slots of y_hat[..., n] = W[n] @ h[..., n], each slot's (N, H, D)
-    weights applied to its (..., N, D) hidden state."""
+    weights applied to its (..., N, D) hidden state, as one `channel_dot`
+    node; a hidden state is a Tensor or a plain array."""
     if len(weights) != len(hidden):
         raise DimensionError(f"{len(weights)} final layers for {len(hidden)} hidden states")
-    out = channel_dot(weights[0], hidden[0])
-    for w, h in zip(weights[1:], hidden[1:]):
-        out = add(out, channel_dot(w, h))
-    return out
+    return channel_dot(weights, hidden)

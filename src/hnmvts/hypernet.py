@@ -24,6 +24,8 @@ channel's final-layer matrix. Two generator modes:
 Generated weights do not depend on the input window, so `bake` materializes
 them once after training and drops the generator, leaving exactly the plain
 backbone's arrays.
+One forward path, `forward_prepared` (`forward_hidden`, then `apply_final`'s
+one node), trains on the graph and serves `forecast` and `trainer.evaluate`.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def init_generator(z: np.ndarray, horizon: int, hidden_dim: int, gen: GeneratorC
         h = z
         for w, b in zip(arrays[:-1:2], arrays[1:-1:2]):
             h = relu_product(h, w, b)
-        rms = float(np.sqrt(np.mean(np.sum(h * h, axis=1))))
+        rms = float(np.sqrt(np.mean(np.sum(np.square(h), axis=1))))
         arrays[-1] *= np.sqrt(arrays[-1].shape[0] / hidden_dim) / (rms if rms >= 1e-8 else 1.0)
         return arrays
     norms = np.linalg.norm(z, axis=1)
@@ -198,50 +200,36 @@ class ForecastModel:
         raw one without RevIN): [x] for a folded model, else the backbone's."""
         return [x] if self._folded is not None else self.backbone.prepare(x)
 
-    def forward_prepared(self, inputs: list[np.ndarray]) -> Tensor:
-        """Normalised-scale forecast (..., N, H) from `prepare`'s arrays, on the
-        gradient graph, or `forecast_prepared`'s when there is no graph to
-        record (under `no_grad`, or through a folded model)."""
-        if self._folded is not None or not grad_enabled():
-            return Tensor(self.forecast_prepared(inputs))
-        return apply_final(self.final_weights(), self.backbone.forward_hidden(inputs))
-
-    def forecast_prepared(self, inputs: list[np.ndarray],
-                          weights: list[np.ndarray] | None = None) -> np.ndarray:
-        """`forward_prepared` on plain arrays, a new array: one `channel_product`
-        per slot on the backbone's `hidden`, summed in the first one's buffer.
-        `weights`, the `final_weights()` arrays, may come from a caller that
-        has them (`trainer.evaluate` takes them once per call)."""
+    def forward_prepared(self, inputs: list[np.ndarray], weights: list | None = None) -> Tensor:
+        """Normalised-scale forecast (..., N, H) from `prepare`'s arrays: the
+        backbone's `forward_hidden`, then `apply_final` with `weights`, the
+        `final_weights()`, which a caller may pass (`trainer.evaluate` takes them
+        once per call); a folded model's is its fold's `channel_product` of [x]."""
         if self._folded is not None:
-            return channel_product(self._folded, inputs[0])
+            return Tensor(channel_product(self._folded, inputs[0]))
         if weights is None:
-            with no_grad():
-                weights = [w.data for w in self.final_weights()]
-        hidden = self.backbone.hidden(inputs)
-        out = channel_product(weights[0], hidden[0])
-        for w, h in zip(weights[1:], hidden[1:]):
-            out += channel_product(w, h)
-        return out
+            weights = self.final_weights()
+        return apply_final(weights, self.backbone.forward_hidden(inputs))
 
-    def forecast(self, x: np.ndarray, weights: list[np.ndarray] | None = None,
+    def forecast(self, x: np.ndarray, weights: list | None = None,
                  overwrite_x: bool = False) -> np.ndarray:
-        """`forward` on plain arrays, a new array: RevIN's statistics, then
-        `forecast_prepared` of `prepare`'s arrays, mapped back in its buffer.
-        It writes x only with `overwrite_x`, normalising it in place, and
-        takes `weights` as `forecast_prepared` does. Through a folded model
-        RevIN's scale cancels, W((x - mu) / (std + eps)) * (std + eps) + mu =
-        W (x - mu) + mu, so it serves that form and computes no std; centring
-        first keeps the product's precision independent of the series' level.
+        """`forward` on plain arrays under `no_grad`, a new array: RevIN's statistics,
+        then `forward_prepared`'s `.data` on `prepare`'s arrays, mapped back in
+        its buffer. It writes x only with `overwrite_x`, normalising it in
+        place, and takes `weights` as `forward_prepared` does. Through a folded
+        model RevIN's scale cancels, W((x - mu) / (std + eps)) * (std + eps) +
+        mu = W (x - mu) + mu: it serves that centred `channel_product`, whose
+        precision does not depend on the series' level, and computes no std.
         """
         if not self.revin:
-            return self.forecast_prepared(self.prepare(x), weights)
+            return self.forward_prepared(self.prepare(x), weights).data
         if self._folded is not None:
             centered, mean = revin_center(x, x if overwrite_x else None)
             pred = channel_product(self._folded, centered)
             pred += mean
             return pred
         x_norm, stats = revin_forward(x, x if overwrite_x else None)
-        pred = self.forecast_prepared(self.prepare(x_norm), weights)
+        pred = self.forward_prepared(self.prepare(x_norm), weights).data
         return revin_reverse(pred, stats, out=pred)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -52,7 +52,7 @@ def revin_forward(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndar
     Constant channels are safe: std 0 simply leaves the eps denominator.
     """
     centered, mean = revin_center(x, out)
-    std = _last_mean(centered * centered)
+    std = _last_mean(np.square(centered))
     np.sqrt(std, out=std)
     centered /= std + EPS
     return centered, InstanceStats(mean=mean, std=std)

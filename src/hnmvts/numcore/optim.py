@@ -10,7 +10,7 @@ The state holds the moments scaled, M = m / (1-b1) and V = v / (1-b2), so
 the gradient enters unscaled and the bias corrections fold into scalars:
 
 M  = b1*M + g                      c_k = sqrt((1-b2) / (1-b2^k))
-V  = b2*V + g*g                    s_k = lr*(1-b1) / ((1-b1^k) * c_k)
+V  = b2*V + g^2                    s_k = lr*(1-b1) / ((1-b1^k) * c_k)
 p -= s_k * M / (sqrt(V) + eps_k)   eps_k = eps / c_k
 
 This is the textbook update in real arithmetic; only the rounding differs.
@@ -213,7 +213,7 @@ def _update(p, g, m, v, buf, beta1, beta2, eps, step) -> None:
     m *= beta1
     m += g
     v *= beta2
-    np.multiply(g, g, out=buf)
+    np.square(g, out=buf)
     v += buf
     np.sqrt(v, out=buf)
     buf += eps

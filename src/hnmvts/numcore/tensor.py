@@ -7,15 +7,15 @@ the graph into a `Tape` and replays it in reverse topological order.
 
 The op set is deliberately small: exactly the primitives the forecasting
 models need (broadcasting arithmetic, the product of two matrices, one fused
-Linear+ReLU layer, the per-channel final layer `channel_dot` and weight
-generator `channel_gemv`, the mean squared error, reshape).
+Linear+ReLU layer, the per-channel final layer over every slot `channel_dot`
+and weight generator `channel_gemv`, the mean squared error, reshape).
 `channel_gemv`'s weight gradient stays factored (`OuterGrad`) up to the
 optimizer, which builds it block by block where it consumes it.
 Data that no gradient reaches stays off the graph: the moving average works
-on plain arrays, and so does every forecast taken without a graph (under
-`no_grad`, see `grad_enabled`), through `relu_product` and
-`channel_product`, the array kernels that `linear_relu`'s and
-`channel_dot`'s forwards run.
+on plain arrays, `channel_dot` takes a plain-array operand as data, and no
+op records a node under `no_grad` (see `grad_enabled`) or when no operand
+needs a gradient. So a forecast taken without a graph runs the same ops, each
+forward through its array kernel (`relu_product`, `channel_product`).
 """
 
 from __future__ import annotations
@@ -318,15 +318,14 @@ def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
     out = relu_product(h.data, w.data, b.data)
-    k, p = w.shape
-
-    def grad_w(gm):
-        return h.data.reshape(-1, k).T @ gm.reshape(-1, p)
-
+    if not _GRAD_ENABLED:
+        return Tensor(out)
     return _make_node(
         out,
         (h, w, b),
-        (lambda gm: _stacked_rows(gm, w.data.T), grad_w, lambda gm: _unbroadcast(gm, b.shape)),
+        (lambda gm: _stacked_rows(gm, w.data.T),
+         lambda gm: h.data.reshape(-1, w.shape[0]).T @ gm.reshape(-1, w.shape[1]),
+         lambda gm: _unbroadcast(gm, b.shape)),
         grad_in=lambda g: g * (out > 0),
     )
 
@@ -349,29 +348,39 @@ def _from_channel_major(arr: np.ndarray, batch_shape: tuple[int, ...]) -> np.nda
     return arr.transpose(1, 0, 2).reshape(*batch_shape, arr.shape[0], arr.shape[2])
 
 
-def channel_dot(w: Tensor, v: Tensor) -> Tensor:
-    """The per-channel final layer: out[..., n, h] = sum_q w[n, h, q] * v[..., n, q].
+def channel_dot(weights: Sequence[Tensor], hidden: Sequence) -> Tensor:
+    """The per-channel final layer over every slot i, as one graph node:
+    out[..., n, h] = sum_i sum_q w_i[n, h, q] * v_i[..., n, q].
 
-    With w of shape (N, H, D) and v of shape (*B, N, D) the result has shape
-    (*B, N, H): each channel's (H x D) matrix applied to its hidden states.
-    The forward is `channel_product`, which checks the shapes; both
-    gradients run as matmuls batched over the channel axis too.
+    w_i (N, H, D_i) holds each channel's (H x D_i) matrix and v_i (*B, N, D_i)
+    its hidden states, a Tensor or a plain array (data: it gets no gradient).
+    The forward sums the slots' `channel_product`s, of one shape, into the
+    first one's buffer; each slot's gradients run as matmuls batched over the
+    channel axis. No node is built under `no_grad` or when none is needed.
     """
-    w, v = _as_tensor(w), _as_tensor(v)
-    b_shape = v.shape[:-2]
-    out = channel_product(w.data, v.data)
-
-    def grad_w(g):
-        return _to_channel_major(g).swapaxes(1, 2) @ _to_channel_major(v.data)
-
-    def grad_v(g):
-        return _from_channel_major(_to_channel_major(g) @ w.data, b_shape)
-
-    return _make_node(out, (w, v), (grad_w, grad_v))
+    vs = [v.data if isinstance(v, Tensor) else v for v in hidden]
+    out = channel_product(weights[0].data, vs[0])
+    for w, v in zip(weights[1:], vs[1:], strict=True):
+        product = channel_product(w.data, v)
+        if product.shape != out.shape:  # no broadcast: each slot's gradient keeps its shape
+            raise DimensionError(f"channel_dot slots disagree: {out.shape} vs {product.shape}")
+        out += product
+    if not _GRAD_ENABLED:
+        return Tensor(out)
+    parents, fns = [], []
+    for w, v, vd in zip(weights, hidden, vs):
+        if w.requires_grad:
+            parents.append(w)
+            fns.append(lambda g, vd=vd: _to_channel_major(g).swapaxes(1, 2) @ _to_channel_major(vd))
+        if isinstance(v, Tensor) and v.requires_grad:
+            parents.append(v)
+            fns.append(lambda g, wd=w.data, b=out.shape[:-2]:
+                       _from_channel_major(_to_channel_major(g) @ wd, b))
+    return _make_node(out, parents, fns)
 
 
 def channel_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`channel_dot`'s forward on plain arrays: w (N, H, D) applied to v (*B, N, D).
+    """One slot of `channel_dot`'s forward: w (N, H, D) applied to v (*B, N, D).
 
     One matmul batched over the channel axis, on v's channel-major view,
     that BLAS writes straight into that view of a new row-major (*B, N, H)
@@ -431,7 +440,7 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     """The mean of (pred - target)^2 over every element, a scalar, as one graph node.
 
     `target` is data, a plain array of pred's shape; only pred gets a
-    gradient. The value is the mean of (pred - target) * (pred - target), and
+    gradient. The value is the mean of np.square(pred - target), and
     the gradient (2 (pred - target)) (g / size): the derivative of the square
     times that of the mean, in that order.
     """
@@ -447,7 +456,7 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
         return out
 
     # numpy's mean in its own steps, bit for bit, without np.mean's Python overhead
-    return _make_node(np.add.reduce(diff * diff, axis=None) / diff.size, (pred,), (grad_pred,))
+    return _make_node(np.add.reduce(np.square(diff), axis=None) / diff.size, (pred,), (grad_pred,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -236,6 +236,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
                 f"windows are ({windows.lookback}, {windows.horizon}) but config wants "
                 f"({cfg.lookback}, {cfg.horizon})"
             )
+        _check_fits(model, windows)
     params = model.parameters()
     if not params:
         raise ValueError("the model has no trainable arrays")
@@ -307,6 +308,16 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     return model, history
 
 
+def _check_fits(model, windows) -> None:
+    """Refuse windows, or a PreparedSet's, of another shape than the model's."""
+    windows = windows.windows if isinstance(windows, PreparedSet) else windows
+    have = (windows.lookback, windows.horizon, len(windows.values))
+    want = (model.backbone.lookback, model.horizon, len(model.channel_names))
+    if have != want:
+        raise ValueError(f"the windows have (lookback, horizon, channels) {have}, but the "
+                         f"model has {want}")
+
+
 def _diagnostics(what: str, epoch: int, batch_start: int | None, params,
                  loss_val: float | None = None) -> str:
     """The TrainingError message; `batch_start` None places it in the validation pass."""
@@ -331,17 +342,19 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     """Raw-scale MSE and MAE over every window, channel, and horizon step.
 
     `windows` is a WindowSet, or a PreparedSet made for this model and not
-    for the loss (`train` validates on one); any other PreparedSet raises a
-    ValueError. Every batch runs the model's plain-array forecast in its
-    own buffers: `forecast` normalises a gathered batch in place, a
-    prepared batch's forecast maps back in place, and the errors and their
-    sums run in the forecast's buffer. The final weights are taken once per
-    call, so a hyper model generates them once.
+    for the loss (`train` validates on one), of the model's lookback, horizon
+    and channel count; anything else raises a ValueError. Under `no_grad`,
+    each batch runs the model's forward path (`forecast`, or `forward_prepared`
+    on a prepared batch) in its own buffers: `forecast` normalises a gathered
+    batch in place, a prepared batch's forecast maps back in place, and the
+    errors and their sums run in the forecast's buffer. The final weights
+    are taken once per call, so a hyper model generates them once.
     """
     if not windows:
         raise ValueError("empty evaluation set")
     if not _is_int(batch_size) or batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+    _check_fits(model, windows)
     prepared = isinstance(windows, PreparedSet)
     if prepared:
         made, wanted = (windows.revin, windows.reads), (bool(model.revin), model.reads)
@@ -353,21 +366,21 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     sse = sae = 0.0
     count = 0
     with no_grad():
-        weights = [w.data for w in model.final_weights()]
-    for start in range(0, len(windows), batch_size):
-        idx = slice(start, start + batch_size)
-        if prepared:
-            batch = _stack_batch(windows, idx)
-            err, yb = model.forecast_prepared(batch.inputs, weights), batch.y
-            if batch.stats is not None:
-                revin_reverse(err, batch.stats, out=err)
-        else:
-            xb, yb = windows.batch(idx)
-            err = model.forecast(xb, weights, overwrite_x=True)
-        err -= yb
-        np.abs(err, out=err)
-        sae += float(err.sum())
-        err *= err
-        sse += float(err.sum())
-        count += err.size
+        weights = model.final_weights()
+        for start in range(0, len(windows), batch_size):
+            idx = slice(start, start + batch_size)
+            if prepared:
+                batch = _stack_batch(windows, idx)
+                err, yb = model.forward_prepared(batch.inputs, weights).data, batch.y
+                if batch.stats is not None:
+                    revin_reverse(err, batch.stats, out=err)
+            else:
+                xb, yb = windows.batch(idx)
+                err = model.forecast(xb, weights, overwrite_x=True)
+            err -= yb
+            np.abs(err, out=err)
+            sae += float(err.sum())
+            np.square(err, out=err)
+            sse += float(err.sum())
+            count += err.size
     return {"mse": sse / count, "mae": sae / count}

@@ -115,14 +115,14 @@ class TestForwardHidden:
         bb = DLinearBackbone(lookback=12, kernel=5)
         x = np.full((2, 12), 3.0)
         trend, seasonal = bb.forward_hidden(bb.prepare(x))
-        np.testing.assert_allclose(trend.data, x, atol=1e-12)
-        np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
+        np.testing.assert_allclose(trend, x, atol=1e-12)
+        np.testing.assert_allclose(seasonal, 0.0, atol=1e-12)
 
     def test_dlinear_branches_sum_to_input(self, rng):
         bb = DLinearBackbone(lookback=20, kernel=7)
         x = rng.standard_normal((3, 20))
         trend, seasonal = bb.forward_hidden(bb.prepare(x))
-        np.testing.assert_allclose(trend.data + seasonal.data, x, atol=1e-10)
+        np.testing.assert_allclose(trend + seasonal, x, atol=1e-10)
 
     def test_mlp_identity_layers_pass_nonnegative_input(self, rng):
         bb = MlpBackbone(lookback=6, hidden_widths=(6, 6), rng=rng)
@@ -209,7 +209,7 @@ class TestApplyFinal:
         hs = Tensor(rng.standard_normal((2, 6)))
         out = apply_final([wt, ws], [ht, hs])
         np.testing.assert_allclose(
-            out.data, channel_dot(wt, ht).data + channel_dot(ws, hs).data, atol=1e-12
+            out.data, channel_dot([wt], [ht]).data + channel_dot([ws], [hs]).data, atol=1e-12
         )
 
     def test_shape_mismatch(self):
@@ -280,4 +280,4 @@ def test_batched_forward_matches_single(rng):
     xb = rng.standard_normal((6, 3, 10))
     trend_b, _ = bb.forward_hidden(bb.prepare(xb))
     trend_1, _ = bb.forward_hidden(bb.prepare(xb[4]))
-    np.testing.assert_allclose(trend_b.data[4], trend_1.data, atol=1e-12)
+    np.testing.assert_allclose(trend_b[4], trend_1, atol=1e-12)

@@ -559,7 +559,7 @@ def test_eval_overflow_is_clean_error(tmp_path, capsys, name):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: {data}: evaluating the test split: overflow encountered in "
-                   "multiply\n")
+                   "square\n")
 
 
 def test_eval_takes_lookback_from_the_model(tmp_path, capsys):

@@ -622,7 +622,7 @@ class TestBake:
         finals = [baked.all_arrays()[f"final.{s}.w"].data for s in ("trend", "seasonal")]
         folded = baked.backbone.fold(*finals)
         x = Tensor(rng.standard_normal((5, 3, 30)) * 4.0 + 2.0)
-        np.testing.assert_allclose(baked.forward(x).data, channel_dot(folded, x).data,
+        np.testing.assert_allclose(baked.forward(x).data, channel_dot([Tensor(folded)], [x]).data,
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(baked.forward(x).data, hyper.forward(x).data, atol=1e-10)
 

@@ -459,8 +459,20 @@ class TestTraceOrder:
             prepared = trainer.PreparedSet(model, windows, for_loss=True)
             loss = trainer._batch_loss(model, trainer._stack_batch(prepared, np.arange(9)[::-1]))
         nodes = Tape.trace(loss).nodes
-        assert len(nodes) > 5
+        assert len(nodes) >= 4
         assert same_nodes(nodes, trace_reference(loss))
+
+
+def slot_operands(rng, n, v_batch, widths, h=3, grad=True):
+    """One (N, H, D) weight and one (*B, N, D) hidden state per slot width D,
+    each a Tensor that needs a gradient when `grad`."""
+    ws = [Tensor(rng.standard_normal((n, h, d)), requires_grad=grad) for d in widths]
+    vs = [Tensor(rng.standard_normal((*v_batch, n, d)), requires_grad=grad) for d in widths]
+    return ws, vs
+
+
+SLOT_WIDTHS = pytest.mark.parametrize("widths", [(4,), (4, 6)], ids=["one_slot", "two_slots"])
+DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 
 
 class TestChannelDot:
@@ -468,7 +480,7 @@ class TestChannelDot:
         n, h, d = 2, 3, 4
         w = rng.standard_normal((n, h, d))
         v = rng.standard_normal((n, d))
-        out = channel_dot(Tensor(w), Tensor(v))
+        out = channel_dot([Tensor(w)], [Tensor(v)])
         expected = np.zeros((n, h))
         for c in range(n):
             for i in range(h):
@@ -477,58 +489,103 @@ class TestChannelDot:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_batched_matches_per_sample(self, rng):
-        w = rng.standard_normal((3, 4, 5))
-        v = rng.standard_normal((6, 3, 5))
-        out = channel_dot(Tensor(w), Tensor(v))
+        ws, vs = slot_operands(rng, 3, (6,), (5, 2), h=4)
+        out = channel_dot(ws, vs)
         for b in range(6):
-            single = channel_dot(Tensor(w), Tensor(v[b]))
+            single = channel_dot(ws, [Tensor(v.data[b]) for v in vs])
             np.testing.assert_allclose(out.data[b], single.data, atol=1e-12)
 
-    def test_gradients(self, rng):
-        w = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        for v_shape in [(5, 2, 4), (2, 4)]:  # batched, and unbatched (the generator's form)
-            v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
+    @SLOT_WIDTHS
+    @DTYPES
+    def test_gradients(self, rng, request, dtype, widths):
+        """Each slot's weight and hidden state: the loss is quadratic in each
+        coordinate, so float32 takes a longer step with the same exactness."""
+        if dtype == np.float32:
+            request.getfixturevalue("float32_mode")
+        step, tol = (1e-5, 1e-6) if dtype == np.float64 else (0.25, 1e-3)
+        for v_batch in [(5,), ()]:  # batched, and unbatched (the generator's form)
+            ws, vs = slot_operands(rng, 2, v_batch, widths)
 
             def loss():
-                return mean_square(channel_dot(w, v))
+                return mean_square(channel_dot(ws, vs))
 
-            assert finite_diff_check(loss, [w, v]) < 1e-6
+            assert finite_diff_check(loss, ws + vs, step=step) < tol
 
-    @pytest.mark.parametrize("v_shape", [(2, 4), (5, 2, 4)], ids=["unbatched", "batched"])
-    def test_gradients_are_adjoint(self, rng, v_shape):
-        """channel_dot is bilinear: <J_w dw, g> = <dw, grad_w g>, likewise for v."""
-        w = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
-        g = rng.standard_normal(channel_dot(w, v).shape)
-        grads = backward(dot_loss(channel_dot(w, v), upstream(g)))
-        dw, dv = rng.standard_normal(w.shape), rng.standard_normal(v.shape)
-        assert np.vdot(channel_dot(Tensor(dw), v).data, g) == pytest.approx(
-            np.vdot(dw, grads[w].data) * g.size, rel=1e-12)
-        assert np.vdot(channel_dot(w, Tensor(dv)).data, g) == pytest.approx(
-            np.vdot(dv, grads[v].data) * g.size, rel=1e-12)
+    @SLOT_WIDTHS
+    @DTYPES
+    @pytest.mark.parametrize("v_batch", [(), (5,)], ids=["unbatched", "batched"])
+    def test_gradients_are_adjoint(self, rng, request, dtype, v_batch, widths):
+        """channel_dot is linear in each operand: <J_w dw, g> = <dw, grad_w g>,
+        likewise for v, slot by slot."""
+        if dtype == np.float32:
+            request.getfixturevalue("float32_mode")
+        rel = 1e-12 if dtype == np.float64 else 1e-4
+        ws, vs = slot_operands(rng, 2, v_batch, widths)
+        g = rng.standard_normal(channel_dot(ws, vs).shape)
+        grads = backward(dot_loss(channel_dot(ws, vs), upstream(g)))
+        for w, v in zip(ws, vs):
+            dw, dv = rng.standard_normal(w.shape), rng.standard_normal(v.shape)
+            assert np.vdot(channel_dot([Tensor(dw)], [v]).data, g) == pytest.approx(
+                np.vdot(dw, grads[w].data) * g.size, rel=rel)
+            assert np.vdot(channel_dot([w], [Tensor(dv)]).data, g) == pytest.approx(
+                np.vdot(dv, grads[v].data) * g.size, rel=rel)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("slots", [1, 2], ids=["one_slot", "two_slots"])
+    @DTYPES
     @pytest.mark.parametrize("v_shape", [(7, 36), (32, 7, 36), (3, 4, 7, 36), (2, 5, 1), (1, 3, 1)],
                              ids=["rank2", "rank3", "rank4", "rank3-d1", "rank3-b1"])
-    def test_bit_identical_to_moveaxis_form(self, rng, request, dtype, v_shape):
-        """Forward, grad_w and grad_v equal the moveaxis layout bit for bit."""
+    def test_bit_identical_to_moveaxis_form(self, rng, request, dtype, v_shape, slots):
+        """Forward, each grad_w and each grad_v equal the moveaxis layout bit for
+        bit; the forward sums the slots' products in slot order."""
         if dtype == np.float32:
             request.getfixturevalue("float32_mode")
         n, d = v_shape[-2:]
-        w = Tensor(rng.standard_normal((n, 24, d)), requires_grad=True)
-        v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
+        ws, vs = slot_operands(rng, n, v_shape[:-2], (d,) * slots, h=24)
         g = rng.standard_normal((*v_shape[:-1], 24)).astype(dtype)
-        out = channel_dot(w, v)
-        grad_w, grad_v = out._grad_fns
-        expected = channel_dot_moveaxis(w.data, v.data, g)
-        for got, want in zip((out.data, grad_w(g), grad_v(g)), expected):
-            assert_same_bits(got, want)
+        out = channel_dot(ws, vs)
+        expected = [channel_dot_moveaxis(w.data, v.data, g) for w, v in zip(ws, vs)]
+        want = expected[0][0]
+        for e in expected[1:]:
+            want = want + e[0]
+        assert_same_bits(out.data, want)
+        fns = out._grad_fns  # each slot's grad_w, then its grad_v
+        assert len(fns) == 2 * slots
+        for i, (_, want_w, want_v) in enumerate(expected):
+            assert_same_bits(fns[2 * i](g), want_w)
+            assert_same_bits(fns[2 * i + 1](g), want_v)
+
+    def test_plain_operands_get_no_gradient(self, rng):
+        """A plain-array hidden state gets no Tensor and no gradient; with no
+        operand needing one, or under `no_grad`, no node is built."""
+        ws, vs = slot_operands(rng, 2, (5,), (4, 6))
+        out = channel_dot(ws, [v.data for v in vs])
+        assert out._parents == tuple(ws)
+        assert_same_bits(out.data, channel_dot(ws, vs).data)
+        grads, full = backward(mean_square(out)), backward(mean_square(channel_dot(ws, vs)))
+        assert set(grads) == set(ws)
+        for w in ws:
+            assert_same_bits(grads[w].data, full[w].data)
+        for v in vs:
+            v.requires_grad = False
+        out = channel_dot([Tensor(w.data) for w in ws], vs)
+        assert not out.requires_grad and out._parents == ()
+        with no_grad():
+            out = channel_dot(*slot_operands(rng, 2, (5,), (4,)))
+        assert not out.requires_grad and out._parents == ()
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            channel_dot(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5))))
+            channel_dot([Tensor(np.zeros((2, 3, 4)))], [Tensor(np.zeros((2, 5)))])
         with pytest.raises(DimensionError, match=r"w \(N, H, D\)"):
-            channel_dot(Tensor(np.zeros((2, 3, 4, 5))), Tensor(np.zeros((2, 5))))
+            channel_dot([Tensor(np.zeros((2, 3, 4, 5)))], [Tensor(np.zeros((2, 5)))])
+        w = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="zip"):
+            channel_dot([w, w], [np.zeros((2, 4))])
+        for second in (np.zeros((2, 4)), np.zeros((5, 2, 4))):  # would broadcast, would not
+            with pytest.raises(DimensionError, match="slots disagree"):
+                channel_dot([w, w], [np.zeros((3, 2, 4)), second])
+        with pytest.raises(DimensionError, match="slots disagree"):
+            channel_dot([w, Tensor(np.zeros((2, 1, 4)))], [np.zeros((2, 4))] * 2)
 
 
 def gemv_oracle(z, w):
@@ -763,6 +820,31 @@ class TestMse:
     def test_refuses_shapes_that_differ(self):
         with pytest.raises(DimensionError, match=r"one shape, got \(2, 3\) and \(3,\)"):
             mse(Tensor(np.zeros((2, 3)), requires_grad=True), np.zeros(3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_square_is_the_product_bit_for_bit(dtype):
+    """`np.square`, which squares wherever the package multiplies an array by
+    itself (Adam's update, `mse`, RevIN's std, `evaluate`'s errors, the
+    shared_mlp init's norms), gives x * x's bits, into a new array or `out`: on +-0, subnormals, the extremes,
+    +-inf, NaN of either sign, and random values over the whole exponent range
+    (overflowing and underflowing squares included)."""
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+               info.smallest_subnormal * 3, info.smallest_normal, info.max, -info.max,
+               np.inf, -np.inf, np.nan, -np.nan]
+    r = np.random.default_rng(17)
+    exps = r.integers(info.minexp - info.nmant, info.maxexp, size=4099)
+    x = np.concatenate([np.array(special, dtype),
+                        np.ldexp(r.standard_normal(4099), exps).astype(dtype),
+                        r.standard_normal(32 * 1024).astype(dtype)])
+    with np.errstate(all="ignore"):
+        want = x * x
+        out = np.empty_like(x)
+        np.square(x, out=out)
+        got = np.square(x)
+    assert want.dtype == got.dtype == dtype
+    assert got.tobytes() == want.tobytes() and out.tobytes() == want.tobytes()
 
 
 def assert_adjoint(r, f, xs, jvps):

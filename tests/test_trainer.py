@@ -584,8 +584,8 @@ class TestPreparedSets:
         _, history = train(build_form(form, True, table), windows[:150], windows[150:], cfg)
         assert history.n_epochs == 2
 
-    def test_dlinear_baseline_step_takes_six_nodes(self, rng, monkeypatch):
-        """Two final layers, their two `channel_dot`s, the `add` and one `mse`."""
+    def test_dlinear_baseline_step_takes_four_nodes(self, rng, monkeypatch):
+        """Two final layers, the one `channel_dot` over both slots and one `mse`."""
         from hnmvts import trainer as trainer_mod
         from hnmvts.numcore import Tape
 
@@ -599,7 +599,7 @@ class TestPreparedSets:
         monkeypatch.setattr(trainer_mod, "backward", counting)
         model, train_w, val_w = small_setup(rng)
         train(model, train_w, val_w, TrainConfig(lookback=8, horizon=2, max_epochs=1))
-        assert sizes and set(sizes) == {6}
+        assert sizes and set(sizes) == {4}
 
     def test_trend_runs_once_per_set_per_call(self, rng, monkeypatch):
         """`moving_average` runs on each whole set once per `train` call, not
@@ -714,6 +714,73 @@ class TestPreparedSets:
         model, train_w, val_w = small_setup(rng)
         with pytest.raises(ValueError, match="no trainable arrays"):
             train(bake(model), train_w, val_w, TrainConfig(lookback=8, horizon=2))
+
+    @pytest.mark.parametrize("shape", [(24, 4, 3), (20, 8, 3), (24, 12, 3), (24, 8, 2)],
+                             ids=["horizon4", "lookback20", "horizon12", "two_channels"])
+    def test_windows_of_another_shape_refused(self, shape, monkeypatch):
+        """Windows whose lookback, horizon or channel count is not a lookback-24,
+        horizon-8, 3-channel model's: `train` refuses them before it prepares
+        anything, and `evaluate` as a WindowSet or a PreparedSet, each with
+        one message naming both sides."""
+        from hnmvts import trainer as trainer_mod
+
+        lookback, horizon, n = shape
+        rng = make_rng(3)
+        model = build_baseline(DLinearBackbone(24, kernel=5), 3, 8, rng)
+        table = SeriesTable(Tensor(rng.standard_normal((120, n)).cumsum(axis=0)),
+                            [f"c{i}" for i in range(n)])
+        windows = make_windows(table, lookback, horizon)
+        message = re.escape(f"the windows have (lookback, horizon, channels) {shape}, but the "
+                            "model has (24, 8, 3)")
+        prepared = PreparedSet(model, windows)
+
+        class Refused(PreparedSet):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a set was prepared")
+
+        monkeypatch.setattr(trainer_mod, "PreparedSet", Refused)
+        with pytest.raises(ValueError, match=message):
+            train(model, windows, windows, TrainConfig(lookback=lookback, horizon=horizon))
+        monkeypatch.undo()
+        for ws in (windows, prepared):
+            with pytest.raises(ValueError, match=message):
+                evaluate(model, ws)
+
+
+class TestTrajectoryAgreement:
+    """Two step forms equal in exact arithmetic give train losses and validation
+    MSE within a relative tolerance of each other over a short run: here the
+    cached tier and the per-batch tier (CACHE_BYTES 0), in both dtypes. They
+    are bit-identical today; the tolerance leaves room for a form that only
+    rounds differently, while a one-step shift of the per-batch tier's first
+    prepared array (DLinear's trend, the MLP's lookback) moves each figure
+    by 1% or more."""
+
+    RTOL = {"float64": 1e-9, "float32": 1e-5}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("form", ["dlinear_baseline", "mlp_baseline"])
+    def test_cached_and_per_batch_tiers_agree(self, form, dtype, request, monkeypatch):
+        from hnmvts import trainer as trainer_mod
+
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        table = SeriesTable(Tensor(make_rng(9).standard_normal((400, 3)).cumsum(axis=0)),
+                            ["a", "b", "c"])
+        windows = make_windows(table, 8, 2)
+        cfg = TrainConfig(lookback=8, horizon=2, batch_size=32, max_epochs=3, lr=1e-2, seed=5)
+        runs = []
+        for limit in (trainer_mod.CACHE_BYTES, 0):
+            monkeypatch.setattr(trainer_mod, "CACHE_BYTES", limit)
+            model, history = train(build_form(form, True, table), windows[:313], windows[313:],
+                                   cfg)
+            assert model.parameters()["final.out.w" if form.startswith("mlp") else
+                                      "final.trend.w"].data.dtype == dtype
+            runs.append(history)
+        cached, per_batch = runs
+        rtol = self.RTOL[dtype]
+        np.testing.assert_allclose(per_batch.train_loss, cached.train_loss, rtol=rtol, atol=0)
+        np.testing.assert_allclose(per_batch.val_mse, cached.val_mse, rtol=rtol, atol=0)
 
 
 class TestDiverging:
@@ -890,6 +957,7 @@ class TestEvaluate:
 
         class Echo:
             revin = False
+            backbone, horizon, channel_names = model.backbone, model.horizon, model.channel_names
 
             def final_weights(self):
                 return []
@@ -901,11 +969,12 @@ class TestEvaluate:
         assert metrics["mse"] == 0.0 and metrics["mae"] == 0.0
 
     def test_constant_offset(self, rng):
-        _, _, val_w = small_setup(rng)
+        model, _, val_w = small_setup(rng)
         delta = 0.75
 
         class Offset:
             revin = False
+            backbone, horizon, channel_names = model.backbone, model.horizon, model.channel_names
 
             def final_weights(self):
                 return []
