@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..checkpoint import load_checkpoint, save_checkpoint
-from ..data import chrono_split, make_windows
+from ..data import WindowError, chrono_split, make_windows
 from ..hypernet import bake, export_embeddings
 from ..trainer import TrainingError, evaluate, train
 from .config import default_config_text, load_config, resolve_out_dir
@@ -144,12 +144,12 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.data} has channels {table.channel_names}, but the "
                          f"checkpoint was trained on {model.channel_names}")
     segments = dict(zip(("train", "val", "test"), chrono_split(table, split)))
-    windows = make_windows(segments[args.split], model.backbone.lookback, model.horizon)
     where = f"{args.data}: evaluating the {args.split} split"
     try:
+        windows = make_windows(segments[args.split], model.backbone.lookback, model.horizon)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             metrics = evaluate(model, windows)
-    except FloatingPointError as err:
+    except (WindowError, FloatingPointError) as err:
         raise ValueError(f"{where}: {err}") from None
     if not all(map(math.isfinite, metrics.values())):
         raise ValueError(f"{where}: the mse {metrics['mse']} or mae {metrics['mae']} is not finite")

@@ -77,7 +77,7 @@ class SeriesTable:
 
 
 class WindowSet:
-    """Stride-1 supervised windows over one segment, gathered in batches.
+    """Stride-1 supervised windows over one segment, read in batches.
 
     Holds the segment once, channel-major (N x t), plus the origin index of
     each window; window i has lookback values[:, o:o+T] and target
@@ -85,8 +85,7 @@ class WindowSet:
     segment, lookbacks (t - T + 1, N, T) and targets (t - T - H + 1, N, H),
     each indexed by origin, are built once here. Slicing or indexing with
     an index array selects a subset that shares the segment and both
-    views, so `batch` is two gathers and builds nothing per call, and
-    `targets` one.
+    views, so `batch` and `targets` build nothing per call.
     """
 
     __slots__ = ("values", "origins", "lookback", "horizon", "_lookbacks", "_targets")
@@ -111,22 +110,27 @@ class WindowSet:
         return subset
 
     def batch(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        """Lookbacks (B, N, T) and targets (B, N, H) of the windows at `idx`.
-
-        `idx` is a slice or an index array into this set; indexing the span
-        views with the origins array copies into fresh C-contiguous arrays,
-        the same values a view built per call gives. Not `np.take`: on a
-        span view it first copies the whole view (about 50 ms for 256 windows
-        of the ettm2-shaped test split, against 0.2 ms by indexing), and
-        with `out=` in its default mode='raise' it is buffered (1.2 ms
-        against 0.4 ms on a contiguous (2 000, 7, 336) array; 2 vCPUs).
+        """Lookbacks (B, N, T) and targets (B, N, H) of the windows at `idx`, a
+        slice or an index array into this set. A slice of evenly spaced origins
+        (any slice of a `make_windows` set or of its `[::k]` subsets) gives
+        read-only strided views of the span views; anything else copies into
+        fresh C-contiguous arrays by indexing them with the origins. Not
+        `np.take`, which on a span view first copies the whole view (about 50 ms
+        for 256 ettm2 test windows, against 0.2 ms by indexing).
         """
-        start = self.origins[idx]
-        return self._lookbacks[start], self._targets[start]
+        return self._at(self._lookbacks, idx), self._at(self._targets, idx)
 
     def targets(self, idx) -> np.ndarray:
         """The targets (B, N, H) of `batch(idx)` alone, without gathering lookbacks."""
-        return self._targets[self.origins[idx]]
+        return self._at(self._targets, idx)
+
+    def _at(self, spans: np.ndarray, idx) -> np.ndarray:
+        """`spans` at the origins of `idx`: a view if `idx` slices evenly spaced ones."""
+        start = self.origins[idx]
+        step = int(start[1] - start[0]) if len(start) > 1 else len(start)  # 0 for no window
+        if isinstance(idx, slice) and step and (np.diff(start) == step).all():
+            return spans[start[0]::step][:len(start)]
+        return spans[start]
 
 
 def _spans(values: np.ndarray, width: int) -> np.ndarray:

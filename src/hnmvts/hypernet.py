@@ -196,8 +196,9 @@ class ForecastModel:
                                  self.horizon) for names in self._heads]
 
     def prepare(self, x: np.ndarray) -> list[np.ndarray]:
-        """What `forward_prepared` reads of x, the RevIN-normalised lookback (the
-        raw one without RevIN): [x] for a folded model, else the backbone's."""
+        """What `forward_prepared` reads of x, the RevIN-normalised lookback (the raw one
+        without RevIN), C-contiguous for BLAS: [x] for a folded model, else the backbone's."""
+        x = np.ascontiguousarray(x)
         return [x] if self._folded is not None else self.backbone.prepare(x)
 
     def forward_prepared(self, inputs: list[np.ndarray], weights: list | None = None) -> Tensor:
@@ -211,24 +212,22 @@ class ForecastModel:
             weights = self.final_weights()
         return apply_final(weights, self.backbone.forward_hidden(inputs))
 
-    def forecast(self, x: np.ndarray, weights: list | None = None,
-                 overwrite_x: bool = False) -> np.ndarray:
-        """`forward` on plain arrays under `no_grad`, a new array: RevIN's statistics,
-        then `forward_prepared`'s `.data` on `prepare`'s arrays, mapped back in
-        its buffer. It writes x only with `overwrite_x`, normalising it in
-        place, and takes `weights` as `forward_prepared` does. Through a folded
-        model RevIN's scale cancels, W((x - mu) / (std + eps)) * (std + eps) +
-        mu = W (x - mu) + mu: it serves that centred `channel_product`, whose
-        precision does not depend on the series' level, and computes no std.
+    def forecast(self, x: np.ndarray, weights: list | None = None) -> np.ndarray:
+        """`forward` on plain arrays under `no_grad`, a new array; x, maybe a read-only
+        view, is never written. RevIN's statistics, then `forward_prepared`'s `.data`
+        (`weights` as there) on `prepare`'s arrays, mapped back in its buffer.
+        Through a folded model RevIN's scale cancels, W((x - mu) / (std + eps)) *
+        (std + eps) + mu = W (x - mu) + mu: it serves that centred `channel_product`,
+        whose precision does not depend on the series' level, and computes no std.
         """
         if not self.revin:
             return self.forward_prepared(self.prepare(x), weights).data
         if self._folded is not None:
-            centered, mean = revin_center(x, x if overwrite_x else None)
+            centered, mean = revin_center(x)
             pred = channel_product(self._folded, centered)
             pred += mean
             return pred
-        x_norm, stats = revin_forward(x, x if overwrite_x else None)
+        x_norm, stats = revin_forward(x)
         pred = self.forward_prepared(self.prepare(x_norm), weights).data
         return revin_reverse(pred, stats, out=pred)
 

@@ -3,9 +3,8 @@
 Each lookback window is standardized per channel with its own mean and
 population standard deviation; forecasts are mapped back with the same
 statistics. Statistics only, no learnable affine parameters. The lookback
-is data, so the statistics and the normalized input are plain arrays; only
-`revin_reverse` on a Tensor forecast works on the gradient graph. A map on
-plain arrays takes `out` as a ufunc does, the input itself included.
+is data, so the statistics and the normalized input are new plain arrays;
+only `revin_reverse` on a Tensor forecast works on the gradient graph.
 """
 
 from __future__ import annotations
@@ -39,19 +38,19 @@ def _last_mean(x: np.ndarray) -> np.ndarray:
     return mean
 
 
-def revin_center(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(x - mean, mean) of (..., N, T), the mean per channel over the last axis."""
+def revin_center(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean in C order, mean) of (..., N, T), the mean per channel over the last axis."""
     mean = _last_mean(x)
-    return np.subtract(x, mean, out=out), mean
+    return np.subtract(x, mean, order="C"), mean
 
 
-def revin_forward(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, InstanceStats]:
+def revin_forward(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     """Standardize (..., N, T) per channel over the last axis.
 
     x_norm[n] = (x[n] - mean[n]) / (std[n] + eps), population std.
     Constant channels are safe: std 0 simply leaves the eps denominator.
     """
-    centered, mean = revin_center(x, out)
+    centered, mean = revin_center(x)
     std = _last_mean(np.square(centered))
     np.sqrt(std, out=std)
     centered /= std + EPS
@@ -67,8 +66,8 @@ def revin_reverse(y_norm, stats: InstanceStats, out: np.ndarray | None = None):
     return out
 
 
-def revin_apply(y: np.ndarray, stats: InstanceStats, out: np.ndarray | None = None) -> np.ndarray:
-    """Normalize a raw-scale target with existing lookback statistics."""
-    out = np.subtract(y, stats.mean, out=out)
+def revin_apply(y: np.ndarray, stats: InstanceStats) -> np.ndarray:
+    """Normalize a raw-scale target with existing lookback statistics, in C order."""
+    out = np.subtract(y, stats.mean, order="C")
     out /= stats.std + EPS
     return out

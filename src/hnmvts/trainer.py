@@ -200,15 +200,14 @@ class _Batch(NamedTuple):
 
 def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
     """One batch for the steps and the validation pass: rows gathered from a
-    prepared set, or, when it holds no inputs, rebuilt from the raw windows
-    with `revin_apply` and the model's `prepare`. The raw lookbacks are
-    gathered only in that case."""
+    prepared set, or, when it holds no inputs, rebuilt from `WindowSet.batch`
+    (views for a slice) with `revin_apply` and the model's `prepare`."""
     stats = None
     if prepared.mean is not None and prepared.target is None:
         stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
     if prepared.inputs is None:
         x, y = prepared.windows.batch(idx)
-        return _Batch(prepared.prepare(x if stats is None else revin_apply(x, stats, x)), y, stats)
+        return _Batch(prepared.prepare(x if stats is None else revin_apply(x, stats)), y, stats)
     y = prepared.windows.targets(idx) if prepared.target is None else prepared.target[idx]
     return _Batch([a[idx] for a in prepared.inputs], y, stats)
 
@@ -344,11 +343,10 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
     `windows` is a WindowSet, or a PreparedSet made for this model and not
     for the loss (`train` validates on one), of the model's lookback, horizon
     and channel count; anything else raises a ValueError. Under `no_grad`,
-    each batch runs the model's forward path (`forecast`, or `forward_prepared`
-    on a prepared batch) in its own buffers: `forecast` normalises a gathered
-    batch in place, a prepared batch's forecast maps back in place, and the
-    errors and their sums run in the forecast's buffer. The final weights
-    are taken once per call, so a hyper model generates them once.
+    each batch runs the model's forward path, `forecast` on `WindowSet.batch`'s
+    arrays (views of an evenly spaced set, never written) or `forward_prepared`
+    on a prepared batch, and the errors run in the forecast's buffer. The final
+    weights are taken once per call, so a hyper model generates them once.
     """
     if not windows:
         raise ValueError("empty evaluation set")
@@ -376,7 +374,7 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
                     revin_reverse(err, batch.stats, out=err)
             else:
                 xb, yb = windows.batch(idx)
-                err = model.forecast(xb, weights, overwrite_x=True)
+                err = model.forecast(xb, weights)
             err -= yb
             np.abs(err, out=err)
             sae += float(err.sum())

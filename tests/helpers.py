@@ -31,13 +31,21 @@ def finite_diff_check(
     (and restored) to form the central-difference estimate. The returned
     value is
 
-        max over coordinates of |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|)
+        max over coordinates of |g_ad - g_fd| / max(floor, |g_ad| + |g_fd|)
+
+    with floor = max(1e-8, 0.01 * max |g_ad|) over that parameter's
+    coordinates. The central difference errs by rounding in proportion to the
+    loss, not to the coordinate's own gradient, so an exact gradient near 0
+    is scored against a hundredth of its parameter's largest one. Over 400
+    reseeded float32 draws of the two-slot `channel_dot` check (bound 1e-3),
+    a fixed 1e-8 floor scored 54 above the bound; this floor's worst was 2.5e-4.
     """
     loss = f()
     grads = backward(loss, params)
     worst = 0.0
     for p in params:
         g_ad = grads[p].data
+        floor = max(1e-8, 0.01 * float(np.max(np.abs(g_ad))))
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
@@ -49,7 +57,7 @@ def finite_diff_check(
             flat[i] = orig
             g_fd = (up - down) / (2.0 * step)
             g_val = g_ad.reshape(-1)[i]
-            err = abs(g_val - g_fd) / max(1e-8, abs(g_val) + abs(g_fd))
+            err = abs(g_val - g_fd) / max(floor, abs(g_val) + abs(g_fd))
             worst = max(worst, err)
     return worst
 

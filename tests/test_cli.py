@@ -562,6 +562,27 @@ def test_eval_overflow_is_clean_error(tmp_path, capsys, name):
                    "square\n")
 
 
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_eval_short_split_names_file_and_split(tmp_path, capsys, split):
+    """A chosen segment shorter than lookback + horizon printed only the window
+    count; the one error line now names the file and the split."""
+    from pathlib import Path
+
+    from hnmvts.data import SplitSpec, chrono_split, load_csv
+
+    data = tmp_path / "short.csv"
+    rows = np.random.default_rng(0).standard_normal((40, 3))
+    data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    ckpt = Path(__file__).parent / "data" / "hyper_pcl_dlinear.npz"
+    segment = dict(zip(("train", "val", "test"), chrono_split(load_csv(data), SplitSpec())))[split]
+    assert segment.t < 12  # the fixture's lookback 8 plus horizon 4
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--split", split]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {data}: evaluating the {split} split: segment has {segment.t} "
+                   "timesteps but lookback+horizon requires at least 12\n")
+
+
 def test_eval_takes_lookback_from_the_model(tmp_path, capsys):
     """The config echo's lookback is a record of the run, not a second source."""
     data = tmp_path / "abc.csv"

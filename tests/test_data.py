@@ -512,6 +512,15 @@ def gather_per_call(windows, idx):
     return spans(windows.lookback)[start], spans(windows.horizon)[start + windows.lookback]
 
 
+def evenly_spaced_slice(idx, origins) -> bool:
+    """Whether `WindowSet.batch(idx)` reads views: `idx` is a slice and the
+    origins it selects are at least one and evenly spaced."""
+    if not isinstance(idx, slice) or len(origins) == 0:
+        return False
+    steps = np.diff(origins)
+    return len(steps) == 0 or (steps[0] != 0 and (steps == steps[0]).all())
+
+
 class TestWindowSetBatch:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -539,7 +548,11 @@ class TestWindowSetBatch:
             x, y = subset.batch(idx)
             assert x.shape == (len(origins), n, lookback)
             assert y.shape == (len(origins), n, horizon)
-            assert x.flags["C_CONTIGUOUS"] and y.flags["C_CONTIGUOUS"]
+            if evenly_spaced_slice(idx, origins):
+                for a in (x, y):
+                    assert not a.flags.writeable and np.shares_memory(a, windows.values)
+            else:
+                assert x.flags["C_CONTIGUOUS"] and y.flags["C_CONTIGUOUS"]
             x_ref, y_ref = gather_per_call(subset, idx)
             assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
             for b, i in enumerate(origins):
@@ -547,6 +560,65 @@ class TestWindowSetBatch:
                 np.testing.assert_array_equal(
                     y[b], values[i + lookback : i + lookback + horizon].T
                 )
+
+    # 33 windows, origins 0..32; each [::-k] subset reaches origin 0, where a
+    # view's stop of last - k would wrap to -1
+    SUBSETS = {"all": slice(None), "a:b": slice(4, 27), "::k": slice(None, None, 4),
+               "a::k": slice(3, None, 5), "::-k": slice(None, None, -4),
+               "a::-k": slice(30, None, -3)}
+    SLICES = {"all": slice(None), "a:b": slice(1, -1), "::k": slice(None, None, 2),
+              "a::k": slice(1, None, 3), "::-1": slice(None, None, -1),
+              "::-k": slice(None, None, -2), "one": slice(2, 3), "one back": slice(0, None, -1),
+              "none": slice(3, 3), "none back": slice(0, 3, -1)}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("subset", SUBSETS)
+    def test_even_slices_read_views(self, subset, dtype, request):
+        """Each slice of an evenly spaced set, either way, reads read-only views
+        sharing the segment, equal byte for byte to the gathered arrays; a slice
+        of no window gives empty arrays of the batch's shape."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        values = np.random.default_rng(3).standard_normal((40, 3))
+        windows = make_windows(table_from(values), 5, 3)
+        assert len(windows) == 33 and windows.values.dtype == dtype
+        chosen = windows[self.SUBSETS[subset]]
+        for idx in self.SLICES.values():
+            origins = chosen.origins[idx]
+            x, y = chosen.batch(idx)
+            x_ref, y_ref = gather_per_call(chosen, idx)
+            assert x.shape == (len(origins), 3, 5) and y.shape == (len(origins), 3, 3)
+            assert x.dtype == y.dtype == dtype
+            assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+            assert chosen.targets(idx).tobytes() == y_ref.tobytes()
+            if len(origins):
+                for a in (x, y, chosen.targets(idx)):
+                    assert not a.flags.writeable and np.shares_memory(a, windows.values)
+            for b, o in enumerate(origins):
+                np.testing.assert_array_equal(x[b], windows.values[:, o : o + 5])
+                np.testing.assert_array_equal(y[b], windows.values[:, o + 5 : o + 8])
+
+    def test_index_arrays_and_uneven_slices_gather(self):
+        """An index array, evenly spaced or not, and a slice of uneven or
+        repeated origins give fresh writable C-contiguous arrays, the gathered ones."""
+        windows = make_windows(table_from(np.random.default_rng(4).standard_normal((40, 3))),
+                               5, 3)
+        cases = [
+            (windows, np.arange(0, 33, 4)),
+            (windows, np.arange(32, -1, -4)),
+            (windows, np.array([7, 1, 20])),
+            (windows[::3], np.array([0, 1, 2])),
+            (windows[np.array([0, 1, 3, 7, 8])], slice(None)),
+            (windows[np.array([6, 6, 6])], slice(None)),
+        ]
+        for subset, idx in cases:
+            x, y = subset.batch(idx)
+            x_ref, y_ref = gather_per_call(subset, idx)
+            assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+            assert subset.targets(idx).tobytes() == y_ref.tobytes()
+            for a in (x, y, subset.targets(idx)):
+                assert a.flags["C_CONTIGUOUS"] and a.flags.writeable
+                assert not np.shares_memory(a, windows.values)
 
     def test_span_views_built_once(self, monkeypatch):
         """make_windows builds the two span views; batches and subsets reuse them."""

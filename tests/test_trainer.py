@@ -8,12 +8,13 @@ from helpers import make_rng
 from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import SeriesTable, WindowSet, make_windows
 from hnmvts.hypernet import bake, build_baseline, build_hyper
-from hnmvts.normalization import revin_apply, revin_forward, revin_reverse
+from hnmvts.normalization import EPS, InstanceStats, revin_apply, revin_forward, revin_reverse
 from hnmvts.numcore import (
     AdamState,
     Tensor,
     adam_step,
     backward,
+    channel_product,
     no_grad,
     mse,
     spawn_rng,
@@ -858,6 +859,44 @@ def frozen_evaluate(model, windows, batch_size=256):
     return {"mse": sse / count, "mae": sae / count}
 
 
+def gathered_in_place_evaluate(model, windows, batch_size):
+    """`evaluate` on a WindowSet as it was when each batch's lookbacks were
+    gathered (indexing span views built here) and `forecast` normalised that
+    copy in place: the same ufuncs, in the same order, as the view form."""
+    spans = [np.lib.stride_tricks.sliding_window_view(windows.values, width, axis=1)
+             .transpose(1, 0, 2) for width in (windows.lookback, windows.horizon)]
+    sse = sae = 0.0
+    count = 0
+    with no_grad():
+        weights = model.final_weights()
+        for start in range(0, len(windows), batch_size):
+            origins = windows.origins[start : start + batch_size]
+            x, y = spans[0][origins], spans[1][origins + windows.lookback]
+            if not model.revin:
+                err = model.forward_prepared(model.prepare(x), weights).data
+            else:
+                mean = np.add.reduce(x, axis=-1, keepdims=True)
+                mean /= x.shape[-1]
+                np.subtract(x, mean, out=x)
+                if model._folded is not None:
+                    err = channel_product(model._folded, x)
+                    err += mean
+                else:
+                    std = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+                    std /= x.shape[-1]
+                    np.sqrt(std, out=std)
+                    x /= std + EPS
+                    err = model.forward_prepared(model.prepare(x), weights).data
+                    revin_reverse(err, InstanceStats(mean, std), out=err)
+            err -= y
+            np.abs(err, out=err)
+            sae += float(err.sum())
+            np.square(err, out=err)
+            sse += float(err.sum())
+            count += err.size
+    return {"mse": sse / count, "mae": sae / count}
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
@@ -874,6 +913,34 @@ class TestEvaluate:
         for m in (model, bake(model)):
             for ws in (windows, PreparedSet(m, windows)):
                 assert evaluate(m, ws) == frozen_evaluate(m, ws)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
+    @pytest.mark.parametrize("form", ["dlinear", "dlinear_folded", "mlp"])
+    def test_views_match_gathered_in_place_arithmetic(self, form, revin, dtype, request):
+        """On every evenly spaced subset, read as views, `evaluate` equals bit for
+        bit the gather-then-normalise-in-place arithmetic, over several 64-window
+        batches and a short last one, and leaves the segment as it was. `prepare`
+        makes a view C-contiguous, so no product reads it in a layout BLAS refuses."""
+        if dtype == "float32":
+            request.getfixturevalue("float32_mode")
+        values = make_rng(11).standard_normal((400, 3)).cumsum(axis=0) + 30.0
+        table = SeriesTable(Tensor(values), ["a", "b", "c"])
+        windows = make_windows(table, 8, 2)  # 391 windows, origins 0..390
+        segment = windows.values.copy()
+        model = build_form("mlp_baseline" if form == "mlp" else "dlinear_baseline", revin, table)
+        if form == "dlinear_folded":
+            model = bake(model)
+            assert model._folded is not None
+        for key in (slice(None), slice(17, 350), slice(None, None, 3), slice(5, None, 2),
+                    slice(None, None, -5), slice(None, None, -1)):
+            subset = windows[key]
+            view = subset.batch(slice(0, 64))[0]
+            assert np.shares_memory(view, windows.values) and not view.flags.writeable
+            assert all(a.flags.c_contiguous for a in model.prepare(view))
+            assert evaluate(model, subset, batch_size=64) == gathered_in_place_evaluate(
+                model, subset, 64)
+        assert windows.values.tobytes() == segment.tobytes()
 
     @pytest.mark.parametrize("form", TestPreparedSets.FORMS)
     def test_reads_read_only_inputs(self, form):
@@ -962,8 +1029,8 @@ class TestEvaluate:
             def final_weights(self):
                 return []
 
-            def forecast(self, x, weights, overwrite_x):
-                return val_w.batch(slice(None))[1]
+            def forecast(self, x, weights):
+                return val_w.batch(slice(None))[1].copy()
 
         metrics = evaluate(Echo(), val_w, batch_size=len(val_w))
         assert metrics["mse"] == 0.0 and metrics["mae"] == 0.0
@@ -979,7 +1046,7 @@ class TestEvaluate:
             def final_weights(self):
                 return []
 
-            def forecast(self, x, weights, overwrite_x):
+            def forecast(self, x, weights):
                 return val_w.batch(slice(None))[1] + delta
 
         metrics = evaluate(Offset(), val_w, batch_size=len(val_w))
