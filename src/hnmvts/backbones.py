@@ -3,14 +3,13 @@
 Every backbone turns a lookback window (..., N, T), a plain array, into one
 hidden state per channel and per output slot: `prepare(x)` computes on plain
 arrays what the forward reads of it (data a trainer may keep; `reads` names
-it), and `forward_hidden` turns that list into the hidden states, on the
-gradient graph where a trainable array made them (the MLP trunk's) and plain
-arrays otherwise. `apply_final` then maps each channel's hidden state to the
-horizon with that slot's bias-free (N, H, D) weights, one (H x D) matrix per
-channel, summed over slots as one `channel_dot` node. A
-backbone is described by its `config()`; the arrays it owns (`shapes()`
-names them and gives their shapes) live in the model's array store, which it
-reads by name. Two backbones ship:
+it), and `forward_hidden` turns that list into the hidden states, plain
+arrays. `apply_final` then maps each channel's hidden state to the horizon
+with that slot's bias-free (N, H, D) weights, one (H x D) matrix per channel,
+summed over slots by one `channel_dot`. A backbone is described by its
+`config()`; the arrays it owns (`shapes()` names them and gives their
+shapes) live in the model's array store, which it reads by name. Two
+backbones ship:
 
 * DLinearBackbone - moving-average trend/seasonal decomposition with identity
   hidden maps (D = T) and one final layer per branch; it owns no arrays. Being
@@ -18,18 +17,20 @@ reads by name. Two backbones ship:
   the input directly.
 * MlpBackbone - a trunk of Linear+ReLU layers shared across channels, owning
   `trunk.i.w` (fan_in, width) and `trunk.i.b` (width,). That one stack's names
-  and shapes, fan-in draws and forward (`stack_shapes`, `draw_fan_in`,
-  `stack_forward`) also build and run the `shared_mlp` weight generator.
+  and shapes, fan-in draws, forward and backward (`stack_shapes`,
+  `draw_fan_in`, `stack_forward`, `stack_backward`) also build, run and
+  train the `shared_mlp` weight generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numcore import DimensionError, Tensor, channel_dot, linear_relu, moving_average
+from .numcore import (DimensionError, Tensor, channel_dot, moving_average, relu_product,
+                      relu_product_grad)
 
 __all__ = ["DLinearBackbone", "MlpBackbone", "decompose", "from_config", "apply_final",
-           "uniform_fan_in", "draw_fan_in", "stack_shapes", "stack_forward"]
+           "uniform_fan_in", "draw_fan_in", "stack_shapes", "stack_forward", "stack_backward"]
 
 
 def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -59,12 +60,26 @@ def stack_shapes(prefix: str, fan_in: int, widths) -> dict[str, tuple[int, ...]]
     return out
 
 
-def stack_forward(h: Tensor, arrays: list[Tensor]) -> Tensor:
-    """relu(h @ w + b) for each layer, one `linear_relu` graph node per layer;
-    `arrays` in `stack_shapes` order."""
+def stack_forward(h: np.ndarray, arrays: list[np.ndarray], acts: list | None = None) -> np.ndarray:
+    """relu(h @ w + b) for each layer by `relu_product`, `arrays` in `stack_shapes`
+    order; with `acts`, each layer's output is appended to it, for `stack_backward`."""
     for w, b in zip(arrays[::2], arrays[1::2]):
-        h = linear_relu(h, w, b)
+        h = relu_product(h, w, b)
+        if acts is not None:
+            acts.append(h)
     return h
+
+
+def stack_backward(h: np.ndarray, arrays: list[np.ndarray], acts: list[np.ndarray],
+                   g: np.ndarray, grad_input: bool = False):
+    """`stack_forward`'s backward by `relu_product_grad`, last layer first, for
+    the gradient g reaching its output: (h's gradient, None unless
+    `grad_input`; the arrays' gradients in `stack_shapes` order)."""
+    grads = [None] * len(arrays)
+    for i in range(len(acts) - 1, -1, -1):
+        g, grads[2 * i], grads[2 * i + 1] = relu_product_grad(
+            acts[i - 1] if i else h, arrays[2 * i], acts[i], g, grad_input or i > 0)
+    return g, grads
 
 
 def decompose(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +115,11 @@ class DLinearBackbone:
         """The trend and seasonal parts of x (`decompose`)."""
         return list(decompose(x, self.kernel))
 
-    def forward_hidden(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
+    def forward_hidden(self, inputs: list[np.ndarray], acts: list | None = None
+                       ) -> list[np.ndarray]:
         """Hidden states in `slots` order, the trend, then the seasonal part:
-        `prepare`'s arrays themselves, data that no gradient reaches."""
+        `prepare`'s arrays themselves, data that no gradient reaches (`acts`
+        stays empty)."""
         return inputs
 
     def fold(self, trend_w: np.ndarray, seasonal_w: np.ndarray) -> np.ndarray:
@@ -160,10 +177,18 @@ class MlpBackbone:
         """The lookback itself: the trunk reads nothing precomputable from it."""
         return [x]
 
-    def forward_hidden(self, inputs: list[np.ndarray]) -> list[Tensor]:
+    def forward_hidden(self, inputs: list[np.ndarray], acts: list | None = None
+                       ) -> list[np.ndarray]:
         """The trunk's output on the lookback, the one hidden state of the `out`
-        slot; under `no_grad` its layers record no nodes."""
-        return [stack_forward(Tensor(inputs[0]), [self.weights[name] for name in self._shapes])]
+        slot; with `acts`, every layer's output is appended to it (`hidden_grads`)."""
+        return [stack_forward(inputs[0], [self.weights[n].data for n in self._shapes], acts)]
+
+    def hidden_grads(self, inputs: list[np.ndarray], acts: list[np.ndarray],
+                     g: np.ndarray) -> dict[str, np.ndarray]:
+        """The trunk arrays' gradients by name, for the gradient g reaching
+        `forward_hidden`'s hidden state on `inputs`, which kept `acts`."""
+        arrays = [self.weights[n].data for n in self._shapes]
+        return dict(zip(self._shapes, stack_backward(inputs[0], arrays, acts, g)[1]))
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Names and shapes of the trunk's arrays (see `stack_shapes`)."""
@@ -185,10 +210,9 @@ def from_config(cfg, arrays: dict[str, Tensor]):
     return MlpBackbone(cfg.lookback, cfg.hidden_widths, weights=arrays)
 
 
-def apply_final(weights: list, hidden: list) -> Tensor:
+def apply_final(weights: list[np.ndarray], hidden: list[np.ndarray]) -> np.ndarray:
     """Sum over slots of y_hat[..., n] = W[n] @ h[..., n], each slot's (N, H, D)
-    weights applied to its (..., N, D) hidden state, as one `channel_dot`
-    node; a hidden state is a Tensor or a plain array."""
+    weights applied to its (..., N, D) hidden state, by one `channel_dot`."""
     if len(weights) != len(hidden):
         raise DimensionError(f"{len(weights)} final layers for {len(hidden)} hidden states")
     return channel_dot(weights, hidden)

@@ -24,30 +24,34 @@ channel's final-layer matrix. Two generator modes:
 Generated weights do not depend on the input window, so `bake` materializes
 them once after training and drops the generator, leaving exactly the plain
 backbone's arrays.
-One forward path, `forward_prepared` (`forward_hidden`, then `apply_final`'s
-one node), trains on the graph and serves `forecast` and `trainer.evaluate`.
+One forward path on plain arrays, `forward_prepared` (`final_weights`,
+`forward_hidden`, `apply_final`), serves `forecast` and `trainer.evaluate`;
+`ForecastModel.loss` trains it as one graph node with a written-out backward.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import backbones
-from .backbones import apply_final, draw_fan_in, stack_forward, stack_shapes, uniform_fan_in
+from .backbones import (apply_final, draw_fan_in, stack_backward, stack_forward, stack_shapes,
+                        uniform_fan_in)
 from .data import SeriesTable, pearson_corr
 from .normalization import InstanceStats, revin_center, revin_forward, revin_reverse
-from .numcore import (Tensor, channel_gemv, channel_product, grad_enabled, matmul, no_grad,
-                      pca_project, relu_product, reshape)
+from .numcore import (Tensor, channel_dot_grad, channel_gemv, channel_gemv_grad, channel_product,
+                      mse, mse_grad, pca_project, relu_product)
+from .numcore.tensor import _make_node
 from .schema import GeneratorConfig, ModelConfig, StoreError
 
 __all__ = ["ForecastModel", "StoreError", "init_embeddings", "init_generator",
-           "generate_weights", "bake", "param_count", "build_baseline", "build_hyper",
-           "export_embeddings"]
+           "generate_weights", "generator_grads", "bake", "param_count", "build_baseline",
+           "build_hyper", "export_embeddings"]
 
 
 def init_embeddings(train: SeriesTable, d: int) -> np.ndarray:
@@ -104,13 +108,37 @@ def init_generator(z: np.ndarray, horizon: int, hidden_dim: int, gen: GeneratorC
     return [w_phi]
 
 
-def generate_weights(mode: str, z: Tensor, gen: list[Tensor], horizon: int) -> Tensor:
+def generate_weights(mode: str, z: np.ndarray, gen: list[np.ndarray], horizon: int,
+                     acts: list | None = None) -> np.ndarray:
     """The (N, H, D) final-layer weights a generator encodes for embeddings z;
-    `gen` holds the generator's arrays in store order (see `init_generator`)."""
+    `gen` holds the generator's arrays in store order (see `init_generator`).
+    With `acts`, one list is appended to it, of a `shared_mlp` stack's layer outputs."""
+    if acts is not None:
+        acts.append([])
+        acts = acts[-1]
     if mode == "per_channel_linear":
         return channel_gemv(z, gen[0])
-    flat = matmul(stack_forward(z, gen[:-1]), gen[-1])
-    return reshape(flat, (z.shape[0], horizon, flat.shape[1] // horizon))
+    flat = (stack_forward(z, gen[:-1], acts) if len(gen) > 1 else z) @ gen[-1]
+    return flat.reshape(z.shape[0], horizon, flat.shape[1] // horizon)
+
+
+def generator_grads(mode: str, z: np.ndarray, gen: list[np.ndarray], acts: list[np.ndarray],
+                    g: np.ndarray, grad_z: bool):
+    """`generate_weights`' backward, for the gradient g (N, H, D) reaching the
+    weights it made with the layer outputs `acts` it kept: (z's gradient, or
+    None unless `grad_z`; gen's gradients in store order). per_channel_linear
+    is `channel_gemv_grad`, its weight's gradient an `OuterGrad`. shared_mlp
+    takes the output layer's product h @ w_out, whose gradients are h.T @ g
+    and g @ w_out.T, then `stack_backward`."""
+    if mode == "per_channel_linear":
+        gz, gw = channel_gemv_grad(z, gen[0], g, grad_z)
+        return gz, [gw]
+    g = g.reshape(len(z), -1)
+    g_out = (acts[-1] if acts else z).T @ g
+    if not acts:
+        return (g @ gen[-1].T if grad_z else None), [g_out]
+    gz, grads = stack_backward(z, gen[:-1], acts, g @ gen[-1].T, grad_z)
+    return gz, grads + [g_out]
 
 
 def _array_shapes(cfg: ModelConfig, backbone) -> dict[str, tuple[int, ...]]:
@@ -164,6 +192,8 @@ class ForecastModel:
         for name, t in arrays.items():
             t.requires_grad = (variant == "baseline" if name.startswith("final.")
                                else cfg.embedding.learnable if name == "embed.z" else True)
+        self._trainable = [name for name, t in arrays.items() if t.requires_grad]
+        self._getters = tuple(map(itemgetter, range(len(self._trainable))))  # the loss node's
         self._cfg = cfg
         self._arrays = arrays
         self.variant = variant
@@ -174,6 +204,7 @@ class ForecastModel:
         if variant == "hyper":
             self._mode = cfg.generator.mode
             self._heads = [[k for k in shapes if k.startswith(f"head.{s}.")] for s in slots]
+            self._gens = [[arrays[k] for k in names] for names in self._heads]
         else:
             self._finals = [f"final.{s}.w" for s in slots]
         self._folded = None
@@ -186,14 +217,15 @@ class ForecastModel:
         self.reads = "lookback" if self._folded is not None else self.backbone.reads
 
     # forward paths --------------------------------------------------------
-    def final_weights(self) -> list[Tensor]:
+    def final_weights(self, acts: list | None = None) -> list[np.ndarray]:
         """Each slot's (N, H, D) final-layer weights, in `backbone.slots` order;
-        a hyper model generates them from its embeddings here."""
+        a hyper model generates them from its embeddings here (`acts` as there)."""
         a = self._arrays
         if self.variant != "hyper":
-            return [a[name] for name in self._finals]
-        return [generate_weights(self._mode, a["embed.z"], [a[name] for name in names],
-                                 self.horizon) for names in self._heads]
+            return [a[name].data for name in self._finals]
+        z = a["embed.z"].data
+        return [generate_weights(self._mode, z, [t.data for t in gen], self.horizon, acts)
+                for gen in self._gens]
 
     def prepare(self, x: np.ndarray) -> list[np.ndarray]:
         """What `forward_prepared` reads of x, the RevIN-normalised lookback (the raw one
@@ -201,57 +233,81 @@ class ForecastModel:
         x = np.ascontiguousarray(x)
         return [x] if self._folded is not None else self.backbone.prepare(x)
 
-    def forward_prepared(self, inputs: list[np.ndarray], weights: list | None = None) -> Tensor:
-        """Normalised-scale forecast (..., N, H) from `prepare`'s arrays: the
-        backbone's `forward_hidden`, then `apply_final` with `weights`, the
+    def forward_prepared(self, inputs: list[np.ndarray], weights: list | None = None
+                         ) -> np.ndarray:
+        """Normalised-scale forecast (..., N, H), a new array, from `prepare`'s arrays:
+        the backbone's `forward_hidden`, then `apply_final` with `weights`, the
         `final_weights()`, which a caller may pass (`trainer.evaluate` takes them
         once per call); a folded model's is its fold's `channel_product` of [x]."""
         if self._folded is not None:
-            return Tensor(channel_product(self._folded, inputs[0]))
+            return channel_product(self._folded, inputs[0])
         if weights is None:
             weights = self.final_weights()
         return apply_final(weights, self.backbone.forward_hidden(inputs))
 
     def forecast(self, x: np.ndarray, weights: list | None = None) -> np.ndarray:
-        """`forward` on plain arrays under `no_grad`, a new array; x, maybe a read-only
-        view, is never written. RevIN's statistics, then `forward_prepared`'s `.data`
-        (`weights` as there) on `prepare`'s arrays, mapped back in its buffer.
+        """The raw-scale forecast (..., N, H) of a lookback (..., N, T), a new array; x,
+        maybe a read-only view, is never written. RevIN's statistics, then
+        `forward_prepared` (`weights` as there) on `prepare`'s arrays, mapped back in its buffer.
         Through a folded model RevIN's scale cancels, W((x - mu) / (std + eps)) *
         (std + eps) + mu = W (x - mu) + mu: it serves that centred `channel_product`,
         whose precision does not depend on the series' level, and computes no std.
         """
         if not self.revin:
-            return self.forward_prepared(self.prepare(x), weights).data
+            return self.forward_prepared(self.prepare(x), weights)
         if self._folded is not None:
             centered, mean = revin_center(x)
             pred = channel_product(self._folded, centered)
             pred += mean
             return pred
         x_norm, stats = revin_forward(x)
-        pred = self.forward_prepared(self.prepare(x_norm), weights).data
+        pred = self.forward_prepared(self.prepare(x_norm), weights)
         return revin_reverse(pred, stats, out=pred)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Raw-scale forecast (..., N, H) for a lookback (..., N, T); x is not written.
+        """`forecast` of a lookback Tensor, as a Tensor; x is not written."""
+        return Tensor(self.forecast(x.data))
 
-        The lookback is data: no gradient reaches it, so RevIN and the
-        backbone's input side run on its plain array, and only the hidden
-        states that meet the final layers join the graph. With no graph to
-        record (under `no_grad`, or through a folded model) it is `forecast`.
-        """
-        if self._folded is not None or not grad_enabled():
-            return Tensor(self.forecast(x.data))
-        if not self.revin:
-            return self.forward_prepared(self.prepare(x.data))
-        x_norm, stats = revin_forward(x.data)
-        return revin_reverse(self.forward_prepared(self.prepare(x_norm)), stats)
-
-    def forward_normalized(self, x: Tensor) -> tuple[Tensor, InstanceStats]:
+    def forward_normalized(self, x: Tensor) -> tuple[np.ndarray, InstanceStats]:
         """Normalized-scale forecast plus the lookback statistics."""
         if not self.revin:
             raise ValueError("forward_normalized requires a RevIN-wrapped model")
         x_norm, stats = revin_forward(x.data)
         return self.forward_prepared(self.prepare(x_norm)), stats
+
+    def loss(self, inputs: list[np.ndarray], target: np.ndarray) -> Tensor:
+        """The training loss `mse(forward_prepared(inputs), target)` as one graph
+        node whose parents are the trainables. Its forward keeps the trunk's and
+        the generators' layer outputs; its backward runs `mse_grad`,
+        `channel_dot_grad`, the trunk's `hidden_grads`, each slot's
+        `generator_grads`, and sums z's contributions in slot order: the
+        kernels and order of the op-by-op graph it replaced, so every gradient
+        keeps its bits. A new model form needs its own backward here."""
+        gen_acts: list[list[np.ndarray]] = []
+        weights = self.final_weights(gen_acts)
+        trunk_acts: list[np.ndarray] = []
+        hidden = self.backbone.forward_hidden(inputs, trunk_acts)
+        value, diff = mse(apply_final(weights, hidden), target)
+
+        def step_grads(seed: np.ndarray) -> list:
+            g_ws, g_hidden = channel_dot_grad(mse_grad(diff, seed), weights, hidden,
+                                              bool(trunk_acts))
+            grads = self.backbone.hidden_grads(inputs, trunk_acts, g_hidden[0]) if trunk_acts else {}
+            if self.variant != "hyper":
+                grads.update(zip(self._finals, g_ws))
+                return [grads[name] for name in self._trainable]
+            z, gz = self._arrays["embed.z"], None
+            for names, gen, acts, g_w in zip(self._heads, self._gens, gen_acts, g_ws):
+                g_z, g_gen = generator_grads(self._mode, z.data, [t.data for t in gen], acts,
+                                             g_w, z.requires_grad)
+                grads.update(zip(names, g_gen))
+                if g_z is not None:
+                    gz = g_z if gz is None else gz + g_z
+            grads["embed.z"] = gz
+            return [grads[name] for name in self._trainable]
+
+        return _make_node(value, [self._arrays[name] for name in self._trainable], self._getters,
+                          grad_in=step_grads)
 
     # parameter bookkeeping -------------------------------------------------
     def all_arrays(self) -> dict[str, Tensor]:
@@ -260,7 +316,7 @@ class ForecastModel:
 
     def parameters(self) -> dict[str, Tensor]:
         """Trainable tensors by name (embedding included only if learnable)."""
-        return {name: t for name, t in self._arrays.items() if t.requires_grad}
+        return {name: self._arrays[name] for name in self._trainable}
 
     def hyper_parameters(self) -> dict[str, Tensor]:
         """The hypernetwork-added trainables: embedding plus generators."""
@@ -283,9 +339,8 @@ def bake(model: ForecastModel) -> ForecastModel:
     if model.variant == "baked":
         return model
     arrays = {name: Tensor(t.data.copy()) for name, t in model.backbone.parameters().items()}
-    with no_grad():
-        for (slot, _), w in zip(model.backbone.slots, model.final_weights()):
-            arrays[f"final.{slot}.w"] = Tensor(w.data.copy())
+    for (slot, _), w in zip(model.backbone.slots, model.final_weights()):
+        arrays[f"final.{slot}.w"] = Tensor(w.copy())
     cfg = replace(model.config(), variant="baked", embedding=None, generator=None)
     return ForecastModel(cfg, arrays)
 

@@ -3,8 +3,7 @@
 Each lookback window is standardized per channel with its own mean and
 population standard deviation; forecasts are mapped back with the same
 statistics. Statistics only, no learnable affine parameters. The lookback
-is data, so the statistics and the normalized input are new plain arrays;
-only `revin_reverse` on a Tensor forecast works on the gradient graph.
+is data, so the statistics and the normalized input are new plain arrays.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numcore import Tensor
 
 __all__ = ["InstanceStats", "EPS", "revin_center", "revin_forward", "revin_reverse",
            "revin_apply"]
@@ -57,17 +54,18 @@ def revin_forward(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     return centered, InstanceStats(mean=mean, std=std)
 
 
-def revin_reverse(y_norm, stats: InstanceStats, out: np.ndarray | None = None):
-    """Map a normalized forecast (..., N, H) to the raw scale; a Tensor maps on the graph."""
-    if isinstance(y_norm, Tensor):
-        return y_norm * (stats.std + EPS) + stats.mean
+def revin_reverse(y_norm: np.ndarray, stats: InstanceStats,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Map a normalized forecast (..., N, H) to the raw scale, into `out` if given."""
     out = np.multiply(y_norm, stats.std + EPS, out=out)
     out += stats.mean
     return out
 
 
-def revin_apply(y: np.ndarray, stats: InstanceStats) -> np.ndarray:
-    """Normalize a raw-scale target with existing lookback statistics, in C order."""
-    out = np.subtract(y, stats.mean, order="C")
+def revin_apply(y: np.ndarray, stats: InstanceStats, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """Normalize a raw-scale array with existing lookback statistics: into `out`
+    if given (y itself may be it), else into a new array in C order."""
+    out = np.subtract(y, stats.mean, out=out, order="C")
     out /= stats.std + EPS
     return out

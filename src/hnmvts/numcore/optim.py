@@ -47,7 +47,7 @@ Each block runs the same ufuncs in the same order with the same constants
 as an unblocked update, so the result is bit-identical to it.
 
 A per-channel-linear generator's weight gradient arrives factored, as an
-`OuterGrad` with g[n, j, s] = u[n, j] * v[n, s] (see `channel_gemv`), and
+`OuterGrad` with g[n, j, s] = u[n, j] * v[n, s] (see `channel_gemv_grad`), and
 is never written out whole:
 
 * its check is exact from the factors: fl(max_j |u[n, j]| * max_s |v[n, s]|)
@@ -112,7 +112,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | OuterGrad],
     """One Adam update over a named parameter set, in place.
 
     A gradient is a Tensor or a factored `OuterGrad`, as `backward` returns
-    them. Raises ValueError naming the parameter if its gradient is
+    them from the step's loss node (`ForecastModel.loss`). Raises ValueError naming the parameter if its gradient is
     non-finite or shaped differently from the parameter; nothing is updated
     then.
     """

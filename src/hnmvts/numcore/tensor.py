@@ -1,21 +1,25 @@
-"""Dense tensor type with reverse-mode differentiation.
+"""Dense tensor type, the model's array kernels and their written-out gradients.
 
 Tensors wrap contiguous row-major numpy arrays in the package-wide default
-dtype (float64 unless switched to float32). Every differentiable op builds a
-graph node holding its parents and local-gradient closures; `backward` traces
-the graph into a `Tape` and replays it in reverse topological order.
+dtype (float64 unless switched to float32). A model stores its arrays as
+Tensors; `requires_grad` marks the trainable ones.
 
-The op set is deliberately small: exactly the primitives the forecasting
-models need (broadcasting arithmetic, the product of two matrices, one fused
-Linear+ReLU layer, the per-channel final layer over every slot `channel_dot`
-and weight generator `channel_gemv`, the mean squared error, reshape).
+The kernels work on plain arrays and are exactly what the forecasting models
+run: one fused Linear+ReLU layer (`relu_product`), the per-channel final
+layer over every slot (`channel_dot`, one `channel_product` per slot), the
+`per_channel_linear` weight generator (`channel_gemv`), the mean squared
+error and the moving average. Each differentiable kernel has a gradient
+function beside it (`relu_product_grad`, `channel_dot_grad`,
+`channel_gemv_grad`, `mse_grad`) that maps the gradient reaching its output
+to its operands', and `ForecastModel.loss` calls them in reverse order.
 `channel_gemv`'s weight gradient stays factored (`OuterGrad`) up to the
 optimizer, which builds it block by block where it consumes it.
-Data that no gradient reaches stays off the graph: the moving average works
-on plain arrays, `channel_dot` takes a plain-array operand as data, and no
-op records a node under `no_grad` (see `grad_enabled`) or when no operand
-needs a gradient. So a forecast taken without a graph runs the same ops, each
-forward through its array kernel (`relu_product`, `channel_product`).
+
+A training step's graph is one node: `ForecastModel.loss` makes it with
+`_make_node`, its parents the model's trainables and its backward the whole
+written-out step. `backward` traces that node into a `Tape` and hands each
+trainable its gradient. Under `no_grad` (see `_GRAD_ENABLED`) no node is
+recorded.
 """
 
 from __future__ import annotations
@@ -31,19 +35,17 @@ __all__ = [
     "Tape",
     "backward",
     "no_grad",
-    "grad_enabled",
     "set_default_dtype",
     "get_default_dtype",
-    "add",
-    "mul",
-    "matmul",
-    "linear_relu",
     "relu_product",
+    "relu_product_grad",
     "channel_dot",
+    "channel_dot_grad",
     "channel_gemv",
+    "channel_gemv_grad",
     "channel_product",
     "mse",
-    "reshape",
+    "mse_grad",
     "moving_average",
 ]
 
@@ -84,17 +86,12 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    """Whether ops record the graph: False inside a `no_grad` block."""
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """Dense multi-dimensional float array, optionally on the gradient graph.
 
     `data` is always a contiguous row-major ndarray of the default dtype.
-    Leaves created with requires_grad=True are trainable parameters; op
-    outputs inherit participation from their parents.
+    Leaves created with requires_grad=True are trainable parameters; a node
+    made by `_make_node` records its parents.
     """
 
     __slots__ = ("data", "requires_grad", "_parents", "_grad_fns", "_grad_in")
@@ -124,27 +121,16 @@ class Tensor:
             raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 class OuterGrad:
     """A gradient kept as its two factors: grad[n, j, *s] = u[n, j] * v[n, s].
 
-    u is (N, d) and v (N, prod(S)); `shape` is (N, d, *S). `channel_gemv`
-    gives its weight this gradient. `data` is the dense array, built on
+    u is (N, d) and v (N, prod(S)); `shape` is (N, d, *S). `channel_gemv_grad`
+    gives the generator weight this gradient. `data` is the dense array, built on
     first access and kept; each element is the one product u[n, j] * v[n, s],
     as the dense form computes it, so both forms hold the same bits.
     """
@@ -192,43 +178,7 @@ def _make_node(
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-# primitive ops ------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
-    return _make_node(
-        out,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-    return _make_node(
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g * b.data, a.shape),
-            lambda g: _unbroadcast(g * a.data, b.shape),
-        ),
-    )
+# plain-array kernels and their gradients ------------------------------------
 
 
 # Rows per GEMM when a stack of matrices meets one 2-D matrix. The BLAS
@@ -276,21 +226,8 @@ def _stacked_rows(x: np.ndarray, m: np.ndarray, bias: np.ndarray | None = None) 
     return out.reshape(*x.shape[:-1], m.shape[1])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """The product a @ b of two matrices.
-
-    The MLP layers do not come here: `linear_relu` runs their products.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs two matrices, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    return _make_node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
-
-
 def relu_product(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`linear_relu`'s forward on plain arrays, a new array: relu(h @ w + b) for
+    """One Linear+ReLU layer on plain arrays, a new array: relu(h @ w + b) for
     h (*B, n, k), w (k, p) and b (p,), by `_stacked_rows`, equal bit for bit
     to numpy's `np.where(pre > 0, pre, 0.0)` of `pre = h @ w + b`."""
     if h.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
@@ -303,31 +240,23 @@ def relu_product(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _stacked_rows(h, w, b)
 
 
-def linear_relu(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """One Linear+ReLU layer, relu(h @ w + b), as one graph node; its forward
-    is `relu_product`.
+def relu_product_grad(h: np.ndarray, w: np.ndarray, out: np.ndarray, g: np.ndarray,
+                      grad_h: bool = True):
+    """(grad_h, grad_w, grad_b) of `relu_product`'s out = relu(h @ w + b) for the
+    gradient g reaching out; grad_h is None unless `grad_h`.
 
-    The backward masks the incoming gradient once, gm = g * (out > 0)
-    (out > 0 exactly where pre > 0, NaN, +-0, +-inf and subnormals
-    included). `grad_h` is gm @ w.T, run as the forward runs its product,
-    and `grad_b` sums gm over its rows. `grad_w` is one GEMM over all rows,
-    rows(h).T @ rows(gm): for a 2-D h that is numpy's h.T @ gm bit for bit;
-    for a stack it sums each weight gradient over the R = B*n rows in
-    another order than per-matrix products summed over B, within
-    2 R eps (|rows(h)|.T @ |rows(gm)|) of them.
+    The gradient is masked once, gm = g * (out > 0) (out > 0 exactly where
+    pre > 0, NaN, +-0, +-inf and subnormals included). grad_h is gm @ w.T,
+    run as the forward runs its product, and grad_b sums gm over its rows.
+    grad_w is one GEMM over all rows, rows(h).T @ rows(gm): for a 2-D h that
+    is numpy's h.T @ gm bit for bit; for a stack it sums each weight gradient
+    over the R = B*n rows in another order than per-matrix products summed
+    over B, within 2 R eps (|rows(h)|.T @ |rows(gm)|) of them.
     """
-    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
-    out = relu_product(h.data, w.data, b.data)
-    if not _GRAD_ENABLED:
-        return Tensor(out)
-    return _make_node(
-        out,
-        (h, w, b),
-        (lambda gm: _stacked_rows(gm, w.data.T),
-         lambda gm: h.data.reshape(-1, w.shape[0]).T @ gm.reshape(-1, w.shape[1]),
-         lambda gm: _unbroadcast(gm, b.shape)),
-        grad_in=lambda g: g * (out > 0),
-    )
+    gm = g * (out > 0)
+    gw = h.reshape(-1, w.shape[0]).T @ gm.reshape(-1, w.shape[1])
+    gb = gm.sum(axis=tuple(range(gm.ndim - 1)))
+    return (_stacked_rows(gm, w.T) if grad_h else None), gw, gb
 
 
 def _to_channel_major(arr: np.ndarray) -> np.ndarray:
@@ -348,39 +277,38 @@ def _from_channel_major(arr: np.ndarray, batch_shape: tuple[int, ...]) -> np.nda
     return arr.transpose(1, 0, 2).reshape(*batch_shape, arr.shape[0], arr.shape[2])
 
 
-def channel_dot(weights: Sequence[Tensor], hidden: Sequence) -> Tensor:
-    """The per-channel final layer over every slot i, as one graph node:
+def channel_dot(weights: Sequence[np.ndarray], hidden: Sequence[np.ndarray]) -> np.ndarray:
+    """The per-channel final layer over every slot i, a new array:
     out[..., n, h] = sum_i sum_q w_i[n, h, q] * v_i[..., n, q].
 
     w_i (N, H, D_i) holds each channel's (H x D_i) matrix and v_i (*B, N, D_i)
-    its hidden states, a Tensor or a plain array (data: it gets no gradient).
-    The forward sums the slots' `channel_product`s, of one shape, into the
-    first one's buffer; each slot's gradients run as matmuls batched over the
-    channel axis. No node is built under `no_grad` or when none is needed.
+    its hidden states. The slots' `channel_product`s, of one shape, are summed
+    into the first one's buffer in slot order.
     """
-    vs = [v.data if isinstance(v, Tensor) else v for v in hidden]
-    out = channel_product(weights[0].data, vs[0])
-    for w, v in zip(weights[1:], vs[1:], strict=True):
-        product = channel_product(w.data, v)
+    out = channel_product(weights[0], hidden[0])
+    for w, v in zip(weights[1:], hidden[1:], strict=True):
+        product = channel_product(w, v)
         if product.shape != out.shape:  # no broadcast: each slot's gradient keeps its shape
             raise DimensionError(f"channel_dot slots disagree: {out.shape} vs {product.shape}")
         out += product
-    if not _GRAD_ENABLED:
-        return Tensor(out)
-    parents, fns = [], []
-    for w, v, vd in zip(weights, hidden, vs):
-        if w.requires_grad:
-            parents.append(w)
-            fns.append(lambda g, vd=vd: _to_channel_major(g).swapaxes(1, 2) @ _to_channel_major(vd))
-        if isinstance(v, Tensor) and v.requires_grad:
-            parents.append(v)
-            fns.append(lambda g, wd=w.data, b=out.shape[:-2]:
-                       _from_channel_major(_to_channel_major(g) @ wd, b))
-    return _make_node(out, parents, fns)
+    return out
+
+
+def channel_dot_grad(g: np.ndarray, weights: Sequence[np.ndarray], hidden: Sequence[np.ndarray],
+                     grad_hidden: bool = False):
+    """`channel_dot`'s backward for the gradient g (*B, N, H) reaching its output:
+    each slot's weight gradient (N, H, D_i) and, with `grad_hidden`, each hidden
+    state's (*B, N, D_i), else None. Each runs as a matmul batched over the
+    channel axis, on channel-major views."""
+    gc = _to_channel_major(g)
+    gws = [gc.swapaxes(1, 2) @ _to_channel_major(v) for v in hidden]
+    if not grad_hidden:
+        return gws, None
+    return gws, [_from_channel_major(gc @ w, g.shape[:-2]) for w in weights]
 
 
 def channel_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One slot of `channel_dot`'s forward: w (N, H, D) applied to v (*B, N, D).
+    """One slot of `channel_dot`: w (N, H, D) applied to v (*B, N, D).
 
     One matmul batched over the channel axis, on v's channel-major view,
     that BLAS writes straight into that view of a new row-major (*B, N, H)
@@ -402,16 +330,26 @@ def channel_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def channel_gemv(z: Tensor, w: Tensor) -> Tensor:
+def channel_gemv(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each channel's embedding times its own stack of blocks: out[n] = sum_j z[n, j] * w[n, j].
 
     With z of shape (N, d) and w of shape (N, d, *S) the result has shape
     (N, *S). It is the per_channel_linear weight generator (w = `w_phi`
     (N, d, H, D)). Each channel's w[n] is read as one contiguous (d, prod(S))
-    matrix, so every kernel streams it in rows:
+    matrix, and the forward is z[n] @ w[n], a GEMV per channel; within
+    d eps sum_j |z||w| of the exact sum.
+    """
+    if z.ndim != 2 or w.ndim < 2 or w.shape[:2] != z.shape:
+        raise DimensionError(f"channel_gemv needs z (N, d) and w (N, d, ...), got {z.shape}, "
+                             f"{w.shape}")
+    n, d = z.shape
+    return (z[:, None, :] @ w.reshape(n, d, -1)).reshape(n, *w.shape[2:])
 
-    * forward, z[n] @ w[n], a GEMV per channel; within d eps sum_j |z||w| of
-      the exact sum;
+
+def channel_gemv_grad(z: np.ndarray, w: np.ndarray, g: np.ndarray, grad_z: bool = True):
+    """(grad_z, grad_w) of `channel_gemv` for the gradient g (N, *S) reaching its
+    output; grad_z is None unless `grad_z`.
+
     * grad_w, z[n, j] * g[n], d scaled copies of g per channel; each element
       is one product, so it is exact. It is returned as its factors, an
       `OuterGrad` of a copy of z and g as (N, prod(S)), so no (N, d, *S)
@@ -419,49 +357,32 @@ def channel_gemv(z: Tensor, w: Tensor) -> Tensor:
       the optimizer updates z in place before it reaches w;
     * grad_z, w[n] @ g[n], a GEMV per channel; within prod(S) eps sum |w||g|.
     """
-    z, w = _as_tensor(z), _as_tensor(w)
-    if z.ndim != 2 or w.ndim < 2 or w.shape[:2] != z.shape:
-        raise DimensionError(f"channel_gemv needs z (N, d) and w (N, d, ...), got {z.shape}, "
-                             f"{w.shape}")
     n, d = z.shape
-    wm = w.data.reshape(n, d, -1)
-    out = (z.data[:, None, :] @ wm).reshape(n, *w.shape[2:])
-
-    def grad_z(g):
-        return (wm @ g.reshape(n, -1, 1)).reshape(n, d)
-
-    def grad_w(g):
-        return OuterGrad(z.data.copy(), g.reshape(n, -1), w.shape)
-
-    return _make_node(out, (z, w), (grad_z, grad_w))
+    gw = OuterGrad(z.copy(), g.reshape(n, -1), w.shape)
+    if not grad_z:
+        return None, gw
+    return (w.reshape(n, d, -1) @ g.reshape(n, -1, 1)).reshape(n, d), gw
 
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """The mean of (pred - target)^2 over every element, a scalar, as one graph node.
-
-    `target` is data, a plain array of pred's shape; only pred gets a
-    gradient. The value is the mean of np.square(pred - target), and
-    the gradient (2 (pred - target)) (g / size): the derivative of the square
-    times that of the mean, in that order.
-    """
-    pred = _as_tensor(pred)
+def mse(pred: np.ndarray, target: np.ndarray):
+    """(loss, diff): the mean of (pred - target)^2 over every element, a scalar,
+    and the difference pred - target that `mse_grad` reads. The value is
+    numpy's mean of np.square(diff) in its own steps, bit for bit, without
+    np.mean's Python overhead."""
     if pred.shape != target.shape:
         raise DimensionError(f"mse needs pred and target of one shape, got {pred.shape} and "
                              f"{target.shape}")
-    diff = pred.data - target
-
-    def grad_pred(g):
-        out = 2.0 * diff
-        out *= g / diff.size
-        return out
-
-    # numpy's mean in its own steps, bit for bit, without np.mean's Python overhead
-    return _make_node(np.add.reduce(np.square(diff), axis=None) / diff.size, (pred,), (grad_pred,))
+    diff = pred - target
+    return np.add.reduce(np.square(diff), axis=None) / diff.size, diff
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    return _make_node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
+def mse_grad(diff: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """pred's gradient under `mse` for the gradient g reaching the loss:
+    (2 diff) (g / size), the derivative of the square times that of the
+    mean, in that order."""
+    out = 2.0 * diff
+    out *= g / diff.size
+    return out
 
 
 # plain-array moving average ------------------------------------------------
@@ -523,6 +444,10 @@ class Tape:
             node = stack.pop()
             done = emitted.get(node)
             if done is None:
+                if not node._parents:  # a leaf is expanded and emitted at once
+                    emitted[node] = True
+                    order.append(node)
+                    continue
                 emitted[node] = False
                 stack.append(node)
                 for p in node._parents:

@@ -13,7 +13,8 @@ tiers. Under RevIN a set always holds each window's mean and std. It also
 holds what the model's forward reads (`prepare`'s arrays: DLinear's trend
 and seasonal parts, or the lookback) and, for the training set, the target
 the loss compares with, if together they fit in CACHE_BYTES (64 MiB); a
-step then only gathers rows and takes the loss as one `mse` node. A set
+step then only gathers rows and takes the loss node (`ForecastModel.loss`:
+the forward and `mse`, with the whole step's backward written out). A set
 beyond that rebuilds them per batch. Either way every result is
 bit-identical to the per-batch form, and the one-time preparation counts in
 the first epoch's seconds.
@@ -33,15 +34,7 @@ import numpy as np
 
 from .data import WindowSet
 from .normalization import EPS, InstanceStats, revin_apply, revin_forward, revin_reverse
-from .numcore import (
-    AdamState,
-    Tensor,
-    adam_step,
-    backward,
-    mse,
-    no_grad,
-    spawn_rng,
-)
+from .numcore import AdamState, Tensor, adam_step, backward, spawn_rng
 
 __all__ = ["TrainConfig", "TrainHistory", "TrainingError", "PreparedSet", "train", "evaluate"]
 
@@ -201,20 +194,25 @@ class _Batch(NamedTuple):
 def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
     """One batch for the steps and the validation pass: rows gathered from a
     prepared set, or, when it holds no inputs, rebuilt from `WindowSet.batch`
-    (views for a slice) with `revin_apply` and the model's `prepare`."""
+    with `revin_apply` and the model's `prepare`. `revin_apply` normalises a
+    gathered batch, a fresh array, in place; read-only views (a slice) keep
+    their values and get a new array."""
     stats = None
     if prepared.mean is not None and prepared.target is None:
         stats = InstanceStats(prepared.mean[idx], prepared.std[idx])
     if prepared.inputs is None:
         x, y = prepared.windows.batch(idx)
-        return _Batch(prepared.prepare(x if stats is None else revin_apply(x, stats)), y, stats)
+        if stats is not None:
+            x = revin_apply(x, stats, out=x if x.flags.writeable else None)
+        return _Batch(prepared.prepare(x), y, stats)
     y = prepared.windows.targets(idx) if prepared.target is None else prepared.target[idx]
     return _Batch([a[idx] for a in prepared.inputs], y, stats)
 
 
 def _batch_loss(model, batch: _Batch) -> Tensor:
-    pred = model.forward_prepared(batch.inputs)
-    return mse(pred, batch.y if batch.stats is None else revin_apply(batch.y, batch.stats))
+    """The batch's loss node (`ForecastModel.loss`), against the target in the model's scale."""
+    return model.loss(batch.inputs,
+                      batch.y if batch.stats is None else revin_apply(batch.y, batch.stats))
 
 
 def train(model, train_windows: WindowSet, val_windows: WindowSet,
@@ -277,7 +275,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
                 raise TrainingError(
                     _diagnostics(str(err), epoch, start, params, loss_val)
                 ) from err
-            # free this step's graph and gradients before the next batch's forward
+            # free this step's loss node and gradients before the next batch's forward
             del loss, grads, named_grads
             total_loss += loss_val * len(idx)
         seconds = time.perf_counter() - t0
@@ -342,8 +340,8 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
 
     `windows` is a WindowSet, or a PreparedSet made for this model and not
     for the loss (`train` validates on one), of the model's lookback, horizon
-    and channel count; anything else raises a ValueError. Under `no_grad`,
-    each batch runs the model's forward path, `forecast` on `WindowSet.batch`'s
+    and channel count; anything else raises a ValueError. Each batch runs
+    the model's forward path on plain arrays, `forecast` on `WindowSet.batch`'s
     arrays (views of an evenly spaced set, never written) or `forward_prepared`
     on a prepared batch, and the errors run in the forecast's buffer. The final
     weights are taken once per call, so a hyper model generates them once.
@@ -363,22 +361,21 @@ def evaluate(model, windows, batch_size: int = 256) -> dict[str, float]:
             raise ValueError("the PreparedSet was made for the loss; evaluate scores raw targets")
     sse = sae = 0.0
     count = 0
-    with no_grad():
-        weights = model.final_weights()
-        for start in range(0, len(windows), batch_size):
-            idx = slice(start, start + batch_size)
-            if prepared:
-                batch = _stack_batch(windows, idx)
-                err, yb = model.forward_prepared(batch.inputs, weights).data, batch.y
-                if batch.stats is not None:
-                    revin_reverse(err, batch.stats, out=err)
-            else:
-                xb, yb = windows.batch(idx)
-                err = model.forecast(xb, weights)
-            err -= yb
-            np.abs(err, out=err)
-            sae += float(err.sum())
-            np.square(err, out=err)
-            sse += float(err.sum())
-            count += err.size
+    weights = model.final_weights()
+    for start in range(0, len(windows), batch_size):
+        idx = slice(start, start + batch_size)
+        if prepared:
+            batch = _stack_batch(windows, idx)
+            err, yb = model.forward_prepared(batch.inputs, weights), batch.y
+            if batch.stats is not None:
+                revin_reverse(err, batch.stats, out=err)
+        else:
+            xb, yb = windows.batch(idx)
+            err = model.forecast(xb, weights)
+        err -= yb
+        np.abs(err, out=err)
+        sae += float(err.sum())
+        np.square(err, out=err)
+        sse += float(err.sum())
+        count += err.size
     return {"mse": sse / count, "mae": sae / count}

@@ -19,47 +19,50 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def finite_diff_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    step: float = 1e-5,
-) -> float:
-    """Max relative disagreement between autodiff and central differences.
-
-    `f` takes no arguments, reads the given parameter tensors, and returns a
-    scalar loss. Each parameter coordinate is perturbed by +-step in place
-    (and restored) to form the central-difference estimate. The returned
-    value is
-
-        max over coordinates of |g_ad - g_fd| / max(floor, |g_ad| + |g_fd|)
-
-    with floor = max(1e-8, 0.01 * max |g_ad|) over that parameter's
-    coordinates. The central difference errs by rounding in proportion to the
-    loss, not to the coordinate's own gradient, so an exact gradient near 0
-    is scored against a hundredth of its parameter's largest one. Over 400
-    reseeded float32 draws of the two-slot `channel_dot` check (bound 1e-3),
-    a fixed 1e-8 floor scored 54 above the bound; this floor's worst was 2.5e-4.
-    """
-    loss = f()
-    grads = backward(loss, params)
-    worst = 0.0
-    for p in params:
-        g_ad = grads[p].data
-        floor = max(1e-8, 0.01 * float(np.max(np.abs(g_ad))))
-        flat = p.data.reshape(-1)
+def numeric_grads(f: Callable[[], float], arrays: Sequence[np.ndarray],
+                  step: float = 1e-5) -> list[np.ndarray]:
+    """Central differences of the scalar `f()` in each coordinate of `arrays`,
+    each perturbed by +-step in place and restored."""
+    out = []
+    for a in arrays:
+        flat, g = a.reshape(-1), np.empty(a.size)
         for i in range(flat.size):
             orig = flat[i]
-            with no_grad():
-                flat[i] = orig + step
-                up = f().item()
-                flat[i] = orig - step
-                down = f().item()
+            flat[i] = orig + step
+            up = f()
+            flat[i] = orig - step
+            down = f()
             flat[i] = orig
-            g_fd = (up - down) / (2.0 * step)
-            g_val = g_ad.reshape(-1)[i]
-            err = abs(g_val - g_fd) / max(floor, abs(g_val) + abs(g_fd))
-            worst = max(worst, err)
-    return worst
+            g[i] = (up - down) / (2.0 * step)
+        out.append(g.reshape(a.shape))
+    return out
+
+
+def grad_error(g_ad: np.ndarray, g_fd: np.ndarray) -> float:
+    """Max over coordinates of |g_ad - g_fd| / max(floor, |g_ad| + |g_fd|),
+    with floor = max(1e-8, 0.01 * max |g_ad|).
+
+    The central difference errs by rounding in proportion to the loss, not
+    to the coordinate's own gradient, so an exact gradient near 0 is scored
+    against a hundredth of its array's largest one. Over 400 reseeded float32
+    draws of the two-slot `channel_dot` check (bound 1e-3), a fixed 1e-8
+    floor scored 54 above the bound; this floor's worst was 2.5e-4.
+    """
+    g_ad = np.asarray(g_ad, dtype=np.float64)
+    floor = max(1e-8, 0.01 * float(np.max(np.abs(g_ad), initial=0.0)))
+    return float(np.max(np.abs(g_ad - g_fd) / np.maximum(floor, np.abs(g_ad) + np.abs(g_fd)),
+                        initial=0.0))
+
+
+def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
+                      step: float = 1e-5) -> float:
+    """Max `grad_error` between `backward`'s gradients of the loss node `f()`
+    and central differences of it, over every coordinate of `params`; the
+    perturbed losses are taken under `no_grad`."""
+    grads = backward(f(), params)
+    with no_grad():
+        fd = numeric_grads(lambda: f().item(), [p.data for p in params], step)
+    return max(grad_error(grads[p].data, g) for p, g in zip(params, fd))
 
 
 def trace_reference(root: Tensor) -> list[Tensor]:

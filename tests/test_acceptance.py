@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import finite_diff_check, make_rng
+from helpers import finite_diff_check, grad_error, make_rng, numeric_grads
 from hnmvts.backbones import DLinearBackbone, MlpBackbone
 from hnmvts.data import (
     SeriesTable,
@@ -29,18 +29,15 @@ from hnmvts.bench.stats import wilcoxon_signed_rank
 from hnmvts.hypernet import (
     bake,
     build_baseline,
+    ForecastModel,
     build_hyper,
     generate_weights,
+    generator_grads,
     init_generator,
     param_count,
 )
-from hnmvts.normalization import revin_apply
-from hnmvts.numcore import (
-    Tensor,
-    backward,
-    mse,
-    no_grad,
-)
+from hnmvts.normalization import revin_apply, revin_forward
+from hnmvts.numcore import Tensor, backward, no_grad, set_default_dtype
 from hnmvts.schema import GeneratorConfig
 from hnmvts.trainer import TrainConfig, evaluate, train
 
@@ -98,8 +95,40 @@ def test_criterion_1_bake_equivalence():
     assert ok
 
 
-def test_criterion_2_gradient_correctness():
+def float32_gradient_error(model, inputs, target) -> float:
+    """Max `grad_error` between the loss-node gradients of a float32 copy of
+    `model` and central differences of `model` itself, a float64 model whose
+    arrays, inputs and target are first rounded to float32, so that both
+    evaluate the loss at one point: a float32 difference quotient is too
+    coarse to test against."""
+    for t in model.all_arrays().values():
+        t.data[...] = t.data.astype(np.float32)
+    inputs = [a.astype(np.float32).astype(np.float64) for a in inputs]
+    target = target.astype(np.float32).astype(np.float64)
+    params = list(model.parameters().values())
+    with no_grad():
+        fd = numeric_grads(lambda: model.loss(inputs, target).item(), [p.data for p in params])
+    set_default_dtype(np.float32)
+    try:
+        twin = ForecastModel(model.config(), {name: Tensor(t.data)
+                                              for name, t in model.all_arrays().items()})
+        twin_params = list(twin.parameters().values())
+        grads = backward(twin.loss([Tensor(a).data for a in inputs], Tensor(target).data),
+                         twin_params)
+        assert all(grads[p].data.dtype == np.float32 for p in twin_params)
+        return max(grad_error(grads[p].data, g) for p, g in zip(twin_params, fd))
+    finally:
+        set_default_dtype(np.float64)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_criterion_2_gradient_correctness(dtype):
+    """Central differences through the training loss node, `ForecastModel.loss`
+    on a RevIN-normalised window, in every trainable of 20 random hyper models
+    (DLinear and MLP, both generator modes, with and without a generator
+    hidden layer)."""
     rng = make_rng(20)
+    bound = 1e-4 if dtype == "float64" else 1e-3
     worst = 0.0
     cases = 0
     for i in range(20):
@@ -108,20 +137,19 @@ def test_criterion_2_gradient_correctness():
         model, n, lookback, horizon = random_hyper_model(
             rng, backbone_kind=backbone_kind, mode=mode, revin=True
         )
-        x = Tensor(rng.standard_normal((n, lookback)))
-        y = Tensor(rng.standard_normal((n, horizon)))
-        params = list(model.parameters().values())
-
-        def loss():
-            pred_norm, stats = model.forward_normalized(x)
-            return mse(pred_norm, revin_apply(y.data, stats))
-
-        err = finite_diff_check(loss, params)
+        x_norm, stats = revin_forward(rng.standard_normal((n, lookback)))
+        inputs, target = model.prepare(x_norm), revin_apply(rng.standard_normal((n, horizon)), stats)
+        if dtype == "float64":
+            params = list(model.parameters().values())
+            err = finite_diff_check(lambda: model.loss(inputs, target), params)
+        else:
+            err = float32_gradient_error(model, inputs, target)
         worst = max(worst, err)
         cases += 1
-        assert err < 1e-4, f"case {i}: finite-difference error {err:.3e}"
-    ok = cases >= 20 and worst < 1e-4
-    report(2, "gradient correctness", ok, f"max relative error = {worst:.3e} over {cases} cases")
+        assert err < bound, f"case {i}: finite-difference error {err:.3e}"
+    ok = cases >= 20 and worst < bound
+    report(2, f"gradient correctness ({dtype})", ok,
+           f"max relative error = {worst:.3e} over {cases} cases")
     assert ok
 
 
@@ -187,12 +215,12 @@ def test_criterion_4_channel_invariants():
         # per-channel mode with tied generator slices
         w_phi = rng.standard_normal((n, d, horizon, hidden))
         w_phi[j] = w_phi[i]
-        w = generate_weights("per_channel_linear", Tensor(z), [Tensor(w_phi)], horizon).data
+        w = generate_weights("per_channel_linear", z, [w_phi], horizon)
         assert (w[i] == w[j]).all(), "per-channel tying must be exact"
         tying_cases += 1
         # shared mode: equal embedding rows alone tie the output
         shared = init_generator(z, horizon, hidden, GeneratorConfig("shared_mlp", (3,)), rng)
-        ws = generate_weights("shared_mlp", Tensor(z), [Tensor(a) for a in shared], horizon).data
+        ws = generate_weights("shared_mlp", z, shared, horizon)
         assert (ws[i] == ws[j]).all(), "shared-mlp tying must be exact"
         tying_cases += 1
 
@@ -201,19 +229,18 @@ def test_criterion_4_channel_invariants():
         horizon = int(rng.integers(1, 4))
         hidden = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
-        z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        w_phi = Tensor(rng.standard_normal((n, d, horizon, hidden)), requires_grad=True)
+        z = rng.standard_normal((n, d))
+        w_phi = rng.standard_normal((n, d, horizon, hidden))
         target = int(rng.integers(n))
-        only_target = np.zeros((n, 1, 1))
-        only_target[target] = 1.0
-        w = generate_weights("per_channel_linear", z, [w_phi], horizon)
-        only = w * Tensor(only_target)
-        grads = backward(mse(only, np.zeros(only.shape)), [z, w_phi])
+        # a gradient that reaches the target channel's generated weights only
+        g = np.zeros((n, horizon, hidden))
+        g[target] = rng.standard_normal((horizon, hidden))
+        grad_z, (grad_w,) = generator_grads("per_channel_linear", z, [w_phi], [], g, True)
         for other in range(n):
             if other == target:
                 continue
-            assert np.abs(grads[z].data[other]).max() == 0.0
-            assert np.abs(grads[w_phi].data[other]).max() == 0.0
+            assert np.abs(grad_z[other]).max() == 0.0
+            assert np.abs(grad_w.data[other]).max() == 0.0
         independence_cases += 1
     total = tying_cases + independence_cases
     ok = total >= 50

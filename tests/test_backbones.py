@@ -11,14 +11,8 @@ from hnmvts.backbones import (
     decompose,
 )
 from hnmvts.normalization import EPS, revin_forward
-from hnmvts.numcore import (
-    DimensionError,
-    Tape,
-    Tensor,
-    channel_dot,
-    moving_average,
-    mse,
-)
+from hnmvts.hypernet import build_baseline
+from hnmvts.numcore import DimensionError, channel_dot, moving_average
 
 
 class TestDecompose:
@@ -171,108 +165,94 @@ class TestFold:
 
 class TestApplyFinal:
     def test_zero_weights(self, rng):
-        out = apply_final([Tensor(np.zeros((3, 4, 5)))], [Tensor(rng.standard_normal((3, 5)))])
-        np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
+        out = apply_final([np.zeros((3, 4, 5))], [rng.standard_normal((3, 5))])
+        np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_identity_weights(self, rng):
         n, h = 2, 4
         w = np.stack([np.eye(h)] * n)
         hidden = rng.standard_normal((n, h))
-        out = apply_final([Tensor(w)], [Tensor(hidden)])
-        np.testing.assert_allclose(out.data, hidden, atol=1e-12)
+        out = apply_final([w], [hidden])
+        np.testing.assert_allclose(out, hidden, atol=1e-12)
 
     def test_matches_triple_loop_oracle(self, rng):
         n, h, d = 2, 3, 4
         w = rng.standard_normal((n, h, d))
         hid = rng.standard_normal((n, d))
-        out = apply_final([Tensor(w)], [Tensor(hid)])
+        out = apply_final([w], [hid])
         expected = np.zeros((n, h))
         for c in range(n):
             for i in range(h):
                 for j in range(d):
                     expected[c, i] += w[c, i, j] * hid[c, j]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_linearity_in_hidden(self, rng):
-        w = Tensor(rng.standard_normal((3, 4, 5)))
+        w = rng.standard_normal((3, 4, 5))
         h1 = rng.standard_normal((3, 5))
         h2 = rng.standard_normal((3, 5))
         a, b = 2.5, -1.25
-        combined = apply_final([w], [Tensor(a * h1 + b * h2)]).data
-        separate = a * apply_final([w], [Tensor(h1)]).data + b * apply_final([w], [Tensor(h2)]).data
+        combined = apply_final([w], [a * h1 + b * h2])
+        separate = a * apply_final([w], [h1]) + b * apply_final([w], [h2])
         np.testing.assert_allclose(combined, separate, atol=1e-9)
 
     def test_two_branch_sum(self, rng):
-        wt = Tensor(rng.standard_normal((2, 3, 6)))
-        ws = Tensor(rng.standard_normal((2, 3, 6)))
-        ht = Tensor(rng.standard_normal((2, 6)))
-        hs = Tensor(rng.standard_normal((2, 6)))
+        wt, ws = rng.standard_normal((2, 3, 6)), rng.standard_normal((2, 3, 6))
+        ht, hs = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
         out = apply_final([wt, ws], [ht, hs])
-        np.testing.assert_allclose(
-            out.data, channel_dot([wt], [ht]).data + channel_dot([ws], [hs]).data, atol=1e-12
-        )
+        np.testing.assert_allclose(out, channel_dot([wt], [ht]) + channel_dot([ws], [hs]),
+                                   atol=1e-12)
 
     def test_shape_mismatch(self):
         # wrong hidden width, wrong channel count, wrong channel count under a batch axis
         for hidden_shape in [(3, 6), (4, 5), (2, 4, 5)]:
             with pytest.raises(DimensionError):
-                apply_final([Tensor(np.zeros((3, 4, 5)))], [Tensor(np.zeros(hidden_shape))])
+                apply_final([np.zeros((3, 4, 5))], [np.zeros(hidden_shape)])
 
     def test_slot_count_mismatch(self):
-        w = Tensor(np.zeros((3, 4, 5)))
+        w = np.zeros((3, 4, 5))
         with pytest.raises(DimensionError, match="2 final layers for 1 hidden"):
-            apply_final([w, w], [Tensor(np.zeros((3, 5)))])
+            apply_final([w, w], [np.zeros((3, 5))])
+
+
+def loss_gradient_error(rng, bb, x, horizon, scale):
+    """`finite_diff_check` of a raw-scale baseline model's loss node over every
+    trainable: the backbone's arrays and the final layers, drawn times `scale`."""
+    model = build_baseline(bb, x.shape[-2], horizon, rng, revin=False)
+    for name, t in model.parameters().items():
+        if name.startswith("final."):
+            t.data *= scale
+    inputs = model.prepare(x)
+    target = rng.standard_normal((*x.shape[:-1], horizon))
+    return finite_diff_check(lambda: model.loss(inputs, target),
+                             list(model.parameters().values()))
 
 
 def test_full_pipeline_gradient(rng):
     bb = DLinearBackbone(lookback=8, kernel=3)
-    n, horizon = 2, 3
-    wt = Tensor(rng.standard_normal((n, horizon, 8)) * 0.3, requires_grad=True)
-    ws = Tensor(rng.standard_normal((n, horizon, 8)) * 0.3, requires_grad=True)
-    x = rng.standard_normal((n, 8))
-    target = Tensor(rng.standard_normal((n, horizon)))
-
-    def loss():
-        hidden = bb.forward_hidden(bb.prepare(x))
-        pred = apply_final([wt, ws], hidden)
-        return mse(pred, target.data)
-
-    assert finite_diff_check(loss, [wt, ws]) < 1e-4
+    assert loss_gradient_error(rng, bb, rng.standard_normal((2, 8)), 3, 0.3) < 1e-4
 
 
 def test_mlp_pipeline_gradient(rng):
     bb = MlpBackbone(lookback=5, hidden_widths=(4,), rng=rng)
-    w_final = Tensor(rng.standard_normal((2, 3, 4)) * 0.4, requires_grad=True)
-    x = rng.standard_normal((2, 5))
-
-    def loss():
-        pred = apply_final([w_final], bb.forward_hidden(bb.prepare(x)))
-        return mse(pred, np.zeros(pred.shape))
-
-    params = [w_final, *bb.parameters().values()]
-    assert finite_diff_check(loss, params) < 1e-4
+    assert loss_gradient_error(rng, bb, rng.standard_normal((2, 5)), 3, 0.4) < 1e-4
 
 
 def test_two_layer_trunk_gradient(rng):
     """A batch of windows through two layers: the row-blocked stack form."""
     bb = MlpBackbone(lookback=6, hidden_widths=(5, 4), rng=rng)
-    w_final = Tensor(rng.standard_normal((3, 2, 4)) * 0.4, requires_grad=True)
-    x = rng.standard_normal((4, 3, 6))
-
-    def loss():
-        pred = apply_final([w_final], bb.forward_hidden(bb.prepare(x)))
-        return mse(pred, np.zeros(pred.shape))
-
-    params = [w_final, *bb.parameters().values()]
-    assert finite_diff_check(loss, params) < 1e-4
+    assert loss_gradient_error(rng, bb, rng.standard_normal((4, 3, 6)), 2, 0.4) < 1e-4
 
 
-def test_trunk_traces_one_node_per_layer(rng):
+def test_trunk_keeps_one_activation_per_layer(rng):
+    """`forward_hidden` with `acts` appends each layer's output, the last one
+    being the hidden state, and computes the same bits as without."""
     bb = MlpBackbone(lookback=6, hidden_widths=(5, 4), rng=rng)
-    (hidden,) = bb.forward_hidden(bb.prepare(rng.standard_normal((4, 3, 6))))
-    loss = mse(hidden, np.zeros(hidden.shape))
-    ops = [node for node in Tape.trace(loss).nodes if node._parents]
-    assert len(ops) == 2 + 1  # one per layer, then the loss
+    inputs = bb.prepare(rng.standard_normal((4, 3, 6)))
+    acts = []
+    (hidden,) = bb.forward_hidden(inputs, acts)
+    assert [a.shape for a in acts] == [(4, 3, 5), (4, 3, 4)] and acts[-1] is hidden
+    assert hidden.tobytes() == bb.forward_hidden(inputs)[0].tobytes()
 
 
 def test_batched_forward_matches_single(rng):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import finite_diff_check, make_rng
 from hnmvts.backbones import DLinearBackbone, MlpBackbone, apply_final, decompose, draw_fan_in
@@ -14,19 +16,13 @@ from hnmvts.hypernet import (
     build_hyper,
     export_embeddings,
     generate_weights,
+    generator_grads,
     init_embeddings,
     init_generator,
     param_count,
 )
-from hnmvts.normalization import EPS, revin_forward, revin_reverse
-from hnmvts.numcore import (
-    DimensionError,
-    Tensor,
-    backward,
-    channel_dot,
-    mse,
-    no_grad,
-)
+from hnmvts.normalization import EPS, revin_apply, revin_forward, revin_reverse
+from hnmvts.numcore import DimensionError, OuterGrad, Tensor, channel_dot, no_grad
 from hnmvts.schema import GENERATOR_MODES, GeneratorConfig, ModelConfig
 
 PCL = GeneratorConfig("per_channel_linear", ())
@@ -39,15 +35,14 @@ def toy_table(rng, t=64, n=3):
 
 
 def linear_weights(z, w_phi):
-    """The per_channel_linear generator's (N, H, D) output for tensors z and
+    """The per_channel_linear generator's (N, H, D) output for embeddings z and
     w_phi (N, d, H, D)."""
     return generate_weights("per_channel_linear", z, [w_phi], w_phi.shape[2])
 
 
 def shared_mlp(z, rng, horizon, hidden, gen_hidden):
-    """A freshly drawn shared_mlp generator's arrays for embeddings z, as tensors."""
-    arrays = init_generator(z.data, horizon, hidden, GeneratorConfig("shared_mlp", gen_hidden), rng)
-    return [Tensor(a, requires_grad=True) for a in arrays]
+    """A freshly drawn shared_mlp generator's arrays for embeddings z."""
+    return init_generator(z, horizon, hidden, GeneratorConfig("shared_mlp", gen_hidden), rng)
 
 
 class TestInitEmbeddings:
@@ -104,20 +99,20 @@ class TestGenerateWeights:
     def test_zero_embedding_row_zeroes_weights(self, rng):
         z = rng.standard_normal((3, 2))
         z[1] = 0.0
-        w = linear_weights(Tensor(z), Tensor(rng.standard_normal((3, 2, 4, 5)))).data
+        w = linear_weights(z, rng.standard_normal((3, 2, 4, 5)))
         np.testing.assert_array_equal(w[1], np.zeros((4, 5)))
         assert np.abs(w[0]).sum() > 0
 
     def test_scalar_embedding_scales_block(self, rng):
         m = rng.standard_normal((1, 4, 5))
-        w = linear_weights(Tensor([[2.0]]), Tensor(m[None]))
-        np.testing.assert_allclose(w.data[0], 2.0 * m[0], atol=1e-12)
+        w = linear_weights(np.array([[2.0]]), m[None])
+        np.testing.assert_allclose(w[0], 2.0 * m[0], atol=1e-12)
 
     def test_matches_summation_oracle(self, rng):
         n, horizon, hidden, d = 2, 2, 3, 2
         w_phi = rng.standard_normal((n, d, horizon, hidden))
         z = rng.standard_normal((n, d))
-        out = linear_weights(Tensor(z), Tensor(w_phi)).data
+        out = linear_weights(z, w_phi)
         expected = np.zeros((n, horizon, hidden))
         for c in range(n):
             for i in range(horizon):
@@ -159,18 +154,18 @@ class TestGenerateWeights:
         assert np.array_equal(Tensor(w_phi).data, Tensor(frozen).data)
 
     def test_shared_mlp_rowwise(self, rng):
-        z = Tensor(rng.standard_normal((4, 3)))
+        z = rng.standard_normal((4, 3))
         gen = shared_mlp(z, rng, horizon=2, hidden=3, gen_hidden=(5,))
-        w = generate_weights("shared_mlp", z, gen, 2).data
+        w = generate_weights("shared_mlp", z, gen, 2)
         assert w.shape == (4, 2, 3)
         # same MLP on every row: equal embeddings -> equal weight slices
-        z.data[2] = z.data[0]
-        w2 = generate_weights("shared_mlp", z, gen, 2).data
+        z[2] = z[0]
+        w2 = generate_weights("shared_mlp", z, gen, 2)
         np.testing.assert_array_equal(w2[2], w2[0])
 
     def test_shared_mlp_rejects_width_below_one(self, rng):
         with pytest.raises(ValueError, match="widths must be >= 1"):
-            shared_mlp(Tensor(rng.standard_normal((4, 3))), rng, 2, 3, gen_hidden=(5, 0))
+            shared_mlp(rng.standard_normal((4, 3)), rng, 2, 3, gen_hidden=(5, 0))
 
     def test_mode_mismatch_rejected(self, rng):
         """A generator config that disagrees with the stored arrays is refused."""
@@ -201,6 +196,73 @@ class TestGenerateWeights:
                            GeneratorConfig("per_channel_linear", (5,)), rng)
 
 
+def shared_mlp_jvp(z, gen, dz, dgen, horizon):
+    """The change of the shared_mlp generator's weights along tangents dz and
+    dgen of z and its arrays, by forward-mode differentiation in numpy."""
+    h, dh = z, dz
+    for w, b, dw, db in zip(gen[:-1:2], gen[1:-1:2], dgen[:-1:2], dgen[1:-1:2]):
+        pre = h @ w + b
+        dh = (pre > 0) * (dh @ w + h @ dw + db)
+        h = np.maximum(pre, 0.0)
+    return (dh @ gen[-1] + h @ dgen[-1]).reshape(len(z), horizon, -1)
+
+
+class TestGeneratorGrads:
+    """The generators' backward pieces, `generator_grads`, by dot-product tests:
+    <g, J_i v> = <J_i^T g, v> for z and each generator array."""
+
+    @pytest.mark.parametrize("gen_hidden", [(), (3,), (4, 2)], ids=["none", "one", "two"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shared_mlp_is_adjoint(self, gen_hidden, seed):
+        r = np.random.Generator(np.random.Philox(seed))
+        n, d, horizon, dim = 5, 3, 2, 4
+        z = r.standard_normal((n, d))
+        gen = init_generator(z, horizon, dim, GeneratorConfig("shared_mlp", gen_hidden), r)
+        kept = []
+        out = generate_weights("shared_mlp", z, gen, horizon, kept)
+        (acts,) = kept
+        assert len(acts) == len(gen_hidden)
+        g = r.standard_normal(out.shape)
+        grad_z, grads = generator_grads("shared_mlp", z, gen, acts, g, True)
+        inputs, grads = [z, *gen], [grad_z, *grads]
+        for i, (x, grad) in enumerate(zip(inputs, grads)):
+            v = r.standard_normal(x.shape)
+            tangents = [v if j == i else np.zeros_like(a) for j, a in enumerate(inputs)]
+            jv = shared_mlp_jvp(z, gen, tangents[0], tangents[1:], horizon)
+            assert grad.shape == x.shape
+            assert np.vdot(g, jv) == pytest.approx(np.vdot(grad, v), rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_per_channel_linear_is_adjoint(self, seed):
+        r = np.random.Generator(np.random.Philox(seed))
+        z, w_phi = r.standard_normal((4, 3)), r.standard_normal((4, 3, 2, 5))
+        g = r.standard_normal(linear_weights(z, w_phi).shape)
+        grad_z, (grad_w,) = generator_grads("per_channel_linear", z, [w_phi], [], g, True)
+        v_z, v_w = r.standard_normal(z.shape), r.standard_normal(w_phi.shape)
+        assert np.vdot(g, linear_weights(v_z, w_phi)) == pytest.approx(np.vdot(grad_z, v_z),
+                                                                       rel=1e-10)
+        assert np.vdot(g, linear_weights(z, v_w)) == pytest.approx(np.vdot(grad_w.data, v_w),
+                                                                   rel=1e-10)
+
+    @pytest.mark.parametrize("mode, gen_hidden", [("shared_mlp", ()), ("shared_mlp", (3,)),
+                                                  ("per_channel_linear", ())])
+    def test_frozen_z_gets_no_gradient(self, rng, mode, gen_hidden):
+        """Without `grad_z`, z's gradient is None and the arrays' are the same bits."""
+        z = rng.standard_normal((4, 3))
+        gen = init_generator(z, 2, 5, GeneratorConfig(mode, gen_hidden), rng)
+        kept = []
+        g = rng.standard_normal(generate_weights(mode, z, gen, 2, kept).shape)
+        (acts,) = kept
+        (grad_z, with_z), (none, without) = (generator_grads(mode, z, gen, acts, g, flag)
+                                             for flag in (True, False))
+        assert grad_z.shape == z.shape and none is None
+        for a, b in zip(with_z, without):
+            a, b = (x.data if isinstance(x, OuterGrad) else x for x in (a, b))
+            assert a.tobytes() == b.tobytes()
+
+
 class TestChannelInvariants:
     @pytest.mark.parametrize("case", range(6))
     def test_tying_per_channel_mode(self, case):
@@ -210,26 +272,28 @@ class TestChannelInvariants:
         w_phi = rng.standard_normal((n, d, horizon, hidden))
         z[1] = z[0]
         w_phi[1] = w_phi[0]
-        w = linear_weights(Tensor(z), Tensor(w_phi)).data
+        w = linear_weights(z, w_phi)
         np.testing.assert_array_equal(w[1], w[0])
 
     @pytest.mark.parametrize("case", range(6))
     def test_independence_per_channel_mode(self, case):
+        """A gradient that reaches one channel's generated weights only, through
+        the generator's backward, reaches only that channel's z row and w_phi
+        block: every other row and block gets exact zeros."""
         rng = make_rng(200 + case)
         n, horizon, hidden, d = 3, 2, 4, 2
-        z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        w_phi = Tensor(rng.standard_normal((n, d, horizon, hidden)), requires_grad=True)
+        z = rng.standard_normal((n, d))
+        w_phi = rng.standard_normal((n, d, horizon, hidden))
         target = int(rng.integers(n))
-        only_target = np.zeros((n, 1, 1))
-        only_target[target] = 1.0
-        w = linear_weights(z, w_phi) * Tensor(only_target)
-        loss = mse(w, np.zeros(w.shape))
-        grads = backward(loss, [z, w_phi])
+        g = np.zeros((n, horizon, hidden))
+        g[target] = rng.standard_normal((horizon, hidden))
+        grad_z, (grad_w,) = generator_grads("per_channel_linear", z, [w_phi], [], g, True)
+        assert isinstance(grad_w, OuterGrad)
         for other in range(n):
             if other == target:
                 continue
-            assert np.abs(grads[z].data[other]).max() == 0.0
-            assert np.abs(grads[w_phi].data[other]).max() == 0.0
+            assert np.abs(grad_z[other]).max() == 0.0
+            assert np.abs(grad_w.data[other]).max() == 0.0
 
 
     @pytest.mark.parametrize("mode", GENERATOR_MODES)
@@ -343,8 +407,7 @@ class TestSharedMlpInit:
         table = gen_synthetic(SynthSpec(n, 400, groups=[c % 3 for c in range(n)], rho=0.7), 4101)
         model = build_hyper(bb, table, horizon, rng, d=d, mode="shared_mlp",
                             gen_hidden=gen_hidden if hidden == "hidden" else ())
-        with no_grad():
-            weights = [w.data for w in model.final_weights()]
+        weights = model.final_weights()
         for (slot, dim), w in zip(bb.slots, weights):
             assert w.dtype == np.dtype(dtype) and w.shape == (n, horizon, dim)
             ratio = float(np.std(w, dtype=np.float64)) * np.sqrt(3 * dim)
@@ -489,17 +552,15 @@ class TestHyperForward:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_gradient_through_everything(self, rng):
+        """The loss node on a RevIN-normalised window, against central differences
+        in every trainable."""
         table = toy_table(rng, t=48, n=2)
         bb = DLinearBackbone(lookback=6, kernel=3)
         model = build_hyper(bb, table, horizon=2, rng=rng, d=2)
-        x = Tensor(rng.standard_normal((2, 6)))
-        y = Tensor(rng.standard_normal((2, 2)))
+        x_norm, stats = revin_forward(rng.standard_normal((2, 6)))
+        inputs, target = model.prepare(x_norm), revin_apply(rng.standard_normal((2, 2)), stats)
         params = list(model.parameters().values())
-
-        def loss():
-            return mse(model.forward(x), y.data)
-
-        assert finite_diff_check(loss, params) < 1e-4
+        assert finite_diff_check(lambda: model.loss(inputs, target), params) < 1e-4
 
 
 class TestBake:
@@ -553,11 +614,10 @@ class TestBake:
         """The centred fold gives RevIN around apply_final(decompose(x)) on the
         same arrays, and never runs RevIN or the decomposition."""
         baked = bake(build_hyper(DLinearBackbone(30, 25), toy_table(rng, t=128), 6, rng))
-        finals = [baked.all_arrays()[f"final.{s}.w"] for s in ("trend", "seasonal")]
+        finals = [baked.all_arrays()[f"final.{s}.w"].data for s in ("trend", "seasonal")]
         x = Tensor(rng.standard_normal((5, 3, 30)) * 4.0 + 2.0)
         x_norm, stats = revin_forward(x.data)
-        hidden = [Tensor(h) for h in decompose(x_norm, 25)]
-        expected = revin_reverse(apply_final(finals, hidden), stats)
+        expected = revin_reverse(apply_final(finals, list(decompose(x_norm, 25))), stats)
 
         def unfolded(*args):
             raise AssertionError("a baked DLinear ran the decomposition")
@@ -569,7 +629,7 @@ class TestBake:
         monkeypatch.setattr(DLinearBackbone, "forward_hidden", unfolded)
         monkeypatch.setattr("hnmvts.hypernet.revin_forward", scaled)
         monkeypatch.setattr("hnmvts.hypernet.revin_reverse", scaled)
-        np.testing.assert_allclose(baked.forward(x).data, expected.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(baked.forward(x).data, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("lookback", [2, 7, 9])
     def test_baked_dlinear_wrong_lookback(self, rng, lookback):
@@ -622,7 +682,7 @@ class TestBake:
         finals = [baked.all_arrays()[f"final.{s}.w"].data for s in ("trend", "seasonal")]
         folded = baked.backbone.fold(*finals)
         x = Tensor(rng.standard_normal((5, 3, 30)) * 4.0 + 2.0)
-        np.testing.assert_allclose(baked.forward(x).data, channel_dot([Tensor(folded)], [x]).data,
+        np.testing.assert_allclose(baked.forward(x).data, channel_dot([folded], [x.data]),
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(baked.forward(x).data, hyper.forward(x).data, atol=1e-10)
 
@@ -661,18 +721,19 @@ class TestBake:
 
 
 def frozen_folded_forward(baked, x):
-    """Frozen copy of the folded forward from before it served on plain arrays:
-    the fold through `apply_final` on Tensors, the mean added by a Tensor op."""
+    """Frozen copy of the folded forward from before it served in place: the fold
+    through `apply_final`, the mean subtracted into a new array and added into
+    another."""
     finals = [baked.all_arrays()[f"final.{slot}.w"].data for slot, _ in baked.backbone.slots]
-    folded = Tensor(baked.backbone.fold(*finals))
+    folded = baked.backbone.fold(*finals)
     if not baked.revin:
-        return apply_final([folded], [Tensor(x.data)])
+        return apply_final([folded], [x.data])
     mean = x.data.mean(axis=-1, keepdims=True)
-    return apply_final([folded], [Tensor(x.data - mean)]) + mean
+    return apply_final([folded], [x.data - mean]) + mean
 
 
 class TestFoldedServe:
-    """A baked DLinear serves on plain arrays, bit-identical to the Tensor form."""
+    """A baked DLinear serves in place, bit-identical to the frozen form."""
 
     SHAPES = [(), (1,), (64,), (1, 3)]
 
@@ -700,18 +761,19 @@ class TestFoldedServe:
         for batch in self.SHAPES:
             x = Tensor(rng.standard_normal((*batch, 7, 36)) * 3.0 + 40.0)
             out, want = baked.forward(x), frozen_folded_forward(baked, x)
-            assert out.shape == (*batch, 7, 24) and out.data.dtype == want.data.dtype
-            assert np.array_equal(out.data, want.data), batch
+            assert out.shape == (*batch, 7, 24) and out.data.dtype == want.dtype
+            assert np.array_equal(out.data, want), batch
 
     @pytest.mark.parametrize("revin", [True, False], ids=["revin", "raw"])
     def test_input_untouched_and_output_off_the_graph(self, revin):
         baked = self.baked("per_channel_linear", revin)
         x = Tensor(make_rng(3).standard_normal((4, 7, 36)) + 2.0)
         before = x.data.copy()
-        for out in (baked.forward(x), baked.forward_prepared(baked.prepare(x.data))):
+        out = baked.forward(x)
+        assert not out.requires_grad and out._parents == ()
+        for out in (out.data, baked.forward_prepared(baked.prepare(x.data))):
             assert np.array_equal(x.data, before)
-            assert not np.shares_memory(out.data, x.data)
-            assert not out.requires_grad and out._parents == ()
+            assert not np.shares_memory(out, x.data)
 
 
 def every_form(rng):

@@ -12,11 +12,14 @@ from hnmvts.numcore import (
     adam_step,
     backward,
     channel_gemv,
+    channel_gemv_grad,
     get_default_dtype,
     mse,
+    mse_grad,
     set_default_dtype,
 )
 from hnmvts.numcore.optim import _BLOCK
+from hnmvts.numcore.tensor import _make_node
 
 
 def one_step_oracle(p, g, lr=1e-4, b1=0.9, b2=0.999, eps=1e-8):
@@ -294,6 +297,14 @@ def test_bad_element_deep_in_a_three_block_parameter_moves_nothing(bad):
         assert np.array_equal(state.v[name], s.v[name])
 
 
+def generator_loss(z: Tensor, w: Tensor, target: np.ndarray) -> Tensor:
+    """mse(channel_gemv(z, w), target) as one loss node, whose backward is
+    `mse_grad`, then `channel_gemv_grad`."""
+    value, diff = mse(channel_gemv(z.data, w.data), target)
+    return _make_node(value, (z, w), (lambda grads: grads[0], lambda grads: grads[1]),
+                      lambda seed: channel_gemv_grad(z.data, w.data, mse_grad(diff, seed)))
+
+
 def generator_run(shape, steps, factored, seed=0):
     """`steps` Adam steps on a learnable z (N, d) and a per-channel-linear
     generator w (shape) under the loss mse(channel_gemv(z, w), target), z
@@ -307,7 +318,7 @@ def generator_run(shape, steps, factored, seed=0):
     target = rng.standard_normal((n, *shape[2:])).astype(get_default_dtype())
     params, state = {"embed.z": z, "head.w_phi": w}, AdamState(lr=1e-2)
     for _ in range(steps):
-        grads = backward(mse(channel_gemv(z, w), target), [z, w])
+        grads = backward(generator_loss(z, w, target), [z, w])
         assert isinstance(grads[w], OuterGrad)
         named = {"embed.z": grads[z], "head.w_phi": grads[w]}
         if not factored:

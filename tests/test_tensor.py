@@ -3,38 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_diff_check, trace_reference
+from helpers import grad_error, numeric_grads, trace_reference
 from hnmvts.numcore import (
     DimensionError,
     OuterGrad,
     Tape,
     Tensor,
-    add,
     backward,
     channel_dot,
+    channel_dot_grad,
     channel_gemv,
+    channel_gemv_grad,
     get_default_dtype,
-    linear_relu,
-    matmul,
     moving_average,
     mse,
-    mul,
+    mse_grad,
     no_grad,
-    reshape,
+    relu_product,
+    relu_product_grad,
 )
 from hnmvts.numcore import tensor as tensor_mod
+from hnmvts.numcore.tensor import _make_node
 
 
-def matmul_oracle(a, b):
-    """Triple-loop reference, independent of the numpy path."""
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for p in range(k):
-                out[i, j] += a[i, p] * b[p, j]
-    return out
+def cast(x):
+    """x as an array of the package dtype."""
+    return np.asarray(x, dtype=get_default_dtype())
 
 
 def assert_same_bits(got, want):
@@ -114,80 +108,6 @@ class TestTensorData:
         np.testing.assert_array_equal(data, np.asarray(a))
 
 
-class TestMatmul:
-    def test_identity(self, rng):
-        b = rng.standard_normal((3, 2))
-        out = matmul(Tensor(np.eye(3)), Tensor(b))
-        np.testing.assert_array_equal(out.data, b)
-
-    def test_scalar_case(self):
-        out = matmul(Tensor([[2.0]]), Tensor([[3.0]]))
-        assert out.data[0, 0] == 6.0
-
-    def test_against_loop_oracle(self, rng):
-        a = rng.standard_normal((4, 5))
-        b = rng.standard_normal((5, 3))
-        out = matmul(Tensor(a), Tensor(b))
-        np.testing.assert_allclose(out.data, matmul_oracle(a, b), atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError) as exc:
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-        assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
-
-    def test_stack_rejected(self):
-        with pytest.raises(DimensionError, match=r"two matrices, got \(6, 2, 3\) @ \(3, 4\)"):
-            matmul(Tensor(np.zeros((6, 2, 3))), Tensor(np.zeros((3, 4))))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_associativity(self, seed):
-        r = np.random.Generator(np.random.Philox(seed))
-        a, b, c = (r.standard_normal((3, 3)) for _ in range(3))
-        left = matmul(matmul(Tensor(a), Tensor(b)), Tensor(c)).data
-        right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
-        np.testing.assert_allclose(left, right, atol=1e-9)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_gradients_are_adjoint(self, seed):
-        """matmul is bilinear: <g, J_a da> = <grad_a g, da>, likewise for b."""
-        r = np.random.Generator(np.random.Philox(seed))
-        shape_a, shape_b = (4, 5), (5, 3)
-        a = Tensor(r.standard_normal(shape_a), requires_grad=True)
-        b = Tensor(r.standard_normal(shape_b), requires_grad=True)
-        g = r.standard_normal(matmul(a, b).shape)
-        grads = backward(dot_loss(matmul(a, b), upstream(g)))
-        assert grads[a].shape == shape_a and grads[b].shape == shape_b
-        da, db = r.standard_normal(shape_a), r.standard_normal(shape_b)
-        assert np.vdot(g, matmul(Tensor(da), b).data) == pytest.approx(
-            np.vdot(grads[a].data, da) * g.size, rel=1e-10, abs=1e-12)
-        assert np.vdot(g, matmul(a, Tensor(db)).data) == pytest.approx(
-            np.vdot(grads[b].data, db) * g.size, rel=1e-10, abs=1e-12)
-
-
-def upstream(g):
-    """Each entry of g times 1 / (its element count): the gradient the mean
-    of out * g sends to `out`."""
-    return g * (np.ones_like(g) / g.size)
-
-
-def dot_loss(out, w):
-    """<out, w> as a scalar node, out's row times w's column. The gradient it
-    sends to `out` is w, exactly: each entry is 1 * w_i."""
-    return matmul(reshape(out, (1, out.size)), Tensor(w.reshape(-1, 1)))
-
-
-def mean_loss(out):
-    """The mean of every entry of `out` as `dot_loss`; its gradient is 1 / size."""
-    return dot_loss(out, np.ones(out.shape) / out.size)
-
-
-def mean_square(out):
-    """The mean of out's squared entries: `mse` against zeros."""
-    return mse(out, np.zeros(out.shape))
-
-
 def linear_relu_reference(h, w, b, g):
     """relu(h @ w + b) composed from numpy's products, and for the gradient g
     reaching it: the masked gradient gm, grad_h, grad_b and grad_w as per-matrix
@@ -205,6 +125,8 @@ def linear_relu_reference(h, w, b, g):
 
 
 class TestLinearRelu:
+    """`relu_product`, one Linear+ReLU layer, and its gradient `relu_product_grad`."""
+
     @pytest.mark.parametrize("k, p", [(96, 256), (256, 128)], ids=["96x256", "256x128"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_stack_times_matrix_bit_identical_to_numpy(self, rng, request, dtype, k, p):
@@ -218,22 +140,22 @@ class TestLinearRelu:
             request.getfixturevalue("float32_mode")
         n = 21
         batch = 2 * (tensor_mod._ROW_BLOCK // n) + 5
-        h = Tensor(rng.standard_normal((batch, n, k)), requires_grad=True)
-        w = Tensor(rng.standard_normal((k, p)), requires_grad=True)
-        b = Tensor(rng.standard_normal(p), requires_grad=True)
-        g = rng.standard_normal((batch, n, p)).astype(get_default_dtype())
-        out = linear_relu(h, w, b)
-        assert out.data.dtype == np.dtype(dtype)
-        want = linear_relu_reference(h.data, w.data, b.data, upstream(g))
-        assert np.array_equal(out.data, want["out"])
-        grads = backward(dot_loss(out, upstream(g)))
-        assert np.array_equal(grads[h].data, want["h"])
-        assert np.array_equal(grads[b].data, want["b"])
+        h = cast(rng.standard_normal((batch, n, k)))
+        w = cast(rng.standard_normal((k, p)))
+        b = cast(rng.standard_normal(p))
+        g = cast(rng.standard_normal((batch, n, p)))
+        out = relu_product(h, w, b)
+        assert out.dtype == np.dtype(dtype)
+        want = linear_relu_reference(h, w, b, g)
+        assert np.array_equal(out, want["out"])
+        grad_h, grad_w, grad_b = relu_product_grad(h, w, out, g)
+        assert np.array_equal(grad_h, want["h"])
+        assert np.array_equal(grad_b, want["b"])
         eps = np.finfo(get_default_dtype()).eps
         rows = batch * n
-        bound = 2 * rows * eps * (np.abs(h.data.reshape(rows, k)).T
+        bound = 2 * rows * eps * (np.abs(h.reshape(rows, k)).T
                                   @ np.abs(want["gm"].reshape(rows, p)))
-        assert (np.abs(grads[w].data - want["w"]) <= bound).all()
+        assert (np.abs(grad_w - want["w"]) <= bound).all()
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_matrix_input_bit_identical_to_numpy(self, rng, request, dtype):
@@ -242,16 +164,15 @@ class TestLinearRelu:
         numpy's own product bit for bit."""
         if dtype == "float32":
             request.getfixturevalue("float32_mode")
-        h = Tensor(rng.standard_normal((21, 8)), requires_grad=True)
-        w = Tensor(rng.standard_normal((8, 64)), requires_grad=True)
-        b = Tensor(rng.standard_normal(64), requires_grad=True)
-        g = rng.standard_normal((21, 64)).astype(get_default_dtype())
-        out = linear_relu(h, w, b)
-        want = linear_relu_reference(h.data, w.data, b.data, upstream(g))
-        assert np.array_equal(out.data, want["out"])
-        grads = backward(dot_loss(out, upstream(g)))
-        for t, key in ((h, "h"), (w, "w"), (b, "b")):
-            assert np.array_equal(grads[t].data, want[key])
+        h = cast(rng.standard_normal((21, 8)))
+        w = cast(rng.standard_normal((8, 64)))
+        b = cast(rng.standard_normal(64))
+        g = cast(rng.standard_normal((21, 64)))
+        out = relu_product(h, w, b)
+        want = linear_relu_reference(h, w, b, g)
+        assert np.array_equal(out, want["out"])
+        for got, key in zip(relu_product_grad(h, w, out, g), ("h", "w", "b")):
+            assert np.array_equal(got, want[key])
 
     @pytest.mark.parametrize("shape_h, shape_w", [
         ((40, 7, 37), (37, 100)),   # widths whose GEMM kernels may sum in another order
@@ -268,32 +189,29 @@ class TestLinearRelu:
         the ReLU (1-Lipschitz) of the sum carries the product's error as is."""
         if dtype == "float32":
             request.getfixturevalue("float32_mode")
-        h = Tensor(rng.standard_normal(shape_h), requires_grad=True)
-        w = Tensor(rng.standard_normal(shape_w), requires_grad=True)
-        b = Tensor(np.zeros(shape_w[1]), requires_grad=True)
-        g = rng.standard_normal(shape_h[:-1] + shape_w[-1:]).astype(get_default_dtype())
-        out = linear_relu(h, w, b)
-        grad_h = backward(dot_loss(out, upstream(g)))[h].data
-        gm = upstream(g) * (out.data > 0)
+        h = cast(rng.standard_normal(shape_h))
+        w = cast(rng.standard_normal(shape_w))
+        g = cast(rng.standard_normal(shape_h[:-1] + shape_w[-1:]))
+        out = relu_product(h, w, cast(np.zeros(shape_w[1])))
+        grad_h = relu_product_grad(h, w, out, g)[0]
+        gm = g * (out > 0)
         eps = np.finfo(get_default_dtype()).eps
         k, p = shape_w
-        want = np.maximum(h.data @ w.data, 0.0)
-        bound = 2 * k * eps * (np.abs(h.data) @ np.abs(w.data))
-        assert (np.abs(out.data - want) <= bound).all()
-        bound = 2 * p * eps * (np.abs(gm) @ np.abs(w.data).T)
-        assert (np.abs(grad_h - gm @ w.data.T) <= bound).all()
+        want = np.maximum(h @ w, 0.0)
+        bound = 2 * k * eps * (np.abs(h) @ np.abs(w))
+        assert (np.abs(out - want) <= bound).all()
+        bound = 2 * p * eps * (np.abs(gm) @ np.abs(w).T)
+        assert (np.abs(grad_h - gm @ w.T) <= bound).all()
         if min(shape_h[1], k, p) == 1:
-            assert np.array_equal(out.data, want)
-            assert np.array_equal(grad_h, gm @ w.data.T)
+            assert np.array_equal(out, want)
+            assert np.array_equal(grad_h, gm @ w.T)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bit_identical_to_where(self, rng, request, dtype):
+    def test_bit_identical_to_where(self, rng, dtype):
         """The ReLU equals `np.where(pre > 0, pre, 0.0)` on the pre-activation
         bit for bit, sign bits included, at every length up to 70 (every SIMD
         tail). The special values reach it through a product with 1; -0.0
         cannot, as a product sums from +0.0."""
-        if dtype == np.float32:
-            request.getfixturevalue("float32_mode")
         tiny = np.finfo(dtype).smallest_subnormal
         special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
                             np.finfo(dtype).tiny, -np.finfo(dtype).tiny, 1.5, -1.5], dtype=dtype)
@@ -303,22 +221,33 @@ class TestLinearRelu:
                          rng.standard_normal(length)).astype(dtype)[:, None]
             pre = x @ one + minus_zero
             want = np.where(pre > 0, pre, 0.0).astype(dtype)
-            out = linear_relu(Tensor(x), Tensor(one), Tensor(minus_zero)).data
+            out = relu_product(x, one, minus_zero)
             assert out.dtype == dtype and out.tobytes() == want.tobytes(), x
+
+    def test_input_gradient_only_when_asked(self, rng):
+        """grad_h is None unless asked for, and asking changes no other gradient."""
+        h, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+        out, g = relu_product(h, w, b), rng.standard_normal((6, 3))
+        with_h, without = relu_product_grad(h, w, out, g), relu_product_grad(h, w, out, g, False)
+        assert without[0] is None and with_h[0].shape == h.shape
+        for a, b_ in zip(with_h[1:], without[1:]):
+            assert_same_bits(a, b_)
 
     @pytest.mark.parametrize("shape_h, shape_w", [((5, 4), (4, 3)), ((300, 5, 7), (7, 6))],
                              ids=["2d", "stack"])
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_gradients_are_adjoint(self, shape_h, shape_w, seed):
-        """<g, J v> = <J^T g, v> for each of h, w and b, with J the layer's
-        linearisation written in numpy: the mask of pre > 0 times the change of
-        h @ w + b along v. The stack spans two row blocks."""
+        """The trunk layer's backward piece: <g, J v> = <J^T g, v> for each of h,
+        w and b, with J the layer's linearisation written in numpy: the mask of
+        pre > 0 times the change of h @ w + b along v. The stack spans two row
+        blocks."""
         r = np.random.Generator(np.random.Philox(seed))
         h, w = r.standard_normal(shape_h), r.standard_normal(shape_w)
         b = r.standard_normal(shape_w[1])
+        out = relu_product(h, w, b)
         mask = (h @ w + b) > 0
-        assert_adjoint(r, linear_relu, [h, w, b], [
+        assert_adjoint(r, out, lambda g: relu_product_grad(h, w, out, g), [h, w, b], [
             lambda v: mask * (v @ w),
             lambda v: mask * (h @ v),
             lambda v: mask * v,
@@ -326,57 +255,71 @@ class TestLinearRelu:
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
-            linear_relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+            relu_product(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
         with pytest.raises(DimensionError, match=r"\(3,\)"):
-            linear_relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+            relu_product(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3))
+
+
+# Small ops made with `_make_node`, for the tests of the engine itself: the
+# package builds only its one loss node, so these stand in for a general graph.
+
+
+def plus(a, b):
+    return _make_node(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
+
+
+def times(a, b):
+    """a * b of one shape."""
+    return _make_node(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+
+
+def scale(a, c: float):
+    return _make_node(a.data * c, (a,), (lambda g: g * c,))
+
+
+def relabel(a):
+    """a itself as a new node."""
+    return _make_node(a.data.copy(), (a,), (lambda g: g,))
+
+
+def mean_of(a):
+    """The mean of every entry, a scalar node; its gradient is 1 / size per entry."""
+    return _make_node(np.mean(a.data), (a,), (lambda g: np.full(a.shape, g / a.size),))
 
 
 class TestBackward:
-    def test_sum_gives_ones(self):
-        """The mean of n entries: a sum's gradient of ones, over n."""
+    def test_mean_gives_ones_over_size(self):
         x = Tensor(np.arange(5.0), requires_grad=True)
-        grads = backward(mean_loss(x))
+        grads = backward(mean_of(x))
         np.testing.assert_array_equal(grads[x].data * 5, np.ones(5))
 
     def test_half_norm_squared_gives_x(self, rng):
         xv = rng.standard_normal(7)
         x = Tensor(xv, requires_grad=True)
-        loss = mean_square(x) * 0.5
-        grads = backward(loss)
+        grads = backward(scale(mean_of(times(x, x)), 0.5))
         np.testing.assert_allclose(grads[x].data * 7, xv, atol=1e-12)
-
-    def test_two_layer_mlp_matches_finite_differences(self, rng):
-        w1 = Tensor(rng.standard_normal((4, 5)) * 0.5, requires_grad=True)
-        b1 = Tensor(rng.standard_normal(5) * 0.5, requires_grad=True)
-        w2 = Tensor(rng.standard_normal((5, 2)) * 0.5, requires_grad=True)
-        x = Tensor(rng.standard_normal((3, 4)))
-
-        def loss():
-            return mean_square(matmul(linear_relu(x, w1, b1), w2))
-
-        assert finite_diff_check(loss, [w1, b1, w2]) < 1e-4
 
     def test_off_path_leaves_get_zero(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         unused = Tensor([5.0], requires_grad=True)
-        grads = backward(mean_loss(x), params=[x, unused])
+        grads = backward(mean_of(x), params=[x, unused])
         np.testing.assert_array_equal(grads[unused].data, np.zeros(1))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
-            backward(x + x)
+            backward(plus(x, x))
 
     def test_reused_node_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
-        y = x * x  # dx = 2x via two paths through mul
-        grads = backward(mean_loss(y + y))
+        y = times(x, x)  # dx = 2x via two paths through times
+        grads = backward(mean_of(plus(y, y)))
         np.testing.assert_allclose(grads[x].data, [12.0])
 
     def test_tape_visits_each_node_once(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = x * 2.0
-        loss = mean_loss(y + y)
+        y = scale(x, 2.0)
+        loss = mean_of(plus(y, y))
         tape = Tape.trace(loss)
         ids = [id(n) for n in tape.nodes]
         assert len(ids) == len(set(ids))
@@ -385,8 +328,24 @@ class TestBackward:
     def test_no_grad_blocks_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = x * 3.0
+            y = scale(x, 3.0)
         assert not y.requires_grad and y._parents == ()
+
+    def test_grad_in_runs_once_for_every_parent(self):
+        """A node's `grad_in` maps the gradient reaching it once per pass, and
+        each parent's function receives its result: the loss node's form."""
+        a, b = (Tensor(np.ones(2), requires_grad=True) for _ in range(2))
+        calls = []
+
+        def grad_in(g):
+            calls.append(g)
+            return [np.full(2, 2.0) * g, np.full(2, 3.0) * g]
+
+        loss = _make_node(np.float64(0.0), (a, b), (lambda gs: gs[0], lambda gs: gs[1]), grad_in)
+        grads = backward(loss)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(grads[a].data, [2.0, 2.0])
+        np.testing.assert_array_equal(grads[b].data, [3.0, 3.0])
 
 
 def same_nodes(got, want) -> bool:
@@ -401,43 +360,44 @@ class TestTraceOrder:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_random_dags_with_shared_subgraphs(self, data):
-        """Each new node applies add, mul or reshape to earlier nodes, so nodes are
-        reused by several consumers, some more than twice; leaves may or may not
-        need a gradient, and the loss sums the last few nodes."""
+        """Each new node applies plus, times or a chain of two relabels to
+        earlier nodes, so nodes are reused by several consumers, some more than
+        twice; leaves may or may not need a gradient, and the loss sums the last
+        few nodes."""
         flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=4))
         nodes = [Tensor(np.full(3, i + 1.0), requires_grad=f) for i, f in enumerate(flags)]
         nodes[0].requires_grad = True
         pick = st.integers(0, 10**6).map(lambda i: nodes[-1 - i % min(len(nodes), 5)]
                                          if i % 3 else nodes[i % len(nodes)])
-        for op in data.draw(st.lists(st.sampled_from(["add", "mul", "reshape"]),
+        for op in data.draw(st.lists(st.sampled_from(["plus", "times", "relabel"]),
                                      min_size=1, max_size=14)):
             a = data.draw(pick)
-            if op == "reshape":
-                nodes.append(reshape(reshape(a, (3, 1)), (3,)))
+            if op == "relabel":
+                nodes.append(relabel(relabel(a)))
             else:
-                nodes.append((add if op == "add" else mul)(a, data.draw(pick)))
+                nodes.append((plus if op == "plus" else times)(a, data.draw(pick)))
         total = nodes[-1]
         for extra in data.draw(st.lists(pick, max_size=3)):
-            total = add(total, extra)
-        root = mse(total, np.zeros(3))
+            total = plus(total, extra)
+        root = mean_of(total)
         assert same_nodes(Tape.trace(root).nodes, trace_reference(root))
 
     def test_node_with_three_contributions(self):
         """x feeds a, b and s: the walk reaches x first through s, the last
         parent pushed, and then b before a."""
         x = Tensor([1.0, 2.0], requires_grad=True)
-        a, b = x * 2.0, x * 3.0
-        t = add(a, b)
-        s = add(t, x)
-        loss = mse(s, np.zeros(2))
+        a, b = scale(x, 2.0), scale(x, 3.0)
+        t = plus(a, b)
+        s = plus(t, x)
+        loss = mean_of(s)
         assert same_nodes(trace_reference(loss), [x, b, a, t, s, loss])
         assert same_nodes(Tape.trace(loss).nodes, [x, b, a, t, s, loss])
 
-    @pytest.mark.parametrize("form", ["baseline", "hn_pcl", "hn_shared", "raw_forward"])
+    @pytest.mark.parametrize("form", ["baseline", "hn_pcl", "hn_shared"])
     def test_real_step_graphs(self, rng, form):
-        """The graphs a training step builds (`trainer._batch_loss` on a prepared
-        batch) for the three model forms, and the loss on `forward`'s raw-scale
-        forecast, whose RevIN map back adds mul and add nodes."""
+        """The graph a training step builds (`trainer._batch_loss` on a prepared
+        batch) for the three model forms: the loss node and its parents, the
+        trainables, 1 + P nodes, in the reference walk's order."""
         from hnmvts import trainer
         from hnmvts.backbones import DLinearBackbone, MlpBackbone
         from hnmvts.data import SeriesTable, make_windows
@@ -452,22 +412,20 @@ class TestTraceOrder:
             model = build_hyper(DLinearBackbone(12, kernel=5), table, 4, rng)
         else:
             model = build_baseline(DLinearBackbone(12, kernel=5), 3, 4, rng)
-        if form == "raw_forward":
-            x, y = windows.batch(slice(0, 9))
-            loss = mse(model.forward(Tensor(x)), y)
-        else:
-            prepared = trainer.PreparedSet(model, windows, for_loss=True)
-            loss = trainer._batch_loss(model, trainer._stack_batch(prepared, np.arange(9)[::-1]))
+        prepared = trainer.PreparedSet(model, windows, for_loss=True)
+        loss = trainer._batch_loss(model, trainer._stack_batch(prepared, np.arange(9)[::-1]))
         nodes = Tape.trace(loss).nodes
-        assert len(nodes) >= 4
+        params = list(model.parameters().values())
+        assert len(nodes) == 1 + len(params) and nodes[-1] is loss
+        assert {id(n) for n in nodes[:-1]} == {id(p) for p in params}
         assert same_nodes(nodes, trace_reference(loss))
 
 
-def slot_operands(rng, n, v_batch, widths, h=3, grad=True):
+def slot_operands(rng, n, v_batch, widths, h=3):
     """One (N, H, D) weight and one (*B, N, D) hidden state per slot width D,
-    each a Tensor that needs a gradient when `grad`."""
-    ws = [Tensor(rng.standard_normal((n, h, d)), requires_grad=grad) for d in widths]
-    vs = [Tensor(rng.standard_normal((*v_batch, n, d)), requires_grad=grad) for d in widths]
+    arrays of the package dtype."""
+    ws = [cast(rng.standard_normal((n, h, d))) for d in widths]
+    vs = [cast(rng.standard_normal((*v_batch, n, d))) for d in widths]
     return ws, vs
 
 
@@ -480,55 +438,55 @@ class TestChannelDot:
         n, h, d = 2, 3, 4
         w = rng.standard_normal((n, h, d))
         v = rng.standard_normal((n, d))
-        out = channel_dot([Tensor(w)], [Tensor(v)])
+        out = channel_dot([w], [v])
         expected = np.zeros((n, h))
         for c in range(n):
             for i in range(h):
                 for q in range(d):
                     expected[c, i] += w[c, i, q] * v[c, q]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_batched_matches_per_sample(self, rng):
         ws, vs = slot_operands(rng, 3, (6,), (5, 2), h=4)
         out = channel_dot(ws, vs)
         for b in range(6):
-            single = channel_dot(ws, [Tensor(v.data[b]) for v in vs])
-            np.testing.assert_allclose(out.data[b], single.data, atol=1e-12)
+            single = channel_dot(ws, [v[b] for v in vs])
+            np.testing.assert_allclose(out[b], single, atol=1e-12)
 
     @SLOT_WIDTHS
     @DTYPES
     def test_gradients(self, rng, request, dtype, widths):
-        """Each slot's weight and hidden state: the loss is quadratic in each
-        coordinate, so float32 takes a longer step with the same exactness."""
+        """Each slot's weight and hidden state, against central differences of the
+        mean square of the output: the loss is quadratic in each coordinate, so
+        float32 takes a longer step with the same exactness."""
         if dtype == np.float32:
             request.getfixturevalue("float32_mode")
         step, tol = (1e-5, 1e-6) if dtype == np.float64 else (0.25, 1e-3)
         for v_batch in [(5,), ()]:  # batched, and unbatched (the generator's form)
             ws, vs = slot_operands(rng, 2, v_batch, widths)
-
-            def loss():
-                return mean_square(channel_dot(ws, vs))
-
-            assert finite_diff_check(loss, ws + vs, step=step) < tol
+            out = channel_dot(ws, vs)
+            zeros = np.zeros_like(out)
+            loss, diff = mse(out, zeros)
+            g_ws, g_vs = channel_dot_grad(mse_grad(diff, np.ones_like(loss)), ws, vs, True)
+            fd = numeric_grads(lambda: float(mse(channel_dot(ws, vs), zeros)[0]), ws + vs, step)
+            assert max(map(grad_error, g_ws + g_vs, fd)) < tol
 
     @SLOT_WIDTHS
     @DTYPES
     @pytest.mark.parametrize("v_batch", [(), (5,)], ids=["unbatched", "batched"])
     def test_gradients_are_adjoint(self, rng, request, dtype, v_batch, widths):
-        """channel_dot is linear in each operand: <J_w dw, g> = <dw, grad_w g>,
-        likewise for v, slot by slot."""
+        """The final layer's backward piece: channel_dot is linear in each operand,
+        so <J_w dw, g> = <dw, grad_w g>, likewise for v, slot by slot."""
         if dtype == np.float32:
             request.getfixturevalue("float32_mode")
         rel = 1e-12 if dtype == np.float64 else 1e-4
         ws, vs = slot_operands(rng, 2, v_batch, widths)
-        g = rng.standard_normal(channel_dot(ws, vs).shape)
-        grads = backward(dot_loss(channel_dot(ws, vs), upstream(g)))
-        for w, v in zip(ws, vs):
-            dw, dv = rng.standard_normal(w.shape), rng.standard_normal(v.shape)
-            assert np.vdot(channel_dot([Tensor(dw)], [v]).data, g) == pytest.approx(
-                np.vdot(dw, grads[w].data) * g.size, rel=rel)
-            assert np.vdot(channel_dot([w], [Tensor(dv)]).data, g) == pytest.approx(
-                np.vdot(dv, grads[v].data) * g.size, rel=rel)
+        g = cast(rng.standard_normal(channel_dot(ws, vs).shape))
+        g_ws, g_vs = channel_dot_grad(g, ws, vs, True)
+        for w, v, g_w, g_v in zip(ws, vs, g_ws, g_vs):
+            dw, dv = cast(rng.standard_normal(w.shape)), cast(rng.standard_normal(v.shape))
+            assert np.vdot(channel_dot([dw], [v]), g) == pytest.approx(np.vdot(dw, g_w), rel=rel)
+            assert np.vdot(channel_dot([w], [dv]), g) == pytest.approx(np.vdot(dv, g_v), rel=rel)
 
     @pytest.mark.parametrize("slots", [1, 2], ids=["one_slot", "two_slots"])
     @DTYPES
@@ -543,49 +501,40 @@ class TestChannelDot:
         ws, vs = slot_operands(rng, n, v_shape[:-2], (d,) * slots, h=24)
         g = rng.standard_normal((*v_shape[:-1], 24)).astype(dtype)
         out = channel_dot(ws, vs)
-        expected = [channel_dot_moveaxis(w.data, v.data, g) for w, v in zip(ws, vs)]
+        expected = [channel_dot_moveaxis(w, v, g) for w, v in zip(ws, vs)]
         want = expected[0][0]
         for e in expected[1:]:
             want = want + e[0]
-        assert_same_bits(out.data, want)
-        fns = out._grad_fns  # each slot's grad_w, then its grad_v
-        assert len(fns) == 2 * slots
-        for i, (_, want_w, want_v) in enumerate(expected):
-            assert_same_bits(fns[2 * i](g), want_w)
-            assert_same_bits(fns[2 * i + 1](g), want_v)
+        assert_same_bits(out, want)
+        g_ws, g_vs = channel_dot_grad(g, ws, vs, True)
+        assert len(g_ws) == len(g_vs) == slots
+        for got_w, got_v, (_, want_w, want_v) in zip(g_ws, g_vs, expected):
+            assert_same_bits(got_w, want_w)
+            assert_same_bits(got_v, want_v)
 
-    def test_plain_operands_get_no_gradient(self, rng):
-        """A plain-array hidden state gets no Tensor and no gradient; with no
-        operand needing one, or under `no_grad`, no node is built."""
+    def test_hidden_gradients_only_when_asked(self, rng):
+        """Without `grad_hidden` no hidden-state gradient is computed, and the
+        weight gradients are the same bits."""
         ws, vs = slot_operands(rng, 2, (5,), (4, 6))
-        out = channel_dot(ws, [v.data for v in vs])
-        assert out._parents == tuple(ws)
-        assert_same_bits(out.data, channel_dot(ws, vs).data)
-        grads, full = backward(mean_square(out)), backward(mean_square(channel_dot(ws, vs)))
-        assert set(grads) == set(ws)
-        for w in ws:
-            assert_same_bits(grads[w].data, full[w].data)
-        for v in vs:
-            v.requires_grad = False
-        out = channel_dot([Tensor(w.data) for w in ws], vs)
-        assert not out.requires_grad and out._parents == ()
-        with no_grad():
-            out = channel_dot(*slot_operands(rng, 2, (5,), (4,)))
-        assert not out.requires_grad and out._parents == ()
+        g = rng.standard_normal((5, 2, 3))
+        g_ws, g_vs = channel_dot_grad(g, ws, vs)
+        assert g_vs is None
+        for got, want in zip(g_ws, channel_dot_grad(g, ws, vs, True)[0]):
+            assert_same_bits(got, want)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            channel_dot([Tensor(np.zeros((2, 3, 4)))], [Tensor(np.zeros((2, 5)))])
+            channel_dot([np.zeros((2, 3, 4))], [np.zeros((2, 5))])
         with pytest.raises(DimensionError, match=r"w \(N, H, D\)"):
-            channel_dot([Tensor(np.zeros((2, 3, 4, 5)))], [Tensor(np.zeros((2, 5)))])
-        w = Tensor(np.zeros((2, 3, 4)))
+            channel_dot([np.zeros((2, 3, 4, 5))], [np.zeros((2, 5))])
+        w = np.zeros((2, 3, 4))
         with pytest.raises(ValueError, match="zip"):
             channel_dot([w, w], [np.zeros((2, 4))])
         for second in (np.zeros((2, 4)), np.zeros((5, 2, 4))):  # would broadcast, would not
             with pytest.raises(DimensionError, match="slots disagree"):
                 channel_dot([w, w], [np.zeros((3, 2, 4)), second])
         with pytest.raises(DimensionError, match="slots disagree"):
-            channel_dot([w, Tensor(np.zeros((2, 1, 4)))], [np.zeros((2, 4))] * 2)
+            channel_dot([w, np.zeros((2, 1, 4))], [np.zeros((2, 4))] * 2)
 
 
 def gemv_oracle(z, w):
@@ -600,6 +549,14 @@ def gemv_oracle(z, w):
     return out.reshape(n, *w.shape[2:])
 
 
+def gemv_node(z: Tensor, w: Tensor, g: np.ndarray) -> Tensor:
+    """<channel_gemv(z, w), g> as one node whose backward is `channel_gemv_grad`:
+    w's gradient reaches `backward` factored."""
+    return _make_node(np.vdot(channel_gemv(z.data, w.data), g), (z, w),
+                      (lambda grads: grads[0], lambda grads: grads[1]),
+                      lambda seed: channel_gemv_grad(z.data, w.data, g * seed))
+
+
 class TestChannelGemv:
     @pytest.mark.parametrize("d", [1, 3], ids=["d1", "d3"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -609,22 +566,21 @@ class TestChannelGemv:
         if dtype == "float32":
             request.getfixturevalue("float32_mode")
         n, h, k = 3, 4, 5
-        z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        w = Tensor(rng.standard_normal((n, d, h, k)), requires_grad=True)
-        g = rng.standard_normal((n, h, k)).astype(get_default_dtype())
+        z = cast(rng.standard_normal((n, d)))
+        w = cast(rng.standard_normal((n, d, h, k)))
+        g = cast(rng.standard_normal((n, h, k)))
         out = channel_gemv(z, w)
-        assert out.shape == (n, h, k) and out.data.dtype == np.dtype(dtype)
+        assert out.shape == (n, h, k) and out.dtype == np.dtype(dtype)
         eps = np.finfo(get_default_dtype()).eps
-        bound = d * eps * gemv_oracle(np.abs(z.data), np.abs(w.data))
-        assert (np.abs(out.data - gemv_oracle(z.data, w.data)) <= bound).all()
-        grads = backward(dot_loss(out, upstream(g)))
-        gu = upstream(g)
-        assert np.array_equal(grads[w].data, z.data[:, :, None, None] * gu[:, None])
-        gz = np.einsum("njs,ns->nj", w.data.reshape(n, d, -1).astype(np.float64),
-                       gu.reshape(n, -1).astype(np.float64))
-        bound = h * k * eps * np.einsum("njs,ns->nj", np.abs(w.data.reshape(n, d, -1)),
-                                        np.abs(gu.reshape(n, -1)))
-        assert (np.abs(grads[z].data - gz) <= bound).all()
+        bound = d * eps * gemv_oracle(np.abs(z), np.abs(w))
+        assert (np.abs(out - gemv_oracle(z, w)) <= bound).all()
+        grad_z, grad_w = channel_gemv_grad(z, w, g)
+        assert np.array_equal(grad_w.data, z[:, :, None, None] * g[:, None])
+        gz = np.einsum("njs,ns->nj", w.reshape(n, d, -1).astype(np.float64),
+                       g.reshape(n, -1).astype(np.float64))
+        bound = h * k * eps * np.einsum("njs,ns->nj", np.abs(w.reshape(n, d, -1)),
+                                        np.abs(g.reshape(n, -1)))
+        assert (np.abs(grad_z - gz) <= bound).all()
 
     def test_deterministic(self, rng):
         """Two calls on equal inputs in fresh arrays give the same bits, forward and gradients."""
@@ -632,20 +588,19 @@ class TestChannelGemv:
         g = rng.standard_normal((7, 9, 33))
         runs = []
         for _ in range(2):
-            z, w = Tensor(z0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
-            out = channel_gemv(z, w)
-            grads = backward(dot_loss(out, upstream(g)))
-            runs.append([out.data.tobytes(), grads[z].data.tobytes(), grads[w].data.tobytes()])
+            z, w = z0.copy(), w0.copy()
+            grad_z, grad_w = channel_gemv_grad(z, w, g)
+            runs.append([channel_gemv(z, w).tobytes(), grad_z.tobytes(), grad_w.data.tobytes()])
         assert runs[0] == runs[1]
 
     def test_gradients(self, rng):
-        z = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
-
-        def loss():
-            return mean_square(channel_gemv(z, w))
-
-        assert finite_diff_check(loss, [z, w]) < 1e-6
+        """Against central differences of the mean square of the output."""
+        z, w = rng.standard_normal((2, 3)), rng.standard_normal((2, 3, 2, 4))
+        zeros = np.zeros((2, 2, 4))
+        loss, diff = mse(channel_gemv(z, w), zeros)
+        grad_z, grad_w = channel_gemv_grad(z, w, mse_grad(diff, np.ones_like(loss)))
+        fd = numeric_grads(lambda: float(mse(channel_gemv(z, w), zeros)[0]), [z, w])
+        assert max(grad_error(grad_z, fd[0]), grad_error(grad_w.data, fd[1])) < 1e-6
 
     @pytest.mark.parametrize("shape_w", [(3, 2, 4, 5), (3, 1, 6), (2, 4)],
                              ids=["blocks", "d1", "scalars"])
@@ -655,24 +610,35 @@ class TestChannelGemv:
         """channel_gemv is bilinear: <g, J_z v> = <grad_z g, v>, likewise for w."""
         r = np.random.Generator(np.random.Philox(seed))
         z, w = r.standard_normal(shape_w[:2]), r.standard_normal(shape_w)
-        assert_adjoint(r, channel_gemv, [z, w], [
+        assert_adjoint(r, channel_gemv(z, w), lambda g: channel_gemv_grad(z, w, g), [z, w], [
             lambda v: np.einsum("nj,nj...->n...", v, w),
             lambda v: np.einsum("nj,nj...->n...", z, v),
         ])
 
-    def test_leaf_weight_gradient_is_factored(self, rng):
-        """A leaf w used once gets an `OuterGrad` of a copy of z and g as
-        (N, prod(S)); its `.data` is the dense gradient, built once."""
+    def test_weight_gradient_is_factored(self, rng):
+        """w gets an `OuterGrad` of a copy of z and g as (N, prod(S)); its `.data`
+        is the dense gradient, built once. Without `grad_z` z gets none."""
+        z, w = rng.standard_normal((3, 2)), rng.standard_normal((3, 2, 4, 5))
+        g = rng.standard_normal((3, 4, 5))
+        grad_z, grad = channel_gemv_grad(z, w, g)
+        assert isinstance(grad, OuterGrad)
+        assert grad.shape == w.shape and grad.size == w.size
+        assert np.array_equal(grad.u, z) and not np.shares_memory(grad.u, z)
+        assert np.array_equal(grad.v, g.reshape(3, 20))
+        assert grad.data is grad.data
+        assert np.array_equal(grad.data, z[:, :, None, None] * g[:, None])
+        none, again = channel_gemv_grad(z, w, g, grad_z=False)
+        assert none is None and np.array_equal(again.data, grad.data)
+
+    def test_leaf_weight_gets_the_factored_gradient(self, rng):
+        """Through `backward`, a leaf w whose whole gradient is one factored
+        contribution gets the `OuterGrad` itself; z gets a Tensor."""
         z = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, 4, 5)), requires_grad=True)
         g = rng.standard_normal((3, 4, 5))
-        grad = backward(dot_loss(channel_gemv(z, w), g), [z, w])[w]
-        assert isinstance(grad, OuterGrad)
-        assert grad.shape == w.shape and grad.size == w.size
-        assert np.array_equal(grad.u, z.data) and not np.shares_memory(grad.u, z.data)
-        assert np.array_equal(grad.v, g.reshape(3, 20))
-        assert grad.data is grad.data
-        assert np.array_equal(grad.data, z.data[:, :, None, None] * g[:, None])
+        grads = backward(gemv_node(z, w, g), [z, w])
+        assert isinstance(grads[w], OuterGrad) and isinstance(grads[z], Tensor)
+        assert np.array_equal(grads[w].data, z.data[:, :, None, None] * g[:, None])
 
     def test_weight_used_twice_gets_dense_sum(self, rng):
         """Two contributions to one w are made dense and summed: a Tensor equal
@@ -680,7 +646,7 @@ class TestChannelGemv:
         z1, z2 = (Tensor(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(2))
         w = Tensor(rng.standard_normal((3, 2, 4, 5)), requires_grad=True)
         g1, g2 = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 5))
-        loss = add(dot_loss(channel_gemv(z1, w), g1), dot_loss(channel_gemv(z2, w), g2))
+        loss = plus(gemv_node(z1, w, g1), gemv_node(z2, w, g2))
         grad = backward(loss, [z1, z2, w])[w]
         assert isinstance(grad, Tensor)
         want = z1.data[:, :, None, None] * g1[:, None] + z2.data[:, :, None, None] * g2[:, None]
@@ -691,16 +657,17 @@ class TestChannelGemv:
         leaf behind it gets a Tensor."""
         z = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         flat = Tensor(rng.standard_normal((3, 40)), requires_grad=True)
+        w = _make_node(flat.data.reshape(3, 2, 4, 5), (flat,), (lambda g: g.reshape(3, 40),))
         g = rng.standard_normal((3, 4, 5))
-        grad = backward(dot_loss(channel_gemv(z, reshape(flat, (3, 2, 4, 5))), g), [z, flat])[flat]
+        grad = backward(gemv_node(z, w, g), [z, flat])[flat]
         assert isinstance(grad, Tensor)
         assert np.array_equal(grad.data, (z.data[:, :, None, None] * g[:, None]).reshape(3, 40))
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\), \(2, 4, 5\)"):
-            channel_gemv(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4, 5))))
+            channel_gemv(np.zeros((2, 3)), np.zeros((2, 4, 5)))
         with pytest.raises(DimensionError, match=r"\(2,\)"):
-            channel_gemv(Tensor(np.zeros(2)), Tensor(np.zeros((2, 4, 5))))
+            channel_gemv(np.zeros(2), np.zeros((2, 4, 5)))
 
 
 class TestMovingAverage:
@@ -776,28 +743,10 @@ class TestMovingAverage:
         np.testing.assert_allclose(moving_average(x, kernel), x @ a_t, rtol=tol, atol=tol)
 
 
-class TestShapeOps:
-    def test_reshape_roundtrip_gradient(self, rng):
-        x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-        loss = mean_square(reshape(x, (3, 4)))
-        grads = backward(loss)
-        np.testing.assert_allclose(grads[x].data * 12, 2 * x.data, atol=1e-12)
-
-    def test_broadcast_unbroadcast(self, rng):
-        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        col = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
-        loss = mean_square(x + col * -1.0)
-        grads = backward(loss)
-        assert grads[col].shape == (4, 1)
-        np.testing.assert_allclose(
-            grads[col].data * 12, (-2 * (x.data - col.data)).sum(axis=1, keepdims=True),
-            atol=1e-12,
-        )
-
-
 class TestMse:
-    """`mse`, the training loss as one node, against the arithmetic of the three
-    nodes it replaced (difference, square, mean of every element), in numpy."""
+    """`mse`, the training loss, and `mse_grad`, against the arithmetic of the
+    three graph nodes they replaced (difference, square, mean of every
+    element), in numpy."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("shape", [(64, 7, 96), (64, 21, 96), (32, 7, 24), (5, 7, 24)],
@@ -806,20 +755,20 @@ class TestMse:
         if dtype == "float32":
             request.getfixturevalue("float32_mode")
         r = np.random.default_rng(sum(shape))
-        pred = Tensor(r.standard_normal(shape), requires_grad=True)
-        target = r.standard_normal(shape).astype(get_default_dtype())
-        loss = mse(pred, target)
-        diff = pred.data - target
-        assert loss.data.dtype == np.dtype(dtype)
-        assert_same_bits(loss.data, (diff * diff).mean())
+        pred = cast(r.standard_normal(shape))
+        target = cast(r.standard_normal(shape))
+        loss, diff = mse(pred, target)
+        assert loss.dtype == np.dtype(dtype)
+        assert_same_bits(diff, pred - target)
+        assert_same_bits(loss, (diff * diff).mean())
         # the square's derivative times the mean's, 1 / size per entry
-        grad_mean = np.broadcast_to(np.ones_like(loss.data), shape) / diff.size
-        assert_same_bits(backward(loss)[pred].data, grad_mean * (2.0 * diff))
-        assert len(Tape.trace(loss)) == 2
+        seed = np.ones_like(Tensor(loss).data)
+        grad_mean = np.broadcast_to(seed, shape) / diff.size
+        assert_same_bits(mse_grad(diff, seed), grad_mean * (2.0 * diff))
 
     def test_refuses_shapes_that_differ(self):
         with pytest.raises(DimensionError, match=r"one shape, got \(2, 3\) and \(3,\)"):
-            mse(Tensor(np.zeros((2, 3)), requires_grad=True), np.zeros(3))
+            mse(np.zeros((2, 3)), np.zeros(3))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
@@ -847,68 +796,34 @@ def test_square_is_the_product_bit_for_bit(dtype):
     assert got.tobytes() == want.tobytes() and out.tobytes() == want.tobytes()
 
 
-def assert_adjoint(r, f, xs, jvps):
-    """<g, J_i v> == <J_i^T g, v> for each input x_i of `f`, with `jvps[i](v)`
-    the directional derivative J_i v written out in numpy and J_i^T g the
-    gradient that `backward` returns for x_i. The loss is the mean of out * g,
-    so that gradient is J_i^T g over the element count."""
-    ts = [Tensor(x, requires_grad=True) for x in xs]
-    out = f(*ts)
-    g = r.standard_normal(out.shape)
-    grads = backward(dot_loss(out, upstream(g)), ts)
-    for t, jvp in zip(ts, jvps):
-        v = r.standard_normal(t.shape)
-        assert grads[t].shape == t.shape
-        assert np.vdot(g, jvp(v)) == pytest.approx(np.vdot(grads[t].data, v) * g.size,
-                                                   rel=1e-10, abs=1e-12)
-
-
-def away_from_zero(r, shape):
-    """Normal draws pushed to |x| >= 0.5, away from zero."""
-    x = r.standard_normal(shape)
-    return np.sign(x + 1e-300) * (0.5 + np.abs(x))
+def assert_adjoint(r, out, grad, xs, jvps):
+    """<g, J_i v> == <J_i^T g, v> for each input x_i of a kernel whose output is
+    `out`, with `jvps[i](v)` the directional derivative J_i v written out in
+    numpy and `grad(g)` the gradients J_i^T g that the kernel's gradient
+    function returns for the gradient g reaching `out`."""
+    g = r.standard_normal(np.shape(out))
+    grads = grad(g)
+    assert len(grads) == len(xs)
+    for x, g_x, jvp in zip(xs, grads, jvps):
+        g_x = g_x.data if isinstance(g_x, OuterGrad) else g_x
+        v = r.standard_normal(x.shape)
+        assert g_x.shape == x.shape
+        assert np.vdot(g, jvp(v)) == pytest.approx(np.vdot(g_x, v), rel=1e-10, abs=1e-12)
 
 
 class TestAdjoint:
-    """Dot-product tests of every differentiable op not covered above."""
-
-    BROADCAST = [((3, 4), (3, 4)), ((3, 4), (4,)), ((2, 1, 4), (3, 1)), ((3, 1), (1, 4)),
-                 ((), (2, 3))]
-
-    @pytest.mark.parametrize("op", ["add", "mul"])
-    @pytest.mark.parametrize("shapes", BROADCAST, ids=["same", "trailing", "3d", "outer", "scalar"])
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_binary(self, op, shapes, seed):
-        r = np.random.Generator(np.random.Philox(seed))
-        a, b = r.standard_normal(shapes[0]), away_from_zero(r, shapes[1])
-        out_shape = np.broadcast_shapes(*shapes)
-
-        def spread(v):
-            return np.broadcast_to(v, out_shape)
-
-        f = {"add": add, "mul": mul}[op]
-        jvps = {
-            "add": (spread, spread),
-            "mul": (lambda v: v * b, lambda v: a * v),
-        }[op]
-        assert_adjoint(r, f, [a, b], jvps)
+    """Dot-product tests of the backward pieces not covered above."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_reductions(self, seed):
+    def test_mse(self, seed):
+        """The loss's backward piece, `mse_grad`, against the derivative of the
+        mean of squares along v: the mean of 2 (x - target) v."""
         r = np.random.Generator(np.random.Philox(seed))
         x, target = r.standard_normal((3, 4, 2)), r.standard_normal((3, 4, 2))
-        assert_adjoint(r, lambda t: mse(t, target), [x],
+        loss, diff = mse(x, target)
+        assert_adjoint(r, loss, lambda g: [mse_grad(diff, g)], [x],
                        [lambda v: np.mean(2.0 * (x - target) * v)])
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           shape=st.sampled_from([((2, 6), (3, 4)), ((2, 6), (12,)), ((4, 3, 2), (2, 12))]))
-    def test_reshape(self, seed, shape):
-        r = np.random.Generator(np.random.Philox(seed))
-        assert_adjoint(r, lambda t: reshape(t, shape[1]), [r.standard_normal(shape[0])],
-                       [lambda v: v.reshape(shape[1])])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 30), data=st.data())
@@ -930,4 +845,4 @@ class TestAdjoint:
 def test_float32_mode_roundtrip(float32_mode, rng):
     x = Tensor(rng.standard_normal((2, 3)))
     assert x.data.dtype == np.float32
-    assert matmul(x, Tensor(np.eye(3))).data.dtype == np.float32
+    assert channel_dot([cast(np.ones((2, 4, 3)))], [x.data]).dtype == np.float32

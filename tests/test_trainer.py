@@ -16,7 +16,6 @@ from hnmvts.numcore import (
     backward,
     channel_product,
     no_grad,
-    mse,
     spawn_rng,
 )
 from hnmvts.trainer import PreparedSet, TrainConfig, TrainingError, evaluate, train
@@ -316,7 +315,9 @@ class TestTrain:
         state = AdamState()
 
         def step():
-            grads = backward(mse(model.forward(Tensor(x)), y), list(params.values()))
+            x_norm, stats = revin_forward(x)
+            loss = model.loss(model.prepare(x_norm), revin_apply(y, stats))
+            grads = backward(loss, list(params.values()))
             adam_step(params, {name: grads[p] for name, p in params.items()}, state)
 
         step()
@@ -458,9 +459,9 @@ class TestTrain:
 
 
 def reference_train(model, train_w, val_w, cfg):
-    """Frozen copy of the per-batch training loop: RevIN and the decomposition
-    run on every batch, through `forward_normalized` or `forward`, and the
-    validation pass evaluates the plain window set. Returns the per-epoch
+    """Frozen copy of the per-batch training loop: RevIN and the model's
+    `prepare` run on every batch, before the loss node, and the validation
+    pass evaluates the plain window set. Returns the per-epoch
     train loss and validation MSE, leaving the best epoch's parameters."""
     params = model.parameters()
     state = AdamState(lr=cfg.lr)
@@ -474,10 +475,10 @@ def reference_train(model, train_w, val_w, cfg):
             idx = order[start : start + cfg.batch_size]
             x, y = train_w.batch(idx)
             if model.revin:
-                pred, stats = model.forward_normalized(Tensor(x))
-                loss = mse(pred, revin_apply(y, stats))
+                x_norm, stats = revin_forward(x)
+                loss = model.loss(model.prepare(x_norm), revin_apply(y, stats))
             else:
-                loss = mse(model.forward(Tensor(x)), y)
+                loss = model.loss(model.prepare(x), y)
             grads = backward(loss, list(params.values()))
             adam_step(params, {name: grads[p] for name, p in params.items()}, state)
             total += loss.item() * len(idx)
@@ -585,8 +586,8 @@ class TestPreparedSets:
         _, history = train(build_form(form, True, table), windows[:150], windows[150:], cfg)
         assert history.n_epochs == 2
 
-    def test_dlinear_baseline_step_takes_four_nodes(self, rng, monkeypatch):
-        """Two final layers, the one `channel_dot` over both slots and one `mse`."""
+    def test_dlinear_baseline_step_takes_three_nodes(self, rng, monkeypatch):
+        """The loss node and its parents, the two final layers."""
         from hnmvts import trainer as trainer_mod
         from hnmvts.numcore import Tape
 
@@ -600,7 +601,7 @@ class TestPreparedSets:
         monkeypatch.setattr(trainer_mod, "backward", counting)
         model, train_w, val_w = small_setup(rng)
         train(model, train_w, val_w, TrainConfig(lookback=8, horizon=2, max_epochs=1))
-        assert sizes and set(sizes) == {4}
+        assert sizes and set(sizes) == {3}
 
     def test_trend_runs_once_per_set_per_call(self, rng, monkeypatch):
         """`moving_average` runs on each whole set once per `train` call, not
@@ -684,8 +685,8 @@ class TestPreparedSets:
             if revin:
                 assert np.array_equal(got.stats.mean, ref.stats.mean)
                 assert np.array_equal(got.stats.std, ref.stats.std)
-            pred = model.forward_prepared(got.inputs).data
-            assert np.array_equal(pred, model.forward_prepared(ref.inputs).data)
+            pred = model.forward_prepared(got.inputs)
+            assert np.array_equal(pred, model.forward_prepared(ref.inputs))
         if not for_loss:
             assert evaluate(model, prepared, batch_size=64) == want_eval
 
@@ -835,8 +836,8 @@ class TestDiverging:
 
 def frozen_evaluate(model, windows, batch_size=256):
     """Frozen copy of `evaluate`'s arithmetic from before its one error buffer:
-    `revin_reverse` on the Tensor graph, then a difference, its square and its
-    absolute value as three temporaries."""
+    RevIN's map back as a product and a sum into new arrays, then a
+    difference, its square and its absolute value as three temporaries."""
     from hnmvts.trainer import _stack_batch
 
     sse = sae = 0.0
@@ -848,11 +849,11 @@ def frozen_evaluate(model, windows, batch_size=256):
                 batch = _stack_batch(windows, idx)
                 pred, yb = model.forward_prepared(batch.inputs), batch.y
                 if batch.stats is not None:
-                    pred = revin_reverse(pred, batch.stats)
+                    pred = pred * (batch.stats.std + EPS) + batch.stats.mean
             else:
                 xb, yb = windows.batch(idx)
-                pred = model.forward(Tensor(xb))
-            diff = pred.data - yb
+                pred = model.forward(Tensor(xb)).data
+            diff = pred - yb
             sse += float((diff * diff).sum())
             sae += float(np.abs(diff).sum())
             count += diff.size
@@ -873,7 +874,7 @@ def gathered_in_place_evaluate(model, windows, batch_size):
             origins = windows.origins[start : start + batch_size]
             x, y = spans[0][origins], spans[1][origins + windows.lookback]
             if not model.revin:
-                err = model.forward_prepared(model.prepare(x), weights).data
+                err = model.forward_prepared(model.prepare(x), weights)
             else:
                 mean = np.add.reduce(x, axis=-1, keepdims=True)
                 mean /= x.shape[-1]
@@ -886,7 +887,7 @@ def gathered_in_place_evaluate(model, windows, batch_size):
                     std /= x.shape[-1]
                     np.sqrt(std, out=std)
                     x /= std + EPS
-                    err = model.forward_prepared(model.prepare(x), weights).data
+                    err = model.forward_prepared(model.prepare(x), weights)
                     revin_reverse(err, InstanceStats(mean, std), out=err)
             err -= y
             np.abs(err, out=err)
@@ -1011,8 +1012,9 @@ class TestEvaluate:
             assert first == frozen_evaluate(model, ws, batch_size=16)
         params = model.parameters()
         x, y = windows.batch(slice(0, 16))
-        pred, stats = model.forward_normalized(Tensor(x))
-        grads = backward(mse(pred, revin_apply(y, stats)), list(params.values()))
+        x_norm, stats = revin_forward(x)
+        loss = model.loss(model.prepare(x_norm), revin_apply(y, stats))
+        grads = backward(loss, list(params.values()))
         adam_step(params, {name: grads[p] for name, p in params.items()}, AdamState(lr=1e-2))
         for ws in (windows, PreparedSet(model, windows)):
             second = evaluate(model, ws, batch_size=16)
