@@ -3,13 +3,12 @@
 Every backbone turns a lookback window (..., N, T), a plain array, into one
 hidden state per channel and per output slot: `prepare(x)` computes on plain
 arrays what the forward reads of it (data a trainer may keep; `reads` names
-it), and `forward_hidden` turns that list into the hidden states, plain
-arrays. `apply_final` then maps each channel's hidden state to the horizon
-with that slot's bias-free (N, H, D) weights, one (H x D) matrix per channel,
-summed over slots by one `channel_dot`. A backbone is described by its
-`config()`; the arrays it owns (`shapes()` names them and gives their
-shapes) live in the model's array store, which it reads by name. Two
-backbones ship:
+it), and `forward_hidden` turns that list into the hidden states. `apply_final`
+then maps each channel's hidden state to the horizon with that slot's
+bias-free (N, H, D) weights, one (H x D) matrix per channel, summed over slots
+by one `channel_dot`. A backbone is described by its `config()`; the arrays it
+owns (`shapes()` names them and gives their shapes) live in the model's array
+store, which it reads by name. Two backbones ship:
 
 * DLinearBackbone - moving-average trend/seasonal decomposition with identity
   hidden maps (D = T) and one final layer per branch; it owns no arrays. Being
@@ -115,8 +114,7 @@ class DLinearBackbone:
         """The trend and seasonal parts of x (`decompose`)."""
         return list(decompose(x, self.kernel))
 
-    def forward_hidden(self, inputs: list[np.ndarray], acts: list | None = None
-                       ) -> list[np.ndarray]:
+    def forward_hidden(self, inputs: list[np.ndarray], acts: list | None = None) -> list:
         """Hidden states in `slots` order, the trend, then the seasonal part:
         `prepare`'s arrays themselves, data that no gradient reaches (`acts`
         stays empty)."""
@@ -177,8 +175,7 @@ class MlpBackbone:
         """The lookback itself: the trunk reads nothing precomputable from it."""
         return [x]
 
-    def forward_hidden(self, inputs: list[np.ndarray], acts: list | None = None
-                       ) -> list[np.ndarray]:
+    def forward_hidden(self, inputs: list[np.ndarray], acts: list | None = None) -> list:
         """The trunk's output on the lookback, the one hidden state of the `out`
         slot; with `acts`, every layer's output is appended to it (`hidden_grads`)."""
         return [stack_forward(inputs[0], [self.weights[n].data for n in self._shapes], acts)]

@@ -118,7 +118,7 @@ def generate_weights(mode: str, z: np.ndarray, gen: list[np.ndarray], horizon: i
         acts = acts[-1]
     if mode == "per_channel_linear":
         return channel_gemv(z, gen[0])
-    flat = (stack_forward(z, gen[:-1], acts) if len(gen) > 1 else z) @ gen[-1]
+    flat = stack_forward(z, gen[:-1], acts) @ gen[-1]
     return flat.reshape(z.shape[0], horizon, flat.shape[1] // horizon)
 
 
@@ -192,8 +192,10 @@ class ForecastModel:
         for name, t in arrays.items():
             t.requires_grad = (variant == "baseline" if name.startswith("final.")
                                else cfg.embedding.learnable if name == "embed.z" else True)
+        # the trainables' names, and the loss node's parents and their gradients' getters
         self._trainable = [name for name, t in arrays.items() if t.requires_grad]
-        self._getters = tuple(map(itemgetter, range(len(self._trainable))))  # the loss node's
+        self._parents = tuple(arrays[name] for name in self._trainable)
+        self._getters = tuple(map(itemgetter, range(len(self._parents))))
         self._cfg = cfg
         self._arrays = arrays
         self.variant = variant
@@ -233,8 +235,7 @@ class ForecastModel:
         x = np.ascontiguousarray(x)
         return [x] if self._folded is not None else self.backbone.prepare(x)
 
-    def forward_prepared(self, inputs: list[np.ndarray], weights: list | None = None
-                         ) -> np.ndarray:
+    def forward_prepared(self, inputs: list[np.ndarray], weights: list | None = None) -> np.ndarray:
         """Normalised-scale forecast (..., N, H), a new array, from `prepare`'s arrays:
         the backbone's `forward_hidden`, then `apply_final` with `weights`, the
         `final_weights()`, which a caller may pass (`trainer.evaluate` takes them
@@ -288,26 +289,24 @@ class ForecastModel:
         trunk_acts: list[np.ndarray] = []
         hidden = self.backbone.forward_hidden(inputs, trunk_acts)
         value, diff = mse(apply_final(weights, hidden), target)
+        has_trunk = bool(trunk_acts)
 
         def step_grads(seed: np.ndarray) -> list:
-            g_ws, g_hidden = channel_dot_grad(mse_grad(diff, seed), weights, hidden,
-                                              bool(trunk_acts))
-            grads = self.backbone.hidden_grads(inputs, trunk_acts, g_hidden[0]) if trunk_acts else {}
-            if self.variant != "hyper":
+            g_ws, g_hidden = channel_dot_grad(mse_grad(diff, seed), weights, hidden, has_trunk)
+            grads = self.backbone.hidden_grads(inputs, trunk_acts, g_hidden[0]) if has_trunk else {}
+            if self.variant == "hyper":
+                z, gz = self._arrays["embed.z"], None
+                for names, gen, acts, g_w in zip(self._heads, self._gens, gen_acts, g_ws):
+                    g_z, g_gen = generator_grads(self._mode, z.data, [t.data for t in gen], acts,
+                                                 g_w, z.requires_grad)
+                    grads.update(zip(names, g_gen))
+                    gz = g_z if gz is None else gz + g_z  # None throughout for a frozen z
+                grads["embed.z"] = gz
+            else:
                 grads.update(zip(self._finals, g_ws))
-                return [grads[name] for name in self._trainable]
-            z, gz = self._arrays["embed.z"], None
-            for names, gen, acts, g_w in zip(self._heads, self._gens, gen_acts, g_ws):
-                g_z, g_gen = generator_grads(self._mode, z.data, [t.data for t in gen], acts,
-                                             g_w, z.requires_grad)
-                grads.update(zip(names, g_gen))
-                if g_z is not None:
-                    gz = g_z if gz is None else gz + g_z
-            grads["embed.z"] = gz
             return [grads[name] for name in self._trainable]
 
-        return _make_node(value, [self._arrays[name] for name in self._trainable], self._getters,
-                          grad_in=step_grads)
+        return _make_node(value, self._parents, self._getters, grad_in=step_grads)
 
     # parameter bookkeeping -------------------------------------------------
     def all_arrays(self) -> dict[str, Tensor]:

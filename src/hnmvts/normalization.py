@@ -54,16 +54,14 @@ def revin_forward(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     return centered, InstanceStats(mean=mean, std=std)
 
 
-def revin_reverse(y_norm: np.ndarray, stats: InstanceStats,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def revin_reverse(y_norm, stats: InstanceStats, out: np.ndarray | None = None) -> np.ndarray:
     """Map a normalized forecast (..., N, H) to the raw scale, into `out` if given."""
     out = np.multiply(y_norm, stats.std + EPS, out=out)
     out += stats.mean
     return out
 
 
-def revin_apply(y: np.ndarray, stats: InstanceStats, out: np.ndarray | None = None
-                ) -> np.ndarray:
+def revin_apply(y: np.ndarray, stats: InstanceStats, out: np.ndarray | None = None) -> np.ndarray:
     """Normalize a raw-scale array with existing lookback statistics: into `out`
     if given (y itself may be it), else into a new array in C order."""
     out = np.subtract(y, stats.mean, out=out, order="C")

@@ -112,9 +112,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | OuterGrad],
     """One Adam update over a named parameter set, in place.
 
     A gradient is a Tensor or a factored `OuterGrad`, as `backward` returns
-    them from the step's loss node (`ForecastModel.loss`). Raises ValueError naming the parameter if its gradient is
-    non-finite or shaped differently from the parameter; nothing is updated
-    then.
+    them from the step's loss node (`ForecastModel.loss`). Raises ValueError
+    naming the parameter if its gradient is non-finite or shaped differently
+    from the parameter; nothing is updated then.
     """
     checked = []
     with np.errstate(over="ignore", invalid="ignore"):  # for every check's sums and products

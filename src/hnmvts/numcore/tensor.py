@@ -482,26 +482,25 @@ def backward(
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    tape = Tape.trace(loss)
-    acc: dict[Tensor, np.ndarray | OuterGrad] = {loss: np.ones_like(loss.data)}
+    acc: dict[Tensor, np.ndarray | OuterGrad] = {loss: np.ones(loss.shape, loss.data.dtype)}
     leaf_grads: dict[Tensor, Tensor | OuterGrad] = {}
-    for node in reversed(tape.nodes):
+    for node in reversed(Tape.trace(loss).nodes):
         g = acc.pop(node, None)
         if g is None:
             continue
-        if not node._parents:
+        parents = node._parents
+        if not parents:
             if node.requires_grad:
                 leaf_grads[node] = g if isinstance(g, OuterGrad) else Tensor(g)
             continue
         g = _dense(g)
         if node._grad_in is not None:
             g = node._grad_in(g)
-        for parent, fn in zip(node._parents, node._grad_fns):
-            if not parent.requires_grad:
-                continue
-            contrib = fn(g)
-            prev = acc.get(parent)
-            acc[parent] = contrib if prev is None else _dense(prev) + _dense(contrib)
+        for parent, fn in zip(parents, node._grad_fns):
+            if parent.requires_grad:
+                contrib = fn(g)
+                prev = acc.get(parent)
+                acc[parent] = contrib if prev is None else _dense(prev) + _dense(contrib)
     if params is not None:
         for p in params:
             if p not in leaf_grads:

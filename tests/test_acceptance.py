@@ -138,7 +138,8 @@ def test_criterion_2_gradient_correctness(dtype):
             rng, backbone_kind=backbone_kind, mode=mode, revin=True
         )
         x_norm, stats = revin_forward(rng.standard_normal((n, lookback)))
-        inputs, target = model.prepare(x_norm), revin_apply(rng.standard_normal((n, horizon)), stats)
+        inputs = model.prepare(x_norm)
+        target = revin_apply(rng.standard_normal((n, horizon)), stats)
         if dtype == "float64":
             params = list(model.parameters().values())
             err = finite_diff_check(lambda: model.loss(inputs, target), params)

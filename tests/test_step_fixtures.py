@@ -20,19 +20,17 @@ Run this file as a script to rewrite the files from the current code:
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import make_rng  # noqa: E402
-from hnmvts.backbones import DLinearBackbone, MlpBackbone  # noqa: E402
-from hnmvts.data import SeriesTable, make_windows  # noqa: E402
-from hnmvts.hypernet import build_baseline, build_hyper  # noqa: E402
-from hnmvts.numcore import Tensor, get_default_dtype, set_default_dtype  # noqa: E402
-from hnmvts.trainer import TrainConfig, train  # noqa: E402
+from helpers import make_rng
+from hnmvts.backbones import DLinearBackbone, MlpBackbone
+from hnmvts.data import SeriesTable, make_windows
+from hnmvts.hypernet import build_baseline, build_hyper
+from hnmvts.numcore import Tensor, get_default_dtype, set_default_dtype
+from hnmvts.trainer import TrainConfig, train
 
 STEPS = Path(__file__).parent / "data" / "steps"
 LOOKBACK, HORIZON, CHANNELS = 8, 4, 3
