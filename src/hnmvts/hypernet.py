@@ -118,7 +118,7 @@ def generate_weights(mode: str, z: np.ndarray, gen: list[np.ndarray], horizon: i
         acts = acts[-1]
     if mode == "per_channel_linear":
         return channel_gemv(z, gen[0])
-    flat = stack_forward(z, gen[:-1], acts) @ gen[-1]
+    flat = (stack_forward(z, gen[:-1], acts) if len(gen) > 1 else z) @ gen[-1]
     return flat.reshape(z.shape[0], horizon, flat.shape[1] // horizon)
 
 

@@ -119,7 +119,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return float(self.data.item())
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -216,7 +216,7 @@ def _stacked_rows(x: np.ndarray, m: np.ndarray, bias: np.ndarray | None = None) 
     if x.ndim < 3 or min(n, *m.shape) < 2:
         return x @ m if bias is None else _bias_relu(x @ m, bias)
     rows = x.reshape(-1, x.shape[-1])
-    out = np.empty((rows.shape[0], m.shape[1]), dtype=np.result_type(x, m))
+    out = np.empty((rows.shape[0], m.shape[1]), dtype=np.promote_types(x.dtype, m.dtype))
     step = max(1, _ROW_BLOCK // n) * n
     for r in range(0, rows.shape[0], step):
         block = out[r : r + step]
@@ -325,7 +325,7 @@ def channel_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     vc, wt = _to_channel_major(v), w.swapaxes(1, 2)
     if vc.shape[1] == 1:  # one window: the channel-major product is row-major already
         return (vc @ wt).reshape(v.shape[:-1] + w.shape[1:2])
-    out = np.empty(v.shape[:-1] + w.shape[1:2], dtype=np.result_type(w, v))
+    out = np.empty(v.shape[:-1] + w.shape[1:2], dtype=np.promote_types(w.dtype, v.dtype))
     np.matmul(vc, wt, out=_to_channel_major(out))
     return out
 
@@ -482,7 +482,7 @@ def backward(
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    acc: dict[Tensor, np.ndarray | OuterGrad] = {loss: np.ones(loss.shape, loss.data.dtype)}
+    acc: dict[Tensor, np.ndarray | OuterGrad] = {loss: np.array(1.0, loss.data.dtype).reshape(loss.shape)}
     leaf_grads: dict[Tensor, Tensor | OuterGrad] = {}
     for node in reversed(Tape.trace(loss).nodes):
         g = acc.pop(node, None)

@@ -205,10 +205,12 @@ def _stack_batch(prepared: PreparedSet, idx) -> _Batch:
         if stats is not None:
             x = revin_apply(x, stats, out=x if x.flags.writeable else None)
         return _Batch(prepared.prepare(x), y, stats)
-    # a slice is a view; `take` copies an index array's rows as indexing does, faster
-    rows = (lambda a: a[idx]) if isinstance(idx, slice) else (lambda a: a.take(idx, 0))
-    y = prepared.windows.targets(idx) if prepared.target is None else rows(prepared.target)
-    return _Batch([rows(a) for a in prepared.inputs], y, stats)
+    if isinstance(idx, slice):  # views
+        y = prepared.windows.targets(idx) if prepared.target is None else prepared.target[idx]
+        return _Batch([a[idx] for a in prepared.inputs], y, stats)
+    # `take` copies an index array's rows as indexing does, faster
+    y = prepared.windows.targets(idx) if prepared.target is None else prepared.target.take(idx, 0)
+    return _Batch([a.take(idx, 0) for a in prepared.inputs], y, stats)
 
 
 def _batch_loss(model, batch: _Batch) -> Tensor:
