@@ -281,9 +281,9 @@ class ForecastModel:
         node whose parents are the trainables. Its forward keeps the trunk's and
         the generators' layer outputs; its backward runs `mse_grad`,
         `channel_dot_grad`, the trunk's `hidden_grads`, each slot's
-        `generator_grads`, and sums z's contributions in slot order: the
-        kernels and order of the op-by-op graph it replaced, so every gradient
-        keeps its bits. A new model form needs its own backward here."""
+        `generator_grads`, and sums z's contributions in slot order. Those
+        kernels and that order fix every gradient's bits, which
+        `tests/data/steps` pins. A new model form needs its own backward here."""
         gen_acts: list[list[np.ndarray]] = []
         weights = self.final_weights(gen_acts)
         trunk_acts: list[np.ndarray] = []
