@@ -232,11 +232,11 @@ def relu_product(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     to numpy's `np.where(pre > 0, pre, 0.0)` of `pre = h @ w + b`."""
     if h.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
         raise DimensionError(
-            f"linear_relu needs h (..., n, k), w (k, p) and b (p,), got {h.shape}, {w.shape}, "
+            f"relu_product needs h (..., n, k), w (k, p) and b (p,), got {h.shape}, {w.shape}, "
             f"{b.shape}"
         )
     if h.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear_relu inner dimensions disagree: {h.shape} @ {w.shape}")
+        raise DimensionError(f"relu_product inner dimensions disagree: {h.shape} @ {w.shape}")
     return _stacked_rows(h, w, b)
 
 
@@ -482,7 +482,7 @@ def backward(
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    acc: dict[Tensor, np.ndarray | OuterGrad] = {loss: np.array(1.0, loss.data.dtype).reshape(loss.shape)}
+    acc = {loss: np.array(1.0, loss.data.dtype).reshape(loss.shape)}  # node -> its gradient so far
     leaf_grads: dict[Tensor, Tensor | OuterGrad] = {}
     for node in reversed(Tape.trace(loss).nodes):
         g = acc.pop(node, None)
